@@ -174,11 +174,8 @@ BENCHMARK(BM_BallCarving)->Arg(256)->Arg(1024);
 // A fixed-round gossip program (each node forwards the running XOR of its
 // inbox) on a torus: pure executor overhead — message routing, barriers,
 // scheduling — with negligible per-node compute. Items processed = node
-// rounds, so items/s is directly comparable between executors, thread
-// counts, and send APIs. The writer-send variants serialize through the
-// zero-allocation `Outbox` arena; the vector-send variants return a freshly
-// allocated `std::vector<Message>` per node per round through the legacy
-// adapter — the pair quantifies the writer-path win on the 1M-node torus.
+// rounds, so items/s is directly comparable between executors and thread
+// counts. Programs serialize through the zero-allocation `Outbox` arena.
 
 /// Writer-API gossip: broadcast serializes straight into the arena.
 class GossipProgram final : public local::NodeProgram {
@@ -208,45 +205,11 @@ class GossipProgram final : public local::NodeProgram {
   bool done_ = false;
 };
 
-/// Same gossip through the legacy vector API (one heap-allocated message
-/// vector per node per round, adapter copies on receive).
-class VectorGossipProgram final : public local::NodeProgram {
- public:
-  VectorGossipProgram(const local::NodeEnv& env, std::size_t rounds)
-      : env_(env), rounds_(rounds), acc_(env.uid) {}
-
-  std::vector<local::Message> send_messages(std::size_t) override {
-    return std::vector<local::Message>(env_.degree, local::Message{acc_});
-  }
-
-  void receive_messages(std::size_t round,
-                        const std::vector<local::Message>& inbox) override {
-    for (const local::Message& msg : inbox) {
-      if (!msg.empty()) acc_ ^= msg[0] * 0x9E3779B97F4A7C15ull;
-    }
-    done_ = round + 1 >= rounds_;
-  }
-
-  [[nodiscard]] bool done() const override { return done_; }
-
- private:
-  local::NodeEnv env_;
-  std::size_t rounds_;
-  std::uint64_t acc_;
-  bool done_ = false;
-};
-
 constexpr std::size_t kGossipRounds = 8;
 
 local::ProgramFactory gossip_factory() {
   return [](const local::NodeEnv& env) {
     return std::make_unique<GossipProgram>(env, kGossipRounds);
-  };
-}
-
-local::ProgramFactory vector_gossip_factory() {
-  return [](const local::NodeEnv& env) {
-    return std::make_unique<VectorGossipProgram>(env, kGossipRounds);
   };
 }
 
@@ -266,20 +229,6 @@ void BM_SequentialRounds(benchmark::State& state) {
 BENCHMARK(BM_SequentialRounds)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SequentialRoundsVectorSend(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto g = graph::gen::torus(side, side);
-  local::Network net(g, local::IdStrategy::kSequential, 42);
-  for (auto _ : state) {
-    net.run(vector_gossip_factory(), kGossipRounds + 1);
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(g.num_nodes() * kGossipRounds));
-}
-BENCHMARK(BM_SequentialRoundsVectorSend)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
 // Arg pair: torus side, thread count.
 void BM_ParallelRounds(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
@@ -297,23 +246,6 @@ BENCHMARK(BM_ParallelRounds)
     ->Args({64, 1})->Args({64, 8})
     ->Args({256, 1})->Args({256, 8})
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_ParallelRoundsVectorSend(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const auto g = graph::gen::torus(side, side);
-  runtime::ParallelNetwork net(g, local::IdStrategy::kSequential, 42, threads);
-  for (auto _ : state) {
-    net.run(vector_gossip_factory(), kGossipRounds + 1);
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(g.num_nodes() * kGossipRounds));
-}
-BENCHMARK(BM_ParallelRoundsVectorSend)
-    ->Args({256, 8})
-    ->Args({1024, 1})->Args({1024, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Cross-runtime comparison on the same torus family: the multi-process

@@ -87,8 +87,9 @@ std::size_t DistributedNetwork::run_worker(
   // children's copies die with _exit), matching the sequential executor's
   // single-sink contract.
   const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
-  return run_rank_loop(topology_, partition_, transport, factory, max_rounds,
-                       epoch_, sink, output_fn_, programs_, rec);
+  return run_rank_loop(RankView::of(topology_), partition_, transport,
+                       factory, max_rounds, epoch_, sink, output_fn_,
+                       programs_, rec);
 }
 
 std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
@@ -182,11 +183,7 @@ std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
 }
 
 const local::NodeProgram& DistributedNetwork::program(graph::NodeId v) const {
-  DS_CHECK(v < programs_.size());
-  DS_CHECK_MSG(programs_[v] != nullptr,
-               "program(v) is only resident in the owning worker process; "
-               "use set_output_fn/outputs() for cross-worker results");
-  return *programs_[v];
+  return owned_program(programs_, partition_.first_node(0), v);
 }
 
 }  // namespace ds::dist

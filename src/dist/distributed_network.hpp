@@ -36,11 +36,11 @@
 /// For a fixed (graph, IdStrategy, seed), DistributedNetwork produces
 /// bit-identical per-node program outputs, round counts and RoundStats to
 /// `local::Network` at every worker count: topology/UIDs/randomness are the
-/// shared pure constructions, the factory is invoked for every node in node
-/// order in every worker (so stateful factories observe the sequential
-/// call sequence), and the halo exchange transports message words verbatim
-/// with the executor's barriers reproducing the send-then-receive phase
-/// order. tests/test_dist.cpp asserts the contract at 1/2/4 workers.
+/// shared pure constructions, each worker invokes the (pure per node)
+/// factory for its own range only, and the halo exchange transports message
+/// words verbatim with the executor's barriers reproducing the
+/// send-then-receive phase order. tests/test_dist.cpp asserts the contract
+/// at 1/2/4 workers.
 ///
 /// # Output collection
 ///
@@ -149,7 +149,7 @@ class DistributedNetwork final : public local::Executor {
   HaloTransport transport_;
   SharedRegion control_region_;
   ControlBlock* control_;
-  /// Worker 0's resident programs (size n; null outside worker 0's range).
+  /// Worker 0's resident programs (its owned range, at local indices).
   std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   /// Children already reaped by the barrier poll (worker 0 only).
   std::vector<bool> reaped_;

@@ -28,31 +28,18 @@ std::size_t run_rank_loop(
   const auto degree = [&](graph::NodeId v) {
     return view.port_offsets[v - view.offset_first + 1] - port_offset(v);
   };
-  // Owned programs live at global indices when the whole range is
-  // constructed, at local indices on the in-situ path (where a vector of n
-  // mostly-null pointers would itself be a full-instance allocation).
   const auto prog_at = [&](graph::NodeId v) -> local::NodeProgram& {
-    return *programs[view.construct_all ? v : v - first];
+    return *programs[v - first];
   };
 
+  // Only the owned range is constructed (factories are pure per node), at
+  // local indices: a vector of n mostly-null pointers would itself be a
+  // full-instance allocation on every rank.
   programs.clear();
-  if (view.construct_all) {
-    // Every rank invokes the factory for every node in node order — the
-    // exact call sequence of the sequential executor, so factories that
-    // capture mutable state stay deterministic — and keeps the owned range.
-    programs.resize(view.num_nodes);
-    for (graph::NodeId v = 0; v < view.num_nodes; ++v) {
-      auto p = factory(view.env_of(v));
-      DS_CHECK(p != nullptr);
-      if (v >= first && v < last) programs[v] = std::move(p);
-    }
-  } else {
-    programs.resize(last - first);
-    for (graph::NodeId v = first; v < last; ++v) {
-      auto p = factory(view.env_of(v));
-      DS_CHECK(p != nullptr);
-      programs[v - first] = std::move(p);
-    }
+  programs.resize(last - first);
+  for (graph::NodeId v = first; v < last; ++v) {
+    programs[v - first] = factory(view.env_of(v));
+    DS_CHECK(programs[v - first] != nullptr);
   }
 
   // Private round state: single-buffered bank + local span arena (own port
@@ -256,21 +243,21 @@ std::size_t run_rank_loop(
   return rounds;
 }
 
-std::size_t run_rank_loop(
-    const local::NetworkTopology& topo, const Partition& part,
-    Transport& transport, const local::ProgramFactory& factory,
-    std::size_t max_rounds, std::uint64_t& epoch,
-    const local::RoundStatsSink& sink, const local::OutputFn& output_fn,
-    std::vector<std::unique_ptr<local::NodeProgram>>& programs,
-    obs::Recorder* recorder) {
+RankView RankView::of(const local::NetworkTopology& topo) {
   RankView view;
   view.num_nodes = topo.graph().num_nodes();
   view.port_offsets = topo.port_offsets().data();
-  view.offset_first = 0;
-  view.construct_all = true;
   view.env_of = [&topo](graph::NodeId v) { return topo.make_env(v); };
-  return run_rank_loop(view, part, transport, factory, max_rounds, epoch,
-                       sink, output_fn, programs, recorder);
+  return view;
+}
+
+const local::NodeProgram& owned_program(
+    const std::vector<std::unique_ptr<local::NodeProgram>>& programs,
+    graph::NodeId first, graph::NodeId v) {
+  DS_CHECK_MSG(v >= first && v - first < programs.size(),
+               "program(v) is only resident in the owning rank's process; "
+               "use set_output_fn/outputs() for cross-rank results");
+  return *programs[v - first];
 }
 
 namespace {

@@ -3,15 +3,15 @@
 /// \file rank_loop.hpp
 /// The transport-independent round protocol of the distributed executors.
 ///
-/// `run_rank_loop` is the per-rank body that both `dist::DistributedNetwork`
-/// (one forked worker per rank, `ShmTransport`) and `net::TcpNetwork` (one
-/// OS process per rank, `net::TcpTransport`) execute. Factoring it out is
-/// what guarantees the two runtimes implement the *same* protocol — the
-/// transports only move bytes and synchronize; every delivery/ordering/
-/// liveness rule lives here, once:
+/// `run_rank_loop` is the per-rank body that `dist::DistributedNetwork`
+/// (one forked worker per rank, `ShmTransport`), `net::TcpNetwork` (one OS
+/// process per rank, `net::TcpTransport`) and `net::run_insitu` execute.
+/// Factoring it out is what guarantees the runtimes implement the *same*
+/// protocol — the transports only move bytes and synchronize; every
+/// delivery/ordering/liveness rule lives here, once:
 ///
-///   1. invoke the factory for every node in node order (stateful factories
-///      observe the sequential call sequence) and keep the owned range;
+///   1. invoke the (pure per node) factory for the owned range [first,
+///      last) only, storing the programs at local indices;
 ///   2. per round: owned live nodes send through the unmodified
 ///      `local::Outbox` (the Partition's delivery table routes cut ports
 ///      into out-halo staging slots) -> `Transport::ship` -> patch +
@@ -49,9 +49,8 @@ namespace ds::dist {
 /// What the round protocol actually needs to know about one rank's share of
 /// the instance — a seam between the loop and the topology representation.
 /// The classic executors view a fully materialized `NetworkTopology`
-/// (`construct_all` true, global port offsets); the in-situ scale path views
-/// only its own node range (`construct_all` false, rank-local offsets), so a
-/// rank never holds the whole graph.
+/// (global port offsets); the in-situ scale path views only its own node
+/// range (rank-local offsets), so a rank never holds the whole graph.
 struct RankView {
   /// Global node count (the `env.n` every node observes).
   std::size_t num_nodes = 0;
@@ -61,19 +60,27 @@ struct RankView {
   /// arena slot.
   const std::size_t* port_offsets = nullptr;
   graph::NodeId offset_first = 0;
-  /// True: invoke the factory for *every* node in node order and keep the
-  /// owned range at global indices (the sequential factory-call contract).
-  /// False: construct only [first, last), stored at local indices — valid
-  /// for pure factories (no cross-node mutable state), which the in-situ
-  /// path requires anyway.
-  bool construct_all = true;
   /// Builds the node environment (uid, degree, neighbor uids, forked rng)
-  /// for one owned node; must be defined for every constructed node.
+  /// for one owned node.
   std::function<local::NodeEnv(graph::NodeId)> env_of;
+
+  /// The view of a fully materialized topology; `topo` must outlive it.
+  static RankView of(const local::NetworkTopology& topo);
 };
 
-/// Core of `run_rank_loop` over a `RankView` — see the convenience overload
-/// below for the contract. The in-situ runner calls this directly.
+/// Runs rank `transport.rank()`'s full share of one distributed run:
+/// construct programs, execute rounds, gather outputs. Returns the executed
+/// round count (identical on every rank by construction). `epoch` is the
+/// caller's monotone round tag, advanced once per round; `sink`, when
+/// non-empty, receives per-round stats from `Transport::round_totals` (only
+/// install it on ranks where the transport aggregates totals). `programs`
+/// is filled with the owned range's instances (`programs[v - first]`) and
+/// stays alive for the caller's `program()` accessor. Throws
+/// ds::CheckError when `max_rounds` is hit with unhalted nodes — the caller
+/// is responsible for turning that into a collective `Transport::abort`.
+/// `recorder`, when non-null, receives this rank's phase spans and round
+/// counters and is *drained* into the gather payload (see the file
+/// comment); merge the fleet's blocks back with `collect_fleet_obs`.
 std::size_t run_rank_loop(const RankView& view, const Partition& part,
                           Transport& transport,
                           const local::ProgramFactory& factory,
@@ -84,28 +91,11 @@ std::size_t run_rank_loop(const RankView& view, const Partition& part,
                               programs,
                           obs::Recorder* recorder = nullptr);
 
-/// Runs rank `transport.rank()`'s full share of one distributed run:
-/// construct programs, execute rounds, gather outputs. Returns the executed
-/// round count (identical on every rank by construction). `epoch` is the
-/// caller's monotone round tag, advanced once per round; `sink`, when
-/// non-empty, receives per-round stats from `Transport::round_totals` (only
-/// install it on ranks where the transport aggregates totals). `programs`
-/// is filled with the owned range's instances (size n, null outside the
-/// range) and stays alive for the caller's `program()` accessor. Throws
-/// ds::CheckError when `max_rounds` is hit with unhalted nodes — the caller
-/// is responsible for turning that into a collective `Transport::abort`.
-/// `recorder`, when non-null, receives this rank's phase spans and round
-/// counters and is *drained* into the gather payload (see the file
-/// comment); merge the fleet's blocks back with `collect_fleet_obs`.
-std::size_t run_rank_loop(const local::NetworkTopology& topo,
-                          const Partition& part, Transport& transport,
-                          const local::ProgramFactory& factory,
-                          std::size_t max_rounds, std::uint64_t& epoch,
-                          const local::RoundStatsSink& sink,
-                          const local::OutputFn& output_fn,
-                          std::vector<std::unique_ptr<local::NodeProgram>>&
-                              programs,
-                          obs::Recorder* recorder = nullptr);
+/// `Executor::program(v)` over the owned range starting at node `first`;
+/// any other node's program lives in another rank's process and throws.
+const local::NodeProgram& owned_program(
+    const std::vector<std::unique_ptr<local::NodeProgram>>& programs,
+    graph::NodeId first, graph::NodeId v);
 
 /// Assembles the gathered per-node rows ([length, words...] per node, ranks
 /// in order) into `out`, skipping each rank's leading observability block.

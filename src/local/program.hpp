@@ -1,11 +1,16 @@
 #pragma once
 
 /// \file program.hpp
-/// The node-program abstraction of the LOCAL-model simulator: messages, the
-/// per-node environment, and the `NodeProgram` interface that algorithms
-/// implement. Split out of network.hpp so that every executor (the sequential
-/// `local::Network` and the sharded `runtime::ParallelNetwork`) runs the same
-/// program API.
+/// The node-program abstraction of the LOCAL-model simulator: the per-node
+/// environment, the `NodeProgram` interface that algorithms implement, and
+/// the `ProgramFactory` every executor builds programs with. Split out of
+/// network.hpp so that every executor (sequential, thread-parallel,
+/// multi-process, TCP) runs the same program API.
+///
+/// A node's program depends only on its own environment — its ID, its ports
+/// and its private coins — exactly as in the LOCAL model. The distributed
+/// executors rely on this: each rank constructs only the programs of the
+/// nodes it owns.
 
 #include <cstdint>
 #include <functional>
@@ -17,11 +22,6 @@
 #include "support/rng.hpp"
 
 namespace ds::local {
-
-/// A message: arbitrary-length word vector (the LOCAL model does not bound
-/// message size). Used by the legacy vector-based program API; the writer
-/// API serializes words directly through an `Outbox` instead.
-using Message = std::vector<std::uint64_t>;
 
 /// Read-only environment a node program is constructed with.
 struct NodeEnv {
@@ -39,12 +39,9 @@ struct NodeEnv {
 /// then receive() at every node. A node that returns true from done() stops
 /// being scheduled; the run ends when all nodes are done.
 ///
-/// Programs override the writer-style `send(round, Outbox&)` /
-/// `receive(round, Inbox&)` pair, which serializes straight into the
-/// executor's message arenas (zero heap allocation per round). Legacy
-/// vector-based programs override `send_messages` / `receive_messages`
-/// instead; the base-class defaults adapt between the two, so either style
-/// runs on every executor (the vector style pays the adapter's copies).
+/// Programs serialize straight into the executor's message arenas through
+/// the writer-style `send(round, Outbox&)` / `receive(round, Inbox&)` pair
+/// (zero heap allocation per round).
 ///
 /// Executor contract (holds for every executor in the library): within one
 /// round, all send() calls complete before any receive() observes a message,
@@ -58,30 +55,21 @@ class NodeProgram {
 
   /// Serializes the outgoing message of each port into `out` (ports in
   /// increasing order, unwritten ports send the empty message). Called once
-  /// per round until done. Default: adapts `send_messages`.
-  virtual void send(std::size_t round, Outbox& out);
+  /// per round until done.
+  virtual void send(std::size_t round, Outbox& out) = 0;
 
   /// Receives the messages that arrived this round, indexed by port. The
   /// views borrow executor memory and are valid only during the call.
-  /// Default: materializes the inbox and adapts `receive_messages`.
-  virtual void receive(std::size_t round, const Inbox& inbox);
-
-  /// Legacy vector-returning send: one (possibly empty) message per port
-  /// (size must equal degree). Only invoked through the default `send`.
-  virtual std::vector<Message> send_messages(std::size_t round);
-
-  /// Legacy vector-based receive. Only invoked through the default
-  /// `receive`.
-  virtual void receive_messages(std::size_t round,
-                                const std::vector<Message>& inbox);
+  virtual void receive(std::size_t round, const Inbox& inbox) = 0;
 
   /// True when this node has halted (its output is final).
   [[nodiscard]] virtual bool done() const = 0;
 };
 
-/// Factory producing the program for one node given its environment.
-/// Executors invoke the factory sequentially in node order (never
-/// concurrently), so factories may capture mutable per-run state.
+/// Factory producing the program for one node given its environment. It
+/// must be pure per node — a function of `env` and immutable captured state
+/// only: executors never call it concurrently, but a distributed rank calls
+/// it for its owned nodes alone, so no cross-node call order is promised.
 using ProgramFactory =
     std::function<std::unique_ptr<NodeProgram>(const NodeEnv&)>;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "dist/rank_loop.hpp"
 #include "local/program.hpp"
 #include "net/rendezvous.hpp"
+#include "net/tcp_network.hpp"
 #include "obs/recorder.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -53,26 +55,18 @@ std::size_t owner_of(const std::vector<graph::NodeId>& bounds,
   return static_cast<std::size_t>(it - (bounds.begin() + 1));
 }
 
-/// The body of the run; any exception escaping it is turned into a
-/// collective abort by the caller.
-InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
-                      std::uint64_t seed,
-                      const graph::DistributedGenerator& dg,
-                      const std::vector<graph::NodeId>& bounds,
-                      TcpTransport& transport, obs::Recorder* recorder) {
-  const algo::InsituHooks& hooks = *spec.insitu;
+/// Generates this rank's shard and completes it to the rank-local CSR of
+/// its full incident edge list. Row families must exchange cut edges (each
+/// emitted edge is shipped to the owner of its non-owned endpoint, packed
+/// as one word); self-discovering families already hold every incident
+/// edge, and every rank skips the collective consistently because the
+/// family is part of the handshaken instance digest.
+graph::LocalCsr build_rank_csr(const graph::DistributedGenerator& dg,
+                               const std::vector<graph::NodeId>& bounds,
+                               TcpTransport& transport) {
   const std::size_t ranks = bounds.size() - 1;
-  const std::size_t rank = transport.rank();
-  const std::size_t n = dg.num_nodes();
-  const graph::NodeId first = bounds[rank];
-  const graph::NodeId last = bounds[rank + 1];
-
-  // --- Generate this rank's shard and complete it to the full incident
-  // edge list. Row families must exchange cut edges (each emitted edge is
-  // shipped to the owner of its non-owned endpoint, packed as one word);
-  // self-discovering families already hold every incident edge, and every
-  // rank skips the collective consistently because the family is part of
-  // the handshaken instance digest.
+  const graph::NodeId first = bounds[transport.rank()];
+  const graph::NodeId last = bounds[transport.rank() + 1];
   std::vector<graph::Edge> incident = dg.shard(first, last);
   if (!dg.self_discovering() && ranks > 1) {
     std::vector<std::vector<std::uint64_t>> to_peer(ranks);
@@ -102,40 +96,35 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
                                }),
                    incident.end());
   }
+  return graph::build_local_csr(incident, first, last);
+}
 
-  const graph::LocalCsr csr = graph::build_local_csr(incident, first, last);
-  incident.clear();
-  incident.shrink_to_fit();
+/// The rounds, result collection and verification of one in-situ rank over
+/// its CSR and partition — `run_fleet`'s body, so any exception escaping it
+/// is turned into a collective abort.
+InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
+                      std::uint64_t seed, std::size_t n,
+                      const std::vector<graph::NodeId>& bounds,
+                      const graph::LocalCsr& csr, const dist::Partition& part,
+                      TcpTransport& transport, obs::Recorder* recorder) {
+  const algo::InsituHooks& hooks = *spec.insitu;
+  const std::size_t ranks = bounds.size() - 1;
+  const std::size_t rank = transport.rank();
+  const graph::NodeId first = bounds[rank];
+  const graph::NodeId last = bounds[rank + 1];
 
-  const dist::Partition part = dist::Partition::rank_local(bounds, rank, csr);
-  transport.attach_partition(part);
-
-  // Observability agreement — same pre-round collective as TcpNetwork::run:
-  // when any rank observes, every rank records (the merged export needs one
-  // lane per rank). Runs unconditionally to stay in lockstep.
-  const std::size_t observers =
-      transport.sync_liveness(recorder != nullptr ? 1 : 0);
-  std::unique_ptr<obs::Recorder> fleet_recorder;
-  if (observers != 0 && recorder == nullptr) {
-    fleet_recorder = std::make_unique<obs::Recorder>();
-    recorder = fleet_recorder.get();
-  }
-  transport.set_recorder(recorder);
-
-  // --- The unmodified round protocol over a rank-local view. The factory
-  // is constructed for the owned range only (InsituHooks::make_factory is
-  // pure per node), environments mirror NetworkTopology::make_env for the
-  // sequential ID strategy: uid == node, neighbor uids == adjacency row,
-  // rng == master.fork(uid). The output_fn stays empty on purpose — the
-  // gather then carries only the observability block, keeping rank 0's
-  // footprint rank-local instead of O(n).
+  // --- The unmodified round protocol over a rank-local view. Environments
+  // mirror NetworkTopology::make_env for the sequential ID strategy: uid ==
+  // node, neighbor uids == adjacency row, rng == master.fork(uid). The
+  // output_fn stays empty on purpose — the gather then carries only the
+  // observability block, keeping rank 0's footprint rank-local instead of
+  // O(n).
   const local::ProgramFactory factory = hooks.make_factory(params, seed);
   const Rng master(seed);
   dist::RankView view;
   view.num_nodes = n;
   view.port_offsets = csr.offsets.data();
   view.offset_first = first;
-  view.construct_all = false;
   view.env_of = [&](graph::NodeId v) {
     const std::size_t off = csr.offsets[v - first];
     local::NodeEnv env;
@@ -263,14 +252,6 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
                       csr.offsets[v - first + 1] - off, value_of);
   }
 
-  // The kOutputs re-broadcast replicated every rank's observability block,
-  // so any recording rank can merge exact fleet totals locally. The final
-  // live snapshot then carries the merged fleet-wide view.
-  if (recorder != nullptr) {
-    dist::collect_fleet_obs(transport, *recorder);
-    recorder->publish_round(result.rounds);
-  }
-
   result.output_digest = fleet_digest;
   result.output_sum = fleet_sum;
   result.summary = hooks.summarize(fleet_sum, result.rounds);
@@ -329,14 +310,25 @@ InsituResult run_insitu(const algo::Spec& spec, const algo::Params& params,
   digests.partition = partition_digest(ranks, bounds);
   TcpTransport transport(config.rank, config.hosts, digests, config.transport,
                          std::move(config.listen));
-  try {
-    return run_body(spec, params, seed, dg, bounds, transport, recorder);
-  } catch (const std::exception& e) {
-    // Same rule as TcpNetwork::run: a locally raised failure must fail the
-    // fleet — peers are blocked in a collective this rank will never join.
-    transport.abort(e.what());
-    throw;
-  }
+
+  // The partition is built from the exchanged setup data, so the setup
+  // collectives precede the observability agreement.
+  graph::LocalCsr csr;
+  std::optional<dist::Partition> part;
+  InsituResult result;
+  run_fleet(
+      transport, recorder, ObsMerge::kFleet,
+      [&] {
+        csr = build_rank_csr(dg, bounds, transport);
+        part = dist::Partition::rank_local(bounds, config.rank, csr);
+        transport.attach_partition(*part);
+      },
+      [&](obs::Recorder* rec) {
+        result = run_rank(spec, params, seed, dg.num_nodes(), bounds, csr,
+                          *part, transport, rec);
+        return result.rounds;
+      });
+  return result;
 }
 
 }  // namespace ds::net

@@ -1,17 +1,23 @@
 #pragma once
 
 /// \file tcp_network.hpp
-/// `net::TcpNetwork` — the multi-host LOCAL-model executor: one OS process
-/// per rank (typically on different machines), connected by a
-/// `net::TcpTransport`, each running the shared `dist::run_rank_loop`
-/// protocol over its degree-balanced partition range.
+/// `net::TcpNetwork` — the one TCP executor: one OS process per rank
+/// (typically on different machines), connected by a `net::TcpTransport`,
+/// each running the shared `dist::run_rank_loop` protocol over its
+/// degree-balanced partition range, constructing only that range's
+/// programs. Every run goes through `run_fleet`, which `net::run_insitu`
+/// shares.
 ///
-/// Every rank constructs the same `TcpNetwork` over the same (graph,
-/// IdStrategy, seed) with its own `rank` — the rendezvous handshake rejects
-/// launches where the ranks disagree (see net/rendezvous.hpp). Unlike the
-/// fork-based `dist::DistributedNetwork`, the rank count is fixed by the
-/// launch (a live process cannot be clamped away), so `hosts.size()` ranks
-/// always participate; ranks beyond the node count simply own empty ranges.
+/// **One-shot** (a tool's `--runtime=tcp`): every rank constructs the same
+/// `TcpNetwork` over the same (graph, IdStrategy, seed) with its own `rank`
+/// and rendezvouses its own fleet — the handshake rejects launches where
+/// the ranks disagree (net/rendezvous.hpp). The rank count is fixed by the
+/// launch, so ranks beyond the node count simply own empty ranges.
+///
+/// **Standing** (serve/daemon.hpp): one executor per served request,
+/// borrowing the daemon's once-rendezvoused transport, its monotone epoch
+/// counter and a cached partition. Every rank constructs it for the same
+/// dispatched request, so the exchange sequence stays aligned.
 ///
 /// # Determinism contract
 ///
@@ -29,8 +35,13 @@
 /// `outputs()` returns the full, identical table on *every* rank (SPMD
 /// style: algorithm code needs no rank special-casing). `program(v)` is
 /// resident only for the own range.
+///
+/// After a run a one-shot rank, and rank 0 of a standing fleet, merges
+/// every rank's observability block; a standing follower re-absorbs only
+/// its own (`dist::collect_rank_obs`). The constructor decides which.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -57,13 +68,52 @@ struct TcpNetworkConfig {
   Socket listen;
 };
 
+/// Which gathered observability blocks a rank merges back after a run.
+enum class ObsMerge {
+  kFleet,     ///< every rank's block: exact fleet totals on this rank
+  kOwnBlock,  ///< only this rank's block (standing followers)
+};
+
+/// The per-run protocol of a TCP fleet, shared by `TcpNetwork::run` and
+/// `run_insitu`. In order:
+///
+///   1. `setup` (may be empty): collectives that precede the rounds;
+///   2. the observability agreement: one collective sums every rank's
+///      "recorder installed" bit; when any rank observes, a rank without
+///      `recorder` records into a per-run fleet recorder (the merged export
+///      needs one lane per rank);
+///   3. `body` with the agreed recorder (null when nobody observes) hooked
+///      into the transport; returns the executed round count;
+///   4. the `merge` of the gathered obs blocks and the final live publish.
+///
+/// A throw in 1-3 becomes a collective `TcpTransport::abort` (the peers
+/// wait in an exchange this rank will never join) and is rethrown. The
+/// fleet recorder outlives that abort and is unhooked from the transport,
+/// which may outlive the run, before it dies.
+std::size_t run_fleet(TcpTransport& transport, obs::Recorder* recorder,
+                      ObsMerge merge, const std::function<void()>& setup,
+                      const std::function<std::size_t(obs::Recorder*)>& body);
+
+/// Resolves the partition of a standing-fleet request's topology (the
+/// daemon's partition cache); keeps `net` independent of `serve`.
+using PartitionProvider = std::function<std::shared_ptr<const dist::Partition>(
+    const local::NetworkTopology&)>;
+
 /// Multi-host synchronous executor on a fixed communication graph.
 class TcpNetwork final : public local::Executor {
  public:
-  /// Builds the executor and connects the fleet (blocks until every rank's
-  /// handshake went through or the rendezvous times out).
+  /// One-shot: builds the executor and connects the fleet (blocks until
+  /// every rank's handshake went through or the rendezvous times out).
   TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
              std::uint64_t seed, TcpNetworkConfig config);
+
+  /// Standing: builds this request's topology, resolves its partition
+  /// through `partitions` and attaches it to the borrowed, already
+  /// rendezvoused `transport`. `transport` and `epoch` — the monotone round
+  /// tag shared by every run on that transport — must outlive the executor.
+  TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
+             std::uint64_t seed, TcpTransport& transport, std::uint64_t& epoch,
+             const PartitionProvider& partitions);
 
   std::size_t run(const local::ProgramFactory& factory,
                   std::size_t max_rounds,
@@ -83,31 +133,25 @@ class TcpNetwork final : public local::Executor {
   }
 
   [[nodiscard]] std::size_t rank() const { return transport_.rank(); }
-  [[nodiscard]] std::size_t num_ranks() const {
-    return transport_.num_ranks();
-  }
 
   /// The node partition (ranges, halo routing tables, edge-cut stats).
   [[nodiscard]] const dist::Partition& partition() const {
-    return partition_;
+    return *partition_;
   }
 
  private:
   local::NetworkTopology topology_;
-  dist::Partition partition_;
-  TcpTransport transport_;
-  /// This rank's resident programs (size n; null outside the own range).
-  std::vector<std::unique_ptr<local::NodeProgram>> programs_;
+  std::shared_ptr<const dist::Partition> partition_;
+  /// The one-shot executor's own fleet connection; null when standing.
+  std::unique_ptr<TcpTransport> own_transport_;
+  TcpTransport& transport_;
+  std::uint64_t own_epoch_ = 0;
   /// Monotone round tag; never reset across runs.
-  std::uint64_t epoch_ = 0;
+  std::uint64_t& epoch_;
+  const ObsMerge merge_;
+  /// This rank's resident programs (its owned range, at local indices).
+  std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   local::RoundStatsSink sink_;
-  /// Fleet-installed recorder: when the pre-round observability collective
-  /// reports that *some* rank wants observability but this rank was
-  /// launched without the flags, this rank still has to record (the
-  /// observing rank's merged trace needs one lane per rank, not a lone
-  /// local lane). Owned here so the transport's counter handles stay valid
-  /// for the executor's lifetime.
-  std::unique_ptr<obs::Recorder> fleet_recorder_;
 };
 
 }  // namespace ds::net

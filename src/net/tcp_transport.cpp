@@ -41,18 +41,6 @@ const char* type_name(FrameType t) {
 
 TcpTransport::TcpTransport(std::size_t rank,
                            const std::vector<Endpoint>& hosts,
-                           const local::NetworkTopology& topo,
-                           const dist::Partition& part, TcpOptions opts,
-                           Socket listen)
-    : TcpTransport(rank, hosts,
-                   InstanceDigests{topology_digest(topo),
-                                   partition_digest(part)},
-                   opts, std::move(listen)) {
-  attach_partition(part);
-}
-
-TcpTransport::TcpTransport(std::size_t rank,
-                           const std::vector<Endpoint>& hosts,
                            InstanceDigests digests, TcpOptions opts,
                            Socket listen)
     : rank_(rank), part_(nullptr), opts_(opts) {

@@ -34,7 +34,6 @@
 
 #include "dist/partition.hpp"
 #include "dist/transport.hpp"
-#include "local/topology.hpp"
 #include "net/frame.hpp"
 #include "net/rendezvous.hpp"
 #include "net/socket.hpp"
@@ -55,9 +54,10 @@ struct TcpOptions {
 };
 
 /// The instance-agreement digests carried in the rendezvous handshake. The
-/// classic path derives them from the materialized topology and partition;
-/// the in-situ path derives them from the generator spec and the range
-/// boundaries — whatever identifies the instance without holding it.
+/// one-shot executor derives them from the materialized topology and
+/// partition; the in-situ path from the generator spec and the range
+/// boundaries; the serving daemon from the resident instance — whatever
+/// identifies the instance without holding it.
 struct InstanceDigests {
   std::uint64_t topology = 0;
   std::uint64_t partition = 0;
@@ -67,24 +67,17 @@ class TcpTransport final : public dist::Transport {
  public:
   /// Establishes the full pair-connection mesh (see rendezvous.hpp): binds
   /// `hosts[rank]` unless a pre-bound `listen` socket is supplied, then
-  /// handshakes with every peer. The listen socket is closed once the mesh
-  /// is up. Connections get TCP_NODELAY and the configured buffer sizes.
-  /// `topo` and `part` must outlive the transport.
-  TcpTransport(std::size_t rank, const std::vector<Endpoint>& hosts,
-               const local::NetworkTopology& topo,
-               const dist::Partition& part, TcpOptions opts,
-               Socket listen = {});
-
-  /// Mesh-only constructor for the in-situ scale path: rendezvous with the
-  /// given digests, but no partition yet — the partition is *built from the
-  /// exchanged setup data* and attached afterwards. Until
-  /// `attach_partition`, only `sync_liveness`, `exchange_setup`, `gather`
-  /// and `abort` may be called.
+  /// handshakes with every peer, carrying `digests`. The listen socket is
+  /// closed once the mesh is up. Connections get TCP_NODELAY and the
+  /// configured buffer sizes. No partition is attached yet: until
+  /// `attach_partition`, only `sync_liveness`, `exchange_setup`, `gather`,
+  /// the serve broadcasts and `abort` may be called.
   TcpTransport(std::size_t rank, const std::vector<Endpoint>& hosts,
                InstanceDigests digests, TcpOptions opts, Socket listen = {});
 
-  /// Attaches the rank-local partition the round phases route by. `part`
-  /// must outlive the transport and agree with the handshaken rank count.
+  /// Attaches the partition the round phases route by (a standing fleet
+  /// attaches each request's). `part` must stay alive while rounds use it
+  /// and agree with the handshaken rank count.
   void attach_partition(const dist::Partition& part);
 
   /// Pre-run all-to-all collective: sends `to_peer[r]` to every peer r and

@@ -110,8 +110,8 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
   const std::size_t n = topology_.graph().num_nodes();
   programs_.clear();
   programs_.resize(n);
-  // Program construction is sequential in node order — identical to the
-  // sequential executor, and factories may capture mutable state.
+  // Program construction is sequential in node order, like the sequential
+  // executor (factories are pure per node, see local/program.hpp).
   for (graph::NodeId v = 0; v < n; ++v) {
     programs_[v] = factory(topology_.make_env(v));
     DS_CHECK(programs_[v] != nullptr);

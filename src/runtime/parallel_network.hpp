@@ -36,8 +36,8 @@
 ///    `NetworkTopology`;
 ///  * each node's randomness is the pure `fork(seed, uid)` — independent of
 ///    scheduling;
-///  * programs are constructed by the factory sequentially in node order
-///    (factories may capture mutable state);
+///  * programs are constructed by the (pure per node) factory, one thread
+///    at a time;
 ///  * message delivery is span-indexed into single-writer slots, and the
 ///    fused epoch's barrier separates round r-1's receives (and round r's
 ///    sends) from round r's receives;

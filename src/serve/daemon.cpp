@@ -4,13 +4,15 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <exception>
 #include <iostream>
 #include <utility>
 
 #include "graph/format.hpp"
 #include "net/frame.hpp"
-#include "serve/serve_network.hpp"
+#include "net/rendezvous.hpp"
+#include "net/tcp_network.hpp"
 #include "support/check.hpp"
 
 namespace ds::serve {
@@ -44,7 +46,10 @@ net::InstanceDigests serve_digests(const DaemonConfig& config) {
 net::Socket bind_request_port(DaemonConfig& config) {
   if (config.rank != 0) return {};
   if (config.request_listen.valid()) return std::move(config.request_listen);
-  return net::listen_on(net::Endpoint{"0.0.0.0", config.request_port});
+  // A full backlog drops SYNs, and a dropped client retries only after a
+  // second; a client burst must land in the backlog instead.
+  return net::listen_on(net::Endpoint{"0.0.0.0", config.request_port},
+                        SOMAXCONN);
 }
 
 }  // namespace
@@ -77,6 +82,9 @@ Daemon::Daemon(DaemonConfig config)
                "serve::Daemon: queue capacity must be >= 1");
   if (request_listener_.valid()) {
     request_port_ = net::local_endpoint(request_listener_.fd()).port;
+    // Nonblocking: a connection reset between poll and accept must not
+    // block the accept thread, and the drain sweeps until EAGAIN.
+    net::set_nonblocking(request_listener_.fd(), true);
   }
   if (config_.nu > 0) {
     bipartite_ = graph::bipartite_from_unified(*config_.graph, config_.nu);
@@ -144,6 +152,11 @@ int Daemon::run_rank0() {
   while (queue_.try_pop(pending)) serve_one(std::move(pending));
   accept_stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Connections that reached the backlog after the accept thread's last
+  // sweep would otherwise wait out their client timeouts: refuse them
+  // ("daemon is draining"), then close the port so later connects fail.
+  admit_backlog();
+  request_listener_.reset();
   if (fleet_ok()) {
     try {
       transport_.dispatch(net::FrameType::kShutdown, {});
@@ -187,53 +200,71 @@ int Daemon::run_follower() {
 void Daemon::accept_loop() {
   while (!accept_stop_.load(std::memory_order_acquire)) {
     pollfd pfd{request_listener_.fd(), POLLIN, 0};
-    const int r = ::poll(&pfd, 1, config_.idle_poll_ms);
-    if (r <= 0) continue;  // timeout, EINTR, or spurious
-    const int fd = ::accept(request_listener_.fd(), nullptr, nullptr);
-    if (fd < 0) continue;
-    PendingRequest pending;
-    pending.client = net::Socket(fd);
-    pending.accepted_ms = net::steady_now_ms();
-    net::set_nodelay(pending.client.fd());
-    net::set_io_timeouts(pending.client.fd(), config_.client_timeout_ms);
-    try {
-      const net::Frame frame =
-          net::read_frame(pending.client.fd(), "serve request");
-      DS_CHECK_MSG(frame.header.type ==
-                       static_cast<std::uint32_t>(net::FrameType::kRequest),
-                   "serve request: unexpected frame type " +
-                       std::to_string(frame.header.type));
-      pending.request =
-          decode_request(frame.payload.data(), frame.payload.size());
-    } catch (const std::exception& e) {
-      // A garbage or half-connected client must never take the daemon
-      // down — answer what we can and move on.
-      Response resp;
-      resp.status = Status::kError;
-      resp.brief = e.what();
-      respond(pending.client, resp);
-      continue;
-    }
-
-    Response reject;
-    reject.id = pending.request.id;
-    reject.status = Status::kRejected;
-    if (draining_.load(std::memory_order_acquire)) {
-      reject.brief = "daemon is draining";
-    } else if (!fleet_ok()) {
-      reject.brief = "fleet unhealthy: serving is disabled";
-    } else if (queue_.try_push(std::move(pending))) {
-      continue;
-    } else {
-      // Backpressure is an immediate, explicit answer — the accept thread
-      // never blocks on a full queue. (A failed try_push leaves `pending`
-      // intact, so the client socket is still ours to answer on.)
-      reject.brief =
-          "queue full (capacity " + std::to_string(queue_.capacity()) + ")";
-    }
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    respond(pending.client, reject);
+    if (::poll(&pfd, 1, config_.idle_poll_ms) > 0) admit_backlog();
   }
+}
+
+void Daemon::admit_backlog() {
+  for (;;) {
+    const int fd = ::accept(request_listener_.fd(), nullptr, nullptr);
+    if (fd >= 0) {
+      admit(net::Socket(fd));
+    } else if (errno != EINTR && errno != ECONNABORTED) {
+      return;  // EAGAIN: the backlog is empty
+    }
+  }
+}
+
+void Daemon::admit(net::Socket client) {
+  PendingRequest pending;
+  pending.client = std::move(client);
+  pending.accepted_ms = net::steady_now_ms();
+  // Some platforms hand out accepted sockets with the listener's
+  // O_NONBLOCK; the request read below relies on blocking IO timeouts.
+  net::set_nonblocking(pending.client.fd(), false);
+  net::set_nodelay(pending.client.fd());
+  net::set_io_timeouts(pending.client.fd(), config_.client_timeout_ms);
+  try {
+    const net::Frame frame =
+        net::read_frame(pending.client.fd(), "serve request");
+    DS_CHECK_MSG(frame.header.type ==
+                     static_cast<std::uint32_t>(net::FrameType::kRequest),
+                 "serve request: unexpected frame type " +
+                     std::to_string(frame.header.type));
+    pending.request =
+        decode_request(frame.payload.data(), frame.payload.size());
+  } catch (const std::exception& e) {
+    // A garbage or half-connected client must never take the daemon
+    // down — answer what we can and move on.
+    Response resp;
+    resp.status = Status::kError;
+    resp.brief = e.what();
+    respond(pending.client, resp);
+    return;
+  }
+
+  if (!draining_.load(std::memory_order_acquire) && fleet_ok() &&
+      queue_.try_push(std::move(pending))) {
+    return;
+  }
+  // Why it was refused is read after the push: a push that failed because
+  // the drain closed the queue meanwhile is answered "draining" too.
+  // Backpressure is an immediate, explicit answer — the accept thread never
+  // blocks on a full queue. (A failed try_push leaves `pending` intact, so
+  // the client socket is still ours to answer on.)
+  Response reject;
+  reject.id = pending.request.id;
+  reject.status = Status::kRejected;
+  if (draining_.load(std::memory_order_acquire)) {
+    reject.brief = "daemon is draining";
+  } else if (!fleet_ok()) {
+    reject.brief = "fleet unhealthy: serving is disabled";
+  } else {
+    reject.brief =
+        "queue full (capacity " + std::to_string(queue_.capacity()) + ")";
+  }
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  respond(pending.client, reject);
 }
 
 algo::Result Daemon::execute_request(const algo::Spec& spec,
@@ -245,8 +276,13 @@ algo::Result Daemon::execute_request(const algo::Spec& spec,
   ctx.recorder = config_.recorder;
   ctx.factory = [this](const graph::Graph& fg, local::IdStrategy strategy,
                        std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-    auto exec = std::make_unique<ServeNetwork>(fg, strategy, seed, transport_,
-                                               cache_, epoch_);
+    auto exec = std::make_unique<net::TcpNetwork>(
+        fg, strategy, seed, transport_, epoch_,
+        [this](const local::NetworkTopology& topo) {
+          return cache_.get_or_build(net::topology_digest(topo), [&] {
+            return dist::Partition(topo, transport_.num_ranks());
+          });
+        });
     exec->set_recorder(config_.recorder);
     return exec;
   };

@@ -21,9 +21,11 @@
 ///             through the identical code path (SPMD — the collectives stay
 ///             in lockstep), and exits cleanly on kShutdown.
 ///
-/// Per-topology-digest `dist::Partition`s are cached across requests
-/// (partition_cache.hpp); repeated (instance, ids, seed) topologies skip
-/// the partition build entirely.
+/// Every served run executes through `net::TcpNetwork`'s standing-fleet
+/// constructor: the request's topology over the daemon's standing
+/// transport and epoch counter. Per-topology-digest `dist::Partition`s are
+/// cached across requests (partition_cache.hpp); repeated (instance, ids,
+/// seed) topologies skip the partition build entirely.
 ///
 /// Failure policy: any execution failure or dead peer marks the fleet
 /// unhealthy (`fleet_ok() == false`, publisher health kAborted). The daemon
@@ -33,7 +35,9 @@
 /// Shutdown: `request_shutdown()` (or the config's `stop_requested` poll,
 /// wired to the SIGINT/SIGTERM latch by the tool) drains the queued
 /// requests, flips health to kDraining (/healthz 503 — load balancers stop
-/// routing), broadcasts kShutdown to the followers and returns 0.
+/// routing), answers every connection left in the listen backlog with
+/// kRejected "daemon is draining", closes the request port (later connects
+/// are refused), broadcasts kShutdown to the followers and returns 0.
 
 #include <atomic>
 #include <cstdint>
@@ -149,6 +153,12 @@ class Daemon {
   int run_rank0();
   int run_follower();
   void accept_loop();
+  /// Admits every connection waiting in the listen backlog, without
+  /// blocking.
+  void admit_backlog();
+  /// Reads one accepted client's submission, then queues it or answers it
+  /// (kError for garbage, kRejected when draining, unhealthy or full).
+  void admit(net::Socket client);
   /// Validates, dispatches and executes one accepted submission (rank 0).
   void serve_one(PendingRequest pending);
   /// The shared execution path: identical on rank 0 and followers.

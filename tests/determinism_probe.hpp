@@ -4,11 +4,10 @@
 /// The shared cross-executor determinism probe: a program with staggered
 /// halting, per-node randomness, and a mix of empty and non-empty messages —
 /// sensitive to any delivery, ordering, or stale-slot bug in an executor.
-/// The digest is the full per-node history. The logic exists in a
-/// writer-API and a legacy vector-API flavor so the determinism suites also
-/// pin the adapter. Used by tests/test_runtime.cpp (thread-parallel
-/// executor) and tests/test_dist.cpp (multi-process executor) so the two
-/// suites cannot drift apart.
+/// The digest is the full per-node history. Used by tests/test_runtime.cpp
+/// (thread-parallel executor), tests/test_dist.cpp (multi-process executor)
+/// and tests/test_net_tcp.cpp (TCP executor) so the suites cannot drift
+/// apart.
 
 #include <memory>
 #include <vector>
@@ -73,35 +72,7 @@ class WriterProbe final : public ProbeBase {
   }
 };
 
-class LegacyProbe final : public ProbeBase {
- public:
-  using ProbeBase::ProbeBase;
-
-  std::vector<local::Message> send_messages(std::size_t round) override {
-    std::vector<local::Message> out(env_.degree);
-    for (std::size_t p = 0; p < env_.degree; ++p) {
-      if (silent(round, p)) continue;
-      out[p] = {word(round, 0), word(round, 1),
-                static_cast<std::uint64_t>(p)};
-    }
-    return out;
-  }
-
-  void receive_messages(std::size_t round,
-                        const std::vector<local::Message>& inbox) override {
-    for (std::size_t p = 0; p < inbox.size(); ++p) {
-      for (std::uint64_t w : inbox[p]) absorb(p, w);
-    }
-    finish_round(round);
-  }
-};
-
-inline local::ProgramFactory probe_factory(bool legacy = false) {
-  if (legacy) {
-    return [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
-      return std::make_unique<LegacyProbe>(env);
-    };
-  }
+inline local::ProgramFactory probe_factory() {
   return [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
     return std::make_unique<WriterProbe>(env);
   };

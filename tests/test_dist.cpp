@@ -245,6 +245,24 @@ TEST(DistributedNetwork, ProgramAccessorIsOwnerLocal) {
   EXPECT_THROW((void)net.program(theirs), ds::CheckError);
 }
 
+TEST(DistributedNetwork, WorkerZeroConstructsOnlyItsOwnedPrograms) {
+  // Worker 0 is the calling process, so its factory calls are observable
+  // here: exactly one per owned node, not one per node of the instance.
+  const auto g = graph::gen::torus(10, 10);
+  DistributedConfig config;
+  config.workers = 2;
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, config);
+  std::size_t calls = 0;
+  const local::ProgramFactory probe = probe_factory();
+  net.run(
+      [&](const local::NodeEnv& env) {
+        ++calls;
+        return probe(env);
+      },
+      100);
+  EXPECT_EQ(calls, net.partition().num_nodes(0));
+}
+
 TEST(DistributedNetwork, DegenerateInstances) {
   // More workers than nodes: the fleet is clamped to the node count (an
   // empty range would pay fork + barrier costs for nothing) and the run

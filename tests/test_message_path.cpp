@@ -370,19 +370,21 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
   }
 }
 
-TEST(AllocationCounting, LegacyAdapterDoesAllocate) {
+TEST(AllocationCounting, HookObservesPerRoundAllocations) {
   // Sanity check that the counting hook actually observes the message path:
-  // the legacy vector API allocates per round, so a longer run must count
-  // strictly more.
-  class VectorGossip final : public local::NodeProgram {
+  // a program that heap-allocates its payload every round must count
+  // strictly more over a longer run.
+  class AllocatingGossip final : public local::NodeProgram {
    public:
-    VectorGossip(const local::NodeEnv& env, std::size_t rounds)
+    AllocatingGossip(const local::NodeEnv& env, std::size_t rounds)
         : degree_(env.degree), rounds_(rounds) {}
-    std::vector<local::Message> send_messages(std::size_t) override {
-      return std::vector<local::Message>(degree_, local::Message{1});
+    void send(std::size_t, local::Outbox& out) override {
+      const std::vector<std::uint64_t> payload(4, degree_);
+      for (std::size_t p = 0; p < degree_; ++p) {
+        out.write(p, payload.data(), payload.size());
+      }
     }
-    void receive_messages(std::size_t round,
-                          const std::vector<local::Message>&) override {
+    void receive(std::size_t round, const local::Inbox&) override {
       done_ = round + 1 >= rounds_;
     }
     [[nodiscard]] bool done() const override { return done_; }
@@ -396,7 +398,7 @@ TEST(AllocationCounting, LegacyAdapterDoesAllocate) {
   local::Network net(g, local::IdStrategy::kSequential, 9);
   auto factory = [](std::size_t rounds) {
     return [rounds](const local::NodeEnv& env) {
-      return std::make_unique<VectorGossip>(env, rounds);
+      return std::make_unique<AllocatingGossip>(env, rounds);
     };
   };
   net.run(factory(16), 17);

@@ -24,6 +24,7 @@
 #include "net/insitu_runner.hpp"
 #include "net/loopback.hpp"
 #include "net/tcp_network.hpp"
+#include "obs/recorder.hpp"
 #include "orient/sinkless.hpp"
 #include "runtime/select.hpp"
 #include "support/check.hpp"
@@ -323,6 +324,32 @@ TEST(TcpNetwork, ProgramAccessorIsRankLocal) {
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
 
+TEST(TcpNetwork, EachRankConstructsOnlyItsOwnedPrograms) {
+  // A LOCAL program depends only on its own node's environment, so a rank
+  // calls the factory exactly once per owned node — never for the n - |own|
+  // programs it would throw away.
+  const auto g = graph::gen::torus(10, 10);
+  for (const std::size_t ranks : {2, 4}) {
+    const LoopbackReport report = run_loopback_ranks(
+        ranks, [&](LoopbackRank&& lr) -> int {
+          const std::size_t rank = lr.rank;
+          TcpNetwork net(g, local::IdStrategy::kSequential, 4,
+                         rank_config(std::move(lr)));
+          std::size_t calls = 0;
+          const local::ProgramFactory probe = probe_factory();
+          const local::ProgramFactory counting =
+              [&](const local::NodeEnv& env) {
+                ++calls;
+                return probe(env);
+              };
+          net.run(counting, 100);
+          return calls == net.partition().num_nodes(rank) ? 0 : 45;
+        });
+    EXPECT_TRUE(report.all_ok()) << "ranks=" << ranks
+                                 << " rank0=" << report.rank0;
+  }
+}
+
 TEST(TcpNetwork, DegenerateInstances) {
   // More ranks than nodes: a rank process cannot be clamped away like a
   // fork worker, so empty ranges must simply work.
@@ -485,6 +512,40 @@ TEST(InsituRunner, MatchesSequentialDigestAcrossFamilies) {
           << text << " ranks=" << ranks << " rank0=" << report.rank0;
     }
   }
+}
+
+TEST(InsituRunner, MixedObservabilityAbortIsMemorySafe) {
+  // Rank 0 observes, rank 1 does not, so the observability agreement gives
+  // rank 1 a per-run fleet recorder hooked into its transport. max-rounds=1
+  // makes both ranks throw locally; rank 1's catch-path collective abort
+  // reads the hooked recorder's publisher, so the recorder must still be
+  // alive there (an ASan build reports a use-after-free otherwise).
+  const graph::GenSpec gen = graph::GenSpec::parse("torus:w=12,h=12");
+  const algo::Spec& spec = algo::find("mis");
+  const algo::Params params =
+      algo::Params::parse(spec.params, {{"max-rounds", "1"}});
+  const LoopbackReport report =
+      run_loopback_ranks(2, [&](LoopbackRank&& lr) -> int {
+        obs::Recorder recorder;
+        obs::Recorder* const observed = lr.rank == 0 ? &recorder : nullptr;
+        InsituConfig config;
+        config.rank = lr.rank;
+        config.hosts = std::move(lr.hosts);
+        config.listen = std::move(lr.listen);
+        config.transport = test_options();
+        try {
+          run_insitu(spec, params, 19, gen, std::move(config), observed);
+          return 46;  // must throw on every rank
+        } catch (const ds::CheckError& e) {
+          return std::string(e.what()).find("max_rounds") !=
+                         std::string::npos
+                     ? 0
+                     : 47;
+        }
+      });
+  EXPECT_EQ(report.rank0, 0);
+  ASSERT_EQ(report.peer_exit_codes.size(), 1u);
+  EXPECT_EQ(report.peer_exit_codes[0], 0);
 }
 
 TEST(InsituRunner, RejectsSpecsWithoutHooks) {

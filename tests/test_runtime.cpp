@@ -66,14 +66,13 @@ TEST(ThreadPool, PropagatesChunkExceptions) {
 // ---- Determinism suite ---------------------------------------------------
 
 // The probe program lives in determinism_probe.hpp, shared with the
-// multi-process determinism suite (tests/test_dist.cpp); all four
-// (executor, API) combos must produce the same digests.
+// multi-process determinism suite (tests/test_dist.cpp); both executors
+// must produce the same digests.
 using probes::probe_factory;
 
 std::vector<std::uint64_t> probe_digests(local::Executor& exec,
-                                         std::size_t* rounds = nullptr,
-                                         bool legacy = false) {
-  const std::size_t r = exec.run(probe_factory(legacy), 100);
+                                         std::size_t* rounds = nullptr) {
+  const std::size_t r = exec.run(probe_factory(), 100);
   if (rounds != nullptr) *rounds = r;
   std::vector<std::uint64_t> digests(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
@@ -88,11 +87,6 @@ void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
   local::Network sequential(g, strategy, seed);
   std::size_t seq_rounds = 0;
   const auto expected = probe_digests(sequential, &seq_rounds);
-  // The legacy vector API must agree through the adapter too.
-  std::size_t legacy_rounds = 0;
-  EXPECT_EQ(probe_digests(sequential, &legacy_rounds, /*legacy=*/true),
-            expected);
-  EXPECT_EQ(legacy_rounds, seq_rounds);
   for (std::size_t threads : {1, 2, 8}) {
     ParallelNetwork parallel(g, strategy, seed, threads);
     EXPECT_EQ(parallel.uids(), sequential.uids());
@@ -100,11 +94,6 @@ void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
     const auto got = probe_digests(parallel, &par_rounds);
     EXPECT_EQ(par_rounds, seq_rounds) << "threads=" << threads;
     EXPECT_EQ(got, expected) << "threads=" << threads;
-    std::size_t par_legacy_rounds = 0;
-    EXPECT_EQ(probe_digests(parallel, &par_legacy_rounds, /*legacy=*/true),
-              expected)
-        << "threads=" << threads;
-    EXPECT_EQ(par_legacy_rounds, seq_rounds) << "threads=" << threads;
   }
 }
 

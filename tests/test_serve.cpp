@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -337,7 +342,7 @@ TEST(ServeDaemon, MixedObservabilityFleetServesRepeatedRequestsSafely) {
   // *per-request* fleet recorder and hand its counter handles to the
   // standing transport; regression coverage for the use-after-free where
   // those handles outlived the request and the next dispatch wrote through
-  // them (ServeNetwork::run must unhook the transport's recorder on every
+  // them (net::run_fleet must unhook the transport's recorder on every
   // exit path). Three sequential requests make the follower's transport
   // await dispatches twice after a per-request recorder died.
   Rng rng(23);
@@ -451,6 +456,104 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   ClientConfig late = client;
   late.timeout_ms = 2000;
   EXPECT_THROW(submit(late, make_request(99, "mis", 3)), std::exception);
+}
+
+// One client's outcome: its response, or the text of the exception its
+// submit threw. Client threads must never let an exception escape — a
+// std::terminate would take the whole test binary down.
+struct ClientOutcome {
+  Response response;
+  std::string error;
+};
+
+ClientOutcome submit_caught(const ClientConfig& client, const Request& req) {
+  ClientOutcome out;
+  try {
+    out.response = submit(client, req);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+TEST(ServeDaemon, DrainAnswersEveryConnectionThenRefusesConnects) {
+  Rng rng(8);
+  const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
+  const std::uint64_t mis3 = one_shot_digest(g, "mis", 3);
+  net::Socket listen = net::listen_on(net::Endpoint{"127.0.0.1", 0});
+  const net::Endpoint self = net::local_endpoint(listen.fd());
+
+  std::atomic<bool> stop{false};
+  DaemonConfig config;
+  config.rank = 0;
+  config.hosts = {self};
+  config.listen = std::move(listen);
+  config.graph = &g;
+  config.idle_poll_ms = 20;
+  // Room for the whole burst, so no answer is "queue full".
+  config.queue_capacity = 64;
+  config.stop_requested = [&] { return stop.load(); };
+  Daemon daemon(std::move(config));
+
+  int run_code = -1;
+  std::thread runner([&] { run_code = daemon.run(); });
+  ClientConfig client;
+  client.port = daemon.request_port();
+  client.timeout_ms = 10000;
+
+  // A 32-client burst racing the shutdown latch: every connection that
+  // reaches the daemon — queued, in flight on the accept thread, or still
+  // in the listen backlog at the drain — gets kOk or "draining". The latch
+  // flips once every client thread runs, so (almost) all of them connect
+  // before the port closes; a later one retries a refused connect until
+  // its timeout.
+  std::vector<ClientOutcome> burst(32);
+  std::vector<std::thread> clients;
+  std::atomic<std::size_t> launched{0};
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    clients.emplace_back([&, i] {
+      launched.fetch_add(1);
+      burst[i] = submit_caught(client, make_request(100 + i, "mis", 3));
+    });
+  }
+  while (launched.load() < burst.size()) std::this_thread::yield();
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+  runner.join();
+  EXPECT_EQ(run_code, 0);
+
+  std::uint64_t ok = 0;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    const ClientOutcome& c = burst[i];
+    if (!c.error.empty()) {
+      // Only a connect refused after the port closed is a valid failure.
+      EXPECT_NE(c.error.find("cannot connect"), std::string::npos)
+          << "client " << i << ": " << c.error;
+    } else if (c.response.status == Status::kOk) {
+      ++ok;
+      EXPECT_EQ(c.response.output_digest, mis3) << "client " << i;
+    } else {
+      EXPECT_EQ(c.response.status, Status::kRejected) << "client " << i;
+      EXPECT_NE(c.response.brief.find("draining"), std::string::npos)
+          << "client " << i << ": " << c.response.brief;
+    }
+  }
+  EXPECT_EQ(daemon.stats().served, ok);
+
+  // Once run() returned the port is closed: a single raw connect (no
+  // retry) is refused at once instead of queueing in a dead backlog.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(client.port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int err = errno;
+  ::close(fd);
+  EXPECT_EQ(rc, -1);
+  EXPECT_EQ(err, ECONNREFUSED);
 }
 
 TEST(ServeDaemon, DeadFollowerFlipsFleetUnhealthyInsteadOfHanging) {
