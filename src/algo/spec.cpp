@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 
 namespace ds::algo {
 
@@ -208,15 +209,9 @@ std::string input_kind_name(InputKind input) {
 }
 
 std::uint64_t Result::output_digest() const {
-  // FNV-1a over the words' bytes, same family as the net/ topology digests.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t w : output_words) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xFFull;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  Fnv1a fnv{kFnvShortBasis};
+  fnv.words(output_words.data(), output_words.size());
+  return fnv.h;
 }
 
 std::string Result::brief() const {

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <memory>
 
+#include "support/fnv.hpp"
+
 namespace ds::graph {
 
 namespace {
@@ -16,19 +18,6 @@ namespace {
 constexpr char kMagic[4] = {'D', 'S', 'G', 'F'};
 constexpr std::uint16_t kEndianTag = 0xFEFF;
 constexpr std::size_t kHeaderBytes = 64;
-
-/// Incremental FNV-1a over raw bytes — same family as the net/ digests and
-/// algo::Result::output_digest, so one hash idiom covers the whole system.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void feed(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  }
-};
 
 [[noreturn]] void fail(const std::string& path, const std::string& why) {
   throw FormatError("dsg format error (" + path + "): " + why);
@@ -75,9 +64,9 @@ void write_dsg(const Graph& g, const std::string& path, std::uint64_t nu,
   // Digest is known only after the sections are streamed; rewritten below.
   out.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
 
-  Fnv digest;
+  Fnv1a digest{kFnvShortBasis};
   const auto emit = [&](const void* data, std::size_t bytes) {
-    digest.feed(data, bytes);
+    digest.bytes(data, bytes);
     out.write(static_cast<const char*>(data), bytes);
   };
 
@@ -162,8 +151,8 @@ Graph load_dsg(const std::string& path, DsgHeader* header,
     fail(path, "corrupt CSR: offsets[n] != 2m");
   }
   if (verify_digest) {
-    Fnv digest;
-    digest.feed(bytes + kHeaderBytes,
+    Fnv1a digest{kFnvShortBasis};
+    digest.bytes(bytes + kHeaderBytes,
                 static_cast<std::size_t>(file_bytes - kHeaderBytes));
     if (digest.h != hdr.payload_digest) {
       fail(path, "payload digest mismatch — file corrupt or tampered");

@@ -15,28 +15,12 @@
 #include "net/tcp_network.hpp"
 #include "obs/recorder.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 #include "support/rng.hpp"
 
 namespace ds::net {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// Byte-wise FNV-1a over 64-bit words — the exact byte stream of
-/// `algo::Result::output_digest()`, folded incrementally so rank 0 never
-/// concatenates the fleet's words.
-void fnv_words(std::uint64_t& h, const std::uint64_t* words,
-               std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t w = words[i];
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xFFull;
-      h *= kFnvPrime;
-    }
-  }
-}
 
 std::uint64_t pack_edge(const graph::Edge& e) {
   return (static_cast<std::uint64_t>(e.u) << 32) |
@@ -203,18 +187,18 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
     if (rank != 0) to_peer[0] = values;
     const auto blocks = transport.exchange_setup(to_peer);
     if (rank == 0) {
-      std::uint64_t h = kFnvOffset;
-      fnv_words(h, values.data(), values.size());
+      Fnv1a fnv{kFnvShortBasis};
+      fnv.words(values.data(), values.size());
       for (const std::uint64_t w : values) fleet_sum += w;
       for (std::size_t r = 1; r < ranks; ++r) {
         DS_CHECK_MSG(blocks[r].size() ==
                          static_cast<std::size_t>(bounds[r + 1] - bounds[r]),
                      "in-situ digest fold: rank " + std::to_string(r) +
                          " sent a wrong-sized value block");
-        fnv_words(h, blocks[r].data(), blocks[r].size());
+        fnv.words(blocks[r].data(), blocks[r].size());
         for (const std::uint64_t w : blocks[r]) fleet_sum += w;
       }
-      fleet_digest = h;
+      fleet_digest = fnv.h;
     }
   }
   {

@@ -5,6 +5,7 @@
 
 #include "net/frame.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 
 namespace ds::net {
 
@@ -17,16 +18,6 @@ std::uint64_t steady_now_us() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (word >> shift) & 0xFF;
-    h *= kFnvPrime;
-  }
 }
 
 std::string describe(const Handshake& h) {
@@ -44,8 +35,8 @@ std::string mismatch_reason(const Handshake& mine, const Handshake& peer) {
            " vs " + std::to_string(mine.version) + ")";
   }
   if (peer.ranks != mine.ranks) {
-    return "fleet size mismatch (peer launched with --ranks=" +
-           std::to_string(peer.ranks) + ", this rank with --ranks=" +
+    return "fleet size mismatch (the peer's hosts file has " +
+           std::to_string(peer.ranks) + " ranks, this rank's " +
            std::to_string(mine.ranks) + ")";
   }
   if (peer.rank >= mine.ranks || peer.rank == mine.rank) {
@@ -127,19 +118,19 @@ std::size_t accept_handshake(const Socket& s, const Handshake& mine) {
 
 std::uint64_t topology_digest(const local::NetworkTopology& topo) {
   const graph::Graph& g = topo.graph();
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, g.num_nodes());
-  fnv_mix(h, topo.total_ports());
-  fnv_mix(h, topo.seed());
+  Fnv1a fnv{kFnvShortBasis};
+  fnv.word(g.num_nodes());
+  fnv.word(topo.total_ports());
+  fnv.word(topo.seed());
   // Delivery slots encode the full port-level structure (adjacency and port
   // numbering); UIDs cover the IdStrategy/seed-derived identity.
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::size_t p = 0; p < g.degree(v); ++p) {
-      fnv_mix(h, topo.delivery_slot(v, p));
+      fnv.word(topo.delivery_slot(v, p));
     }
   }
-  for (const std::uint64_t uid : topo.uids()) fnv_mix(h, uid);
-  return h;
+  fnv.words(topo.uids().data(), topo.uids().size());
+  return fnv.h;
 }
 
 std::uint64_t partition_digest(const dist::Partition& part) {
@@ -148,18 +139,17 @@ std::uint64_t partition_digest(const dist::Partition& part) {
 
 std::uint64_t partition_digest(std::size_t ranks,
                                const std::vector<graph::NodeId>& bounds) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, ranks);
-  for (const graph::NodeId b : bounds) fnv_mix(h, b);
-  return h;
+  Fnv1a fnv{kFnvShortBasis};
+  fnv.word(ranks);
+  for (const graph::NodeId b : bounds) fnv.word(b);
+  return fnv.h;
 }
 
 std::uint64_t instance_digest(const std::string& identity) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : identity) {
-    fnv_mix(h, static_cast<unsigned char>(c));
-  }
-  return h;
+  // One word per character (not one byte): the handshake's historical form.
+  Fnv1a fnv{kFnvShortBasis};
+  for (const char c : identity) fnv.word(static_cast<unsigned char>(c));
+  return fnv.h;
 }
 
 std::vector<Socket> rendezvous(const Handshake& mine,

@@ -218,19 +218,6 @@ void set_nodelay(int fd) {
                "setsockopt(TCP_NODELAY): " + errno_str());
 }
 
-void set_buffer_sizes(int fd, int sndbuf_bytes, int rcvbuf_bytes) {
-  if (sndbuf_bytes > 0) {
-    DS_CHECK_MSG(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf_bytes,
-                              sizeof(sndbuf_bytes)) == 0,
-                 "setsockopt(SO_SNDBUF): " + errno_str());
-  }
-  if (rcvbuf_bytes > 0) {
-    DS_CHECK_MSG(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
-                              sizeof(rcvbuf_bytes)) == 0,
-                 "setsockopt(SO_RCVBUF): " + errno_str());
-  }
-}
-
 void set_io_timeouts(int fd, int timeout_ms) {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;

@@ -64,9 +64,6 @@ Socket connect_to(const Endpoint& ep, int timeout_ms);
 /// per peer per phase and must not trade its latency for batching.
 void set_nodelay(int fd);
 
-/// Sets SO_SNDBUF / SO_RCVBUF when nonzero (0 keeps the OS default).
-void set_buffer_sizes(int fd, int sndbuf_bytes, int rcvbuf_bytes);
-
 /// Switches the fd between blocking (handshake) and nonblocking (round
 /// exchange) modes.
 void set_nonblocking(int fd, bool nonblocking);

@@ -8,7 +8,7 @@
 /// programs. Every run goes through `run_fleet`, which `net::run_insitu`
 /// shares.
 ///
-/// **One-shot** (a tool's `--runtime=tcp`): every rank constructs the same
+/// **One-shot** (one `distsplit_rank` run): every rank constructs the same
 /// `TcpNetwork` over the same (graph, IdStrategy, seed) with its own `rank`
 /// and rendezvouses its own fleet — the handshake rejects launches where
 /// the ranks disagree (net/rendezvous.hpp). The rank count is fixed by the

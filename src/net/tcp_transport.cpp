@@ -67,7 +67,6 @@ TcpTransport::TcpTransport(std::size_t rank,
   for (std::size_t r = 0; r < ranks; ++r) {
     if (r == rank_) continue;
     set_nodelay(conns[r].fd());
-    set_buffer_sizes(conns[r].fd(), opts_.sndbuf_bytes, opts_.rcvbuf_bytes);
     set_nonblocking(conns[r].fd(), true);
     peers_[r].sock = std::move(conns[r]);
   }

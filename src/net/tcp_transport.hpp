@@ -48,9 +48,6 @@ struct TcpOptions {
   /// Per-collective-phase budget; a peer that stays silent this long is
   /// declared dead and the run aborts collectively.
   int round_timeout_ms = 120000;
-  /// SO_SNDBUF / SO_RCVBUF (0 = OS default).
-  int sndbuf_bytes = 0;
-  int rcvbuf_bytes = 0;
 };
 
 /// The instance-agreement digests carried in the rendezvous handshake. The
@@ -68,8 +65,8 @@ class TcpTransport final : public dist::Transport {
   /// Establishes the full pair-connection mesh (see rendezvous.hpp): binds
   /// `hosts[rank]` unless a pre-bound `listen` socket is supplied, then
   /// handshakes with every peer, carrying `digests`. The listen socket is
-  /// closed once the mesh is up. Connections get TCP_NODELAY and the
-  /// configured buffer sizes. No partition is attached yet: until
+  /// closed once the mesh is up. Connections get TCP_NODELAY and keep the
+  /// kernel's autotuned buffer sizes. No partition is attached yet: until
   /// `attach_partition`, only `sync_liveness`, `exchange_setup`, `gather`,
   /// the serve broadcasts and `abort` may be called.
   TcpTransport(std::size_t rank, const std::vector<Endpoint>& hosts,

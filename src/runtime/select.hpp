@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file select.hpp
-/// Runtime selection of the LOCAL-model executor for experiment binaries:
-/// `--runtime=sequential|parallel|mp|tcp`, `--threads=N` (parallel),
-/// `--workers=N` (mp) and `--rank=R --ranks=N --hosts=FILE` (tcp) map to an
-/// `local::ExecutorFactory` that algorithm entry points accept.
+/// Runtime selection of the in-process LOCAL-model executor for experiment
+/// binaries: `--runtime=sequential|parallel|mp`, `--threads=N` (parallel)
+/// and `--workers=N` (mp) map to an `local::ExecutorFactory` that algorithm
+/// entry points accept. TCP fleets are launched by `distsplit_rank`, one
+/// process per rank, not selected here.
 
 #include <cstddef>
 #include <string>
@@ -20,7 +21,6 @@ enum class RuntimeKind {
   kSequential,    ///< local::Network (the reference implementation)
   kParallel,      ///< runtime::ParallelNetwork (thread-sharded)
   kMultiProcess,  ///< dist::DistributedNetwork (forked workers + halo)
-  kTcp,           ///< net::TcpNetwork (one process per rank, TCP halo)
 };
 
 /// Executor choice of one binary invocation.
@@ -32,22 +32,13 @@ struct RuntimeConfig {
   /// when a run aborts with a halo/gather overflow naming these knobs.
   std::size_t halo_words = 0;
   std::size_t gather_words = 0;
-  /// tcp runtime: this process's rank, the expected fleet size (0 = take it
-  /// from the hosts file), and the rank-ordered hosts file path.
-  std::size_t rank = 0;
-  std::size_t ranks = 0;
-  std::string hosts;
-  /// tcp socket buffer sizes in bytes (0 = OS default).
-  std::size_t sndbuf = 0;
-  std::size_t rcvbuf = 0;
 };
 
-/// One-line usage help for the flags `runtime_from_options` understands —
-/// shared by the tools so their usage text cannot drift from the parser.
+/// Usage help for the flags `runtime_from_options` understands, printed by
+/// `distsplit_cli` so its usage text cannot drift from the parser.
 inline constexpr const char* kRuntimeFlagsHelp =
-    "[--runtime=sequential|parallel|mp|tcp] [--threads=N] [--workers=N]\n"
-    "  [--halo-words=N] [--gather-words=N]\n"
-    "  [--rank=R --ranks=N --hosts=FILE] [--sndbuf=BYTES] [--rcvbuf=BYTES]";
+    "[--runtime=sequential|parallel|mp] [--threads=N] [--workers=N]\n"
+    "  [--halo-words=N] [--gather-words=N]";
 
 /// True when `config` selects the sequential reference executor — the
 /// capability gate sequential-only registry specs check.
@@ -55,35 +46,20 @@ inline bool is_sequential(const RuntimeConfig& config) {
   return config.kind == RuntimeKind::kSequential;
 }
 
-/// Parses `--runtime=sequential|parallel|mp|tcp` (default sequential),
-/// `--threads=N`, `--workers=N`, the mp overflow knobs `--halo-words=N` /
-/// `--gather-words=N`, and the tcp launch flags `--rank=R --ranks=N
-/// --hosts=FILE [--sndbuf=BYTES --rcvbuf=BYTES]`. Throws ds::CheckError on
-/// an unknown runtime name.
+/// Parses `--runtime=sequential|parallel|mp` (default sequential),
+/// `--threads=N`, `--workers=N` and the mp overflow knobs `--halo-words=N`
+/// / `--gather-words=N`. Throws ds::CheckError on an unknown runtime name
+/// or a negative count.
 RuntimeConfig runtime_from_options(const Options& opts);
 
-/// Factory honoring `config`: an empty factory for the sequential runtime
-/// (algorithms then default to `local::Network`), a `ParallelNetwork` or
-/// `DistributedNetwork` factory otherwise.
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config);
-
-/// Like the above, but every executor the factory creates gets `sink`
-/// installed as its per-round stats hook — for experiment drivers that
-/// print per-round message/byte traces. With a non-empty sink the factory
-/// is always non-empty (the sequential runtime then builds a
-/// sink-instrumented `local::Network`).
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
-                                             local::RoundStatsSink sink);
-
-/// Like the above, but every executor additionally gets `recorder`
-/// installed (see local::Executor::set_recorder) — phase timings,
-/// deterministic round counters and transport counters of the run land in
-/// it, fleet-wide on the distributed runtimes. A null recorder degrades to
-/// the two-argument overload; with a recorder the factory is always
-/// non-empty. The recorder must outlive every executor the factory builds.
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
-                                             local::RoundStatsSink sink,
-                                             obs::Recorder* recorder);
+/// Factory honoring `config`. Every executor it builds gets `sink` as its
+/// per-round stats hook and `recorder` installed (phase timings, round and
+/// transport counters; fleet-wide on mp). Only the sequential runtime with
+/// neither yields an empty factory (algorithms then default to
+/// `local::Network`). The recorder must outlive every executor built.
+local::ExecutorFactory make_executor_factory(
+    const RuntimeConfig& config, local::RoundStatsSink sink = {},
+    obs::Recorder* recorder = nullptr);
 
 /// Human-readable description of the *requested* config, e.g. "sequential",
 /// "parallel(8 threads)" or "mp(4 workers)". The mp executor additionally

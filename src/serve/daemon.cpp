@@ -14,6 +14,7 @@
 #include "net/rendezvous.hpp"
 #include "net/tcp_network.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 
 namespace ds::serve {
 
@@ -55,21 +56,15 @@ net::Socket bind_request_port(DaemonConfig& config) {
 }  // namespace
 
 std::uint64_t Daemon::instance_digest(const graph::Graph& g, std::size_t nu) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t w) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(g.num_nodes());
-  mix(nu);
+  Fnv1a fnv{kFnvBasis};
+  fnv.word(g.num_nodes());
+  fnv.word(nu);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto node = static_cast<graph::NodeId>(v);
-    mix(g.degree(node));
-    for (const graph::NodeId u : g.neighbors(node)) mix(u);
+    fnv.word(g.degree(node));
+    for (const graph::NodeId u : g.neighbors(node)) fnv.word(u);
   }
-  return h;
+  return fnv.h;
 }
 
 Daemon::Daemon(DaemonConfig config)

@@ -2,6 +2,7 @@
 
 #include "net/frame.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 
 namespace ds::serve {
 
@@ -139,22 +140,15 @@ Response decode_response(const std::uint64_t* words, std::size_t count) {
 
 std::uint64_t params_digest(
     const std::vector<std::pair<std::string, std::string>>& params) {
-  // FNV-1a over "key=value\n" in override order — same family as
-  // Result::output_digest, cheap and stable.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-  };
+  // "key=value\n" in override order.
+  Fnv1a fnv{kFnvBasis};
   for (const auto& [key, value] : params) {
-    mix(key);
-    mix("=");
-    mix(value);
-    mix("\n");
+    fnv.bytes(key.data(), key.size());
+    fnv.bytes("=", 1);
+    fnv.bytes(value.data(), value.size());
+    fnv.bytes("\n", 1);
   }
-  return h;
+  return fnv.h;
 }
 
 }  // namespace ds::serve

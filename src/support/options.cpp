@@ -1,7 +1,9 @@
 #include "support/options.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
+#include <system_error>
 
 #include "support/check.hpp"
 
@@ -37,16 +39,33 @@ std::string Options::get(const std::string& key,
   return value == nullptr ? fallback : *value;
 }
 
+namespace {
+
+/// Parses all of `text` as a T, or throws naming the flag: a trailing
+/// "x" or an out-of-range value must not pass as a number.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text,
+               const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  DS_CHECK_MSG(ec == std::errc() && ptr == end,
+               "--" + key + "=" + text + " is not " + what);
+  return value;
+}
+
+}  // namespace
+
 long long Options::get_int(const std::string& key, long long fallback) const {
   const std::string* value = last(key);
   if (value == nullptr) return fallback;
-  return std::stoll(*value);
+  return parse_number<long long>(key, *value, "a 64-bit integer");
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const std::string* value = last(key);
   if (value == nullptr) return fallback;
-  return std::stod(*value);
+  return parse_number<double>(key, *value, "a number");
 }
 
 bool Options::has(const std::string& key) const {

@@ -22,11 +22,12 @@ class Options {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
 
-  /// Integer-valued option.
+  /// Integer-valued option. The whole value must parse: "7x" or a value
+  /// outside the 64-bit range throws a ds::CheckError naming the flag.
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const;
 
-  /// Double-valued option.
+  /// Double-valued option, parsed as strictly as `get_int`.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
 

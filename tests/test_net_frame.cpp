@@ -24,6 +24,13 @@
 namespace ds::net {
 namespace {
 
+/// Small kernel buffers force many short writes and short reads.
+void shrink_buffers(int fd) {
+  const int bytes = 8 * 1024;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)), 0);
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)), 0);
+}
+
 std::vector<std::uint64_t> words_iota(std::size_t n, std::uint64_t start) {
   std::vector<std::uint64_t> w(n);
   std::iota(w.begin(), w.end(), start);
@@ -160,9 +167,8 @@ TEST(FrameIo, ReadWriteFullSurviveShortTransfers) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   Socket a(fds[0]);
   Socket b(fds[1]);
-  // Small kernel buffers force many short writes and short reads.
-  set_buffer_sizes(a.fd(), 8 * 1024, 8 * 1024);
-  set_buffer_sizes(b.fd(), 8 * 1024, 8 * 1024);
+  shrink_buffers(a.fd());
+  shrink_buffers(b.fd());
 
   const std::size_t bytes = 2 * 1024 * 1024;
   std::vector<char> sent(bytes);
@@ -230,8 +236,8 @@ TEST(FrameIo, ReadWriteFullResumeAfterEintr) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   Socket a(fds[0]);
   Socket b(fds[1]);
-  set_buffer_sizes(a.fd(), 8 * 1024, 8 * 1024);
-  set_buffer_sizes(b.fd(), 8 * 1024, 8 * 1024);
+  shrink_buffers(a.fd());
+  shrink_buffers(b.fd());
 
   const std::size_t bytes = 1024 * 1024;
   std::vector<char> sent(bytes);

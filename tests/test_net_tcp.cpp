@@ -26,7 +26,6 @@
 #include "net/tcp_network.hpp"
 #include "obs/recorder.hpp"
 #include "orient/sinkless.hpp"
-#include "runtime/select.hpp"
 #include "support/check.hpp"
 
 namespace ds::net {
@@ -432,21 +431,6 @@ TEST(TcpRendezvous, RejectsMismatchedLaunches) {
   EXPECT_EQ(report.rank0, 81);
   ASSERT_EQ(report.peer_exit_codes.size(), 1u);
   EXPECT_EQ(report.peer_exit_codes[0], 81);
-}
-
-TEST(TcpRuntime, SelectParsesTcpFlags) {
-  const char* argv[] = {"x",        "--runtime=tcp", "--rank=1",
-                        "--ranks=4", "--hosts=h.txt", "--sndbuf=65536",
-                        "--rcvbuf=131072"};
-  const auto config = runtime::runtime_from_options(Options(7, argv));
-  EXPECT_EQ(config.kind, runtime::RuntimeKind::kTcp);
-  EXPECT_EQ(config.rank, 1u);
-  EXPECT_EQ(config.ranks, 4u);
-  EXPECT_EQ(config.hosts, "h.txt");
-  EXPECT_EQ(config.sndbuf, 65536u);
-  EXPECT_EQ(config.rcvbuf, 131072u);
-  EXPECT_NE(runtime::runtime_description(config).find("tcp"),
-            std::string::npos);
 }
 
 TEST(TcpNetwork, PartitionStatsExposed) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "coloring/randcolor.hpp"
@@ -253,8 +254,21 @@ TEST(RuntimeSelect, ParsesOptions) {
   EXPECT_EQ(runtime_description(mp_config), "mp(2 workers)");
   EXPECT_TRUE(static_cast<bool>(make_executor_factory(mp_config)));
 
-  const char* argv_bad[] = {"x", "--runtime=warp"};
-  EXPECT_THROW(runtime_from_options(Options(2, argv_bad)), ds::CheckError);
+  // TCP fleets are not an in-process runtime: the error names the
+  // launcher that runs them.
+  for (const char* bad : {"--runtime=warp", "--runtime=tcp"}) {
+    const char* argv_bad[] = {"x", bad};
+    try {
+      (void)runtime_from_options(Options(2, argv_bad));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const ds::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'sequential', 'parallel' or 'mp'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("distsplit_rank"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -397,6 +397,24 @@ TEST(ServeDaemon, MixedObservabilityFleetServesRepeatedRequestsSafely) {
       << "]";
 }
 
+// One client's outcome: its response, or the text of the exception its
+// submit threw. Client threads must never let an exception escape — a
+// std::terminate would take the whole test binary down.
+struct ClientOutcome {
+  Response response;
+  std::string error;
+};
+
+ClientOutcome submit_caught(const ClientConfig& client, const Request& req) {
+  ClientOutcome out;
+  try {
+    out.response = submit(client, req);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
 TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   Rng rng(5);
   const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
@@ -426,14 +444,19 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   ASSERT_EQ(first.status, Status::kOk);
   EXPECT_EQ(first.output_digest, one_shot_digest(g, "mis", 3));
 
-  // ...then a burst racing the shutdown latch: every client must still get
-  // a terminal answer — kOk if its request was accepted before the drain,
-  // kRejected("daemon is draining") after — and the daemon must exit 0.
-  std::vector<Response> burst(4);
+  // ...then a burst racing the shutdown latch: every client that reaches
+  // the daemon must still get a terminal answer — kOk if its request was
+  // accepted before the drain, kRejected("daemon is draining") after — and
+  // the daemon must exit 0. A client whose connect comes after the port
+  // closed cannot reach it at all, which is the one valid failure.
+  std::vector<ClientOutcome> burst(4);
   std::vector<std::thread> clients;
+  ClientConfig burst_client = client;
+  burst_client.timeout_ms = 10000;
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    clients.emplace_back(
-        [&, i] { burst[i] = submit(client, make_request(10 + i, "mis", 3)); });
+    clients.emplace_back([&, i] {
+      burst[i] = submit_caught(burst_client, make_request(10 + i, "mis", 3));
+    });
   }
   stop.store(true);
   for (std::thread& t : clients) t.join();
@@ -441,13 +464,16 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   EXPECT_EQ(run_code, 0);
 
   std::uint64_t ok = 0;
-  for (const Response& resp : burst) {
-    if (resp.status == Status::kOk) {
+  for (const ClientOutcome& c : burst) {
+    if (!c.error.empty()) {
+      EXPECT_NE(c.error.find("cannot connect"), std::string::npos) << c.error;
+    } else if (c.response.status == Status::kOk) {
       ++ok;
-      EXPECT_EQ(resp.output_digest, one_shot_digest(g, "mis", 3));
+      EXPECT_EQ(c.response.output_digest, one_shot_digest(g, "mis", 3));
     } else {
-      ASSERT_EQ(resp.status, Status::kRejected);
-      EXPECT_NE(resp.brief.find("draining"), std::string::npos) << resp.brief;
+      ASSERT_EQ(c.response.status, Status::kRejected);
+      EXPECT_NE(c.response.brief.find("draining"), std::string::npos)
+          << c.response.brief;
     }
   }
   EXPECT_EQ(daemon.stats().served, ok + 1);
@@ -456,24 +482,6 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   ClientConfig late = client;
   late.timeout_ms = 2000;
   EXPECT_THROW(submit(late, make_request(99, "mis", 3)), std::exception);
-}
-
-// One client's outcome: its response, or the text of the exception its
-// submit threw. Client threads must never let an exception escape — a
-// std::terminate would take the whole test binary down.
-struct ClientOutcome {
-  Response response;
-  std::string error;
-};
-
-ClientOutcome submit_caught(const ClientConfig& client, const Request& req) {
-  ClientOutcome out;
-  try {
-    out.response = submit(client, req);
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  return out;
 }
 
 TEST(ServeDaemon, DrainAnswersEveryConnectionThenRefusesConnects) {

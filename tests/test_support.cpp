@@ -163,5 +163,26 @@ TEST(Options, RejectsMalformedArguments) {
   EXPECT_THROW(Options(2, argv), CheckError);
 }
 
+TEST(Options, NumbersMustParseWhole) {
+  // A trailing "x" must not pass as the number before it, and a non-number
+  // must fail with the flag's name rather than a bare "stoll".
+  const char* argv[] = {"prog", "--seed=7x", "--port=abc", "--eps=0.5s",
+                        "--big=99999999999999999999", "--neg=-3"};
+  const Options opts(6, argv);
+  for (const std::string key : {"seed", "port", "big"}) {
+    try {
+      (void)opts.get_int(key, 0);
+      ADD_FAILURE() << key << " parsed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + key + "="),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)opts.seed(), CheckError);
+  EXPECT_THROW((void)opts.get_double("eps", 0.0), CheckError);
+  EXPECT_EQ(opts.get_int("neg", 0), -3);
+}
+
 }  // namespace
 }  // namespace ds

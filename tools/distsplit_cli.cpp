@@ -26,23 +26,14 @@
 ///            [--metrics=FILE] [--trace=FILE] [--stats]
 ///            [--profile=FILE] [--http-port=P] [--event-cap=N]
 ///            + the runtime flags below
-///            Run any registered algorithm on any runtime. Dispatch, usage
-///            text and parameter help all come from the registry — there
-///            is no per-algorithm code in this tool. The observability
-///            flags instrument the run: --metrics writes the aggregated
-///            counter/histogram snapshot as JSON, --trace writes a Chrome
-///            trace (open in Perfetto), --stats prints a summary table,
-///            --profile writes the run's sampled flame-graph profile as
-///            collapsed/folded stacks (flamegraph.pl / speedscope input).
-///            On the distributed runtimes the recorder merges every
-///            rank's drained block, so the files hold fleet-wide data.
-///            --http-port=P serves live introspection while the run is in
-///            flight (/metrics /status /healthz /api/v1/snapshot; P=0
-///            binds an ephemeral port, printed at startup) and implies
-///            observing; --event-cap=N bounds the trace flight recorder.
-///            Input sources: --input reads a text edge list, --graph maps
-///            a packed .dsg file read-only in O(1), --gen materializes a
-///            generator instance in memory.
+///            Run any registered algorithm on any in-process runtime
+///            (sequential, parallel, mp; TCP fleets run through
+///            distsplit_rank). Dispatch, usage text and parameter help all
+///            come from the registry — there is no per-algorithm code in
+///            this tool. The source and observability flags are the shared
+///            front end's (tools/frontend.hpp); on mp the recorder merges
+///            every worker's drained block, so the files hold fleet-wide
+///            data.
 ///   submit   --port=P [--host=H] --algo=NAME [--seed=S]
 ///            [--param=key=value ...] [--id=N] [--timeout-ms=MS]
 ///            Submit one run to a resident distsplit_serve daemon's request
@@ -59,32 +50,22 @@
 /// that failed), 2 on an execution failure (I/O, solver rejection, aborted
 /// fleet), 3 on a rejected `submit`.
 
-#include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "algo/registry.hpp"
 #include "dist/distributed_network.hpp"
+#include "frontend.hpp"
 #include "graph/format.hpp"
 #include "graph/generators.hpp"
-#include "graph/insitu.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
-#include "net/socket.hpp"
-#include "obs/http_server.hpp"
-#include "obs/profile.hpp"
-#include "obs/publish.hpp"
-#include "obs/recorder.hpp"
 #include "runtime/select.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
-#include "support/provenance.hpp"
 
 namespace {
 
@@ -112,22 +93,6 @@ int usage() {
       << "\n\nregistered algorithms (see also: distsplit_cli list):\n"
       << algo::usage_catalog();
   return 1;
-}
-
-graph::BipartiteGraph load_bipartite(const Options& opts) {
-  const std::string path = opts.get("input", "");
-  DS_CHECK_MSG(!path.empty(), "--input=FILE is required");
-  std::ifstream in(path);
-  DS_CHECK_MSG(in.good(), "cannot open input file: " + path);
-  return graph::io::read_bipartite(in);
-}
-
-graph::Graph load_graph(const Options& opts) {
-  const std::string path = opts.get("input", "");
-  DS_CHECK_MSG(!path.empty(), "--input=FILE is required");
-  std::ifstream in(path);
-  DS_CHECK_MSG(in.good(), "cannot open input file: " + path);
-  return graph::io::read_edge_list(in);
 }
 
 int cmd_gen(const Options& opts) {
@@ -160,14 +125,9 @@ int cmd_gen(const Options& opts) {
 int cmd_pack(const Options& opts) {
   const std::string out = opts.get("out", "");
   DS_CHECK_MSG(!out.empty(), "--out=FILE.dsg is required");
-  const std::string gen = opts.get("gen", "");
-  if (!gen.empty()) {
-    const graph::DistributedGenerator dg(graph::GenSpec::parse(gen),
-                                         opts.seed());
-    graph::write_dsg(dg.generate_full(), out, dg.num_left(), dg.seed());
-  } else {
-    graph::write_dsg(load_graph(opts), out, /*nu=*/0, opts.seed());
-  }
+  const frontend::Instance inst = frontend::load_instance(
+      opts, algo::InputKind::kGeneralGraph, "pack");
+  graph::write_dsg(inst.graph, out, inst.nu, opts.seed());
   // Read-back verification: mmap the file we just wrote and check the
   // payload digest, so a pack that silently truncated cannot enter a CI
   // fixture cache looking healthy.
@@ -180,7 +140,9 @@ int cmd_pack(const Options& opts) {
 }
 
 int cmd_stats(const Options& opts) {
-  const auto b = load_bipartite(opts);
+  const graph::BipartiteGraph b =
+      frontend::load_instance(opts, algo::InputKind::kBipartiteGraph, "stats")
+          .bipartite;
   const graph::Graph unified = b.unified();
   std::cout << "left nodes (U):   " << b.num_left() << "\n"
             << "right nodes (V):  " << b.num_right() << "\n"
@@ -216,23 +178,12 @@ const std::vector<std::string> kSubmitFlags = {
 };
 
 int cmd_submit(const Options& opts) {
-  for (const std::string& key : opts.keys()) {
-    if (std::find(kSubmitFlags.begin(), kSubmitFlags.end(), key) !=
-        kSubmitFlags.end()) {
-      continue;
-    }
-    std::string msg = "unknown flag '--" + key + "'";
-    const std::string hint = algo::suggest(key, kSubmitFlags);
-    if (!hint.empty()) msg += "; did you mean '--" + hint + "'?";
-    msg += " (algorithm parameters go through --param=key=value)";
-    DS_CHECK_MSG(false, msg);
-  }
+  frontend::check_flags(opts, kSubmitFlags);
   serve::ClientConfig config;
   config.host = opts.get("host", "127.0.0.1");
-  const long long port = opts.get_int("port", 0);
-  DS_CHECK_MSG(port > 0 && port <= 65535,
+  config.port = frontend::port_flag(opts, "port");
+  DS_CHECK_MSG(config.port != 0,
                "--port=P (the daemon's request port) is required");
-  config.port = static_cast<std::uint16_t>(port);
   config.timeout_ms = static_cast<int>(opts.get_int("timeout-ms", 120000));
 
   serve::Request request;
@@ -267,34 +218,26 @@ int cmd_submit(const Options& opts) {
 /// The `run` flags that belong to the driver itself (everything else must
 /// be a registered algorithm parameter passed as --param=key=value).
 const std::vector<std::string> kRunFlags = {
-    "algo",       "input",   "graph",      "gen",          "seed",
-    "param",      "runtime", "threads",    "workers",      "halo-words",
-    "gather-words", "rank",  "ranks",      "hosts",        "sndbuf",
-    "rcvbuf",     "metrics", "trace",      "stats",        "http-port",
-    "event-cap",  "profile",
+    "algo",      "input",   "graph",        "gen",     "seed",
+    "param",     "runtime", "threads",      "workers", "halo-words",
+    "metrics",   "trace",   "gather-words", "stats",   "http-port",
+    "event-cap", "profile",
 };
 
 /// Resolution phase of `run`: anything wrong here is a usage error (exit
 /// 1). Throws ds::CheckError with a did-you-mean suggestion on unknown
-/// flags, algorithm names and parameter keys.
+/// flags, algorithm names and parameter keys, and naming the flag on a
+/// malformed or out-of-range number.
 struct RunPlan {
   const algo::Spec* spec = nullptr;
   algo::Params params;
   runtime::RuntimeConfig runtime;
+  std::uint64_t seed = 1;
+  frontend::ObsFlags obs;
 };
 
 RunPlan resolve_run(const Options& opts) {
-  for (const std::string& key : opts.keys()) {
-    if (std::find(kRunFlags.begin(), kRunFlags.end(), key) !=
-        kRunFlags.end()) {
-      continue;
-    }
-    std::string msg = "unknown flag '--" + key + "'";
-    const std::string hint = algo::suggest(key, kRunFlags);
-    if (!hint.empty()) msg += "; did you mean '--" + hint + "'?";
-    msg += " (algorithm parameters go through --param=key=value)";
-    DS_CHECK_MSG(false, msg);
-  }
+  frontend::check_flags(opts, kRunFlags);
   RunPlan plan;
   const std::string name = opts.get("algo", "");
   DS_CHECK_MSG(!name.empty(), "--algo=NAME is required (see: list)");
@@ -302,6 +245,8 @@ RunPlan resolve_run(const Options& opts) {
   plan.params = algo::Params::parse(
       plan.spec->params, algo::parse_param_overrides(opts.get_all("param")));
   plan.runtime = runtime::runtime_from_options(opts);
+  plan.seed = opts.seed();
+  plan.obs = frontend::ObsFlags(opts, /*max_rank=*/0);
   return plan;
 }
 
@@ -319,201 +264,48 @@ void print_partition_stats(const graph::Graph& g, std::size_t parts) {
             << stats.balance_factor << "\n";
 }
 
-/// Writes `body(out)` to `path`, failing loudly on I/O errors.
-template <typename Body>
-void write_file(const std::string& path, const char* what, Body body) {
-  std::ofstream out(path);
-  DS_CHECK_MSG(out.good(), std::string("cannot open ") + what +
-                               " output file: " + path);
-  body(out);
-  out.flush();
-  DS_CHECK_MSG(out.good(), std::string("failed writing ") + what +
-                               " output file: " + path);
-}
-
 int cmd_run(const RunPlan& plan, const Options& opts) {
   const algo::Spec& spec = *plan.spec;
-  // Observability: one recorder for the whole run when any of
-  // --metrics/--trace/--stats/--http-port asks for it; the factory installs
-  // it on the executor and `execute` snapshots it into the result. The live
-  // endpoints need the instruments, so --http-port implies observing.
-  const bool observe = opts.has("metrics") || opts.has("trace") ||
-                       opts.has("stats") || opts.has("http-port") ||
-                       opts.has("profile");
-  obs::Recorder recorder;
-  obs::Recorder* const rec = observe ? &recorder : nullptr;
-  if (rec != nullptr && opts.has("event-cap")) {
-    rec->set_event_capacity(
-        static_cast<std::size_t>(opts.get_int("event-cap", 0)));
-  }
-  // Sampling profiler: attached to the recorder so the fleet gather merges
-  // every lane's folded stacks. A refused timer/handler degrades to a
-  // logged notice and an empty profile, never a failed run.
-  std::unique_ptr<obs::SampledProfiler> profiler;
-  if (opts.has("profile")) {
-    profiler = std::make_unique<obs::SampledProfiler>();
-    rec->set_profiler(profiler.get());
-    if (!profiler->start()) {
-      std::cout << "profile: sampling unavailable (" << profiler->error()
-                << ")\n";
-    }
-  }
-  // Live introspection: the round loop publishes seqlock snapshots at round
-  // boundaries; the HTTP thread only ever reads the publisher. Declared
-  // before the server so the server (a reader) is torn down first.
-  obs::SnapshotPublisher publisher;
-  std::unique_ptr<obs::HttpServer> http;
-  if (opts.has("http-port")) {
-    rec->set_publisher(&publisher);
-    std::vector<std::pair<std::string, std::string>> info = {
-        {"tool", "distsplit_cli"},
-        {"algo", spec.name},
-        {"runtime", runtime::runtime_description(plan.runtime)},
-        {"seed", std::to_string(opts.seed())},
-    };
-    for (const auto& kv : Provenance::get().context()) info.push_back(kv);
-    publisher.set_info(std::move(info));
-    if (profiler != nullptr) {
-      // Live profile endpoint: reads the ring without draining it, so the
-      // final written file still carries the full run.
-      obs::SampledProfiler* const prof = profiler.get();
-      const std::string prefix =
-          rec->lane_kind() + ":" + std::to_string(rec->lane());
-      publisher.set_profile_source([prof, prefix] {
-        std::ostringstream folded;
-        obs::SampledProfiler::write_folded(folded,
-                                           prof->collect_folded(prefix));
-        return folded.str();
-      });
-    }
-    http = std::make_unique<obs::HttpServer>(
-        publisher,
-        static_cast<std::uint16_t>(opts.get_int("http-port", 0)));
-    std::cout << "http: listening on port " << http->port()
-              << " (/metrics /status /healthz /api/v1/snapshot"
-              << (profiler != nullptr ? " /api/v1/profile" : "") << ")"
-              << std::endl;
-  }
+  const std::string runtime = runtime::runtime_description(plan.runtime);
+  frontend::ObsSession session(plan.obs, /*rank=*/0, /*prefix=*/"",
+                               {{"tool", "distsplit_cli"},
+                                {"algo", spec.name},
+                                {"runtime", runtime},
+                                {"seed", std::to_string(plan.seed)}});
   algo::RunContext ctx;
-  ctx.seed = opts.seed();
+  ctx.seed = plan.seed;
   ctx.params = plan.params;
-  ctx.factory = runtime::make_executor_factory(plan.runtime, {}, rec);
+  ctx.factory =
+      runtime::make_executor_factory(plan.runtime, {}, session.recorder());
   ctx.sequential_runtime = runtime::is_sequential(plan.runtime);
-  ctx.recorder = rec;
+  ctx.recorder = session.recorder();
 
-  // Input source: a text edge list (--input), a packed .dsg mapped
-  // read-only in O(1) (--graph), or an in-memory generator instance
-  // (--gen). Bipartite-input specs recover the split from the .dsg header
-  // / generator left-side size.
-  const std::string dsg_path = opts.get("graph", "");
-  const std::string gen_text = opts.get("gen", "");
-  const int sources = static_cast<int>(!opts.get("input", "").empty()) +
-                      static_cast<int>(!dsg_path.empty()) +
-                      static_cast<int>(!gen_text.empty());
-  DS_CHECK_MSG(sources == 1,
-               "exactly one of --input=FILE, --graph=FILE.dsg or --gen=SPEC "
-               "is required");
-  graph::Graph g;
-  graph::BipartiteGraph b;
-  std::size_t nu = 0;
-  if (!dsg_path.empty()) {
-    graph::DsgHeader header;
-    g = graph::load_dsg(dsg_path, &header);
-    nu = static_cast<std::size_t>(header.nu);
-  } else if (!gen_text.empty()) {
-    const graph::DistributedGenerator dg(graph::GenSpec::parse(gen_text),
-                                         opts.seed());
-    g = dg.generate_full();
-    nu = dg.num_left();
-  }
+  const frontend::Instance inst =
+      frontend::load_instance(opts, spec.input, "--algo=" + spec.name);
   if (spec.input == algo::InputKind::kGeneralGraph) {
-    if (dsg_path.empty() && gen_text.empty()) g = load_graph(opts);
-    ctx.graph = &g;
+    ctx.graph = &inst.graph;
   } else {
-    if (dsg_path.empty() && gen_text.empty()) {
-      b = load_bipartite(opts);
-    } else {
-      DS_CHECK_MSG(nu > 0, "--algo=" + spec.name +
-                               " needs a bipartite instance, but this "
-                               "source carries no left/right split");
-      b = graph::bipartite_from_unified(g, nu);
-      g = graph::Graph();  // the unified copy is no longer needed
-    }
-    ctx.bipartite = &b;
+    ctx.bipartite = &inst.bipartite;
   }
 
-  std::cout << "algorithm: " << spec.name << "\n";
-  if (plan.runtime.kind == runtime::RuntimeKind::kTcp) {
-    const std::size_t parts = net::read_hosts_file(plan.runtime.hosts).size();
-    std::cout << "executor: tcp(rank " << plan.runtime.rank << " of " << parts
-              << ")\n";
-    if (ctx.graph != nullptr) print_partition_stats(*ctx.graph, parts);
-  } else {
-    std::cout << "executor: " << runtime::runtime_description(plan.runtime)
-              << "\n";
-    if (plan.runtime.kind == runtime::RuntimeKind::kMultiProcess &&
-        ctx.graph != nullptr) {
-      print_partition_stats(*ctx.graph,
-                            dist::DistributedNetwork::resolve_workers(
-                                plan.runtime.workers, g.num_nodes()));
-    }
+  std::cout << "algorithm: " << spec.name << "\n"
+            << "executor: " << runtime << "\n";
+  if (plan.runtime.kind == runtime::RuntimeKind::kMultiProcess &&
+      ctx.graph != nullptr) {
+    print_partition_stats(*ctx.graph,
+                          dist::DistributedNetwork::resolve_workers(
+                              plan.runtime.workers, ctx.graph->num_nodes()));
   }
 
-  if (http != nullptr) publisher.run_started(spec.name);
   algo::Result result;
-  try {
-    result = algo::execute(spec, ctx);
-  } catch (...) {
-    // /healthz must flip to 503: a failed run marks the publisher aborted
-    // (the TCP transport already did on a collective abort — idempotent).
-    if (http != nullptr) publisher.run_finished(/*ok=*/false);
-    throw;
-  }
-  if (http != nullptr) publisher.run_finished(/*ok=*/true);
+  session.run(spec.name, [&] { result = algo::execute(spec, ctx); });
   for (const auto& [key, value] : result.summary) {
     std::cout << key << ": " << value << "\n";
   }
   std::cout << "verified: " << (result.verified ? "yes" : "no") << "\n";
   std::cout << "output-digest: " << std::hex << result.output_digest()
             << std::dec << "\n";
-
-  if (rec != nullptr) {
-    if (profiler != nullptr) profiler->stop();
-    const std::string metrics_path = opts.get("metrics", "");
-    if (!metrics_path.empty()) {
-      std::vector<std::pair<std::string, std::string>> context = {
-          {"algo", spec.name},
-          {"runtime", runtime::runtime_description(plan.runtime)},
-          {"seed", std::to_string(ctx.seed)},
-      };
-      for (const auto& kv : Provenance::get().context()) {
-        context.push_back(kv);
-      }
-      write_file(metrics_path, "metrics", [&](std::ostream& out) {
-        rec->write_metrics_json(out, context);
-      });
-      std::cout << "metrics: " << metrics_path << "\n";
-    }
-    const std::string trace_path = opts.get("trace", "");
-    if (!trace_path.empty()) {
-      write_file(trace_path, "trace", [&](std::ostream& out) {
-        rec->write_trace_json(out);
-      });
-      std::cout << "trace: " << trace_path << "\n";
-    }
-    const std::string profile_path = opts.get("profile", "");
-    if (!profile_path.empty()) {
-      // Samples taken after the last drain (output gather, run teardown)
-      // are still in the ring; absorb them before writing.
-      rec->absorb_profiler();
-      write_file(profile_path, "profile", [&](std::ostream& out) {
-        rec->write_folded(out);
-      });
-      std::cout << "profile: " << profile_path << " ("
-                << rec->folded().size() << " stacks)\n";
-    }
-    if (opts.has("stats")) rec->write_stats_table(std::cout);
-  }
+  session.finish();
   return 0;
 }
 
@@ -530,9 +322,8 @@ int main(int argc, char** argv) {
     if (cmd == "list") return cmd_list(opts);
     if (cmd == "submit") return cmd_submit(opts);
     if (cmd == "run") {
-      // Resolution errors (unknown algo/flag/param, bad values) are usage
-      // errors: exit 1, with the did-you-mean text on stderr. Execution
-      // errors keep the historical exit code 2.
+      // Resolution errors are usage errors (exit 1); execution errors keep
+      // the historical exit code 2.
       RunPlan plan;
       try {
         plan = resolve_run(opts);

@@ -9,7 +9,6 @@
 ///     distsplit_serve (--input=graph.txt | --graph=FILE.dsg | --gen=SPEC)
 ///         --hosts=hosts.txt --rank=R
 ///         [--port=P] [--queue-cap=N] [--seed=S]
-///         [--sndbuf=BYTES] [--rcvbuf=BYTES]
 ///         [--http-port=P] [--event-cap=N]
 ///
 /// Rank 0 prints `serve: listening on port P` once the fleet is up and
@@ -21,37 +20,24 @@
 ///
 ///     distsplit_serve --local=N --input=graph.txt [--port=P]
 ///
-/// Observability: --http-port=P serves /metrics /status /healthz
-/// /api/v1/snapshot /api/v1/runs per rank (rank r binds P+r), with the
-/// serve counters (`distsplit_serve_requests_total`, queue depth, request
-/// latency) and the served-run history ring.
+/// The live endpoints (--http-port, tools/frontend.hpp) add the serve
+/// counters and the served-run history ring.
 ///
 /// Shutdown: SIGINT/SIGTERM drains the accepted requests, answers further
 /// submissions `kRejected` ("daemon is draining", /healthz 503), releases
 /// the follower ranks with a kShutdown broadcast, and exits 0.
 
-#include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algo/registry.hpp"
-#include "graph/format.hpp"
-#include "graph/graph.hpp"
-#include "graph/insitu.hpp"
-#include "graph/io.hpp"
+#include "frontend.hpp"
 #include "net/loopback.hpp"
-#include "net/socket.hpp"
-#include "obs/http_server.hpp"
-#include "obs/publish.hpp"
-#include "obs/recorder.hpp"
 #include "serve/daemon.hpp"
 #include "serve/signal.hpp"
-#include "support/check.hpp"
 #include "support/options.hpp"
-#include "support/provenance.hpp"
 
 namespace {
 
@@ -62,135 +48,16 @@ int usage() {
                "(--input=FILE | --graph=FILE.dsg | --gen=SPEC)\n"
                "         (--hosts=FILE --rank=R | --local=N)\n"
                "         [--port=P] [--queue-cap=N] [--seed=S]\n"
-               "         [--sndbuf=BYTES] [--rcvbuf=BYTES]\n"
                "         [--http-port=P] [--event-cap=N]\n"
                "submissions name any distributed-capable registry entry:\n"
             << algo::names_listing(/*scalable_only=*/true);
   return 2;
 }
 
-/// The daemon's resident instance: always the unified graph, plus the
-/// left-node count when the source carries a bipartite split (so
-/// bipartite-input specs can be served too).
-struct ServePlan {
-  graph::Graph graph;
-  std::size_t nu = 0;
-};
-
 const std::vector<std::string> kServeFlags = {
-    "input", "graph",     "gen",    "hosts",  "rank",      "local",
-    "seed",  "port",      "queue-cap", "sndbuf", "rcvbuf", "http-port",
-    "event-cap",
+    "input", "graph", "gen",       "hosts",     "rank",      "local",
+    "seed",  "port",  "queue-cap", "http-port", "event-cap",
 };
-
-ServePlan resolve(const Options& opts) {
-  for (const std::string& key : opts.keys()) {
-    if (std::find(kServeFlags.begin(), kServeFlags.end(), key) !=
-        kServeFlags.end()) {
-      continue;
-    }
-    std::string msg = "unknown flag '--" + key + "'";
-    const std::string hint = algo::suggest(key, kServeFlags);
-    if (!hint.empty()) msg += "; did you mean '--" + hint + "'?";
-    msg += " (per-run parameters travel with each submission)";
-    DS_CHECK_MSG(false, msg);
-  }
-  ServePlan plan;
-  const std::string path = opts.get("input", "");
-  const std::string dsg_path = opts.get("graph", "");
-  const std::string gen_text = opts.get("gen", "");
-  const int sources = static_cast<int>(!path.empty()) +
-                      static_cast<int>(!dsg_path.empty()) +
-                      static_cast<int>(!gen_text.empty());
-  DS_CHECK_MSG(sources == 1,
-               "exactly one of --input=FILE, --graph=FILE.dsg or --gen=SPEC "
-               "is required");
-  if (!gen_text.empty()) {
-    const graph::DistributedGenerator dg(graph::GenSpec::parse(gen_text),
-                                         opts.seed());
-    plan.graph = dg.generate_full();
-    plan.nu = dg.num_left();
-  } else if (!dsg_path.empty()) {
-    graph::DsgHeader header;
-    plan.graph = graph::load_dsg(dsg_path, &header);
-    plan.nu = static_cast<std::size_t>(header.nu);
-  } else {
-    std::ifstream in(path);
-    DS_CHECK_MSG(in.good(), "cannot open input file: " + path);
-    plan.graph = graph::io::read_edge_list(in);
-  }
-  return plan;
-}
-
-/// One rank's resident daemon. Returns the process exit code.
-int run_serve(const ServePlan& plan, const Options& opts, std::size_t rank,
-              std::vector<net::Endpoint> hosts, net::Socket listen) {
-  const std::size_t nranks = hosts.size();
-  const bool observe = opts.has("http-port");
-  obs::Recorder recorder;
-  obs::Recorder* const rec = observe ? &recorder : nullptr;
-  if (rec != nullptr) {
-    rec->set_lane(static_cast<std::uint32_t>(rank));
-    if (opts.has("event-cap")) {
-      rec->set_event_capacity(
-          static_cast<std::size_t>(opts.get_int("event-cap", 0)));
-    }
-  }
-  // Declared before the server: the server (a publisher reader) must be
-  // torn down first.
-  obs::SnapshotPublisher publisher;
-  std::unique_ptr<obs::HttpServer> http;
-  if (observe) {
-    rec->set_publisher(&publisher);
-    std::vector<std::pair<std::string, std::string>> info = {
-        {"tool", "distsplit_serve"},
-        {"runtime", "serve-tcp(" + std::to_string(nranks) + " ranks)"},
-        {"rank", std::to_string(rank)},
-    };
-    for (const auto& kv : Provenance::get().context()) info.push_back(kv);
-    publisher.set_info(std::move(info));
-    const auto base = opts.get_int("http-port", 0);
-    http = std::make_unique<obs::HttpServer>(
-        publisher, static_cast<std::uint16_t>(base == 0 ? 0 : base + rank));
-    std::cout << "[rank " << rank << "/" << nranks
-              << "] http: listening on port " << http->port()
-              << " (/metrics /status /healthz /api/v1/snapshot /api/v1/runs)"
-              << std::endl;
-  }
-
-  serve::DaemonConfig config;
-  config.rank = rank;
-  config.hosts = std::move(hosts);
-  config.listen = std::move(listen);
-  config.transport.sndbuf_bytes = static_cast<int>(opts.get_int("sndbuf", 0));
-  config.transport.rcvbuf_bytes = static_cast<int>(opts.get_int("rcvbuf", 0));
-  config.graph = &plan.graph;
-  config.nu = plan.nu;
-  config.request_port =
-      static_cast<std::uint16_t>(opts.get_int("port", 0));
-  config.queue_capacity = static_cast<std::size_t>(
-      opts.get_int("queue-cap", 16));
-  config.stop_requested = [] { return serve::shutdown_requested(); };
-  config.recorder = rec;
-  config.publisher = observe ? &publisher : nullptr;
-
-  serve::Daemon daemon(std::move(config));
-  if (rank == 0) {
-    // The line scripts and CI wait for before submitting. Explicit flush:
-    // the daemon lives until a signal, and the port must not sit in a
-    // stdio buffer meanwhile.
-    std::cout << "serve: listening on port " << daemon.request_port()
-              << std::endl;
-  }
-  const int code = daemon.run();
-  const serve::Daemon::Stats stats = daemon.stats();
-  std::cout << "[rank " << rank << "/" << nranks << "] serve: exiting ("
-            << stats.served << " served, " << stats.failed << " failed, "
-            << stats.rejected << " rejected, partition cache "
-            << stats.cache_hits << " hits / " << stats.cache_misses
-            << " misses)" << std::endl;
-  return code;
-}
 
 }  // namespace
 
@@ -198,33 +65,57 @@ int main(int argc, char** argv) {
   try {
     const Options opts(argc, argv);
     serve::install_shutdown_handler();
-    const ServePlan plan = resolve(opts);
-    const auto local = opts.get_int("local", 0);
-    if (local > 0) {
-      const auto report = net::run_loopback_ranks(
-          static_cast<std::size_t>(local), [&](net::LoopbackRank&& lr) {
-            return run_serve(plan, opts, lr.rank, std::move(lr.hosts),
-                             std::move(lr.listen));
-          });
-      if (!report.all_ok()) {
-        std::cerr << "error: a rank failed (rank 0 -> " << report.rank0;
-        for (std::size_t r = 0; r < report.peer_exit_codes.size(); ++r) {
-          std::cerr << ", rank " << (r + 1) << " -> "
-                    << report.peer_exit_codes[r];
-        }
-        std::cerr << ")\n";
-        return 2;
+    frontend::check_flags(opts, kServeFlags,
+                          "(per-run parameters travel with each submission)");
+    const std::optional<frontend::Fleet> fleet =
+        frontend::fleet_from_options(opts);
+    if (!fleet) return usage();
+    const frontend::ObsFlags obs_flags(opts, fleet->max_rank());
+    const std::uint16_t port = frontend::port_flag(opts, "port");
+    const std::size_t queue_capacity =
+        frontend::capacity_flag(opts, "queue-cap", 16);
+    // The resident instance is always the unified graph, plus the left-node
+    // count when the source carries a bipartite split (so bipartite-input
+    // specs can be served too).
+    const frontend::Instance instance = frontend::load_instance(
+        opts, algo::InputKind::kGeneralGraph, "distsplit_serve");
+    return frontend::launch(*fleet, [&](net::LoopbackRank&& lr) {
+      const std::string prefix = "[rank " + std::to_string(lr.rank) + "/" +
+                                 std::to_string(lr.hosts.size()) + "] ";
+      frontend::ObsSession session(
+          obs_flags, lr.rank, prefix,
+          {{"tool", "distsplit_serve"},
+           {"runtime",
+            "serve-tcp(" + std::to_string(lr.hosts.size()) + " ranks)"},
+           {"rank", std::to_string(lr.rank)}});
+      serve::DaemonConfig config;
+      config.rank = lr.rank;
+      config.hosts = std::move(lr.hosts);
+      config.listen = std::move(lr.listen);
+      config.graph = &instance.graph;
+      config.nu = instance.nu;
+      config.request_port = port;
+      config.queue_capacity = queue_capacity;
+      config.stop_requested = [] { return serve::shutdown_requested(); };
+      config.recorder = session.recorder();
+      config.publisher = session.publisher();
+      serve::Daemon daemon(std::move(config));
+      if (lr.rank == 0) {
+        // The line scripts and CI wait for before submitting. Explicit
+        // flush: the daemon lives until a signal, and the port must not sit
+        // in a stdio buffer meanwhile.
+        std::cout << "serve: listening on port " << daemon.request_port()
+                  << std::endl;
       }
-      return 0;
-    }
-    const std::string hosts_path = opts.get("hosts", "");
-    if (hosts_path.empty()) return usage();
-    const auto hosts = net::read_hosts_file(hosts_path);
-    const auto rank = static_cast<std::size_t>(opts.get_int("rank", 0));
-    DS_CHECK_MSG(rank < hosts.size(),
-                 "--rank must be < the hosts file size (" +
-                     std::to_string(hosts.size()) + ")");
-    return run_serve(plan, opts, rank, hosts, net::Socket{});
+      const int code = daemon.run();
+      const serve::Daemon::Stats stats = daemon.stats();
+      std::cout << prefix << "serve: exiting (" << stats.served
+                << " served, " << stats.failed << " failed, "
+                << stats.rejected << " rejected, partition cache "
+                << stats.cache_hits << " hits / " << stats.cache_misses
+                << " misses)" << std::endl;
+      return code;
+    });
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
