@@ -74,22 +74,15 @@ std::size_t DistributedNetwork::run_worker(
   const std::function<void()>* poll =
       (w == 0 && !children.empty()) ? &poll_fn : nullptr;
   ShmTransport transport(w, partition_, transport_, *control_, poll);
-  // Each worker records into its own (fork-copied) recorder: children set
-  // lane = w in the rank loop, drain into their gather blocks at the end,
-  // and the parent merges every block after reaping. The fork-inherited t0
-  // gives all lanes one trace timebase.
-  obs::Recorder* const rec = recorder();
-  if (rec != nullptr) {
-    rec->set_lane_kind("worker");
-    transport.set_recorder(rec);
-  }
   // Stats only on worker 0: it is the rank whose sink survives the run (the
   // children's copies die with _exit), matching the sequential executor's
   // single-sink contract.
   const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
-  return run_rank_loop(RankView::of(topology_), partition_, transport,
-                       factory, max_rounds, epoch_, sink, output_fn_,
-                       programs_, rec);
+  return run_fleet(transport, recorder(), {}, [&](obs::Recorder* rec) {
+    return run_rank_loop(RankView::of(topology_), partition_, transport,
+                         factory, max_rounds, epoch_, sink, output_fn_,
+                         programs_, rec);
+  });
 }
 
 std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
@@ -101,6 +94,10 @@ std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
   // Flush before forking: children inherit the stdio buffers, and _exit
   // must not replay buffered experiment output N times.
   std::fflush(nullptr);
+
+  // Lanes are worker processes; they fork from here, so they inherit the
+  // lane kind and the recorder's timebase.
+  if (recorder() != nullptr) recorder()->set_lane_kind("worker");
 
   std::vector<pid_t> children;
   children.reserve(workers - 1);
@@ -165,17 +162,12 @@ std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
                std::string("distributed run aborted: ") +
                    control_->abort_message());
 
-  // Assemble the output table — and the fleet's observability blocks —
-  // from the workers' gather blocks.
+  // Assemble the output table from the workers' gather blocks.
   if (output_fn_) {
     ShmTransport view(0, partition_, transport_, *control_, nullptr);
     assemble_outputs(view, partition_, outputs_);
   } else {
     outputs_.clear();
-  }
-  if (recorder() != nullptr) {
-    ShmTransport view(0, partition_, transport_, *control_, nullptr);
-    collect_fleet_obs(view, *recorder());
   }
 
   if (meter != nullptr) meter->add_executed(rounds);

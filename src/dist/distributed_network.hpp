@@ -31,6 +31,13 @@
 /// Programs need zero modification: they see the same Outbox/Inbox API and
 /// the same message words as under the sequential `Network`.
 ///
+/// Each worker runs its share through `dist::run_fleet` around
+/// `run_rank_loop`, exactly like a TCP rank (rank_loop.hpp). A child marks
+/// its fork-inherited recorder when its run starts, so it ships only what
+/// it records; every worker merges the other workers' blocks after the
+/// gather, so worker 0 — the calling process — ends the run holding fleet
+/// totals. Fork, reap and kill stay here.
+///
 /// # Determinism contract
 ///
 /// For a fixed (graph, IdStrategy, seed), DistributedNetwork produces
@@ -130,11 +137,11 @@ class DistributedNetwork final : public local::Executor {
 
  private:
   /// The full per-worker run: binds a `ShmTransport` view for worker w and
-  /// executes the shared `run_rank_loop` protocol. Runs in the calling
-  /// process for w == 0 and in a forked child otherwise; returns the
-  /// executed round count (identical in every worker). `children` is
-  /// non-empty only in worker 0, which polls them while waiting so a
-  /// crashed worker aborts the run instead of hanging it.
+  /// executes the shared `run_fleet` + `run_rank_loop` protocol. Runs in
+  /// the calling process for w == 0 and in a forked child otherwise;
+  /// returns the executed round count (identical in every worker).
+  /// `children` is non-empty only in worker 0, which polls them while
+  /// waiting so a crashed worker aborts the run instead of hanging it.
   std::size_t run_worker(std::size_t w, const local::ProgramFactory& factory,
                          std::size_t max_rounds,
                          const std::vector<pid_t>& children);

@@ -1,6 +1,7 @@
 #include "dist/rank_loop.hpp"
 
 #include <chrono>
+#include <exception>
 #include <memory>
 
 #include "local/message_arena.hpp"
@@ -66,13 +67,13 @@ std::size_t run_rank_loop(
   std::unique_ptr<obs::PerfCounters> perf;
   obs::PhasePerf phase_perf;
   if (recorder != nullptr) {
-    ins = obs::RoundInstruments::create(recorder->metrics());
+    const std::initializer_list<obs::Phase> phases = {
+        obs::Phase::kSend,  obs::Phase::kShip,    obs::Phase::kBarrier,
+        obs::Phase::kPatch, obs::Phase::kReceive, obs::Phase::kRound};
+    ins = obs::RoundInstruments::create(recorder->metrics(), phases);
     recorder->set_lane(static_cast<std::uint32_t>(w));
     perf = std::make_unique<obs::PerfCounters>();
-    phase_perf = obs::PhasePerf(
-        recorder->metrics(), *perf,
-        {obs::Phase::kSend, obs::Phase::kShip, obs::Phase::kPatch,
-         obs::Phase::kReceive, obs::Phase::kBarrier, obs::Phase::kRound});
+    phase_perf = obs::PhasePerf(recorder->metrics(), *perf, phases);
   }
   const bool timed = recorder != nullptr || sink;
   const auto us_now = [&] { return recorder != nullptr ? recorder->now_us()
@@ -149,19 +150,19 @@ std::size_t run_rank_loop(
     const auto t_end = std::chrono::steady_clock::now();
     if (recorder != nullptr) {
       // Deterministic counters take only this rank's share (`mine`): the
-      // post-gather merge of every rank's block then reconstructs the same
-      // fleet totals the sequential executor counts.
+      // post-gather merge of the other ranks' blocks then reconstructs the
+      // same fleet totals the sequential executor counts.
       ins.live_nodes.add(mine.senders);
       ins.messages.add(mine.messages);
       ins.payload_words.add(mine.payload_words);
       const std::uint64_t us_end = us_now();
       const obs::PerfSample p_end = perf_now();
-      ins.send_us.record(us_sent - us0);
-      ins.ship_us.record(us_shipped - us_sent);
-      ins.patch_us.record(us_patched - us_shipped);
-      ins.receive_us.record(us_received - us_patched);
-      ins.barrier_us.record(us_end - us_received);
-      ins.round_us.record(us_end - us0);
+      ins.us(obs::Phase::kSend).record(us_sent - us0);
+      ins.us(obs::Phase::kShip).record(us_shipped - us_sent);
+      ins.us(obs::Phase::kPatch).record(us_patched - us_shipped);
+      ins.us(obs::Phase::kReceive).record(us_received - us_patched);
+      ins.us(obs::Phase::kBarrier).record(us_end - us_received);
+      ins.us(obs::Phase::kRound).record(us_end - us0);
       const obs::SpanPerf d_send =
           phase_perf.account(obs::Phase::kSend, p0, p_sent);
       const obs::SpanPerf d_ship =
@@ -211,7 +212,7 @@ std::size_t run_rank_loop(
     }
   }
 
-  // Output gather: this rank's drained observability block, then the owned
+  // Output gather: this rank's observability block, then the owned
   // programs' serialized rows ([length, words...] per node) — see the file
   // comment in rank_loop.hpp for the layout.
   std::vector<std::uint64_t> gathered;
@@ -235,8 +236,8 @@ std::size_t run_rank_loop(
   }
   transport.gather(gathered);
   if (recorder != nullptr) {
-    // The gather span lands *after* the drain, so it stays in the local
-    // recorder and is reported by the rank that merges the fleet's blocks.
+    // The gather span lands *after* the drain, so it stays in this rank's
+    // recorder only.
     recorder->add_span(obs::Phase::kGather, rounds, us_gather,
                        us_now() - us_gather);
   }
@@ -291,17 +292,50 @@ void assemble_outputs(const Transport& transport, const Partition& part,
   }
 }
 
-void collect_fleet_obs(const Transport& transport, obs::Recorder& recorder) {
-  for (std::size_t w = 0; w < transport.num_ranks(); ++w) {
-    collect_rank_obs(transport, w, recorder);
-  }
-}
+std::size_t run_fleet(Transport& transport, obs::Recorder* recorder,
+                      const std::function<void()>& setup,
+                      const std::function<std::size_t(obs::Recorder*)>& body) {
+  // Both outlive the try block, so the catch-path abort still finds the
+  // hooked recorder alive; the guard (destroyed first) unhooks it.
+  std::unique_ptr<obs::Recorder> fleet_recorder;
+  struct Unhook {
+    Transport& transport;
+    const std::unique_ptr<obs::Recorder>& fleet_recorder;
+    ~Unhook() {
+      if (fleet_recorder != nullptr) transport.set_recorder(nullptr);
+    }
+  } unhook{transport, fleet_recorder};
 
-void collect_rank_obs(const Transport& transport, std::size_t rank,
-                      obs::Recorder& recorder) {
-  const auto [words, count] = transport.gathered(rank);
-  const std::size_t end = skip_obs_block(words, count);
-  if (end > 1) recorder.merge_words(words + 1, end - 1);
+  if (recorder != nullptr) recorder->mark();
+  std::size_t rounds = 0;
+  try {
+    if (setup) setup();
+    // Every rank runs the agreement unconditionally to stay in lockstep.
+    const std::size_t observers =
+        transport.sync_liveness(recorder != nullptr ? 1 : 0);
+    if (observers != 0 && recorder == nullptr) {
+      fleet_recorder = std::make_unique<obs::Recorder>();
+      recorder = fleet_recorder.get();
+    }
+    transport.set_recorder(recorder);
+    rounds = body(recorder);
+  } catch (const std::exception& e) {
+    // Transport-raised failures already aborted; the call is idempotent.
+    transport.abort(e.what());
+    throw;
+  }
+  if (recorder != nullptr) {
+    // Every rank reads every gathered block (TCP re-broadcasts them, shm
+    // workers share them). This rank's own totals are already local.
+    for (std::size_t w = 0; w < transport.num_ranks(); ++w) {
+      if (w == transport.rank()) continue;
+      const auto [words, count] = transport.gathered(w);
+      const std::size_t end = skip_obs_block(words, count);
+      if (end > 1) recorder->merge_words(words + 1, end - 1);
+    }
+    recorder->publish_round(rounds);  // the final, merged live snapshot
+  }
+  return rounds;
 }
 
 }  // namespace ds::dist

@@ -1,14 +1,15 @@
 #pragma once
 
 /// \file rank_loop.hpp
-/// The transport-independent round protocol of the distributed executors.
+/// The transport-independent run protocol of the distributed executors.
 ///
-/// `run_rank_loop` is the per-rank body that `dist::DistributedNetwork`
-/// (one forked worker per rank, `ShmTransport`), `net::TcpNetwork` (one OS
-/// process per rank, `net::TcpTransport`) and `net::run_insitu` execute.
-/// Factoring it out is what guarantees the runtimes implement the *same*
-/// protocol — the transports only move bytes and synchronize; every
-/// delivery/ordering/liveness rule lives here, once:
+/// `dist::DistributedNetwork` (one forked worker per rank, `ShmTransport`),
+/// `net::TcpNetwork` (one OS process per rank, `net::TcpTransport`) and
+/// `net::run_insitu` run each rank's share of a run as `run_fleet` around
+/// `run_rank_loop`. Factoring both out is what guarantees the runtimes
+/// implement the *same* protocol — the transports only move bytes and
+/// synchronize; every delivery/ordering/liveness/observability rule lives
+/// here, once. `run_rank_loop` is the round protocol:
 ///
 ///   1. invoke the (pure per node) factory for the owned range [first,
 ///      last) only, storing the programs at local indices;
@@ -18,21 +19,24 @@
 ///      receive through the unmodified `local::Inbox` ->
 ///      `Transport::sync_liveness`;
 ///   3. after the last round: serialize the owned programs' output rows and
-///      `Transport::gather` them, prefixed by this rank's drained
-///      observability block (see below).
+///      `Transport::gather` them, prefixed by this rank's observability
+///      block (see below).
 ///
 /// # Gather payload layout (per rank)
 ///
 ///     [obs_word_count, obs words..., (row_length, row words...)*]
 ///
-/// The leading observability block is always present (count 0 when no
-/// recorder is installed); `assemble_outputs` skips it and
-/// `collect_fleet_obs` merges every rank's block into one recorder. Keeping
-/// the block inside the existing gather stream means per-rank metrics and
-/// trace spans ride the same frames/shared blocks as the output rows — no
-/// second protocol.
+/// The leading block is always present (count 0 when no recorder is
+/// installed). It holds what this rank's recorder recorded since
+/// `run_fleet` marked it at the start of the run (obs/recorder.hpp).
+/// `assemble_outputs` skips it; `run_fleet` merges every *other* rank's
+/// block into this rank's recorder, so every rank ends the run holding
+/// fleet totals. Keeping the block inside the existing gather stream means
+/// per-rank metrics and trace spans ride the same frames/shared blocks as
+/// the output rows — no second protocol.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -68,19 +72,40 @@ struct RankView {
   static RankView of(const local::NetworkTopology& topo);
 };
 
+/// The per-run protocol of every distributed rank, in order:
+///
+///   1. mark `recorder` (when set), so this run's block carries only what
+///      the run records;
+///   2. `setup` (may be empty): collectives that precede the rounds;
+///   3. the observability agreement: one collective sums every rank's
+///      "recorder installed" bit; when any rank observes, a rank without
+///      `recorder` records into a per-run fleet recorder (the merged export
+///      needs one lane per rank);
+///   4. `body` with the agreed recorder (null when nobody observes) hooked
+///      into the transport; returns the executed round count;
+///   5. the merge of every other rank's gathered block into the recorder,
+///      and the final live publish.
+///
+/// A throw in 2-4 becomes a collective `Transport::abort` (the peers wait
+/// in an exchange this rank will never join) and is rethrown. The fleet
+/// recorder outlives that abort and is unhooked from the transport, which
+/// may outlive the run, before it dies.
+std::size_t run_fleet(Transport& transport, obs::Recorder* recorder,
+                      const std::function<void()>& setup,
+                      const std::function<std::size_t(obs::Recorder*)>& body);
+
 /// Runs rank `transport.rank()`'s full share of one distributed run:
-/// construct programs, execute rounds, gather outputs. Returns the executed
-/// round count (identical on every rank by construction). `epoch` is the
-/// caller's monotone round tag, advanced once per round; `sink`, when
-/// non-empty, receives per-round stats from `Transport::round_totals` (only
-/// install it on ranks where the transport aggregates totals). `programs`
-/// is filled with the owned range's instances (`programs[v - first]`) and
-/// stays alive for the caller's `program()` accessor. Throws
-/// ds::CheckError when `max_rounds` is hit with unhalted nodes — the caller
-/// is responsible for turning that into a collective `Transport::abort`.
-/// `recorder`, when non-null, receives this rank's phase spans and round
-/// counters and is *drained* into the gather payload (see the file
-/// comment); merge the fleet's blocks back with `collect_fleet_obs`.
+/// construct programs, execute rounds, gather outputs — `run_fleet`'s
+/// usual body. Returns the executed round count (identical on every rank
+/// by construction). `epoch` is the caller's monotone round tag, advanced
+/// once per round; `sink`, when non-empty, receives per-round stats from
+/// `Transport::round_totals` (only install it on ranks where the transport
+/// aggregates totals). `programs` is filled with the owned range's
+/// instances (`programs[v - first]`) and stays alive for the caller's
+/// `program()` accessor. Throws ds::CheckError when `max_rounds` is hit
+/// with unhalted nodes. `recorder`, when non-null, receives this rank's
+/// phase spans and round counters, and its block leads the gather payload
+/// (see the file comment).
 std::size_t run_rank_loop(const RankView& view, const Partition& part,
                           Transport& transport,
                           const local::ProgramFactory& factory,
@@ -104,19 +129,5 @@ const local::NodeProgram& owned_program(
 /// stream.
 void assemble_outputs(const Transport& transport, const Partition& part,
                       local::OutputTable& out);
-
-/// Merges every rank's gathered observability block into `recorder` (which
-/// each rank drained into its payload — including the caller's own rank, so
-/// merging all blocks reconstructs exact fleet totals without double
-/// counting). Call wherever `Transport::gathered` is valid for every rank.
-void collect_fleet_obs(const Transport& transport, obs::Recorder& recorder);
-
-/// Merges only `rank`'s gathered observability block into `recorder`.
-/// Long-lived fleets (the serving daemon) use this on followers: re-merging
-/// the whole fleet there would copy rank 0's cumulative totals into the
-/// follower's recorder, and the next run's drain would feed that copy back
-/// to rank 0, double counting every standing counter.
-void collect_rank_obs(const Transport& transport, std::size_t rank,
-                      obs::Recorder& recorder);
 
 }  // namespace ds::dist

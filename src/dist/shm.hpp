@@ -81,11 +81,15 @@ struct SharedBarrier {
 /// Per-worker round counters, published before the barrier that ends the
 /// phase which computed them. Relaxed atomics: the barrier provides the
 /// ordering, the atomic type keeps concurrent access well-defined.
+/// `not_done` alternates between two slots by sync parity: a run's
+/// observability agreement and round 0's liveness sync follow each other
+/// with no barrier in between, so a fast worker's second write must not
+/// land in the slot a slow worker still sums.
 struct alignas(64) WorkerCounters {
   std::atomic<std::uint64_t> senders{0};
   std::atomic<std::uint64_t> messages{0};
   std::atomic<std::uint64_t> payload_words{0};
-  std::atomic<std::uint64_t> not_done{0};
+  std::atomic<std::uint64_t> not_done[2] = {};
 };
 
 /// Shared control block of one DistributedNetwork: barrier, collective abort

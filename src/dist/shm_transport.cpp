@@ -216,12 +216,14 @@ void ShmTransport::barrier() {
 }
 
 std::size_t ShmTransport::sync_liveness(std::size_t my_not_done) {
-  control_->counters(worker_)->not_done.store(my_not_done,
-                                              std::memory_order_relaxed);
+  const std::size_t slot = syncs_++ & 1;
+  control_->counters(worker_)->not_done[slot].store(
+      my_not_done, std::memory_order_relaxed);
   barrier();
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < part_->num_workers(); ++i) {
-    total += control_->counters(i)->not_done.load(std::memory_order_relaxed);
+    total += control_->counters(i)->not_done[slot].load(
+        std::memory_order_relaxed);
   }
   return static_cast<std::size_t>(total);
 }

@@ -147,8 +147,8 @@ class ShmTransport final : public Transport {
   void abort(const std::string& msg) override;
 
   /// Hooks this worker's transport counters (`shm.barrier.wait.us`,
-  /// `shm.halo.words`) into `rec`; nullptr detaches. Call before the run.
-  void set_recorder(obs::Recorder* rec);
+  /// `shm.halo.words`) into `rec`; nullptr detaches.
+  void set_recorder(obs::Recorder* rec) override;
 
  private:
   void barrier();
@@ -159,6 +159,8 @@ class ShmTransport final : public Transport {
   ControlBlock* control_;
   const std::function<void()>* idle_poll_;
   obs::Recorder* recorder_ = nullptr;
+  /// `sync_liveness` calls so far: selects the not-done slot (shm.hpp).
+  std::size_t syncs_ = 0;
   obs::Histogram barrier_wait_us_;
   obs::Counter halo_words_;
 };

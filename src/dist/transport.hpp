@@ -31,6 +31,11 @@
 /// Message payloads cross the transport verbatim (64-bit words in the
 /// canonical cut-port order of `Partition::link`), which is what makes the
 /// executors' bit-identical determinism contract transport-independent.
+///
+/// Every run on a transport goes through `dist::run_fleet` (rank_loop.hpp):
+/// its observability agreement is one `sync_liveness`, it hooks the run's
+/// recorder in with `set_recorder`, it turns any failure into `abort`, and
+/// after the gather it merges the other ranks' blocks through `gathered`.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +44,10 @@
 #include <vector>
 
 #include "local/message_arena.hpp"
+
+namespace ds::obs {
+class Recorder;
+}  // namespace ds::obs
 
 namespace ds::dist {
 
@@ -108,9 +117,9 @@ class Transport {
   /// run, with an empty vector when no OutputFn is installed.
   virtual void gather(const std::vector<std::uint64_t>& words) = 0;
 
-  /// Rank w's gathered rows. Valid after `gather`: on the shm transport in
-  /// the parent process for every w, on TCP on every rank (rank 0 assembles
-  /// and re-broadcasts the table so results are replicated SPMD-style).
+  /// Rank w's gathered rows. Valid after `gather`, on every rank for every
+  /// w: shm workers share the gather blocks, and TCP rank 0 assembles and
+  /// re-broadcasts the table so results are replicated SPMD-style.
   [[nodiscard]] virtual std::pair<const std::uint64_t*, std::size_t> gathered(
       std::size_t w) const = 0;
 
@@ -118,6 +127,10 @@ class Transport {
   /// Every live peer's current or next blocking transport call throws
   /// ds::CheckError instead of waiting for a rank that will never arrive.
   virtual void abort(const std::string& msg) = 0;
+
+  /// Hooks this rank's transport counters into `rec` (nullptr unhooks);
+  /// counters tick from then on.
+  virtual void set_recorder(obs::Recorder* rec) = 0;
 };
 
 }  // namespace ds::dist

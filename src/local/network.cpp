@@ -33,14 +33,14 @@ std::size_t Network::run(const ProgramFactory& factory, std::size_t max_rounds,
   std::unique_ptr<obs::PerfCounters> perf;
   obs::PhasePerf phase_perf;
   if (rec != nullptr) {
-    ins = obs::RoundInstruments::create(rec->metrics());
+    const std::initializer_list<obs::Phase> phases = {
+        obs::Phase::kSend, obs::Phase::kReceive, obs::Phase::kRound};
+    ins = obs::RoundInstruments::create(rec->metrics(), phases);
     // Hardware counters sample at the same points as the phase clocks;
     // degradation (container, paranoid kernel) leaves the hardware names
     // unregistered and spans marked unavailable.
     perf = std::make_unique<obs::PerfCounters>();
-    phase_perf = obs::PhasePerf(
-        rec->metrics(), *perf,
-        {obs::Phase::kSend, obs::Phase::kReceive, obs::Phase::kRound});
+    phase_perf = obs::PhasePerf(rec->metrics(), *perf, phases);
   }
   // Phase timing runs when either consumer is present; the fully disabled
   // path keeps the historical single clock read per round.
@@ -99,9 +99,9 @@ std::size_t Network::run(const ProgramFactory& factory, std::size_t max_rounds,
         ins.payload_words.add(payload_words);
         const auto us0 = static_cast<std::uint64_t>(send_s * 1e6);
         const auto us1 = static_cast<std::uint64_t>(recv_s * 1e6);
-        ins.send_us.record(us0);
-        ins.receive_us.record(us1);
-        ins.round_us.record(us0 + us1);
+        ins.us(obs::Phase::kSend).record(us0);
+        ins.us(obs::Phase::kReceive).record(us1);
+        ins.us(obs::Phase::kRound).record(us0 + us1);
         const obs::SpanPerf d_send =
             phase_perf.account(obs::Phase::kSend, p0, p_sent);
         const obs::SpanPerf d_recv =

@@ -12,7 +12,6 @@
 #include "dist/rank_loop.hpp"
 #include "local/program.hpp"
 #include "net/rendezvous.hpp"
-#include "net/tcp_network.hpp"
 #include "obs/recorder.hpp"
 #include "support/check.hpp"
 #include "support/fnv.hpp"
@@ -300,8 +299,8 @@ InsituResult run_insitu(const algo::Spec& spec, const algo::Params& params,
   graph::LocalCsr csr;
   std::optional<dist::Partition> part;
   InsituResult result;
-  run_fleet(
-      transport, recorder, ObsMerge::kFleet,
+  dist::run_fleet(
+      transport, recorder,
       [&] {
         csr = build_rank_csr(dg, bounds, transport);
         part = dist::Partition::rank_local(bounds, config.rank, csr);

@@ -1,7 +1,5 @@
 #include "net/tcp_network.hpp"
 
-#include <exception>
-
 #include "dist/rank_loop.hpp"
 #include "net/rendezvous.hpp"
 #include "support/check.hpp"
@@ -20,52 +18,6 @@ std::size_t checked_ranks(const TcpNetworkConfig& config) {
 
 }  // namespace
 
-std::size_t run_fleet(TcpTransport& transport, obs::Recorder* recorder,
-                      ObsMerge merge, const std::function<void()>& setup,
-                      const std::function<std::size_t(obs::Recorder*)>& body) {
-  // Both outlive the try block, so the catch-path abort still finds the
-  // hooked recorder alive; the guard (destroyed first) unhooks it.
-  std::unique_ptr<obs::Recorder> fleet_recorder;
-  struct Unhook {
-    TcpTransport& transport;
-    const std::unique_ptr<obs::Recorder>& fleet_recorder;
-    ~Unhook() {
-      if (fleet_recorder != nullptr) transport.set_recorder(nullptr);
-    }
-  } unhook{transport, fleet_recorder};
-
-  std::size_t rounds = 0;
-  try {
-    if (setup) setup();
-    // Every rank runs the agreement unconditionally to stay in lockstep.
-    const std::size_t observers =
-        transport.sync_liveness(recorder != nullptr ? 1 : 0);
-    if (observers != 0 && recorder == nullptr) {
-      fleet_recorder = std::make_unique<obs::Recorder>();
-      recorder = fleet_recorder.get();
-    }
-    transport.set_recorder(recorder);
-    rounds = body(recorder);
-  } catch (const std::exception& e) {
-    // Transport-raised failures already aborted; the call is idempotent.
-    transport.abort(e.what());
-    throw;
-  }
-  // The kOutputs re-broadcast replicated every rank's gather payload, so
-  // each rank can merge the fleet's observability blocks locally.
-  if (recorder != nullptr) {
-    if (merge == ObsMerge::kFleet) {
-      dist::collect_fleet_obs(transport, *recorder);
-    } else {
-      // Rank 0's block would carry its cumulative serve counters, which the
-      // next run's drain would hand back to rank 0: double counting.
-      dist::collect_rank_obs(transport, transport.rank(), *recorder);
-    }
-    recorder->publish_round(rounds);  // the final, merged live snapshot
-  }
-  return rounds;
-}
-
 TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
                        std::uint64_t seed, TcpNetworkConfig config)
     : topology_(g, strategy, seed),
@@ -77,8 +29,7 @@ TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
                           partition_digest(*partition_)},
           config.transport, std::move(config.listen))),
       transport_(*own_transport_),
-      epoch_(own_epoch_),
-      merge_(ObsMerge::kFleet) {
+      epoch_(own_epoch_) {
   transport_.attach_partition(*partition_);
 }
 
@@ -89,15 +40,14 @@ TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
     : topology_(g, strategy, seed),
       partition_(partitions(topology_)),
       transport_(transport),
-      epoch_(epoch),
-      merge_(transport.rank() == 0 ? ObsMerge::kFleet : ObsMerge::kOwnBlock) {
+      epoch_(epoch) {
   transport_.attach_partition(*partition_);
 }
 
 std::size_t TcpNetwork::run(const local::ProgramFactory& factory,
                             std::size_t max_rounds, local::CostMeter* meter) {
-  const std::size_t rounds = run_fleet(
-      transport_, recorder(), merge_, {}, [&](obs::Recorder* rec) {
+  const std::size_t rounds = dist::run_fleet(
+      transport_, recorder(), {}, [&](obs::Recorder* rec) {
         return dist::run_rank_loop(dist::RankView::of(topology_),
                                    *partition_, transport_, factory,
                                    max_rounds, epoch_, sink_, output_fn_,

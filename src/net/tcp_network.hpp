@@ -5,8 +5,8 @@
 /// (typically on different machines), connected by a `net::TcpTransport`,
 /// each running the shared `dist::run_rank_loop` protocol over its
 /// degree-balanced partition range, constructing only that range's
-/// programs. Every run goes through `run_fleet`, which `net::run_insitu`
-/// shares.
+/// programs. Every run goes through `dist::run_fleet`, like every mp worker
+/// and every `net::run_insitu` rank.
 ///
 /// **One-shot** (one `distsplit_rank` run): every rank constructs the same
 /// `TcpNetwork` over the same (graph, IdStrategy, seed) with its own `rank`
@@ -36,9 +36,9 @@
 /// style: algorithm code needs no rank special-casing). `program(v)` is
 /// resident only for the own range.
 ///
-/// After a run a one-shot rank, and rank 0 of a standing fleet, merges
-/// every rank's observability block; a standing follower re-absorbs only
-/// its own (`dist::collect_rank_obs`). The constructor decides which.
+/// After a run every rank, one-shot or standing, has merged the other
+/// ranks' observability blocks into its recorder: each ends the run
+/// holding fleet totals (dist/rank_loop.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -67,32 +67,6 @@ struct TcpNetworkConfig {
   /// helper pre-binds ephemeral ports to keep tests collision-free).
   Socket listen;
 };
-
-/// Which gathered observability blocks a rank merges back after a run.
-enum class ObsMerge {
-  kFleet,     ///< every rank's block: exact fleet totals on this rank
-  kOwnBlock,  ///< only this rank's block (standing followers)
-};
-
-/// The per-run protocol of a TCP fleet, shared by `TcpNetwork::run` and
-/// `run_insitu`. In order:
-///
-///   1. `setup` (may be empty): collectives that precede the rounds;
-///   2. the observability agreement: one collective sums every rank's
-///      "recorder installed" bit; when any rank observes, a rank without
-///      `recorder` records into a per-run fleet recorder (the merged export
-///      needs one lane per rank);
-///   3. `body` with the agreed recorder (null when nobody observes) hooked
-///      into the transport; returns the executed round count;
-///   4. the `merge` of the gathered obs blocks and the final live publish.
-///
-/// A throw in 1-3 becomes a collective `TcpTransport::abort` (the peers
-/// wait in an exchange this rank will never join) and is rethrown. The
-/// fleet recorder outlives that abort and is unhooked from the transport,
-/// which may outlive the run, before it dies.
-std::size_t run_fleet(TcpTransport& transport, obs::Recorder* recorder,
-                      ObsMerge merge, const std::function<void()>& setup,
-                      const std::function<std::size_t(obs::Recorder*)>& body);
 
 /// Resolves the partition of a standing-fleet request's topology (the
 /// daemon's partition cache); keeps `net` independent of `serve`.
@@ -148,7 +122,6 @@ class TcpNetwork final : public local::Executor {
   std::uint64_t own_epoch_ = 0;
   /// Monotone round tag; never reset across runs.
   std::uint64_t& epoch_;
-  const ObsMerge merge_;
   /// This rank's resident programs (its owned range, at local indices).
   std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   local::RoundStatsSink sink_;

@@ -140,9 +140,8 @@ class TcpTransport final : public dist::Transport {
   /// `tcp.send.retries` / `tcp.recv.retries` (EAGAIN backoffs). Also
   /// records the rendezvous clock estimate as `clock.offset.rank<R>.us`
   /// (signed, bit-cast) and `clock.t0.rank<R>.us` (this recorder's t0
-  /// mapped onto rank 0's clock) — the trace-lane alignment gauges. Call
-  /// before the run; counters tick from then on.
-  void set_recorder(obs::Recorder* rec);
+  /// mapped onto rank 0's clock) — the trace-lane alignment gauges.
+  void set_recorder(obs::Recorder* rec) override;
 
   /// The rank-0 clock estimate measured during rendezvous (valid on every
   /// rank of a connected fleet; exact zero on rank 0 itself).

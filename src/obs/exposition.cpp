@@ -14,68 +14,11 @@ namespace ds::obs {
 
 namespace {
 
-/// One phase's raw hardware totals, harvested from the `perf.<phase>.*`
-/// counters for the derived IPC / cache-miss-rate families. Only present
-/// when a live counter group registered them — fallback runs synthesize
-/// nothing (absent, not zero).
-struct PhasePerfTotals {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t cache_refs = 0;
-  std::uint64_t cache_misses = 0;
-  bool has_cycles = false;
-  bool has_refs = false;
-};
-
-/// Phase name -> totals, in registration order of first sight.
-std::map<std::string, PhasePerfTotals> collect_phase_perf(
-    const PublishedSnapshot& snap) {
-  std::map<std::string, PhasePerfTotals> phases;
-  for (const PublishedMetric& pm : snap.metrics) {
-    if (pm.kind != Kind::kCounter || pm.name.rfind("perf.", 0) != 0) continue;
-    const std::size_t dot = pm.name.rfind('.');
-    if (dot <= 5 || dot == std::string::npos) continue;
-    const std::string phase = pm.name.substr(5, dot - 5);
-    const std::string field = pm.name.substr(dot + 1);
-    const std::uint64_t sum = pm.aggregate().sum;
-    PhasePerfTotals& t = phases[phase];
-    if (field == "cycles") {
-      t.cycles = sum;
-      t.has_cycles = true;
-    } else if (field == "instructions") {
-      t.instructions = sum;
-    } else if (field == "cache_refs") {
-      t.cache_refs = sum;
-      t.has_refs = true;
-    } else if (field == "cache_misses") {
-      t.cache_misses = sum;
-    }
-  }
-  return phases;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+/// The published metrics with their slots aggregated.
+std::vector<MetricSnapshot> aggregated(const PublishedSnapshot& snap) {
+  std::vector<MetricSnapshot> out;
+  out.reserve(snap.metrics.size());
+  for (const PublishedMetric& pm : snap.metrics) out.push_back(pm.aggregate());
   return out;
 }
 
@@ -105,10 +48,7 @@ std::string html_escape(const std::string& s) {
 
 std::string mean_of(const MetricSnapshot& s) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f",
-                s.count == 0 ? 0.0
-                             : static_cast<double>(s.sum) /
-                                   static_cast<double>(s.count));
+  std::snprintf(buf, sizeof(buf), "%.1f", s.mean());
   return buf;
 }
 
@@ -121,6 +61,107 @@ std::string gauge_value(const MetricSnapshot& s) {
 }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+void write_metrics_json(
+    std::ostream& out,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<MetricSnapshot>& metrics) {
+  out << "{\n  \"context\": {";
+  for (std::size_t i = 0; i < context.size(); ++i) {
+    if (i > 0) out << ",";
+    out << "\n    \"" << json_escape(context[i].first) << "\": \""
+        << json_escape(context[i].second) << "\"";
+  }
+  out << (context.empty() ? "}" : "\n  }");
+  const auto write_section = [&](const char* title, Kind kind) {
+    out << ",\n  \"" << title << "\": {";
+    bool first = true;
+    for (const MetricSnapshot& s : metrics) {
+      if (s.kind != kind) continue;
+      if (!first) out << ",";
+      first = false;
+      out << "\n    \"" << json_escape(s.name) << "\": ";
+      if (kind == Kind::kHistogram) {
+        char mean[32];
+        std::snprintf(mean, sizeof(mean), "%.3f", s.mean());
+        out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
+            << ", \"min\": " << (s.count == 0 ? 0 : s.min)
+            << ", \"max\": " << s.max << ", \"mean\": " << mean << "}";
+      } else if (kind == Kind::kGauge) {
+        out << gauge_value(s);
+      } else {
+        out << s.value();
+      }
+    }
+    out << (first ? "}" : "\n  }");
+  };
+  write_section("counters", Kind::kCounter);
+  write_section("gauges", Kind::kGauge);
+  write_section("histograms", Kind::kHistogram);
+  out << "\n}\n";
+}
+
+std::vector<PhaseRatios> derived_perf(
+    const std::vector<MetricSnapshot>& metrics) {
+  struct Totals {
+    std::uint64_t cycles = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t cache_refs = 0;
+    std::uint64_t cache_misses = 0;
+  };
+  std::map<std::string, Totals> phases;
+  for (const MetricSnapshot& s : metrics) {
+    if (s.kind != Kind::kCounter || s.name.rfind("perf.", 0) != 0) continue;
+    const std::size_t dot = s.name.rfind('.');
+    if (dot <= 5) continue;
+    const std::string field = s.name.substr(dot + 1);
+    Totals& t = phases[s.name.substr(5, dot - 5)];
+    if (field == "cycles") t.cycles = s.sum;
+    if (field == "instructions") t.instructions = s.sum;
+    if (field == "cache_refs") t.cache_refs = s.sum;
+    if (field == "cache_misses") t.cache_misses = s.sum;
+  }
+  std::vector<PhaseRatios> out;
+  for (const auto& [phase, t] : phases) {
+    if (t.cycles == 0) continue;
+    PhaseRatios r;
+    r.phase = phase;
+    r.cycles = t.cycles;
+    r.instructions = t.instructions;
+    r.ipc = static_cast<double>(t.instructions) / static_cast<double>(t.cycles);
+    if (t.cache_refs > 0) {
+      r.cache_miss_rate = static_cast<double>(t.cache_misses) /
+                          static_cast<double>(t.cache_refs);
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
 
 std::string prometheus_name(const std::string& name) {
   std::string out = "distsplit_";
@@ -201,32 +242,24 @@ void write_prometheus(std::ostream& out, const SnapshotPublisher& pub) {
   // `perf.<phase>.*` counters: one labeled sample per phase. Absent entirely
   // when the kernel refused the counter group — a fallback run must never
   // expose a fake 0.0 IPC.
-  const std::map<std::string, PhasePerfTotals> phases =
-      collect_phase_perf(snap);
+  const std::vector<PhaseRatios> ratios = derived_perf(aggregated(snap));
   bool ipc_family = false;
   bool miss_family = false;
-  for (const auto& [phase, t] : phases) {
-    if (t.has_cycles && t.cycles > 0) {
-      if (!ipc_family) {
-        ipc_family = type_line("distsplit_phase_ipc", "gauge");
-      }
-      char v[32];
-      std::snprintf(v, sizeof(v), "%.4f",
-                    static_cast<double>(t.instructions) /
-                        static_cast<double>(t.cycles));
-      out << "distsplit_phase_ipc{phase=\"" << phase << "\"} " << v << "\n";
+  for (const PhaseRatios& r : ratios) {
+    if (!ipc_family) ipc_family = type_line("distsplit_phase_ipc", "gauge");
+    char v[32];
+    std::snprintf(v, sizeof(v), "%.4f", r.ipc);
+    out << "distsplit_phase_ipc{phase=\"" << r.phase << "\"} " << v << "\n";
+  }
+  for (const PhaseRatios& r : ratios) {
+    if (!r.cache_miss_rate) continue;
+    if (!miss_family) {
+      miss_family = type_line("distsplit_phase_cache_miss_rate", "gauge");
     }
-    if (t.has_refs && t.cache_refs > 0) {
-      if (!miss_family) {
-        miss_family = type_line("distsplit_phase_cache_miss_rate", "gauge");
-      }
-      char v[32];
-      std::snprintf(v, sizeof(v), "%.6f",
-                    static_cast<double>(t.cache_misses) /
-                        static_cast<double>(t.cache_refs));
-      out << "distsplit_phase_cache_miss_rate{phase=\"" << phase << "\"} "
-          << v << "\n";
-    }
+    char v[32];
+    std::snprintf(v, sizeof(v), "%.6f", *r.cache_miss_rate);
+    out << "distsplit_phase_cache_miss_rate{phase=\"" << r.phase << "\"} "
+        << v << "\n";
   }
 }
 
@@ -237,46 +270,8 @@ void write_snapshot_json(std::ostream& out, const SnapshotPublisher& pub) {
   context.emplace_back("health", health_name(pub.health()));
   context.emplace_back("rounds", std::to_string(have ? snap.rounds : 0));
   context.emplace_back("publishes", std::to_string(pub.publishes()));
-
-  out << "{\n  \"context\": {";
-  for (std::size_t i = 0; i < context.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n    \"" << json_escape(context[i].first) << "\": \""
-        << json_escape(context[i].second) << "\"";
-  }
-  out << "\n  }";
-  const auto write_section = [&](const char* title, Kind kind) {
-    out << ",\n  \"" << title << "\": {";
-    bool first = true;
-    if (have) {
-      for (const PublishedMetric& pm : snap.metrics) {
-        if (pm.kind != kind) continue;
-        const MetricSnapshot s = pm.aggregate();
-        if (!first) out << ",";
-        first = false;
-        out << "\n    \"" << json_escape(s.name) << "\": ";
-        if (kind == Kind::kHistogram) {
-          char mean[32];
-          std::snprintf(mean, sizeof(mean), "%.3f",
-                        s.count == 0 ? 0.0
-                                     : static_cast<double>(s.sum) /
-                                           static_cast<double>(s.count));
-          out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
-              << ", \"min\": " << (s.count == 0 ? 0 : s.min)
-              << ", \"max\": " << s.max << ", \"mean\": " << mean << "}";
-        } else if (kind == Kind::kGauge) {
-          out << gauge_value(s);
-        } else {
-          out << s.value();
-        }
-      }
-    }
-    out << (first ? "}" : "\n  }");
-  };
-  write_section("counters", Kind::kCounter);
-  write_section("gauges", Kind::kGauge);
-  write_section("histograms", Kind::kHistogram);
-  out << "\n}\n";
+  write_metrics_json(out, context,
+                     have ? aggregated(snap) : std::vector<MetricSnapshot>{});
 }
 
 void write_runs_json(std::ostream& out, const SnapshotPublisher& pub) {
@@ -361,30 +356,20 @@ void write_status_html(std::ostream& out, const SnapshotPublisher& pub) {
     // Derived hardware-counter view: per-phase IPC and cache-miss rate.
     // Shown only when a live perf group recorded cycles; degraded runs get
     // an explicit note instead of a table of fake zeros.
-    const std::map<std::string, PhasePerfTotals> phases =
-        collect_phase_perf(snap);
-    bool any_hw = false;
-    for (const auto& [phase, t] : phases) {
-      if (t.has_cycles && t.cycles > 0) any_hw = true;
-    }
-    if (any_hw) {
+    const std::vector<PhaseRatios> ratios = derived_perf(aggregated(snap));
+    if (!ratios.empty()) {
       out << "<h2>Hardware counters (per phase)</h2>\n<table>\n"
              "<tr><th>phase</th><th>cycles</th><th>instructions</th>"
              "<th>IPC</th><th>cache miss %</th></tr>\n";
-      for (const auto& [phase, t] : phases) {
-        if (!t.has_cycles || t.cycles == 0) continue;
+      for (const PhaseRatios& r : ratios) {
         char ipc[32];
-        std::snprintf(ipc, sizeof(ipc), "%.3f",
-                      static_cast<double>(t.instructions) /
-                          static_cast<double>(t.cycles));
-        out << "<tr><td>" << html_escape(phase) << "</td><td>" << t.cycles
-            << "</td><td>" << t.instructions << "</td><td>" << ipc
+        std::snprintf(ipc, sizeof(ipc), "%.3f", r.ipc);
+        out << "<tr><td>" << html_escape(r.phase) << "</td><td>" << r.cycles
+            << "</td><td>" << r.instructions << "</td><td>" << ipc
             << "</td><td>";
-        if (t.has_refs && t.cache_refs > 0) {
+        if (r.cache_miss_rate) {
           char miss[32];
-          std::snprintf(miss, sizeof(miss), "%.2f",
-                        100.0 * static_cast<double>(t.cache_misses) /
-                            static_cast<double>(t.cache_refs));
+          std::snprintf(miss, sizeof(miss), "%.2f", 100.0 * *r.cache_miss_rate);
           out << miss;
         } else {
           out << "-";

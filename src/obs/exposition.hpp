@@ -1,19 +1,58 @@
 #pragma once
 
 /// \file exposition.hpp
-/// Renderers over a `SnapshotPublisher` for the embedded HTTP server:
-/// Prometheus text exposition format 0.0.4 (`/metrics`), the PR 6 metrics
-/// JSON (`/api/v1/snapshot`), and a self-contained HTML status page
-/// (`/status`). All three read only published snapshots and the publisher's
+/// The obs renderers. Over a `SnapshotPublisher`, for the embedded HTTP
+/// server: Prometheus text exposition format 0.0.4 (`/metrics`), the
+/// metrics JSON (`/api/v1/snapshot`), and a self-contained HTML status page
+/// (`/status`). These read only published snapshots and the publisher's
 /// mutex-guarded metadata — never the live registry — so they are safe to
-/// call from the server thread while a round loop is publishing.
+/// call from the server thread while a round loop is publishing. Over a
+/// plain metric list: the metrics JSON and the derived hardware ratios,
+/// which `Recorder`'s writers share with the publisher renderers.
 
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace ds::obs {
 
 class SnapshotPublisher;
+
+/// JSON string escaping for every obs writer: quotes, backslashes and
+/// control bytes.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
+/// The metrics JSON: {"context": {...}, "counters": {...}, "gauges": {...},
+/// "histograms": {...}}. Counters and gauges are bare integers (signed
+/// where `signed_gauge_name` says so), so deterministic counters compare
+/// bit-identically across runtimes; histograms expose
+/// count/sum/min/max/mean. `Recorder::write_metrics_json` and
+/// `write_snapshot_json` both render through it.
+void write_metrics_json(
+    std::ostream& out,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<MetricSnapshot>& metrics);
+
+/// One phase's derived hardware ratios, from its `perf.<phase>.*` counters.
+struct PhaseRatios {
+  std::string phase;
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
+  double ipc = 0.0;
+  /// cache_misses / cache_refs; empty when the phase counted no refs.
+  std::optional<double> cache_miss_rate;
+};
+
+/// The phases whose live counter group recorded cycles, by phase name.
+/// Empty under the perf fallback: the hardware counters are then never
+/// registered, and a fake 0.0 IPC must not appear.
+[[nodiscard]] std::vector<PhaseRatios> derived_perf(
+    const std::vector<MetricSnapshot>& metrics);
 
 /// Prometheus text exposition 0.0.4: one `# TYPE` line per family, names
 /// mangled `distsplit_<name with [^a-zA-Z0-9_] -> _>`, counters suffixed
@@ -25,9 +64,8 @@ class SnapshotPublisher;
 /// `distsplit_publishes_total` and `distsplit_health`.
 void write_prometheus(std::ostream& out, const SnapshotPublisher& pub);
 
-/// The metrics JSON `Recorder::write_metrics_json` emits — same shape
-/// ({"context", "counters", "gauges", "histograms"}), rendered from the
-/// published snapshot with the publisher's info as context.
+/// `write_metrics_json` of the published snapshot, with the publisher's
+/// info plus its health, rounds and publish count as context.
 void write_snapshot_json(std::ostream& out, const SnapshotPublisher& pub);
 
 /// Self-contained HTML status page: health, run context, rounds, per-phase

@@ -22,6 +22,18 @@ bool signed_gauge_name(const std::string& name) {
   return name.rfind("clock.offset.", 0) == 0;
 }
 
+void fold(Kind kind, Cell& into, const Cell& from) {
+  if (kind == Kind::kGauge) {
+    into.count = std::max(into.count, from.count);
+    into.sum = std::max(into.sum, from.sum);
+  } else {
+    into.count += from.count;
+    into.sum += from.sum;
+  }
+  into.min = std::min(into.min, from.min);
+  into.max = std::max(into.max, from.max);
+}
+
 Metrics::Metric& Metrics::find_or_create(const std::string& name, Kind kind,
                                          std::size_t slots, bool from_merge) {
   DS_CHECK(slots > 0);
@@ -73,39 +85,20 @@ std::vector<MetricSnapshot> Metrics::snapshot() const {
   seal();
   std::vector<MetricSnapshot> out;
   out.reserve(metrics_.size());
-  for (const Metric& m : metrics_) {
-    MetricSnapshot s;
-    s.name = m.name;
-    s.kind = m.kind;
-    for (const Cell& c : m.cells) {
-      switch (m.kind) {
-        case Kind::kCounter:
-        case Kind::kHistogram:
-          s.count += c.count;
-          s.sum += c.sum;
-          s.min = std::min(s.min, c.min);
-          s.max = std::max(s.max, c.max);
-          break;
-        case Kind::kGauge:
-          // Deterministic gauges agree across slots/ranks; max keeps the
-          // set value without caring which slot wrote it.
-          s.count = std::max(s.count, c.count);
-          s.sum = std::max(s.sum, c.sum);
-          s.min = std::min(s.min, c.min);
-          s.max = std::max(s.max, c.max);
-          break;
-      }
-    }
-    out.push_back(std::move(s));
+  for (std::size_t i = 0; i < metrics_.size(); ++i) {
+    out.push_back(aggregate(i));
   }
   return out;
 }
 
-void Metrics::reset() {
-  for (Metric& m : metrics_) {
-    for (Cell& c : m.cells) c = Cell{};
-  }
-  sealed_ = false;
+MetricSnapshot Metrics::aggregate(std::size_t i) const {
+  DS_CHECK(i < metrics_.size());
+  const Metric& m = metrics_[i];
+  MetricSnapshot s;
+  s.name = m.name;
+  s.kind = m.kind;
+  for (const Cell& c : m.cells) fold(m.kind, s, c);
+  return s;
 }
 
 const std::string& Metrics::name_of(std::size_t i) const {
@@ -130,22 +123,7 @@ const Cell& Metrics::cell(std::size_t i, std::size_t slot) const {
 
 void Metrics::merge(const MetricSnapshot& s) {
   Metric& m = find_or_create(s.name, s.kind, 1, /*from_merge=*/true);
-  Cell& c = m.cells[0];
-  switch (s.kind) {
-    case Kind::kCounter:
-    case Kind::kHistogram:
-      c.count += s.count;
-      c.sum += s.sum;
-      c.min = std::min(c.min, s.min);
-      c.max = std::max(c.max, s.max);
-      break;
-    case Kind::kGauge:
-      c.count = std::max(c.count, s.count);
-      c.sum = std::max(c.sum, s.sum);
-      c.min = std::min(c.min, s.min);
-      c.max = std::max(c.max, s.max);
-      break;
-  }
+  fold(s.kind, m.cells[0], s);
 }
 
 }  // namespace ds::obs

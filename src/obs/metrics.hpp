@@ -26,11 +26,11 @@
 /// stable for the lifetime of the registry (metrics live in a deque and are
 /// never erased). Debug builds enforce the ordering half of that contract:
 /// once a reader consumed the registry (`snapshot()`, or a live
-/// `SnapshotPublisher` publish), registering a *new* name DS_CHECK-fails
-/// until `reset()` reopens it — so a serving loop cannot race a late
-/// registration silently. Re-finding an existing name stays legal (every
-/// run re-creates the same `RoundInstruments`), and `merge()` is exempt
-/// (the post-gather fleet merge legitimately introduces peer-only names).
+/// `SnapshotPublisher` publish), registering a *new* name DS_CHECK-fails —
+/// so a serving loop cannot race a late registration silently. Re-finding
+/// an existing name stays legal (every run re-creates the same
+/// `RoundInstruments`), and `merge()` is exempt (the post-gather fleet
+/// merge legitimately introduces peer-only names).
 
 #include <cstddef>
 #include <cstdint>
@@ -56,7 +56,7 @@ enum class Kind : std::uint8_t {
 [[nodiscard]] bool signed_gauge_name(const std::string& name);
 
 /// One slot's accumulator. All three kinds share the layout; the kind
-/// decides which fields are meaningful and how slots merge.
+/// decides which fields are meaningful and how cells fold.
 struct Cell {
   std::uint64_t count = 0;  ///< samples (histogram) / add() calls (counter)
   std::uint64_t sum = 0;    ///< total (counter/histogram) / value (gauge)
@@ -64,18 +64,25 @@ struct Cell {
   std::uint64_t max = 0;           ///< histogram only
 };
 
+/// Folds `from` into `into` by `kind`: counters and histograms add count
+/// and sum, gauges keep the max; min and max combine for every kind. The
+/// one rule behind slot aggregation, publishing and the fleet merge.
+void fold(Kind kind, Cell& into, const Cell& from);
+
 /// Aggregated view of one metric, all slots merged.
-struct MetricSnapshot {
+struct MetricSnapshot : Cell {
   std::string name;
   Kind kind = Kind::kCounter;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = UINT64_MAX;
-  std::uint64_t max = 0;
 
   /// The headline value: the sum for counters/histograms, the (max-merged)
   /// set value for gauges.
   [[nodiscard]] std::uint64_t value() const { return sum; }
+
+  /// A histogram's mean sample (0 when empty).
+  [[nodiscard]] double mean() const {
+    return count == 0 ? 0.0
+                      : static_cast<double>(sum) / static_cast<double>(count);
+  }
 };
 
 /// Monotone counter handle. Null (default-constructed) = disabled no-op.
@@ -153,9 +160,10 @@ class Metrics {
   /// Seals the registry against new-name registration (debug builds).
   [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
 
-  /// Zeroes every cell (registrations and handles stay valid) and reopens
-  /// the registry for new-name registration.
-  void reset();
+  /// Metric `i` (registration order) with its slots aggregated. Does not
+  /// seal: the recorder's mark/drain codec reads its own registry on the
+  /// owning thread, between registrations, and races no reader.
+  [[nodiscard]] MetricSnapshot aggregate(std::size_t i) const;
 
   [[nodiscard]] std::size_t num_metrics() const { return metrics_.size(); }
 
@@ -196,8 +204,8 @@ class Metrics {
 
   /// Deque: stable Metric addresses under growth.
   std::deque<Metric> metrics_;
-  /// Set by snapshot()/seal(), cleared by reset(); guards registration
-  /// ordering in debug builds (mutable: snapshot() is const).
+  /// Set by snapshot()/seal(); guards registration ordering in debug
+  /// builds (mutable: snapshot() is const).
   mutable bool sealed_ = false;
 };
 

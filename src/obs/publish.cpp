@@ -36,23 +36,7 @@ MetricSnapshot PublishedMetric::aggregate() const {
   MetricSnapshot s;
   s.name = name;
   s.kind = kind;
-  for (const Cell& c : cells) {
-    switch (kind) {
-      case Kind::kCounter:
-      case Kind::kHistogram:
-        s.count += c.count;
-        s.sum += c.sum;
-        s.min = std::min(s.min, c.min);
-        s.max = std::max(s.max, c.max);
-        break;
-      case Kind::kGauge:
-        s.count = std::max(s.count, c.count);
-        s.sum = std::max(s.sum, c.sum);
-        s.min = std::min(s.min, c.min);
-        s.max = std::max(s.max, c.max);
-        break;
-    }
-  }
+  for (const Cell& c : cells) fold(kind, s, c);
   return s;
 }
 

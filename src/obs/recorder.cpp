@@ -8,6 +8,7 @@
 #include <ostream>
 #include <set>
 
+#include "obs/exposition.hpp"
 #include "obs/profile.hpp"
 #include "obs/publish.hpp"
 #include "support/check.hpp"
@@ -56,33 +57,6 @@ std::string unpack_string(const std::uint64_t* words, std::size_t count,
   return s;
 }
 
-/// Minimal JSON string escaper — metric names are identifiers, but a stray
-/// quote must not produce an unparseable file.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* phase_name(Phase p) {
@@ -118,6 +92,7 @@ Recorder::Recorder() {
 }
 
 void Recorder::push_event(const TraceEvent& e) {
+  ++pushed_;
   if (events_.size() < event_cap_) {
     events_.push_back(e);
     return;
@@ -178,6 +153,7 @@ void Recorder::absorb_profiler() {
   const std::string prefix = lane_kind_ + ":" + std::to_string(lane_);
   for (const auto& [stack, count] : profiler_->drain_folded(prefix)) {
     folded_[stack] += count;
+    folded_since_mark_[stack] += count;
   }
 }
 
@@ -185,16 +161,39 @@ void Recorder::write_folded(std::ostream& out) const {
   SampledProfiler::write_folded(out, folded_);
 }
 
+void Recorder::mark() {
+  mark_totals_.clear();
+  for (std::size_t i = 0; i < metrics_.num_metrics(); ++i) {
+    const MetricSnapshot s = metrics_.aggregate(i);
+    mark_totals_.emplace_back(s.count, s.sum);
+  }
+  mark_pushed_ = pushed_;
+  folded_since_mark_.clear();
+}
+
 std::vector<std::uint64_t> Recorder::drain_words() {
   absorb_profiler();
-  const std::vector<MetricSnapshot> snaps = metrics_.snapshot();
-  const std::vector<TraceEvent> ordered = ordered_events();
+  // The newest events, up to what was pushed since the mark and is still
+  // retained (storage index of the k-th oldest: (head + k) % size).
+  const std::size_t size = events_.size();
+  const std::size_t new_events = static_cast<std::size_t>(
+      std::min<std::uint64_t>(pushed_ - mark_pushed_, size));
+  const std::size_t head = size < event_cap_ ? 0 : next_;
   std::vector<std::uint64_t> out;
   out.push_back(kObsMagic);
-  out.push_back(snaps.size());
-  out.push_back(ordered.size());
-  out.push_back(folded_.size());
-  for (const MetricSnapshot& s : snaps) {
+  out.push_back(metrics_.num_metrics());
+  out.push_back(new_events);
+  out.push_back(folded_since_mark_.size());
+  for (std::size_t i = 0; i < metrics_.num_metrics(); ++i) {
+    MetricSnapshot s = metrics_.aggregate(i);
+    if (s.kind != Kind::kGauge && i < mark_totals_.size()) {
+      s.count -= mark_totals_[i].first;
+      s.sum -= mark_totals_[i].second;
+    }
+    if (s.kind == Kind::kHistogram && s.count == 0) {
+      s.min = UINT64_MAX;  // nothing recorded since the mark: ship the
+      s.max = 0;           // merge identities, not stale extremes
+    }
     pack_string(out, s.name);
     out.push_back(static_cast<std::uint64_t>(s.kind));
     out.push_back(s.count);
@@ -202,7 +201,8 @@ std::vector<std::uint64_t> Recorder::drain_words() {
     out.push_back(s.min);
     out.push_back(s.max);
   }
-  for (const TraceEvent& e : ordered) {
+  for (std::size_t k = size - new_events; k < size; ++k) {
+    const TraceEvent& e = events_[(head + k) % size];
     out.push_back(e.lane);
     out.push_back(static_cast<std::uint64_t>(e.phase));
     out.push_back(e.round);
@@ -211,14 +211,10 @@ std::vector<std::uint64_t> Recorder::drain_words() {
     out.push_back(e.cycles);
     out.push_back(e.instructions);
   }
-  for (const auto& [stack, count] : folded_) {
+  for (const auto& [stack, count] : folded_since_mark_) {
     pack_string(out, stack);
     out.push_back(count);
   }
-  metrics_.reset();
-  events_.clear();
-  next_ = 0;
-  folded_.clear();
   return out;
 }
 
@@ -383,44 +379,7 @@ void Recorder::write_trace_json(std::ostream& out) const {
 void Recorder::write_metrics_json(
     std::ostream& out,
     const std::vector<std::pair<std::string, std::string>>& context) const {
-  const std::vector<MetricSnapshot> snaps = metrics_.snapshot();
-  out << "{\n  \"context\": {";
-  for (std::size_t i = 0; i < context.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n    \"" << json_escape(context[i].first) << "\": \""
-        << json_escape(context[i].second) << "\"";
-  }
-  out << (context.empty() ? "}" : "\n  }");
-  const auto write_section = [&](const char* title, Kind kind) {
-    out << ",\n  \"" << title << "\": {";
-    bool first = true;
-    for (const MetricSnapshot& s : snaps) {
-      if (s.kind != kind) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\n    \"" << json_escape(s.name) << "\": ";
-      if (kind == Kind::kHistogram) {
-        char mean[32];
-        std::snprintf(mean, sizeof(mean), "%.3f",
-                      s.count == 0
-                          ? 0.0
-                          : static_cast<double>(s.sum) /
-                                static_cast<double>(s.count));
-        out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
-            << ", \"min\": " << (s.count == 0 ? 0 : s.min)
-            << ", \"max\": " << s.max << ", \"mean\": " << mean << "}";
-      } else if (kind == Kind::kGauge && signed_gauge_name(s.name)) {
-        out << static_cast<std::int64_t>(s.value());
-      } else {
-        out << s.value();
-      }
-    }
-    out << (first ? "}" : "\n  }");
-  };
-  write_section("counters", Kind::kCounter);
-  write_section("gauges", Kind::kGauge);
-  write_section("histograms", Kind::kHistogram);
-  out << "\n}\n";
+  obs::write_metrics_json(out, context, metrics_.snapshot());
 }
 
 void Recorder::write_stats_table(std::ostream& out) const {
@@ -442,11 +401,11 @@ void Recorder::write_stats_table(std::ostream& out) const {
     out << "\n";
   }
   bool any_hist = false;
-  std::uint64_t round_sum = 0;  // denominator of the share column
+  double round_mean = 0.0;  // denominator of the share column
   for (const MetricSnapshot& s : snaps) {
     if (s.kind != Kind::kHistogram) continue;
     any_hist = true;
-    if (s.name == "phase.round.us") round_sum = s.sum;
+    if (s.name == "phase.round.us") round_mean = s.mean();
   }
   if (any_hist) {
     out << "  " << std::left << std::setw(static_cast<int>(width))
@@ -459,19 +418,17 @@ void Recorder::write_stats_table(std::ostream& out) const {
       // Mean with one decimal — sub-µs phase means round to a useless 0
       // as integers, and readers should not do the division by hand.
       char mean[32];
-      std::snprintf(mean, sizeof(mean), "%.1f",
-                    s.count == 0 ? 0.0
-                                 : static_cast<double>(s.sum) /
-                                       static_cast<double>(s.count));
-      // Share of round: phase sums over the phase.round.us total, so a
-      // straggling phase reads at a glance. Only timing histograms get one.
+      std::snprintf(mean, sizeof(mean), "%.1f", s.mean());
+      // Share of round: the span's mean over the mean round, so a
+      // straggling phase reads at a glance. Means, not sums: a per-shard
+      // span records once per shard and round, the round span once per
+      // round (and lane). Only round-loop spans get one.
       char share[16];
-      const bool timing = s.name.size() > 3 &&
-                          s.name.compare(s.name.size() - 3, 3, ".us") == 0;
-      if (timing && round_sum > 0) {
+      const bool span = s.name.rfind("phase.", 0) == 0 ||
+                        s.name.rfind("shard.", 0) == 0;
+      if (span && round_mean > 0) {
         std::snprintf(share, sizeof(share), "%.1f%%",
-                      100.0 * static_cast<double>(s.sum) /
-                          static_cast<double>(round_sum));
+                      100.0 * s.mean() / round_mean);
       } else {
         std::snprintf(share, sizeof(share), "-");
       }
@@ -483,62 +440,38 @@ void Recorder::write_stats_table(std::ostream& out) const {
   }
   // Derived hardware-counter ratios, when a live perf group recorded them
   // (absent under fallback — the counters themselves are never registered).
-  std::map<std::string, std::uint64_t> perf;
-  for (const MetricSnapshot& s : snaps) {
-    if (s.kind == Kind::kCounter && s.name.rfind("perf.", 0) == 0) {
-      perf[s.name] = s.sum;
-    }
+  const std::vector<PhaseRatios> ratios = derived_perf(snaps);
+  if (!ratios.empty()) {
+    out << "  " << std::left << std::setw(static_cast<int>(width))
+        << "(derived)" << std::right << std::setw(14) << "ipc"
+        << std::setw(16) << "cache-miss%" << "\n";
   }
-  bool derived_header = false;
-  for (const auto& [name, cycles] : perf) {
-    constexpr std::size_t kPrefixLen = 5;  // "perf."
-    if (name.size() <= kPrefixLen + 7 ||
-        name.compare(name.size() - 7, 7, ".cycles") != 0) {
-      continue;
-    }
-    const std::string phase =
-        name.substr(kPrefixLen, name.size() - kPrefixLen - 7);
-    const auto insns = perf.find("perf." + phase + ".instructions");
-    const auto refs = perf.find("perf." + phase + ".cache_refs");
-    const auto misses = perf.find("perf." + phase + ".cache_misses");
-    if (cycles == 0 || insns == perf.end()) continue;
-    if (!derived_header) {
-      out << "  " << std::left << std::setw(static_cast<int>(width))
-          << "(derived)" << std::right << std::setw(14) << "ipc"
-          << std::setw(16) << "cache-miss%" << "\n";
-      derived_header = true;
-    }
+  for (const PhaseRatios& r : ratios) {
     char ipc[32];
-    std::snprintf(ipc, sizeof(ipc), "%.3f",
-                  static_cast<double>(insns->second) /
-                      static_cast<double>(cycles));
+    std::snprintf(ipc, sizeof(ipc), "%.3f", r.ipc);
     char miss[32];
-    if (refs != perf.end() && misses != perf.end() && refs->second > 0) {
-      std::snprintf(miss, sizeof(miss), "%.2f%%",
-                    100.0 * static_cast<double>(misses->second) /
-                        static_cast<double>(refs->second));
+    if (r.cache_miss_rate) {
+      std::snprintf(miss, sizeof(miss), "%.2f%%", 100.0 * *r.cache_miss_rate);
     } else {
       std::snprintf(miss, sizeof(miss), "-");
     }
     out << "  " << std::left << std::setw(static_cast<int>(width))
-        << ("perf." + phase) << std::right << std::setw(14) << ipc
+        << ("perf." + r.phase) << std::right << std::setw(14) << ipc
         << std::setw(16) << miss << "\n";
   }
   out << "---------------------------------------------------------------\n";
 }
 
-RoundInstruments RoundInstruments::create(Metrics& m) {
+RoundInstruments RoundInstruments::create(
+    Metrics& m, std::initializer_list<Phase> phases) {
   RoundInstruments r;
   r.live_nodes = m.counter("rounds.live_nodes");
   r.messages = m.counter("rounds.messages");
   r.payload_words = m.counter("rounds.payload_words");
   r.rounds_executed = m.gauge("rounds.executed");
-  r.send_us = m.histogram("phase.send.us");
-  r.ship_us = m.histogram("phase.ship.us");
-  r.barrier_us = m.histogram("phase.barrier.us");
-  r.patch_us = m.histogram("phase.patch.us");
-  r.receive_us = m.histogram("phase.receive.us");
-  r.round_us = m.histogram("phase.round.us");
+  for (const Phase p : phases) {
+    r.us(p) = m.histogram(std::string("phase.") + phase_name(p) + ".us");
+  }
   return r;
 }
 

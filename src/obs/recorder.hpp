@@ -1,19 +1,19 @@
 #pragma once
 
 /// \file recorder.hpp
-/// Per-run observability recorder: a `Metrics` registry plus a buffer of
+/// Observability recorder: a `Metrics` registry plus a buffer of
 /// phase-scoped trace spans, with (a) a word-level drain/merge codec so
 /// distributed runtimes can ship every rank's data through the existing
 /// gather machinery, and (b) Chrome trace-event / metrics JSON writers.
 ///
-/// One `Recorder` exists per observed run, owned by whoever requested
-/// observability (the CLI tools, a test) and handed to executors via
-/// `local::Executor::set_recorder`. Executors that fan out (threads, forked
-/// workers, TCP ranks) attribute events to *lanes*: lane = shard for the
-/// parallel executor, lane = worker/rank for the distributed ones. In the
-/// exported Chrome trace each lane is one process row and each `Phase` one
-/// named thread track, so Perfetto renders rank 3's barrier wait as its own
-/// timeline.
+/// A `Recorder` is owned by whoever requested observability (the CLI
+/// tools, a serving daemon, a test), handed to executors via
+/// `local::Executor::set_recorder`, and may observe several runs.
+/// Executors that fan out (threads, forked workers, TCP ranks) attribute
+/// events to *lanes*: lane = shard for the parallel executor, lane =
+/// worker/rank for the distributed ones. In the exported Chrome trace each
+/// lane is one process row and each `Phase` one named thread track, so
+/// Perfetto renders rank 3's barrier wait as its own timeline.
 ///
 /// Timebase: `now_us()` is microseconds since the recorder's construction on
 /// the steady clock. Forked workers inherit t0 (fork copies the recorder),
@@ -31,15 +31,20 @@
 /// serving process cannot grow without bound, and the Chrome-trace export
 /// notes the truncation in its metadata.
 ///
-/// Drain/merge: `drain_words()` serializes the aggregated metrics and the
-/// event buffer into 64-bit words and *zeroes* the local state (handles stay
-/// valid). Each rank appends its drained block to the gather payload; the
-/// assembling side calls `merge_words()` on every rank's block — including
-/// its own, which is why draining zeroes: local totals are reconstructed by
-/// the merge instead of being counted twice.
+/// Drain/merge: `mark()` starts a block; `drain_words()` serializes what
+/// entered the recorder since then into 64-bit words and leaves the local
+/// state intact. A block carries counter and histogram count/sum deltas,
+/// histogram min/max and gauge values as they stand, and the spans and
+/// profile samples added since the mark. Every distributed run marks at its
+/// start (`dist::run_fleet`), appends its block to the gather payload, and
+/// merges every *other* rank's block with `merge_words()`. So each rank ends
+/// a run holding fleet totals, and what a recorder held before the run
+/// (earlier runs' merges, a forked worker's inherited copy, a serving rank
+/// 0's between-run `serve.*` counters) is never shipped again.
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -180,13 +185,17 @@ class Recorder {
   /// (flamegraph.pl / speedscope input).
   void write_folded(std::ostream& out) const;
 
-  /// Serializes the aggregated metrics + events into words and clears the
-  /// local state (cells zeroed, events dropped; handles and registrations
-  /// stay valid). See the file comment for why draining zeroes.
+  /// Starts the next block: `drain_words()` ships only what is recorded
+  /// from here on.
+  void mark();
+
+  /// Serializes what was recorded since the last `mark()` (since
+  /// construction when never marked) into words; see the file comment.
+  /// Local state stays intact.
   [[nodiscard]] std::vector<std::uint64_t> drain_words();
 
-  /// Merges a `drain_words()` block back in: metrics accumulate by name,
-  /// events append. Throws ds::CheckError on a malformed block.
+  /// Merges a `drain_words()` block in: metrics accumulate by name, events
+  /// append. Throws ds::CheckError on a malformed block.
   void merge_words(const std::uint64_t* words, std::size_t count);
 
   /// Chrome trace-event JSON ({"traceEvents": [...], "metadata": {...}}),
@@ -197,10 +206,7 @@ class Recorder {
   /// when events were evicted.
   void write_trace_json(std::ostream& out) const;
 
-  /// Metrics snapshot JSON: {"context": {...}, "counters": {...},
-  /// "gauges": {...}, "histograms": {...}}. Counters and gauges are bare
-  /// integers, so deterministic counters compare bit-identically across
-  /// runtimes; histograms expose count/sum/min/max/mean.
+  /// The metrics snapshot as `obs::write_metrics_json` renders it.
   void write_metrics_json(
       std::ostream& out,
       const std::vector<std::pair<std::string, std::string>>& context) const;
@@ -221,6 +227,7 @@ class Recorder {
   std::vector<TraceEvent> events_;
   std::size_t event_cap_ = kDefaultEventCapacity;
   std::size_t next_ = 0;       ///< oldest slot once the ring wrapped
+  std::uint64_t pushed_ = 0;   ///< lifetime `push_event` calls
   std::uint64_t dropped_ = 0;  ///< lifetime evictions (this recorder)
   Counter dropped_counter_;    ///< obs.events.dropped
   std::uint32_t lane_ = 0;
@@ -228,31 +235,40 @@ class Recorder {
   std::uint64_t t0_ns_ = 0;  ///< steady-clock origin, ns
   SnapshotPublisher* publisher_ = nullptr;  ///< not owned
   SampledProfiler* profiler_ = nullptr;     ///< not owned
-  /// Merged folded stacks: absorbed from the local profiler on drain and
-  /// accumulated from every rank's block on merge. Drained blocks carry and
-  /// clear it, mirroring the metrics contract.
+  /// Merged folded stacks: absorbed from the local profiler and
+  /// accumulated from other ranks' blocks on merge.
   std::map<std::string, std::uint64_t> folded_;
+  /// The block since the last `mark()`: every metric's count and sum then
+  /// (by registration index; later registrations start from zero), the
+  /// push count then, and the profile samples absorbed since.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> mark_totals_;
+  std::uint64_t mark_pushed_ = 0;
+  std::map<std::string, std::uint64_t> folded_since_mark_;
 };
 
 /// The standard per-round instruments every executor records — bundled so
 /// the four runtimes register the same metric names. The `rounds.*` counters
 /// are the *deterministic* set: for a fixed (graph, strategy, seed) their
 /// totals are bit-identical across runtimes (distributed ranks each add only
-/// their own share; the drain/merge reconstructs the global sums).
+/// their own share; the fleet merge reconstructs the global sums).
 struct RoundInstruments {
   Counter live_nodes;     ///< rounds.live_nodes
   Counter messages;       ///< rounds.messages
   Counter payload_words;  ///< rounds.payload_words
   Gauge rounds_executed;  ///< rounds.executed
-  Histogram send_us;      ///< phase.send.us
-  Histogram ship_us;      ///< phase.ship.us
-  Histogram barrier_us;   ///< phase.barrier.us
-  Histogram patch_us;     ///< phase.patch.us
-  Histogram receive_us;   ///< phase.receive.us
-  Histogram round_us;     ///< phase.round.us
+  /// `phase.<name>.us` by Phase value. Only the phases the executor
+  /// records are registered; the others stay null no-ops, so no all-zero
+  /// phase row reaches the exports.
+  Histogram phase_us[8];
 
-  /// Registers (or re-finds) the standard names in `m`.
-  static RoundInstruments create(Metrics& m);
+  [[nodiscard]] Histogram& us(Phase p) {
+    return phase_us[static_cast<std::size_t>(p)];
+  }
+
+  /// Registers (or re-finds) the counters and `phases`' histograms in `m`,
+  /// in that order.
+  static RoundInstruments create(Metrics& m,
+                                 std::initializer_list<Phase> phases);
 };
 
 }  // namespace ds::obs

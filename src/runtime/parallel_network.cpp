@@ -133,7 +133,6 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
 
   obs::Recorder* const rec = recorder();
   obs::RoundInstruments ins;
-  obs::Histogram epoch_us;
   obs::Histogram straggler_us;
   // The probe group only answers "is the hardware available" for eager
   // registration; the actual deltas come from each worker thread's
@@ -141,13 +140,15 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
   std::unique_ptr<obs::PerfCounters> perf_probe;
   obs::PhasePerf phase_perf;
   if (rec != nullptr) {
-    ins = obs::RoundInstruments::create(rec->metrics());
-    epoch_us = rec->metrics().histogram("phase.epoch.us");
+    ins = obs::RoundInstruments::create(
+        rec->metrics(), {obs::Phase::kRound, obs::Phase::kEpoch});
     straggler_us = rec->metrics().histogram("shard.straggler.us");
     rec->set_lane_kind("shard");
     perf_probe = std::make_unique<obs::PerfCounters>();
-    phase_perf = obs::PhasePerf(rec->metrics(), *perf_probe,
-                                {obs::Phase::kEpoch, obs::Phase::kRound});
+    // Counters accrue to the epoch only: a round's totals are just its
+    // shards' epoch deltas again (the round span still carries their sum).
+    phase_perf =
+        obs::PhasePerf(rec->metrics(), *perf_probe, {obs::Phase::kEpoch});
   }
 
   pool_.parallel_for(num_shards, count_fn);
@@ -218,10 +219,9 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
       bool round_perf = true;
       for (std::size_t s = 0; s < num_shards; ++s) {
         const ShardCounters& c = counters_[s];
-        epoch_us.record(c.busy_us);
+        ins.us(obs::Phase::kEpoch).record(c.busy_us);
         const obs::SpanPerf d =
             phase_perf.account(obs::Phase::kEpoch, c.perf_begin, c.perf_end);
-        phase_perf.account(obs::Phase::kRound, c.perf_begin, c.perf_end);
         rec->add_span_on(static_cast<std::uint32_t>(s), obs::Phase::kEpoch,
                          r, c.start_us, c.busy_us, d.cycles, d.instructions);
         if (d.cycles == obs::kPerfUnavailable) {
@@ -233,7 +233,7 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
         round_start = std::min(round_start, c.start_us);
         round_end = std::max(round_end, c.start_us + c.busy_us);
       }
-      ins.round_us.record(round_end - round_start);
+      ins.us(obs::Phase::kRound).record(round_end - round_start);
       rec->add_span(obs::Phase::kRound, r, round_start,
                     round_end - round_start,
                     round_perf ? round_cycles : obs::kPerfUnavailable,

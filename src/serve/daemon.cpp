@@ -364,6 +364,8 @@ void Daemon::serve_one(PendingRequest pending) {
   const std::int64_t elapsed_ms =
       std::max<std::int64_t>(0, net::steady_now_ms() - pending.accepted_ms);
   resp.wall_us = static_cast<std::uint64_t>(elapsed_ms) * 1000;
+  // Between runs: the next run's obs block starts after these, so the
+  // followers never receive rank 0's serve counters.
   requests_total_.add(1);
   request_latency_us_.record(resp.wall_us);
   queue_depth_.set(queue_.depth());

@@ -94,9 +94,10 @@ struct DaemonConfig {
   std::function<bool()> stop_requested;
 
   /// Optional instruments, owned by the tool. The recorder instruments
-  /// every served run (fleet observability agreement included); the
-  /// publisher carries health, run history and the serve metrics to the
-  /// embedded HTTP server.
+  /// every served run (fleet observability agreement included) and ends
+  /// each holding fleet totals; rank 0's also holds the `serve.*` metrics.
+  /// The publisher carries health, run history and the serve metrics to
+  /// the embedded HTTP server.
   obs::Recorder* recorder = nullptr;
   obs::SnapshotPublisher* publisher = nullptr;
 };

@@ -2,7 +2,8 @@
 // semantics, the disabled no-op path, the drain/merge codec, trace /
 // metrics JSON well-formedness, and — the load-bearing property — that the
 // deterministic `rounds.*` counters are bit-identical across all four
-// runtimes for a fixed (graph, IdStrategy, seed).
+// runtimes for a fixed (graph, IdStrategy, seed), and count every run once
+// when one recorder observes several distributed runs.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +15,15 @@
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "dist/distributed_network.hpp"
 #include "graph/generators.hpp"
+#include "local/network.hpp"
+#include "mis/mis.hpp"
 #include "net/loopback.hpp"
 #include "net/tcp_network.hpp"
+#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
+#include "obs/publish.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/select.hpp"
 #include "support/check.hpp"
@@ -105,54 +111,88 @@ TEST(Metrics, DisabledHandlesAreNoOps) {
   EXPECT_FALSE(h.enabled());
 }
 
-TEST(Metrics, ResetZeroesButKeepsRegistrations) {
-  Metrics m;
-  Counter c = m.counter("c");
-  c.add(5);
-  m.reset();
-  EXPECT_EQ(m.num_metrics(), 1u);
-  EXPECT_EQ(m.snapshot()[0].value(), 0u);
-  c.add(2);  // handle still valid after reset
-  EXPECT_EQ(m.snapshot()[0].value(), 2u);
-}
-
 // ---- Drain / merge codec -------------------------------------------------
 
-TEST(Recorder, DrainZeroesAndMergeReconstructs) {
+/// The aggregated metric `name` of `rec`.
+MetricSnapshot metric(const Recorder& rec, const std::string& name) {
+  for (const MetricSnapshot& s : rec.metrics().snapshot()) {
+    if (s.name == name) return s;
+  }
+  ADD_FAILURE() << "metric not found: " << name;
+  return MetricSnapshot{};
+}
+
+TEST(Recorder, DrainShipsWhatWasRecordedSinceTheMarkAndKeepsLocalState) {
   Recorder rec;
   Counter c = rec.metrics().counter("c");
   Histogram h = rec.metrics().histogram("h");
+  Gauge g = rec.metrics().gauge("g");
+  Histogram idle = rec.metrics().histogram("idle");
   c.add(11);
   h.record(7);
+  g.set(3);
+  idle.record(5);
   rec.add_span(Phase::kRound, /*round=*/0, /*ts_us=*/5, /*dur_us=*/9);
 
-  // Look metrics up by name: the recorder registers its own instruments
-  // (obs.events.dropped), so positional indexing would be fragile.
-  const auto by_name = [&](const std::string& name) {
-    for (const MetricSnapshot& s : rec.metrics().snapshot()) {
-      if (s.name == name) return s;
-    }
-    ADD_FAILURE() << "metric not found: " << name;
-    return MetricSnapshot{};
-  };
-
+  rec.mark();
+  c.add(4);
+  h.record(2);
+  rec.add_span(Phase::kSend, /*round=*/1, /*ts_us=*/20, /*dur_us=*/3);
   const std::vector<std::uint64_t> block = rec.drain_words();
-  // Draining zeroed the local state (that is what prevents double counting
-  // when a rank merges its own gathered block back in)...
-  EXPECT_EQ(by_name("c").value(), 0u);
-  EXPECT_TRUE(rec.events().empty());
-  // ...and merging reconstructs it exactly.
-  rec.merge_words(block.data(), block.size());
-  EXPECT_EQ(by_name("c").value(), 11u);
-  EXPECT_EQ(by_name("h").sum, 7u);
-  ASSERT_EQ(rec.events().size(), 1u);
-  EXPECT_EQ(rec.events()[0].phase, Phase::kRound);
-  EXPECT_EQ(rec.events()[0].ts_us, 5u);
-  EXPECT_EQ(rec.events()[0].dur_us, 9u);
 
-  // Merging the same block again doubles the counter (merge is additive).
-  rec.merge_words(block.data(), block.size());
-  EXPECT_EQ(by_name("c").value(), 22u);
+  // Draining leaves the local state intact...
+  EXPECT_EQ(metric(rec, "c").value(), 15u);
+  EXPECT_EQ(metric(rec, "h").count, 2u);
+  EXPECT_EQ(rec.events().size(), 2u);
+
+  // ...and the block carries only what was recorded since the mark:
+  // count/sum deltas, histogram min/max and gauges as they stand (an idle
+  // histogram ships empty), and the newer span.
+  Recorder peer;
+  peer.merge_words(block.data(), block.size());
+  EXPECT_EQ(metric(peer, "idle").count, 0u);
+  EXPECT_EQ(metric(peer, "idle").max, 0u);
+  EXPECT_EQ(metric(peer, "c").value(), 4u);
+  EXPECT_EQ(metric(peer, "h").count, 1u);
+  EXPECT_EQ(metric(peer, "h").sum, 2u);
+  EXPECT_EQ(metric(peer, "h").min, 2u);
+  EXPECT_EQ(metric(peer, "h").max, 7u);
+  EXPECT_EQ(metric(peer, "g").value(), 3u);
+  ASSERT_EQ(peer.events().size(), 1u);
+  EXPECT_EQ(peer.events()[0].phase, Phase::kSend);
+  EXPECT_EQ(peer.events()[0].ts_us, 20u);
+  EXPECT_EQ(peer.events()[0].dur_us, 3u);
+
+  // A fresh mark empties the next block; merge stays additive.
+  rec.mark();
+  const std::vector<std::uint64_t> empty = rec.drain_words();
+  peer.merge_words(empty.data(), empty.size());
+  peer.merge_words(block.data(), block.size());
+  EXPECT_EQ(metric(peer, "c").value(), 8u);
+  EXPECT_EQ(metric(peer, "h").count, 2u);
+  EXPECT_EQ(peer.events().size(), 2u);
+}
+
+TEST(Recorder, DrainOfAWrappedRingShipsTheNewestSpansSinceTheMark) {
+  const auto shipped_rounds = [](Recorder& rec) {
+    const std::vector<std::uint64_t> block = rec.drain_words();
+    Recorder peer;
+    peer.merge_words(block.data(), block.size());
+    std::vector<std::uint64_t> rounds;
+    for (const TraceEvent& e : peer.events()) rounds.push_back(e.round);
+    return rounds;
+  };
+  Recorder rec;
+  rec.set_event_capacity(4);
+  for (std::uint64_t r = 0; r < 6; ++r) rec.add_span(Phase::kRound, r, r, 1);
+  rec.mark();  // the ring has wrapped: rounds 2..5 retained
+  rec.add_span(Phase::kRound, 6, 6, 1);
+  rec.add_span(Phase::kRound, 7, 7, 1);
+  EXPECT_EQ(shipped_rounds(rec), (std::vector<std::uint64_t>{6, 7}));
+  // More spans since the mark than the ring holds: the newest survive.
+  for (std::uint64_t r = 8; r < 12; ++r) rec.add_span(Phase::kRound, r, r, 1);
+  EXPECT_EQ(shipped_rounds(rec),
+            (std::vector<std::uint64_t>{8, 9, 10, 11}));
 }
 
 TEST(Recorder, MergeRejectsMalformedBlocks) {
@@ -306,6 +346,35 @@ TEST(JsonValidator, SanityOnHandWrittenCases) {
   EXPECT_FALSE(JsonValidator::valid(R"({"a": 1} trailing)"));
 }
 
+TEST(MetricsJson, RecorderAndPublishedSnapshotRenderOneShape) {
+  Recorder rec;
+  rec.metrics().counter("peer\"count", 2, 1).add(5);
+  rec.metrics().gauge("clock.offset.rank1.us").set(
+      static_cast<std::uint64_t>(std::int64_t{-42}));
+  rec.metrics().histogram("phase.send.us").record(3);
+  rec.metrics().histogram("phase.ship.us");
+  SnapshotPublisher pub;
+  pub.set_info({{"algo", "mis"}});
+  pub.publish(rec.metrics(), 7);
+
+  std::ostringstream published;
+  write_snapshot_json(published, pub);
+  std::vector<std::pair<std::string, std::string>> context = pub.info();
+  context.emplace_back("health", health_name(pub.health()));
+  context.emplace_back("rounds", "7");
+  context.emplace_back("publishes", "1");
+  std::ostringstream recorded;
+  rec.write_metrics_json(recorded, context);
+  std::ostringstream rendered;
+  write_metrics_json(rendered, context, rec.metrics().snapshot());
+
+  EXPECT_EQ(recorded.str(), published.str());
+  EXPECT_EQ(rendered.str(), published.str());
+  EXPECT_TRUE(JsonValidator::valid(published.str())) << published.str();
+  EXPECT_NE(published.str().find("\"clock.offset.rank1.us\": -42"),
+            std::string::npos);
+}
+
 // ---- Instrumented runs ---------------------------------------------------
 
 const algo::Spec& mis_spec() { return algo::find("mis"); }
@@ -370,6 +439,47 @@ TEST(Recorder, SequentialRunEmitsSpansAndValidJson) {
   std::ostringstream table;
   rec.write_stats_table(table);
   EXPECT_NE(table.str().find("rounds.messages"), std::string::npos);
+}
+
+TEST(Recorder, ParallelStatsShowOnlyRecordedPhasesWithinTheRound) {
+  const graph::Graph g = graph::gen::torus(64, 64);
+  Recorder rec;
+  runtime::RuntimeConfig config;
+  config.kind = runtime::RuntimeKind::kParallel;
+  config.threads = 4;
+  algo::RunContext ctx = context_for(g, &rec, config);
+  ctx.params = algo::Params::parse(algo::find("color").params, {});
+  ASSERT_TRUE(algo::execute(algo::find("color"), ctx).verified);
+
+  std::ostringstream table;
+  rec.write_stats_table(table);
+  std::istringstream lines(table.str());
+  std::string line;
+  std::size_t phase_rows = 0;
+  while (std::getline(lines, line)) {
+    std::istringstream row(line);
+    std::string name;
+    row >> name;
+    EXPECT_NE(name.rfind("perf.round.", 0), 0u)
+        << "parallel perf counters accrue to the epoch only: " << line;
+    if (name.rfind("phase.", 0) != 0 && name.rfind("shard.", 0) != 0) {
+      continue;
+    }
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
+    double mean = 0;
+    std::string share;
+    row >> count >> sum >> min >> max >> mean >> share;
+    ++phase_rows;
+    EXPECT_GT(count, 0u) << "all-zero row: " << line;
+    ASSERT_FALSE(share.empty()) << line;
+    ASSERT_EQ(share.back(), '%') << line;
+    EXPECT_LE(std::stod(share), 100.0) << line;
+  }
+  // phase.round.us, phase.epoch.us and shard.straggler.us.
+  EXPECT_EQ(phase_rows, 3u) << table.str();
 }
 
 TEST(Recorder, MpRunHasOneLanePerWorkerAndMonotoneTimestamps) {
@@ -485,6 +595,72 @@ TEST(Conformance, DeterministicCountersIdenticalAcrossRuntimes) {
         });
     EXPECT_TRUE(report.all_ok()) << label;
   }
+}
+
+// ---- Fleet totals over repeated runs --------------------------------------
+
+/// `rounds.live_nodes` of `rec` (0 when never registered).
+std::uint64_t live_nodes(const Recorder& rec) {
+  for (const MetricSnapshot& s : rec.metrics().snapshot()) {
+    if (s.name == "rounds.live_nodes") return s.value();
+  }
+  return 0;
+}
+
+/// Luby at seed 5 on the 32x32 torus: one sequential run's live nodes.
+std::uint64_t luby_live_nodes(const graph::Graph& g) {
+  local::Network sequential(g, local::IdStrategy::kSequential, 5);
+  Recorder rec;
+  sequential.set_recorder(&rec);
+  sequential.run(mis::luby_program_factory(), 10000);
+  return live_nodes(rec);
+}
+
+TEST(FleetTotals, MpExecutorReusedThreeTimesCountsEveryRunOnce) {
+  const graph::Graph g = graph::gen::torus(32, 32);
+  const std::uint64_t once = luby_live_nodes(g);
+  ASSERT_GT(once, 0u);
+  dist::DistributedConfig config;
+  config.workers = 2;
+  dist::DistributedNetwork mp(g, local::IdStrategy::kSequential, 5, config);
+  Recorder rec;
+  mp.set_recorder(&rec);
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    mp.run(mis::luby_program_factory(), 10000);
+    EXPECT_EQ(live_nodes(rec), k * once) << "after run " << k;
+  }
+}
+
+TEST(FleetTotals, TcpRanksRebuiltThreeTimesCountEveryRunOnce) {
+  const graph::Graph g = graph::gen::torus(32, 32);
+  const std::uint64_t once = luby_live_nodes(g);
+  ASSERT_GT(once, 0u);
+  net::TcpOptions topts;
+  topts.handshake_timeout_ms = 20000;
+  topts.round_timeout_ms = 30000;
+  // Exit-code checks: a gtest failure on a forked rank would die silently.
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        Recorder rec;
+        for (std::uint64_t k = 1; k <= 3; ++k) {
+          net::TcpNetworkConfig config;
+          config.rank = lr.rank;
+          config.hosts = lr.hosts;
+          config.transport = topts;
+          // The first executor takes the pre-bound socket; later ones
+          // rebind the now-known port.
+          if (k == 1) config.listen = std::move(lr.listen);
+          net::TcpNetwork tcp(g, local::IdStrategy::kSequential, 5,
+                              std::move(config));
+          tcp.set_recorder(&rec);
+          tcp.run(mis::luby_program_factory(), 10000);
+          if (live_nodes(rec) != k * once) return static_cast<int>(10 + k);
+        }
+        return 0;
+      });
+  EXPECT_TRUE(report.all_ok())
+      << "rank0=" << report.rank0 << " rank1="
+      << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0]);
 }
 
 TEST(Conformance, UnobservedRunsStayUnobserved) {

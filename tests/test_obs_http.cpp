@@ -613,14 +613,14 @@ TEST(SnapshotPublisher, NoTornReadsUnderHammeringReader) {
 // ---- Registration-after-publish guard (debug builds) ---------------------
 
 #ifndef NDEBUG
-TEST(Metrics, NewRegistrationAfterSnapshotFailsUntilReset) {
+TEST(Metrics, NewRegistrationAfterSnapshotFails) {
   Metrics m;
   m.counter("pre");
+  (void)m.aggregate(0);  // the recorder codec's own read does not seal
+  m.counter("mid");
   (void)m.snapshot();  // seals
   m.counter("pre");    // re-find of an existing name stays legal
   EXPECT_THROW(m.counter("post"), CheckError);
-  m.reset();  // reopens
-  m.counter("post");
 }
 #endif
 

@@ -342,7 +342,7 @@ TEST(ServeDaemon, MixedObservabilityFleetServesRepeatedRequestsSafely) {
   // *per-request* fleet recorder and hand its counter handles to the
   // standing transport; regression coverage for the use-after-free where
   // those handles outlived the request and the next dispatch wrote through
-  // them (net::run_fleet must unhook the transport's recorder on every
+  // them (dist::run_fleet must unhook the transport's recorder on every
   // exit path). Three sequential requests make the follower's transport
   // await dispatches twice after a per-request recorder died.
   Rng rng(23);
@@ -390,6 +390,70 @@ TEST(ServeDaemon, MixedObservabilityFleetServesRepeatedRequestsSafely) {
           if (m.name == "serve.requests") return m.sum == 3 ? 0 : 16;
         }
         return 17;  // serve.requests never registered
+      });
+  EXPECT_TRUE(report.all_ok())
+      << "rank0=" << report.rank0 << " peers=["
+      << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0])
+      << "]";
+}
+
+TEST(ServeDaemon, ObservingFleetCountsEveryServedRunOnce) {
+  // Both ranks observe (--http-port on every rank). Rank 0's
+  // `rounds.live_nodes` must be the sum of the served runs' sequential
+  // totals, however many runs the standing recorders saw.
+  const graph::Graph g = graph::gen::torus(32, 32);
+  const std::vector<std::uint64_t> seeds = {5, 6, 7};
+  std::uint64_t expected = 0;
+  for (const std::uint64_t seed : seeds) {
+    obs::Recorder rec;
+    algo::RunContext ctx;
+    ctx.graph = &g;
+    ctx.seed = seed;
+    ctx.params = algo::Params::parse(algo::find("mis").params, {});
+    ctx.factory = [&rec](const graph::Graph& fg, local::IdStrategy strategy,
+                         std::uint64_t s) -> std::unique_ptr<local::Executor> {
+      auto exec = local::make_executor({}, fg, strategy, s);
+      exec->set_recorder(&rec);
+      return exec;
+    };
+    ctx.recorder = &rec;
+    for (const obs::MetricSnapshot& m : algo::execute(algo::find("mis"), ctx)
+                                            .metrics) {
+      if (m.name == "rounds.live_nodes") expected += m.value();
+    }
+  }
+  ASSERT_GT(expected, 0u);
+
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        const std::size_t rank = lr.rank;
+        obs::Recorder recorder;
+        DaemonConfig config = daemon_config(std::move(lr), g);
+        config.recorder = &recorder;
+        Daemon daemon(std::move(config));
+        if (rank != 0) return daemon.run();
+
+        int run_code = -1;
+        std::thread runner([&] { run_code = daemon.run(); });
+        ClientConfig client;
+        client.port = daemon.request_port();
+        client.timeout_ms = 60000;
+        int rc = 0;
+        for (std::size_t i = 0; i < seeds.size(); ++i) {
+          const Response resp =
+              submit(client, make_request(i + 1, "mis", seeds[i]));
+          if (rc == 0 && resp.status != Status::kOk) rc = 10;
+        }
+        daemon.request_shutdown();
+        runner.join();
+        if (rc != 0) return rc;
+        if (run_code != 0) return 11;
+        for (const obs::MetricSnapshot& m : recorder.metrics().snapshot()) {
+          if (m.name == "rounds.live_nodes") {
+            return m.value() == expected ? 0 : 12;
+          }
+        }
+        return 13;  // rounds.live_nodes never registered
       });
   EXPECT_TRUE(report.all_ok())
       << "rank0=" << report.rank0 << " peers=["

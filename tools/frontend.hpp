@@ -81,7 +81,8 @@ Instance load_instance(const Options& opts, algo::InputKind input,
 /// histogram snapshot as JSON, --trace a Chrome trace (Perfetto), --profile
 /// the sampled flame-graph profile as folded stacks (every rank samples;
 /// stacks are prefixed `rank:R`), --stats prints a summary table. On a
-/// fleet every rank merges the whole fleet's blocks, and rank 0 writes.
+/// fleet every rank merges the other ranks' blocks of the run, so each
+/// holds fleet totals, and rank 0 writes.
 /// --http-port=P serves /metrics /status /healthz /api/v1/snapshot
 /// /api/v1/runs (and /api/v1/profile) while the run is in flight, rank r
 /// on P + r (P = 0: kernel-assigned ports, printed at startup).
