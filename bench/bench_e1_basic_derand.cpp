@@ -7,6 +7,7 @@
 // and the charged+executed rounds of both variants, whose ratio should track
 // Δ / (2 log n).
 
+#include <cmath>
 #include <iostream>
 
 #include "graph/generators.hpp"

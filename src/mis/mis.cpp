@@ -21,13 +21,16 @@ namespace {
 ///    halt as MIS members and their neighbors halt as dominated.
 class LubyProgram final : public local::NodeProgram {
  public:
-  /// Stores only (uid, fork seed, draw count) — ~32 bytes per node instead
-  /// of a full NodeEnv copy (whose mt19937_64 alone is 2.5 KB). The engine
-  /// is rebuilt from the fork seed and advanced `draws_` steps on demand,
-  /// which is bit-identical to keeping it resident: `env.rng` is freshly
-  /// forked per node, and the alive population halves every phase, so the
-  /// amortized replay cost stays O(n) draws overall. This is what lets a
-  /// 5M-node in-situ rank hold its resident programs in a few hundred MB.
+  /// Stores only (uid, fork seed, draw count) instead of a NodeEnv copy.
+  /// The generator is rebuilt from the fork seed and advanced `draws_` steps
+  /// each phase, which is bit-identical to keeping it resident: `env.rng` is
+  /// freshly forked per node, a rebuild costs a few ns, and the alive
+  /// population halves every phase, so the replays stay O(n) draws overall.
+  /// Holding the 40-byte `Rng` in the program instead measured no faster on
+  /// sequential `mis` over a 256x256 torus (4-core machine, Release) and
+  /// raised its peak RSS from 23.2 to 25.3 MB (+9%). The compact state is
+  /// also what lets a 5M-node in-situ rank hold its programs in a few
+  /// hundred MB.
   explicit LubyProgram(const local::NodeEnv& env)
       : uid_(env.uid), rng_seed_(env.rng.seed()) {}
 

@@ -10,15 +10,24 @@
 /// derives an independent child stream from a (seed, stream-id) pair using a
 /// SplitMix64 mixer, so per-node generators never depend on the order in
 /// which other nodes were processed.
+///
+/// The engine is xoshiro256** (Blackman & Vigna) with its four state words
+/// drawn from a SplitMix64 sequence of the seed. Bounded integers use
+/// Lemire's multiply-and-reject method and doubles take the top 53 bits of a
+/// raw draw, all written here rather than taken from `<random>`: a stream,
+/// and so every output digest, is the same under any standard library.
+/// A generator is 40 bytes and trivially copyable, so seeding one per node
+/// (and per phase) costs nanoseconds.
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <utility>
 #include <vector>
 
 namespace ds {
 
-/// Deterministic splittable RNG. Thin wrapper around std::mt19937_64 with
-/// stable stream derivation.
+/// Deterministic splittable RNG: xoshiro256** with stable stream derivation,
+/// 40 bytes (the seed plus four state words).
 class Rng {
  public:
   /// Creates a generator seeded with `seed`.
@@ -62,7 +71,7 @@ class Rng {
 
  private:
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  std::uint64_t state_[4];
 };
 
 /// SplitMix64 finalizer: the standard 64-bit mixing function used for

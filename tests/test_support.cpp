@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <type_traits>
 
 #include "support/check.hpp"
 #include "support/options.hpp"
@@ -87,6 +89,70 @@ TEST(Rng, BernoulliRoughlyFair) {
     if (rng.next_bool()) ++heads;
   }
   EXPECT_NEAR(heads, 5000, 300);
+}
+
+// Known answers: xoshiro256** seeded with the first four SplitMix64 outputs
+// of the seed. Every compiler and standard library must produce this stream.
+TEST(Rng, KnownAnswers) {
+  Rng zero(0);
+  for (std::uint64_t expected :
+       {0x99ec5f36cb75f2b4ull, 0xbf6e1f784956452aull, 0x1a5f849d4933e6e0ull,
+        0x6aa594f1262d2d2cull}) {
+    EXPECT_EQ(zero.next_raw(), expected);
+  }
+  Rng answer(42);
+  for (std::uint64_t expected :
+       {0x15780b2e0c2ec716ull, 0x6104d9866d113a7eull, 0xae17533239e499a1ull,
+        0xecb8ad4703b360a1ull}) {
+    EXPECT_EQ(answer.next_raw(), expected);
+  }
+}
+
+TEST(Rng, ForkIgnoresDrawsOnTheParent) {
+  const Rng fresh(2024);
+  Rng drawn(2024);
+  for (int i = 0; i < 1000; ++i) (void)drawn.next_raw();
+  Rng a = fresh.fork(17);
+  Rng b = drawn.fork(17);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_raw(), b.next_raw());
+}
+
+TEST(Rng, AdjacentForksDiffer) {
+  const Rng parent(2024);
+  for (std::uint64_t s : {0ull, 1ull, 17ull, ~0ull - 1}) {
+    Rng a = parent.fork(s);
+    Rng b = parent.fork(s + 1);
+    EXPECT_NE(a.seed(), b.seed());
+    int equal = 0;
+    for (int i = 0; i < 64; ++i) equal += a.next_raw() == b.next_raw();
+    EXPECT_EQ(equal, 0) << "stream " << s;
+  }
+}
+
+TEST(Rng, BoundedDrawsAtExtremeBounds) {
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.next_u64(1), 0u);
+  const std::uint64_t bounds[] = {3, (1ull << 63) + 1, UINT64_MAX};
+  for (std::uint64_t bound : bounds) {
+    for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.next_u64(bound), bound);
+  }
+}
+
+TEST(Rng, BoundedDrawsAreUnbiased) {
+  Rng rng(31337);
+  constexpr int kDraws = 300000;
+  int counts[3] = {0, 0, 0};
+  for (int i = 0; i < kDraws; ++i) ++counts[rng.next_u64(3)];
+  for (int c : counts) {
+    EXPECT_NEAR(static_cast<double>(c) / kDraws, 1.0 / 3.0, 0.01);
+  }
+}
+
+// A node environment carries one generator per node; it must stay a few
+// words that copy with memcpy.
+TEST(Rng, IsSmallAndTriviallyCopyable) {
+  EXPECT_LE(sizeof(Rng), 40u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<Rng>);
 }
 
 TEST(Summary, BasicStatistics) {
