@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   {
     // (c) The same phase as a LOCAL message-passing execution, traced per
     // round through local::RoundStats (--runtime=parallel --threads=N to
-    // run it on the sharded executor; the trace is bit-identical).
+    // run it on thread ranks; the trace is bit-identical).
     const std::size_t nu = 512;
     const std::size_t nv = 1024;
     const std::size_t delta = 32;

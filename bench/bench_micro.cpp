@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot substrate operations:
 // Euler partition, power-graph coloring, derandomization throughput,
 // verifier throughput, instance generation, and LOCAL-executor round
-// throughput (sequential Network vs sharded ParallelNetwork).
+// throughput (sequential Network vs thread ranks vs forked ranks).
 //
 // Custom main: in addition to the normal console output, `--json=FILE`
 // writes a machine-readable trajectory record (schema distsplit-bench-v1:
@@ -35,7 +35,7 @@
 #include "obs/publish.hpp"
 #include "obs/recorder.hpp"
 #include "orient/euler.hpp"
-#include "runtime/parallel_network.hpp"
+#include "runtime/select.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "splitting/trivial_random.hpp"
@@ -229,14 +229,19 @@ void BM_SequentialRounds(benchmark::State& state) {
 BENCHMARK(BM_SequentialRounds)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
+// What `--runtime=parallel --threads=T` runs: T thread ranks over the
+// shared rank loop, spawned per run() call like the forked ranks below.
 // Arg pair: torus side, thread count.
 void BM_ParallelRounds(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
+  runtime::RuntimeConfig config;
+  config.kind = runtime::RuntimeKind::kParallel;
+  config.threads = static_cast<std::size_t>(state.range(1));
   const auto g = graph::gen::torus(side, side);
-  runtime::ParallelNetwork net(g, local::IdStrategy::kSequential, 42, threads);
+  const auto net = runtime::make_executor_factory(config)(
+      g, local::IdStrategy::kSequential, 42);
   for (auto _ : state) {
-    net.run(gossip_factory(), kGossipRounds + 1);
+    net->run(gossip_factory(), kGossipRounds + 1);
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -248,10 +253,10 @@ BENCHMARK(BM_ParallelRounds)
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Cross-runtime comparison on the same torus family: the multi-process
-// executor forks its worker fleet once per run() call, so the measured time
-// includes fork/teardown — the realistic per-execution cost of the mp
-// runtime against the sequential and thread-parallel numbers above.
+// Cross-runtime comparison on the same torus family: forked ranks
+// (`--runtime=mp`) fork the worker fleet once per run() call, so the
+// measured time includes fork/teardown — the realistic per-execution cost
+// of the mp runtime against the sequential and thread-rank numbers above.
 // Arg pair: torus side, worker count.
 void BM_DistributedRounds(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));

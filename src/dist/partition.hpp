@@ -1,16 +1,10 @@
 #pragma once
 
 /// \file partition.hpp
-/// Topology partitioning shared by the sharded and the multi-process
-/// executors: degree-balanced contiguous node ranges, edge-cut statistics,
-/// and — for the multi-process `DistributedNetwork` — the full per-worker
+/// Topology partitioning of the distributed executors: degree-balanced
+/// contiguous node ranges, edge-cut statistics, and the full per-rank
 /// sub-view of the port space (local delivery tables plus the cut-edge
 /// routing tables of the halo exchange).
-///
-/// `degree_balanced_boundaries` moved here from runtime/parallel_network.hpp
-/// so both executors split by the same rule; `runtime::ParallelNetwork`
-/// still re-exports its shard boundaries and now reports the same
-/// `PartitionStats` as `dist::Partition`.
 
 #include <cstdint>
 #include <vector>
@@ -30,8 +24,7 @@ namespace ds::dist {
 std::vector<graph::NodeId> degree_balanced_boundaries(
     const std::vector<std::size_t>& port_offsets, std::size_t num_shards);
 
-/// Edge-cut statistics of a contiguous node partition, reported by both the
-/// thread-sharded and the multi-process executor.
+/// Edge-cut statistics of a contiguous node partition.
 struct PartitionStats {
   std::size_t parts = 0;           ///< number of ranges
   std::size_t cut_edges = 0;       ///< edges with endpoints in two ranges

@@ -3,13 +3,14 @@
 /// \file rank_loop.hpp
 /// The transport-independent run protocol of the distributed executors.
 ///
-/// `dist::DistributedNetwork` (one forked worker per rank, `ShmTransport`),
-/// `net::TcpNetwork` (one OS process per rank, `net::TcpTransport`) and
-/// `net::run_insitu` run each rank's share of a run as `run_fleet` around
-/// `run_rank_loop`. Factoring both out is what guarantees the runtimes
-/// implement the *same* protocol — the transports only move bytes and
-/// synchronize; every delivery/ordering/liveness/observability rule lives
-/// here, once. `run_rank_loop` is the round protocol:
+/// `dist::DistributedNetwork` (one thread or forked worker per rank,
+/// `ShmTransport`), `net::TcpNetwork` (one OS process per rank,
+/// `net::TcpTransport`) and `net::run_insitu` run each rank's share of a
+/// run as `run_fleet` around `run_rank_loop`. Factoring both out is what
+/// guarantees the runtimes implement the *same* protocol — the transports
+/// only move bytes and synchronize; every delivery/ordering/liveness/
+/// observability rule lives here, once. `run_rank_loop` is the round
+/// protocol:
 ///
 ///   1. invoke the (pure per node) factory for the owned range [first,
 ///      last) only, storing the programs at local indices;

@@ -1,15 +1,15 @@
 #pragma once
 
 /// \file shm.hpp
-/// Process-shared memory primitives of the multi-process executor: an RAII
-/// anonymous shared mapping, a fork-safe sense-reversing barrier, and the
-/// per-run control block (abort flag + per-worker round counters).
+/// Shared-memory primitives of the single-host multi-rank executor: an RAII
+/// anonymous shared mapping, a sense-reversing barrier, and the per-run
+/// control block (abort flag + per-rank round counters).
 ///
-/// Everything here is designed around `fork()`: regions are mapped
-/// MAP_SHARED | MAP_ANONYMOUS in the parent *before* forking, so every
-/// worker sees the same pages at the same addresses and lock-free
-/// `std::atomic` words in them synchronize across the processes. Mappings
-/// use MAP_NORESERVE — reserving generous virtual capacity is free; physical
+/// Regions are mapped MAP_SHARED | MAP_ANONYMOUS before any rank is
+/// spawned, so every rank — a thread of the caller or a forked child — sees
+/// the same pages at the same addresses, and lock-free `std::atomic` words
+/// in them synchronize across threads and processes alike. Mappings use
+/// MAP_NORESERVE — reserving generous virtual capacity is free; physical
 /// pages are committed only when touched.
 
 #include <atomic>
@@ -20,13 +20,14 @@
 namespace ds::dist {
 
 // Cross-process synchronization through shared mappings only works for
-// address-free (lock-free) atomics.
+// address-free (lock-free) atomics (threads would not need it).
 static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 
-/// RAII anonymous shared mapping. Create in the parent before fork();
-/// children inherit the mapping and never unmap (they exit via _exit), so
-/// the parent's destructor is the single release point.
+/// RAII anonymous shared mapping. Create before spawning ranks; forked
+/// children inherit the mapping and never unmap (they exit via _exit), and
+/// thread ranks are joined before it dies, so the owner's destructor is the
+/// single release point.
 class SharedRegion {
  public:
   /// Maps `bytes` (rounded up to the page size) of zeroed shared memory.
@@ -54,10 +55,11 @@ class SharedRegion {
 /// Thrown (as ds::CheckError, see shm.cpp) when a barrier wait observes the
 /// collective abort flag — some worker failed and the round protocol is off.
 
-/// Sense-reversing barrier for fork-shared memory. Standard layout; lives
-/// inside a SharedRegion. Waiters spin with escalating yields and short
-/// sleeps (workers routinely outnumber cores), checking the abort flag and
-/// an optional poll hook so a dead worker cannot hang the others forever.
+/// Sense-reversing barrier in shared memory. Standard layout; lives inside
+/// a SharedRegion. Waiters spin with escalating yields and short sleeps
+/// (ranks routinely outnumber cores), checking the abort flag and an
+/// optional poll hook so a dead forked worker cannot hang the others
+/// forever.
 struct SharedBarrier {
   std::atomic<std::uint32_t> arrived{0};
   std::atomic<std::uint32_t> phase{0};

@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file shm_transport.hpp
-/// The shared-memory halo exchange of the multi-process executor — the
-/// single-host fast path behind the abstract `dist::Transport`.
+/// The shared-memory halo exchange of the single-host multi-rank executor
+/// (thread or forked ranks) — the fast path behind the abstract
+/// `dist::Transport`.
 ///
-/// One `HaloTransport` owns a single fork-shared region holding, for every
+/// One `HaloTransport` owns a single shared region holding, for every
 /// ordered worker pair (s, d) with cut traffic, an exchange *block*, plus
 /// one *gather block* per worker for end-of-run output collection.
 ///
@@ -26,8 +27,8 @@
 /// `halo_words_per_port` payload words per cut port. A round whose cut
 /// traffic exceeds the reservation fails loudly — reporting the observed
 /// per-port demand and the smallest knob value that would have fit —
-/// because growing a mapping that N forked processes share cannot be done
-/// safely mid-round.
+/// because growing a mapping that N ranks share cannot be done safely
+/// mid-round.
 ///
 /// `ShmTransport` is the per-worker `dist::Transport` view over a
 /// `HaloTransport` plus the shared `ControlBlock`: ship/patch walk the
@@ -52,9 +53,9 @@ namespace ds::dist {
 class HaloTransport {
  public:
   /// Lays out and maps the exchange + gather blocks for `part`. Must run in
-  /// the parent before fork(). `halo_words_per_port` bounds one round's
-  /// payload per cut port on average; gather blocks get one worker-port
-  /// budget (degree-proportional rows fit by construction) plus
+  /// the caller before any rank is spawned. `halo_words_per_port` bounds
+  /// one round's payload per cut port on average; gather blocks get one
+  /// worker-port budget (degree-proportional rows fit by construction) plus
   /// `gather_words_per_node` on top (both have small floors so tiny graphs
   /// with chatty programs still fit).
   HaloTransport(const Partition& part, std::size_t halo_words_per_port,
@@ -110,15 +111,15 @@ class HaloTransport {
   SharedRegion region_;
 };
 
-/// Worker w's `dist::Transport` view over the fork-shared exchange blocks
-/// and control block. Constructed inside each worker (parent or forked
-/// child) for the duration of one run; everything it points at is owned by
-/// the `DistributedNetwork` and outlives the run.
+/// Rank w's `dist::Transport` view over the shared exchange blocks and
+/// control block. Constructed inside each rank (the caller, a thread or a
+/// forked child) for the duration of one run; everything it points at is
+/// owned by the `DistributedNetwork` and outlives the run.
 class ShmTransport final : public Transport {
  public:
   /// `idle_poll`, if non-null, is invoked periodically while waiting at the
-  /// shared barrier — worker 0 uses it to detect crashed children and raise
-  /// the collective abort.
+  /// shared barrier — forked rank 0 uses it to detect crashed children and
+  /// raise the collective abort.
   ShmTransport(std::size_t worker, const Partition& part,
                HaloTransport& blocks, ControlBlock& control,
                const std::function<void()>* idle_poll)

@@ -8,7 +8,7 @@
 /// itself). Two implementations exist:
 ///
 ///  * `dist::ShmTransport` (shm_transport.hpp) — the single-host fast path:
-///    per-pair fork-shared exchange blocks plus a shared sense-reversing
+///    per-pair shared exchange blocks plus a shared sense-reversing
 ///    barrier. Zero-copy on the receive side.
 ///  * `net::TcpTransport` (net/tcp_transport.hpp) — genuine multi-host
 ///    execution: per-ordered-pair TCP connections carrying length-prefix

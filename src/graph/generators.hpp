@@ -85,7 +85,7 @@ Graph barabasi_albert(std::size_t n, std::size_t m, Rng& rng);
 /// between every pair at Euclidean distance <= radius. Built with grid
 /// bucketing (cell side = radius), so expected O(n + m) time at constant
 /// expected degree n·π·radius². Spatial locality makes it a natural
-/// sharding-friendly topology for the parallel runtime. Requires
+/// partition-friendly topology for the multi-rank runtimes. Requires
 /// radius > 0.
 Graph random_geometric_2d(std::size_t n, double radius, Rng& rng);
 

@@ -3,8 +3,9 @@
 /// \file executor.hpp
 /// Abstract interface over LOCAL-model executors, so algorithms that run
 /// genuine message-passing programs (Luby MIS, trial coloring, sinkless
-/// orientation, ...) can be pointed at either the sequential `Network` or
-/// the sharded `runtime::ParallelNetwork` at runtime.
+/// orientation, ...) can be pointed at the sequential `Network` or a
+/// multi-rank `dist::DistributedNetwork` (thread or forked ranks) at
+/// runtime.
 ///
 /// Determinism contract: for a fixed (graph, IdStrategy, seed), every
 /// executor must produce bit-identical per-node program outputs and the same
@@ -34,17 +35,17 @@ namespace ds::local {
 
 /// Serializes the output of one node's final program state, appending words
 /// to `out` (cleared by the caller per node). Runs in whatever thread or
-/// *process* owns the node — the multi-process executor invokes it inside
-/// the owning worker and ships only the words — so it must be a pure
-/// function of (node, program): side effects on captured state are not
-/// observable after `run()` returns.
+/// *process* owns the node — forked ranks invoke it inside the owning
+/// worker and ship only the words, thread ranks invoke it concurrently — so
+/// it must be a pure function of (node, program): side effects on captured
+/// state are not observable after `run()` returns.
 using OutputFn = std::function<void(graph::NodeId, const NodeProgram&,
                                     std::vector<std::uint64_t>&)>;
 
 /// Per-node output rows gathered after a run, CSR-packed (one flat word
 /// vector plus offsets). This — not `Executor::program` — is the
-/// executor-portable way to read results: on the multi-process executor
-/// only the owning worker holds a node's program instance.
+/// executor-portable way to read results: with forked or TCP ranks only
+/// the owning rank holds a node's program instance.
 class OutputTable {
  public:
   /// Starts a fresh table expecting `n` rows appended in node order.
@@ -121,7 +122,7 @@ class Executor {
   /// Installs (or clears, with {}) the per-node output serializer applied
   /// at the end of future runs; read the result via `outputs()`. This is
   /// the only result channel that works on every executor — the
-  /// multi-process one runs the serializer inside the owning worker.
+  /// distributed ones run the serializer inside the owning rank.
   void set_output_fn(OutputFn fn) { output_fn_ = std::move(fn); }
 
   /// The gathered per-node outputs of the most recent run. Throws unless an
@@ -142,9 +143,9 @@ class Executor {
  protected:
   /// Rebuilds `outputs_` by applying the installed OutputFn to every
   /// program of the most recent run (via the virtual `program()`); clears
-  /// the table when no OutputFn is installed. In-process executors call
-  /// this at the end of run(); the multi-process executor gathers rows from
-  /// its workers instead.
+  /// the table when no OutputFn is installed. The sequential executor
+  /// calls this at the end of run(); the distributed executors gather rows
+  /// from their ranks instead.
   void collect_outputs_from_programs();
 
   OutputFn output_fn_;

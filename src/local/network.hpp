@@ -19,9 +19,11 @@
 /// through this interface; they account *charged* rounds on a `CostMeter`
 /// instead (see cost.hpp).
 ///
-/// For multi-core execution of the same programs see
-/// runtime/parallel_network.hpp; both executors share `NetworkTopology` and
-/// are bit-identical in output (the `Executor` determinism contract).
+/// It is the independent reference the other executors are checked
+/// against: multi-core and multi-host runs of the same programs go through
+/// the distributed rank loop (dist/rank_loop.hpp); every executor shares
+/// `NetworkTopology` and is bit-identical in output (the `Executor`
+/// determinism contract).
 
 #include <cstdint>
 #include <memory>

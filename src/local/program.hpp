@@ -4,8 +4,8 @@
 /// The node-program abstraction of the LOCAL-model simulator: the per-node
 /// environment, the `NodeProgram` interface that algorithms implement, and
 /// the `ProgramFactory` every executor builds programs with. Split out of
-/// network.hpp so that every executor (sequential, thread-parallel,
-/// multi-process, TCP) runs the same program API.
+/// network.hpp so that every executor (sequential, thread ranks, forked
+/// ranks, TCP) runs the same program API.
 ///
 /// A node's program depends only on its own environment — its ID, its ports
 /// and its private coins — exactly as in the LOCAL model. The distributed
@@ -68,8 +68,9 @@ class NodeProgram {
 
 /// Factory producing the program for one node given its environment. It
 /// must be pure per node — a function of `env` and immutable captured state
-/// only: executors never call it concurrently, but a distributed rank calls
-/// it for its owned nodes alone, so no cross-node call order is promised.
+/// only: a distributed rank calls it for its owned nodes alone, so no
+/// cross-node call order is promised, and thread ranks call it
+/// concurrently.
 using ProgramFactory =
     std::function<std::unique_ptr<NodeProgram>(const NodeEnv&)>;
 

@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file round_stats.hpp
-/// Per-round observability hook of the LOCAL-model executors. Both the
-/// sequential `Network` and the sharded `runtime::ParallelNetwork` aggregate
-/// these counters during the send phase and invoke the sink once per
-/// executed round — the hook costs nothing when no sink is installed.
+/// Per-round observability hook of the LOCAL-model executors. The
+/// sequential `Network` and the distributed rank loop (thread, forked and
+/// TCP ranks) aggregate these counters during the send phase and invoke the
+/// sink once per executed round — the hook costs nothing when no sink is
+/// installed.
 
 #include <cstddef>
 #include <functional>
@@ -18,7 +19,7 @@ namespace ds::local {
 /// / payload_words per round (tests/test_obs.cpp asserts this across all
 /// four runtimes). The phase fields below are wall-time measurements and
 /// naturally differ; a runtime leaves the phases it does not have at 0.0
-/// (e.g. the in-process executors never ship or patch).
+/// (the sequential executor never ships or patches).
 struct RoundStats {
   std::size_t round = 0;          ///< round index (0-based)
   double wall_seconds = 0.0;      ///< wall time of the round's epoch
@@ -33,12 +34,9 @@ struct RoundStats {
   double barrier_seconds = 0.0;  ///< explicit waits outside ship
   double patch_seconds = 0.0;    ///< patching received payloads
   double receive_seconds = 0.0;  ///< program receive phase
-  /// Straggler: the slowest shard's busy time in the parallel executor's
-  /// fused epoch (0.0 on non-sharded runtimes).
-  double max_shard_seconds = 0.0;
 };
 
-/// Invoked once per executed round, on the run() thread.
+/// Invoked once per executed round, on the thread that called run().
 using RoundStatsSink = std::function<void(const RoundStats&)>;
 
 }  // namespace ds::local

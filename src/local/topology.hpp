@@ -3,10 +3,11 @@
 /// \file topology.hpp
 /// Immutable per-network setup shared by every LOCAL-model executor: UID
 /// assignment, CSR port offsets, reverse ports, and precomputed delivery
-/// slots. The sequential `Network` and the sharded `runtime::ParallelNetwork`
-/// both build on this, so ID assignment and per-node randomness derivation
-/// are identical by construction — a prerequisite for the executors'
-/// bit-identical-output contract.
+/// slots. The sequential `Network` and the distributed executors
+/// (`dist::DistributedNetwork`, `net::TcpNetwork`) all build on this, so ID
+/// assignment and per-node randomness derivation are identical by
+/// construction — a prerequisite for the executors' bit-identical-output
+/// contract.
 
 #include <cstdint>
 #include <vector>

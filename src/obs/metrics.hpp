@@ -5,10 +5,9 @@
 ///
 /// A `Metrics` owns a set of named metrics — counters, gauges and summary
 /// histograms — each backed by one or more `Cell` slots. Slots exist so
-/// concurrent writers (shards of the parallel executor, per-peer counters of
-/// the TCP transport) can increment without synchronization: every slot has
-/// exactly one writing thread, and `snapshot()` aggregates the slots on the
-/// reading thread.
+/// concurrent writers (per-peer counters of the TCP transport) can
+/// increment without synchronization: every slot has exactly one writing
+/// thread, and `snapshot()` aggregates the slots on the reading thread.
 ///
 /// Instrumented code holds `Counter` / `Gauge` / `Histogram` *handles*: one
 /// raw cell pointer each. A default-constructed handle is null and every

@@ -20,8 +20,9 @@
 /// sourced from `CLOCK_THREAD_CPUTIME_ID` and `getrusage(RUSAGE_THREAD)`.
 ///
 /// Counters are per-thread (`pid=0, cpu=-1`, user-space only): each round
-/// loop owns its `PerfCounters`, and `ParallelNetwork` shards sample a
-/// thread-local instance, so deltas attribute work to the thread that did it.
+/// loop — one per rank, thread ranks included — opens its own
+/// `PerfCounters` on its thread, so deltas attribute work to the thread that
+/// did it.
 /// The group read uses `PERF_FORMAT_TOTAL_TIME_ENABLED/RUNNING` and scales
 /// for multiplexing — seven events can exceed the PMU's slot count.
 

@@ -19,11 +19,15 @@
 ///    dlopen `backtrace` needs is pre-warmed in `start()`).
 ///  - One profiler per process (`ITIMER_PROF` is a process-wide resource);
 ///    a second concurrent `start()` fails with a reason instead of silently
-///    stealing the timer.
-///  - Fork awareness: a `fork()`ed child inherits a copy of the ring.
-///    Drain/collect in a process that did not call `start()` returns
-///    nothing, so forked workers never double-report the parent's samples;
-///    each rank of a loopback fleet starts its own profiler after the fork.
+///    stealing the timer. Every thread of the process is sampled into the
+///    one ring, so thread ranks (`--runtime=parallel`) all land in rank 0's
+///    profile.
+///  - Fork awareness: a `fork()`ed child inherits a copy of the ring but no
+///    armed timer. Drain/collect in a process that did not call `start()`
+///    returns nothing, so forked workers (`--runtime=mp`) never
+///    double-report the parent's samples, and only rank 0 is profiled
+///    there; each rank of a loopback fleet starts its own profiler after
+///    the fork.
 ///
 /// Caveat: `dladdr` only resolves symbols in the dynamic table — executables
 /// should link with `-rdynamic` (the tools do) or frames fold to

@@ -73,19 +73,19 @@ const char* phase_name(Phase p) {
       return "patch";
     case Phase::kReceive:
       return "receive";
-    case Phase::kEpoch:
-      return "epoch";
     case Phase::kGather:
       return "gather";
   }
   return "?";
 }
 
-Recorder::Recorder() {
-  t0_ns_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+Recorder::Recorder()
+    : Recorder(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now().time_since_epoch())
+              .count())) {}
+
+Recorder::Recorder(std::uint64_t t0_ns) : t0_ns_(t0_ns) {
   // Registered up front, not lazily on the first eviction: a drop can
   // happen mid-run, after the registry is sealed against new names.
   dropped_counter_ = metrics_.counter("obs.events.dropped");
@@ -244,7 +244,8 @@ void Recorder::merge_words(const std::uint64_t* words, std::size_t count) {
     DS_CHECK_MSG(pos + kEventWords <= count, "obs block truncated (event)");
     TraceEvent e;
     e.lane = static_cast<std::uint32_t>(words[pos]);
-    DS_CHECK_MSG(words[pos + 1] <= static_cast<std::uint64_t>(Phase::kGather),
+    DS_CHECK_MSG(words[pos + 1] <= static_cast<std::uint64_t>(Phase::kGather) &&
+                     words[pos + 1] != 6,  // retired
                  "obs block has an unknown phase");
     e.phase = static_cast<Phase>(words[pos + 1]);
     e.round = words[pos + 2];
@@ -420,13 +421,11 @@ void Recorder::write_stats_table(std::ostream& out) const {
       char mean[32];
       std::snprintf(mean, sizeof(mean), "%.1f", s.mean());
       // Share of round: the span's mean over the mean round, so a
-      // straggling phase reads at a glance. Means, not sums: a per-shard
-      // span records once per shard and round, the round span once per
-      // round (and lane). Only round-loop spans get one.
+      // straggling phase reads at a glance. Every phase span nests in its
+      // lane's round span, so no share exceeds 100%. Only round-loop spans
+      // get one.
       char share[16];
-      const bool span = s.name.rfind("phase.", 0) == 0 ||
-                        s.name.rfind("shard.", 0) == 0;
-      if (span && round_mean > 0) {
+      if (s.name.rfind("phase.", 0) == 0 && round_mean > 0) {
         std::snprintf(share, sizeof(share), "%.1f%%",
                       100.0 * s.mean() / round_mean);
       } else {

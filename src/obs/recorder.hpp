@@ -9,18 +9,19 @@
 /// A `Recorder` is owned by whoever requested observability (the CLI
 /// tools, a serving daemon, a test), handed to executors via
 /// `local::Executor::set_recorder`, and may observe several runs.
-/// Executors that fan out (threads, forked workers, TCP ranks) attribute
-/// events to *lanes*: lane = shard for the parallel executor, lane =
-/// worker/rank for the distributed ones. In the exported Chrome trace each
-/// lane is one process row and each `Phase` one named thread track, so
-/// Perfetto renders rank 3's barrier wait as its own timeline.
+/// Executors that fan out (thread ranks, forked ranks, TCP ranks) attribute
+/// events to *lanes*: lane = rank. In the exported Chrome trace each lane
+/// is one process row and each `Phase` one named thread track, so Perfetto
+/// renders rank 3's barrier wait as its own timeline.
 ///
-/// Timebase: `now_us()` is microseconds since the recorder's construction on
-/// the steady clock. Forked workers inherit t0 (fork copies the recorder),
-/// so multi-process lanes share a timebase. TCP ranks each construct their
-/// own recorder, so lane timebases drift; the transport estimates each
-/// rank's offset to rank 0 from the rendezvous hello/welcome round-trip and
-/// records it as `clock.offset.rank<R>.us` / `clock.t0.rank<R>.us` gauges —
+/// Timebase: `now_us()` is microseconds since the recorder's origin on the
+/// steady clock (its construction, or the `t0_ns` it was built with).
+/// Forked ranks inherit t0 (fork copies the recorder), and thread ranks
+/// record into per-run recorders built with rank 0's t0, so single-host
+/// lanes share a timebase. TCP ranks each construct their own recorder, so
+/// lane timebases drift; the transport estimates each rank's offset to
+/// rank 0 from the rendezvous hello/welcome round-trip and records it as
+/// `clock.offset.rank<R>.us` / `clock.t0.rank<R>.us` gauges —
 /// `write_trace_json` shifts the merged lanes by those origins, so the
 /// exported fleet trace is aligned to RTT/2 accuracy (per-lane ordering is
 /// exact either way — that is what the monotone-timestamp test asserts).
@@ -63,7 +64,8 @@ class SnapshotPublisher;
 inline constexpr std::uint64_t kPerfUnavailable = ~std::uint64_t{0};
 
 /// The instrumented phases of a synchronous round. Values are part of the
-/// drain/merge wire format (and the trace's thread-track ids).
+/// drain/merge wire format (and the trace's thread-track ids); 6 is retired
+/// and rejected by the codec.
 enum class Phase : std::uint8_t {
   kRound = 0,    ///< whole round (send..liveness), the outermost span
   kSend = 1,     ///< local send phase: programs serialize into the arena
@@ -71,13 +73,12 @@ enum class Phase : std::uint8_t {
   kBarrier = 3,  ///< explicit synchronization waits outside ship
   kPatch = 4,    ///< patching received payloads into the local arena
   kReceive = 5,  ///< local receive phase: programs consume inboxes
-  kEpoch = 6,    ///< one shard's fused epoch (parallel executor)
   kGather = 7,   ///< end-of-run output gather
 };
 
 [[nodiscard]] const char* phase_name(Phase p);
 
-/// One completed span. `lane` is the rank/worker/shard the span ran on.
+/// One completed span. `lane` is the rank the span ran on.
 /// The perf fields are the span's hardware-counter deltas (sampled at the
 /// same points as the timestamps); `kPerfUnavailable` when the kernel
 /// refused `perf_event_open` or the span site carries no counters.
@@ -94,6 +95,9 @@ struct TraceEvent {
 class Recorder {
  public:
   Recorder();
+  /// A recorder whose clock starts at steady-clock `t0_ns` instead of now —
+  /// how a thread rank's lane shares rank 0's timebase.
+  explicit Recorder(std::uint64_t t0_ns);
 
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
@@ -106,12 +110,12 @@ class Recorder {
   [[nodiscard]] std::uint64_t t0_ns() const { return t0_ns_; }
 
   /// The default lane of spans recorded through `add_span` — distributed
-  /// workers set this to their rank right after fork/connect.
+  /// ranks set this to their rank when their round loop starts.
   void set_lane(std::uint32_t lane) { lane_ = lane; }
   [[nodiscard]] std::uint32_t lane() const { return lane_; }
 
-  /// What a lane *is* in this run ("rank", "worker", "shard") — used for
-  /// the trace's process names.
+  /// What a lane *is* in this run ("rank", "worker") — used for the
+  /// trace's process names.
   void set_lane_kind(std::string kind) { lane_kind_ = std::move(kind); }
   [[nodiscard]] const std::string& lane_kind() const { return lane_kind_; }
 
@@ -120,12 +124,6 @@ class Recorder {
                 std::uint64_t cycles = kPerfUnavailable,
                 std::uint64_t instructions = kPerfUnavailable) {
     push_event({lane_, phase, round, ts_us, dur_us, cycles, instructions});
-  }
-  void add_span_on(std::uint32_t lane, Phase phase, std::uint64_t round,
-                   std::uint64_t ts_us, std::uint64_t dur_us,
-                   std::uint64_t cycles = kPerfUnavailable,
-                   std::uint64_t instructions = kPerfUnavailable) {
-    push_event({lane, phase, round, ts_us, dur_us, cycles, instructions});
   }
 
   /// The raw ring storage. Insertion order is only chronological while the

@@ -2,7 +2,6 @@
 
 #include "dist/distributed_network.hpp"
 #include "local/network.hpp"
-#include "runtime/parallel_network.hpp"
 #include "support/check.hpp"
 
 namespace ds::runtime {
@@ -13,26 +12,22 @@ std::unique_ptr<local::Executor> build_executor(const RuntimeConfig& config,
                                                 const graph::Graph& g,
                                                 local::IdStrategy strategy,
                                                 std::uint64_t seed) {
-  switch (config.kind) {
-    case RuntimeKind::kParallel:
-      return std::make_unique<ParallelNetwork>(g, strategy, seed,
-                                               config.threads);
-    case RuntimeKind::kMultiProcess: {
-      dist::DistributedConfig dconfig;
-      dconfig.workers = config.workers;
-      if (config.halo_words != 0) {
-        dconfig.halo_words_per_port = config.halo_words;
-      }
-      if (config.gather_words != 0) {
-        dconfig.gather_words_per_node = config.gather_words;
-      }
-      return std::make_unique<dist::DistributedNetwork>(g, strategy, seed,
-                                                        dconfig);
-    }
-    case RuntimeKind::kSequential:
-      break;
+  if (config.kind == RuntimeKind::kSequential) {
+    return std::make_unique<local::Network>(g, strategy, seed);
   }
-  return std::make_unique<local::Network>(g, strategy, seed);
+  const bool threads = config.kind == RuntimeKind::kParallel;
+  dist::DistributedConfig dconfig;
+  dconfig.workers = threads ? config.threads : config.workers;
+  dconfig.spawn =
+      threads ? dist::RankSpawn::kThread : dist::RankSpawn::kProcess;
+  if (config.halo_words != 0) {
+    dconfig.halo_words_per_port = config.halo_words;
+  }
+  if (config.gather_words != 0) {
+    dconfig.gather_words_per_node = config.gather_words;
+  }
+  return std::make_unique<dist::DistributedNetwork>(g, strategy, seed,
+                                                    dconfig);
 }
 
 /// `--key=N` as a count, N >= 0 (0 when absent: the executor's default).
@@ -53,9 +48,9 @@ RuntimeConfig runtime_from_options(const Options& opts) {
     config.kind = RuntimeKind::kMultiProcess;
   } else {
     DS_CHECK_MSG(name == "sequential",
-                 "--runtime must be 'sequential', 'parallel' or 'mp' (TCP "
-                 "fleets run through distsplit_rank --hosts=FILE --rank=R "
-                 "or --local=N)");
+                 "--runtime must be 'sequential', 'parallel' (thread ranks) "
+                 "or 'mp' (forked ranks); TCP fleets run through "
+                 "distsplit_rank --hosts=FILE --rank=R or --local=N");
   }
   config.threads = count_flag(opts, "threads");
   config.workers = count_flag(opts, "workers");
@@ -85,7 +80,8 @@ std::string runtime_description(const RuntimeConfig& config) {
   switch (config.kind) {
     case RuntimeKind::kParallel:
       return "parallel(" +
-             std::to_string(ParallelNetwork::resolve_threads(config.threads)) +
+             std::to_string(
+                 dist::DistributedNetwork::resolve_workers(config.threads)) +
              " threads)";
     case RuntimeKind::kMultiProcess:
       return "mp(" +

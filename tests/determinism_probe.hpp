@@ -5,9 +5,8 @@
 /// halting, per-node randomness, and a mix of empty and non-empty messages —
 /// sensitive to any delivery, ordering, or stale-slot bug in an executor.
 /// The digest is the full per-node history. Used by tests/test_runtime.cpp
-/// (thread-parallel executor), tests/test_dist.cpp (multi-process executor)
-/// and tests/test_net_tcp.cpp (TCP executor) so the suites cannot drift
-/// apart.
+/// (thread ranks), tests/test_dist.cpp (forked ranks) and
+/// tests/test_net_tcp.cpp (TCP executor) so the suites cannot drift apart.
 
 #include <memory>
 #include <vector>

@@ -1,12 +1,20 @@
-// Tests for the multi-process executor: the determinism contract — for a
+// Tests for the multi-rank executor: the determinism contract — for a
 // fixed (graph, IdStrategy, seed), DistributedNetwork must produce
 // bit-identical per-node outputs, round counts and RoundStats to the
 // sequential Network at every worker count — plus the executor-portable
-// output gather, the abort paths, and a >= 100k-node stress instance.
+// output gather, the abort paths on forked and thread ranks, program
+// residency per spawn, and a >= 100k-node stress instance. The thread-rank
+// determinism suite is tests/test_runtime.cpp.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "coloring/randcolor.hpp"
@@ -23,10 +31,21 @@
 namespace ds::dist {
 namespace {
 
-// The probe program is shared with the thread-runtime determinism suite
+// The probe program is shared with the thread-rank determinism suite
 // (tests/determinism_probe.hpp), so the two suites pin the same traffic
 // pattern against every executor.
 using probes::probe_factory;
+
+DistributedConfig spawned(RankSpawn spawn, std::size_t workers) {
+  DistributedConfig config;
+  config.workers = workers;
+  config.spawn = spawn;
+  return config;
+}
+
+const char* spawn_name(RankSpawn spawn) {
+  return spawn == RankSpawn::kThread ? "threads" : "processes";
+}
 
 local::OutputFn probe_output_fn() {
   return [](graph::NodeId, const local::NodeProgram& p,
@@ -186,23 +205,78 @@ TEST(DistributedNetwork, CostMeterAndReuse) {
 
 TEST(DistributedNetwork, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
-  DistributedConfig config;
-  config.workers = 2;
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, config);
-  EXPECT_THROW(net.run(probe_factory(), 2), ds::CheckError);
-  // The executor must stay usable after the aborted fleet is torn down.
-  EXPECT_GT(net.run(probe_factory(), 100), 2u);
+  for (const RankSpawn spawn : {RankSpawn::kProcess, RankSpawn::kThread}) {
+    DistributedNetwork net(g, local::IdStrategy::kSequential, 1,
+                           spawned(spawn, 2));
+    try {
+      net.run(probe_factory(), 2);
+      ADD_FAILURE() << spawn_name(spawn) << ": expected a round-limit abort";
+    } catch (const ds::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("distributed run failed: "), std::string::npos)
+          << spawn_name(spawn) << ": " << what;
+      EXPECT_NE(what.find("max_rounds"), std::string::npos)
+          << spawn_name(spawn) << ": " << what;
+    }
+    // The executor must stay usable after the aborted fleet is torn down.
+    EXPECT_GT(net.run(probe_factory(), 100), 2u) << spawn_name(spawn);
+  }
 }
 
-TEST(DistributedNetwork, HaloOverflowAbortsCleanly) {
-  // A program whose cut messages exceed the transport reservation must fail
-  // loudly (naming the knob) in every worker, not hang or corrupt.
-  const auto g = graph::gen::complete(16);
-  DistributedConfig config;
-  config.workers = 2;
-  config.halo_words_per_port = 1;  // floor is 64 words/pair; send > that
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 5, config);
-  const auto chatty = [](const local::NodeEnv& env) {
+TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
+  // A factory throw in rank 0 (the caller) or in rank 1 becomes the
+  // collective abort: every rank is joined or reaped, the caller throws
+  // with the first message, and the executor stays usable.
+  const auto g = graph::gen::torus(8, 8);
+  for (const RankSpawn spawn : {RankSpawn::kProcess, RankSpawn::kThread}) {
+    DistributedNetwork net(g, local::IdStrategy::kSequential, 1,
+                           spawned(spawn, 2));
+    for (const std::size_t failing : {0u, 1u}) {
+      const graph::NodeId victim = net.partition().first_node(failing);
+      const local::ProgramFactory probe = probe_factory();
+      try {
+        net.run(
+            [&](const local::NodeEnv& env) {
+              DS_CHECK_MSG(env.node != victim, "factory boom");
+              return probe(env);
+            },
+            100);
+        ADD_FAILURE() << spawn_name(spawn) << ": rank " << failing
+                      << " failure did not abort the run";
+      } catch (const ds::CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("distributed run failed: "), std::string::npos)
+            << spawn_name(spawn) << ": " << what;
+        EXPECT_NE(what.find("factory boom"), std::string::npos)
+            << spawn_name(spawn) << ": " << what;
+      }
+      EXPECT_GT(net.run(probe_factory(), 100), 0u) << spawn_name(spawn);
+    }
+  }
+  // A throw that is no std::exception still aborts every thread rank.
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 1,
+                         spawned(RankSpawn::kThread, 2));
+  const graph::NodeId victim = net.partition().first_node(1);
+  const local::ProgramFactory probe = probe_factory();
+  try {
+    net.run(
+        [&](const local::NodeEnv& env) {
+          if (env.node == victim) throw 42;
+          return probe(env);
+        },
+        100);
+    ADD_FAILURE() << "a non-std throw did not abort the run";
+  } catch (const ds::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown rank exception"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_GT(net.run(probe_factory(), 100), 0u);
+}
+
+/// A program that writes 64 words on every port, then halts.
+local::ProgramFactory chatty_factory() {
+  return [](const local::NodeEnv& env) {
     class Chatty final : public local::NodeProgram {
      public:
       explicit Chatty(std::size_t degree) : degree_(degree) {}
@@ -223,11 +297,23 @@ TEST(DistributedNetwork, HaloOverflowAbortsCleanly) {
     };
     return std::make_unique<Chatty>(env.degree);
   };
-  try {
-    net.run(chatty, 10);
-    FAIL() << "expected halo overflow";
-  } catch (const ds::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("halo"), std::string::npos);
+}
+
+TEST(DistributedNetwork, HaloOverflowAbortsCleanly) {
+  // A program whose cut messages exceed the transport reservation must fail
+  // loudly (naming the knob) in every rank, not hang or corrupt.
+  const auto g = graph::gen::complete(16);
+  for (const RankSpawn spawn : {RankSpawn::kProcess, RankSpawn::kThread}) {
+    DistributedConfig config = spawned(spawn, 2);
+    config.halo_words_per_port = 1;  // floor is 64 words/pair; send > that
+    DistributedNetwork net(g, local::IdStrategy::kSequential, 5, config);
+    try {
+      net.run(chatty_factory(), 10);
+      ADD_FAILURE() << spawn_name(spawn) << ": expected halo overflow";
+    } catch (const ds::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("halo"), std::string::npos)
+          << spawn_name(spawn) << ": " << e.what();
+    }
   }
 }
 
@@ -243,6 +329,23 @@ TEST(DistributedNetwork, ProgramAccessorIsOwnerLocal) {
   // ...another worker's nodes live in a process that no longer exists.
   const graph::NodeId theirs = net.partition().first_node(1);
   EXPECT_THROW((void)net.program(theirs), ds::CheckError);
+}
+
+TEST(DistributedNetwork, ThreadRanksKeepEveryProgramResident) {
+  // Thread ranks share the caller's address space, so program(v) serves
+  // every node after the run, equal to the sequential executor's.
+  const auto g = graph::gen::torus(8, 8);
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 4,
+                         spawned(RankSpawn::kThread, 2));
+  net.run(probe_factory(), 100);
+  local::Network seq(g, local::IdStrategy::kSequential, 4);
+  seq.run(probe_factory(), 100);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto& got = static_cast<const probes::ProbeBase&>(net.program(v));
+    const auto& want = static_cast<const probes::ProbeBase&>(seq.program(v));
+    EXPECT_EQ(got.digest(), want.digest()) << v;
+  }
+  EXPECT_THROW((void)net.program(g.num_nodes()), ds::CheckError);
 }
 
 TEST(DistributedNetwork, WorkerZeroConstructsOnlyItsOwnedPrograms) {
@@ -261,6 +364,44 @@ TEST(DistributedNetwork, WorkerZeroConstructsOnlyItsOwnedPrograms) {
       },
       100);
   EXPECT_EQ(calls, net.partition().num_nodes(0));
+}
+
+TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
+  // Thread ranks call the factory concurrently, each for its own range
+  // only: every rank's count equals its range, rank 0's range is built on
+  // the calling thread, and every other rank's on one thread of its own.
+  const auto g = graph::gen::torus(10, 10);
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 4,
+                         spawned(RankSpawn::kThread, 4));
+  const std::size_t ranks = net.num_workers();
+  ASSERT_EQ(ranks, 4u);
+  std::vector<std::atomic<std::size_t>> calls(ranks);
+  std::mutex mu;
+  std::map<std::thread::id, std::set<std::size_t>> ranks_by_thread;
+  const local::ProgramFactory probe = probe_factory();
+  net.run(
+      [&](const local::NodeEnv& env) {
+        const std::size_t w = net.partition().owner(env.node);
+        calls[w].fetch_add(1, std::memory_order_relaxed);
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          ranks_by_thread[std::this_thread::get_id()].insert(w);
+        }
+        return probe(env);
+      },
+      100);
+  for (std::size_t w = 0; w < ranks; ++w) {
+    EXPECT_EQ(calls[w].load(), net.partition().num_nodes(w)) << "rank " << w;
+  }
+  ASSERT_EQ(ranks_by_thread.size(), ranks);
+  const std::set<std::size_t> rank0 = {0};
+  EXPECT_EQ(ranks_by_thread[std::this_thread::get_id()], rank0);
+  std::set<std::size_t> seen;
+  for (const auto& [thread, owned] : ranks_by_thread) {
+    EXPECT_EQ(owned.size(), 1u);
+    seen.insert(owned.begin(), owned.end());
+  }
+  EXPECT_EQ(seen.size(), ranks);
 }
 
 TEST(DistributedNetwork, DegenerateInstances) {
@@ -324,19 +465,31 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
 
 TEST(DistributedNetwork, TransportKnobsReachTheExecutor) {
   // --halo-words / --gather-words are the escape hatch the overflow
-  // messages name; they must parse and actually relax the reservations.
-  const char* argv[] = {"x", "--runtime=mp", "--workers=2",
-                        "--halo-words=1024", "--gather-words=512"};
-  const auto config = runtime::runtime_from_options(Options(5, argv));
-  EXPECT_EQ(config.halo_words, 1024u);
-  EXPECT_EQ(config.gather_words, 512u);
-  const auto factory = runtime::make_executor_factory(config);
-  const auto g = graph::gen::torus(8, 8);
-  const auto exec =
-      factory(g, local::IdStrategy::kSequential, 3);
-  exec->set_output_fn(probe_output_fn());
-  local::Network seq(g, local::IdStrategy::kSequential, 3);
-  EXPECT_EQ(probe_digests(*exec), probe_digests(seq));
+  // messages name; they must parse and reach both multi-rank runtimes.
+  for (const char* runtime : {"--runtime=mp", "--runtime=parallel"}) {
+    const char* argv[] = {"x", runtime, "--workers=2", "--threads=2",
+                          "--halo-words=1024", "--gather-words=512"};
+    const auto config = runtime::runtime_from_options(Options(6, argv));
+    EXPECT_EQ(config.halo_words, 1024u);
+    EXPECT_EQ(config.gather_words, 512u);
+    const auto factory = runtime::make_executor_factory(config);
+    const auto g = graph::gen::torus(8, 8);
+    const auto exec = factory(g, local::IdStrategy::kSequential, 3);
+    exec->set_output_fn(probe_output_fn());
+    local::Network seq(g, local::IdStrategy::kSequential, 3);
+    EXPECT_EQ(probe_digests(*exec), probe_digests(seq)) << runtime;
+
+    // A reservation below the chatty program's demand must overflow: the
+    // knob really sized the transport.
+    const char* argv_tight[] = {"x", runtime, "--workers=2", "--threads=2",
+                                "--halo-words=1"};
+    const auto k16 = graph::gen::complete(16);
+    const auto tight = runtime::make_executor_factory(
+        runtime::runtime_from_options(Options(5, argv_tight)))(
+        k16, local::IdStrategy::kSequential, 5);
+    EXPECT_THROW(tight->run(chatty_factory(), 10), ds::CheckError)
+        << runtime;
+  }
 }
 
 TEST(DistributedNetwork, PartitionStatsExposed) {

@@ -1,13 +1,12 @@
 // Tests for dist::Partition and the halo routing tables: fuzzing on
 // gnp / Barabási–Albert / geometric instances asserting that every edge is
 // either internal or appears exactly once in each endpoint's halo table,
-// degenerate shapes (n < workers, isolated nodes, a single hub star), the
-// shared degree-balanced boundary helper, PartitionStats, an in-process
-// ship/patch roundtrip of the HaloTransport — plus the in-situ scale path's
-// two core determinism claims: for every generator family the union of all
-// ranks' shards equals the sequential edge set at 1/2/4 ranks, and
-// `Partition::rank_local` reproduces the full constructor's own-rank
-// routing tables exactly.
+// degenerate shapes (n < workers, isolated nodes, a single hub star),
+// PartitionStats, an in-process ship/patch roundtrip of the HaloTransport —
+// plus the in-situ scale path's two core determinism claims: for every
+// generator family the union of all ranks' shards equals the sequential
+// edge set at 1/2/4 ranks, and `Partition::rank_local` reproduces the full
+// constructor's own-rank routing tables exactly.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "graph/insitu.hpp"
 #include "local/topology.hpp"
 #include "net/insitu_runner.hpp"
-#include "runtime/parallel_network.hpp"
 #include "support/check.hpp"
 
 namespace ds::dist {
@@ -168,24 +166,6 @@ TEST(Partition, DegenerateShapes) {
   // Single node, and the empty graph.
   check_partition(graph::Graph(1), 2);
   check_partition(graph::Graph(0), 2);
-}
-
-TEST(Partition, SharedBoundaryHelperMatchesParallelNetwork) {
-  // The extracted helper is the same splitting rule ParallelNetwork shards
-  // by, and both executors report the same stats struct for equal splits.
-  Rng rng(13);
-  const auto g = graph::gen::barabasi_albert(500, 4, rng);
-  const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 1);
-  runtime::ParallelNetwork net(g, local::IdStrategy::kSequential, 1, 2);
-  EXPECT_EQ(net.shard_boundaries(),
-            degree_balanced_boundaries(topo.port_offsets(),
-                                       net.shard_boundaries().size() - 1));
-  const PartitionStats from_net = net.shard_stats();
-  const PartitionStats direct = partition_stats(g, topo.port_offsets(),
-                                                net.shard_boundaries());
-  EXPECT_EQ(from_net.cut_edges, direct.cut_edges);
-  EXPECT_EQ(from_net.internal_edges, direct.internal_edges);
-  EXPECT_DOUBLE_EQ(from_net.balance_factor, direct.balance_factor);
 }
 
 // ---- In-process transport roundtrip --------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the writer-style message path: Outbox/Inbox semantics (empty
 // messages, max-degree nodes, per-port varying lengths, broadcast, contract
 // violations), degree-balanced shard boundaries on skewed graphs, and the
-// zero-allocation guarantee of the migrated send path (asserted through a
-// global operator-new counting hook — this binary must not be merged with
-// other test binaries).
+// zero-allocation guarantee of the send path of the sequential executor
+// and of the rank loop on thread ranks (asserted through a global
+// operator-new counting hook — this binary must not be merged with other
+// test binaries).
 
 #include <gtest/gtest.h>
 
@@ -17,14 +18,15 @@
 #include "graph/generators.hpp"
 #include "local/message_arena.hpp"
 #include "local/network.hpp"
-#include "runtime/parallel_network.hpp"
+#include "runtime/select.hpp"
 #include "support/check.hpp"
 
 // ---- Global allocation counter -------------------------------------------
-// Counts every scalar/array non-aligned heap allocation in the binary. The
-// steady-state round loop of both executors must not allocate when running
-// writer-API programs, which the AllocationCounting tests assert by
-// comparing the allocation counts of a short and a long run.
+// Counts every scalar/array non-aligned heap allocation in the binary, on
+// every thread. The steady-state round loop of both the sequential executor
+// and the rank loop must not allocate when running writer-API programs,
+// which the AllocationCounting tests assert by comparing the allocation
+// counts of a short and a long run.
 
 // GCC pairs the replaced operator new (malloc-backed) with the free() in the
 // replaced operator delete and misreports a mismatch at every delete site.
@@ -57,6 +59,17 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ds {
 namespace {
+
+/// The executor `--runtime=parallel --threads=threads` builds.
+std::unique_ptr<local::Executor> threaded(const graph::Graph& g,
+                                          local::IdStrategy strategy,
+                                          std::uint64_t seed,
+                                          std::size_t threads) {
+  runtime::RuntimeConfig config;
+  config.kind = runtime::RuntimeKind::kParallel;
+  config.threads = threads;
+  return runtime::make_executor_factory(config)(g, strategy, seed);
+}
 
 // ---- Outbox / Inbox unit tests -------------------------------------------
 
@@ -231,9 +244,9 @@ TEST(WriterApi, VaryingLengthsOnStarMaxDegreeHub) {
   graph::Graph g(64);
   for (graph::NodeId v = 1; v < 64; ++v) g.add_edge(0, v);
   for (std::size_t threads : {1, 2, 8}) {
-    runtime::ParallelNetwork par(g, local::IdStrategy::kRandomPermutation, 3,
-                                 threads);
-    expect_varying_lengths_deliver(par);
+    const auto par =
+        threaded(g, local::IdStrategy::kRandomPermutation, 3, threads);
+    expect_varying_lengths_deliver(*par);
   }
   local::Network seq(g, local::IdStrategy::kRandomPermutation, 3);
   expect_varying_lengths_deliver(seq);
@@ -244,8 +257,8 @@ TEST(WriterApi, VaryingLengthsOnGnp) {
   const auto g = graph::gen::gnp(300, 0.02, rng);
   local::Network seq(g, local::IdStrategy::kSequential, 11);
   expect_varying_lengths_deliver(seq);
-  runtime::ParallelNetwork par(g, local::IdStrategy::kSequential, 11, 4);
-  expect_varying_lengths_deliver(par);
+  const auto par = threaded(g, local::IdStrategy::kSequential, 11, 4);
+  expect_varying_lengths_deliver(*par);
 }
 
 // ---- Degree-balanced shard boundaries ------------------------------------
@@ -290,18 +303,6 @@ TEST(DegreeBalancedShards, CoverSkewedGraphsExactlyOnce) {
           << "shard " << s << "/" << shards << " overloaded";
     }
   }
-}
-
-TEST(DegreeBalancedShards, ParallelNetworkUsesThem) {
-  Rng rng(78);
-  const auto g = graph::gen::barabasi_albert(2000, 3, rng);
-  runtime::ParallelNetwork net(g, local::IdStrategy::kSequential, 1, 4);
-  const auto& bounds = net.shard_boundaries();
-  ASSERT_GE(bounds.size(), 2u);
-  EXPECT_EQ(bounds.front(), 0u);
-  EXPECT_EQ(bounds.back(), g.num_nodes());
-  EXPECT_EQ(bounds, dist::degree_balanced_boundaries(
-                        net.topology().port_offsets(), bounds.size() - 1));
 }
 
 // ---- Zero-allocation send path -------------------------------------------
@@ -359,13 +360,16 @@ TEST(AllocationCounting, SequentialSendPathIsZeroAllocPerRound) {
 }
 
 TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
+  // Thread ranks run `dist::run_rank_loop`, the loop TCP, in-situ and
+  // served runs share, and the hook counts every rank's allocations: the
+  // per-run ones (threads, programs, arenas) are equal for both runs, so
+  // 40 extra rounds must add exactly nothing on any rank.
   const auto g = graph::gen::torus(24, 24);
-  for (std::size_t threads : {1, 2}) {
-    runtime::ParallelNetwork net(g, local::IdStrategy::kSequential, 9,
-                                 threads);
-    net.run(fixed_round_factory(48), 49);
-    const std::size_t short_run = allocations_of_run(net, 8);
-    const std::size_t long_run = allocations_of_run(net, 48);
+  for (std::size_t threads : {1, 2, 4}) {
+    const auto net = threaded(g, local::IdStrategy::kSequential, 9, threads);
+    net->run(fixed_round_factory(48), 49);
+    const std::size_t short_run = allocations_of_run(*net, 8);
+    const std::size_t long_run = allocations_of_run(*net, 48);
     EXPECT_EQ(long_run, short_run) << "threads=" << threads;
   }
 }

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/registry.hpp"
@@ -442,6 +445,8 @@ TEST(Recorder, SequentialRunEmitsSpansAndValidJson) {
 }
 
 TEST(Recorder, ParallelStatsShowOnlyRecordedPhasesWithinTheRound) {
+  // Thread ranks run the rank loop, so the table shows exactly its six
+  // phases — no all-zero rows — and every phase nests in its lane's round.
   const graph::Graph g = graph::gen::torus(64, 64);
   Recorder rec;
   runtime::RuntimeConfig config;
@@ -455,16 +460,12 @@ TEST(Recorder, ParallelStatsShowOnlyRecordedPhasesWithinTheRound) {
   rec.write_stats_table(table);
   std::istringstream lines(table.str());
   std::string line;
-  std::size_t phase_rows = 0;
+  std::set<std::string> phase_rows;
   while (std::getline(lines, line)) {
     std::istringstream row(line);
     std::string name;
     row >> name;
-    EXPECT_NE(name.rfind("perf.round.", 0), 0u)
-        << "parallel perf counters accrue to the epoch only: " << line;
-    if (name.rfind("phase.", 0) != 0 && name.rfind("shard.", 0) != 0) {
-      continue;
-    }
+    if (name.rfind("phase.", 0) != 0) continue;
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t min = 0;
@@ -472,14 +473,49 @@ TEST(Recorder, ParallelStatsShowOnlyRecordedPhasesWithinTheRound) {
     double mean = 0;
     std::string share;
     row >> count >> sum >> min >> max >> mean >> share;
-    ++phase_rows;
+    phase_rows.insert(name);
     EXPECT_GT(count, 0u) << "all-zero row: " << line;
     ASSERT_FALSE(share.empty()) << line;
     ASSERT_EQ(share.back(), '%') << line;
     EXPECT_LE(std::stod(share), 100.0) << line;
   }
-  // phase.round.us, phase.epoch.us and shard.straggler.us.
-  EXPECT_EQ(phase_rows, 3u) << table.str();
+  const std::set<std::string> expected = {
+      "phase.round.us", "phase.send.us",  "phase.ship.us",
+      "phase.barrier.us", "phase.patch.us", "phase.receive.us"};
+  EXPECT_EQ(phase_rows, expected) << table.str();
+}
+
+TEST(Recorder, ParallelRunLanesShareOneTimebase) {
+  // Thread ranks 1..3 record on rank 0's clock. Every rank's round r
+  // contains the release of that round's ship barrier, so each lane's round
+  // span overlaps rank 0's for the same round (1 us slack for the
+  // microsecond truncation). A lane whose clock started at the run would
+  // sit the 50 ms this recorder lived before it earlier.
+  const graph::Graph g = graph::gen::torus(64, 64);
+  Recorder rec;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  runtime::RuntimeConfig config;
+  config.kind = runtime::RuntimeKind::kParallel;
+  config.threads = 4;
+  const algo::Result result =
+      algo::execute(mis_spec(), context_for(g, &rec, config));
+  ASSERT_TRUE(result.verified);
+
+  std::map<std::pair<std::uint32_t, std::uint64_t>, TraceEvent> rounds;
+  for (const TraceEvent& e : rec.events()) {
+    if (e.phase == Phase::kRound) rounds[{e.lane, e.round}] = e;
+  }
+  ASSERT_EQ(rounds.size(), 4 * result.executed_rounds);
+  for (std::uint64_t r = 0; r < result.executed_rounds; ++r) {
+    const TraceEvent& rank0 = rounds.at({0, r});
+    for (std::uint32_t lane = 1; lane < 4; ++lane) {
+      const TraceEvent& e = rounds.at({lane, r});
+      EXPECT_LE(e.ts_us, rank0.ts_us + rank0.dur_us + 1)
+          << "lane " << lane << " round " << r;
+      EXPECT_LE(rank0.ts_us, e.ts_us + e.dur_us + 1)
+          << "lane " << lane << " round " << r;
+    }
+  }
 }
 
 TEST(Recorder, MpRunHasOneLanePerWorkerAndMonotoneTimestamps) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -470,15 +471,33 @@ TEST(HttpServer, StatusServedConcurrentlyWithLiveFourRankRun) {
         std::atomic<bool> stop{false};
         std::atomic<int> bad{0};
         std::atomic<int> served{0};
+        std::atomic<int> ok{0};
         std::thread hammer([&] {
           while (!stop.load(std::memory_order_acquire)) {
             for (const char* path : {"/status", "/metrics"}) {
               const HttpResponse r = http_get(server.port(), path);
-              if (r.status != 200) bad.fetch_add(1);
+              if (r.status != 200) {
+                bad.fetch_add(1);
+              } else {
+                ok.fetch_add(1);
+              }
               served.fetch_add(1);
             }
           }
         });
+        // The run may be shorter than one scrape: start it only once the
+        // hammer is serving, so scrapes overlap it. The deadline stays well
+        // inside the peers' handshake timeout.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (ok.load() == 0) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            stop.store(true, std::memory_order_release);
+            hammer.join();
+            return 96;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
 
         net::TcpNetwork net(g, local::IdStrategy::kSequential, 7,
                             rank_config(std::move(lr)));

@@ -1,74 +1,45 @@
-// Tests for the parallel execution runtime: the ThreadPool epoch barrier,
-// RoundStats accounting, and above all the determinism contract — for a
-// fixed (graph, IdStrategy, seed), ParallelNetwork must produce bit-identical
-// per-node outputs and round counts to the sequential Network at every
-// thread count.
+// Tests for the thread-rank runtime (`--runtime=parallel`): RoundStats
+// accounting, runtime selection, and above all the determinism contract —
+// for a fixed (graph, IdStrategy, seed), T thread ranks running the shared
+// rank loop must produce bit-identical per-node outputs and round counts to
+// the sequential Network at every thread count.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "coloring/randcolor.hpp"
 #include "determinism_probe.hpp"
+#include "dist/distributed_network.hpp"
 #include "graph/generators.hpp"
 #include "local/network.hpp"
 #include "local/round_stats.hpp"
 #include "mis/mis.hpp"
-#include "runtime/parallel_network.hpp"
 #include "runtime/select.hpp"
-#include "runtime/thread_pool.hpp"
 #include "support/check.hpp"
 
 namespace ds::runtime {
 namespace {
 
-// ---- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
-  for (std::size_t threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.num_threads(), threads);
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h.store(0);
-    pool.parallel_for(hits.size(),
-                      [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossEpochs) {
-  ThreadPool pool(4);
-  std::atomic<std::size_t> total{0};
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    pool.parallel_for(10, [&](std::size_t i) { total.fetch_add(i); });
-  }
-  EXPECT_EQ(total.load(), 50u * 45u);
-}
-
-TEST(ThreadPool, PropagatesChunkExceptions) {
-  for (std::size_t threads : {1, 4}) {
-    ThreadPool pool(threads);
-    EXPECT_THROW(pool.parallel_for(64,
-                                   [&](std::size_t i) {
-                                     DS_CHECK_MSG(i != 13, "boom");
-                                   }),
-                 ds::CheckError);
-    // The pool must stay usable after a poisoned epoch.
-    std::atomic<int> count{0};
-    pool.parallel_for(8, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 8);
-  }
+/// The executor `--runtime=parallel --threads=threads` builds.
+std::unique_ptr<local::Executor> threaded(const graph::Graph& g,
+                                          local::IdStrategy strategy,
+                                          std::uint64_t seed,
+                                          std::size_t threads) {
+  RuntimeConfig config;
+  config.kind = RuntimeKind::kParallel;
+  config.threads = threads;
+  return make_executor_factory(config)(g, strategy, seed);
 }
 
 // ---- Determinism suite ---------------------------------------------------
 
 // The probe program lives in determinism_probe.hpp, shared with the
-// multi-process determinism suite (tests/test_dist.cpp); both executors
-// must produce the same digests.
+// forked-rank determinism suite (tests/test_dist.cpp); both spawns must
+// produce the same digests. Reading them through `program(v)` also pins
+// that thread ranks keep every node's program resident.
 using probes::probe_factory;
 
 std::vector<std::uint64_t> probe_digests(local::Executor& exec,
@@ -89,51 +60,51 @@ void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
   std::size_t seq_rounds = 0;
   const auto expected = probe_digests(sequential, &seq_rounds);
   for (std::size_t threads : {1, 2, 8}) {
-    ParallelNetwork parallel(g, strategy, seed, threads);
-    EXPECT_EQ(parallel.uids(), sequential.uids());
+    const auto parallel = threaded(g, strategy, seed, threads);
+    EXPECT_EQ(parallel->uids(), sequential.uids());
     std::size_t par_rounds = 0;
-    const auto got = probe_digests(parallel, &par_rounds);
+    const auto got = probe_digests(*parallel, &par_rounds);
     EXPECT_EQ(par_rounds, seq_rounds) << "threads=" << threads;
     EXPECT_EQ(got, expected) << "threads=" << threads;
   }
 }
 
-TEST(ParallelNetworkDeterminism, Gnp) {
+TEST(ThreadRanksDeterminism, Gnp) {
   Rng rng(7);
   const auto g = graph::gen::gnp(400, 0.02, rng);
   expect_bit_identical(g, local::IdStrategy::kRandomPermutation, 11);
 }
 
-TEST(ParallelNetworkDeterminism, Torus) {
+TEST(ThreadRanksDeterminism, Torus) {
   const auto g = graph::gen::torus(24, 24);
   expect_bit_identical(g, local::IdStrategy::kSequential, 3);
 }
 
-TEST(ParallelNetworkDeterminism, RandomBiregular) {
+TEST(ThreadRanksDeterminism, RandomBiregular) {
   Rng rng(5);
   const auto b = graph::gen::random_biregular(150, 300, 6, rng);
   expect_bit_identical(b.unified(), local::IdStrategy::kDegreeDescending, 9);
 }
 
-TEST(ParallelNetworkDeterminism, BarabasiAlbertSkew) {
+TEST(ThreadRanksDeterminism, BarabasiAlbertSkew) {
   // Preferential attachment: heavily skewed degrees, the worst case for
-  // shard balancing — hub nodes own a large share of all ports.
+  // rank balancing — hub nodes own a large share of all ports.
   Rng rng(13);
   const auto g = graph::gen::barabasi_albert(3000, 4, rng);
   expect_bit_identical(g, local::IdStrategy::kRandomPermutation, 17);
 }
 
-TEST(ParallelNetworkDeterminism, StressHundredThousandNodes) {
+TEST(ThreadRanksDeterminism, StressHundredThousandNodes) {
   // >= 100k nodes: torus 370x370 = 136,900.
   const auto g = graph::gen::torus(370, 370);
   local::Network sequential(g, local::IdStrategy::kSequential, 123);
   const auto expected = probe_digests(sequential);
-  ParallelNetwork parallel(g, local::IdStrategy::kSequential, 123, 8);
-  EXPECT_EQ(probe_digests(parallel), expected);
+  const auto parallel = threaded(g, local::IdStrategy::kSequential, 123, 8);
+  EXPECT_EQ(probe_digests(*parallel), expected);
 }
 
 // Algorithm-level equality through the ExecutorFactory plumbing.
-TEST(ParallelNetworkDeterminism, LubyAndTrialColoring) {
+TEST(ThreadRanksDeterminism, LubyAndTrialColoring) {
   Rng rng(2);
   const auto g = graph::gen::random_regular(512, 8, rng);
   RuntimeConfig config;
@@ -157,32 +128,32 @@ TEST(ParallelNetworkDeterminism, LubyAndTrialColoring) {
 
 // ---- Executor behavior ---------------------------------------------------
 
-TEST(ParallelNetwork, ThrowsWhenRoundLimitHit) {
+TEST(ThreadRanks, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
-  ParallelNetwork net(g, local::IdStrategy::kSequential, 1, 2);
-  EXPECT_THROW(net.run(probe_factory(), 2), ds::CheckError);
+  const auto net = threaded(g, local::IdStrategy::kSequential, 1, 2);
+  EXPECT_THROW(net->run(probe_factory(), 2), ds::CheckError);
 }
 
-TEST(ParallelNetwork, CostMeterAndReuse) {
+TEST(ThreadRanks, CostMeterAndReuse) {
   const auto g = graph::gen::torus(8, 8);
-  ParallelNetwork net(g, local::IdStrategy::kSequential, 4, 2);
+  const auto net = threaded(g, local::IdStrategy::kSequential, 4, 2);
   local::CostMeter meter;
-  const std::size_t r1 = net.run(probe_factory(), 100, &meter);
+  const std::size_t r1 = net->run(probe_factory(), 100, &meter);
   EXPECT_EQ(meter.executed_rounds(), r1);
   // Re-running on the same executor must be deterministic too.
-  const auto first = probe_digests(net);
-  const auto second = probe_digests(net);
+  const auto first = probe_digests(*net);
+  const auto second = probe_digests(*net);
   EXPECT_EQ(first, second);
 }
 
-TEST(ParallelNetwork, RoundStatsAreExact) {
+TEST(ThreadRanks, RoundStatsAreExact) {
   // Small 4-regular torus: counts are bounded and predictable modulo the
   // probe's silent-port rule.
   const auto g = graph::gen::torus(6, 6);
-  ParallelNetwork net(g, local::IdStrategy::kSequential, 21, 3);
+  const auto net = threaded(g, local::IdStrategy::kSequential, 21, 3);
   std::vector<local::RoundStats> stats;
-  net.set_stats_sink([&](const local::RoundStats& s) { stats.push_back(s); });
-  const std::size_t rounds = net.run(probe_factory(), 100);
+  net->set_stats_sink([&](const local::RoundStats& s) { stats.push_back(s); });
+  const std::size_t rounds = net->run(probe_factory(), 100);
   ASSERT_EQ(stats.size(), rounds);
   for (std::size_t r = 0; r < stats.size(); ++r) {
     EXPECT_EQ(stats[r].round, r);
@@ -194,12 +165,11 @@ TEST(ParallelNetwork, RoundStatsAreExact) {
   }
   EXPECT_EQ(stats[0].live_nodes, g.num_nodes());
 
-  // Cross-check message totals against the sequential reference by
-  // re-deriving them from a sequential run's deliveries... the probe is
-  // deterministic, so totals must match a second parallel run exactly.
+  // The probe is deterministic, so totals must match a second run on the
+  // same executor exactly.
   std::vector<local::RoundStats> again;
-  net.set_stats_sink([&](const local::RoundStats& s) { again.push_back(s); });
-  net.run(probe_factory(), 100);
+  net->set_stats_sink([&](const local::RoundStats& s) { again.push_back(s); });
+  net->run(probe_factory(), 100);
   ASSERT_EQ(again.size(), stats.size());
   for (std::size_t r = 0; r < stats.size(); ++r) {
     EXPECT_EQ(again[r].messages, stats[r].messages);
@@ -209,19 +179,19 @@ TEST(ParallelNetwork, RoundStatsAreExact) {
 }
 
 TEST(RoundStats, SequentialAndParallelExecutorsAgree) {
-  // The stats hook is part of the Executor interface now: the sequential
+  // The stats hook is part of the Executor interface: the sequential
   // Network must report the same per-round message/payload/live counts as
-  // the parallel executor for the same deterministic program.
+  // the thread ranks for the same deterministic program.
   Rng rng(31);
   const auto g = graph::gen::gnp(200, 0.03, rng);
   local::Network seq(g, local::IdStrategy::kSequential, 8);
-  ParallelNetwork par(g, local::IdStrategy::kSequential, 8, 3);
+  const auto par = threaded(g, local::IdStrategy::kSequential, 8, 3);
   std::vector<local::RoundStats> seq_stats;
   std::vector<local::RoundStats> par_stats;
   seq.set_stats_sink([&](const local::RoundStats& s) { seq_stats.push_back(s); });
-  par.set_stats_sink([&](const local::RoundStats& s) { par_stats.push_back(s); });
+  par->set_stats_sink([&](const local::RoundStats& s) { par_stats.push_back(s); });
   const std::size_t seq_rounds = seq.run(probe_factory(), 100);
-  const std::size_t par_rounds = par.run(probe_factory(), 100);
+  const std::size_t par_rounds = par->run(probe_factory(), 100);
   EXPECT_EQ(seq_rounds, par_rounds);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
   ASSERT_EQ(par_stats.size(), par_rounds);
@@ -239,23 +209,35 @@ TEST(RuntimeSelect, ParsesOptions) {
   EXPECT_EQ(runtime_from_options(Options(1, argv_seq)).kind,
             RuntimeKind::kSequential);
 
+  const auto g = graph::gen::cycle(8);
   const char* argv_par[] = {"x", "--runtime=parallel", "--threads=3"};
   const auto config = runtime_from_options(Options(3, argv_par));
   EXPECT_EQ(config.kind, RuntimeKind::kParallel);
   EXPECT_EQ(config.threads, 3u);
   EXPECT_EQ(runtime_description(config), "parallel(3 threads)");
-  EXPECT_TRUE(static_cast<bool>(make_executor_factory(config)));
   EXPECT_FALSE(static_cast<bool>(make_executor_factory(RuntimeConfig{})));
+  // Thread ranks are the multi-rank executor, like mp's forked ranks.
+  const auto par_exec =
+      make_executor_factory(config)(g, local::IdStrategy::kSequential, 1);
+  const auto* par_dist =
+      dynamic_cast<const dist::DistributedNetwork*>(par_exec.get());
+  ASSERT_NE(par_dist, nullptr);
+  EXPECT_EQ(par_dist->num_workers(), 3u);
 
   const char* argv_mp[] = {"x", "--runtime=mp", "--workers=2"};
   const auto mp_config = runtime_from_options(Options(3, argv_mp));
   EXPECT_EQ(mp_config.kind, RuntimeKind::kMultiProcess);
   EXPECT_EQ(mp_config.workers, 2u);
   EXPECT_EQ(runtime_description(mp_config), "mp(2 workers)");
-  EXPECT_TRUE(static_cast<bool>(make_executor_factory(mp_config)));
+  const auto mp_exec =
+      make_executor_factory(mp_config)(g, local::IdStrategy::kSequential, 1);
+  const auto* mp_dist =
+      dynamic_cast<const dist::DistributedNetwork*>(mp_exec.get());
+  ASSERT_NE(mp_dist, nullptr);
+  EXPECT_EQ(mp_dist->num_workers(), 2u);
 
-  // TCP fleets are not an in-process runtime: the error names the
-  // launcher that runs them.
+  // TCP fleets are not an in-process runtime: the error says what each
+  // runtime is and names the launcher that runs TCP fleets.
   for (const char* bad : {"--runtime=warp", "--runtime=tcp"}) {
     const char* argv_bad[] = {"x", bad};
     try {
@@ -263,7 +245,8 @@ TEST(RuntimeSelect, ParsesOptions) {
       ADD_FAILURE() << bad << " was accepted";
     } catch (const ds::CheckError& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("'sequential', 'parallel' or 'mp'"),
+      EXPECT_NE(what.find("'sequential', 'parallel' (thread ranks) or 'mp' "
+                          "(forked ranks)"),
                 std::string::npos)
           << what;
       EXPECT_NE(what.find("distsplit_rank"), std::string::npos) << what;
