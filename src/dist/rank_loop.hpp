@@ -65,8 +65,8 @@ struct RankView {
   /// arena slot.
   const std::size_t* port_offsets = nullptr;
   graph::NodeId offset_first = 0;
-  /// Builds the node environment (uid, degree, neighbor uids, forked rng)
-  /// for one owned node.
+  /// Builds the node environment (uid, degree, neighbor row, forked rng)
+  /// for one owned node; its pointers borrow tables that outlive the run.
   std::function<local::NodeEnv(graph::NodeId)> env_of;
 
   /// The view of a fully materialized topology; `topo` must outlive it.

@@ -9,10 +9,12 @@
 ///
 ///  * **owned** — the historical mutable representation: per-node adjacency
 ///    vectors plus the edge list, grown by `add_node`/`add_edge`;
-///  * **mapped** — a read-only view over an externally owned CSR image (the
-///    `.dsg` loader in graph/format.hpp mmaps the file and adopts it here),
-///    so a multi-gigabyte instance costs O(1) to open and its pages are
-///    shared read-only across forked worker processes.
+///  * **mapped** — a read-only CSR image owned by a keepalive handle: an
+///    mmapped `.dsg` file (graph/format.hpp), which costs O(1) to open and
+///    whose pages forked workers share read-only, or a generator image
+///    (`DistributedGenerator::generate_full`, three flat arrays built in
+///    one pass, no per-node heap block). A copy of a mapped Graph shares
+///    the image.
 ///
 /// Both modes serve the same accessors; `neighbors()`/`edges()` return
 /// lightweight views (`NeighborView`/`EdgeView`) valid for the Graph's
@@ -84,16 +86,18 @@ class Graph {
   /// Creates an owned-mode graph with `n` isolated nodes.
   explicit Graph(std::size_t n = 0);
 
-  /// Adopts an externally owned CSR image as a read-only mapped graph.
-  /// `offsets` has n + 1 entries with offsets[n] == 2m, `adjacency` the 2m
-  /// flattened rows, `edges` the m edges in insertion order; `keepalive`
-  /// owns the backing memory (typically the mmap region) and is held for
-  /// the graph's lifetime.
+  /// Adopts a read-only CSR image — an mmapped `.dsg` or a generator
+  /// image — as a mapped graph. `offsets` has n + 1 entries with
+  /// offsets[n] == 2m, `adjacency` the 2m flattened rows, `edges` the m
+  /// edges in insertion order; `keepalive` owns the backing memory (the
+  /// mmap region or the image's arrays) and is held for the lifetime of
+  /// the graph and of every copy.
   static Graph mapped(std::shared_ptr<const void> keepalive,
                       const std::uint64_t* offsets, const NodeId* adjacency,
                       const Edge* edges, std::size_t n, std::size_t m);
 
-  /// True when this graph views a mapped CSR image (immutable).
+  /// True when this graph views a read-only CSR image (an mmapped `.dsg`
+  /// or a generator image); such a graph is immutable.
   [[nodiscard]] bool is_mapped() const { return map_.keepalive != nullptr; }
 
   /// Adds an isolated node and returns its id. Owned mode only.

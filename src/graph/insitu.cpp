@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -30,8 +31,13 @@ bool edge_less(const Edge& a, const Edge& b) {
   return a.u != b.u ? a.u < b.u : a.v < b.v;
 }
 
+/// Most families emit ascending rows node by node, so their shards arrive
+/// sorted: one linear check, and a sort only where emission is not ordered
+/// (ba, and the index streams of gnm and kronecker).
 void sort_unique(std::vector<Edge>& edges) {
-  std::sort(edges.begin(), edges.end(), edge_less);
+  if (!std::is_sorted(edges.begin(), edges.end(), edge_less)) {
+    std::sort(edges.begin(), edges.end(), edge_less);
+  }
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 }
 
@@ -45,12 +51,18 @@ void push_normalized(std::vector<Edge>& out, std::uint64_t a, std::uint64_t b) {
 
 void shard_torus(std::uint64_t w, std::uint64_t h, NodeId first, NodeId last,
                  std::vector<Edge>& out) {
+  // Two edges per node, plus one more per node of row 0 or column 0: the
+  // upward and leftward wraps.
+  out.reserve(2 * static_cast<std::size_t>(last - first) + w + h);
   for (std::uint64_t u = first; u < last; ++u) {
     const std::uint64_t r = u / w;
     const std::uint64_t c = u % w;
+    // Ascending among the neighbors above u (w, h >= 3): right, then the
+    // left wrap of column 0 (both in row r), then the row below, then the
+    // upward wrap of row 0 into row h - 1.
     const std::uint64_t nbr[4] = {
-        ((r + 1) % h) * w + c, ((r + h - 1) % h) * w + c,
-        r * w + (c + 1) % w, r * w + (c + w - 1) % w};
+        r * w + (c + 1) % w, r * w + (c + w - 1) % w,
+        ((r + 1) % h) * w + c, ((r + h - 1) % h) * w + c};
     for (std::uint64_t v : nbr) {
       if (u < v) out.push_back(Edge{static_cast<NodeId>(u),
                                     static_cast<NodeId>(v)});
@@ -317,7 +329,6 @@ void shard_kronecker(std::uint64_t seed, std::uint64_t scale,
       out.push_back(Edge{static_cast<NodeId>(lo), static_cast<NodeId>(hi)});
     }
   }
-  sort_unique(out);
 }
 
 }  // namespace
@@ -480,12 +491,50 @@ std::vector<Edge> DistributedGenerator::shard(NodeId first, NodeId last) const {
 }
 
 Graph DistributedGenerator::generate_full() const {
-  const std::vector<Edge> edges = shard(0, static_cast<NodeId>(n_));
-  Graph g(n_);
-  // Lexicographic insertion order makes every adjacency row ascending — the
-  // canonical layout the rank-local path reproduces and binary-searches.
-  for (const Edge& e : edges) g.add_edge(e.u, e.v);
-  return g;
+  struct Image {
+    std::vector<std::uint64_t> offsets;
+    std::vector<NodeId> adjacency;
+    std::vector<Edge> edges;
+  };
+  auto image = std::make_shared<Image>();
+  image->edges = shard(0, static_cast<NodeId>(n_));
+  const std::vector<Edge>& edges = image->edges;
+  std::vector<std::uint64_t>& offsets = image->offsets;
+
+  // add_edge's guarantees as linear checks: u < v < n rules out self-loops,
+  // and a strictly increasing list rules out parallel edges.
+  offsets.assign(n_ + 1, 0);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    DS_CHECK_MSG(e.u < e.v && e.v < n_,
+                 "generator '" + spec_.family + "' emitted a malformed edge");
+    DS_CHECK_MSG(i == 0 || edge_less(edges[i - 1], e),
+                 "generator '" + spec_.family +
+                     "' emitted an edge twice or out of order");
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n_; ++v) offsets[v + 1] += offsets[v];
+
+  // Rows filled in edge order, as add_edge appends them: the lexicographic
+  // edge order makes every row ascending — the canonical layout the
+  // rank-local path reproduces — and keeps NetworkTopology's one-pass
+  // reverse ports valid. offsets[v] serves as row v's cursor, which leaves
+  // it at the row's end; one shift restores the starts.
+  image->adjacency.resize(2 * edges.size());
+  for (const Edge& e : edges) {
+    image->adjacency[offsets[e.u]++] = e.v;
+    image->adjacency[offsets[e.v]++] = e.u;
+  }
+  for (std::size_t v = n_; v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
+
+  const std::uint64_t* offset_data = offsets.data();
+  const NodeId* adjacency = image->adjacency.data();
+  const Edge* edge_data = edges.data();
+  const std::size_t m = edges.size();
+  return Graph::mapped(std::move(image), offset_data, adjacency, edge_data, n_,
+                       m);
 }
 
 const std::vector<std::string>& DistributedGenerator::families() {

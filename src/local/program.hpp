@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
+#include <type_traits>
 
 #include "graph/graph.hpp"
 #include "local/message_arena.hpp"
@@ -23,17 +23,32 @@
 
 namespace ds::local {
 
-/// Read-only environment a node program is constructed with.
+/// Read-only environment a node program is constructed with. Trivially
+/// copyable: a program may keep a copy at no heap cost. Its two pointers
+/// borrow the executor's tables and stay valid while the executor lives —
+/// its `NetworkTopology` and graph, or on the in-situ path the rank-local
+/// CSR — and the executor owns its programs, so a program never outlives
+/// them.
 struct NodeEnv {
   graph::NodeId node = 0;        ///< dense index of this node
   std::uint64_t uid = 0;         ///< unique LOCAL-model identifier
   std::size_t n = 0;             ///< number of nodes (global knowledge)
   std::size_t degree = 0;        ///< this node's degree
-  /// UIDs of the neighbors, indexed by port (position in adjacency list).
-  std::vector<std::uint64_t> neighbor_uids;
+  /// This node's adjacency row (`degree` node ids, indexed by port).
+  const graph::NodeId* neighbors = nullptr;
+  /// UID table indexed by node id, or nullptr where uid == node id (the
+  /// in-situ path).
+  const std::uint64_t* uids = nullptr;
   /// Private randomness stream of this node.
   Rng rng{0};
+
+  /// UID of the neighbor on port p.
+  [[nodiscard]] std::uint64_t neighbor_uid(std::size_t p) const {
+    const graph::NodeId w = neighbors[p];
+    return uids != nullptr ? uids[w] : w;
+  }
 };
+static_assert(std::is_trivially_copyable_v<NodeEnv>);
 
 /// Per-node program. One round = send() at every node, message delivery,
 /// then receive() at every node. A node that returns true from done() stops

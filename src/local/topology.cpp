@@ -19,7 +19,8 @@ NetworkTopology::NetworkTopology(const graph::Graph& g, IdStrategy strategy,
   reverse_ports_.resize(total_ports());
   delivery_slots_.resize(total_ports());
 
-  // add_edge appends each endpoint to the other's adjacency list, so for the
+  // add_edge appends each endpoint to the other's adjacency list (and a
+  // generator image fills its rows in the same edge order), so for the
   // e-th edge {u, v} the ports at u and v are the counts of earlier edges
   // incident to u resp. v. One pass over the edge list therefore yields both
   // reverse ports of every edge in O(m) — no per-edge adjacency scan.
@@ -49,11 +50,10 @@ NodeEnv NetworkTopology::make_env(graph::NodeId v) const {
   env.node = v;
   env.uid = uids_[v];
   env.n = graph_->num_nodes();
-  env.degree = graph_->degree(v);
-  env.neighbor_uids.reserve(env.degree);
-  for (graph::NodeId w : graph_->neighbors(v)) {
-    env.neighbor_uids.push_back(uids_[w]);
-  }
+  const graph::NeighborView row = graph_->neighbors(v);
+  env.degree = row.size();
+  env.neighbors = row.data();
+  env.uids = uids_.data();
   // Identical to the historical Network derivation: fork(seed, uid) is pure,
   // so per-node streams are independent of construction order.
   env.rng = master_.fork(uids_[v]);

@@ -64,19 +64,23 @@ graph::LocalCsr build_rank_csr(const graph::DistributedGenerator& dg,
     const auto from_peer = transport.exchange_setup(to_peer);
     to_peer.clear();
     to_peer.shrink_to_fit();
+    // The own shard and every peer's block arrive sorted (a block is a
+    // filtered shard) and pairwise disjoint: merge them in, no full sort.
+    const auto edge_less = [](const graph::Edge& a, const graph::Edge& b) {
+      return a.u != b.u ? a.u < b.u : a.v < b.v;
+    };
+    std::size_t total = incident.size();
+    for (const auto& words : from_peer) total += words.size();
+    incident.reserve(total);
     for (const auto& words : from_peer) {
+      const auto mid = static_cast<std::ptrdiff_t>(incident.size());
       for (const std::uint64_t w : words) {
         incident.push_back(unpack_edge(w));
       }
+      std::inplace_merge(incident.begin(), incident.begin() + mid,
+                         incident.end(), edge_less);
     }
-    std::sort(incident.begin(), incident.end(),
-              [](const graph::Edge& a, const graph::Edge& b) {
-                return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-    incident.erase(std::unique(incident.begin(), incident.end(),
-                               [](const graph::Edge& a, const graph::Edge& b) {
-                                 return a.u == b.u && a.v == b.v;
-                               }),
+    incident.erase(std::unique(incident.begin(), incident.end()),
                    incident.end());
   }
   return graph::build_local_csr(incident, first, last);
@@ -98,7 +102,8 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
 
   // --- The unmodified round protocol over a rank-local view. Environments
   // mirror NetworkTopology::make_env for the sequential ID strategy: uid ==
-  // node, neighbor uids == adjacency row, rng == master.fork(uid). The
+  // node (so no UID table), neighbors == the CSR row, which outlives the
+  // programs, rng == master.fork(uid). The
   // output_fn stays empty on purpose — the gather then carries only the
   // observability block, keeping rank 0's footprint rank-local instead of
   // O(n).
@@ -115,8 +120,7 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
     env.uid = v;
     env.n = n;
     env.degree = csr.offsets[v - first + 1] - off;
-    env.neighbor_uids.assign(csr.adjacency.begin() + off,
-                             csr.adjacency.begin() + off + env.degree);
+    env.neighbors = csr.adjacency.data() + off;
     env.rng = master.fork(env.uid);
     return env;
   };

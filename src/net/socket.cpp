@@ -154,10 +154,12 @@ Socket accept_from(int listen_fd, int timeout_ms) {
   }
 }
 
-Socket connect_to(const Endpoint& ep, int timeout_ms) {
+Socket connect_to(const Endpoint& ep, int timeout_ms, int refused_grace_ms) {
   const std::int64_t deadline = steady_now_ms() + timeout_ms;
   std::string last_error;
+  std::int64_t refused_since = -1;  // start of the current refused streak
   for (;;) {
+    bool refused = true;  // every address of this pass refused
     AddrList addrs;
     try {
       resolve(ep, /*passive=*/false, addrs);
@@ -167,11 +169,13 @@ Socket connect_to(const Endpoint& ep, int timeout_ms) {
       // simply not be up yet.
       last_error = e.what();
       addrs.head = nullptr;
+      refused = false;
     }
     for (const addrinfo* ai = addrs.head; ai != nullptr; ai = ai->ai_next) {
       Socket s(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
       if (!s.valid()) {
         last_error = "socket: " + errno_str();
+        refused = false;
         continue;
       }
       // Nonblocking connect + poll: a blocking connect toward a
@@ -199,9 +203,21 @@ Socket connect_to(const Endpoint& ep, int timeout_ms) {
         set_nonblocking(s.fd(), false);  // callers expect a blocking fd
         return s;
       }
+      if (errno != ECONNREFUSED) refused = false;
       last_error = "connect: " + errno_str();
     }
-    DS_CHECK_MSG(steady_now_ms() < deadline,
+    const std::int64_t now = steady_now_ms();
+    if (refused && refused_grace_ms >= 0) {
+      if (refused_since < 0) refused_since = now;
+      DS_CHECK_MSG(now - refused_since < refused_grace_ms,
+                   "cannot connect to " + ep_str(ep) +
+                       ": connection refused for " +
+                       std::to_string(now - refused_since) +
+                       " ms (nothing listens there)");
+    } else {
+      refused_since = -1;
+    }
+    DS_CHECK_MSG(now < deadline,
                  "cannot connect to " + ep_str(ep) + " within " +
                      std::to_string(timeout_ms) + " ms (" + last_error + ")");
     // The peer is probably not listening yet (launch order is arbitrary);

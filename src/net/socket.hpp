@@ -58,7 +58,12 @@ Socket accept_from(int listen_fd, int timeout_ms);
 /// Connects to `ep`, retrying with a short backoff until `timeout_ms`
 /// elapses — peers of a distributed launch come up in arbitrary order, so
 /// "connection refused" just means "not listening yet". Throws on timeout.
-Socket connect_to(const Endpoint& ep, int timeout_ms);
+/// A client of a server that should already be up passes
+/// `refused_grace_ms` >= 0: once every connect has been refused for that
+/// long, nothing listens at `ep`, and the call throws "connection refused"
+/// instead of waiting out `timeout_ms`. Other errors retry to the deadline.
+Socket connect_to(const Endpoint& ep, int timeout_ms,
+                  int refused_grace_ms = -1);
 
 /// Disables Nagle (TCP_NODELAY): the round protocol ships one small frame
 /// per peer per phase and must not trade its latency for batching.

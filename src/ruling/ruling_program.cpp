@@ -32,7 +32,7 @@ class RulingProgram final : public local::NodeProgram {
     if (((env_.uid >> bit) & 1ull) != 0) {
       for (std::size_t p = 0; p < inbox.size(); ++p) {
         if (inbox[p].empty()) continue;  // dropped/halted neighbor
-        if (((env_.neighbor_uids[p] >> bit) & 1ull) == 0) {
+        if (((env_.neighbor_uid(p) >> bit) & 1ull) == 0) {
           done_ = true;  // lost bit `bit` to a 0-bit candidate neighbor
           return;
         }

@@ -5,8 +5,17 @@
 
 namespace ds::serve {
 
+namespace {
+
+/// A daemon that is up accepts at once; refused connects for this long mean
+/// it is gone (or was never started), not that it is still coming up.
+constexpr int kRefusedGraceMs = 1000;
+
+}  // namespace
+
 Response submit(const ClientConfig& config, const Request& request) {
-  net::Socket sock = net::connect_to(config.endpoint(), config.timeout_ms);
+  net::Socket sock =
+      net::connect_to(config.endpoint(), config.timeout_ms, kRefusedGraceMs);
   net::set_nodelay(sock.fd());
   net::set_io_timeouts(sock.fd(), config.timeout_ms);
 

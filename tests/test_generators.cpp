@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "graph/generators.hpp"
+#include "graph/insitu.hpp"
 #include "graph/properties.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -294,6 +298,44 @@ TEST(Generators, RandomGeometricExtremes) {
   // Radius covering the whole square yields the complete graph.
   EXPECT_EQ(gen::random_geometric_2d(25, 1.5, rng).num_edges(), 300u);
   EXPECT_THROW(gen::random_geometric_2d(10, 0.0, rng), ds::CheckError);
+}
+
+TEST(InsituGenerator, FullImageEqualsAddEdgeOverTheShard) {
+  // generate_full builds a CSR image in one counting pass; the digest
+  // contract needs it to be exactly the Graph that add_edge builds over
+  // shard(0, n) in order: same edge list, same row order on every node.
+  const std::map<std::string, std::string> small = {
+      {"torus", "torus:w=7,h=5"},
+      {"gnp", "gnp:n=120,deg=6"},
+      {"gnm", "gnm:n=120,deg=6"},
+      {"ba", "ba:n=120,d=3"},
+      {"rgg", "rgg:n=120,deg=7"},
+      {"biregular", "biregular:nu=40,nv=25,delta=4"},
+      {"kronecker", "kronecker:scale=7,deg=5"},
+  };
+  for (const std::string& family : DistributedGenerator::families()) {
+    ASSERT_TRUE(small.count(family)) << "no small instance for " << family;
+    const DistributedGenerator dg(GenSpec::parse(small.at(family)), 21);
+    const Graph image = dg.generate_full();
+    EXPECT_TRUE(image.is_mapped()) << family;
+    Graph built(dg.num_nodes());
+    for (const Edge& e : dg.shard(0, static_cast<NodeId>(dg.num_nodes()))) {
+      built.add_edge(e.u, e.v);
+    }
+    ASSERT_EQ(image.num_nodes(), built.num_nodes()) << family;
+    ASSERT_EQ(image.num_edges(), built.num_edges()) << family;
+    EXPECT_GT(image.num_edges(), 0u) << family;
+    EXPECT_TRUE(std::equal(image.edges().begin(), image.edges().end(),
+                           built.edges().begin()))
+        << family;
+    for (NodeId v = 0; v < image.num_nodes(); ++v) {
+      const NeighborView a = image.neighbors(v);
+      const NeighborView b = built.neighbors(v);
+      ASSERT_EQ(a.size(), b.size()) << family << " v=" << v;
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+          << family << " v=" << v;
+    }
+  }
 }
 
 }  // namespace

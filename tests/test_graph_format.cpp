@@ -165,15 +165,16 @@ TEST(GraphFormat, BipartiteSplitRecovery) {
 TEST(GraphFormat, MappedTopologySharedByForkedWorkers) {
   // The scale-path property: a mapped .dsg consumed by the forked
   // multi-process executor (workers share the read-only pages) produces
-  // outputs bit-identical to the sequential executor on the owned graph.
+  // outputs bit-identical to the sequential executor on the in-memory
+  // generator image that wrote it.
   const DistributedGenerator dg(GenSpec::parse("torus:w=16,h=16"), 5);
-  const Graph owned = dg.generate_full();
+  const Graph image = dg.generate_full();
   const std::string path = temp_path("mp.dsg");
-  write_dsg(owned, path, 0, dg.seed());
+  write_dsg(image, path, 0, dg.seed());
   const Graph mapped = load_dsg(path, nullptr, true);
   ASSERT_TRUE(mapped.is_mapped());
 
-  const mis::MisOutcome seq = mis::luby(owned, 5);
+  const mis::MisOutcome seq = mis::luby(image, 5);
   dist::DistributedConfig config;
   config.workers = 4;
   mis::MisOutcome mp = mis::luby(

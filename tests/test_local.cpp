@@ -135,8 +135,25 @@ TEST(Network, FloodsMaximumUid) {
   }
 }
 
+TEST(NodeEnv, NeighborUidReadsTheUidTableOrTheNodeId) {
+  // Executors with a UID table point `uids` at it; the in-situ path leaves
+  // it null, because there a node's UID is its id.
+  const graph::NodeId row[3] = {4, 0, 2};
+  const std::uint64_t table[5] = {70, 71, 72, 73, 74};
+  NodeEnv env;
+  env.degree = 3;
+  env.neighbors = row;
+  env.uids = table;
+  EXPECT_EQ(env.neighbor_uid(0), 74u);
+  EXPECT_EQ(env.neighbor_uid(1), 70u);
+  EXPECT_EQ(env.neighbor_uid(2), 72u);
+  env.uids = nullptr;
+  EXPECT_EQ(env.neighbor_uid(0), 4u);
+  EXPECT_EQ(env.neighbor_uid(2), 2u);
+}
+
 /// Program that verifies the port mapping: every node sends its UID on each
-/// port and checks that what it receives on port p matches neighbor_uids[p].
+/// port and checks that what it receives on port p matches neighbor_uid(p).
 class PortChecker : public NodeProgram {
  public:
   explicit PortChecker(const NodeEnv& env) : env_(env) {}
@@ -148,7 +165,7 @@ class PortChecker : public NodeProgram {
   void receive(std::size_t, const Inbox& inbox) override {
     for (std::size_t p = 0; p < inbox.size(); ++p) {
       ASSERT_EQ(inbox[p].size(), 1u);
-      EXPECT_EQ(inbox[p][0], env_.neighbor_uids[p]);
+      EXPECT_EQ(inbox[p][0], env_.neighbor_uid(p));
     }
     done_ = true;
   }

@@ -1,10 +1,10 @@
 // Tests for the writer-style message path: Outbox/Inbox semantics (empty
 // messages, max-degree nodes, per-port varying lengths, broadcast, contract
-// violations), degree-balanced shard boundaries on skewed graphs, and the
+// violations), degree-balanced shard boundaries on skewed graphs, the
 // zero-allocation guarantee of the send path of the sequential executor
-// and of the rank loop on thread ranks (asserted through a global
-// operator-new counting hook — this binary must not be merged with other
-// test binaries).
+// and of the rank loop on thread ranks, and setup without per-node heap
+// blocks (asserted through a global operator-new counting hook — this
+// binary must not be merged with other test binaries).
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,10 @@
 
 #include "dist/partition.hpp"
 #include "graph/generators.hpp"
+#include "graph/insitu.hpp"
 #include "local/message_arena.hpp"
 #include "local/network.hpp"
+#include "local/topology.hpp"
 #include "runtime/select.hpp"
 #include "support/check.hpp"
 
@@ -183,7 +185,7 @@ class VaryingLengthProgram final : public local::NodeProgram {
   void receive(std::size_t /*round*/, const local::Inbox& inbox) override {
     for (std::size_t p = 0; p < inbox.size(); ++p) {
       const local::MessageView msg = inbox[p];
-      const std::uint64_t sender = env_.neighbor_uids[p];
+      const std::uint64_t sender = env_.neighbor_uid(p);
       // The sender skipped *its* port toward us iff (sender_uid + q) % 5 == 0
       // for its port q — we cannot compute q locally, so accept empty, but a
       // non-empty message must be structurally valid and from the right
@@ -372,6 +374,30 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
     const std::size_t long_run = allocations_of_run(*net, 48);
     EXPECT_EQ(long_run, short_run) << "threads=" << threads;
   }
+}
+
+TEST(AllocationCounting, SetupAllocatesPerInstanceNotPerNode) {
+  // A generated instance is one CSR image (a handful of flat arrays, not a
+  // vector per node), and a node environment borrows its neighbor row and
+  // the UID table instead of copying them.
+  const graph::DistributedGenerator dg(
+      graph::GenSpec::parse("torus:w=64,h=64"), 7);
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const graph::Graph g = dg.generate_full();
+  const std::size_t generate =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(generate, 32u);
+
+  const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 7);
+  std::size_t ports = 0;
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    ports += topo.make_env(v).degree;
+  }
+  const std::size_t envs =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(envs, 0u);
+  EXPECT_EQ(ports, topo.total_ports());
 }
 
 TEST(AllocationCounting, HookObservesPerRoundAllocations) {

@@ -542,10 +542,17 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   }
   EXPECT_EQ(daemon.stats().served, ok + 1);
 
-  // Submissions after exit fail to connect at all — the port is gone.
+  // Submissions after exit fail to connect at all — the port is gone —
+  // and fail fast: a refused connect is not retried for the whole timeout.
   ClientConfig late = client;
-  late.timeout_ms = 2000;
-  EXPECT_THROW(submit(late, make_request(99, "mis", 3)), std::exception);
+  late.timeout_ms = 10000;
+  const auto t0 = std::chrono::steady_clock::now();
+  const ClientOutcome after_exit =
+      submit_caught(late, make_request(99, "mis", 3));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(after_exit.error.find("refused"), std::string::npos)
+      << after_exit.error;
+  EXPECT_LT(waited, std::chrono::seconds(2));
 }
 
 TEST(ServeDaemon, DrainAnswersEveryConnectionThenRefusesConnects) {
@@ -577,8 +584,8 @@ TEST(ServeDaemon, DrainAnswersEveryConnectionThenRefusesConnects) {
   // reaches the daemon — queued, in flight on the accept thread, or still
   // in the listen backlog at the drain — gets kOk or "draining". The latch
   // flips once every client thread runs, so (almost) all of them connect
-  // before the port closes; a later one retries a refused connect until
-  // its timeout.
+  // before the port closes; a later one gives up after a second of
+  // refused connects.
   std::vector<ClientOutcome> burst(32);
   std::vector<std::thread> clients;
   std::atomic<std::size_t> launched{0};
