@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
   // Scenario mix beyond the regular instances: skewed preferential
   // attachment (Barabási–Albert) and spatially clustered random geometric
   // graphs, solved by Luby's message-passing MIS on the selected executor
-  // (--runtime=parallel --threads=N or --runtime=mp --workers=N; outputs
-  // are bit-identical).
+  // (--runtime=parallel --threads=N; outputs are bit-identical).
   const auto runtime = runtime::runtime_from_options(opts);
   const auto executor = runtime::make_executor_factory(runtime);
   std::cout << "\nScenario mix: Luby MIS on skewed/geometric instances ("

@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const auto degree = static_cast<std::size_t>(opts.get_int("degree", 8));
   // --runtime=parallel [--threads=N] runs the message-passing executions
-  // (Luby, trial coloring) on thread ranks, --runtime=mp [--workers=N] on
-  // forked ranks; outputs are bit-identical.
+  // (Luby, trial coloring) on thread ranks; outputs are bit-identical.
   const auto runtime = runtime::runtime_from_options(opts);
   const auto executor = runtime::make_executor_factory(runtime);
   bool ok = true;

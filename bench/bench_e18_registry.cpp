@@ -4,11 +4,10 @@
 // per-algorithm code in this driver — on generated instances matched to
 // each spec's input kind, runs the distributed-capable ones on the
 // sequential reference and on the selected scalable runtime
-// (--runtime=parallel|mp [--threads/--workers], default parallel at 2
-// threads), and checks the cross-runtime determinism contract: identical
-// output digests and round counts. Sequential-only specs run on the
-// reference executor, pinning that the capability gate reports them
-// instead of hiding them.
+// (--runtime=parallel [--threads=N], default parallel at 2 threads), and
+// checks the cross-runtime determinism contract: identical output digests
+// and round counts. Sequential-only specs run on the reference executor,
+// pinning that the capability gate reports them instead of hiding them.
 //
 //   $ ./bench_e18_registry [--seed=1] [--runtime=...]
 

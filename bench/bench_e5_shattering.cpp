@@ -182,8 +182,8 @@ int main(int argc, char** argv) {
     const auto net = local::make_executor(factory, g,
                                           local::IdStrategy::kSequential,
                                           opts.seed() + 5);
-    // Results come back through the executor's output gather — captured
-    // program pointers would dangle across the mp runtime's worker fleet.
+    // Results come back through the executor's output gather, the result
+    // channel every executor provides.
     net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                           std::vector<std::uint64_t>& out) {
       out.push_back(

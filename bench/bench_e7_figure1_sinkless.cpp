@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   Rng rng(opts.seed());
   const std::size_t n = static_cast<std::size_t>(opts.get_int("n", 240));
   // --runtime=parallel [--threads=N] runs the message-passing trials on
-  // thread ranks, --runtime=mp [--workers=N] on forked ranks; outputs are
-  // bit-identical to the sequential executor either way.
+  // thread ranks; outputs are bit-identical to the sequential executor.
   const auto runtime = runtime::runtime_from_options(opts);
   const auto executor = runtime::make_executor_factory(runtime);
   bool ok = true;

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot substrate operations:
 // Euler partition, power-graph coloring, derandomization throughput,
 // verifier throughput, instance generation, and LOCAL-executor round
-// throughput (sequential Network vs thread ranks vs forked ranks).
+// throughput (sequential Network vs thread ranks vs a TCP loopback fleet).
 //
 // Custom main: in addition to the normal console output, `--json=FILE`
 // writes a machine-readable trajectory record (schema distsplit-bench-v1:
@@ -27,7 +27,6 @@
 #include "netdecomp/decomposition.hpp"
 #include "orient/euler.hpp"
 #include "graph/properties.hpp"
-#include "dist/distributed_network.hpp"
 #include "local/ids.hpp"
 #include "local/network.hpp"
 #include "net/loopback.hpp"
@@ -230,8 +229,8 @@ BENCHMARK(BM_SequentialRounds)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 // What `--runtime=parallel --threads=T` runs: T thread ranks over the
-// shared rank loop, spawned per run() call like the forked ranks below.
-// Arg pair: torus side, thread count.
+// shared rank loop, spawned per run() call, so the measured time includes
+// spawn and join. Arg pair: torus side, thread count.
 void BM_ParallelRounds(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   runtime::RuntimeConfig config;
@@ -251,31 +250,6 @@ BENCHMARK(BM_ParallelRounds)
     ->Args({64, 1})->Args({64, 8})
     ->Args({256, 1})->Args({256, 8})
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Cross-runtime comparison on the same torus family: forked ranks
-// (`--runtime=mp`) fork the worker fleet once per run() call, so the
-// measured time includes fork/teardown — the realistic per-execution cost
-// of the mp runtime against the sequential and thread-rank numbers above.
-// Arg pair: torus side, worker count.
-void BM_DistributedRounds(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const auto g = graph::gen::torus(side, side);
-  dist::DistributedConfig config;
-  config.workers = workers;
-  dist::DistributedNetwork net(g, local::IdStrategy::kSequential, 42, config);
-  for (auto _ : state) {
-    net.run(gossip_factory(), kGossipRounds + 1);
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(g.num_nodes() * kGossipRounds));
-}
-BENCHMARK(BM_DistributedRounds)
-    ->Args({64, 1})->Args({64, 2})->Args({64, 4})
-    ->Args({256, 2})->Args({256, 4})
-    ->Args({1024, 2})->Args({1024, 4})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Observability overhead on the sequential round loop: Arg 1 runs with a
@@ -310,7 +284,7 @@ BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1)->Arg(2)
 // The socket-path overhead of the same gossip rounds: a loopback TCP rank
 // fleet per iteration (fork + rendezvous + rounds + teardown — the
 // realistic cost of one multi-host execution, comparable to
-// BM_DistributedRounds which likewise re-forks its fleet per run). Arg
+// BM_ParallelRounds, which likewise spawns its thread ranks per run). Arg
 // pair: torus side, rank count.
 void BM_TcpLoopbackRounds(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));

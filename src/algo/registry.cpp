@@ -87,7 +87,7 @@ namespace {
 
 std::string runtimes_cell(const Spec& s) {
   return s.capability == Capability::kAnyRuntime
-             ? "sequential, parallel, mp, tcp"
+             ? "sequential, parallel, tcp"
              : "sequential only";
 }
 

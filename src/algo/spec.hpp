@@ -97,7 +97,7 @@ std::string input_kind_name(InputKind input);
 /// Which runtimes a Spec supports.
 enum class Capability {
   /// Genuine message-passing program: runs on every executor (sequential,
-  /// parallel, mp, tcp) with bit-identical outputs.
+  /// parallel, tcp) with bit-identical outputs.
   kAnyRuntime,
   /// Whole-graph sequential algorithm (global recursion, conditional
   /// expectations, ...): `execute` refuses scalable runtimes with a clear

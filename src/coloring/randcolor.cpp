@@ -66,14 +66,18 @@ class TrialProgram final : public local::NodeProgram {
 
  private:
   std::uint64_t draw() {
-    // Uniform over available palette entries [0, degree+1).
-    std::vector<std::uint64_t> options;
-    options.reserve(env_.degree + 1);
+    // Uniform over available palette entries [0, degree+1): the k-th
+    // available color, for one uniform k. Counting and walking allocate
+    // nothing, unlike materializing the options every round.
+    std::size_t count = 0;
     for (std::uint64_t c = 0; c <= env_.degree; ++c) {
-      if (available_[c]) options.push_back(c);
+      if (available_[c]) ++count;
     }
-    DS_CHECK_MSG(!options.empty(), "palette exhausted (impossible at Δ+1)");
-    return options[env_.rng.next_index(options.size())];
+    DS_CHECK_MSG(count > 0, "palette exhausted (impossible at Δ+1)");
+    std::size_t k = env_.rng.next_index(count);
+    for (std::uint64_t c = 0;; ++c) {
+      if (available_[c] && k-- == 0) return c;
+    }
   }
 
   local::NodeEnv env_;
@@ -94,7 +98,7 @@ RandColorOutcome randomized_coloring(const graph::Graph& g,
                                      const local::ExecutorFactory& executor) {
   const auto net = local::make_executor(executor, g, ids, seed);
   // Results come back through the executor's output gather (the only
-  // channel that crosses the multi-process executor's worker boundary).
+  // channel that works on every executor, TCP ranks included).
   net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                         std::vector<std::uint64_t>& out) {
     out.push_back(static_cast<const TrialProgram&>(p).color());

@@ -1,19 +1,16 @@
 #pragma once
 
 /// \file distributed_network.hpp
-/// The single-host multi-rank LOCAL-model executor.
+/// The single-host multi-rank LOCAL-model executor (`--runtime=parallel`).
 ///
 /// `DistributedNetwork` partitions the topology into degree-balanced
 /// contiguous rank ranges (`dist::Partition`) and executes each run on N
-/// ranks: the calling thread is rank 0, and `run()` spawns ranks 1..N-1
-/// either as threads of the caller (`RankSpawn::kThread`,
-/// `--runtime=parallel`) or as forked processes (`RankSpawn::kProcess`,
-/// plain POSIX `fork`, no MPI; `--runtime=mp`). Read-only state — graph,
-/// topology, partition, routing tables — is shared by the threads or
-/// inherited copy-on-write by the children; the only shared mutable state
-/// is the control block (barrier, abort flag, per-rank round counters) and
-/// the halo-exchange blocks, both mapped MAP_SHARED before any spawn, so
-/// both spawns run over the same `ShmTransport`.
+/// thread ranks: the calling thread is rank 0, and `run()` spawns ranks
+/// 1..N-1 as `std::thread`s. Read-only state — graph, topology, partition,
+/// routing tables — is shared by the threads; the shared mutable state is
+/// the control block (barrier, abort flag, per-rank round counters) and
+/// the per-rank halo buffers and gather vectors of the `HaloTransport`,
+/// all owned here and reached through one `ShmTransport` view per rank.
 ///
 /// Every round runs the same three-step protocol in each rank:
 ///
@@ -22,51 +19,45 @@
 ///      arena; the Partition's local delivery table routes internal edges
 ///      into the rank's own port range and cut edges into out-halo
 ///      staging slots;
-///   2. **halo exchange** — the staged cut messages are shipped into the
-///      per-pair shared blocks (`HaloTransport::ship`), a barrier, then
-///      each rank patches its span arena straight onto the peers' shared
-///      payload areas (`patch`, zero-copy);
+///   2. **halo exchange** — the staged cut messages are copied into the
+///      rank's halo buffer (`HaloTransport::ship`), a barrier, then each
+///      rank patches its span arena onto the peers' halo words (`patch`;
+///      the Inbox reads them in place);
 ///   3. **receive** — owned live nodes read through the unmodified
 ///      `local::Inbox`; a second barrier publishes the round's liveness
-///      counters and keeps the next round's sends from overwriting blocks
-///      still being read.
+///      counters and keeps the next round's ship from overwriting halo
+///      buffers still being read.
 ///
 /// Programs need zero modification: they see the same Outbox/Inbox API and
 /// the same message words as under the sequential `Network`.
 ///
 /// Each rank runs its share through `dist::run_fleet` around
-/// `run_rank_loop`, exactly like a TCP rank (rank_loop.hpp). A forked
-/// child marks its inherited recorder when its run starts, so it ships only
-/// what it records; a thread rank records into a per-run recorder on rank
-/// 0's timebase. Every rank merges the other ranks' blocks after the
-/// gather, so rank 0 ends the run holding fleet totals. Spawn, join, reap
-/// and kill stay here.
+/// `run_rank_loop`, exactly like a TCP rank (rank_loop.hpp); ranks 1..N-1
+/// record into per-run recorders on rank 0's timebase, and every rank
+/// merges the other ranks' blocks after the gather, so rank 0 ends the run
+/// holding fleet totals. Spawn and join stay here.
 ///
 /// # Determinism contract
 ///
 /// For a fixed (graph, IdStrategy, seed), DistributedNetwork produces
 /// bit-identical per-node program outputs, round counts and RoundStats to
-/// `local::Network` at every rank count and either spawn:
-/// topology/UIDs/randomness are the shared pure constructions, each rank
-/// invokes the (pure per node) factory for its own range only, and the
-/// halo exchange transports message words verbatim with the executor's
-/// barriers reproducing the send-then-receive phase order.
-/// tests/test_dist.cpp and tests/test_runtime.cpp assert the contract at
-/// 1/2/4 forked and 1/2/8 thread ranks.
+/// `local::Network` at every rank count: topology/UIDs/randomness are the
+/// shared pure constructions, each rank invokes the (pure per node) factory
+/// for its own range only, and the halo exchange transports message words
+/// verbatim with the executor's barriers reproducing the send-then-receive
+/// phase order. tests/test_dist.cpp and tests/test_runtime.cpp assert the
+/// contract at 1/2/4/8 ranks.
 ///
 /// # Output collection
 ///
 /// Per-node results reach the caller through the `Executor` output-gather
 /// contract: install a serializer with `set_output_fn` *before* `run()`
-/// (each rank applies it to its owned programs and ships the words), then
-/// read `outputs()`. `program(v)` serves every node on thread ranks; forked
-/// ranks die with the run, so there it serves rank 0's own range only and
-/// throws for nodes owned by other ranks.
-
-#include <sys/types.h>
+/// (each rank applies it to its owned programs and gathers the words), then
+/// read `outputs()`. `program(v)` also serves every node after a run: each
+/// rank's programs stay resident until the next run or the executor's
+/// destruction, and both release them on the rank's own thread.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -77,18 +68,11 @@
 #include "local/cost.hpp"
 #include "local/executor.hpp"
 #include "local/ids.hpp"
-#include "local/message_arena.hpp"
 #include "local/program.hpp"
 #include "local/round_stats.hpp"
 #include "local/topology.hpp"
 
 namespace ds::dist {
-
-/// How `DistributedNetwork::run` spawns ranks 1..N-1.
-enum class RankSpawn : std::uint8_t {
-  kProcess,  ///< one forked worker process per rank (`--runtime=mp`)
-  kThread,   ///< one thread of the caller per rank (`--runtime=parallel`)
-};
 
 /// Knobs of one DistributedNetwork.
 struct DistributedConfig {
@@ -97,32 +81,31 @@ struct DistributedConfig {
   /// barrier costs). Rank 0 is the calling thread, so a resolved count of 1
   /// spawns nothing.
   std::size_t workers = 0;
-  /// Threads or forked processes; `runtime::select` picks it from the
-  /// runtime name.
-  RankSpawn spawn = RankSpawn::kProcess;
-  /// Reserved halo payload words per cut port and round (virtual memory
-  /// only). A round whose cut traffic exceeds the reservation throws.
-  std::size_t halo_words_per_port = 256;
-  /// Reserved serialized-output words per node for the end-of-run gather.
-  std::size_t gather_words_per_node = 64;
 };
 
 /// Multi-rank synchronous executor on a fixed communication graph.
 class DistributedNetwork final : public local::Executor {
  public:
   /// Builds the executor over `g` with IDs per `strategy` and per-node
-  /// randomness derived from `seed`. Partitioning and the shared mappings
-  /// are set up here, once; each `run()` spawns a fresh rank fleet.
+  /// randomness derived from `seed`. Partitioning is done here, once; each
+  /// `run()` spawns a fresh set of rank threads.
   DistributedNetwork(const graph::Graph& g, local::IdStrategy strategy,
                      std::uint64_t seed, DistributedConfig config = {});
+
+  /// Releases each rank's programs on a thread of its own (rank 0's on the
+  /// calling thread): freeing a million programs on one thread is a large
+  /// share of a short run's wall time.
+  ~DistributedNetwork() override;
+
+  /// Rank threads hold `this`.
+  DistributedNetwork(const DistributedNetwork&) = delete;
+  DistributedNetwork& operator=(const DistributedNetwork&) = delete;
 
   std::size_t run(const local::ProgramFactory& factory,
                   std::size_t max_rounds,
                   local::CostMeter* meter = nullptr) override;
 
-  /// Every node's program on thread ranks; on forked ranks only rank 0's
-  /// own range (the calling process). Use `outputs()` for
-  /// executor-portable result extraction.
+  /// Every node's program from the most recent run.
   [[nodiscard]] const local::NodeProgram& program(
       graph::NodeId v) const override;
 
@@ -156,40 +139,23 @@ class DistributedNetwork final : public local::Executor {
   /// executes the shared `run_fleet` + `run_rank_loop` protocol into
   /// `programs_[w]`, advancing `epoch` once per round and recording into
   /// `rec`. Returns the executed round count (identical in every rank).
-  /// `idle_poll` is passed to the shared barrier (forked rank 0 only).
   std::size_t run_worker(std::size_t w, const local::ProgramFactory& factory,
                          std::size_t max_rounds, std::uint64_t& epoch,
-                         obs::Recorder* rec,
-                         const std::function<void()>* idle_poll);
+                         obs::Recorder* rec);
 
   /// Ranks 1..N-1 as threads; returns rank 0's round count. Every failure
   /// is left in the control block's abort state.
   std::size_t run_threads(const local::ProgramFactory& factory,
                           std::size_t max_rounds);
 
-  /// Ranks 1..N-1 as forked workers; returns rank 0's round count. Throws
-  /// on any failure after tearing the fleet down.
-  std::size_t run_forked(const local::ProgramFactory& factory,
-                         std::size_t max_rounds);
-
-  /// Forked rank 0's barrier poll: reaps crashed children and raises the
-  /// abort flag so every waiter unblocks.
-  void poll_children(const std::vector<pid_t>& children);
-
   local::NetworkTopology topology_;
-  DistributedConfig config_;
   Partition partition_;
   HaloTransport transport_;
-  SharedRegion control_region_;
-  ControlBlock* control_;
-  /// Resident programs per rank (its owned range, at local indices). With
-  /// forked ranks only rank 0's are filled in the calling process.
+  ControlBlock control_;
+  /// Resident programs per rank (its owned range, at local indices).
   std::vector<std::vector<std::unique_ptr<local::NodeProgram>>> programs_;
-  /// Children already reaped by the barrier poll (forked rank 0 only).
-  std::vector<bool> reaped_;
-  /// Monotone round tag; never reset across runs. Forked ranks start from
-  /// the value inherited at fork and thread ranks from a copy, so every
-  /// rank tags identically.
+  /// Monotone round tag; never reset across runs. Thread ranks start each
+  /// run from a copy, so every rank tags identically.
   std::uint64_t epoch_ = 0;
   local::RoundStatsSink sink_;
 };

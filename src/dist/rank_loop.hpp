@@ -3,8 +3,8 @@
 /// \file rank_loop.hpp
 /// The transport-independent run protocol of the distributed executors.
 ///
-/// `dist::DistributedNetwork` (one thread or forked worker per rank,
-/// `ShmTransport`), `net::TcpNetwork` (one OS process per rank,
+/// `dist::DistributedNetwork` (one thread per rank, `ShmTransport`),
+/// `net::TcpNetwork` (one OS process per rank,
 /// `net::TcpTransport`) and `net::run_insitu` run each rank's share of a
 /// run as `run_fleet` around `run_rank_loop`. Factoring both out is what
 /// guarantees the runtimes implement the *same* protocol — the transports
@@ -33,7 +33,7 @@
 /// `assemble_outputs` skips it; `run_fleet` merges every *other* rank's
 /// block into this rank's recorder, so every rank ends the run holding
 /// fleet totals. Keeping the block inside the existing gather stream means
-/// per-rank metrics and trace spans ride the same frames/shared blocks as
+/// per-rank metrics and trace spans ride the same frames/gather vectors as
 /// the output rows — no second protocol.
 
 #include <cstdint>

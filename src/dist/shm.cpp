@@ -1,58 +1,13 @@
 #include "dist/shm.hpp"
 
-#include <sys/mman.h>
+#include <sched.h>
 #include <time.h>
-#include <unistd.h>
-
-#include <cstring>
-#include <new>
 
 #include "support/check.hpp"
 
 namespace ds::dist {
 
-namespace {
-
-std::size_t round_up_to_page(std::size_t bytes) {
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  return ((bytes == 0 ? 1 : bytes) + page - 1) / page * page;
-}
-
-}  // namespace
-
-SharedRegion::SharedRegion(std::size_t bytes)
-    : size_(round_up_to_page(bytes)) {
-  int flags = MAP_SHARED | MAP_ANONYMOUS;
-#ifdef MAP_NORESERVE
-  flags |= MAP_NORESERVE;
-#endif
-  data_ = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE, flags, -1, 0);
-  DS_CHECK_MSG(data_ != MAP_FAILED, "mmap of shared region failed");
-}
-
-SharedRegion::~SharedRegion() {
-  if (data_ != nullptr) ::munmap(data_, size_);
-}
-
-SharedRegion::SharedRegion(SharedRegion&& other) noexcept
-    : data_(other.data_), size_(other.size_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-SharedRegion& SharedRegion::operator=(SharedRegion&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(data_, size_);
-    data_ = other.data_;
-    size_ = other.size_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-void SharedBarrier::wait(const std::atomic<std::uint32_t>& abort_flag,
-                         const std::function<void()>* idle_poll) {
+void SharedBarrier::wait(const std::atomic<std::uint32_t>& abort_flag) {
   DS_CHECK_MSG(abort_flag.load(std::memory_order_acquire) == 0,
                "distributed run aborted");
   const std::uint32_t my_phase = phase.load(std::memory_order_acquire);
@@ -64,8 +19,7 @@ void SharedBarrier::wait(const std::atomic<std::uint32_t>& abort_flag,
     phase.fetch_add(1, std::memory_order_acq_rel);
     return;
   }
-  // Waiters: workers usually outnumber cores (the whole point of a
-  // multi-process executor on one box), so escalate from yields to short
+  // Waiters: ranks often outnumber cores, so escalate from yields to short
   // sleeps instead of burning the core the releaser needs.
   std::size_t spins = 0;
   while (phase.load(std::memory_order_acquire) == my_phase) {
@@ -78,9 +32,6 @@ void SharedBarrier::wait(const std::atomic<std::uint32_t>& abort_flag,
     } else if (spins < 4096) {
       ::sched_yield();
     } else {
-      if (idle_poll != nullptr && *idle_poll && spins % 16 == 0) {
-        (*idle_poll)();
-      }
       struct timespec ts{0, 200'000};  // 200 microseconds
       ::nanosleep(&ts, nullptr);
     }
@@ -89,28 +40,24 @@ void SharedBarrier::wait(const std::atomic<std::uint32_t>& abort_flag,
                "distributed run aborted");
 }
 
-std::size_t ControlBlock::bytes(std::size_t workers) {
-  return sizeof(ControlBlock) + workers * sizeof(WorkerCounters);
-}
-
-WorkerCounters* ControlBlock::counters(std::size_t w) {
-  return reinterpret_cast<WorkerCounters*>(this + 1) + w;
-}
-
-void ControlBlock::reset(std::uint32_t parties, std::size_t workers) {
-  barrier.init(parties);
+void ControlBlock::reset() {
+  barrier.init(static_cast<std::uint32_t>(ranks_));
   abort_flag.store(0, std::memory_order_relaxed);
   msg_claimed.store(0, std::memory_order_relaxed);
-  abort_msg[0] = '\0';
-  for (std::size_t w = 0; w < workers; ++w) {
-    new (counters(w)) WorkerCounters();
+  abort_msg.clear();
+  for (std::size_t w = 0; w < ranks_; ++w) {
+    WorkerCounters& c = counters_[w];
+    c.senders.store(0, std::memory_order_relaxed);
+    c.messages.store(0, std::memory_order_relaxed);
+    c.payload_words.store(0, std::memory_order_relaxed);
+    c.not_done[0].store(0, std::memory_order_relaxed);
+    c.not_done[1].store(0, std::memory_order_relaxed);
   }
 }
 
 void ControlBlock::raise_abort(const char* msg) {
   if (msg_claimed.exchange(1, std::memory_order_acq_rel) == 0) {
-    std::strncpy(abort_msg, msg == nullptr ? "" : msg, kMsgCapacity - 1);
-    abort_msg[kMsgCapacity - 1] = '\0';
+    abort_msg = msg == nullptr ? "" : msg;
   }
   abort_flag.store(1, std::memory_order_release);
 }

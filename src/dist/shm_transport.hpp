@@ -1,43 +1,35 @@
 #pragma once
 
 /// \file shm_transport.hpp
-/// The shared-memory halo exchange of the single-host multi-rank executor
-/// (thread or forked ranks) — the fast path behind the abstract
-/// `dist::Transport`.
+/// The in-process halo exchange of the single-host multi-rank executor
+/// (thread ranks) — the fast path behind the abstract `dist::Transport`.
 ///
-/// One `HaloTransport` owns a single shared region holding, for every
-/// ordered worker pair (s, d) with cut traffic, an exchange *block*, plus
-/// one *gather block* per worker for end-of-run output collection.
+/// One `HaloTransport`, owned by the executor, holds per rank a *halo
+/// buffer* — one span per out-halo slot and the words those spans point
+/// at — and a *gather vector* for end-of-run output collection. The ranks
+/// share one address space, so nothing is sized up front: each buffer
+/// grows to its rank's largest round and keeps that capacity across runs.
 ///
-/// Exchange block layout (all 64-bit words), written by s and read by d
-/// once per round, with the executor's barriers ordering the two sides:
+/// Per round, with the executor's barriers ordering the two sides:
 ///
-///     [ lengths: one word per cut port, canonical Partition order ]
-///     [ payload: the non-empty messages' words, concatenated       ]
+///  * `ship` copies rank s's epoch-current out-halo messages into s's halo
+///    buffer, each span re-tagged with bank index 1 + s;
+///  * `patch` copies every peer's epoch-current halo spans into the
+///    receiving rank's own arena at the canonical `Partition::link` slots;
+///  * the bank-base table points index 1 + s at s's halo words, so the
+///    `local::Inbox` reads them in place — zero-copy on the receive side.
 ///
-/// The canonical cut-port order of `Partition::link(s, d)` is known to both
-/// sides, so no per-message routing metadata is shipped — a length of 0
-/// means "no (or an empty) message on that cut port this round", which is
-/// exactly the arena's own convention. Delivery is zero-copy on the receive
-/// side: `patch` points the destination's span arena straight into the
-/// shared payload area, and the `local::Inbox` borrows the words from
-/// there like from any other word bank.
+/// The halo buffers belong to the executor, not to the rank loop, so a
+/// rank that throws mid-round (its own arena and bank unwind with it)
+/// never frees memory a peer is still reading.
 ///
-/// Capacity is reserved up front (virtual memory only, MAP_NORESERVE):
-/// `halo_words_per_port` payload words per cut port. A round whose cut
-/// traffic exceeds the reservation fails loudly — reporting the observed
-/// per-port demand and the smallest knob value that would have fit —
-/// because growing a mapping that N ranks share cannot be done safely
-/// mid-round.
-///
-/// `ShmTransport` is the per-worker `dist::Transport` view over a
-/// `HaloTransport` plus the shared `ControlBlock`: ship/patch walk the
-/// shared blocks, and the phase synchronization is the control block's
+/// `ShmTransport` is the per-rank `dist::Transport` view over a
+/// `HaloTransport` plus the `ControlBlock`: ship/patch/gather walk the
+/// per-rank buffers, and the phase synchronization is the control block's
 /// sense-reversing barrier.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,82 +44,66 @@ namespace ds::dist {
 
 class HaloTransport {
  public:
-  /// Lays out and maps the exchange + gather blocks for `part`. Must run in
-  /// the caller before any rank is spawned. `halo_words_per_port` bounds
-  /// one round's payload per cut port on average; gather blocks get one
-  /// worker-port budget (degree-proportional rows fit by construction) plus
-  /// `gather_words_per_node` on top (both have small floors so tiny graphs
-  /// with chatty programs still fit).
-  HaloTransport(const Partition& part, std::size_t halo_words_per_port,
-                std::size_t gather_words_per_node);
+  /// One halo buffer and gather vector per rank of `part`, which must
+  /// outlive the transport.
+  explicit HaloTransport(const Partition& part);
 
-  /// Serializes worker src's staged out-halo spans into its exchange
-  /// blocks. `local_arena` is src's local span arena (out-halo slots start
+  /// Copies rank src's epoch-current out-halo messages into its halo
+  /// buffer. `local_arena` is src's local span arena (out-halo slots start
   /// at `part.num_local_ports(src)`), `bank_words` its word bank base, and
-  /// `epoch` the current round tag (spans with another tag ship length 0).
-  /// Returns the total payload words copied across all pairs (the halo
-  /// traffic this worker put on the "wire" this round).
+  /// `epoch` the current round tag (spans with another tag are not sent).
+  /// Returns the payload words copied (the halo traffic this rank put on
+  /// the "wire" this round).
   std::size_t ship(std::size_t src, const local::MessageSpan* local_arena,
-                   const std::uint64_t* bank_words, std::uint64_t epoch) const;
+                   const std::uint64_t* bank_words, std::uint64_t epoch);
 
-  /// Delivers every peer's shipped messages into worker dst's local span
-  /// arena (zero-copy: spans point into the shared payload areas, tagged
-  /// with `epoch` and the per-source halo bank index `1 + src`).
+  /// Delivers every peer's shipped messages into rank dst's local span
+  /// arena: spans tagged `epoch` and bank index `1 + src`, pointing into
+  /// src's halo words.
   void patch(std::size_t dst, local::MessageSpan* local_arena,
              std::uint64_t epoch) const;
 
-  /// Word-bank base table for worker w's `local::Inbox`s: index 0 is
-  /// `own_bank`, index 1 + src the shared payload area of src's block
-  /// toward w (null when src sends nothing to w). Rebuild each round —
-  /// `own_bank` moves when the private bank reallocates.
-  [[nodiscard]] std::vector<const std::uint64_t*> bank_bases(
-      std::size_t w, const std::uint64_t* own_bank) const;
-
-  /// `bank_bases` into a caller-owned vector (resized to 1 + W), so the
-  /// per-round rebuild allocates nothing once the vector reached capacity.
+  /// Word-bank base table for rank w's `local::Inbox`s, into a caller-owned
+  /// vector (resized to 1 + W, so the per-round rebuild allocates nothing
+  /// once it reached capacity): index 0 is `own_bank`, index 1 + src the
+  /// halo words of src (null when src sends nothing to w). Rebuild each
+  /// round — both `own_bank` and the halo words move when they grow.
   void fill_bank_bases(std::size_t w, const std::uint64_t* own_bank,
                        std::vector<const std::uint64_t*>& bases) const;
 
-  /// Copies worker w's serialized output rows into its gather block.
-  /// Layout: word 0 = total words that follow, then the rows.
-  void write_gather(std::size_t w, const std::vector<std::uint64_t>& words);
+  /// Copies rank w's serialized output rows into its gather vector.
+  void write_gather(std::size_t w, const std::vector<std::uint64_t>& words) {
+    gathered_[w] = words;
+  }
 
-  /// Worker w's gather payload (pointer to the rows, count from word 0).
+  /// Rank w's gather payload.
   [[nodiscard]] std::pair<const std::uint64_t*, std::size_t> read_gather(
-      std::size_t w) const;
+      std::size_t w) const {
+    return {gathered_[w].data(), gathered_[w].size()};
+  }
 
  private:
-  /// First word of the (src, dst) exchange block; 0 capacity when cut-free.
-  [[nodiscard]] std::uint64_t* block(std::size_t src, std::size_t dst) const;
+  /// One rank's shipped round: a span per out-halo slot (epoch 0 where
+  /// nothing was sent) and the words they point at.
+  struct Halo {
+    std::vector<local::MessageSpan> spans;
+    std::vector<std::uint64_t> words;
+  };
 
-  std::size_t num_workers_;
   const Partition* part_;
-  std::size_t halo_words_per_port_;  ///< the knob, echoed by overflow throws
-  /// Word offsets of each ordered pair's block inside the region, dense
-  /// src * W + dst; equal consecutive offsets mean an empty (cut-free) pair.
-  std::vector<std::size_t> block_offset_;
-  std::vector<std::size_t> block_capacity_;  ///< payload words per pair
-  std::vector<std::size_t> gather_offset_;   ///< per worker, size W + 1
-  SharedRegion region_;
+  std::vector<Halo> halo_;
+  std::vector<std::vector<std::uint64_t>> gathered_;
 };
 
-/// Rank w's `dist::Transport` view over the shared exchange blocks and
-/// control block. Constructed inside each rank (the caller, a thread or a
-/// forked child) for the duration of one run; everything it points at is
-/// owned by the `DistributedNetwork` and outlives the run.
+/// Rank w's `dist::Transport` view over the executor's halo buffers and
+/// control block. Constructed inside each rank (the caller or a thread)
+/// for the duration of one run; everything it points at is owned by the
+/// `DistributedNetwork` and outlives the run.
 class ShmTransport final : public Transport {
  public:
-  /// `idle_poll`, if non-null, is invoked periodically while waiting at the
-  /// shared barrier — forked rank 0 uses it to detect crashed children and
-  /// raise the collective abort.
   ShmTransport(std::size_t worker, const Partition& part,
-               HaloTransport& blocks, ControlBlock& control,
-               const std::function<void()>* idle_poll)
-      : worker_(worker),
-        part_(&part),
-        blocks_(&blocks),
-        control_(&control),
-        idle_poll_(idle_poll) {}
+               HaloTransport& halo, ControlBlock& control)
+      : worker_(worker), part_(&part), halo_(&halo), control_(&control) {}
 
   [[nodiscard]] std::size_t rank() const override { return worker_; }
   [[nodiscard]] std::size_t num_ranks() const override {
@@ -147,7 +123,7 @@ class ShmTransport final : public Transport {
       std::size_t w) const override;
   void abort(const std::string& msg) override;
 
-  /// Hooks this worker's transport counters (`shm.barrier.wait.us`,
+  /// Hooks this rank's transport counters (`shm.barrier.wait.us`,
   /// `shm.halo.words`) into `rec`; nullptr detaches.
   void set_recorder(obs::Recorder* rec) override;
 
@@ -156,14 +132,13 @@ class ShmTransport final : public Transport {
 
   std::size_t worker_;
   const Partition* part_;
-  HaloTransport* blocks_;
+  HaloTransport* halo_;
   ControlBlock* control_;
-  const std::function<void()>* idle_poll_;
   obs::Recorder* recorder_ = nullptr;
   /// `sync_liveness` calls so far: selects the not-done slot (shm.hpp).
   std::size_t syncs_ = 0;
   obs::Histogram barrier_wait_us_;
-  obs::Counter halo_words_;
+  obs::Counter shipped_words_;
 };
 
 }  // namespace ds::dist

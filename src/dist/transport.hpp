@@ -7,9 +7,9 @@
 /// protocol the multi-worker executors run (see rank_loop.hpp for the loop
 /// itself). Two implementations exist:
 ///
-///  * `dist::ShmTransport` (shm_transport.hpp) — the single-host fast path:
-///    per-pair shared exchange blocks plus a shared sense-reversing
-///    barrier. Zero-copy on the receive side.
+///  * `dist::ShmTransport` (shm_transport.hpp) — the single-host fast path
+///    between thread ranks: per-rank halo buffers the executor owns plus a
+///    sense-reversing barrier. Zero-copy on the receive side.
 ///  * `net::TcpTransport` (net/tcp_transport.hpp) — genuine multi-host
 ///    execution: per-ordered-pair TCP connections carrying length-prefix
 ///    framed rounds; the frame exchange itself is the barrier.
@@ -118,7 +118,7 @@ class Transport {
   virtual void gather(const std::vector<std::uint64_t>& words) = 0;
 
   /// Rank w's gathered rows. Valid after `gather`, on every rank for every
-  /// w: shm workers share the gather blocks, and TCP rank 0 assembles and
+  /// w: thread ranks share the gather vectors, and TCP rank 0 assembles and
   /// re-broadcasts the table so results are replicated SPMD-style.
   [[nodiscard]] virtual std::pair<const std::uint64_t*, std::size_t> gathered(
       std::size_t w) const = 0;

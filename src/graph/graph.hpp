@@ -11,9 +11,9 @@
 ///    vectors plus the edge list, grown by `add_node`/`add_edge`;
 ///  * **mapped** — a read-only CSR image owned by a keepalive handle: an
 ///    mmapped `.dsg` file (graph/format.hpp), which costs O(1) to open and
-///    whose pages forked workers share read-only, or a generator image
-///    (`DistributedGenerator::generate_full`, three flat arrays built in
-///    one pass, no per-node heap block). A copy of a mapped Graph shares
+///    whose pages every rank of a process shares read-only, or a generator
+///    image (`DistributedGenerator::generate_full`, three flat arrays built
+///    in one pass, no per-node heap block). A copy of a mapped Graph shares
 ///    the image.
 ///
 /// Both modes serve the same accessors; `neighbors()`/`edges()` return

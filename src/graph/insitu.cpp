@@ -389,7 +389,16 @@ LocalCsr build_local_csr(const std::vector<Edge>& incident, NodeId first,
   csr.last = last;
   csr.offsets.assign(local + 1, 0);
   const auto owned = [&](NodeId v) { return v >= first && v < last; };
+  const Edge* prev = nullptr;
   for (const Edge& e : incident) {
+    // The precondition that makes every row come out ascending: all of a
+    // node's smaller neighbors (edges (u, x), u < x) precede its larger
+    // ones (edges (x, v)), each group in increasing order.
+    DS_CHECK_MSG(e.u < e.v && (prev == nullptr || prev->u < e.u ||
+                               (prev->u == e.u && prev->v < e.v)),
+                 "build_local_csr needs a strictly increasing incident "
+                 "edge list with u < v");
+    prev = &e;
     if (owned(e.u)) ++csr.offsets[e.u - first + 1];
     if (owned(e.v)) ++csr.offsets[e.v - first + 1];
   }
@@ -399,10 +408,6 @@ LocalCsr build_local_csr(const std::vector<Edge>& incident, NodeId first,
   for (const Edge& e : incident) {
     if (owned(e.u)) csr.adjacency[cursor[e.u - first]++] = e.v;
     if (owned(e.v)) csr.adjacency[cursor[e.v - first]++] = e.u;
-  }
-  for (std::size_t i = 0; i < local; ++i) {
-    std::sort(csr.adjacency.begin() + static_cast<std::ptrdiff_t>(csr.offsets[i]),
-              csr.adjacency.begin() + static_cast<std::ptrdiff_t>(csr.offsets[i + 1]));
   }
   return csr;
 }

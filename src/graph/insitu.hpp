@@ -66,7 +66,10 @@ struct LocalCsr {
 };
 
 /// Builds the rank-local CSR from the complete incident edge list of a range
-/// (every edge with >= 1 endpoint in [first, last), sorted and deduplicated).
+/// (every edge with >= 1 endpoint in [first, last), sorted and deduplicated:
+/// strictly increasing by (u, v), each with u < v), which fills every row
+/// in ascending order. Throws ds::CheckError when the list breaks that
+/// precondition.
 LocalCsr build_local_csr(const std::vector<Edge>& incident, NodeId first,
                          NodeId last);
 

@@ -4,8 +4,7 @@
 /// Abstract interface over LOCAL-model executors, so algorithms that run
 /// genuine message-passing programs (Luby MIS, trial coloring, sinkless
 /// orientation, ...) can be pointed at the sequential `Network` or a
-/// multi-rank `dist::DistributedNetwork` (thread or forked ranks) at
-/// runtime.
+/// multi-rank `dist::DistributedNetwork` (thread ranks) at runtime.
 ///
 /// Determinism contract: for a fixed (graph, IdStrategy, seed), every
 /// executor must produce bit-identical per-node program outputs and the same
@@ -35,17 +34,17 @@ namespace ds::local {
 
 /// Serializes the output of one node's final program state, appending words
 /// to `out` (cleared by the caller per node). Runs in whatever thread or
-/// *process* owns the node — forked ranks invoke it inside the owning
-/// worker and ship only the words, thread ranks invoke it concurrently — so
-/// it must be a pure function of (node, program): side effects on captured
+/// *process* owns the node — thread ranks invoke it concurrently, TCP
+/// ranks inside the owning process, which ships only the words — so it
+/// must be a pure function of (node, program): side effects on captured
 /// state are not observable after `run()` returns.
 using OutputFn = std::function<void(graph::NodeId, const NodeProgram&,
                                     std::vector<std::uint64_t>&)>;
 
 /// Per-node output rows gathered after a run, CSR-packed (one flat word
 /// vector plus offsets). This — not `Executor::program` — is the
-/// executor-portable way to read results: with forked or TCP ranks only
-/// the owning rank holds a node's program instance.
+/// executor-portable way to read results: with TCP ranks only the owning
+/// rank's process holds a node's program instance.
 class OutputTable {
  public:
   /// Starts a fresh table expecting `n` rows appended in node order.

@@ -4,8 +4,8 @@
 /// The node-program abstraction of the LOCAL-model simulator: the per-node
 /// environment, the `NodeProgram` interface that algorithms implement, and
 /// the `ProgramFactory` every executor builds programs with. Split out of
-/// network.hpp so that every executor (sequential, thread ranks, forked
-/// ranks, TCP) runs the same program API.
+/// network.hpp so that every executor (sequential, thread ranks, TCP ranks)
+/// runs the same program API.
 ///
 /// A node's program depends only on its own environment — its ID, its ports
 /// and its private coins — exactly as in the LOCAL model. The distributed

@@ -2,8 +2,8 @@
 
 /// \file round_stats.hpp
 /// Per-round observability hook of the LOCAL-model executors. The
-/// sequential `Network` and the distributed rank loop (thread, forked and
-/// TCP ranks) aggregate these counters during the send phase and invoke the
+/// sequential `Network` and the distributed rank loop (thread and TCP
+/// ranks) aggregate these counters during the send phase and invoke the
 /// sink once per executed round — the hook costs nothing when no sink is
 /// installed.
 

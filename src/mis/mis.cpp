@@ -108,7 +108,7 @@ MisOutcome luby(const graph::Graph& g, std::uint64_t seed,
                 local::IdStrategy ids, const local::ExecutorFactory& executor) {
   const auto net = local::make_executor(executor, g, ids, seed);
   // Results come back through the executor's output gather (the only
-  // channel that crosses the multi-process executor's worker boundary).
+  // channel that works on every executor, TCP ranks included).
   net->set_output_fn(luby_output_fn());
   const std::size_t rounds = net->run(luby_program_factory(), max_rounds, meter);
 

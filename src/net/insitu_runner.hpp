@@ -23,7 +23,7 @@
 ///
 /// The round protocol is the unmodified `dist::run_rank_loop` core (so the
 /// output is bit-identical to every other runtime by construction), driven
-/// through `dist::run_fleet` like every `net::TcpNetwork` run and mp worker
+/// through `dist::run_fleet` like every `net::TcpNetwork` run and thread rank
 /// (observability agreement, collective abort, fleet obs merge); only the
 /// setup and the result collection differ. Gathering every output row to rank 0 would
 /// reinstate the O(n) driver footprint, so the gather carries *no* output

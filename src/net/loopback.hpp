@@ -11,7 +11,7 @@
 ///
 /// The child bodies run under a catch-all (a ds::CheckError — e.g. a
 /// collective abort — becomes exit code 3) and leave via _exit, skipping
-/// atexit/stdio teardown exactly like the forked shm workers.
+/// atexit/stdio teardown so nothing the parent buffered is flushed twice.
 
 #include <sys/types.h>
 

@@ -5,8 +5,8 @@
 /// (typically on different machines), connected by a `net::TcpTransport`,
 /// each running the shared `dist::run_rank_loop` protocol over its
 /// degree-balanced partition range, constructing only that range's
-/// programs. Every run goes through `dist::run_fleet`, like every mp worker
-/// and every `net::run_insitu` rank.
+/// programs. Every run goes through `dist::run_fleet`, like every thread
+/// rank and every `net::run_insitu` rank.
 ///
 /// **One-shot** (one `distsplit_rank` run): every rank constructs the same
 /// `TcpNetwork` over the same (graph, IdStrategy, seed) with its own `rank`

@@ -24,10 +24,9 @@
 ///    profile.
 ///  - Fork awareness: a `fork()`ed child inherits a copy of the ring but no
 ///    armed timer. Drain/collect in a process that did not call `start()`
-///    returns nothing, so forked workers (`--runtime=mp`) never
-///    double-report the parent's samples, and only rank 0 is profiled
-///    there; each rank of a loopback fleet starts its own profiler after
-///    the fork.
+///    returns nothing, so the forked ranks of a loopback TCP fleet never
+///    double-report the parent's samples; each starts its own profiler
+///    after the fork.
 ///
 /// Caveat: `dladdr` only resolves symbols in the dynamic table — executables
 /// should link with `-rdynamic` (the tools do) or frames fold to

@@ -286,8 +286,8 @@ void Recorder::write_trace_json(std::ostream& out) const {
   // publishes its recorder origin on rank 0's clock as a
   // `clock.t0.rank<R>.us` gauge (rendezvous RTT estimate). When *every*
   // event lane carries one, shift each lane by its origin relative to the
-  // earliest — single-timebase runs (sequential/threads/forked workers have
-  // no such gauges) pass through unshifted.
+  // earliest — single-timebase runs (sequential/thread ranks have no such
+  // gauges) pass through unshifted.
   std::map<std::uint32_t, std::uint64_t> lane_shift;
   std::uint64_t dropped_total = 0;
   {

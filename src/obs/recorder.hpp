@@ -9,16 +9,15 @@
 /// A `Recorder` is owned by whoever requested observability (the CLI
 /// tools, a serving daemon, a test), handed to executors via
 /// `local::Executor::set_recorder`, and may observe several runs.
-/// Executors that fan out (thread ranks, forked ranks, TCP ranks) attribute
+/// Executors that fan out (thread ranks, TCP ranks) attribute
 /// events to *lanes*: lane = rank. In the exported Chrome trace each lane
 /// is one process row and each `Phase` one named thread track, so Perfetto
 /// renders rank 3's barrier wait as its own timeline.
 ///
 /// Timebase: `now_us()` is microseconds since the recorder's origin on the
 /// steady clock (its construction, or the `t0_ns` it was built with).
-/// Forked ranks inherit t0 (fork copies the recorder), and thread ranks
-/// record into per-run recorders built with rank 0's t0, so single-host
-/// lanes share a timebase. TCP ranks each construct their own recorder, so
+/// Thread ranks record into per-run recorders built with rank 0's t0, so
+/// single-host lanes share a timebase. TCP ranks each construct their own recorder, so
 /// lane timebases drift; the transport estimates each rank's offset to
 /// rank 0 from the rendezvous hello/welcome round-trip and records it as
 /// `clock.offset.rank<R>.us` / `clock.t0.rank<R>.us` gauges —
@@ -40,8 +39,9 @@
 /// start (`dist::run_fleet`), appends its block to the gather payload, and
 /// merges every *other* rank's block with `merge_words()`. So each rank ends
 /// a run holding fleet totals, and what a recorder held before the run
-/// (earlier runs' merges, a forked worker's inherited copy, a serving rank
-/// 0's between-run `serve.*` counters) is never shipped again.
+/// (earlier runs' merges, a forked loopback rank's inherited copy, a
+/// serving rank 0's between-run `serve.*` counters) is never shipped
+/// again.
 
 #include <cstddef>
 #include <cstdint>

@@ -174,7 +174,7 @@ SinklessOutcome sinkless_program(const graph::Graph& g, std::uint64_t seed,
     const auto net = local::make_executor(
         executor, g, local::IdStrategy::kSequential, seed + trial);
     // Per-node output row: the final per-port orientation bits, gathered
-    // through the executor (works across the multi-process worker fleet).
+    // through the executor (works across a TCP fleet's processes too).
     net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                           std::vector<std::uint64_t>& out) {
       const auto& prog = static_cast<const SinkFixProgram&>(p);

@@ -1,10 +1,10 @@
 // Tests for the unified algorithm registry (src/algo/): catalog sanity,
 // did-you-mean suggestions, typed parameter parsing, the capability gate,
 // and the cross-runtime conformance suite — every registered Spec runs on
-// {sequential, parallel, mp, tcp-loopback} over {gnp, torus, BA} (or the
-// matching biregular instances for bipartite specs) with bit-identical
-// outputs vs the sequential reference, while kSequentialOnly specs refuse
-// scalable runtimes with a clear error.
+// {sequential, parallel at 2 and 4 thread ranks, tcp-loopback} over {gnp,
+// torus, BA} (or the matching biregular instances for bipartite specs)
+// with bit-identical outputs vs the sequential reference, while
+// kSequentialOnly specs refuse scalable runtimes with a clear error.
 
 #include <gtest/gtest.h>
 
@@ -221,31 +221,26 @@ RunContext context_for(const Spec& spec, const Instance& inst,
   return ctx;
 }
 
-TEST(Conformance, EverySpecMatchesSequentialOnParallelAndMp) {
+TEST(Conformance, EverySpecMatchesSequentialOnThreadRanks) {
   for (const Spec& spec : all_specs()) {
     if (spec.capability != Capability::kAnyRuntime) continue;
     for (const Instance& inst : instances_for(spec)) {
       const Result expected =
           execute(spec, context_for(spec, inst, {}, true));
       EXPECT_TRUE(expected.verified) << spec.name << "/" << inst.label;
-      for (const char* runtime : {"parallel", "mp"}) {
+      for (const std::size_t threads : {2u, 4u}) {
         runtime::RuntimeConfig config;
-        if (std::string(runtime) == "parallel") {
-          config.kind = runtime::RuntimeKind::kParallel;
-          config.threads = 2;
-        } else {
-          config.kind = runtime::RuntimeKind::kMultiProcess;
-          config.workers = 2;
-        }
+        config.kind = runtime::RuntimeKind::kParallel;
+        config.threads = threads;
         const Result got = execute(
             spec, context_for(spec, inst,
                               runtime::make_executor_factory(config), false));
         EXPECT_EQ(got.output_words, expected.output_words)
-            << spec.name << "/" << inst.label << "/" << runtime;
+            << spec.name << "/" << inst.label << "/threads=" << threads;
         EXPECT_EQ(got.executed_rounds, expected.executed_rounds)
-            << spec.name << "/" << inst.label << "/" << runtime;
+            << spec.name << "/" << inst.label << "/threads=" << threads;
         EXPECT_EQ(got.summary, expected.summary)
-            << spec.name << "/" << inst.label << "/" << runtime;
+            << spec.name << "/" << inst.label << "/threads=" << threads;
         EXPECT_TRUE(got.verified) << spec.name << "/" << inst.label;
       }
     }
@@ -253,7 +248,7 @@ TEST(Conformance, EverySpecMatchesSequentialOnParallelAndMp) {
 }
 
 TEST(Conformance, EverySpecMatchesSequentialOnTcpLoopback) {
-  // One instance per spec keeps the fleet count bounded; the mp/parallel
+  // One instance per spec keeps the fleet count bounded; the thread-rank
   // sweep above already covers the full instance grid.
   net::TcpOptions topts;
   topts.handshake_timeout_ms = 20000;

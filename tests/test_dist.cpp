@@ -1,13 +1,15 @@
 // Tests for the multi-rank executor: the determinism contract — for a
 // fixed (graph, IdStrategy, seed), DistributedNetwork must produce
 // bit-identical per-node outputs, round counts and RoundStats to the
-// sequential Network at every worker count — plus the executor-portable
-// output gather, the abort paths on forked and thread ranks, program
-// residency per spawn, and a >= 100k-node stress instance. The thread-rank
-// determinism suite is tests/test_runtime.cpp.
+// sequential Network at every rank count — read through the
+// executor-portable output gather, plus the abort paths, halo and gather
+// traffic of any size, program residency and release, and a >= 100k-node
+// stress instance. tests/test_runtime.cpp reads the same digests through
+// `program(v)`.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -36,15 +38,10 @@ namespace {
 // pattern against every executor.
 using probes::probe_factory;
 
-DistributedConfig spawned(RankSpawn spawn, std::size_t workers) {
+DistributedConfig ranks(std::size_t count) {
   DistributedConfig config;
-  config.workers = workers;
-  config.spawn = spawn;
+  config.workers = count;
   return config;
-}
-
-const char* spawn_name(RankSpawn spawn) {
-  return spawn == RankSpawn::kThread ? "threads" : "processes";
 }
 
 local::OutputFn probe_output_fn() {
@@ -74,11 +71,11 @@ void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
   for (std::size_t workers : {1, 2, 4}) {
     DistributedConfig config;
     config.workers = workers;
-    DistributedNetwork mp(g, strategy, seed, config);
-    EXPECT_EQ(mp.uids(), sequential.uids());
-    std::size_t mp_rounds = 0;
-    const auto got = probe_digests(mp, &mp_rounds);
-    EXPECT_EQ(mp_rounds, seq_rounds) << "workers=" << workers;
+    DistributedNetwork par(g, strategy, seed, config);
+    EXPECT_EQ(par.uids(), sequential.uids());
+    std::size_t par_rounds = 0;
+    const auto got = probe_digests(par, &par_rounds);
+    EXPECT_EQ(par_rounds, seq_rounds) << "workers=" << workers;
     EXPECT_EQ(got, expected) << "workers=" << workers;
   }
 }
@@ -118,12 +115,12 @@ TEST(DistributedDeterminism, StressHundredThousandNodes) {
   const auto expected = probe_digests(sequential);
   DistributedConfig config;
   config.workers = 2;
-  DistributedNetwork mp(g, local::IdStrategy::kSequential, 123, config);
-  EXPECT_EQ(probe_digests(mp), expected);
+  DistributedNetwork par(g, local::IdStrategy::kSequential, 123, config);
+  EXPECT_EQ(probe_digests(par), expected);
 }
 
 // Algorithm-level equality through the ExecutorFactory plumbing: Luby MIS,
-// trial coloring and the sinkless-orientation program, at 2 and 4 workers.
+// trial coloring and the sinkless-orientation program, at 2 and 4 ranks.
 TEST(DistributedDeterminism, LubyTrialColoringSinkless) {
   Rng rng(2);
   const auto g = graph::gen::random_regular(384, 8, rng);
@@ -132,27 +129,27 @@ TEST(DistributedDeterminism, LubyTrialColoringSinkless) {
   const auto seq_orient = orient::sinkless_program(g, 79, 3);
   for (std::size_t workers : {2, 4}) {
     runtime::RuntimeConfig config;
-    config.kind = runtime::RuntimeKind::kMultiProcess;
-    config.workers = workers;
+    config.kind = runtime::RuntimeKind::kParallel;
+    config.threads = workers;
     const auto executor = runtime::make_executor_factory(config);
 
-    const auto mp_mis = mis::luby(g, 77, nullptr, 10000,
+    const auto par_mis = mis::luby(g, 77, nullptr, 10000,
                                   local::IdStrategy::kSequential, executor);
-    EXPECT_EQ(mp_mis.in_mis, seq_mis.in_mis) << "workers=" << workers;
-    EXPECT_EQ(mp_mis.executed_rounds, seq_mis.executed_rounds);
+    EXPECT_EQ(par_mis.in_mis, seq_mis.in_mis) << "workers=" << workers;
+    EXPECT_EQ(par_mis.executed_rounds, seq_mis.executed_rounds);
 
-    const auto mp_col = coloring::randomized_coloring(
+    const auto par_col = coloring::randomized_coloring(
         g, 78, nullptr, 10000, local::IdStrategy::kSequential, executor);
-    EXPECT_EQ(mp_col.colors, seq_col.colors) << "workers=" << workers;
-    EXPECT_EQ(mp_col.num_colors, seq_col.num_colors);
-    EXPECT_EQ(mp_col.executed_rounds, seq_col.executed_rounds);
+    EXPECT_EQ(par_col.colors, seq_col.colors) << "workers=" << workers;
+    EXPECT_EQ(par_col.num_colors, seq_col.num_colors);
+    EXPECT_EQ(par_col.executed_rounds, seq_col.executed_rounds);
 
-    const auto mp_orient =
+    const auto par_orient =
         orient::sinkless_program(g, 79, 3, nullptr, 30, executor);
-    EXPECT_EQ(mp_orient.toward_v, seq_orient.toward_v)
+    EXPECT_EQ(par_orient.toward_v, seq_orient.toward_v)
         << "workers=" << workers;
-    EXPECT_EQ(mp_orient.executed_rounds, seq_orient.executed_rounds);
-    EXPECT_EQ(mp_orient.trials, seq_orient.trials);
+    EXPECT_EQ(par_orient.executed_rounds, seq_orient.executed_rounds);
+    EXPECT_EQ(par_orient.trials, seq_orient.trials);
   }
 }
 
@@ -162,26 +159,26 @@ TEST(DistributedRoundStats, MatchesSequentialExecutor) {
   local::Network seq(g, local::IdStrategy::kSequential, 8);
   DistributedConfig config;
   config.workers = 3;
-  DistributedNetwork mp(g, local::IdStrategy::kSequential, 8, config);
+  DistributedNetwork par(g, local::IdStrategy::kSequential, 8, config);
   std::vector<local::RoundStats> seq_stats;
-  std::vector<local::RoundStats> mp_stats;
+  std::vector<local::RoundStats> par_stats;
   seq.set_stats_sink([&](const local::RoundStats& s) {
     seq_stats.push_back(s);
   });
-  mp.set_stats_sink([&](const local::RoundStats& s) {
-    mp_stats.push_back(s);
+  par.set_stats_sink([&](const local::RoundStats& s) {
+    par_stats.push_back(s);
   });
   const std::size_t seq_rounds = seq.run(probe_factory(), 100);
-  const std::size_t mp_rounds = mp.run(probe_factory(), 100);
-  EXPECT_EQ(seq_rounds, mp_rounds);
+  const std::size_t par_rounds = par.run(probe_factory(), 100);
+  EXPECT_EQ(seq_rounds, par_rounds);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
-  ASSERT_EQ(mp_stats.size(), mp_rounds);
+  ASSERT_EQ(par_stats.size(), par_rounds);
   for (std::size_t r = 0; r < seq_stats.size(); ++r) {
-    EXPECT_EQ(mp_stats[r].round, r);
-    EXPECT_EQ(seq_stats[r].live_nodes, mp_stats[r].live_nodes) << r;
-    EXPECT_EQ(seq_stats[r].messages, mp_stats[r].messages) << r;
-    EXPECT_EQ(seq_stats[r].payload_words, mp_stats[r].payload_words) << r;
-    EXPECT_GE(mp_stats[r].wall_seconds, 0.0);
+    EXPECT_EQ(par_stats[r].round, r);
+    EXPECT_EQ(seq_stats[r].live_nodes, par_stats[r].live_nodes) << r;
+    EXPECT_EQ(seq_stats[r].messages, par_stats[r].messages) << r;
+    EXPECT_EQ(seq_stats[r].payload_words, par_stats[r].payload_words) << r;
+    EXPECT_GE(par_stats[r].wall_seconds, 0.0);
   }
 }
 
@@ -196,7 +193,7 @@ TEST(DistributedNetwork, CostMeterAndReuse) {
   net.set_output_fn(probe_output_fn());
   const std::size_t r1 = net.run(probe_factory(), 100, &meter);
   EXPECT_EQ(meter.executed_rounds(), r1);
-  // Re-running the same executor (a fresh worker fleet per run) must be
+  // Re-running the same executor (fresh rank threads per run) must be
   // deterministic too.
   const auto first = probe_digests(net);
   const auto second = probe_digests(net);
@@ -205,57 +202,46 @@ TEST(DistributedNetwork, CostMeterAndReuse) {
 
 TEST(DistributedNetwork, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
-  for (const RankSpawn spawn : {RankSpawn::kProcess, RankSpawn::kThread}) {
-    DistributedNetwork net(g, local::IdStrategy::kSequential, 1,
-                           spawned(spawn, 2));
-    try {
-      net.run(probe_factory(), 2);
-      ADD_FAILURE() << spawn_name(spawn) << ": expected a round-limit abort";
-    } catch (const ds::CheckError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("distributed run failed: "), std::string::npos)
-          << spawn_name(spawn) << ": " << what;
-      EXPECT_NE(what.find("max_rounds"), std::string::npos)
-          << spawn_name(spawn) << ": " << what;
-    }
-    // The executor must stay usable after the aborted fleet is torn down.
-    EXPECT_GT(net.run(probe_factory(), 100), 2u) << spawn_name(spawn);
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, ranks(2));
+  try {
+    net.run(probe_factory(), 2);
+    ADD_FAILURE() << "expected a round-limit abort";
+  } catch (const ds::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("distributed run failed: "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("max_rounds"), std::string::npos) << what;
   }
+  // The executor must stay usable after the aborted run's ranks are joined.
+  EXPECT_GT(net.run(probe_factory(), 100), 2u);
 }
 
 TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
   // A factory throw in rank 0 (the caller) or in rank 1 becomes the
-  // collective abort: every rank is joined or reaped, the caller throws
-  // with the first message, and the executor stays usable.
+  // collective abort: every rank is joined, the caller throws with the
+  // first message, and the executor stays usable.
   const auto g = graph::gen::torus(8, 8);
-  for (const RankSpawn spawn : {RankSpawn::kProcess, RankSpawn::kThread}) {
-    DistributedNetwork net(g, local::IdStrategy::kSequential, 1,
-                           spawned(spawn, 2));
-    for (const std::size_t failing : {0u, 1u}) {
-      const graph::NodeId victim = net.partition().first_node(failing);
-      const local::ProgramFactory probe = probe_factory();
-      try {
-        net.run(
-            [&](const local::NodeEnv& env) {
-              DS_CHECK_MSG(env.node != victim, "factory boom");
-              return probe(env);
-            },
-            100);
-        ADD_FAILURE() << spawn_name(spawn) << ": rank " << failing
-                      << " failure did not abort the run";
-      } catch (const ds::CheckError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("distributed run failed: "), std::string::npos)
-            << spawn_name(spawn) << ": " << what;
-        EXPECT_NE(what.find("factory boom"), std::string::npos)
-            << spawn_name(spawn) << ": " << what;
-      }
-      EXPECT_GT(net.run(probe_factory(), 100), 0u) << spawn_name(spawn);
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, ranks(2));
+  for (const std::size_t failing : {0u, 1u}) {
+    const graph::NodeId victim = net.partition().first_node(failing);
+    const local::ProgramFactory probe = probe_factory();
+    try {
+      net.run(
+          [&](const local::NodeEnv& env) {
+            DS_CHECK_MSG(env.node != victim, "factory boom");
+            return probe(env);
+          },
+          100);
+      ADD_FAILURE() << "rank " << failing << " failure did not abort the run";
+    } catch (const ds::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("distributed run failed: "), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("factory boom"), std::string::npos) << what;
     }
+    EXPECT_GT(net.run(probe_factory(), 100), 0u);
   }
   // A throw that is no std::exception still aborts every thread rank.
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 1,
-                         spawned(RankSpawn::kThread, 2));
   const graph::NodeId victim = net.partition().first_node(1);
   const local::ProgramFactory probe = probe_factory();
   try {
@@ -274,69 +260,147 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
   EXPECT_GT(net.run(probe_factory(), 100), 0u);
 }
 
-/// A program that writes 64 words on every port, then halts.
-local::ProgramFactory chatty_factory() {
-  return [](const local::NodeEnv& env) {
-    class Chatty final : public local::NodeProgram {
-     public:
-      explicit Chatty(std::size_t degree) : degree_(degree) {}
-      void send(std::size_t, local::Outbox& out) override {
-        for (std::size_t p = 0; p < degree_; ++p) {
-          const std::vector<std::uint64_t> payload(64, p);
-          out.write(p, payload.data(), payload.size());
-        }
+/// A program that writes `words` words on every port for two rounds and
+/// folds every word it receives into a digest.
+class Chatty final : public local::NodeProgram {
+ public:
+  Chatty(const local::NodeEnv& env, std::size_t words)
+      : uid_(env.uid), degree_(env.degree), words_(words) {}
+  void send(std::size_t round, local::Outbox& out) override {
+    for (std::size_t p = 0; p < degree_; ++p) {
+      for (std::size_t i = 0; i < words_; ++i) {
+        out.push(p, uid_ * 1'000'003 + round * 1'009 + p * 31 + i);
       }
-      void receive(std::size_t, const local::Inbox&) override {
-        done_ = true;
+    }
+  }
+  void receive(std::size_t round, const local::Inbox& inbox) override {
+    for (std::size_t p = 0; p < inbox.size(); ++p) {
+      for (const std::uint64_t w : inbox[p]) {
+        digest_ = (digest_ ^ (w + p)) * 1'099'511'628'211ull;
       }
-      [[nodiscard]] bool done() const override { return done_; }
+    }
+    done_ = round >= 1;
+  }
+  [[nodiscard]] bool done() const override { return done_; }
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
 
-     private:
-      std::size_t degree_;
-      bool done_ = false;
-    };
-    return std::make_unique<Chatty>(env.degree);
-  };
+ private:
+  std::uint64_t uid_;
+  std::size_t degree_;
+  std::size_t words_;
+  std::uint64_t digest_ = 14'695'981'039'346'656'037ull;
+  bool done_ = false;
+};
+
+std::vector<std::uint64_t> chatty_digests(local::Executor& exec,
+                                          std::size_t words) {
+  exec.set_output_fn([](graph::NodeId, const local::NodeProgram& p,
+                        std::vector<std::uint64_t>& out) {
+    out.push_back(static_cast<const Chatty&>(p).digest());
+  });
+  exec.run(
+      [words](const local::NodeEnv& env) {
+        return std::make_unique<Chatty>(env, words);
+      },
+      10);
+  std::vector<std::uint64_t> digests(exec.graph().num_nodes());
+  for (graph::NodeId v = 0; v < digests.size(); ++v) {
+    digests[v] = exec.outputs().value(v);
+  }
+  return digests;
 }
 
-TEST(DistributedNetwork, HaloOverflowAbortsCleanly) {
-  // A program whose cut messages exceed the transport reservation must fail
-  // loudly (naming the knob) in every rank, not hang or corrupt.
+TEST(DistributedNetwork, CutTrafficOfAnySizeMatchesSequential) {
+  // 300 words per cut port and round on K16: more than the 256 words per
+  // port the exchange once reserved up front (and aborted beyond, with
+  // "halo exchange overflow"). The halo buffers grow instead.
   const auto g = graph::gen::complete(16);
-  for (const RankSpawn spawn : {RankSpawn::kProcess, RankSpawn::kThread}) {
-    DistributedConfig config = spawned(spawn, 2);
-    config.halo_words_per_port = 1;  // floor is 64 words/pair; send > that
-    DistributedNetwork net(g, local::IdStrategy::kSequential, 5, config);
-    try {
-      net.run(chatty_factory(), 10);
-      ADD_FAILURE() << spawn_name(spawn) << ": expected halo overflow";
-    } catch (const ds::CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("halo"), std::string::npos)
-          << spawn_name(spawn) << ": " << e.what();
-    }
+  local::Network seq(g, local::IdStrategy::kSequential, 5);
+  const auto expected = chatty_digests(seq, 300);
+  for (const std::size_t count : {2u, 4u}) {
+    DistributedNetwork net(g, local::IdStrategy::kSequential, 5,
+                           ranks(count));
+    EXPECT_EQ(chatty_digests(net, 300), expected) << "ranks=" << count;
   }
 }
 
-TEST(DistributedNetwork, ProgramAccessorIsOwnerLocal) {
+TEST(DistributedNetwork, ReceivePhaseThrowAbortsTheRun) {
+  // A node program that throws between ship and sync_liveness unwinds its
+  // rank's arena and bank while the peers still read that round's cut
+  // traffic. The traffic lives in the executor's halo buffers, so the run
+  // fails with the program's message (no peer reads freed memory, which
+  // the sanitizer builds would report) and the executor stays usable.
+  class ThrowsOnReceive final : public local::NodeProgram {
+   public:
+    ThrowsOnReceive(const local::NodeEnv& env, bool victim)
+        : uid_(env.uid), degree_(env.degree), victim_(victim) {}
+    void send(std::size_t, local::Outbox& out) override {
+      for (std::size_t p = 0; p < degree_; ++p) {
+        for (std::uint64_t i = 0; i < 16; ++i) out.push(p, uid_ + i);
+      }
+    }
+    void receive(std::size_t, const local::Inbox& inbox) override {
+      DS_CHECK_MSG(!victim_, "receive boom");
+      for (std::size_t p = 0; p < inbox.size(); ++p) {
+        for (const std::uint64_t w : inbox[p]) sum_ += w;
+      }
+      done_ = true;
+    }
+    [[nodiscard]] bool done() const override { return done_; }
+
+   private:
+    std::uint64_t uid_;
+    std::size_t degree_;
+    bool victim_;
+    std::uint64_t sum_ = 0;
+    bool done_ = false;
+  };
+  const auto g = graph::gen::torus(64, 64);
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, ranks(4));
+  const graph::NodeId victim = net.partition().first_node(1);
+  try {
+    net.run(
+        [victim](const local::NodeEnv& env) {
+          return std::make_unique<ThrowsOnReceive>(env, env.node == victim);
+        },
+        10);
+    ADD_FAILURE() << "a receive-phase throw did not abort the run";
+  } catch (const ds::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("receive boom"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_GT(net.run(probe_factory(), 100), 0u);
+}
+
+TEST(DistributedNetwork, LongOutputRowsGatherIntact) {
+  // 100-word rows: more than the per-rank gather budget once reserved up
+  // front (64 words per node plus one per node and port, aborting beyond
+  // with "output gather overflow"). The gather vectors grow instead.
   const auto g = graph::gen::torus(8, 8);
-  DistributedConfig config;
-  config.workers = 2;
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, config);
-  net.run(probe_factory(), 100);
-  // Worker 0's own range is resident in the calling process...
-  const graph::NodeId mine = net.partition().first_node(0);
-  EXPECT_NO_THROW((void)net.program(mine));
-  // ...another worker's nodes live in a process that no longer exists.
-  const graph::NodeId theirs = net.partition().first_node(1);
-  EXPECT_THROW((void)net.program(theirs), ds::CheckError);
+  const local::OutputFn long_rows = [](graph::NodeId,
+                                       const local::NodeProgram& p,
+                                       std::vector<std::uint64_t>& out) {
+    const auto& probe = static_cast<const probes::ProbeBase&>(p);
+    for (std::uint64_t i = 0; i < 100; ++i) out.push_back(probe.digest() + i);
+  };
+  local::Network seq(g, local::IdStrategy::kSequential, 3);
+  seq.set_output_fn(long_rows);
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 3, ranks(2));
+  net.set_output_fn(long_rows);
+  EXPECT_EQ(net.run(probe_factory(), 100), seq.run(probe_factory(), 100));
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const local::MessageView got = net.outputs().row(v);
+    const local::MessageView want = seq.outputs().row(v);
+    ASSERT_EQ(got.size(), 100u) << v;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << v;
+  }
 }
 
 TEST(DistributedNetwork, ThreadRanksKeepEveryProgramResident) {
   // Thread ranks share the caller's address space, so program(v) serves
   // every node after the run, equal to the sequential executor's.
   const auto g = graph::gen::torus(8, 8);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4,
-                         spawned(RankSpawn::kThread, 2));
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, ranks(2));
   net.run(probe_factory(), 100);
   local::Network seq(g, local::IdStrategy::kSequential, 4);
   seq.run(probe_factory(), 100);
@@ -348,31 +412,12 @@ TEST(DistributedNetwork, ThreadRanksKeepEveryProgramResident) {
   EXPECT_THROW((void)net.program(g.num_nodes()), ds::CheckError);
 }
 
-TEST(DistributedNetwork, WorkerZeroConstructsOnlyItsOwnedPrograms) {
-  // Worker 0 is the calling process, so its factory calls are observable
-  // here: exactly one per owned node, not one per node of the instance.
-  const auto g = graph::gen::torus(10, 10);
-  DistributedConfig config;
-  config.workers = 2;
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, config);
-  std::size_t calls = 0;
-  const local::ProgramFactory probe = probe_factory();
-  net.run(
-      [&](const local::NodeEnv& env) {
-        ++calls;
-        return probe(env);
-      },
-      100);
-  EXPECT_EQ(calls, net.partition().num_nodes(0));
-}
-
 TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
   // Thread ranks call the factory concurrently, each for its own range
   // only: every rank's count equals its range, rank 0's range is built on
   // the calling thread, and every other rank's on one thread of its own.
   const auto g = graph::gen::torus(10, 10);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4,
-                         spawned(RankSpawn::kThread, 4));
+  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, ranks(4));
   const std::size_t ranks = net.num_workers();
   ASSERT_EQ(ranks, 4u);
   std::vector<std::atomic<std::size_t>> calls(ranks);
@@ -404,9 +449,65 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
   EXPECT_EQ(seen.size(), ranks);
 }
 
+TEST(DistributedNetwork, ReleasesEachRanksProgramsOnAThreadOfItsOwn) {
+  // Programs stay resident after run(); destroying the executor frees rank
+  // 0's on the calling thread and every other rank's off it, each rank's
+  // on one thread, every program exactly once.
+  class Recording final : public local::NodeProgram {
+   public:
+    Recording(graph::NodeId node, std::mutex& mu,
+              std::map<graph::NodeId, std::thread::id>& destroyed_on)
+        : node_(node), mu_(mu), destroyed_on_(destroyed_on) {}
+    ~Recording() override {
+      const std::lock_guard<std::mutex> lock(mu_);
+      EXPECT_TRUE(destroyed_on_.emplace(node_, std::this_thread::get_id())
+                      .second)
+          << "node " << node_ << " destroyed twice";
+    }
+    void send(std::size_t, local::Outbox&) override {}
+    void receive(std::size_t, const local::Inbox&) override { done_ = true; }
+    [[nodiscard]] bool done() const override { return done_; }
+
+   private:
+    graph::NodeId node_;
+    std::mutex& mu_;
+    std::map<graph::NodeId, std::thread::id>& destroyed_on_;
+    bool done_ = false;
+  };
+  const auto g = graph::gen::torus(10, 10);
+  std::mutex mu;
+  std::map<graph::NodeId, std::thread::id> destroyed_on;
+  std::vector<std::size_t> owner(g.num_nodes());
+  {
+    DistributedNetwork net(g, local::IdStrategy::kSequential, 4, ranks(4));
+    ASSERT_EQ(net.num_workers(), 4u);
+    net.run(
+        [&](const local::NodeEnv& env) {
+          return std::make_unique<Recording>(env.node, mu, destroyed_on);
+        },
+        10);
+    EXPECT_TRUE(destroyed_on.empty());
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      owner[v] = net.partition().owner(v);
+    }
+  }
+  ASSERT_EQ(destroyed_on.size(), g.num_nodes());
+  std::map<std::size_t, std::set<std::thread::id>> threads_of_rank;
+  for (const auto& [v, thread] : destroyed_on) {
+    threads_of_rank[owner[v]].insert(thread);
+  }
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  EXPECT_EQ(threads_of_rank[0], caller);
+  for (std::size_t w = 1; w < 4; ++w) {
+    EXPECT_EQ(threads_of_rank[w].size(), 1u) << "rank " << w;
+    EXPECT_EQ(threads_of_rank[w].count(std::this_thread::get_id()), 0u)
+        << "rank " << w << " was released on the calling thread";
+  }
+}
+
 TEST(DistributedNetwork, DegenerateInstances) {
-  // More workers than nodes: the fleet is clamped to the node count (an
-  // empty range would pay fork + barrier costs for nothing) and the run
+  // More ranks than nodes: the rank count is clamped to the node count (an
+  // empty range would pay spawn + barrier costs for nothing) and the run
   // must still be bit-identical to the sequential executor.
   const auto small = graph::gen::cycle(3);
   expect_bit_identical(small, local::IdStrategy::kSequential, 2);
@@ -432,19 +533,19 @@ TEST(DistributedNetwork, DegenerateInstances) {
 }
 
 TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
-  // Regression: the gather reservation must accommodate degree-proportional
-  // output rows (e.g. sinkless ships one word per port) even when the
-  // degree-balanced split gives one worker a single huge-degree hub and
-  // nothing else — a flat per-node budget used to overflow here while the
-  // in-process executors succeeded.
+  // Regression: degree-proportional output rows (e.g. sinkless ships one
+  // word per port) gather intact even when the degree-balanced split gives
+  // one rank a single huge-degree hub and nothing else — a flat per-node
+  // gather budget once overflowed here while the sequential executor
+  // succeeded.
   graph::Graph star(201);
   for (graph::NodeId v = 1; v < 201; ++v) star.add_edge(0, v);
   // Worker 0 owns exactly the hub (its 200 ports are half of all ports).
   DistributedConfig config;
   config.workers = 2;
-  DistributedNetwork mp(star, local::IdStrategy::kSequential, 1, config);
-  ASSERT_EQ(mp.partition().last_node(0), 1u);
-  mp.set_output_fn([](graph::NodeId v, const local::NodeProgram& p,
+  DistributedNetwork par(star, local::IdStrategy::kSequential, 1, config);
+  ASSERT_EQ(par.partition().last_node(0), 1u);
+  par.set_output_fn([](graph::NodeId v, const local::NodeProgram& p,
                       std::vector<std::uint64_t>& out) {
     const auto& probe = static_cast<const probes::ProbeBase&>(p);
     // Degree-sized row: 200 words for the hub, 1 for each leaf.
@@ -456,39 +557,10 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
     const auto& probe = static_cast<const probes::ProbeBase&>(p);
     out.assign(v == 0 ? 200 : 1, probe.digest());
   });
-  EXPECT_EQ(mp.run(probe_factory(), 100), seq.run(probe_factory(), 100));
+  EXPECT_EQ(par.run(probe_factory(), 100), seq.run(probe_factory(), 100));
   for (graph::NodeId v = 0; v < 201; ++v) {
-    ASSERT_EQ(mp.outputs().row(v).size(), seq.outputs().row(v).size()) << v;
-    EXPECT_EQ(mp.outputs().row(v)[0], seq.outputs().row(v)[0]) << v;
-  }
-}
-
-TEST(DistributedNetwork, TransportKnobsReachTheExecutor) {
-  // --halo-words / --gather-words are the escape hatch the overflow
-  // messages name; they must parse and reach both multi-rank runtimes.
-  for (const char* runtime : {"--runtime=mp", "--runtime=parallel"}) {
-    const char* argv[] = {"x", runtime, "--workers=2", "--threads=2",
-                          "--halo-words=1024", "--gather-words=512"};
-    const auto config = runtime::runtime_from_options(Options(6, argv));
-    EXPECT_EQ(config.halo_words, 1024u);
-    EXPECT_EQ(config.gather_words, 512u);
-    const auto factory = runtime::make_executor_factory(config);
-    const auto g = graph::gen::torus(8, 8);
-    const auto exec = factory(g, local::IdStrategy::kSequential, 3);
-    exec->set_output_fn(probe_output_fn());
-    local::Network seq(g, local::IdStrategy::kSequential, 3);
-    EXPECT_EQ(probe_digests(*exec), probe_digests(seq)) << runtime;
-
-    // A reservation below the chatty program's demand must overflow: the
-    // knob really sized the transport.
-    const char* argv_tight[] = {"x", runtime, "--workers=2", "--threads=2",
-                                "--halo-words=1"};
-    const auto k16 = graph::gen::complete(16);
-    const auto tight = runtime::make_executor_factory(
-        runtime::runtime_from_options(Options(5, argv_tight)))(
-        k16, local::IdStrategy::kSequential, 5);
-    EXPECT_THROW(tight->run(chatty_factory(), 10), ds::CheckError)
-        << runtime;
+    ASSERT_EQ(par.outputs().row(v).size(), seq.outputs().row(v).size()) << v;
+    EXPECT_EQ(par.outputs().row(v)[0], seq.outputs().row(v)[0]) << v;
   }
 }
 

@@ -2,11 +2,12 @@
 // gnp / Barabási–Albert / geometric instances asserting that every edge is
 // either internal or appears exactly once in each endpoint's halo table,
 // degenerate shapes (n < workers, isolated nodes, a single hub star),
-// PartitionStats, an in-process ship/patch roundtrip of the HaloTransport —
-// plus the in-situ scale path's two core determinism claims: for every
-// generator family the union of all ranks' shards equals the sequential
-// edge set at 1/2/4 ranks, and `Partition::rank_local` reproduces the full
-// constructor's own-rank routing tables exactly.
+// PartitionStats, an in-process ship/patch roundtrip of the HaloTransport,
+// `build_local_csr`'s input precondition — plus the in-situ scale path's
+// two core determinism claims: for every generator family the union of all
+// ranks' shards equals the sequential edge set at 1/2/4 ranks, and
+// `Partition::rank_local` reproduces the full constructor's own-rank
+// routing tables exactly.
 
 #include <gtest/gtest.h>
 
@@ -171,50 +172,70 @@ TEST(Partition, DegenerateShapes) {
 // ---- In-process transport roundtrip --------------------------------------
 
 TEST(HaloTransport, ShipPatchRoundtrip) {
-  // Simulate one round of two workers in-process: every node writes a
-  // distinct message on every port through the unmodified Outbox against
-  // its worker's local arena; after ship + patch, every local slot must
-  // hold exactly the words the global (sequential-executor) delivery rule
-  // assigns to it.
+  // Simulate two rounds of two ranks in-process: every node writes a
+  // distinct message on its ports through the unmodified Outbox against
+  // its rank's local arena; after ship + patch, every local slot must hold
+  // exactly the words the global (sequential-executor) delivery rule
+  // assigns to it, read in place from the peer's halo buffer. The second
+  // round sends on even ports only: a port whose neighbor sent nothing
+  // must read empty, not the first round's message.
   Rng rng(21);
   const auto g = graph::gen::gnp(60, 0.1, rng);
   const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 2);
   const Partition part(topo, 2);
-  const HaloTransport transport(part, 16, 4);
-  const std::uint64_t epoch = 7;
+  HaloTransport transport(part);
 
   std::vector<local::WordBank> banks(2);
   std::vector<std::vector<local::MessageSpan>> arenas(2);
   for (std::size_t w = 0; w < 2; ++w) {
     arenas[w].resize(part.num_local_ports(w) + part.num_out_halo(w));
-    for (graph::NodeId v = part.first_node(w); v < part.last_node(w); ++v) {
-      local::Outbox out(&banks[w], 0, arenas[w].data(),
-                        part.local_delivery(w).data() +
-                            (topo.port_offset(v) - part.port_base(w)),
-                        g.degree(v), epoch);
-      for (std::size_t p = 0; p < g.degree(v); ++p) {
-        out.write(p, {v * 1000ull + p, ~(v * 1000ull + p)});
+  }
+  const auto word = [](std::uint64_t epoch, graph::NodeId v, std::size_t p) {
+    return epoch * 1'000'000 + v * 1000ull + p;
+  };
+  for (const std::uint64_t epoch : {7u, 8u}) {
+    const auto sends = [&](std::size_t port) {
+      return epoch == 7 || port % 2 == 0;
+    };
+    for (std::size_t w = 0; w < 2; ++w) {
+      banks[w].clear();
+      for (graph::NodeId v = part.first_node(w); v < part.last_node(w);
+           ++v) {
+        local::Outbox out(&banks[w], 0, arenas[w].data(),
+                          part.local_delivery(w).data() +
+                              (topo.port_offset(v) - part.port_base(w)),
+                          g.degree(v), epoch);
+        for (std::size_t p = 0; p < g.degree(v); ++p) {
+          if (sends(p)) out.write(p, {word(epoch, v, p), ~word(epoch, v, p)});
+        }
       }
     }
-  }
-  for (std::size_t w = 0; w < 2; ++w) {
-    transport.ship(w, arenas[w].data(), banks[w].data(), epoch);
-  }
-  for (std::size_t w = 0; w < 2; ++w) {
-    transport.patch(w, arenas[w].data(), epoch);
-    auto bases = transport.bank_bases(w, banks[w].data());
-    for (graph::NodeId v = part.first_node(w); v < part.last_node(w); ++v) {
-      local::Inbox inbox(
-          arenas[w].data() + (topo.port_offset(v) - part.port_base(w)),
-          g.degree(v), bases.data(), epoch);
-      for (std::size_t p = 0; p < g.degree(v); ++p) {
-        // The message on port p came from the neighbor's reverse port.
-        const graph::NodeId u = g.neighbors(v)[p];
-        const std::uint64_t expected =
-            u * 1000ull + topo.reverse_port(v, p);
-        ASSERT_EQ(inbox[p].size(), 2u) << "v=" << v << " p=" << p;
-        EXPECT_EQ(inbox[p][0], expected);
-        EXPECT_EQ(inbox[p][1], ~expected);
+    for (std::size_t w = 0; w < 2; ++w) {
+      transport.ship(w, arenas[w].data(), banks[w].data(), epoch);
+    }
+    for (std::size_t w = 0; w < 2; ++w) {
+      transport.patch(w, arenas[w].data(), epoch);
+      std::vector<const std::uint64_t*> bases;
+      transport.fill_bank_bases(w, banks[w].data(), bases);
+      ASSERT_EQ(bases.size(), 3u);
+      for (graph::NodeId v = part.first_node(w); v < part.last_node(w);
+           ++v) {
+        local::Inbox inbox(
+            arenas[w].data() + (topo.port_offset(v) - part.port_base(w)),
+            g.degree(v), bases.data(), epoch);
+        for (std::size_t p = 0; p < g.degree(v); ++p) {
+          // The message on port p came from the neighbor's reverse port.
+          const graph::NodeId u = g.neighbors(v)[p];
+          const std::size_t q = topo.reverse_port(v, p);
+          if (!sends(q)) {
+            EXPECT_TRUE(inbox[p].empty()) << "v=" << v << " p=" << p;
+            continue;
+          }
+          const std::uint64_t expected = word(epoch, u, q);
+          ASSERT_EQ(inbox[p].size(), 2u) << "v=" << v << " p=" << p;
+          EXPECT_EQ(inbox[p][0], expected);
+          EXPECT_EQ(inbox[p][1], ~expected);
+        }
       }
     }
   }
@@ -351,6 +372,28 @@ TEST(Partition, RankLocalMatchesFullConstruction) {
         }
       }
     }
+  }
+}
+
+TEST(LocalCsr, RowsAscendWithoutASortAndAnUnsortedListThrows) {
+  // A strictly increasing incident list with u < v fills every row in
+  // ascending order (a node's smaller neighbors come first, then its larger
+  // ones); a list that breaks that precondition is refused rather than
+  // turned into unsorted rows.
+  const std::vector<graph::Edge> sorted = {
+      {0, 2}, {0, 5}, {1, 2}, {2, 3}, {2, 7}};
+  const graph::LocalCsr csr = graph::build_local_csr(sorted, 2, 4);
+  EXPECT_EQ(csr.offsets, (std::vector<std::size_t>{0, 4, 5}));
+  EXPECT_EQ(csr.adjacency, (std::vector<graph::NodeId>{0, 1, 3, 7, 2}));
+
+  const std::vector<std::vector<graph::Edge>> broken = {
+      {{2, 7}, {0, 2}, {2, 3}},  // unsorted
+      {{0, 2}, {0, 2}},          // duplicate
+      {{3, 2}},                  // u > v
+  };
+  for (const auto& incident : broken) {
+    EXPECT_THROW((void)graph::build_local_csr(incident, 2, 4), ds::CheckError)
+        << incident.size() << " edges";
   }
 }
 

@@ -47,6 +47,14 @@ TEST(FrontendFlags, UnknownFlagGetsDidYouMean) {
   EXPECT_TRUE(contains(err, "unknown flag '--sed'; did you mean '--seed'?"))
       << err;
   EXPECT_TRUE(contains(err, "--param=key=value")) << err;
+  // A retired flag no spelling distance reaches points at its replacement.
+  const std::string retired = error_of([] {
+    check_flags(opts_of({"--workers=4"}), {"algo", "threads"}, kParamsNote,
+                {{"workers", "threads"}});
+  });
+  EXPECT_TRUE(contains(retired,
+                       "unknown flag '--workers'; did you mean '--threads'?"))
+      << retired;
   EXPECT_EQ(error_of([] {
               check_flags(opts_of({"--algo=mis", "--seed=3"}),
                           {"algo", "seed"});

@@ -2,8 +2,8 @@
 // pack/mmap round-trip fuzz (bit-identical CSR to the in-memory graph),
 // header validation (magic, version, endianness, size, payload digest) with
 // loud FormatError rejection, the bipartite split recovery, and the key
-// scale-path property — a mapped topology shared read-only across forked
-// multi-process workers produces bit-identical outputs.
+// scale-path property — a mapped topology shared read-only across thread
+// ranks produces bit-identical outputs.
 
 #include <gtest/gtest.h>
 
@@ -162,14 +162,14 @@ TEST(GraphFormat, BipartiteSplitRecovery) {
   EXPECT_THROW(bipartite_from_unified(bad, 2), FormatError);
 }
 
-TEST(GraphFormat, MappedTopologySharedByForkedWorkers) {
-  // The scale-path property: a mapped .dsg consumed by the forked
-  // multi-process executor (workers share the read-only pages) produces
-  // outputs bit-identical to the sequential executor on the in-memory
-  // generator image that wrote it.
+TEST(GraphFormat, MappedTopologySharedByThreadRanks) {
+  // The scale-path property: a mapped .dsg consumed by the multi-rank
+  // executor (its thread ranks share the read-only pages) produces outputs
+  // bit-identical to the sequential executor on the in-memory generator
+  // image that wrote it.
   const DistributedGenerator dg(GenSpec::parse("torus:w=16,h=16"), 5);
   const Graph image = dg.generate_full();
-  const std::string path = temp_path("mp.dsg");
+  const std::string path = temp_path("ranks.dsg");
   write_dsg(image, path, 0, dg.seed());
   const Graph mapped = load_dsg(path, nullptr, true);
   ASSERT_TRUE(mapped.is_mapped());
@@ -177,14 +177,14 @@ TEST(GraphFormat, MappedTopologySharedByForkedWorkers) {
   const mis::MisOutcome seq = mis::luby(image, 5);
   dist::DistributedConfig config;
   config.workers = 4;
-  mis::MisOutcome mp = mis::luby(
+  mis::MisOutcome ranks = mis::luby(
       mapped, 5, nullptr, 10000, local::IdStrategy::kSequential,
       [&](const Graph& fg, local::IdStrategy strategy, std::uint64_t seed) {
         return std::make_unique<dist::DistributedNetwork>(fg, strategy, seed,
                                                           config);
       });
-  EXPECT_EQ(seq.in_mis, mp.in_mis);
-  EXPECT_EQ(seq.executed_rounds, mp.executed_rounds);
+  EXPECT_EQ(seq.in_mis, ranks.in_mis);
+  EXPECT_EQ(seq.executed_rounds, ranks.executed_rounds);
 }
 
 }  // namespace

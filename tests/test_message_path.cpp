@@ -2,8 +2,8 @@
 // messages, max-degree nodes, per-port varying lengths, broadcast, contract
 // violations), degree-balanced shard boundaries on skewed graphs, the
 // zero-allocation guarantee of the send path of the sequential executor
-// and of the rank loop on thread ranks, and setup without per-node heap
-// blocks (asserted through a global operator-new counting hook — this
+// and of the rank loop on thread ranks, allocation-free trial-coloring
+// rounds, and setup without per-node heap blocks (asserted through a global operator-new counting hook — this
 // binary must not be merged with other test binaries).
 
 #include <gtest/gtest.h>
@@ -14,11 +14,13 @@
 #include <new>
 #include <vector>
 
+#include "coloring/randcolor.hpp"
 #include "dist/partition.hpp"
 #include "graph/generators.hpp"
 #include "graph/insitu.hpp"
 #include "local/message_arena.hpp"
 #include "local/network.hpp"
+#include "local/round_stats.hpp"
 #include "local/topology.hpp"
 #include "runtime/select.hpp"
 #include "support/check.hpp"
@@ -373,6 +375,26 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
     const std::size_t short_run = allocations_of_run(*net, 8);
     const std::size_t long_run = allocations_of_run(*net, 48);
     EXPECT_EQ(long_run, short_run) << "threads=" << threads;
+  }
+}
+
+TEST(AllocationCounting, TrialColoringRoundsAllocateNothing) {
+  // A sequential `color` run: once the word bank reached its high-water
+  // mark, a round allocates nothing — the trial draw counts and walks the
+  // palette instead of building a vector of options per undecided node.
+  const auto g = graph::gen::torus(32, 32);
+  std::vector<std::size_t> after_round;
+  after_round.reserve(1024);
+  const local::ExecutorFactory sequential = runtime::make_executor_factory(
+      runtime::RuntimeConfig{}, [&](const local::RoundStats&) {
+        after_round.push_back(g_allocations.load(std::memory_order_relaxed));
+      });
+  const auto outcome = coloring::randomized_coloring(
+      g, 7, nullptr, 10000, local::IdStrategy::kSequential, sequential);
+  ASSERT_GE(after_round.size(), 3u);
+  EXPECT_EQ(outcome.executed_rounds, after_round.size());
+  for (std::size_t r = 2; r < after_round.size(); ++r) {
+    EXPECT_EQ(after_round[r] - after_round[r - 1], 0u) << "round " << r;
   }
 }
 

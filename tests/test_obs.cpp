@@ -1,9 +1,10 @@
 // Tests for the observability layer (src/obs/): metrics registry
 // semantics, the disabled no-op path, the drain/merge codec, trace /
 // metrics JSON well-formedness, and — the load-bearing property — that the
-// deterministic `rounds.*` counters are bit-identical across all four
-// runtimes for a fixed (graph, IdStrategy, seed), and count every run once
-// when one recorder observes several distributed runs.
+// deterministic `rounds.*` counters are bit-identical across the
+// sequential executor, thread ranks and TCP ranks for a fixed (graph,
+// IdStrategy, seed), and count every run once when one recorder observes
+// several distributed runs.
 
 #include <gtest/gtest.h>
 
@@ -518,18 +519,18 @@ TEST(Recorder, ParallelRunLanesShareOneTimebase) {
   }
 }
 
-TEST(Recorder, MpRunHasOneLanePerWorkerAndMonotoneTimestamps) {
+TEST(Recorder, ThreadRankRunHasOneLanePerRankAndMonotoneTimestamps) {
   Rng rng(11);
   const graph::Graph g = graph::gen::gnp(60, 0.12, rng);
   Recorder rec;
   runtime::RuntimeConfig config;
-  config.kind = runtime::RuntimeKind::kMultiProcess;
-  config.workers = 2;
+  config.kind = runtime::RuntimeKind::kParallel;
+  config.threads = 2;
   const algo::Result result =
       algo::execute(mis_spec(), context_for(g, &rec, config));
   EXPECT_TRUE(result.verified);
 
-  // Both workers' drained blocks were merged: every lane present, and
+  // Both ranks' drained blocks were merged: every lane present, and
   // within each (lane, phase) track the timestamps are monotone (that is
   // what makes the Perfetto rendering honest).
   std::map<std::uint32_t, std::size_t> spans_per_lane;
@@ -568,20 +569,15 @@ TEST(Conformance, DeterministicCountersIdenticalAcrossRuntimes) {
     ASSERT_EQ(want.size(), 4u) << label;
     EXPECT_GT(want.at("rounds.messages"), 0u) << label;
 
-    for (const char* runtime : {"parallel", "mp"}) {
+    for (const std::size_t threads : {2u, 4u}) {
       runtime::RuntimeConfig config;
-      if (std::string(runtime) == "parallel") {
-        config.kind = runtime::RuntimeKind::kParallel;
-        config.threads = 2;
-      } else {
-        config.kind = runtime::RuntimeKind::kMultiProcess;
-        config.workers = 2;
-      }
+      config.kind = runtime::RuntimeKind::kParallel;
+      config.threads = threads;
       Recorder rec;
       const algo::Result got =
           algo::execute(mis_spec(), context_for(g, &rec, config));
       EXPECT_EQ(deterministic_counters(got.metrics), want)
-          << label << "/" << runtime;
+          << label << "/threads=" << threads;
     }
 
     // TCP loopback fleet: exit-code checks, not EXPECT — a gtest failure
@@ -652,17 +648,17 @@ std::uint64_t luby_live_nodes(const graph::Graph& g) {
   return live_nodes(rec);
 }
 
-TEST(FleetTotals, MpExecutorReusedThreeTimesCountsEveryRunOnce) {
+TEST(FleetTotals, ThreadRankExecutorReusedThreeTimesCountsEveryRunOnce) {
   const graph::Graph g = graph::gen::torus(32, 32);
   const std::uint64_t once = luby_live_nodes(g);
   ASSERT_GT(once, 0u);
   dist::DistributedConfig config;
   config.workers = 2;
-  dist::DistributedNetwork mp(g, local::IdStrategy::kSequential, 5, config);
+  dist::DistributedNetwork net(g, local::IdStrategy::kSequential, 5, config);
   Recorder rec;
-  mp.set_recorder(&rec);
+  net.set_recorder(&rec);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    mp.run(mis::luby_program_factory(), 10000);
+    net.run(mis::luby_program_factory(), 10000);
     EXPECT_EQ(live_nodes(rec), k * once) << "after run " << k;
   }
 }

@@ -37,9 +37,9 @@ std::unique_ptr<local::Executor> threaded(const graph::Graph& g,
 // ---- Determinism suite ---------------------------------------------------
 
 // The probe program lives in determinism_probe.hpp, shared with the
-// forked-rank determinism suite (tests/test_dist.cpp); both spawns must
-// produce the same digests. Reading them through `program(v)` also pins
-// that thread ranks keep every node's program resident.
+// output-gather determinism suite (tests/test_dist.cpp); both must produce
+// the same digests. Reading them through `program(v)` also pins that
+// thread ranks keep every node's program resident.
 using probes::probe_factory;
 
 std::vector<std::uint64_t> probe_digests(local::Executor& exec,
@@ -216,7 +216,7 @@ TEST(RuntimeSelect, ParsesOptions) {
   EXPECT_EQ(config.threads, 3u);
   EXPECT_EQ(runtime_description(config), "parallel(3 threads)");
   EXPECT_FALSE(static_cast<bool>(make_executor_factory(RuntimeConfig{})));
-  // Thread ranks are the multi-rank executor, like mp's forked ranks.
+  // Thread ranks are the multi-rank executor.
   const auto par_exec =
       make_executor_factory(config)(g, local::IdStrategy::kSequential, 1);
   const auto* par_dist =
@@ -224,29 +224,17 @@ TEST(RuntimeSelect, ParsesOptions) {
   ASSERT_NE(par_dist, nullptr);
   EXPECT_EQ(par_dist->num_workers(), 3u);
 
-  const char* argv_mp[] = {"x", "--runtime=mp", "--workers=2"};
-  const auto mp_config = runtime_from_options(Options(3, argv_mp));
-  EXPECT_EQ(mp_config.kind, RuntimeKind::kMultiProcess);
-  EXPECT_EQ(mp_config.workers, 2u);
-  EXPECT_EQ(runtime_description(mp_config), "mp(2 workers)");
-  const auto mp_exec =
-      make_executor_factory(mp_config)(g, local::IdStrategy::kSequential, 1);
-  const auto* mp_dist =
-      dynamic_cast<const dist::DistributedNetwork*>(mp_exec.get());
-  ASSERT_NE(mp_dist, nullptr);
-  EXPECT_EQ(mp_dist->num_workers(), 2u);
-
-  // TCP fleets are not an in-process runtime: the error says what each
-  // runtime is and names the launcher that runs TCP fleets.
-  for (const char* bad : {"--runtime=warp", "--runtime=tcp"}) {
+  // TCP fleets are not an in-process runtime, and the forked-rank `mp`
+  // runtime is gone: the error says what each runtime is and names the
+  // launcher of process-per-rank fleets.
+  for (const char* bad : {"--runtime=warp", "--runtime=tcp", "--runtime=mp"}) {
     const char* argv_bad[] = {"x", bad};
     try {
       (void)runtime_from_options(Options(2, argv_bad));
       ADD_FAILURE() << bad << " was accepted";
     } catch (const ds::CheckError& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("'sequential', 'parallel' (thread ranks) or 'mp' "
-                          "(forked ranks)"),
+      EXPECT_NE(what.find("'sequential' or 'parallel' (thread ranks"),
                 std::string::npos)
           << what;
       EXPECT_NE(what.find("distsplit_rank"), std::string::npos) << what;

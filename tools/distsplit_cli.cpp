@@ -27,13 +27,13 @@
 ///            [--profile=FILE] [--http-port=P] [--event-cap=N]
 ///            + the runtime flags below
 ///            Run any registered algorithm on any in-process runtime
-///            (sequential, parallel, mp; TCP fleets run through
+///            (sequential, parallel; TCP fleets run through
 ///            distsplit_rank). Dispatch, usage text and parameter help all
 ///            come from the registry — there is no per-algorithm code in
 ///            this tool. The source and observability flags are the shared
-///            front end's (tools/frontend.hpp); on mp the recorder merges
-///            every worker's drained block, so the files hold fleet-wide
-///            data.
+///            front end's (tools/frontend.hpp); on parallel the recorder
+///            merges every rank's drained block, so the files hold
+///            fleet-wide data.
 ///   submit   --port=P [--host=H] --algo=NAME [--seed=S]
 ///            [--param=key=value ...] [--id=N] [--timeout-ms=MS]
 ///            Submit one run to a resident distsplit_serve daemon's request
@@ -51,6 +51,7 @@
 /// fleet), 3 on a rejected `submit`.
 
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -218,10 +219,18 @@ int cmd_submit(const Options& opts) {
 /// The `run` flags that belong to the driver itself (everything else must
 /// be a registered algorithm parameter passed as --param=key=value).
 const std::vector<std::string> kRunFlags = {
-    "algo",      "input",   "graph",        "gen",     "seed",
-    "param",     "runtime", "threads",      "workers", "halo-words",
-    "metrics",   "trace",   "gather-words", "stats",   "http-port",
-    "event-cap", "profile",
+    "algo",    "input",   "graph",   "gen",   "seed",      "param",   "runtime",
+    "threads", "metrics", "trace",   "stats", "http-port", "event-cap",
+    "profile",
+};
+
+/// The flags of the removed forked-rank runtime, pointed at the one
+/// runtime knob left: thread ranks size their halo and gather buffers
+/// themselves.
+const std::map<std::string, std::string> kRetiredRunFlags = {
+    {"workers", "threads"},
+    {"halo-words", "threads"},
+    {"gather-words", "threads"},
 };
 
 /// Resolution phase of `run`: anything wrong here is a usage error (exit
@@ -237,7 +246,8 @@ struct RunPlan {
 };
 
 RunPlan resolve_run(const Options& opts) {
-  frontend::check_flags(opts, kRunFlags);
+  frontend::check_flags(opts, kRunFlags, frontend::kParamsNote,
+                        kRetiredRunFlags);
   RunPlan plan;
   const std::string name = opts.get("algo", "");
   DS_CHECK_MSG(!name.empty(), "--algo=NAME is required (see: list)");
@@ -290,11 +300,10 @@ int cmd_run(const RunPlan& plan, const Options& opts) {
 
   std::cout << "algorithm: " << spec.name << "\n"
             << "executor: " << runtime << "\n";
-  if (plan.runtime.kind == runtime::RuntimeKind::kMultiProcess &&
-      ctx.graph != nullptr) {
+  if (!runtime::is_sequential(plan.runtime) && ctx.graph != nullptr) {
     print_partition_stats(*ctx.graph,
                           dist::DistributedNetwork::resolve_workers(
-                              plan.runtime.workers, ctx.graph->num_nodes()));
+                              plan.runtime.threads, ctx.graph->num_nodes()));
   }
 
   algo::Result result;

@@ -30,11 +30,15 @@ void write_file(const std::string& path, const char* what, Body body) {
 }  // namespace
 
 void check_flags(const Options& opts, const std::vector<std::string>& allowed,
-                 const std::string& note) {
+                 const std::string& note,
+                 const std::map<std::string, std::string>& retired) {
   for (const std::string& key : opts.keys()) {
     if (std::ranges::find(allowed, key) != allowed.end()) continue;
     std::string msg = "unknown flag '--" + key + "'";
-    const std::string hint = algo::suggest(key, allowed);
+    const auto replaced = retired.find(key);
+    const std::string hint = replaced != retired.end()
+                                 ? replaced->second
+                                 : algo::suggest(key, allowed);
     if (!hint.empty()) msg += "; did you mean '--" + hint + "'?";
     DS_CHECK_MSG(false, msg + " " + note);
   }

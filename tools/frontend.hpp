@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,12 +32,17 @@ namespace ds::frontend {
 
 // ---------------------------------------------------------------- flags --
 
+/// Where flags outside a tool's own set belong: `check_flags`' default note.
+inline constexpr const char* kParamsNote =
+    "(algorithm parameters go through --param=key=value)";
+
 /// Throws on the first flag outside `allowed`, with a did-you-mean hint
-/// and `note` (where everything else belongs) appended.
-void check_flags(
-    const Options& opts, const std::vector<std::string>& allowed,
-    const std::string& note =
-        "(algorithm parameters go through --param=key=value)");
+/// and `note` (where everything else belongs) appended. `retired` maps a
+/// removed flag to the allowed one that replaces it: the hint spelling
+/// distance cannot find.
+void check_flags(const Options& opts, const std::vector<std::string>& allowed,
+                 const std::string& note = kParamsNote,
+                 const std::map<std::string, std::string>& retired = {});
 
 /// `--key=P` as a port (0 when absent; 0 asks the kernel for one). Rank r
 /// of a fleet binds P + r, so P + `max_rank` must stay <= 65535.
