@@ -179,9 +179,7 @@ int main(int argc, char** argv) {
     const auto factory = runtime::make_executor_factory(
         runtime_config,
         [&trace](const local::RoundStats& s) { trace.push_back(s); });
-    const auto net = local::make_executor(factory, g,
-                                          local::IdStrategy::kSequential,
-                                          opts.seed() + 5);
+    const auto net = local::make_executor(factory, g);
     // Results come back through the executor's output gather, the result
     // channel every executor provides.
     net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
@@ -194,7 +192,7 @@ int main(int argc, char** argv) {
             -> std::unique_ptr<local::NodeProgram> {
           return std::make_unique<ShatterProgram>(env, env.node < nu);
         },
-        8);
+        local::IdStrategy::kSequential, opts.seed() + 5, 8);
     std::size_t unsat = 0;
     for (graph::NodeId u = 0; u < nu; ++u) {
       unsat += net->outputs().value(u) != 0 ? 1 : 0;

@@ -217,9 +217,10 @@ local::ProgramFactory gossip_factory() {
 void BM_SequentialRounds(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   const auto g = graph::gen::torus(side, side);
-  local::Network net(g, local::IdStrategy::kSequential, 42);
+  local::Network net(g);
   for (auto _ : state) {
-    net.run(gossip_factory(), kGossipRounds + 1);
+    net.run(gossip_factory(), local::IdStrategy::kSequential, 42,
+            kGossipRounds + 1);
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -237,10 +238,10 @@ void BM_ParallelRounds(benchmark::State& state) {
   config.kind = runtime::RuntimeKind::kParallel;
   config.threads = static_cast<std::size_t>(state.range(1));
   const auto g = graph::gen::torus(side, side);
-  const auto net = runtime::make_executor_factory(config)(
-      g, local::IdStrategy::kSequential, 42);
+  const auto net = runtime::make_executor_factory(config)(g);
   for (auto _ : state) {
-    net->run(gossip_factory(), kGossipRounds + 1);
+    net->run(gossip_factory(), local::IdStrategy::kSequential, 42,
+             kGossipRounds + 1);
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -264,7 +265,7 @@ BENCHMARK(BM_ParallelRounds)
 // of arm 1 — the round path publishes through relaxed atomics, no locks.
 void BM_MetricsOverhead(benchmark::State& state) {
   const auto g = graph::gen::torus(64, 64);
-  local::Network net(g, local::IdStrategy::kSequential, 42);
+  local::Network net(g);
   obs::Recorder recorder;
   obs::SnapshotPublisher publisher;
   if (state.range(0) != 0) net.set_recorder(&recorder);
@@ -272,7 +273,8 @@ void BM_MetricsOverhead(benchmark::State& state) {
   // Thousands of iterations stay bounded: the span buffer is the recorder's
   // flight-recorder ring, which overwrites its oldest spans once full.
   for (auto _ : state) {
-    net.run(gossip_factory(), kGossipRounds + 1);
+    net.run(gossip_factory(), local::IdStrategy::kSequential, 42,
+            kGossipRounds + 1);
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -293,13 +295,11 @@ void BM_TcpLoopbackRounds(benchmark::State& state) {
   for (auto _ : state) {
     const net::LoopbackReport report = net::run_loopback_ranks(
         ranks, [&](net::LoopbackRank&& lr) -> int {
-          net::TcpNetworkConfig config;
-          config.rank = lr.rank;
-          config.hosts = std::move(lr.hosts);
-          config.listen = std::move(lr.listen);
-          net::TcpNetwork net(g, local::IdStrategy::kSequential, 42,
-                              std::move(config));
-          net.run(gossip_factory(), kGossipRounds + 1);
+          net::TcpTransport transport(lr.rank, lr.hosts, {}, {},
+                                      std::move(lr.listen));
+          net::TcpNetwork net(g, transport);
+          net.run(gossip_factory(), local::IdStrategy::kSequential, 42,
+                  kGossipRounds + 1);
           return 0;
         });
     if (!report.all_ok()) {
@@ -350,10 +350,10 @@ BENCHMARK(BM_MmapLoadVsGenerate)
 // single-rank in-process daemon (the dispatch broadcast short-circuits
 // with no followers) stands for all iterations, and each op is one full
 // client round trip — connect, framed request, validate, execute `mis`
-// through the standing transport with a warm partition cache, respond.
-// Compare against BM_TcpLoopbackRounds, which pays rendezvous + partition
-// per run — the gap is what residency buys. Arg: nodes of the resident gnp
-// instance.
+// on the daemon's resident executor (topology and partition built by the
+// first request), respond. Compare against BM_TcpLoopbackRounds, which
+// pays rendezvous + partition per run — the gap is what residency buys.
+// Arg: nodes of the resident gnp instance.
 void BM_ServeRequestRoundTrip(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(n);

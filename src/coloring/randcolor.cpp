@@ -96,7 +96,7 @@ RandColorOutcome randomized_coloring(const graph::Graph& g,
                                      std::size_t max_rounds,
                                      local::IdStrategy ids,
                                      const local::ExecutorFactory& executor) {
-  const auto net = local::make_executor(executor, g, ids, seed);
+  const auto net = local::make_executor(executor, g);
   // Results come back through the executor's output gather (the only
   // channel that works on every executor, TCP ranks included).
   net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
@@ -107,7 +107,7 @@ RandColorOutcome randomized_coloring(const graph::Graph& g,
       [](const local::NodeEnv& env) {
         return std::make_unique<TrialProgram>(env);
       },
-      max_rounds, meter);
+      ids, seed, max_rounds, meter);
 
   RandColorOutcome outcome;
   outcome.executed_rounds = rounds;

@@ -32,10 +32,8 @@ using Programs = std::vector<std::unique_ptr<local::NodeProgram>>;
 }  // namespace
 
 DistributedNetwork::DistributedNetwork(const graph::Graph& g,
-                                       local::IdStrategy strategy,
-                                       std::uint64_t seed,
                                        DistributedConfig config)
-    : topology_(g, strategy, seed),
+    : topology_(g),
       partition_(topology_, resolve_workers(config.workers, g.num_nodes())),
       transport_(partition_),
       control_(partition_.num_workers()),
@@ -117,9 +115,12 @@ std::size_t DistributedNetwork::run_threads(
 }
 
 std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
+                                    local::IdStrategy ids, std::uint64_t seed,
                                     std::size_t max_rounds,
                                     local::CostMeter* meter) {
   control_.reset();
+  // Before any rank thread exists: the spawn publishes it to them.
+  topology_.assign_identity(ids, seed);
   if (recorder() != nullptr) recorder()->set_lane_kind("worker");
 
   const std::size_t rounds = run_threads(factory, max_rounds);

@@ -4,13 +4,15 @@
 /// The single-host multi-rank LOCAL-model executor (`--runtime=parallel`).
 ///
 /// `DistributedNetwork` partitions the topology into degree-balanced
-/// contiguous rank ranges (`dist::Partition`) and executes each run on N
-/// thread ranks: the calling thread is rank 0, and `run()` spawns ranks
-/// 1..N-1 as `std::thread`s. Read-only state — graph, topology, partition,
-/// routing tables — is shared by the threads; the shared mutable state is
-/// the control block (barrier, abort flag, per-rank round counters) and
-/// the per-rank halo buffers and gather vectors of the `HaloTransport`,
-/// all owned here and reached through one `ShmTransport` view per rank.
+/// contiguous rank ranges (`dist::Partition`) once, at construction, and
+/// executes each run on N thread ranks: the calling thread is rank 0, and
+/// `run()` assigns the run's identity, then spawns ranks 1..N-1 as
+/// `std::thread`s. Read-only state — graph, topology and the run's UIDs,
+/// partition, routing tables — is shared by the threads; the shared
+/// mutable state is the control block (barrier, abort flag, per-rank round
+/// counters) and the per-rank halo buffers and gather vectors of the
+/// `HaloTransport`, all owned here and reached through one `ShmTransport`
+/// view per rank.
 ///
 /// Every round runs the same three-step protocol in each rank:
 ///
@@ -86,11 +88,11 @@ struct DistributedConfig {
 /// Multi-rank synchronous executor on a fixed communication graph.
 class DistributedNetwork final : public local::Executor {
  public:
-  /// Builds the executor over `g` with IDs per `strategy` and per-node
-  /// randomness derived from `seed`. Partitioning is done here, once; each
-  /// `run()` spawns a fresh set of rank threads.
-  DistributedNetwork(const graph::Graph& g, local::IdStrategy strategy,
-                     std::uint64_t seed, DistributedConfig config = {});
+  /// Builds the executor's port structure and partition over `g`, once;
+  /// each `run()` assigns its identity and spawns a fresh set of rank
+  /// threads.
+  explicit DistributedNetwork(const graph::Graph& g,
+                              DistributedConfig config = {});
 
   /// Releases each rank's programs on a thread of its own (rank 0's on the
   /// calling thread): freeing a million programs on one thread is a large
@@ -102,6 +104,7 @@ class DistributedNetwork final : public local::Executor {
   DistributedNetwork& operator=(const DistributedNetwork&) = delete;
 
   std::size_t run(const local::ProgramFactory& factory,
+                  local::IdStrategy ids, std::uint64_t seed,
                   std::size_t max_rounds,
                   local::CostMeter* meter = nullptr) override;
 

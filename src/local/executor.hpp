@@ -6,12 +6,20 @@
 /// orientation, ...) can be pointed at the sequential `Network` or a
 /// multi-rank `dist::DistributedNetwork` (thread ranks) at runtime.
 ///
-/// Determinism contract: for a fixed (graph, IdStrategy, seed), every
-/// executor must produce bit-identical per-node program outputs and the same
-/// round count — regardless of executor kind or thread count. This holds
-/// because node programs only interact through port-indexed messages, every
-/// node's randomness is the pure fork(seed, uid), and executors separate the
-/// send and receive phases of each round with a barrier.
+/// An executor is bound to one communication graph: it builds the port
+/// structure (and, when distributed, the partition) once. Each `run` brings
+/// the identity of that execution — the `IdStrategy` and the seed — and
+/// re-derives the UIDs and node coins before it constructs programs, just
+/// as a LOCAL execution fixes the network and draws fresh coins. So a Las
+/// Vegas algorithm runs all its trials on one executor.
+///
+/// Determinism contract: for a fixed (graph, IdStrategy, seed), every run
+/// must produce bit-identical per-node program outputs and the same round
+/// count — regardless of executor kind, thread count, or which runs the
+/// executor served before. This holds because node programs only interact
+/// through port-indexed messages, every node's randomness is the pure
+/// fork(seed, uid), and executors separate the send and receive phases of
+/// each round with a barrier.
 
 #include <cstdint>
 #include <functional>
@@ -93,19 +101,21 @@ class Executor {
  public:
   virtual ~Executor() = default;
 
-  /// Runs one program instance per node for at most `max_rounds` rounds.
-  /// Returns the number of executed rounds (also added to `meter` if given).
-  /// Throws if the round limit is hit with unhalted nodes. The program
-  /// instances stay alive inside the executor until the next run (or its
-  /// destruction) so callers can read their outputs via `program`.
-  virtual std::size_t run(const ProgramFactory& factory,
-                          std::size_t max_rounds,
+  /// Runs one program instance per node for at most `max_rounds` rounds,
+  /// with UIDs per `ids` and node coins forked from `seed`. Returns the
+  /// number of executed rounds (also added to `meter` if given). Throws if
+  /// the round limit is hit with unhalted nodes. The program instances stay
+  /// alive inside the executor until the next run (or its destruction) so
+  /// callers can read their outputs via `program`.
+  virtual std::size_t run(const ProgramFactory& factory, IdStrategy ids,
+                          std::uint64_t seed, std::size_t max_rounds,
                           CostMeter* meter = nullptr) = 0;
 
   /// The program instance of node `v` from the most recent `run`.
   [[nodiscard]] virtual const NodeProgram& program(graph::NodeId v) const = 0;
 
-  /// The shared topology (graph, UIDs, ports) this executor runs on.
+  /// The topology this executor runs on: its ports, and the UIDs of the
+  /// most recent run.
   [[nodiscard]] virtual const NetworkTopology& topology() const = 0;
 
   /// Installs (or clears, with {}) the per-round stats hook for future runs.
@@ -135,6 +145,7 @@ class Executor {
   [[nodiscard]] const graph::Graph& graph() const {
     return topology().graph();
   }
+  /// The UIDs of the most recent run.
   [[nodiscard]] const std::vector<std::uint64_t>& uids() const {
     return topology().uids();
   }
@@ -152,16 +163,17 @@ class Executor {
   obs::Recorder* recorder_ = nullptr;
 };
 
-/// Factory producing an executor for a concrete (graph, strategy, seed).
-/// Algorithms accept one of these (empty = sequential `Network`) so the
-/// executor kind is selectable per invocation without touching program code.
-using ExecutorFactory = std::function<std::unique_ptr<Executor>(
-    const graph::Graph&, IdStrategy, std::uint64_t)>;
+/// Factory producing an executor for a communication graph. Algorithms
+/// accept one of these (empty = sequential `Network`) so the executor kind
+/// is selectable per invocation without touching program code. They call
+/// it once per invocation and run every trial on the result; the pointer
+/// is shared so a factory may hand out an executor it keeps (the serve
+/// daemon's resident one).
+using ExecutorFactory =
+    std::function<std::shared_ptr<Executor>(const graph::Graph&)>;
 
 /// Instantiates `factory` if non-empty, else the sequential `Network`.
-std::unique_ptr<Executor> make_executor(const ExecutorFactory& factory,
-                                        const graph::Graph& g,
-                                        IdStrategy strategy,
-                                        std::uint64_t seed);
+std::shared_ptr<Executor> make_executor(const ExecutorFactory& factory,
+                                        const graph::Graph& g);
 
 }  // namespace ds::local

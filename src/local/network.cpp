@@ -10,18 +10,18 @@
 
 namespace ds::local {
 
-Network::Network(const graph::Graph& g, IdStrategy strategy,
-                 std::uint64_t seed)
-    : topology_(g, strategy, seed) {
+Network::Network(const graph::Graph& g) : topology_(g) {
   spans_.resize(topology_.total_ports());
 }
 
-std::size_t Network::run(const ProgramFactory& factory, std::size_t max_rounds,
+std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
+                         std::uint64_t seed, std::size_t max_rounds,
                          CostMeter* meter) {
   const graph::Graph& g = topology_.graph();
   const std::size_t n = g.num_nodes();
   auto& programs = programs_;
   programs.clear();
+  topology_.assign_identity(ids, seed);
   programs.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     programs[v] = factory(topology_.make_env(v));
@@ -151,12 +151,10 @@ const NodeProgram& Network::program(graph::NodeId v) const {
   return *programs_[v];
 }
 
-std::unique_ptr<Executor> make_executor(const ExecutorFactory& factory,
-                                        const graph::Graph& g,
-                                        IdStrategy strategy,
-                                        std::uint64_t seed) {
-  if (factory) return factory(g, strategy, seed);
-  return std::make_unique<Network>(g, strategy, seed);
+std::shared_ptr<Executor> make_executor(const ExecutorFactory& factory,
+                                        const graph::Graph& g) {
+  if (factory) return factory(g);
+  return std::make_shared<Network>(g);
 }
 
 }  // namespace ds::local

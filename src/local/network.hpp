@@ -44,11 +44,11 @@ namespace ds::local {
 /// reference implementation every other executor is validated against.
 class Network final : public Executor {
  public:
-  /// Builds a network over `g` with IDs per `strategy` and per-node
-  /// randomness derived from `seed`.
-  Network(const graph::Graph& g, IdStrategy strategy, std::uint64_t seed);
+  /// Builds the port structure of `g`; each run assigns its own identity.
+  explicit Network(const graph::Graph& g);
 
-  std::size_t run(const ProgramFactory& factory, std::size_t max_rounds,
+  std::size_t run(const ProgramFactory& factory, IdStrategy ids,
+                  std::uint64_t seed, std::size_t max_rounds,
                   CostMeter* meter = nullptr) override;
 
   [[nodiscard]] const NodeProgram& program(graph::NodeId v) const override;
@@ -59,13 +59,6 @@ class Network final : public Executor {
 
   void set_stats_sink(RoundStatsSink sink) override {
     sink_ = std::move(sink);
-  }
-
-  /// Port of node `v` on the neighbor at `v`'s port `p` (i.e. the index of v
-  /// in that neighbor's adjacency list). Precomputed for message delivery.
-  [[nodiscard]] std::size_t reverse_port(graph::NodeId v,
-                                         std::size_t p) const {
-    return topology_.reverse_port(v, p);
   }
 
  private:

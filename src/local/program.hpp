@@ -25,10 +25,11 @@ namespace ds::local {
 
 /// Read-only environment a node program is constructed with. Trivially
 /// copyable: a program may keep a copy at no heap cost. Its two pointers
-/// borrow the executor's tables and stay valid while the executor lives —
-/// its `NetworkTopology` and graph, or on the in-situ path the rank-local
-/// CSR — and the executor owns its programs, so a program never outlives
-/// them.
+/// borrow the executor's tables — its graph and the run's UIDs in its
+/// `NetworkTopology`, or on the in-situ path the rank-local CSR. The
+/// executor owns its programs and frees them when its next run starts,
+/// which replaces the UID table, so a program reads both for as long as it
+/// runs; a destructor reads neither.
 struct NodeEnv {
   graph::NodeId node = 0;        ///< dense index of this node
   std::uint64_t uid = 0;         ///< unique LOCAL-model identifier

@@ -1,9 +1,15 @@
 #pragma once
 
 /// \file topology.hpp
-/// Immutable per-network setup shared by every LOCAL-model executor: UID
-/// assignment, CSR port offsets, reverse ports, and precomputed delivery
-/// slots. The sequential `Network` and the distributed executors
+/// Per-network setup shared by every LOCAL-model executor, in two parts:
+///
+///  * the **port structure** — CSR port offsets and precomputed delivery
+///    slots — depends on the graph alone and is built once per executor;
+///  * the **identity** of a run — UIDs per `IdStrategy` and the master
+///    generator every node's coins fork from — depends on (ids, seed) and
+///    is re-derived by each run before it constructs programs.
+///
+/// The sequential `Network` and the distributed executors
 /// (`dist::DistributedNetwork`, `net::TcpNetwork`) all build on this, so ID
 /// assignment and per-node randomness derivation are identical by
 /// construction — a prerequisite for the executors' bit-identical-output
@@ -19,7 +25,8 @@
 
 namespace ds::local {
 
-/// Precomputed topology/UID/port tables for one communication graph.
+/// Precomputed port tables plus the current run identity of one
+/// communication graph.
 ///
 /// Ports are laid out in CSR form: node v owns the flat slot range
 /// [port_offset(v), port_offset(v) + degree(v)), one slot per incident edge
@@ -29,14 +36,22 @@ namespace ds::local {
 /// buffers without any per-node indirection.
 class NetworkTopology {
  public:
-  /// Assigns IDs per `strategy` (seeded identically to the historical
-  /// `Network` constructor) and precomputes the port tables in O(n + m).
+  /// Precomputes the port tables in O(n + m). No identity is assigned yet:
+  /// call `assign_identity` before `uids` or `make_env`.
+  explicit NetworkTopology(const graph::Graph& g);
+
+  /// The port tables plus the identity of one run: the one-argument
+  /// constructor followed by `assign_identity(strategy, seed)`.
   NetworkTopology(const graph::Graph& g, IdStrategy strategy,
                   std::uint64_t seed);
 
+  /// (Re)derives the run identity: UIDs per `strategy` and the master
+  /// generator of the node coins, both from `seed`. The port tables are
+  /// untouched.
+  void assign_identity(IdStrategy strategy, std::uint64_t seed);
+
   [[nodiscard]] const graph::Graph& graph() const { return *graph_; }
   [[nodiscard]] const std::vector<std::uint64_t>& uids() const { return uids_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// First flat slot of node v; offsets()[n] == total_ports().
   [[nodiscard]] std::size_t port_offset(graph::NodeId v) const {
@@ -50,12 +65,8 @@ class NetworkTopology {
   /// Total number of directed ports (= sum of degrees = 2m).
   [[nodiscard]] std::size_t total_ports() const { return offsets_.back(); }
 
-  /// Port of node `v` on the neighbor at `v`'s port `p` (i.e. the index of v
-  /// in that neighbor's adjacency list).
-  [[nodiscard]] std::size_t reverse_port(graph::NodeId v, std::size_t p) const;
-
-  /// Flat slot a message sent by v on port p is delivered into:
-  /// port_offset(neighbor) + reverse_port(v, p).
+  /// Flat slot a message sent by v on port p is delivered into: the
+  /// neighbor's port offset plus the index of v in the neighbor's list.
   [[nodiscard]] std::size_t delivery_slot(graph::NodeId v,
                                           std::size_t p) const {
     return delivery_slots_[offsets_[v] + p];
@@ -69,19 +80,16 @@ class NetworkTopology {
 
   /// Builds the construction environment of node v, including its private
   /// randomness stream fork(seed, uid). Pure: callable from any thread, any
-  /// order, always yielding the same environment.
+  /// order, always yielding the same environment for the same identity.
   [[nodiscard]] NodeEnv make_env(graph::NodeId v) const;
 
  private:
   const graph::Graph* graph_;
-  std::uint64_t seed_;
   /// Master generator the per-node streams are forked from (fork is pure).
   Rng master_;
   std::vector<std::uint64_t> uids_;
   /// CSR port offsets, size n + 1.
   std::vector<std::size_t> offsets_;
-  /// reverse_ports_[offsets_[v] + p] = index of v in neighbors(v)[p]'s list.
-  std::vector<std::uint32_t> reverse_ports_;
   /// delivery_slots_[offsets_[v] + p] = flat destination slot (see above).
   std::vector<std::size_t> delivery_slots_;
 };

@@ -106,11 +106,12 @@ local::OutputFn luby_output_fn() {
 MisOutcome luby(const graph::Graph& g, std::uint64_t seed,
                 local::CostMeter* meter, std::size_t max_rounds,
                 local::IdStrategy ids, const local::ExecutorFactory& executor) {
-  const auto net = local::make_executor(executor, g, ids, seed);
+  const auto net = local::make_executor(executor, g);
   // Results come back through the executor's output gather (the only
   // channel that works on every executor, TCP ranks included).
   net->set_output_fn(luby_output_fn());
-  const std::size_t rounds = net->run(luby_program_factory(), max_rounds, meter);
+  const std::size_t rounds =
+      net->run(luby_program_factory(), ids, seed, max_rounds, meter);
 
   MisOutcome outcome;
   outcome.executed_rounds = rounds;

@@ -19,7 +19,7 @@
 /// and the rendezvous handshake carries `instance_digest(gen + algo + seed)`
 /// / `partition_digest(ranks, bounds)` so disagreeing launches die fast —
 /// the same agreement guarantee the materialized path gets from its
-/// topology digest.
+/// launch digest.
 ///
 /// The round protocol is the unmodified `dist::run_rank_loop` core (so the
 /// output is bit-identical to every other runtime by construction), driven
@@ -60,7 +60,8 @@ class Recorder;
 
 namespace ds::net {
 
-/// Launch parameters of one in-situ rank (mirrors TcpNetworkConfig).
+/// Launch parameters of one in-situ rank: its place in the fleet and the
+/// transport it connects.
 struct InsituConfig {
   std::size_t rank = 0;
   std::vector<Endpoint> hosts;  ///< rank-ordered fleet endpoints

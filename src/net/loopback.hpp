@@ -24,8 +24,8 @@
 namespace ds::net {
 
 /// What one rank's body receives: its identity, the fleet's address book,
-/// and its pre-bound listen socket (move it into the first TcpNetwork; a
-/// later executor in the same body may rebind hosts[rank] itself).
+/// and its pre-bound listen socket (move it into the rank's
+/// `TcpTransport`, which closes it once the mesh is up).
 struct LoopbackRank {
   std::size_t rank = 0;
   std::vector<Endpoint> hosts;

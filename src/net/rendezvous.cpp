@@ -116,25 +116,24 @@ std::size_t accept_handshake(const Socket& s, const Handshake& mine) {
 
 }  // namespace
 
-std::uint64_t topology_digest(const local::NetworkTopology& topo) {
-  const graph::Graph& g = topo.graph();
-  Fnv1a fnv{kFnvShortBasis};
+std::uint64_t structure_digest(const graph::Graph& g, std::size_t nu) {
+  Fnv1a fnv{kFnvBasis};
   fnv.word(g.num_nodes());
-  fnv.word(topo.total_ports());
-  fnv.word(topo.seed());
-  // Delivery slots encode the full port-level structure (adjacency and port
-  // numbering); UIDs cover the IdStrategy/seed-derived identity.
+  fnv.word(nu);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (std::size_t p = 0; p < g.degree(v); ++p) {
-      fnv.word(topo.delivery_slot(v, p));
-    }
+    fnv.word(g.degree(v));
+    for (const graph::NodeId u : g.neighbors(v)) fnv.word(u);
   }
-  fnv.words(topo.uids().data(), topo.uids().size());
   return fnv.h;
 }
 
-std::uint64_t partition_digest(const dist::Partition& part) {
-  return partition_digest(part.num_workers(), part.boundaries());
+std::uint64_t launch_digest(std::uint64_t structure, std::uint64_t seed,
+                            const std::string& ids) {
+  Fnv1a fnv{kFnvShortBasis};
+  fnv.word(structure);
+  fnv.word(seed);
+  for (const char c : ids) fnv.word(static_cast<unsigned char>(c));
+  return fnv.h;
 }
 
 std::uint64_t partition_digest(std::size_t ranks,

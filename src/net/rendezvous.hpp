@@ -6,8 +6,9 @@
 ///
 /// Every rank listens on its hosts-file port. Rank 0 is the rendezvous
 /// point: ranks 1..N-1 connect to it and send a kHello carrying their rank,
-/// fleet size, protocol version, and the topology/partition digests; rank 0
-/// verifies all of them against its own state and answers kWelcome — or a
+/// fleet size, protocol version, and the two instance digests
+/// (`InstanceDigests`, computed once per transport from the launch); rank
+/// 0 verifies all of them against its own and answers kWelcome — or a
 /// kAbort naming the mismatch, so a launch where the ranks disagree about
 /// the instance, seed, ID strategy or partition fails fast instead of
 /// diverging silently. After its welcome, each peer dials the remaining
@@ -20,10 +21,10 @@
 /// themselves are kept as the (0, r) pair connections.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "dist/partition.hpp"
-#include "local/topology.hpp"
+#include "graph/graph.hpp"
 #include "net/socket.hpp"
 
 namespace ds::net {
@@ -37,16 +38,22 @@ struct Handshake {
   std::uint64_t partition_digest = 0;
 };
 
-/// FNV-1a digest over the topology identity: node/edge structure, UID
-/// assignment (which covers IdStrategy and seed) and the seed itself.
-std::uint64_t topology_digest(const local::NetworkTopology& topo);
+/// FNV-1a digest over an instance's structure: n, the left-side count
+/// `nu` of a bipartite instance (0 for none) and every adjacency row.
+/// Seed- and algorithm-independent: a serve fleet handshakes it in both
+/// slots, since rank 0 dispatches each run's seed and parameters.
+std::uint64_t structure_digest(const graph::Graph& g, std::size_t nu);
 
-/// FNV-1a digest over the partition: rank count and range boundaries.
-std::uint64_t partition_digest(const dist::Partition& part);
+/// The handshake digest of a one-shot launch: the `structure_digest`, the
+/// run seed and the `ids` parameter ("" for specs without one) — what the
+/// ranks' UIDs and coins derive from, so ranks launched with different
+/// seeds or ID strategies fail the rendezvous instead of diverging.
+std::uint64_t launch_digest(std::uint64_t structure, std::uint64_t seed,
+                            const std::string& ids);
 
-/// Same digest from the raw boundary list (`bounds` has ranks + 1 entries)
-/// — for the in-situ path, where no rank holds a full Partition. Agrees
-/// with `partition_digest(part)` for the same boundaries.
+/// FNV-1a digest over a partition: the rank count and the range boundary
+/// list (`bounds` has ranks + 1 entries) — the in-situ path's partition
+/// slot, derived from (n, ranks) before any rank holds a partition.
 std::uint64_t partition_digest(std::size_t ranks,
                                const std::vector<graph::NodeId>& bounds);
 

@@ -43,7 +43,7 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Binds and listens on `ep` (SO_REUSEADDR, so back-to-back executors can
+/// Binds and listens on `ep` (SO_REUSEADDR, so back-to-back launches can
 /// rebind the same rank port). `ep.port` 0 picks an ephemeral port — read it
 /// back with `local_endpoint`. Throws on failure.
 Socket listen_on(const Endpoint& ep, int backlog = 16);

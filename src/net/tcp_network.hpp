@@ -8,16 +8,15 @@
 /// programs. Every run goes through `dist::run_fleet`, like every thread
 /// rank and every `net::run_insitu` rank.
 ///
-/// **One-shot** (one `distsplit_rank` run): every rank constructs the same
-/// `TcpNetwork` over the same (graph, IdStrategy, seed) with its own `rank`
-/// and rendezvouses its own fleet — the handshake rejects launches where
-/// the ranks disagree (net/rendezvous.hpp). The rank count is fixed by the
-/// launch, so ranks beyond the node count simply own empty ranges.
-///
-/// **Standing** (serve/daemon.hpp): one executor per served request,
-/// borrowing the daemon's once-rendezvoused transport, its monotone epoch
-/// counter and a cached partition. Every rank constructs it for the same
-/// dispatched request, so the exchange sequence stays aligned.
+/// The executor borrows a transport that already rendezvoused: a process
+/// connects its fleet once (`distsplit_rank` per launch, `serve::Daemon`
+/// per daemon) and builds one executor per communication graph over it.
+/// Each executor builds its topology and partition once, and each run
+/// attaches that partition to the transport, so executors over different
+/// graphs can alternate on one transport. Every rank builds the same
+/// executors and runs them in the same order with the same (ids, seed),
+/// which keeps the exchange sequence aligned. The rank count is the
+/// transport's, so ranks beyond the node count simply own empty ranges.
 ///
 /// # Determinism contract
 ///
@@ -36,12 +35,11 @@
 /// style: algorithm code needs no rank special-casing). `program(v)` is
 /// resident only for the own range.
 ///
-/// After a run every rank, one-shot or standing, has merged the other
-/// ranks' observability blocks into its recorder: each ends the run
-/// holding fleet totals (dist/rank_loop.hpp).
+/// After a run every rank has merged the other ranks' observability blocks
+/// into its recorder: each ends the run holding fleet totals
+/// (dist/rank_loop.hpp).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,44 +50,19 @@
 #include "local/program.hpp"
 #include "local/round_stats.hpp"
 #include "local/topology.hpp"
-#include "net/socket.hpp"
 #include "net/tcp_transport.hpp"
 
 namespace ds::net {
 
-/// Launch parameters of one rank's executor.
-struct TcpNetworkConfig {
-  std::size_t rank = 0;
-  /// Rank-ordered endpoints of the whole fleet (hosts-file contents).
-  std::vector<Endpoint> hosts;
-  TcpOptions transport;
-  /// Optional pre-bound listen socket for `hosts[rank]` (the loopback
-  /// helper pre-binds ephemeral ports to keep tests collision-free).
-  Socket listen;
-};
-
-/// Resolves the partition of a standing-fleet request's topology (the
-/// daemon's partition cache); keeps `net` independent of `serve`.
-using PartitionProvider = std::function<std::shared_ptr<const dist::Partition>(
-    const local::NetworkTopology&)>;
-
 /// Multi-host synchronous executor on a fixed communication graph.
 class TcpNetwork final : public local::Executor {
  public:
-  /// One-shot: builds the executor and connects the fleet (blocks until
-  /// every rank's handshake went through or the rendezvous times out).
-  TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
-             std::uint64_t seed, TcpNetworkConfig config);
-
-  /// Standing: builds this request's topology, resolves its partition
-  /// through `partitions` and attaches it to the borrowed, already
-  /// rendezvoused `transport`. `transport` and `epoch` — the monotone round
-  /// tag shared by every run on that transport — must outlive the executor.
-  TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
-             std::uint64_t seed, TcpTransport& transport, std::uint64_t& epoch,
-             const PartitionProvider& partitions);
+  /// Builds the topology and partition of `g` for `transport`'s rank
+  /// count. `transport` must outlive the executor.
+  TcpNetwork(const graph::Graph& g, TcpTransport& transport);
 
   std::size_t run(const local::ProgramFactory& factory,
+                  local::IdStrategy ids, std::uint64_t seed,
                   std::size_t max_rounds,
                   local::CostMeter* meter = nullptr) override;
 
@@ -110,18 +83,17 @@ class TcpNetwork final : public local::Executor {
 
   /// The node partition (ranges, halo routing tables, edge-cut stats).
   [[nodiscard]] const dist::Partition& partition() const {
-    return *partition_;
+    return partition_;
   }
 
  private:
   local::NetworkTopology topology_;
-  std::shared_ptr<const dist::Partition> partition_;
-  /// The one-shot executor's own fleet connection; null when standing.
-  std::unique_ptr<TcpTransport> own_transport_;
+  dist::Partition partition_;
   TcpTransport& transport_;
-  std::uint64_t own_epoch_ = 0;
-  /// Monotone round tag; never reset across runs.
-  std::uint64_t& epoch_;
+  /// Round tag, advanced once per round. Each run's span arena is fresh
+  /// and the transport ships only what that arena tags, so one counter per
+  /// executor suffices, whatever else runs on the transport.
+  std::uint64_t epoch_ = 0;
   /// This rank's resident programs (its owned range, at local indices).
   std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   local::RoundStatsSink sink_;

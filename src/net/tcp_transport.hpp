@@ -50,11 +50,13 @@ struct TcpOptions {
   int round_timeout_ms = 120000;
 };
 
-/// The instance-agreement digests carried in the rendezvous handshake. The
-/// one-shot executor derives them from the materialized topology and
-/// partition; the in-situ path from the generator spec and the range
-/// boundaries; the serving daemon from the resident instance — whatever
-/// identifies the instance without holding it.
+/// The instance-agreement digests carried in the rendezvous handshake,
+/// computed once per transport from what the process was launched with:
+/// a `distsplit_rank` launch from the instance structure, seed and `ids`
+/// parameter (`launch_digest`), plus the structure alone for the split;
+/// the in-situ path from the generator spec and the range boundaries; the
+/// serving daemon from the resident instance's structure in both slots —
+/// whatever identifies the instance without holding it.
 struct InstanceDigests {
   std::uint64_t topology = 0;
   std::uint64_t partition = 0;
@@ -72,9 +74,9 @@ class TcpTransport final : public dist::Transport {
   TcpTransport(std::size_t rank, const std::vector<Endpoint>& hosts,
                InstanceDigests digests, TcpOptions opts, Socket listen = {});
 
-  /// Attaches the partition the round phases route by (a standing fleet
-  /// attaches each request's). `part` must stay alive while rounds use it
-  /// and agree with the handshaken rank count.
+  /// Attaches the partition the round phases route by (each
+  /// `TcpNetwork::run` attaches its executor's). `part` must stay alive
+  /// while rounds use it and agree with the handshaken rank count.
   void attach_partition(const dist::Partition& part);
 
   /// Pre-run all-to-all collective: sends `to_peer[r]` to every peer r and

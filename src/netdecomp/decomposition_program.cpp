@@ -126,7 +126,7 @@ DecompProgramOutcome decomposition_program(const graph::Graph& g,
   if (n == 0) return outcome;
   const std::size_t max_blocks = 4 * radius_cap + 8;
 
-  const auto net = local::make_executor(executor, g, ids, seed);
+  const auto net = local::make_executor(executor, g);
   net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                         std::vector<std::uint64_t>& out) {
     const auto& prog = static_cast<const LinialSaksProgram&>(p);
@@ -137,7 +137,7 @@ DecompProgramOutcome decomposition_program(const graph::Graph& g,
       [radius_cap](const local::NodeEnv& env) {
         return std::make_unique<LinialSaksProgram>(env, radius_cap);
       },
-      max_blocks * radius_cap, meter);
+      ids, seed, max_blocks * radius_cap, meter);
 
   // Densify cluster ids from the gathered (block, center UID) pairs in
   // node order — deterministic, and a center keys at most one cluster per

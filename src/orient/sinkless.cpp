@@ -170,23 +170,24 @@ SinklessOutcome sinkless_program(const graph::Graph& g, std::uint64_t seed,
               std::log2(static_cast<double>(g.num_nodes()) + 2.0))) +
       16;
   SinklessOutcome outcome;
+  // One executor for every Las Vegas trial: trial t redraws the coins with
+  // seed + t on the same network. Per-node output row: the final per-port
+  // orientation bits, gathered through the executor (works across a TCP
+  // fleet's processes too).
+  const auto net = local::make_executor(executor, g);
+  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
+                        std::vector<std::uint64_t>& out) {
+    const auto& prog = static_cast<const SinkFixProgram&>(p);
+    for (std::size_t port = 0; port < prog.degree(); ++port) {
+      out.push_back(prog.out_on_port(port) ? 1 : 0);
+    }
+  });
   for (std::size_t trial = 0; trial < max_trials; ++trial) {
-    const auto net = local::make_executor(
-        executor, g, local::IdStrategy::kSequential, seed + trial);
-    // Per-node output row: the final per-port orientation bits, gathered
-    // through the executor (works across a TCP fleet's processes too).
-    net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                          std::vector<std::uint64_t>& out) {
-      const auto& prog = static_cast<const SinkFixProgram&>(p);
-      for (std::size_t port = 0; port < prog.degree(); ++port) {
-        out.push_back(prog.out_on_port(port) ? 1 : 0);
-      }
-    });
     outcome.executed_rounds += net->run(
         [min_degree, budget](const local::NodeEnv& env) {
           return std::make_unique<SinkFixProgram>(env, min_degree, budget);
         },
-        budget + 2, meter);
+        local::IdStrategy::kSequential, seed + trial, budget + 2, meter);
     outcome.trials = trial + 1;
     outcome.toward_v.resize(g.num_edges());
     for (std::size_t e = 0; e < g.num_edges(); ++e) {

@@ -65,15 +65,16 @@ RulingProgramOutcome ruling_set_program(const graph::Graph& g,
   outcome.result.alpha = 2;
   outcome.result.beta = 1;
   if (g.num_nodes() == 0) return outcome;
-  const auto net = local::make_executor(executor, g, ids, seed);
-  // Every rank/worker derives the same B from the shared topology UIDs.
-  std::uint64_t max_uid = 0;
-  for (const std::uint64_t id : net->uids()) max_uid = std::max(max_uid, id);
+  // Every IdStrategy assigns a permutation of [0, n), so the largest UID
+  // is n - 1 and B is its bit width — the same on every rank, before any
+  // run assigns the UIDs.
+  const std::uint64_t max_uid = g.num_nodes() - 1;
   std::size_t bits = 0;
   while (bits < 64 && (max_uid >> bits) != 0) ++bits;
   outcome.result.beta = std::max<std::size_t>(1, bits);
   outcome.result.in_set.assign(g.num_nodes(), false);
 
+  const auto net = local::make_executor(executor, g);
   net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                         std::vector<std::uint64_t>& out) {
     out.push_back(static_cast<const RulingProgram&>(p).in_set() ? 1 : 0);
@@ -82,7 +83,7 @@ RulingProgramOutcome ruling_set_program(const graph::Graph& g,
       [bits](const local::NodeEnv& env) {
         return std::make_unique<RulingProgram>(env, bits);
       },
-      bits + 1, meter);
+      ids, seed, bits + 1, meter);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     outcome.result.in_set[v] = net->outputs().value(v) != 0;
   }

@@ -8,15 +8,13 @@ namespace ds::runtime {
 
 namespace {
 
-std::unique_ptr<local::Executor> build_executor(const RuntimeConfig& config,
-                                                const graph::Graph& g,
-                                                local::IdStrategy strategy,
-                                                std::uint64_t seed) {
+std::shared_ptr<local::Executor> build_executor(const RuntimeConfig& config,
+                                                const graph::Graph& g) {
   if (config.kind == RuntimeKind::kSequential) {
-    return std::make_unique<local::Network>(g, strategy, seed);
+    return std::make_shared<local::Network>(g);
   }
-  return std::make_unique<dist::DistributedNetwork>(
-      g, strategy, seed, dist::DistributedConfig{config.threads});
+  return std::make_shared<dist::DistributedNetwork>(
+      g, dist::DistributedConfig{config.threads});
 }
 
 }  // namespace
@@ -46,10 +44,9 @@ local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
       recorder == nullptr) {
     return {};
   }
-  return [config, sink = std::move(sink), recorder](
-             const graph::Graph& g, local::IdStrategy strategy,
-             std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-    auto exec = build_executor(config, g, strategy, seed);
+  return [config, sink = std::move(sink),
+          recorder](const graph::Graph& g) {
+    auto exec = build_executor(config, g);
     if (sink) exec->set_stats_sink(sink);
     if (recorder != nullptr) exec->set_recorder(recorder);
     return exec;

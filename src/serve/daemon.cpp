@@ -12,9 +12,7 @@
 #include "graph/format.hpp"
 #include "net/frame.hpp"
 #include "net/rendezvous.hpp"
-#include "net/tcp_network.hpp"
 #include "support/check.hpp"
-#include "support/fnv.hpp"
 
 namespace ds::serve {
 
@@ -36,11 +34,11 @@ const graph::Graph& checked_instance(const DaemonConfig& config) {
 
 net::InstanceDigests serve_digests(const DaemonConfig& config) {
   const std::uint64_t d =
-      Daemon::instance_digest(checked_instance(config), config.nu);
-  // Both handshake slots carry the structure digest: a standing serve fleet
-  // has no fixed per-run partition to agree on — partitions are derived
-  // per request from the cached topology — but every rank must still have
-  // loaded the identical instance.
+      net::structure_digest(checked_instance(config), config.nu);
+  // Both handshake slots carry the structure digest: rank 0 dispatches each
+  // run's seed and parameters, and the partition follows from the
+  // structure and the rank count — but every rank must still have loaded
+  // the identical instance.
   return net::InstanceDigests{d, d};
 }
 
@@ -54,18 +52,6 @@ net::Socket bind_request_port(DaemonConfig& config) {
 }
 
 }  // namespace
-
-std::uint64_t Daemon::instance_digest(const graph::Graph& g, std::size_t nu) {
-  Fnv1a fnv{kFnvBasis};
-  fnv.word(g.num_nodes());
-  fnv.word(nu);
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    const auto node = static_cast<graph::NodeId>(v);
-    fnv.word(g.degree(node));
-    for (const graph::NodeId u : g.neighbors(node)) fnv.word(u);
-  }
-  return fnv.h;
-}
 
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
@@ -269,24 +255,25 @@ algo::Result Daemon::execute_request(const algo::Spec& spec,
   ctx.params = algo::Params::parse(spec.params, req.params);
   ctx.sequential_runtime = false;
   ctx.recorder = config_.recorder;
-  ctx.factory = [this](const graph::Graph& fg, local::IdStrategy strategy,
-                       std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-    auto exec = std::make_unique<net::TcpNetwork>(
-        fg, strategy, seed, transport_, epoch_,
-        [this](const local::NetworkTopology& topo) {
-          return cache_.get_or_build(net::topology_digest(topo), [&] {
-            return dist::Partition(topo, transport_.num_ranks());
-          });
-        });
-    exec->set_recorder(config_.recorder);
-    return exec;
-  };
+  ctx.factory = [this](const graph::Graph& g) { return executor_for(g); };
   if (spec.input == algo::InputKind::kGeneralGraph) {
     ctx.graph = config_.graph;
   } else {
     ctx.bipartite = &bipartite_;
   }
   return algo::execute(spec, ctx);
+}
+
+std::shared_ptr<local::Executor> Daemon::executor_for(const graph::Graph& g) {
+  if (&g == config_.graph && resident_ != nullptr) {
+    executor_reuses_.fetch_add(1, std::memory_order_relaxed);
+    return resident_;
+  }
+  auto exec = std::make_shared<net::TcpNetwork>(g, transport_);
+  exec->set_recorder(config_.recorder);
+  executor_builds_.fetch_add(1, std::memory_order_relaxed);
+  if (&g == config_.graph) resident_ = exec;
+  return exec;
 }
 
 void Daemon::serve_one(PendingRequest pending) {
@@ -395,8 +382,8 @@ Daemon::Stats Daemon::stats() const {
   s.served = served_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
+  s.cache_hits = executor_reuses_.load(std::memory_order_relaxed);
+  s.cache_misses = executor_builds_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -21,11 +21,12 @@
 ///             through the identical code path (SPMD — the collectives stay
 ///             in lockstep), and exits cleanly on kShutdown.
 ///
-/// Every served run executes through `net::TcpNetwork`'s standing-fleet
-/// constructor: the request's topology over the daemon's standing
-/// transport and epoch counter. Per-topology-digest `dist::Partition`s are
-/// cached across requests (partition_cache.hpp); repeated (instance, ids,
-/// seed) topologies skip the partition build entirely.
+/// Every served run executes on a `net::TcpNetwork` over the daemon's
+/// standing transport. The first request builds the resident executor over
+/// the resident instance — its topology and partition — and every later
+/// request reuses it with its own ids and seed. A spec whose executor graph
+/// is not the resident instance (`split` runs on the unified graph it
+/// derives) gets an executor for that request only.
 ///
 /// Failure policy: any execution failure or dead peer marks the fleet
 /// unhealthy (`fleet_ok() == false`, publisher health kAborted). The daemon
@@ -51,11 +52,11 @@
 #include "graph/bipartite.hpp"
 #include "graph/graph.hpp"
 #include "net/socket.hpp"
+#include "net/tcp_network.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/publish.hpp"
 #include "obs/recorder.hpp"
-#include "serve/partition_cache.hpp"
 #include "serve/request_queue.hpp"
 
 namespace ds::serve {
@@ -138,17 +139,12 @@ class Daemon {
     std::uint64_t served = 0;    ///< kOk responses
     std::uint64_t failed = 0;    ///< kError responses (validation or run)
     std::uint64_t rejected = 0;  ///< kRejected responses (accept path)
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
+    std::uint64_t cache_hits = 0;    ///< requests that reused an executor
+    std::uint64_t cache_misses = 0;  ///< executors built
   };
   /// Counters snapshot; exact once `run()` returned, approximate while
   /// serving.
   [[nodiscard]] Stats stats() const;
-
-  /// The digest both rendezvous slots carry: FNV-1a over the instance
-  /// structure (n, nu, adjacency). Seed- and algorithm-independent — one
-  /// standing fleet serves every (spec, seed) over its loaded instance.
-  static std::uint64_t instance_digest(const graph::Graph& g, std::size_t nu);
 
  private:
   int run_rank0();
@@ -164,6 +160,9 @@ class Daemon {
   void serve_one(PendingRequest pending);
   /// The shared execution path: identical on rank 0 and followers.
   algo::Result execute_request(const algo::Spec& spec, const Request& req);
+  /// The executor a run over `g` gets: the resident one (built on first
+  /// use) for the resident instance, else one for this request only.
+  std::shared_ptr<local::Executor> executor_for(const graph::Graph& g);
   /// Best-effort kResponse on `client`; a vanished client is dropped.
   void respond(net::Socket& client, const Response& resp);
   [[nodiscard]] bool stopping() const;
@@ -174,11 +173,9 @@ class Daemon {
   net::Socket request_listener_;     ///< rank 0's client port
   std::uint16_t request_port_ = 0;
   net::TcpTransport transport_;
-  PartitionCache cache_;
+  /// The resident instance's executor; null until the first request.
+  std::shared_ptr<net::TcpNetwork> resident_;
   RequestQueue queue_;
-  /// Monotone round tag shared by every run on the standing transport
-  /// (epochs must never repeat across a transport's lifetime).
-  std::uint64_t epoch_ = 0;
 
   std::thread accept_thread_;
   std::atomic<bool> accept_stop_{false};
@@ -188,6 +185,8 @@ class Daemon {
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> executor_reuses_{0};
+  std::atomic<std::uint64_t> executor_builds_{0};
 
   // Serve metrics (single-writer: only the worker loop touches them; the
   // accept path's rejections live in the queue/rejected_ atomics and are

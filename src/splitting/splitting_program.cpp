@@ -111,20 +111,21 @@ SplitProgramOutcome weak_splitting_program(const graph::BipartiteGraph& b,
       16;
   SplitProgramOutcome outcome;
   outcome.colors.assign(b.num_right(), Color::kUncolored);
+  // One executor for every Las Vegas trial: trial t redraws the coins with
+  // seed + t on the same network.
+  const auto net = local::make_executor(executor, g);
+  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
+                        std::vector<std::uint64_t>& out) {
+    const auto& prog = static_cast<const SplitProgram&>(p);
+    out.push_back(prog.right() ? static_cast<std::uint64_t>(prog.color())
+                               : (prog.satisfied() ? 1 : 0));
+  });
   for (std::size_t trial = 0; trial < max_trials; ++trial) {
-    const auto net = local::make_executor(
-        executor, g, local::IdStrategy::kSequential, seed + trial);
-    net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                          std::vector<std::uint64_t>& out) {
-      const auto& prog = static_cast<const SplitProgram&>(p);
-      out.push_back(prog.right() ? static_cast<std::uint64_t>(prog.color())
-                                 : (prog.satisfied() ? 1 : 0));
-    });
     outcome.executed_rounds += net->run(
         [nu, min_degree, budget](const local::NodeEnv& env) {
           return std::make_unique<SplitProgram>(env, nu, min_degree, budget);
         },
-        budget + 2, meter);
+        local::IdStrategy::kSequential, seed + trial, budget + 2, meter);
     outcome.trials = trial + 1;
     for (graph::RightId v = 0; v < b.num_right(); ++v) {
       outcome.colors[v] =

@@ -259,19 +259,10 @@ TEST(Conformance, EverySpecMatchesSequentialOnTcpLoopback) {
     const Result expected = execute(spec, context_for(spec, inst, {}, true));
     const net::LoopbackReport report = net::run_loopback_ranks(
         2, [&](net::LoopbackRank&& lr) -> int {
-          net::Socket* first_listen = &lr.listen;
-          const std::size_t rank = lr.rank;
-          const auto hosts = lr.hosts;
-          local::ExecutorFactory factory =
-              [&](const graph::Graph& fg, local::IdStrategy strategy,
-                  std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-            net::TcpNetworkConfig config;
-            config.rank = rank;
-            config.hosts = hosts;
-            config.transport = topts;
-            config.listen = std::move(*first_listen);
-            return std::make_unique<net::TcpNetwork>(fg, strategy, seed,
-                                                     std::move(config));
+          net::TcpTransport transport(lr.rank, lr.hosts, {}, topts,
+                                      std::move(lr.listen));
+          local::ExecutorFactory factory = [&](const graph::Graph& fg) {
+            return std::make_shared<net::TcpNetwork>(fg, transport);
           };
           const Result got = execute(
               spec, context_for(spec, inst, std::move(factory), false));

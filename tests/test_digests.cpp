@@ -1,13 +1,12 @@
 // Pins every FNV-1a digest in the system to its value on one small fixed
 // instance: the output digest, the .dsg payload digest, the rendezvous
-// topology/partition/instance digests, the in-situ fleet digest, and the
-// serve params/instance digests. These values cross process and build
-// boundaries (rendezvous handshakes, .dsg files on disk, CI digest diffs),
-// so any change to how they are hashed must leave every one bit-identical.
-// Two pins also hash coins: the rendezvous topology digest (its random UIDs
-// come from `Rng::permutation`) and the materialized `mis` digest (Luby's
-// priorities). Those two move exactly when the `Rng` stream changes; every
-// other pin is independent of it.
+// partition/instance/launch digests, the in-situ fleet digest, and the
+// serve params digest and instance structure digest. These values cross
+// process and build boundaries (rendezvous handshakes, .dsg files on disk,
+// CI digest diffs), so any change to how they are hashed must leave every
+// one bit-identical. One pin also hashes coins: the materialized `mis`
+// digest (Luby's priorities), which moves exactly when the `Rng` stream
+// changes; every other pin is independent of it.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +18,9 @@
 #include "graph/format.hpp"
 #include "graph/generators.hpp"
 #include "graph/insitu.hpp"
-#include "local/topology.hpp"
 #include "net/insitu_runner.hpp"
 #include "net/loopback.hpp"
 #include "net/rendezvous.hpp"
-#include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 
 namespace ds {
@@ -45,10 +42,9 @@ TEST(PinnedDigests, DsgPayloadDigest) {
 }
 
 TEST(PinnedDigests, RendezvousDigests) {
-  const graph::Graph g = graph::gen::torus(5, 4);
-  const local::NetworkTopology topo(g, local::IdStrategy::kRandomPermutation,
-                                    7);
-  EXPECT_EQ(net::topology_digest(topo), 0xb7af8856aae13700ull);
+  const std::uint64_t structure =
+      net::structure_digest(graph::gen::torus(5, 4), 0);
+  EXPECT_EQ(net::launch_digest(structure, 7, "random"), 0x34e2d941b3c1e542ull);
   EXPECT_EQ(net::partition_digest(2, {0, 9, 20}), 0xa0f476fde33a785cull);
   EXPECT_EQ(net::instance_digest("torus:w=5,h=4 seed=7"),
             0xae1e9dd474b70b59ull);
@@ -82,7 +78,7 @@ TEST(PinnedDigests, ServeDigests) {
   EXPECT_EQ(serve::params_digest({{"max-rounds", "9"}, {"eps", "0.5"}}),
             0x78c6b53818243abbull);
   EXPECT_EQ(serve::params_digest({}), 14695981039346656037ull);
-  EXPECT_EQ(serve::Daemon::instance_digest(graph::gen::torus(5, 4), 3),
+  EXPECT_EQ(net::structure_digest(graph::gen::torus(5, 4), 3),
             0xf1f5ce43d0fc5d92ull);
 }
 

@@ -52,9 +52,11 @@ local::OutputFn probe_output_fn() {
 }
 
 std::vector<std::uint64_t> probe_digests(local::Executor& exec,
+                                         local::IdStrategy ids,
+                                         std::uint64_t seed,
                                          std::size_t* rounds = nullptr) {
   exec.set_output_fn(probe_output_fn());
-  const std::size_t r = exec.run(probe_factory(), 100);
+  const std::size_t r = exec.run(probe_factory(), ids, seed, 100);
   if (rounds != nullptr) *rounds = r;
   std::vector<std::uint64_t> digests(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
@@ -65,16 +67,16 @@ std::vector<std::uint64_t> probe_digests(local::Executor& exec,
 
 void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
                           std::uint64_t seed) {
-  local::Network sequential(g, strategy, seed);
+  local::Network sequential(g);
   std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, &seq_rounds);
+  const auto expected = probe_digests(sequential, strategy, seed, &seq_rounds);
   for (std::size_t workers : {1, 2, 4}) {
     DistributedConfig config;
     config.workers = workers;
-    DistributedNetwork par(g, strategy, seed, config);
-    EXPECT_EQ(par.uids(), sequential.uids());
+    DistributedNetwork par(g, config);
     std::size_t par_rounds = 0;
-    const auto got = probe_digests(par, &par_rounds);
+    const auto got = probe_digests(par, strategy, seed, &par_rounds);
+    EXPECT_EQ(par.uids(), sequential.uids());
     EXPECT_EQ(par_rounds, seq_rounds) << "workers=" << workers;
     EXPECT_EQ(got, expected) << "workers=" << workers;
   }
@@ -111,12 +113,13 @@ TEST(DistributedDeterminism, StressHundredThousandNodes) {
   // >= 100k nodes: torus 370x370 = 136,900 (also exercised under ASan/UBSan
   // in the sanitizer CI job).
   const auto g = graph::gen::torus(370, 370);
-  local::Network sequential(g, local::IdStrategy::kSequential, 123);
-  const auto expected = probe_digests(sequential);
+  local::Network sequential(g);
+  const auto expected =
+      probe_digests(sequential, local::IdStrategy::kSequential, 123);
   DistributedConfig config;
   config.workers = 2;
-  DistributedNetwork par(g, local::IdStrategy::kSequential, 123, config);
-  EXPECT_EQ(probe_digests(par), expected);
+  DistributedNetwork par(g, config);
+  EXPECT_EQ(probe_digests(par, local::IdStrategy::kSequential, 123), expected);
 }
 
 // Algorithm-level equality through the ExecutorFactory plumbing: Luby MIS,
@@ -156,10 +159,10 @@ TEST(DistributedDeterminism, LubyTrialColoringSinkless) {
 TEST(DistributedRoundStats, MatchesSequentialExecutor) {
   Rng rng(31);
   const auto g = graph::gen::gnp(200, 0.03, rng);
-  local::Network seq(g, local::IdStrategy::kSequential, 8);
+  local::Network seq(g);
   DistributedConfig config;
   config.workers = 3;
-  DistributedNetwork par(g, local::IdStrategy::kSequential, 8, config);
+  DistributedNetwork par(g, config);
   std::vector<local::RoundStats> seq_stats;
   std::vector<local::RoundStats> par_stats;
   seq.set_stats_sink([&](const local::RoundStats& s) {
@@ -168,8 +171,10 @@ TEST(DistributedRoundStats, MatchesSequentialExecutor) {
   par.set_stats_sink([&](const local::RoundStats& s) {
     par_stats.push_back(s);
   });
-  const std::size_t seq_rounds = seq.run(probe_factory(), 100);
-  const std::size_t par_rounds = par.run(probe_factory(), 100);
+  const std::size_t seq_rounds =
+      seq.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+  const std::size_t par_rounds =
+      par.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
   EXPECT_EQ(seq_rounds, par_rounds);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
   ASSERT_EQ(par_stats.size(), par_rounds);
@@ -188,23 +193,42 @@ TEST(DistributedNetwork, CostMeterAndReuse) {
   const auto g = graph::gen::torus(8, 8);
   DistributedConfig config;
   config.workers = 2;
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, config);
+  DistributedNetwork net(g, config);
   local::CostMeter meter;
   net.set_output_fn(probe_output_fn());
-  const std::size_t r1 = net.run(probe_factory(), 100, &meter);
+  const std::size_t r1 =
+      net.run(probe_factory(), local::IdStrategy::kSequential, 4, 100, &meter);
   EXPECT_EQ(meter.executed_rounds(), r1);
   // Re-running the same executor (fresh rank threads per run) must be
   // deterministic too.
-  const auto first = probe_digests(net);
-  const auto second = probe_digests(net);
+  const auto first = probe_digests(net, local::IdStrategy::kSequential, 4);
+  const auto second = probe_digests(net, local::IdStrategy::kSequential, 4);
   EXPECT_EQ(first, second);
+}
+
+TEST(DistributedNetwork, ReusedAcrossIdentitiesMatchesFreshSequentialRuns) {
+  // One executor per kind, built once; each run brings its own (ids, seed)
+  // and must equal a fresh sequential executor's run of that identity.
+  Rng rng(23);
+  const auto g = graph::gen::gnp(240, 0.04, rng);
+  local::Network sequential(g);
+  DistributedNetwork two(g, ranks(2));
+  DistributedNetwork four(g, ranks(4));
+  for (const auto& [ids, seed] : probes::kReuseIdentities) {
+    local::Network fresh(g);
+    const probes::ProbeRun want = probes::probe_run(fresh, ids, seed);
+    ASSERT_FALSE(want.stats.empty());
+    EXPECT_EQ(probes::probe_run(sequential, ids, seed), want) << seed;
+    EXPECT_EQ(probes::probe_run(two, ids, seed), want) << seed;
+    EXPECT_EQ(probes::probe_run(four, ids, seed), want) << seed;
+  }
 }
 
 TEST(DistributedNetwork, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, ranks(2));
+  DistributedNetwork net(g, ranks(2));
   try {
-    net.run(probe_factory(), 2);
+    net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
     ADD_FAILURE() << "expected a round-limit abort";
   } catch (const ds::CheckError& e) {
     const std::string what = e.what();
@@ -213,7 +237,8 @@ TEST(DistributedNetwork, ThrowsWhenRoundLimitHit) {
     EXPECT_NE(what.find("max_rounds"), std::string::npos) << what;
   }
   // The executor must stay usable after the aborted run's ranks are joined.
-  EXPECT_GT(net.run(probe_factory(), 100), 2u);
+  EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
+            2u);
 }
 
 TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
@@ -221,7 +246,7 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
   // collective abort: every rank is joined, the caller throws with the
   // first message, and the executor stays usable.
   const auto g = graph::gen::torus(8, 8);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, ranks(2));
+  DistributedNetwork net(g, ranks(2));
   for (const std::size_t failing : {0u, 1u}) {
     const graph::NodeId victim = net.partition().first_node(failing);
     const local::ProgramFactory probe = probe_factory();
@@ -231,7 +256,7 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
             DS_CHECK_MSG(env.node != victim, "factory boom");
             return probe(env);
           },
-          100);
+          local::IdStrategy::kSequential, 1, 100);
       ADD_FAILURE() << "rank " << failing << " failure did not abort the run";
     } catch (const ds::CheckError& e) {
       const std::string what = e.what();
@@ -239,7 +264,8 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
           << what;
       EXPECT_NE(what.find("factory boom"), std::string::npos) << what;
     }
-    EXPECT_GT(net.run(probe_factory(), 100), 0u);
+    EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
+              0u);
   }
   // A throw that is no std::exception still aborts every thread rank.
   const graph::NodeId victim = net.partition().first_node(1);
@@ -250,14 +276,15 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
           if (env.node == victim) throw 42;
           return probe(env);
         },
-        100);
+        local::IdStrategy::kSequential, 1, 100);
     ADD_FAILURE() << "a non-std throw did not abort the run";
   } catch (const ds::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("unknown rank exception"),
               std::string::npos)
         << e.what();
   }
-  EXPECT_GT(net.run(probe_factory(), 100), 0u);
+  EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
+            0u);
 }
 
 /// A program that writes `words` words on every port for two rounds and
@@ -294,6 +321,7 @@ class Chatty final : public local::NodeProgram {
 
 std::vector<std::uint64_t> chatty_digests(local::Executor& exec,
                                           std::size_t words) {
+  // Chatty reads no coins or UIDs beyond its own; any identity will do.
   exec.set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                         std::vector<std::uint64_t>& out) {
     out.push_back(static_cast<const Chatty&>(p).digest());
@@ -302,7 +330,7 @@ std::vector<std::uint64_t> chatty_digests(local::Executor& exec,
       [words](const local::NodeEnv& env) {
         return std::make_unique<Chatty>(env, words);
       },
-      10);
+      local::IdStrategy::kSequential, 5, 10);
   std::vector<std::uint64_t> digests(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
     digests[v] = exec.outputs().value(v);
@@ -315,11 +343,10 @@ TEST(DistributedNetwork, CutTrafficOfAnySizeMatchesSequential) {
   // port the exchange once reserved up front (and aborted beyond, with
   // "halo exchange overflow"). The halo buffers grow instead.
   const auto g = graph::gen::complete(16);
-  local::Network seq(g, local::IdStrategy::kSequential, 5);
+  local::Network seq(g);
   const auto expected = chatty_digests(seq, 300);
   for (const std::size_t count : {2u, 4u}) {
-    DistributedNetwork net(g, local::IdStrategy::kSequential, 5,
-                           ranks(count));
+    DistributedNetwork net(g, ranks(count));
     EXPECT_EQ(chatty_digests(net, 300), expected) << "ranks=" << count;
   }
 }
@@ -356,20 +383,21 @@ TEST(DistributedNetwork, ReceivePhaseThrowAbortsTheRun) {
     bool done_ = false;
   };
   const auto g = graph::gen::torus(64, 64);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 1, ranks(4));
+  DistributedNetwork net(g, ranks(4));
   const graph::NodeId victim = net.partition().first_node(1);
   try {
     net.run(
         [victim](const local::NodeEnv& env) {
           return std::make_unique<ThrowsOnReceive>(env, env.node == victim);
         },
-        10);
+        local::IdStrategy::kSequential, 1, 10);
     ADD_FAILURE() << "a receive-phase throw did not abort the run";
   } catch (const ds::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("receive boom"), std::string::npos)
         << e.what();
   }
-  EXPECT_GT(net.run(probe_factory(), 100), 0u);
+  EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
+            0u);
 }
 
 TEST(DistributedNetwork, LongOutputRowsGatherIntact) {
@@ -383,11 +411,12 @@ TEST(DistributedNetwork, LongOutputRowsGatherIntact) {
     const auto& probe = static_cast<const probes::ProbeBase&>(p);
     for (std::uint64_t i = 0; i < 100; ++i) out.push_back(probe.digest() + i);
   };
-  local::Network seq(g, local::IdStrategy::kSequential, 3);
+  local::Network seq(g);
   seq.set_output_fn(long_rows);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 3, ranks(2));
+  DistributedNetwork net(g, ranks(2));
   net.set_output_fn(long_rows);
-  EXPECT_EQ(net.run(probe_factory(), 100), seq.run(probe_factory(), 100));
+  EXPECT_EQ(net.run(probe_factory(), local::IdStrategy::kSequential, 3, 100),
+            seq.run(probe_factory(), local::IdStrategy::kSequential, 3, 100));
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     const local::MessageView got = net.outputs().row(v);
     const local::MessageView want = seq.outputs().row(v);
@@ -400,10 +429,10 @@ TEST(DistributedNetwork, ThreadRanksKeepEveryProgramResident) {
   // Thread ranks share the caller's address space, so program(v) serves
   // every node after the run, equal to the sequential executor's.
   const auto g = graph::gen::torus(8, 8);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, ranks(2));
-  net.run(probe_factory(), 100);
-  local::Network seq(g, local::IdStrategy::kSequential, 4);
-  seq.run(probe_factory(), 100);
+  DistributedNetwork net(g, ranks(2));
+  net.run(probe_factory(), local::IdStrategy::kSequential, 4, 100);
+  local::Network seq(g);
+  seq.run(probe_factory(), local::IdStrategy::kSequential, 4, 100);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto& got = static_cast<const probes::ProbeBase&>(net.program(v));
     const auto& want = static_cast<const probes::ProbeBase&>(seq.program(v));
@@ -417,7 +446,7 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
   // only: every rank's count equals its range, rank 0's range is built on
   // the calling thread, and every other rank's on one thread of its own.
   const auto g = graph::gen::torus(10, 10);
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, ranks(4));
+  DistributedNetwork net(g, ranks(4));
   const std::size_t ranks = net.num_workers();
   ASSERT_EQ(ranks, 4u);
   std::vector<std::atomic<std::size_t>> calls(ranks);
@@ -434,7 +463,7 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
         }
         return probe(env);
       },
-      100);
+      local::IdStrategy::kSequential, 4, 100);
   for (std::size_t w = 0; w < ranks; ++w) {
     EXPECT_EQ(calls[w].load(), net.partition().num_nodes(w)) << "rank " << w;
   }
@@ -479,13 +508,13 @@ TEST(DistributedNetwork, ReleasesEachRanksProgramsOnAThreadOfItsOwn) {
   std::map<graph::NodeId, std::thread::id> destroyed_on;
   std::vector<std::size_t> owner(g.num_nodes());
   {
-    DistributedNetwork net(g, local::IdStrategy::kSequential, 4, ranks(4));
+    DistributedNetwork net(g, ranks(4));
     ASSERT_EQ(net.num_workers(), 4u);
     net.run(
         [&](const local::NodeEnv& env) {
           return std::make_unique<Recording>(env.node, mu, destroyed_on);
         },
-        10);
+        local::IdStrategy::kSequential, 4, 10);
     EXPECT_TRUE(destroyed_on.empty());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       owner[v] = net.partition().owner(v);
@@ -514,7 +543,7 @@ TEST(DistributedNetwork, DegenerateInstances) {
   {
     DistributedConfig config;
     config.workers = 8;
-    DistributedNetwork net(small, local::IdStrategy::kSequential, 2, config);
+    DistributedNetwork net(small, config);
     EXPECT_EQ(net.num_workers(), 3u);
   }
 
@@ -526,9 +555,10 @@ TEST(DistributedNetwork, DegenerateInstances) {
   const graph::Graph empty(0);
   DistributedConfig config;
   config.workers = 2;
-  DistributedNetwork net(empty, local::IdStrategy::kSequential, 1, config);
+  DistributedNetwork net(empty, config);
   net.set_output_fn(probe_output_fn());
-  EXPECT_EQ(net.run(probe_factory(), 10), 0u);
+  EXPECT_EQ(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 10),
+            0u);
   EXPECT_EQ(net.outputs().size(), 0u);
 }
 
@@ -543,7 +573,7 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
   // Worker 0 owns exactly the hub (its 200 ports are half of all ports).
   DistributedConfig config;
   config.workers = 2;
-  DistributedNetwork par(star, local::IdStrategy::kSequential, 1, config);
+  DistributedNetwork par(star, config);
   ASSERT_EQ(par.partition().last_node(0), 1u);
   par.set_output_fn([](graph::NodeId v, const local::NodeProgram& p,
                       std::vector<std::uint64_t>& out) {
@@ -551,13 +581,14 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
     // Degree-sized row: 200 words for the hub, 1 for each leaf.
     out.assign(v == 0 ? 200 : 1, probe.digest());
   });
-  local::Network seq(star, local::IdStrategy::kSequential, 1);
+  local::Network seq(star);
   seq.set_output_fn([](graph::NodeId v, const local::NodeProgram& p,
                        std::vector<std::uint64_t>& out) {
     const auto& probe = static_cast<const probes::ProbeBase&>(p);
     out.assign(v == 0 ? 200 : 1, probe.digest());
   });
-  EXPECT_EQ(par.run(probe_factory(), 100), seq.run(probe_factory(), 100));
+  EXPECT_EQ(par.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
+            seq.run(probe_factory(), local::IdStrategy::kSequential, 1, 100));
   for (graph::NodeId v = 0; v < 201; ++v) {
     ASSERT_EQ(par.outputs().row(v).size(), seq.outputs().row(v).size()) << v;
     EXPECT_EQ(par.outputs().row(v)[0], seq.outputs().row(v)[0]) << v;
@@ -568,7 +599,7 @@ TEST(DistributedNetwork, PartitionStatsExposed) {
   const auto g = graph::gen::torus(16, 16);
   DistributedConfig config;
   config.workers = 4;
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 9, config);
+  DistributedNetwork net(g, config);
   const PartitionStats stats = net.partition().stats();
   EXPECT_EQ(stats.parts, 4u);
   EXPECT_EQ(stats.cut_edges + stats.internal_edges, g.num_edges());

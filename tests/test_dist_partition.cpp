@@ -224,9 +224,10 @@ TEST(HaloTransport, ShipPatchRoundtrip) {
             arenas[w].data() + (topo.port_offset(v) - part.port_base(w)),
             g.degree(v), bases.data(), epoch);
         for (std::size_t p = 0; p < g.degree(v); ++p) {
-          // The message on port p came from the neighbor's reverse port.
+          // The message on port p came from the neighbor's reverse port:
+          // the slot v's port p delivers into, relative to the neighbor.
           const graph::NodeId u = g.neighbors(v)[p];
-          const std::size_t q = topo.reverse_port(v, p);
+          const std::size_t q = topo.delivery_slot(v, p) - topo.port_offset(u);
           if (!sends(q)) {
             EXPECT_TRUE(inbox[p].empty()) << "v=" << v << " p=" << p;
             continue;

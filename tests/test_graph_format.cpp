@@ -179,9 +179,8 @@ TEST(GraphFormat, MappedTopologySharedByThreadRanks) {
   config.workers = 4;
   mis::MisOutcome ranks = mis::luby(
       mapped, 5, nullptr, 10000, local::IdStrategy::kSequential,
-      [&](const Graph& fg, local::IdStrategy strategy, std::uint64_t seed) {
-        return std::make_unique<dist::DistributedNetwork>(fg, strategy, seed,
-                                                          config);
+      [&](const Graph& fg) {
+        return std::make_shared<dist::DistributedNetwork>(fg, config);
       });
   EXPECT_EQ(seq.in_mis, ranks.in_mis);
   EXPECT_EQ(seq.executed_rounds, ranks.executed_rounds);

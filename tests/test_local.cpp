@@ -116,7 +116,7 @@ class MaxFlood : public NodeProgram {
 TEST(Network, FloodsMaximumUid) {
   Rng rng(6);
   const graph::Graph g = graph::gen::cycle(12);
-  Network net(g, IdStrategy::kRandomPermutation, 99);
+  Network net(g);
   std::vector<MaxFlood*> programs(g.num_nodes(), nullptr);
   CostMeter meter;
   const std::size_t rounds = net.run(
@@ -125,7 +125,7 @@ TEST(Network, FloodsMaximumUid) {
         programs[env.node] = p.get();
         return p;
       },
-      100, &meter);
+      IdStrategy::kRandomPermutation, 99, 100, &meter);
   EXPECT_GT(rounds, 0u);
   EXPECT_EQ(meter.executed_rounds(), rounds);
   const std::uint64_t expected = g.num_nodes() - 1;
@@ -180,9 +180,9 @@ class PortChecker : public NodeProgram {
 TEST(Network, PortsMatchNeighborUids) {
   Rng rng(7);
   const graph::Graph g = graph::gen::gnp(25, 0.3, rng);
-  Network net(g, IdStrategy::kRandomPermutation, 5);
+  Network net(g);
   net.run([](const NodeEnv& env) { return std::make_unique<PortChecker>(env); },
-          4);
+          IdStrategy::kRandomPermutation, 5, 4);
 }
 
 TEST(Network, ThrowsOnRoundLimit) {
@@ -194,9 +194,10 @@ TEST(Network, ThrowsOnRoundLimit) {
     [[nodiscard]] bool done() const override { return false; }
   };
   const graph::Graph g = graph::gen::cycle(4);
-  Network net(g, IdStrategy::kSequential, 1);
+  Network net(g);
   EXPECT_THROW(
-      net.run([](const NodeEnv&) { return std::make_unique<Forever>(); }, 3),
+      net.run([](const NodeEnv&) { return std::make_unique<Forever>(); },
+              IdStrategy::kSequential, 1, 3),
       ds::CheckError);
 }
 
@@ -206,7 +207,7 @@ TEST(Network, PerNodeRandomnessIsStable) {
   std::vector<std::uint64_t> draws_a;
   std::vector<std::uint64_t> draws_b;
   for (auto* out : {&draws_a, &draws_b}) {
-    Network net(g, IdStrategy::kSequential, 1234);
+    Network net(g);
     net.run(
         [out](const NodeEnv& env) {
           class OneShot : public NodeProgram {
@@ -227,7 +228,7 @@ TEST(Network, PerNodeRandomnessIsStable) {
           };
           return std::make_unique<OneShot>(env, out);
         },
-        2);
+        IdStrategy::kSequential, 1234, 2);
   }
   EXPECT_EQ(draws_a, draws_b);
 }

@@ -65,14 +65,12 @@ namespace ds {
 namespace {
 
 /// The executor `--runtime=parallel --threads=threads` builds.
-std::unique_ptr<local::Executor> threaded(const graph::Graph& g,
-                                          local::IdStrategy strategy,
-                                          std::uint64_t seed,
+std::shared_ptr<local::Executor> threaded(const graph::Graph& g,
                                           std::size_t threads) {
   runtime::RuntimeConfig config;
   config.kind = runtime::RuntimeKind::kParallel;
   config.threads = threads;
-  return runtime::make_executor_factory(config)(g, strategy, seed);
+  return runtime::make_executor_factory(config)(g);
 }
 
 // ---- Outbox / Inbox unit tests -------------------------------------------
@@ -219,12 +217,14 @@ class VaryingLengthProgram final : public local::NodeProgram {
   bool done_ = false;
 };
 
-void expect_varying_lengths_deliver(local::Executor& exec) {
+void expect_varying_lengths_deliver(local::Executor& exec,
+                                    local::IdStrategy ids,
+                                    std::uint64_t seed) {
   exec.run(
       [](const local::NodeEnv& env) {
         return std::make_unique<VaryingLengthProgram>(env);
       },
-      4);
+      ids, seed, 4);
   std::size_t validated = 0;
   std::size_t empties = 0;
   std::size_t expected_nonempty = 0;
@@ -248,21 +248,22 @@ TEST(WriterApi, VaryingLengthsOnStarMaxDegreeHub) {
   graph::Graph g(64);
   for (graph::NodeId v = 1; v < 64; ++v) g.add_edge(0, v);
   for (std::size_t threads : {1, 2, 8}) {
-    const auto par =
-        threaded(g, local::IdStrategy::kRandomPermutation, 3, threads);
-    expect_varying_lengths_deliver(*par);
+    const auto par = threaded(g, threads);
+    expect_varying_lengths_deliver(*par, local::IdStrategy::kRandomPermutation,
+                                   3);
   }
-  local::Network seq(g, local::IdStrategy::kRandomPermutation, 3);
-  expect_varying_lengths_deliver(seq);
+  local::Network seq(g);
+  expect_varying_lengths_deliver(seq, local::IdStrategy::kRandomPermutation,
+                                 3);
 }
 
 TEST(WriterApi, VaryingLengthsOnGnp) {
   Rng rng(21);
   const auto g = graph::gen::gnp(300, 0.02, rng);
-  local::Network seq(g, local::IdStrategy::kSequential, 11);
-  expect_varying_lengths_deliver(seq);
-  const auto par = threaded(g, local::IdStrategy::kSequential, 11, 4);
-  expect_varying_lengths_deliver(*par);
+  local::Network seq(g);
+  expect_varying_lengths_deliver(seq, local::IdStrategy::kSequential, 11);
+  const auto par = threaded(g, 4);
+  expect_varying_lengths_deliver(*par, local::IdStrategy::kSequential, 11);
 }
 
 // ---- Degree-balanced shard boundaries ------------------------------------
@@ -348,14 +349,16 @@ local::ProgramFactory fixed_round_factory(std::size_t rounds) {
 /// Allocations of one run() with the given round budget.
 std::size_t allocations_of_run(local::Executor& exec, std::size_t rounds) {
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  exec.run(fixed_round_factory(rounds), rounds + 1);
+  exec.run(fixed_round_factory(rounds), local::IdStrategy::kSequential, 9,
+           rounds + 1);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
 TEST(AllocationCounting, SequentialSendPathIsZeroAllocPerRound) {
   const auto g = graph::gen::torus(24, 24);
-  local::Network net(g, local::IdStrategy::kSequential, 9);
-  net.run(fixed_round_factory(48), 49);  // warm the arena to its high-water
+  local::Network net(g);
+  // Warm the arena to its high-water mark.
+  net.run(fixed_round_factory(48), local::IdStrategy::kSequential, 9, 49);
   const std::size_t short_run = allocations_of_run(net, 8);
   const std::size_t long_run = allocations_of_run(net, 48);
   // Per-run allocations (program construction) are identical; 40 extra
@@ -370,8 +373,8 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
   // 40 extra rounds must add exactly nothing on any rank.
   const auto g = graph::gen::torus(24, 24);
   for (std::size_t threads : {1, 2, 4}) {
-    const auto net = threaded(g, local::IdStrategy::kSequential, 9, threads);
-    net->run(fixed_round_factory(48), 49);
+    const auto net = threaded(g, threads);
+    net->run(fixed_round_factory(48), local::IdStrategy::kSequential, 9, 49);
     const std::size_t short_run = allocations_of_run(*net, 8);
     const std::size_t long_run = allocations_of_run(*net, 48);
     EXPECT_EQ(long_run, short_run) << "threads=" << threads;
@@ -447,19 +450,19 @@ TEST(AllocationCounting, HookObservesPerRoundAllocations) {
     bool done_ = false;
   };
   const auto g = graph::gen::torus(8, 8);
-  local::Network net(g, local::IdStrategy::kSequential, 9);
+  local::Network net(g);
   auto factory = [](std::size_t rounds) {
     return [rounds](const local::NodeEnv& env) {
       return std::make_unique<AllocatingGossip>(env, rounds);
     };
   };
-  net.run(factory(16), 17);
+  net.run(factory(16), local::IdStrategy::kSequential, 9, 17);
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  net.run(factory(4), 5);
+  net.run(factory(4), local::IdStrategy::kSequential, 9, 5);
   const std::size_t short_run =
       g_allocations.load(std::memory_order_relaxed) - before;
   const std::size_t mid = g_allocations.load(std::memory_order_relaxed);
-  net.run(factory(16), 17);
+  net.run(factory(16), local::IdStrategy::kSequential, 9, 17);
   const std::size_t long_run =
       g_allocations.load(std::memory_order_relaxed) - mid;
   EXPECT_GT(long_run, short_run);

@@ -59,16 +59,14 @@ TEST(TcpFault, KilledRankAbortsTheFleetWithoutHanging) {
   const LoopbackReport report = run_loopback_ranks(
       3,
       [&](LoopbackRank&& lr) -> int {
-        TcpNetworkConfig config;
-        config.rank = lr.rank;
-        config.hosts = std::move(lr.hosts);
-        config.listen = std::move(lr.listen);
-        config.transport.handshake_timeout_ms = 20000;
-        config.transport.round_timeout_ms = 30000;
-        TcpNetwork net(g, local::IdStrategy::kSequential, 4,
-                       std::move(config));
+        TcpOptions opts;
+        opts.handshake_timeout_ms = 20000;
+        opts.round_timeout_ms = 30000;
+        TcpTransport transport(lr.rank, lr.hosts, {}, opts,
+                               std::move(lr.listen));
+        TcpNetwork net(g, transport);
         try {
-          net.run(factory, 10000);
+          net.run(factory, local::IdStrategy::kSequential, 4, 10000);
           return 1;  // the run must NOT complete
         } catch (const ds::CheckError&) {
           return 5;  // collective abort observed

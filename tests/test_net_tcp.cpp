@@ -23,6 +23,7 @@
 #include "mis/mis.hpp"
 #include "net/insitu_runner.hpp"
 #include "net/loopback.hpp"
+#include "net/rendezvous.hpp"
 #include "net/tcp_network.hpp"
 #include "obs/recorder.hpp"
 #include "orient/sinkless.hpp"
@@ -50,9 +51,11 @@ local::OutputFn probe_output_fn() {
 }
 
 std::vector<std::uint64_t> probe_digests(local::Executor& exec,
+                                         local::IdStrategy ids,
+                                         std::uint64_t seed,
                                          std::size_t* rounds = nullptr) {
   exec.set_output_fn(probe_output_fn());
-  const std::size_t r = exec.run(probe_factory(), 100);
+  const std::size_t r = exec.run(probe_factory(), ids, seed, 100);
   if (rounds != nullptr) *rounds = r;
   std::vector<std::uint64_t> digests(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
@@ -61,34 +64,33 @@ std::vector<std::uint64_t> probe_digests(local::Executor& exec,
   return digests;
 }
 
-TcpNetworkConfig rank_config(LoopbackRank&& lr) {
-  TcpNetworkConfig config;
-  config.rank = lr.rank;
-  config.hosts = std::move(lr.hosts);
-  config.listen = std::move(lr.listen);
-  config.transport = test_options();
-  return config;
+/// Connects loopback rank `lr`'s fleet with the test budgets, handshaking
+/// `digests`.
+TcpTransport connect(LoopbackRank&& lr, InstanceDigests digests = {}) {
+  return TcpTransport(lr.rank, lr.hosts, digests, test_options(),
+                      std::move(lr.listen));
 }
 
 void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
                           std::uint64_t seed,
                           std::initializer_list<std::size_t> rank_counts = {
                               2, 4}) {
-  local::Network sequential(g, strategy, seed);
+  local::Network sequential(g);
   std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, &seq_rounds);
+  const auto expected = probe_digests(sequential, strategy, seed, &seq_rounds);
   for (const std::size_t ranks : rank_counts) {
     std::vector<std::uint64_t> got;
     std::size_t got_rounds = 0;
     const LoopbackReport report = run_loopback_ranks(
         ranks, [&](LoopbackRank&& lr) -> int {
           const std::size_t rank = lr.rank;
-          TcpNetwork net(g, strategy, seed, rank_config(std::move(lr)));
+          TcpTransport transport = connect(std::move(lr));
+          TcpNetwork net(g, transport);
+          std::size_t r = 0;
+          const auto digests = probe_digests(net, strategy, seed, &r);
           // Exit-code check, not EXPECT: on child ranks a gtest failure
           // would die silently with the forked process.
           if (net.uids() != sequential.uids()) return 6;
-          std::size_t r = 0;
-          const auto digests = probe_digests(net, &r);
           if (rank == 0) {
             got = digests;
             got_rounds = r;
@@ -161,19 +163,23 @@ TEST(TcpDeterminism, ChattyMessagesNeedNoReservation) {
       [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
     return std::make_unique<ChattyProbe>(env);
   };
-  local::Network sequential(g, local::IdStrategy::kSequential, 5);
+  local::Network sequential(g);
   sequential.set_output_fn(probe_output_fn());
-  const std::size_t seq_rounds = sequential.run(chatty, 100);
+  const std::size_t seq_rounds =
+      sequential.run(chatty, local::IdStrategy::kSequential, 5, 100);
   std::vector<std::uint64_t> expected(g.num_nodes());
   for (graph::NodeId v = 0; v < expected.size(); ++v) {
     expected[v] = sequential.outputs().value(v);
   }
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
-        TcpNetwork net(g, local::IdStrategy::kSequential, 5,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
         net.set_output_fn(probe_output_fn());
-        if (net.run(chatty, 100) != seq_rounds) return 13;
+        if (net.run(chatty, local::IdStrategy::kSequential, 5, 100) !=
+            seq_rounds) {
+          return 13;
+        }
         for (graph::NodeId v = 0; v < expected.size(); ++v) {
           if (net.outputs().value(v) != expected[v]) return 14;
         }
@@ -193,20 +199,11 @@ TEST(TcpDeterminism, LubyTrialColoringSinkless) {
   for (const std::size_t ranks : {2, 4}) {
     const LoopbackReport report = run_loopback_ranks(
         ranks, [&](LoopbackRank&& lr) -> int {
-          // Each algorithm invocation constructs a fresh TcpNetwork (the
-          // factory contract); the first reuses the pre-bound socket, the
-          // later ones rebind the now-known port.
-          Socket* first = &lr.listen;
-          const local::ExecutorFactory executor =
-              [&](const graph::Graph& fg, local::IdStrategy strategy,
-                  std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-            TcpNetworkConfig config;
-            config.rank = lr.rank;
-            config.hosts = lr.hosts;
-            config.listen = std::move(*first);
-            config.transport = test_options();
-            return std::make_unique<TcpNetwork>(fg, strategy, seed,
-                                                std::move(config));
+          // Each algorithm invocation builds its executor (the factory
+          // contract), all over the rank's one transport.
+          TcpTransport transport = connect(std::move(lr));
+          const local::ExecutorFactory executor = [&](const graph::Graph& fg) {
+            return std::make_shared<TcpNetwork>(fg, transport);
           };
 
           const auto mis_out =
@@ -241,23 +238,25 @@ TEST(TcpDeterminism, LubyTrialColoringSinkless) {
 TEST(TcpRoundStats, MatchesSequentialExecutor) {
   Rng rng(31);
   const auto g = graph::gen::gnp(200, 0.03, rng);
-  local::Network seq(g, local::IdStrategy::kSequential, 8);
+  local::Network seq(g);
   std::vector<local::RoundStats> seq_stats;
   seq.set_stats_sink(
       [&](const local::RoundStats& s) { seq_stats.push_back(s); });
-  const std::size_t seq_rounds = seq.run(probe_factory(), 100);
+  const std::size_t seq_rounds =
+      seq.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
 
   const LoopbackReport report = run_loopback_ranks(
       3, [&](LoopbackRank&& lr) -> int {
         // The TCP transport aggregates totals on every rank (they ride in
         // the halo frames), so every rank's sink must see the same trace.
-        TcpNetwork net(g, local::IdStrategy::kSequential, 8,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
         std::vector<local::RoundStats> stats;
         net.set_stats_sink(
             [&](const local::RoundStats& s) { stats.push_back(s); });
-        const std::size_t rounds = net.run(probe_factory(), 100);
+        const std::size_t rounds =
+            net.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
         if (rounds != seq_rounds || stats.size() != seq_stats.size()) {
           return 20;
         }
@@ -277,22 +276,85 @@ TEST(TcpRoundStats, MatchesSequentialExecutor) {
 
 // ---- Executor behavior ---------------------------------------------------
 
-TEST(TcpNetwork, CostMeterAndReuse) {
-  const auto g = graph::gen::torus(8, 8);
-  local::Network sequential(g, local::IdStrategy::kSequential, 4);
-  const auto expected = probe_digests(sequential);
+TEST(TcpNetwork, ReusedAcrossIdentitiesMatchesFreshSequentialRuns) {
+  // One executor, built once over one rendezvous; each run brings its own
+  // (ids, seed) and must equal a fresh sequential executor's run of that
+  // identity on every rank.
+  Rng rng(23);
+  const auto g = graph::gen::gnp(240, 0.04, rng);
+  std::vector<probes::ProbeRun> want;
+  for (const auto& [ids, seed] : probes::kReuseIdentities) {
+    local::Network fresh(g);
+    want.push_back(probes::probe_run(fresh, ids, seed));
+  }
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
-        TcpNetwork net(g, local::IdStrategy::kSequential, 4,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const auto& [ids, seed] = probes::kReuseIdentities[i];
+          if (!(probes::probe_run(net, ids, seed) == want[i])) {
+            return static_cast<int>(30 + i);
+          }
+        }
+        return 0;
+      });
+  EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
+}
+
+TEST(TcpNetwork, TwoExecutorsAlternateOnOneTransport) {
+  // Executors over different graphs share one transport: each run attaches
+  // its own partition, so alternating them must reproduce the sequential
+  // digests of both graphs.
+  const auto torus = graph::gen::torus(12, 12);
+  Rng rng(41);
+  const auto gnp = graph::gen::gnp(150, 0.05, rng);
+  local::Network seq_torus(torus);
+  local::Network seq_gnp(gnp);
+  const auto want_torus =
+      probe_digests(seq_torus, local::IdStrategy::kSequential, 7);
+  const auto want_gnp =
+      probe_digests(seq_gnp, local::IdStrategy::kRandomPermutation, 8);
+  const LoopbackReport report = run_loopback_ranks(
+      2, [&](LoopbackRank&& lr) -> int {
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork on_torus(torus, transport);
+        TcpNetwork on_gnp(gnp, transport);
+        for (int round = 0; round < 2; ++round) {
+          if (probe_digests(on_torus, local::IdStrategy::kSequential, 7) !=
+              want_torus) {
+            return 35;
+          }
+          if (probe_digests(on_gnp, local::IdStrategy::kRandomPermutation,
+                            8) != want_gnp) {
+            return 36;
+          }
+        }
+        return 0;
+      });
+  EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
+}
+
+TEST(TcpNetwork, CostMeterAndReuse) {
+  const auto g = graph::gen::torus(8, 8);
+  local::Network sequential(g);
+  const auto expected =
+      probe_digests(sequential, local::IdStrategy::kSequential, 4);
+  const LoopbackReport report = run_loopback_ranks(
+      2, [&](LoopbackRank&& lr) -> int {
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
         local::CostMeter meter;
         net.set_output_fn(probe_output_fn());
-        const std::size_t r1 = net.run(probe_factory(), 100, &meter);
+        const std::size_t r1 = net.run(
+            probe_factory(), local::IdStrategy::kSequential, 4, 100, &meter);
         if (meter.executed_rounds() != r1) return 30;
         // Re-running the same executor reuses the standing connections; the
         // result must stay bit-identical.
-        const auto first = probe_digests(net);
-        const auto second = probe_digests(net);
+        const auto first =
+            probe_digests(net, local::IdStrategy::kSequential, 4);
+        const auto second =
+            probe_digests(net, local::IdStrategy::kSequential, 4);
         return (first == expected && second == expected) ? 0 : 31;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
@@ -303,9 +365,9 @@ TEST(TcpNetwork, ProgramAccessorIsRankLocal) {
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
         const std::size_t rank = lr.rank;
-        TcpNetwork net(g, local::IdStrategy::kSequential, 4,
-                       rank_config(std::move(lr)));
-        net.run(probe_factory(), 100);
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
+        net.run(probe_factory(), local::IdStrategy::kSequential, 4, 100);
         const graph::NodeId mine = net.partition().first_node(rank);
         const graph::NodeId theirs = net.partition().first_node(1 - rank);
         try {
@@ -332,8 +394,8 @@ TEST(TcpNetwork, EachRankConstructsOnlyItsOwnedPrograms) {
     const LoopbackReport report = run_loopback_ranks(
         ranks, [&](LoopbackRank&& lr) -> int {
           const std::size_t rank = lr.rank;
-          TcpNetwork net(g, local::IdStrategy::kSequential, 4,
-                         rank_config(std::move(lr)));
+          TcpTransport transport = connect(std::move(lr));
+          TcpNetwork net(g, transport);
           std::size_t calls = 0;
           const local::ProgramFactory probe = probe_factory();
           const local::ProgramFactory counting =
@@ -341,7 +403,7 @@ TEST(TcpNetwork, EachRankConstructsOnlyItsOwnedPrograms) {
                 ++calls;
                 return probe(env);
               };
-          net.run(counting, 100);
+          net.run(counting, local::IdStrategy::kSequential, 4, 100);
           return calls == net.partition().num_nodes(rank) ? 0 : 45;
         });
     EXPECT_TRUE(report.all_ok()) << "ranks=" << ranks
@@ -363,10 +425,13 @@ TEST(TcpNetwork, DegenerateInstances) {
   const graph::Graph empty(0);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
-        TcpNetwork net(empty, local::IdStrategy::kSequential, 1,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(empty, transport);
         net.set_output_fn(probe_output_fn());
-        if (net.run(probe_factory(), 10) != 0) return 50;
+        if (net.run(probe_factory(), local::IdStrategy::kSequential, 1, 10) !=
+            0) {
+          return 50;
+        }
         return net.outputs().size() == 0 ? 0 : 51;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
@@ -374,16 +439,18 @@ TEST(TcpNetwork, DegenerateInstances) {
 
 TEST(TcpNetwork, SingleRankFleetRunsWithoutPeers) {
   const auto g = graph::gen::torus(6, 6);
-  local::Network sequential(g, local::IdStrategy::kSequential, 9);
+  local::Network sequential(g);
   std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, &seq_rounds);
+  const auto expected = probe_digests(
+      sequential, local::IdStrategy::kSequential, 9, &seq_rounds);
   const LoopbackReport report = run_loopback_ranks(
       1, [&](LoopbackRank&& lr) -> int {
-        TcpNetwork net(g, local::IdStrategy::kSequential, 9,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
         std::size_t r = 0;
-        return (probe_digests(net, &r) == expected && r == seq_rounds) ? 0
-                                                                       : 60;
+        const auto got =
+            probe_digests(net, local::IdStrategy::kSequential, 9, &r);
+        return (got == expected && r == seq_rounds) ? 0 : 60;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
@@ -392,10 +459,10 @@ TEST(TcpNetwork, MaxRoundsAbortsTheWholeFleet) {
   const auto g = graph::gen::cycle(16);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
-        TcpNetwork net(g, local::IdStrategy::kSequential, 1,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
         try {
-          net.run(probe_factory(), 2);
+          net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
           return 70;  // must throw on every rank
         } catch (const ds::CheckError& e) {
           return std::string(e.what()).find("max_rounds") !=
@@ -410,16 +477,18 @@ TEST(TcpNetwork, MaxRoundsAbortsTheWholeFleet) {
 }
 
 TEST(TcpRendezvous, RejectsMismatchedLaunches) {
-  // Rank 1 disagrees about the seed -> different UIDs -> different topology
-  // digest. Both sides must fail fast with the digest diagnosis instead of
-  // running to divergent results.
+  // Rank 1 is launched with another seed, so its launch digest differs.
+  // Both sides must fail fast with the digest diagnosis instead of running
+  // to divergent results.
   const auto g = graph::gen::torus(6, 6);
+  const std::uint64_t structure = structure_digest(g, 0);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
         const std::uint64_t seed = lr.rank == 0 ? 5 : 6;
+        const InstanceDigests digests{
+            launch_digest(structure, seed, "sequential"), structure};
         try {
-          TcpNetwork net(g, local::IdStrategy::kSequential, seed,
-                         rank_config(std::move(lr)));
+          TcpTransport transport = connect(std::move(lr), digests);
           return 80;  // the handshake must refuse
         } catch (const ds::CheckError& e) {
           return std::string(e.what()).find("digest mismatch") !=
@@ -440,8 +509,8 @@ TEST(TcpNetwork, PartitionStatsExposed) {
   const auto g = graph::gen::torus(16, 16);
   const LoopbackReport report = run_loopback_ranks(
       1, [&](LoopbackRank&& lr) -> int {
-        TcpNetwork net(g, local::IdStrategy::kSequential, 9,
-                       rank_config(std::move(lr)));
+        TcpTransport transport = connect(std::move(lr));
+        TcpNetwork net(g, transport);
         const dist::PartitionStats& stats = net.partition().stats();
         return (stats.parts == 1 && stats.cut_edges == 0 &&
                 stats.internal_edges == g.num_edges())

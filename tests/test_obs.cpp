@@ -588,9 +588,8 @@ TEST(Conformance, DeterministicCountersIdenticalAcrossRuntimes) {
     const graph::Graph& graph_ref = g;
     const net::LoopbackReport report = net::run_loopback_ranks(
         2, [&](net::LoopbackRank&& lr) -> int {
-          net::Socket* first_listen = &lr.listen;
-          const std::size_t rank = lr.rank;
-          const auto hosts = lr.hosts;
+          net::TcpTransport transport(lr.rank, lr.hosts, {}, topts,
+                                      std::move(lr.listen));
           Recorder rec;
           algo::RunContext ctx;
           ctx.graph = &graph_ref;
@@ -598,16 +597,8 @@ TEST(Conformance, DeterministicCountersIdenticalAcrossRuntimes) {
           ctx.params = algo::Params::parse(mis_spec().params, {});
           ctx.sequential_runtime = false;
           ctx.recorder = &rec;
-          ctx.factory = [&](const graph::Graph& fg,
-                            local::IdStrategy strategy, std::uint64_t seed)
-              -> std::unique_ptr<local::Executor> {
-            net::TcpNetworkConfig config;
-            config.rank = rank;
-            config.hosts = hosts;
-            config.transport = topts;
-            config.listen = std::move(*first_listen);
-            auto exec = std::make_unique<net::TcpNetwork>(
-                fg, strategy, seed, std::move(config));
+          ctx.factory = [&](const graph::Graph& fg) {
+            auto exec = std::make_shared<net::TcpNetwork>(fg, transport);
             exec->set_recorder(&rec);
             return exec;
           };
@@ -641,10 +632,11 @@ std::uint64_t live_nodes(const Recorder& rec) {
 
 /// Luby at seed 5 on the 32x32 torus: one sequential run's live nodes.
 std::uint64_t luby_live_nodes(const graph::Graph& g) {
-  local::Network sequential(g, local::IdStrategy::kSequential, 5);
+  local::Network sequential(g);
   Recorder rec;
   sequential.set_recorder(&rec);
-  sequential.run(mis::luby_program_factory(), 10000);
+  sequential.run(mis::luby_program_factory(), local::IdStrategy::kSequential,
+                 5, 10000);
   return live_nodes(rec);
 }
 
@@ -654,11 +646,12 @@ TEST(FleetTotals, ThreadRankExecutorReusedThreeTimesCountsEveryRunOnce) {
   ASSERT_GT(once, 0u);
   dist::DistributedConfig config;
   config.workers = 2;
-  dist::DistributedNetwork net(g, local::IdStrategy::kSequential, 5, config);
+  dist::DistributedNetwork net(g, config);
   Recorder rec;
   net.set_recorder(&rec);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    net.run(mis::luby_program_factory(), 10000);
+    net.run(mis::luby_program_factory(), local::IdStrategy::kSequential, 5,
+            10000);
     EXPECT_EQ(live_nodes(rec), k * once) << "after run " << k;
   }
 }
@@ -673,19 +666,15 @@ TEST(FleetTotals, TcpRanksRebuiltThreeTimesCountEveryRunOnce) {
   // Exit-code checks: a gtest failure on a forked rank would die silently.
   const net::LoopbackReport report = net::run_loopback_ranks(
       2, [&](net::LoopbackRank&& lr) -> int {
+        net::TcpTransport transport(lr.rank, lr.hosts, {}, topts,
+                                    std::move(lr.listen));
         Recorder rec;
         for (std::uint64_t k = 1; k <= 3; ++k) {
-          net::TcpNetworkConfig config;
-          config.rank = lr.rank;
-          config.hosts = lr.hosts;
-          config.transport = topts;
-          // The first executor takes the pre-bound socket; later ones
-          // rebind the now-known port.
-          if (k == 1) config.listen = std::move(lr.listen);
-          net::TcpNetwork tcp(g, local::IdStrategy::kSequential, 5,
-                              std::move(config));
+          // A fresh executor per run, all over the one transport.
+          net::TcpNetwork tcp(g, transport);
           tcp.set_recorder(&rec);
-          tcp.run(mis::luby_program_factory(), 10000);
+          tcp.run(mis::luby_program_factory(), local::IdStrategy::kSequential,
+                  5, 10000);
           if (live_nodes(rec) != k * once) return static_cast<int>(10 + k);
         }
         return 0;

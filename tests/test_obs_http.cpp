@@ -395,13 +395,10 @@ net::TcpOptions test_options() {
   return opts;
 }
 
-net::TcpNetworkConfig rank_config(net::LoopbackRank&& lr) {
-  net::TcpNetworkConfig config;
-  config.rank = lr.rank;
-  config.hosts = std::move(lr.hosts);
-  config.listen = std::move(lr.listen);
-  config.transport = test_options();
-  return config;
+/// Connects loopback rank `lr`'s fleet with the test budgets.
+net::TcpTransport connect(net::LoopbackRank&& lr) {
+  return net::TcpTransport(lr.rank, lr.hosts, {}, test_options(),
+                           std::move(lr.listen));
 }
 
 TEST(HttpServer, HealthzFlipsTo503AfterCollectiveAbort) {
@@ -412,10 +409,10 @@ TEST(HttpServer, HealthzFlipsTo503AfterCollectiveAbort) {
       2, [&](net::LoopbackRank&& lr) -> int {
         const std::size_t rank = lr.rank;
         if (rank != 0) {
-          net::TcpNetwork net(g, local::IdStrategy::kSequential, 1,
-                              rank_config(std::move(lr)));
+          net::TcpTransport transport = connect(std::move(lr));
+          net::TcpNetwork net(g, transport);
           try {
-            net.run(probe_factory(), 2);
+            net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
             return 70;  // max_rounds must abort the fleet
           } catch (const CheckError&) {
             return 0;
@@ -426,12 +423,12 @@ TEST(HttpServer, HealthzFlipsTo503AfterCollectiveAbort) {
         rec.set_publisher(&pub);
         HttpServer server(pub, 0);
         pub.run_started("probe");
-        net::TcpNetwork net(g, local::IdStrategy::kSequential, 1,
-                            rank_config(std::move(lr)));
+        net::TcpTransport transport = connect(std::move(lr));
+        net::TcpNetwork net(g, transport);
         net.set_recorder(&rec);
         if (http_get(server.port(), "/healthz").status != 200) return 71;
         try {
-          net.run(probe_factory(), 2);
+          net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
           return 72;  // max_rounds must abort the fleet
         } catch (const CheckError&) {
           // The transport's abort() flipped the publisher before the
@@ -453,10 +450,10 @@ TEST(HttpServer, StatusServedConcurrentlyWithLiveFourRankRun) {
         const std::size_t rank = lr.rank;
         if (rank != 0) {
           Recorder rec;
-          net::TcpNetwork net(g, local::IdStrategy::kSequential, 7,
-                              rank_config(std::move(lr)));
+          net::TcpTransport transport = connect(std::move(lr));
+          net::TcpNetwork net(g, transport);
           net.set_recorder(&rec);
-          net.run(probe_factory(), 100);
+          net.run(probe_factory(), local::IdStrategy::kSequential, 7, 100);
           return 0;
         }
         Recorder rec;
@@ -499,10 +496,10 @@ TEST(HttpServer, StatusServedConcurrentlyWithLiveFourRankRun) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
 
-        net::TcpNetwork net(g, local::IdStrategy::kSequential, 7,
-                            rank_config(std::move(lr)));
+        net::TcpTransport transport = connect(std::move(lr));
+        net::TcpNetwork net(g, transport);
         net.set_recorder(&rec);
-        net.run(probe_factory(), 100);
+        net.run(probe_factory(), local::IdStrategy::kSequential, 7, 100);
         pub.run_finished(/*ok=*/true);
         stop.store(true, std::memory_order_release);
         hammer.join();

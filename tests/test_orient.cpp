@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/multigraph.hpp"
+#include "local/executor.hpp"
 #include "orient/degree_split.hpp"
 #include "orient/euler.hpp"
 #include "orient/sinkless.hpp"
@@ -220,6 +221,23 @@ TEST(Sinkless, ProgramRespectsMinDegreeThreshold) {
   for (graph::NodeId leaf = 1; leaf < 6; ++leaf) g.add_edge(0, leaf);
   const auto outcome = sinkless_program(g, 3, 2);
   EXPECT_TRUE(is_sinkless(g, outcome.toward_v, 2));
+}
+
+TEST(Sinkless, ProgramOnSingleEdgeExhaustsTrialsOnOneExecutor) {
+  // At min_degree 1 both endpoints of a lone edge need an outgoing edge,
+  // so every Las Vegas trial fails and sinkless_program throws; both
+  // trials run on the one executor the factory built.
+  graph::Graph g(2);
+  g.add_edge(0, 1);
+  std::size_t calls = 0;
+  const local::ExecutorFactory counting = [&calls](const graph::Graph& fg) {
+    ++calls;
+    return local::make_executor({}, fg);
+  };
+  EXPECT_THROW(sinkless_program(g, 5, /*min_degree=*/1, nullptr,
+                                /*max_trials=*/2, counting),
+               ds::CheckError);
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST(Sinkless, ProgramHandlesEdgelessGraphs) {

@@ -24,14 +24,12 @@ namespace ds::runtime {
 namespace {
 
 /// The executor `--runtime=parallel --threads=threads` builds.
-std::unique_ptr<local::Executor> threaded(const graph::Graph& g,
-                                          local::IdStrategy strategy,
-                                          std::uint64_t seed,
+std::shared_ptr<local::Executor> threaded(const graph::Graph& g,
                                           std::size_t threads) {
   RuntimeConfig config;
   config.kind = RuntimeKind::kParallel;
   config.threads = threads;
-  return make_executor_factory(config)(g, strategy, seed);
+  return make_executor_factory(config)(g);
 }
 
 // ---- Determinism suite ---------------------------------------------------
@@ -43,8 +41,10 @@ std::unique_ptr<local::Executor> threaded(const graph::Graph& g,
 using probes::probe_factory;
 
 std::vector<std::uint64_t> probe_digests(local::Executor& exec,
+                                         local::IdStrategy ids,
+                                         std::uint64_t seed,
                                          std::size_t* rounds = nullptr) {
-  const std::size_t r = exec.run(probe_factory(), 100);
+  const std::size_t r = exec.run(probe_factory(), ids, seed, 100);
   if (rounds != nullptr) *rounds = r;
   std::vector<std::uint64_t> digests(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
@@ -56,14 +56,14 @@ std::vector<std::uint64_t> probe_digests(local::Executor& exec,
 
 void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
                           std::uint64_t seed) {
-  local::Network sequential(g, strategy, seed);
+  local::Network sequential(g);
   std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, &seq_rounds);
+  const auto expected = probe_digests(sequential, strategy, seed, &seq_rounds);
   for (std::size_t threads : {1, 2, 8}) {
-    const auto parallel = threaded(g, strategy, seed, threads);
-    EXPECT_EQ(parallel->uids(), sequential.uids());
+    const auto parallel = threaded(g, threads);
     std::size_t par_rounds = 0;
-    const auto got = probe_digests(*parallel, &par_rounds);
+    const auto got = probe_digests(*parallel, strategy, seed, &par_rounds);
+    EXPECT_EQ(parallel->uids(), sequential.uids());
     EXPECT_EQ(par_rounds, seq_rounds) << "threads=" << threads;
     EXPECT_EQ(got, expected) << "threads=" << threads;
   }
@@ -97,10 +97,12 @@ TEST(ThreadRanksDeterminism, BarabasiAlbertSkew) {
 TEST(ThreadRanksDeterminism, StressHundredThousandNodes) {
   // >= 100k nodes: torus 370x370 = 136,900.
   const auto g = graph::gen::torus(370, 370);
-  local::Network sequential(g, local::IdStrategy::kSequential, 123);
-  const auto expected = probe_digests(sequential);
-  const auto parallel = threaded(g, local::IdStrategy::kSequential, 123, 8);
-  EXPECT_EQ(probe_digests(*parallel), expected);
+  local::Network sequential(g);
+  const auto expected =
+      probe_digests(sequential, local::IdStrategy::kSequential, 123);
+  const auto parallel = threaded(g, 8);
+  EXPECT_EQ(probe_digests(*parallel, local::IdStrategy::kSequential, 123),
+            expected);
 }
 
 // Algorithm-level equality through the ExecutorFactory plumbing.
@@ -130,19 +132,21 @@ TEST(ThreadRanksDeterminism, LubyAndTrialColoring) {
 
 TEST(ThreadRanks, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
-  const auto net = threaded(g, local::IdStrategy::kSequential, 1, 2);
-  EXPECT_THROW(net->run(probe_factory(), 2), ds::CheckError);
+  const auto net = threaded(g, 2);
+  EXPECT_THROW(net->run(probe_factory(), local::IdStrategy::kSequential, 1, 2),
+               ds::CheckError);
 }
 
 TEST(ThreadRanks, CostMeterAndReuse) {
   const auto g = graph::gen::torus(8, 8);
-  const auto net = threaded(g, local::IdStrategy::kSequential, 4, 2);
+  const auto net = threaded(g, 2);
   local::CostMeter meter;
-  const std::size_t r1 = net->run(probe_factory(), 100, &meter);
+  const std::size_t r1 =
+      net->run(probe_factory(), local::IdStrategy::kSequential, 4, 100, &meter);
   EXPECT_EQ(meter.executed_rounds(), r1);
   // Re-running on the same executor must be deterministic too.
-  const auto first = probe_digests(*net);
-  const auto second = probe_digests(*net);
+  const auto first = probe_digests(*net, local::IdStrategy::kSequential, 4);
+  const auto second = probe_digests(*net, local::IdStrategy::kSequential, 4);
   EXPECT_EQ(first, second);
 }
 
@@ -150,10 +154,11 @@ TEST(ThreadRanks, RoundStatsAreExact) {
   // Small 4-regular torus: counts are bounded and predictable modulo the
   // probe's silent-port rule.
   const auto g = graph::gen::torus(6, 6);
-  const auto net = threaded(g, local::IdStrategy::kSequential, 21, 3);
+  const auto net = threaded(g, 3);
   std::vector<local::RoundStats> stats;
   net->set_stats_sink([&](const local::RoundStats& s) { stats.push_back(s); });
-  const std::size_t rounds = net->run(probe_factory(), 100);
+  const std::size_t rounds =
+      net->run(probe_factory(), local::IdStrategy::kSequential, 21, 100);
   ASSERT_EQ(stats.size(), rounds);
   for (std::size_t r = 0; r < stats.size(); ++r) {
     EXPECT_EQ(stats[r].round, r);
@@ -169,7 +174,7 @@ TEST(ThreadRanks, RoundStatsAreExact) {
   // same executor exactly.
   std::vector<local::RoundStats> again;
   net->set_stats_sink([&](const local::RoundStats& s) { again.push_back(s); });
-  net->run(probe_factory(), 100);
+  net->run(probe_factory(), local::IdStrategy::kSequential, 21, 100);
   ASSERT_EQ(again.size(), stats.size());
   for (std::size_t r = 0; r < stats.size(); ++r) {
     EXPECT_EQ(again[r].messages, stats[r].messages);
@@ -184,14 +189,16 @@ TEST(RoundStats, SequentialAndParallelExecutorsAgree) {
   // the thread ranks for the same deterministic program.
   Rng rng(31);
   const auto g = graph::gen::gnp(200, 0.03, rng);
-  local::Network seq(g, local::IdStrategy::kSequential, 8);
-  const auto par = threaded(g, local::IdStrategy::kSequential, 8, 3);
+  local::Network seq(g);
+  const auto par = threaded(g, 3);
   std::vector<local::RoundStats> seq_stats;
   std::vector<local::RoundStats> par_stats;
   seq.set_stats_sink([&](const local::RoundStats& s) { seq_stats.push_back(s); });
   par->set_stats_sink([&](const local::RoundStats& s) { par_stats.push_back(s); });
-  const std::size_t seq_rounds = seq.run(probe_factory(), 100);
-  const std::size_t par_rounds = par->run(probe_factory(), 100);
+  const std::size_t seq_rounds =
+      seq.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+  const std::size_t par_rounds =
+      par->run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
   EXPECT_EQ(seq_rounds, par_rounds);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
   ASSERT_EQ(par_stats.size(), par_rounds);
@@ -217,8 +224,7 @@ TEST(RuntimeSelect, ParsesOptions) {
   EXPECT_EQ(runtime_description(config), "parallel(3 threads)");
   EXPECT_FALSE(static_cast<bool>(make_executor_factory(RuntimeConfig{})));
   // Thread ranks are the multi-rank executor.
-  const auto par_exec =
-      make_executor_factory(config)(g, local::IdStrategy::kSequential, 1);
+  const auto par_exec = make_executor_factory(config)(g);
   const auto* par_dist =
       dynamic_cast<const dist::DistributedNetwork*>(par_exec.get());
   ASSERT_NE(par_dist, nullptr);

@@ -1,10 +1,10 @@
 // Tests for the serving subsystem (src/serve/): the request/response codec
 // (round-trip + garbage rejection), the bounded request queue's
-// never-blocking backpressure, the per-topology-digest partition cache,
-// and the resident daemon end to end on loopback fleets — sequential and
-// concurrent submissions bit-identical to one-shot execution over one
-// standing rendezvous, graceful-shutdown drain, and a dead follower
-// flipping the fleet unhealthy instead of hanging clients.
+// never-blocking backpressure, and the resident daemon end to end on
+// loopback fleets — sequential and concurrent submissions bit-identical to
+// one-shot execution over one standing rendezvous and one resident
+// executor, graceful-shutdown drain, and a dead follower flipping the
+// fleet unhealthy instead of hanging clients.
 
 #include <gtest/gtest.h>
 
@@ -23,14 +23,11 @@
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "graph/format.hpp"
 #include "graph/generators.hpp"
-#include "local/ids.hpp"
-#include "local/topology.hpp"
 #include "net/loopback.hpp"
-#include "net/rendezvous.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
-#include "serve/partition_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request_queue.hpp"
 #include "support/check.hpp"
@@ -158,79 +155,20 @@ TEST(RequestQueue, BackpressureRefusesWithoutBlocking) {
   EXPECT_FALSE(q.pop_wait(out, 10));
 }
 
-// ---- Partition cache -----------------------------------------------------
-
-TEST(PartitionCache, HitsAndMissesByTopologyDigest) {
-  Rng rng(3);
-  const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
-  const local::NetworkTopology seed1(g, local::IdStrategy::kSequential, 1);
-  const local::NetworkTopology seed2(g, local::IdStrategy::kRandomPermutation,
-                                     2);
-  const std::uint64_t d1 = net::topology_digest(seed1);
-  const std::uint64_t d2 = net::topology_digest(seed2);
-  ASSERT_NE(d1, d2);
-
-  PartitionCache cache(8);
-  std::size_t builds = 0;
-  const auto build1 = [&] {
-    ++builds;
-    return dist::Partition(seed1, 2);
-  };
-  const auto build2 = [&] {
-    ++builds;
-    return dist::Partition(seed2, 2);
-  };
-
-  const auto p1 = cache.get_or_build(d1, build1);
-  EXPECT_EQ(builds, 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // A repeated digest returns the identical object without rebuilding.
-  const auto p1b = cache.get_or_build(d1, build1);
-  EXPECT_EQ(builds, 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(p1.get(), p1b.get());
-
-  // A new digest is a miss.
-  const auto p2 = cache.get_or_build(d2, build2);
-  EXPECT_EQ(builds, 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_NE(p1.get(), p2.get());
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(PartitionCache, EvictsLeastRecentlyUsedPastCapacity) {
-  Rng rng(4);
-  const graph::Graph g = graph::gen::gnp(20, 0.2, rng);
-  const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 1);
-  PartitionCache cache(2);
-  std::size_t builds = 0;
-  const auto build = [&] {
-    ++builds;
-    return dist::Partition(topo, 2);
-  };
-  // Keys are arbitrary digests: the cache never inspects the partitions.
-  (void)cache.get_or_build(101, build);
-  (void)cache.get_or_build(102, build);
-  (void)cache.get_or_build(101, build);  // refresh 101: 102 is now LRU
-  (void)cache.get_or_build(103, build);  // evicts 102
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(builds, 3u);
-  (void)cache.get_or_build(101, build);  // still resident
-  EXPECT_EQ(builds, 3u);
-  (void)cache.get_or_build(102, build);  // evicted: rebuilt
-  EXPECT_EQ(builds, 4u);
-}
-
 // ---- Daemon --------------------------------------------------------------
 
 // The sequential reference digest the served runs must match bit-for-bit.
+// `b` is the instance of bipartite-input specs.
 std::uint64_t one_shot_digest(const graph::Graph& g, const std::string& name,
-                              std::uint64_t seed) {
+                              std::uint64_t seed,
+                              const graph::BipartiteGraph* b = nullptr) {
   const algo::Spec& spec = algo::find(name);
   algo::RunContext ctx;
-  ctx.graph = &g;
+  if (spec.input == algo::InputKind::kGeneralGraph) {
+    ctx.graph = &g;
+  } else {
+    ctx.bipartite = b;
+  }
   ctx.seed = seed;
   ctx.params = algo::Params::parse(spec.params, {});
   ctx.sequential_runtime = true;
@@ -259,9 +197,8 @@ DaemonConfig daemon_config(net::LoopbackRank&& lr, const graph::Graph& g) {
 TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
   Rng rng(11);
   const graph::Graph g = graph::gen::gnp(40, 0.15, rng);
-  // mis@7 and color@7 share a topology digest (it covers structure, id
-  // strategy and seed — not the algorithm), mis@9 does not: 6 requests
-  // must come to exactly 2 partition builds.
+  // Every request runs on the resident instance: 6 requests must come to
+  // exactly 1 executor build, whatever their algorithm and seed.
   const std::uint64_t mis7 = one_shot_digest(g, "mis", 7);
   const std::uint64_t color7 = one_shot_digest(g, "color", 7);
   const std::uint64_t mis9 = one_shot_digest(g, "mis", 9);
@@ -325,9 +262,66 @@ TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
         const Daemon::Stats stats = daemon.stats();
         if (stats.served != 6) return 19;
         if (stats.failed != 1) return 20;
-        if (stats.cache_misses != 2) return 21;
-        if (stats.cache_hits != 4) return 22;
+        // One executor built by the first request, reused by the other
+        // five: no served run rebuilds the topology or the partition.
+        if (stats.cache_misses != 1) return 21;
+        if (stats.cache_hits != 5) return 22;
         if (!daemon.fleet_ok()) return 23;
+        return 0;
+      });
+  EXPECT_TRUE(report.all_ok())
+      << "rank0=" << report.rank0 << " peers=["
+      << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0])
+      << "]";
+}
+
+TEST(ServeDaemon, SplitGetsAnExecutorPerRequestBesideTheResidentOne) {
+  // `split` runs on the unified graph it derives from the bipartite view,
+  // not on the resident instance, so each split request builds an executor
+  // of its own; `mis` builds the resident one once and then reuses it.
+  Rng rng(13);
+  const graph::Graph g =
+      graph::gen::random_biregular(24, 48, 4, rng).unified();
+  const graph::BipartiteGraph b = graph::bipartite_from_unified(g, 24);
+  const std::uint64_t split5 = one_shot_digest(g, "split", 5, &b);
+  const std::uint64_t split6 = one_shot_digest(g, "split", 6, &b);
+  const std::uint64_t mis5 = one_shot_digest(g, "mis", 5);
+
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        const std::size_t rank = lr.rank;
+        DaemonConfig config = daemon_config(std::move(lr), g);
+        config.nu = 24;
+        Daemon daemon(std::move(config));
+        if (rank != 0) return daemon.run();
+
+        int run_code = -1;
+        std::thread runner([&] { run_code = daemon.run(); });
+        ClientConfig client;
+        client.port = daemon.request_port();
+        client.timeout_ms = 60000;
+        int rc = 0;
+        const auto check = [&](const Request& req, std::uint64_t digest,
+                               int fail_code) {
+          const Response resp = submit(client, req);
+          if (rc == 0 && (resp.status != Status::kOk ||
+                          resp.output_digest != digest)) {
+            rc = fail_code;
+          }
+        };
+        check(make_request(1, "split", 5), split5, 10);
+        check(make_request(2, "mis", 5), mis5, 11);
+        check(make_request(3, "split", 6), split6, 12);
+        check(make_request(4, "mis", 5), mis5, 13);
+
+        daemon.request_shutdown();
+        runner.join();
+        if (rc != 0) return rc;
+        if (run_code != 0) return 14;
+        const Daemon::Stats stats = daemon.stats();
+        if (stats.served != 4) return 15;
+        if (stats.cache_misses != 3) return 16;  // two splits, one resident
+        if (stats.cache_hits != 1) return 17;    // the second mis
         return 0;
       });
   EXPECT_TRUE(report.all_ok())
@@ -410,9 +404,8 @@ TEST(ServeDaemon, ObservingFleetCountsEveryServedRunOnce) {
     ctx.graph = &g;
     ctx.seed = seed;
     ctx.params = algo::Params::parse(algo::find("mis").params, {});
-    ctx.factory = [&rec](const graph::Graph& fg, local::IdStrategy strategy,
-                         std::uint64_t s) -> std::unique_ptr<local::Executor> {
-      auto exec = local::make_executor({}, fg, strategy, s);
+    ctx.factory = [&rec](const graph::Graph& fg) {
+      auto exec = local::make_executor({}, fg);
       exec->set_recorder(&rec);
       return exec;
     };

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "graph/generators.hpp"
+#include "local/executor.hpp"
 #include "splitting/basic_derand.hpp"
 #include "splitting/splitting_program.hpp"
 #include "splitting/trivial_random.hpp"
@@ -216,12 +217,18 @@ TEST(Program, MinDegreeRelaxationIsHonored) {
 TEST(Program, StrictDefinitionOnDegreeOneInstanceExhaustsTrials) {
   // Under min_degree = 0 a degree-1 constraint is unsatisfiable, so every
   // Las Vegas trial fails and the driver throws (small budget keeps the
-  // test fast).
+  // test fast). Both trials run on the one executor the factory built.
   graph::BipartiteGraph b(1, 1);
   b.add_edge(0, 0);
+  std::size_t calls = 0;
+  const local::ExecutorFactory counting = [&calls](const graph::Graph& g) {
+    ++calls;
+    return local::make_executor({}, g);
+  };
   EXPECT_THROW(weak_splitting_program(b, 5, /*min_degree=*/0, nullptr,
-                                      /*max_trials=*/2),
+                                      /*max_trials=*/2, counting),
                ds::CheckError);
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST(Program, DeterministicAcrossRepeats) {

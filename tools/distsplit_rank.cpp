@@ -24,7 +24,10 @@
 ///
 /// hosts.txt: one `host port` per line, line i = rank i; `#` comments and
 /// blank lines ignored. Every rank must name the same instance, seed and
-/// algorithm — the rendezvous digest handshake rejects mismatched launches.
+/// algorithm — the rendezvous digest handshake rejects launches that
+/// disagree about the instance, the seed or the `ids` parameter. Each rank
+/// process rendezvouses once; every executor the algorithm builds (one per
+/// call, all its trials included) runs over that one connection.
 ///
 /// Loopback mode — spawns all N ranks as processes on 127.0.0.1 with
 /// kernel-assigned ports (rank 0 in this process):
@@ -35,6 +38,7 @@
 /// the same summary (prefixed with its rank). Exit code 0 on success, 2 on
 /// a failed run (abort, dead peer, bad usage).
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -44,9 +48,9 @@
 #include "algo/registry.hpp"
 #include "frontend.hpp"
 #include "graph/insitu.hpp"
-#include "local/executor.hpp"
 #include "net/insitu_runner.hpp"
 #include "net/loopback.hpp"
+#include "net/rendezvous.hpp"
 #include "net/tcp_network.hpp"
 #include "serve/signal.hpp"
 #include "support/check.hpp"
@@ -116,8 +120,27 @@ RankPlan resolve(const Options& opts) {
   return plan;
 }
 
-/// One rank's full run: build this rank's executor factory and execute the
-/// registry spec through it. Returns the process exit code.
+/// The handshake digests of a materialized launch: the launch digest
+/// (structure, seed, `ids`) and the structure digest, which fixes the
+/// partition for the handshaken rank count.
+net::InstanceDigests launch_digests(const RankPlan& plan) {
+  const frontend::Instance& inst = plan.instance;
+  const std::uint64_t structure =
+      plan.spec->input == algo::InputKind::kGeneralGraph
+          ? net::structure_digest(inst.graph, inst.nu)
+          : net::structure_digest(inst.bipartite.unified(),
+                                  inst.bipartite.num_left());
+  const bool has_ids =
+      std::any_of(plan.spec->params.begin(), plan.spec->params.end(),
+                  [](const algo::ParamSpec& p) { return p.key == "ids"; });
+  return {net::launch_digest(structure, plan.seed,
+                             has_ids ? plan.params.get("ids") : ""),
+          structure};
+}
+
+/// One rank's full run: connect this rank's fleet once, then execute the
+/// registry spec on executors over that transport. Returns the process
+/// exit code.
 int run_rank(const RankPlan& plan, const frontend::ObsFlags& obs_flags,
              net::LoopbackRank&& lr) {
   const std::size_t rank = lr.rank;
@@ -147,21 +170,15 @@ int run_rank(const RankPlan& plan, const frontend::ObsFlags& obs_flags,
                   .brief();
       return;
     }
+    net::TcpTransport transport(rank, lr.hosts, launch_digests(plan), {},
+                                std::move(lr.listen));
     algo::RunContext ctx;
     ctx.seed = plan.seed;
     ctx.params = plan.params;
     ctx.sequential_runtime = false;
     ctx.recorder = rec;
-    ctx.factory = [&](const graph::Graph& fg, local::IdStrategy strategy,
-                      std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-      net::TcpNetworkConfig config;
-      config.rank = rank;
-      config.hosts = lr.hosts;
-      // The pre-bound socket (loopback mode) only serves the first
-      // executor; a later one rebinds the known port itself.
-      config.listen = std::move(lr.listen);
-      auto exec = std::make_unique<net::TcpNetwork>(fg, strategy, seed,
-                                                    std::move(config));
+    ctx.factory = [&](const graph::Graph& g) {
+      auto exec = std::make_shared<net::TcpNetwork>(g, transport);
       exec->set_recorder(rec);
       return exec;
     };

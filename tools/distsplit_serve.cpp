@@ -2,14 +2,16 @@
 /// Resident serving daemon: loads an instance once, rendezvouses a standing
 /// TCP fleet once, then serves registry submissions (`distsplit_cli
 /// submit`) over the standing connections until told to stop — no
-/// per-request process launch, rendezvous, or re-partitioning.
+/// per-request process launch, rendezvous, or re-partitioning: the first
+/// request builds the executor, and every later one reuses it.
 ///
 /// Multi-host usage — run once per hosts-file line, like distsplit_rank:
 ///
 ///     distsplit_serve (--input=graph.txt | --graph=FILE.dsg | --gen=SPEC)
 ///         --hosts=hosts.txt --rank=R
 ///         [--port=P] [--queue-cap=N] [--seed=S]
-///         [--http-port=P] [--event-cap=N]
+///         [--metrics=FILE] [--trace=FILE] [--stats]
+///         [--profile=FILE] [--http-port=P] [--event-cap=N]
 ///
 /// Rank 0 prints `serve: listening on port P` once the fleet is up and
 /// accepts framed requests on that port (serve/protocol.hpp); the other
@@ -20,8 +22,11 @@
 ///
 ///     distsplit_serve --local=N --input=graph.txt [--port=P]
 ///
-/// The live endpoints (--http-port, tools/frontend.hpp) add the serve
-/// counters and the served-run history ring.
+/// The observability flags are the shared front end's (tools/frontend.hpp):
+/// every served run records into one session, and at exit rank 0 writes
+/// the fleet totals of all served runs (--metrics, --trace, --profile,
+/// --stats). The live endpoints (--http-port) add the serve counters and
+/// the served-run history ring.
 ///
 /// Shutdown: SIGINT/SIGTERM drains the accepted requests, answers further
 /// submissions `kRejected` ("daemon is draining", /healthz 503), releases
@@ -48,15 +53,17 @@ int usage() {
                "(--input=FILE | --graph=FILE.dsg | --gen=SPEC)\n"
                "         (--hosts=FILE --rank=R | --local=N)\n"
                "         [--port=P] [--queue-cap=N] [--seed=S]\n"
-               "         [--http-port=P] [--event-cap=N]\n"
+               "         [--metrics=FILE] [--trace=FILE] [--stats]\n"
+               "         [--profile=FILE] [--http-port=P] [--event-cap=N]\n"
                "submissions name any distributed-capable registry entry:\n"
             << algo::names_listing(/*scalable_only=*/true);
   return 2;
 }
 
 const std::vector<std::string> kServeFlags = {
-    "input", "graph", "gen",       "hosts",     "rank",      "local",
-    "seed",  "port",  "queue-cap", "http-port", "event-cap",
+    "input",   "graph", "gen",       "hosts",     "rank",
+    "local",   "seed",  "port",      "queue-cap", "metrics",
+    "trace",   "stats", "profile",   "http-port", "event-cap",
 };
 
 }  // namespace
@@ -108,10 +115,11 @@ int main(int argc, char** argv) {
                   << std::endl;
       }
       const int code = daemon.run();
+      session.finish();
       const serve::Daemon::Stats stats = daemon.stats();
       std::cout << prefix << "serve: exiting (" << stats.served
                 << " served, " << stats.failed << " failed, "
-                << stats.rejected << " rejected, partition cache "
+                << stats.rejected << " rejected, executor reuse "
                 << stats.cache_hits << " hits / " << stats.cache_misses
                 << " misses)" << std::endl;
       return code;
