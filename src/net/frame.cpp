@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -44,6 +45,115 @@ std::string unpack_string(const std::uint64_t* words, std::size_t count) {
   std::string s(len, '\0');
   if (len > 0) std::memcpy(s.data(), words + 1, len);
   return s;
+}
+
+namespace {
+
+/// Words before a kHalo frame's bitmap: the stats triple and the mode word.
+constexpr std::size_t kHaloHeadWords = 4;
+
+std::size_t bitmap_words(std::size_t cut) { return (cut + 63) / 64; }
+
+}  // namespace
+
+void encode_halo(std::vector<std::uint64_t>& out,
+                 const std::array<std::uint64_t, 3>& stats, std::size_t cut,
+                 const std::vector<HaloEntry>& live,
+                 const std::uint64_t* bank) {
+  // Spans over the same bank words carry the same message. Within one epoch
+  // only `Outbox::broadcast` writes such spans, and a broadcasting node's
+  // cut ports toward one peer are adjacent in link order.
+  const auto repeats = [&](std::size_t k) {
+    return k > 0 && live[k].offset == live[k - 1].offset &&
+           live[k].length == live[k - 1].length;
+  };
+  std::uint32_t widest = 0;
+  std::size_t payload = 0;
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    widest = std::max(widest, live[k].length);
+    if (!repeats(k)) payload += live[k].length;
+  }
+  const std::size_t width = widest <= 0xFF ? 1 : 4;
+  const std::size_t bitmap = kHaloHeadWords;
+  const std::size_t entries = bitmap + bitmap_words(cut);
+  const std::size_t head = entries + (live.size() * width + 7) / 8;
+  out.assign(head + payload, 0);
+  std::copy(stats.begin(), stats.end(), out.begin());
+  out[3] = width == 1 ? 0 : 1;
+  auto* entry_bytes = reinterpret_cast<unsigned char*>(out.data() + entries);
+  std::uint64_t* words = out.data() + head;
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const HaloEntry& e = live[k];
+    out[bitmap + e.port / 64] |= std::uint64_t{1} << (e.port % 64);
+    const std::uint32_t entry = repeats(k) ? 0 : e.length;
+    if (width == 1) {
+      entry_bytes[k] = static_cast<unsigned char>(entry);
+    } else {
+      std::memcpy(entry_bytes + 4 * k, &entry, 4);
+    }
+    if (entry != 0) {
+      std::memcpy(words, bank + e.offset, entry * sizeof(std::uint64_t));
+      words += entry;
+    }
+  }
+}
+
+void decode_halo(const std::uint64_t* words, std::size_t count,
+                 std::size_t cut, std::vector<HaloEntry>& live) {
+  live.clear();
+  const std::size_t nbitmap = bitmap_words(cut);
+  DS_CHECK_MSG(count >= kHaloHeadWords + nbitmap,
+               "malformed halo frame: " + std::to_string(count) +
+                   " words, shorter than its header and the presence bitmap "
+                   "of " + std::to_string(cut) + " cut ports");
+  const std::uint64_t mode = words[3];
+  DS_CHECK_MSG(mode <= 1, "malformed halo frame: length mode " +
+                              std::to_string(mode) + " (want 0 or 1)");
+  const std::uint64_t* bitmap = words + kHaloHeadWords;
+  DS_CHECK_MSG(cut % 64 == 0 || (bitmap[nbitmap - 1] >> (cut % 64)) == 0,
+               "malformed halo frame: presence bit at or past the cut (" +
+                   std::to_string(cut) + " ports)");
+  std::size_t set = 0;
+  for (std::size_t w = 0; w < nbitmap; ++w) {
+    set += static_cast<std::size_t>(std::popcount(bitmap[w]));
+  }
+  const std::size_t width = mode == 0 ? 1 : 4;
+  const std::size_t head = kHaloHeadWords + nbitmap + (set * width + 7) / 8;
+  DS_CHECK_MSG(count >= head,
+               "malformed halo frame: " + std::to_string(count) +
+                   " words, shorter than the length entries of " +
+                   std::to_string(set) + " live ports");
+  const auto* entry_bytes =
+      reinterpret_cast<const unsigned char*>(bitmap + nbitmap);
+  std::uint64_t next = head;  // where the next nonzero entry's words start
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < nbitmap; ++w) {
+    for (std::uint64_t bits = bitmap[w]; bits != 0; bits &= bits - 1) {
+      const auto port = static_cast<std::uint32_t>(64 * w) +
+                        static_cast<std::uint32_t>(std::countr_zero(bits));
+      std::uint32_t length = 0;
+      if (width == 1) {
+        length = entry_bytes[k];
+      } else {
+        std::memcpy(&length, entry_bytes + 4 * k, 4);
+      }
+      ++k;
+      if (length == 0) {
+        DS_CHECK_MSG(!live.empty(),
+                     "malformed halo frame: repeat entry at port " +
+                         std::to_string(port) + " with no previous live port");
+        live.push_back({port, live.back().length, live.back().offset});
+      } else {
+        live.push_back({port, length, next});
+        next += length;
+      }
+    }
+  }
+  DS_CHECK_MSG(next == count,
+               "malformed halo frame: halo frame length mismatch (entries "
+               "announce " + std::to_string(next - head) +
+                   " payload words, the frame holds " +
+                   std::to_string(count - head) + ")");
 }
 
 void read_full(int fd, void* buf, std::size_t bytes, const char* what) {

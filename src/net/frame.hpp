@@ -18,9 +18,12 @@
 ///             connector halves the hello/welcome round-trip to estimate
 ///             the clock offset between the two ranks (NTP-style), which
 ///             aligns the per-rank trace lanes
-///   kHalo     one round's traffic toward the receiving rank:
-///             [senders, messages, payload_words(stats),
-///              lengths[cut]..., message words...]
+///   kHalo     one round's traffic toward the receiving rank, over the
+///             link's canonical cut-port order (see encode_halo):
+///             [senders, messages, payload_words(stats), mode,
+///              presence bitmap[ceil(cut/64)], one length entry per live
+///              port (1 byte when mode 0, 4 bytes when mode 1; 0 repeats
+///              the previous live port's payload), message words...]
 ///   kLive     round-closing liveness: [not_done]
 ///   kGather   end-of-run gather toward rank 0: the sender's observability
 ///             block ([obs_word_count, obs words...], count 0 when
@@ -49,6 +52,7 @@
 /// partial-read/write-resilient); the nonblocking round exchange feeds
 /// bytes through a `FrameReader`, which reassembles frames incrementally.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -65,7 +69,9 @@ constexpr std::uint32_t kFrameMagic = 0x44534E54;  // "DSNT"
 /// v4: kWelcome carries the acceptor's steady-clock time (trace alignment).
 /// v5: serve frames (kRequest/kResponse on the client port, kDispatch/
 ///     kShutdown on the standing fleet connections).
-constexpr std::uint64_t kProtocolVersion = 5;
+/// v6: kHalo carries a presence bitmap and byte-wide length entries for
+///     live ports only, and each broadcast's words once per peer.
+constexpr std::uint64_t kProtocolVersion = 6;
 
 /// Upper bound on one frame's payload (2^31 words = 16 GiB) — far above
 /// any legitimate round's traffic. A header claiming more is corruption or
@@ -113,6 +119,45 @@ void append_frame(std::vector<char>& out, FrameType type, std::uint64_t seq,
 /// unpacks it again — the kAbort payload encoding.
 std::vector<std::uint64_t> pack_string(const std::string& s);
 std::string unpack_string(const std::uint64_t* words, std::size_t count);
+
+/// One live cut port of a kHalo frame: a port whose message this round is
+/// non-empty. `port` indexes the link's canonical cut-port order, `length`
+/// (> 0) counts payload words, and `offset` locates them — in the sender's
+/// word bank for `encode_halo`, in the frame payload for `decode_halo`.
+struct HaloEntry {
+  std::uint32_t port = 0;
+  std::uint32_t length = 0;
+  std::uint64_t offset = 0;
+};
+
+/// Replaces `out` with the kHalo payload for one link of `cut` ports:
+///  1. `stats` (senders, messages, payload_words);
+///  2. the mode word: 0 for 1-byte length entries, 1 for 4-byte ones (when
+///     some length exceeds 255);
+///  3. the presence bitmap, ceil(cut/64) words: bit i is set iff port i is
+///     in `live`;
+///  4. one length entry per set bit, in bit order, packed into whole words
+///     and zero-padded. An entry of 0 repeats the previous set bit's
+///     payload: the encoder writes it when a port's span has the same bank
+///     offset and length as the previous live port's (one
+///     `Outbox::broadcast`), so a broadcast crosses the link once;
+///  5. the words of every nonzero entry, in bit order, copied from `bank`.
+/// `live` must be in ascending port order, every port below `cut`. Keeps
+/// `out`'s capacity, so a warm buffer does not allocate.
+void encode_halo(std::vector<std::uint64_t>& out,
+                 const std::array<std::uint64_t, 3>& stats, std::size_t cut,
+                 const std::vector<HaloEntry>& live,
+                 const std::uint64_t* bank);
+
+/// Validates the kHalo payload `words[0, count)` of a link of `cut` ports
+/// and replaces `live` with its live ports in port order, each `offset` an
+/// index into `words` (a repeat entry shares its predecessor's). Throws
+/// ds::CheckError naming a `malformed halo frame` when the frame is shorter
+/// than its header, has a mode other than 0 or 1, sets a bit at or past
+/// `cut`, opens with a repeat entry, or its payload words do not fill it
+/// exactly (`halo frame length mismatch`). Reads nothing past `count`.
+void decode_halo(const std::uint64_t* words, std::size_t count,
+                 std::size_t cut, std::vector<HaloEntry>& live);
 
 /// Reads exactly `bytes` from `fd` (blocking), retrying on EINTR and short
 /// reads. Throws ds::CheckError on EOF or error, naming `what`.

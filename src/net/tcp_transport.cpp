@@ -76,6 +76,23 @@ void TcpTransport::attach_partition(const dist::Partition& part) {
   DS_CHECK_MSG(part.num_workers() == peers_.size(),
                "TcpTransport: partition must have one range per rank");
   part_ = &part;
+  out_routes_.assign(part.num_out_halo(rank_), OutRoute{});
+  halo_live_.resize(peers_.size());
+  for (std::size_t d = 0; d < peers_.size(); ++d) {
+    const std::vector<std::uint32_t>& slots =
+        part.link(rank_, d).src_out_slots;
+    // A LOCAL program's first rounds often have every cut port live; room
+    // for the whole link keeps them from regrowing the list.
+    halo_live_[d].reserve(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      // `ship` walks the slots in ascending order, so each peer's live
+      // ports come out in link order only if the link's slots ascend.
+      DS_CHECK_MSG(i == 0 || slots[i] > slots[i - 1],
+                   "TcpTransport: out-halo slots out of link order");
+      out_routes_[slots[i]] = {static_cast<std::uint32_t>(d),
+                               static_cast<std::uint32_t>(i)};
+    }
+  }
 }
 
 std::vector<std::vector<std::uint64_t>> TcpTransport::exchange_setup(
@@ -450,30 +467,24 @@ void TcpTransport::ship(const local::MessageSpan* local_arena,
                         const RoundTotals& mine) {
   ++exchange_seq_;
   const std::size_t ranks = peers_.size();
-  const std::size_t halo_base = part_->num_local_ports(rank_);
+  // One pass over the out-halo region sorts the live spans by peer: every
+  // cut span is read once per round, not once per link.
+  for (std::vector<HaloEntry>& live : halo_live_) live.clear();
+  const local::MessageSpan* out_halo =
+      local_arena + part_->num_local_ports(rank_);
+  for (std::size_t slot = 0; slot < out_routes_.size(); ++slot) {
+    const local::MessageSpan& span = out_halo[slot];
+    if (span.epoch == epoch && span.length > 0) {
+      const OutRoute route = out_routes_[slot];
+      halo_live_[route.peer].push_back({route.port, span.length, span.offset});
+    }
+  }
   for (std::size_t d = 0; d < ranks; ++d) {
     if (d == rank_) continue;
-    const dist::Partition::HaloLink& link = part_->link(rank_, d);
-    const std::size_t cut = link.src_out_slots.size();
-    stage_words_.clear();
-    stage_words_.push_back(mine.senders);
-    stage_words_.push_back(mine.messages);
-    stage_words_.push_back(mine.payload_words);
-    stage_words_.resize(3 + cut);
-    for (std::size_t i = 0; i < cut; ++i) {
-      const local::MessageSpan& span =
-          local_arena[halo_base + link.src_out_slots[i]];
-      stage_words_[3 + i] =
-          (span.epoch == epoch) ? span.length : 0;
-    }
-    for (std::size_t i = 0; i < cut; ++i) {
-      const std::uint64_t len = stage_words_[3 + i];
-      if (len == 0) continue;
-      const local::MessageSpan& span =
-          local_arena[halo_base + link.src_out_slots[i]];
-      stage_words_.insert(stage_words_.end(), bank_words + span.offset,
-                          bank_words + span.offset + len);
-    }
+    encode_halo(stage_words_,
+                {mine.senders, mine.messages, mine.payload_words},
+                part_->link(rank_, d).src_out_slots.size(), halo_live_[d],
+                bank_words);
     stage(d, FrameType::kHalo, stage_words_.data(), stage_words_.size());
   }
   std::vector<bool> expect(ranks, true);
@@ -499,21 +510,16 @@ void TcpTransport::patch(local::MessageSpan* local_arena,
   for (std::size_t s = 0; s < ranks; ++s) {
     if (s == rank_) continue;
     const dist::Partition::HaloLink& link = part_->link(s, rank_);
-    const std::size_t cut = link.dst_slots.size();
     const Frame& f = peers_[s].halo;
-    DS_CHECK_MSG(f.payload.size() >= 3 + cut, "malformed halo frame");
-    const std::uint64_t* lengths = f.payload.data() + 3;
-    std::uint64_t offset = 0;
+    decode_halo(f.payload.data(), f.payload.size(), link.dst_slots.size(),
+                halo_live_[s]);
+    // Silent ports keep their stale span in the dst arena: its old epoch
+    // reads as the empty message.
     const auto bank = static_cast<std::uint32_t>(1 + s);
-    for (std::size_t i = 0; i < cut; ++i) {
-      const std::uint64_t len = lengths[i];
-      if (len == 0) continue;  // stale span in the dst arena stays ignored
-      local_arena[link.dst_slots[i]] = local::MessageSpan{
-          offset, epoch, static_cast<std::uint32_t>(len), bank};
-      offset += len;
+    for (const HaloEntry& e : halo_live_[s]) {
+      local_arena[link.dst_slots[e.port]] =
+          local::MessageSpan{e.offset, epoch, e.length, bank};
     }
-    DS_CHECK_MSG(3 + cut + offset == f.payload.size(),
-                 "halo frame length mismatch");
   }
 }
 
@@ -525,11 +531,10 @@ void TcpTransport::update_bank_bases(
   bases[0] = own_bank;
   for (std::size_t s = 0; s < ranks; ++s) {
     if (s == rank_) continue;
-    const std::size_t cut = part_->link(s, rank_).dst_slots.size();
-    if (cut == 0) continue;  // no spans carry this bank index
-    // Payload area after the stats triple and the lengths header; the frame
-    // buffer is stable until the next ship's exchange parses into it.
-    bases[1 + s] = peers_[s].halo.payload.data() + 3 + cut;
+    if (part_->link(s, rank_).dst_slots.empty()) continue;  // no spans here
+    // Patched offsets index the whole frame payload; the buffer is stable
+    // until the next ship's exchange parses into it.
+    bases[1 + s] = peers_[s].halo.payload.data();
   }
 }
 

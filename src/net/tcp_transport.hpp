@@ -16,11 +16,16 @@
 /// every header turns any drift into a hard error.
 ///
 /// A round's kHalo frame toward peer d carries this rank's send-phase stats
-/// and the cut traffic in the canonical `Partition::link(rank, d)` order —
-/// the same lengths-header + payload-words layout as the shm exchange
-/// blocks, so `patch` reuses the PR 2 arena path: received payloads stay in
-/// per-peer frame buffers and the destination span arena is patched onto
-/// them (bank index 1 + src), no per-message copying or routing metadata.
+/// and the live cut traffic in the canonical `Partition::link(rank, d)`
+/// order: a presence bitmap over the link's cut ports, a byte-wide (or,
+/// when a message exceeds 255 words, 4-byte) length entry per live port,
+/// and each distinct message's words once — a broadcast crosses the link
+/// once, not once per cut port (`encode_halo`, net/frame.hpp). Unlike the
+/// shm exchange blocks' length per cut port, a silent or halted port costs
+/// one bit.
+/// Received payloads stay in per-peer frame buffers, and `patch` points the
+/// destination span arena into them (bank index 1 + src): no per-message
+/// copying or routing metadata.
 ///
 /// Failure handling is piggybacked on the same stream: an aborting rank
 /// best-effort sends kAbort on every connection, and a rank that observes
@@ -195,6 +200,15 @@ class TcpTransport final : public dist::Transport {
   std::uint64_t exchange_seq_ = 0;   ///< stepped once per collective phase
   RoundTotals totals_;               ///< last shipped round, fleet-wide
   std::vector<std::vector<std::uint64_t>> gather_rows_;  ///< per rank
+  /// Where an out-halo slot's message goes: its peer and its port in the
+  /// link's canonical order.
+  struct OutRoute {
+    std::uint32_t peer = 0;
+    std::uint32_t port = 0;
+  };
+  std::vector<OutRoute> out_routes_;  ///< per out-halo slot of the partition
+  /// Per peer: the live ports `ship` encodes, then those `patch` decodes.
+  std::vector<std::vector<HaloEntry>> halo_live_;
   std::vector<std::uint64_t> stage_words_;  ///< scratch payload builder
   std::vector<char> broadcast_bytes_;       ///< shared kOutputs frame
   Frame scratch_;                           ///< scratch parse target

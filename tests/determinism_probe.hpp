@@ -113,9 +113,12 @@ struct ProbeRun {
   }
 };
 
-/// Runs the probe once on `exec` with identity (ids, seed).
+/// Runs the probe (`factory`, whose programs derive from ProbeBase) once on
+/// `exec` with identity (ids, seed).
 inline ProbeRun probe_run(local::Executor& exec, local::IdStrategy ids,
-                          std::uint64_t seed) {
+                          std::uint64_t seed,
+                          const local::ProgramFactory& factory =
+                              probe_factory()) {
   ProbeRun run;
   exec.set_output_fn([](graph::NodeId, const local::NodeProgram& p,
                         std::vector<std::uint64_t>& out) {
@@ -123,7 +126,7 @@ inline ProbeRun probe_run(local::Executor& exec, local::IdStrategy ids,
   });
   exec.set_stats_sink(
       [&run](const local::RoundStats& s) { run.stats.push_back(s); });
-  run.rounds = exec.run(probe_factory(), ids, seed, 100);
+  run.rounds = exec.run(factory, ids, seed, 100);
   exec.set_stats_sink({});
   run.digests.resize(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < run.digests.size(); ++v) {

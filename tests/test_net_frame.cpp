@@ -1,7 +1,9 @@
 // Tests for the TCP wire framing (net/frame.hpp): header/payload encode +
 // incremental reassembly roundtrips, partial and chunked delivery, corrupt
-// headers, and the EINTR/short-read/short-write resilience of the blocking
-// read_full/write_full loops over a real socketpair.
+// headers, the kHalo codec (bitmap, length widths, repeat entries and every
+// malformed-frame rejection), and the EINTR/short-read/short-write
+// resilience of the blocking read_full/write_full loops over a real
+// socketpair.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <numeric>
@@ -158,6 +161,199 @@ TEST(Frame, PackStringRoundtrip) {
   // A corrupt length claim must not read out of bounds.
   std::vector<std::uint64_t> lying = {1000, 0x4141414141414141ull};
   EXPECT_EQ(unpack_string(lying.data(), lying.size()).size(), 8u);
+}
+
+// ---- The kHalo codec -----------------------------------------------------
+
+/// The sender's side of one link: a word bank and the live ports, each
+/// pointing at its words in the bank.
+struct HaloLinkFixture {
+  std::vector<std::uint64_t> bank;
+  std::vector<HaloEntry> live;
+
+  /// Port `port` sends `length` fresh words (a `write` or `push`).
+  void write(std::uint32_t port, std::uint32_t length) {
+    live.push_back({port, length, bank.size()});
+    for (std::uint32_t i = 0; i < length; ++i) {
+      bank.push_back(0x9E3779B97F4A7C15ull * (bank.size() + 1));
+    }
+  }
+  /// Ports [first, first + k) share one `length`-word payload (a
+  /// `broadcast` whose node has k adjacent cut ports on this link).
+  void broadcast(std::uint32_t first, std::uint32_t k, std::uint32_t length) {
+    write(first, length);
+    for (std::uint32_t p = first + 1; p < first + k; ++p) {
+      live.push_back({p, length, live.back().offset});
+    }
+  }
+};
+
+constexpr std::array<std::uint64_t, 3> kStats = {7, 11, 13};
+
+std::size_t halo_head_words(std::size_t cut, std::size_t live,
+                            std::size_t width) {
+  return 4 + (cut + 63) / 64 + (live * width + 7) / 8;
+}
+
+/// Encodes `link`, decodes the result, and checks that every live port
+/// reads back its own words from the frame.
+std::vector<std::uint64_t> roundtrip(const HaloLinkFixture& link,
+                                     std::size_t cut) {
+  std::vector<std::uint64_t> frame;
+  encode_halo(frame, kStats, cut, link.live, link.bank.data());
+  EXPECT_EQ(frame[0], kStats[0]);
+  EXPECT_EQ(frame[1], kStats[1]);
+  EXPECT_EQ(frame[2], kStats[2]);
+  std::vector<HaloEntry> got;
+  decode_halo(frame.data(), frame.size(), cut, got);
+  EXPECT_EQ(got.size(), link.live.size());
+  for (std::size_t k = 0; k < std::min(got.size(), link.live.size()); ++k) {
+    const HaloEntry& want = link.live[k];
+    EXPECT_EQ(got[k].port, want.port);
+    EXPECT_EQ(got[k].length, want.length);
+    if (got[k].length != want.length ||
+        got[k].offset + got[k].length > frame.size()) {
+      ADD_FAILURE() << "port " << want.port << " decodes out of its words";
+      continue;
+    }
+    EXPECT_TRUE(std::equal(frame.begin() + got[k].offset,
+                           frame.begin() + got[k].offset + got[k].length,
+                           link.bank.begin() + want.offset))
+        << "port " << want.port;
+  }
+  return frame;
+}
+
+std::string halo_error(const std::vector<std::uint64_t>& frame,
+                       std::size_t cut) {
+  std::vector<HaloEntry> live;
+  try {
+    decode_halo(frame.data(), frame.size(), cut, live);
+  } catch (const ds::CheckError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(HaloCodec, EmptyFrameIsHeaderAndBitmapOnly) {
+  for (const std::size_t cut : {0, 1, 64, 200}) {
+    const auto frame = roundtrip({}, cut);
+    EXPECT_EQ(frame.size(), halo_head_words(cut, 0, 1)) << "cut " << cut;
+    EXPECT_EQ(frame[3], 0u);
+  }
+}
+
+TEST(HaloCodec, EveryPortLive) {
+  HaloLinkFixture link;
+  for (std::uint32_t p = 0; p < 130; ++p) link.write(p, 1 + p % 4);
+  const auto frame = roundtrip(link, 130);
+  EXPECT_EQ(frame.size(), halo_head_words(130, 130, 1) + link.bank.size());
+  for (std::size_t w = 0; w < 2; ++w) EXPECT_EQ(frame[4 + w], ~0ull);
+  EXPECT_EQ(frame[6], 3u);  // ports 128, 129
+}
+
+TEST(HaloCodec, MixedSilentAndHaltedPorts) {
+  // Ports 0-9 belong to a halted node (absent), 10-19 alternate between
+  // messages and silence, 20-29 send per-port writes of growing length.
+  HaloLinkFixture link;
+  for (std::uint32_t p = 10; p < 20; p += 2) link.write(p, 3);
+  for (std::uint32_t p = 20; p < 30; ++p) link.write(p, p - 19);
+  const auto frame = roundtrip(link, 40);
+  EXPECT_EQ(frame.size(),
+            halo_head_words(40, link.live.size(), 1) + link.bank.size());
+}
+
+TEST(HaloCodec, BroadcastRunCrossesOnce) {
+  // A broadcast over k adjacent ports: one payload copy, k - 1 repeats,
+  // between per-port writes whose words must not be taken for repeats.
+  for (const std::uint32_t k : {2u, 5u, 64u}) {
+    HaloLinkFixture link;
+    link.write(0, 2);
+    link.broadcast(1, k, 3);
+    link.write(1 + k, 3);
+    link.broadcast(2 + k, 2, 1);
+    const std::size_t cut = 4 + k;
+    const auto frame = roundtrip(link, cut);
+    const std::size_t head = halo_head_words(cut, link.live.size(), 1);
+    EXPECT_EQ(frame.size(), head + 2 + 3 + 3 + 1) << "k " << k;
+    const auto* entries = reinterpret_cast<const unsigned char*>(
+        frame.data() + 4 + (cut + 63) / 64);
+    EXPECT_EQ(entries[0], 2u);
+    EXPECT_EQ(entries[1], 3u);
+    for (std::uint32_t i = 2; i <= k; ++i) EXPECT_EQ(entries[i], 0u);
+    EXPECT_EQ(entries[k + 1], 3u);
+    EXPECT_EQ(entries[k + 2], 1u);
+    EXPECT_EQ(entries[k + 3], 0u);
+  }
+}
+
+TEST(HaloCodec, LongMessageSwitchesToFourByteEntries) {
+  HaloLinkFixture link;
+  link.write(0, 255);
+  auto frame = roundtrip(link, 3);
+  EXPECT_EQ(frame[3], 0u);  // 255 still fits a byte
+  link.write(1, 300);
+  link.broadcast(2, 2, 1);
+  frame = roundtrip(link, 4);
+  EXPECT_EQ(frame[3], 1u);
+  EXPECT_EQ(frame.size(), halo_head_words(4, 4, 4) + 255 + 300 + 1);
+}
+
+TEST(HaloCodec, CutBoundaries) {
+  for (const std::size_t cut : {1, 63, 64, 65}) {
+    const auto last = static_cast<std::uint32_t>(cut - 1);
+    HaloLinkFixture link;
+    if (cut > 2) link.write(0, 1);
+    link.write(last, 2);
+    const auto frame = roundtrip(link, cut);
+    std::uint64_t last_word = std::uint64_t{1} << (last % 64);
+    if (cut > 2 && last < 64) last_word |= 1;
+    EXPECT_EQ(frame[4 + last / 64], last_word) << "cut " << cut;
+  }
+}
+
+TEST(HaloCodec, RejectsMalformedFrames) {
+  HaloLinkFixture link;
+  for (std::uint32_t p = 0; p < 70; p += 3) link.write(p, 2);
+  link.broadcast(71, 3, 1);
+  const std::size_t cut = 80;
+  std::vector<std::uint64_t> good;
+  encode_halo(good, kStats, cut, link.live, link.bank.data());
+  ASSERT_EQ(halo_error(good, cut), "accepted");
+  const std::size_t bitmap_end = 4 + 2;
+  const std::size_t head = halo_head_words(cut, link.live.size(), 1);
+
+  const auto expect_rejected = [&](const char* what,
+                                   const std::vector<std::uint64_t>& frame) {
+    const std::string error = halo_error(frame, cut);
+    EXPECT_NE(error.find("malformed halo frame"), std::string::npos)
+        << what << ": " << error;
+  };
+  expect_rejected("truncated bitmap",
+                  std::vector<std::uint64_t>(good.begin(),
+                                             good.begin() + bitmap_end - 1));
+  expect_rejected("stats only",
+                  std::vector<std::uint64_t>(good.begin(), good.begin() + 3));
+  expect_rejected("truncated lengths",
+                  std::vector<std::uint64_t>(good.begin(),
+                                             good.begin() + head - 1));
+  auto stray = good;
+  stray[4 + 1] |= std::uint64_t{1} << (cut % 64);  // port 80
+  expect_rejected("stray bit", stray);
+  auto leading_repeat = good;
+  reinterpret_cast<unsigned char*>(leading_repeat.data() + bitmap_end)[0] = 0;
+  expect_rejected("leading repeat", leading_repeat);
+  auto mode2 = good;
+  mode2[3] = 2;
+  expect_rejected("mode 2", mode2);
+  auto trailing = good;
+  trailing.push_back(0);
+  expect_rejected("trailing words", trailing);
+  auto short_payload = good;
+  short_payload.pop_back();
+  expect_rejected("short payload", short_payload);
+  EXPECT_NE(halo_error(trailing, cut).find("halo frame length mismatch"),
+            std::string::npos);
 }
 
 // ---- Blocking I/O over a real socketpair ---------------------------------

@@ -188,6 +188,73 @@ TEST(TcpDeterminism, ChattyMessagesNeedNoReservation) {
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
 
+// Every message shape one halo frame can carry: broadcasts (some empty),
+// per-port writes and pushes, the explicit empty write, silent ports,
+// halted nodes (ProbeBase's staggered halting), and in every round a
+// 300-word message, which needs 4-byte length entries.
+class MixedShapeProbe final : public probes::ProbeBase {
+ public:
+  using ProbeBase::ProbeBase;
+
+  void send(std::size_t round, local::Outbox& out) override {
+    // UIDs are a permutation of [0, n): on n = 300 nodes, some node with a
+    // long message is live in each of the probe's rounds.
+    const bool long_message = (env_.uid + round) % 97 == 0;
+    if (!long_message && (env_.uid + round) % 3 == 0) {
+      if (env_.uid % 11 == 0) {
+        out.broadcast(nullptr, 0);
+      } else {
+        out.broadcast({word(round, 0), word(round, 1)});
+      }
+      return;
+    }
+    for (std::size_t p = 0; p < env_.degree; ++p) {
+      if (long_message && p + 1 == env_.degree) {
+        const std::vector<std::uint64_t> words(300, word(round, 0) ^ p);
+        out.write(p, words.data(), words.size());
+      } else if (silent(round, p)) {
+        continue;
+      } else if ((p + round) % 4 == 1) {
+        out.write(p, nullptr, 0);
+      } else if ((p + round) % 4 == 2) {
+        out.push(p, word(round, 1));
+        out.push(p, p);
+      } else {
+        out.write(p, {word(round, 0), static_cast<std::uint64_t>(p)});
+      }
+    }
+  }
+
+  void receive(std::size_t round, const local::Inbox& inbox) override {
+    for (std::size_t p = 0; p < inbox.size(); ++p) {
+      for (std::uint64_t w : inbox[p]) absorb(p, w);
+    }
+    finish_round(round);
+  }
+};
+
+TEST(TcpDeterminism, EveryMessageShapeInOneFrame) {
+  const local::ProgramFactory mixed =
+      [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
+    return std::make_unique<MixedShapeProbe>(env);
+  };
+  Rng rng(43);
+  const auto g = graph::gen::gnp(300, 0.04, rng);
+  const auto [ids, seed] = probes::kReuseIdentities[0];
+  local::Network fresh(g);
+  const probes::ProbeRun want = probes::probe_run(fresh, ids, seed, mixed);
+  for (const std::size_t ranks : {2, 3}) {
+    const LoopbackReport report = run_loopback_ranks(
+        ranks, [&](LoopbackRank&& lr) -> int {
+          TcpTransport transport = connect(std::move(lr));
+          TcpNetwork net(g, transport);
+          return probes::probe_run(net, ids, seed, mixed) == want ? 0 : 15;
+        });
+    EXPECT_TRUE(report.all_ok())
+        << "ranks=" << ranks << " rank0=" << report.rank0;
+  }
+}
+
 // Algorithm-level equality through the ExecutorFactory plumbing: Luby MIS,
 // trial coloring and the sinkless-orientation program, at 2 and 4 ranks.
 TEST(TcpDeterminism, LubyTrialColoringSinkless) {
@@ -500,6 +567,35 @@ TEST(TcpRendezvous, RejectsMismatchedLaunches) {
   EXPECT_EQ(report.rank0, 81);
   ASSERT_EQ(report.peer_exit_codes.size(), 1u);
   EXPECT_EQ(report.peer_exit_codes[0], 81);
+}
+
+TEST(TcpRendezvous, RejectsAnOlderProtocolVersion) {
+  // A rank built before the v6 halo frame handshakes version 5: rank 0 and
+  // the stale rank must both refuse it, naming both versions.
+  const LoopbackReport report = run_loopback_ranks(
+      2, [&](LoopbackRank&& lr) -> int {
+        try {
+          if (lr.rank == 0) {
+            TcpTransport transport = connect(std::move(lr));
+          } else {
+            Handshake stale;
+            stale.version = 5;
+            stale.rank = 1;
+            stale.ranks = 2;
+            (void)rendezvous(stale, lr.hosts, lr.listen,
+                             test_options().handshake_timeout_ms);
+          }
+          return 85;  // the handshake must refuse
+        } catch (const ds::CheckError& e) {
+          return std::string(e.what()).find(
+                     "protocol version mismatch (5 vs 6)") != std::string::npos
+                     ? 86
+                     : 87;
+        }
+      });
+  EXPECT_EQ(report.rank0, 86);
+  ASSERT_EQ(report.peer_exit_codes.size(), 1u);
+  EXPECT_EQ(report.peer_exit_codes[0], 86);
 }
 
 TEST(TcpNetwork, PartitionStatsExposed) {
