@@ -8,7 +8,7 @@
 namespace ds::dist {
 
 std::vector<graph::NodeId> degree_balanced_boundaries(
-    const std::vector<std::size_t>& port_offsets, std::size_t num_shards) {
+    std::span<const std::size_t> port_offsets, std::size_t num_shards) {
   DS_CHECK_MSG(!port_offsets.empty(),
                "port_offsets must have n + 1 entries (>= 1)");
   const std::size_t n = port_offsets.size() - 1;
@@ -55,7 +55,7 @@ std::size_t owner_of(const std::vector<graph::NodeId>& bounds,
 }  // namespace
 
 PartitionStats partition_stats(const graph::Graph& g,
-                               const std::vector<std::size_t>& port_offsets,
+                               std::span<const std::size_t> port_offsets,
                                const std::vector<graph::NodeId>& boundaries) {
   DS_CHECK(!boundaries.empty());
   DS_CHECK(port_offsets.size() == g.num_nodes() + 1);
@@ -94,7 +94,7 @@ Partition::Partition(const local::NetworkTopology& topo,
     : num_workers_(num_workers) {
   DS_CHECK_MSG(num_workers >= 1, "Partition requires at least one worker");
   const graph::Graph& g = topo.graph();
-  const std::vector<std::size_t>& offsets = topo.port_offsets();
+  const std::span<const std::size_t> offsets = topo.port_offsets();
   DS_CHECK_MSG(topo.total_ports() <
                    std::numeric_limits<std::uint32_t>::max(),
                "Partition supports < 2^32 directed ports");

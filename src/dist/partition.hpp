@@ -7,6 +7,7 @@
 /// routing tables of the halo exchange).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,7 +23,7 @@ namespace ds::dist {
 /// boundaries are non-decreasing — every node lands in exactly one shard.
 /// Falls back to node-balanced splitting when the graph has no edges.
 std::vector<graph::NodeId> degree_balanced_boundaries(
-    const std::vector<std::size_t>& port_offsets, std::size_t num_shards);
+    std::span<const std::size_t> port_offsets, std::size_t num_shards);
 
 /// Edge-cut statistics of a contiguous node partition.
 struct PartitionStats {
@@ -39,7 +40,7 @@ struct PartitionStats {
 /// `boundaries` (size parts + 1, as produced by
 /// `degree_balanced_boundaries`).
 PartitionStats partition_stats(const graph::Graph& g,
-                               const std::vector<std::size_t>& port_offsets,
+                               std::span<const std::size_t> port_offsets,
                                const std::vector<graph::NodeId>& boundaries);
 
 /// A partition of a `NetworkTopology` into `num_workers` contiguous

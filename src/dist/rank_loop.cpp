@@ -247,7 +247,7 @@ std::size_t run_rank_loop(
 RankView RankView::of(const local::NetworkTopology& topo) {
   RankView view;
   view.num_nodes = topo.graph().num_nodes();
-  view.port_offsets = topo.port_offsets().data();
+  view.port_offsets = topo.graph().offsets().data();
   view.env_of = [&topo](graph::NodeId v) { return topo.make_env(v); };
   return view;
 }

@@ -122,11 +122,11 @@ std::pair<BipartiteGraph, std::vector<EdgeId>> BipartiteGraph::filter_edges(
 }
 
 Graph BipartiteGraph::unified() const {
-  Graph g(num_nodes());
+  std::vector<Edge> edges;
   for (const auto& [u, v] : edges_) {
-    g.add_edge(unified_left(u), unified_right(v));
+    edges.push_back({unified_left(u), unified_right(v)});
   }
-  return g;
+  return Graph(num_nodes(), std::move(edges));
 }
 
 std::vector<BipartiteComponent> connected_components(const BipartiteGraph& b,

@@ -70,15 +70,10 @@ void write_dsg(const Graph& g, const std::string& path, std::uint64_t nu,
     out.write(static_cast<const char*>(data), bytes);
   };
 
-  // CSR offsets, then the flat rows — streamed per node, so packing never
-  // holds a second copy of the adjacency.
-  std::uint64_t offset = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    emit(&offset, sizeof(offset));
-    offset += g.degree(v);
-  }
-  emit(&offset, sizeof(offset));
-  if (offset != 2 * m) fail(path, "degree sum does not match the edge count");
+  // CSR offsets (the graph's own table), then the flat rows, then the edge
+  // list: packing never holds a second copy of the image.
+  const std::span<const std::uint64_t> offsets = g.offsets();
+  emit(offsets.data(), offsets.size_bytes());
   for (NodeId v = 0; v < n; ++v) {
     const NeighborView row = g.neighbors(v);
     emit(row.data(), row.size() * sizeof(NodeId));
@@ -169,6 +164,45 @@ Graph load_dsg(const std::string& path, DsgHeader* header,
   return Graph::mapped(std::move(keepalive), offsets, adjacency, edge_list,
                        static_cast<std::size_t>(hdr.n),
                        static_cast<std::size_t>(hdr.m));
+}
+
+void check_dsg_structure(const Graph& g, const std::string& path) {
+  const std::span<const std::uint64_t> offsets = g.offsets();
+  const std::size_t n = g.num_nodes();
+  if (offsets[0] != 0) fail(path, "corrupt CSR: offsets[0] != 0");
+  for (std::size_t v = 0; v < n; ++v) {
+    if (offsets[v + 1] < offsets[v]) {
+      fail(path, "corrupt CSR: offsets[" + std::to_string(v + 1) +
+                     "] < offsets[" + std::to_string(v) + "]");
+    }
+  }
+  // Walk the edges with one cursor per row: each endpoint must sit at the
+  // next slot of its row. With offsets[n] == 2m every slot is then met
+  // exactly once, so this also bounds every adjacency entry.
+  std::vector<std::uint64_t> filled(n, 0);
+  const EdgeView edges = g.edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    const auto edge_name = [&] {
+      return "edge " + std::to_string(i) + " {" + std::to_string(e.u) + ", " +
+             std::to_string(e.v) + "}";
+    };
+    if (!(e.u < e.v && e.v < n)) {
+      fail(path, "corrupt edge list: " + edge_name() + " is not u < v < n");
+    }
+    for (const auto& [a, b] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+      if (filled[a] == g.degree(a) || g.neighbors(a)[filled[a]] != b) {
+        fail(path, "corrupt CSR: " + edge_name() +
+                       " is not at the next slot of row " + std::to_string(a));
+      }
+      ++filled[a];
+    }
+  }
+  const std::size_t row = g.first_repeated_row();
+  if (row != n) {
+    fail(path, "corrupt CSR: row " + std::to_string(row) +
+                   " lists a neighbor twice (a parallel edge)");
+  }
 }
 
 BipartiteGraph bipartite_from_unified(const Graph& g, std::size_t nu) {

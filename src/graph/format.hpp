@@ -67,12 +67,21 @@ struct DsgHeader {
 void write_dsg(const Graph& g, const std::string& path, std::uint64_t nu = 0,
                std::uint64_t seed = 0);
 
-/// Memory-maps `path` and returns a read-only mapped-mode Graph viewing it.
-/// O(1) apart from header/size validation; with `verify_digest` the payload
-/// digest is recomputed and checked (reads the whole file once). Fills
-/// `*header` when non-null. Throws FormatError on any format violation.
+/// Memory-maps `path` and returns a Graph viewing it. O(1) apart from
+/// header/size validation and offsets[n] == 2m; the interior is trusted
+/// (see `check_dsg_structure`). With `verify_digest` the payload digest is
+/// recomputed and checked (reads the whole file once). Fills `*header`
+/// when non-null. Throws FormatError on any violation it checks.
 Graph load_dsg(const std::string& path, DsgHeader* header = nullptr,
                bool verify_digest = false);
+
+/// The O(n + m) check that a loaded image has every invariant the Graph
+/// constructor establishes (graph/graph.hpp): offsets start at 0 and never
+/// decrease, every edge has u < v < n, walking the edges with one cursor
+/// per row meets each endpoint at the next slot of its row, and no row
+/// lists a neighbor twice. Throws FormatError naming the first violation,
+/// with `path` in the message. The tools run it on every `--graph` file.
+void check_dsg_structure(const Graph& g, const std::string& path);
 
 /// Reconstructs the bipartite instance a unified general graph encodes:
 /// left nodes 0..nu-1, right nodes nu..n-1, edges in stored order (so edge

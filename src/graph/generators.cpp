@@ -22,13 +22,13 @@ std::pair<NodeId, NodeId> canon(NodeId a, NodeId b) {
 
 Graph gnp(std::size_t n, double p, Rng& rng) {
   DS_CHECK(p >= 0.0 && p <= 1.0);
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId u = 0; u + 1 < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.next_bool(p)) g.add_edge(u, v);
+      if (rng.next_bool(p)) edges.push_back({u, v});
     }
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph random_regular(std::size_t n, std::size_t d, Rng& rng) {
@@ -44,13 +44,13 @@ Graph random_regular(std::size_t n, std::size_t d, Rng& rng) {
       present[e.u * n + e.v] = true;
       present[e.v * n + e.u] = true;
     }
-    Graph g(n);
+    std::vector<Edge> edges;
     for (NodeId u = 0; u + 1 < n; ++u) {
       for (NodeId v = u + 1; v < n; ++v) {
-        if (!present[u * n + v]) g.add_edge(u, v);
+        if (!present[u * n + v]) edges.push_back({u, v});
       }
     }
-    return g;
+    return Graph(n, std::move(edges));
   }
 
   // Pairing model: nd stubs, random perfect matching, then repair self-loops
@@ -63,7 +63,7 @@ Graph random_regular(std::size_t n, std::size_t d, Rng& rng) {
   for (int attempt = 0; attempt < 200; ++attempt) {
     rng.shuffle(stubs);
     std::set<std::pair<NodeId, NodeId>> seen;
-    std::vector<std::pair<NodeId, NodeId>> pairs;
+    std::vector<Edge> pairs;
     pairs.reserve(stubs.size() / 2);
     for (std::size_t i = 0; i < stubs.size(); i += 2) {
       pairs.push_back({stubs[i], stubs[i + 1]});
@@ -75,12 +75,11 @@ Graph random_regular(std::size_t n, std::size_t d, Rng& rng) {
       seen.clear();
       bool conflict = false;
       for (auto& pr : pairs) {
-        const bool bad =
-            pr.first == pr.second || !seen.insert(canon(pr.first, pr.second)).second;
+        const bool bad = pr.u == pr.v || !seen.insert(canon(pr.u, pr.v)).second;
         if (bad) {
           conflict = true;
           auto& other = pairs[rng.next_index(pairs.size())];
-          std::swap(pr.second, other.second);
+          std::swap(pr.v, other.v);
         }
       }
       if (!conflict) break;
@@ -91,15 +90,13 @@ Graph random_regular(std::size_t n, std::size_t d, Rng& rng) {
     seen.clear();
     bool simple = true;
     for (const auto& pr : pairs) {
-      if (pr.first == pr.second || !seen.insert(canon(pr.first, pr.second)).second) {
+      if (pr.u == pr.v || !seen.insert(canon(pr.u, pr.v)).second) {
         simple = false;
         break;
       }
     }
     if (!simple) continue;
-    Graph g(n);
-    for (const auto& pr : pairs) g.add_edge(pr.first, pr.second);
-    return g;
+    return Graph(n, std::move(pairs));
   }
   DS_CHECK_MSG(false, "random_regular: failed to build a simple graph");
   return Graph(0);  // unreachable
@@ -107,40 +104,40 @@ Graph random_regular(std::size_t n, std::size_t d, Rng& rng) {
 
 Graph cycle(std::size_t n) {
   DS_CHECK(n >= 3);
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < n; ++v) {
-    g.add_edge(v, static_cast<NodeId>((v + 1) % n));
+    edges.push_back({v, static_cast<NodeId>((v + 1) % n)});
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph complete(std::size_t n) {
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId u = 0; u + 1 < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
+    for (NodeId v = u + 1; v < n; ++v) edges.push_back({u, v});
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph hypercube(std::size_t dim) {
   DS_CHECK(dim < 20);
   const std::size_t n = std::size_t{1} << dim;
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t b = 0; b < dim; ++b) {
       const NodeId w = static_cast<NodeId>(v ^ (std::size_t{1} << b));
-      if (v < w) g.add_edge(v, w);
+      if (v < w) edges.push_back({v, w});
     }
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph random_tree(std::size_t n, Rng& rng) {
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId v = 1; v < n; ++v) {
-    g.add_edge(v, static_cast<NodeId>(rng.next_index(v)));
+    edges.push_back({v, static_cast<NodeId>(rng.next_index(v))});
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 namespace {
@@ -150,7 +147,7 @@ namespace {
 /// kept in sync and a timestamped visited array for allocation-free BFS.
 struct SwapGraph {
   std::vector<std::vector<NodeId>> adj;
-  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::vector<Edge> edges;
   std::vector<std::uint32_t> visited_stamp;
   std::uint32_t stamp = 0;
 
@@ -159,7 +156,7 @@ struct SwapGraph {
     for (const Edge& e : g.edges()) {
       adj[e.u].push_back(e.v);
       adj[e.v].push_back(e.u);
-      edges.emplace_back(e.u, e.v);
+      edges.push_back(e);
     }
   }
 
@@ -248,11 +245,7 @@ Graph high_girth_regular(std::size_t n, std::size_t d, std::size_t min_girth,
         }
         stuck = !swapped;
       }
-      if (!any_bad) {
-        Graph g(n);
-        for (const auto& [u, v] : sg.edges) g.add_edge(u, v);
-        return g;
-      }
+      if (!any_bad) return Graph(n, std::move(sg.edges));
     }
   }
   DS_CHECK_MSG(false, "high_girth_regular: could not reach target girth");
@@ -365,17 +358,18 @@ BipartiteGraph bipartite_cycle(std::size_t k) {
 
 Graph torus(std::size_t w, std::size_t h) {
   DS_CHECK(w >= 3 && h >= 3);
-  Graph g(w * h);
   auto id = [&](std::size_t x, std::size_t y) {
     return static_cast<NodeId>(y * w + x);
   };
+  std::vector<Edge> edges;
+  edges.reserve(2 * w * h);
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
-      g.add_edge(id(x, y), id((x + 1) % w, y));
-      g.add_edge(id(x, y), id(x, (y + 1) % h));
+      edges.push_back({id(x, y), id((x + 1) % w, y)});
+      edges.push_back({id(x, y), id(x, (y + 1) % h)});
     }
   }
-  return g;
+  return Graph(w * h, std::move(edges));
 }
 
 Graph chung_lu_power_law(std::size_t n, double gamma, double average_degree,
@@ -397,27 +391,28 @@ Graph chung_lu_power_law(std::size_t n, double gamma, double average_degree,
   double weight_sum = 0.0;
   for (double wv : weight) weight_sum += wv;
 
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId u = 0; u + 1 < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
       const double p =
           std::min(1.0, weight[u] * weight[v] / std::max(weight_sum, 1e-12));
-      if (rng.next_bool(p)) g.add_edge(u, v);
+      if (rng.next_bool(p)) edges.push_back({u, v});
     }
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
   DS_CHECK_MSG(m >= 1 && m < n, "barabasi_albert requires 1 <= m < n");
-  Graph g(n);
+  std::vector<Edge> edges;
+  edges.reserve(m * n);
   // Flat endpoint array: every edge contributes both endpoints, so a uniform
   // draw is a degree-proportional node sample (the KaGen/BA trick).
   std::vector<NodeId> endpoints;
   endpoints.reserve(2 * m * n);
   for (NodeId u = 0; u < m + 1; ++u) {
     for (NodeId v = u + 1; v < m + 1; ++v) {
-      g.add_edge(u, v);
+      edges.push_back({u, v});
       endpoints.push_back(u);
       endpoints.push_back(v);
     }
@@ -443,12 +438,12 @@ Graph barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
       }
     }
     for (NodeId t : targets) {
-      g.add_edge(v, t);
+      edges.push_back({v, t});
       endpoints.push_back(v);
       endpoints.push_back(t);
     }
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 Graph random_geometric_2d(std::size_t n, double radius, Rng& rng) {
@@ -481,7 +476,7 @@ Graph random_geometric_2d(std::size_t n, double radius, Rng& rng) {
     const double dy = y[a] - y[b];
     return dx * dx + dy * dy <= r2;
   };
-  Graph g(n);
+  std::vector<Edge> edges;
   // Visit each unordered cell pair once: within-cell, plus the 4 forward
   // neighbor cells (E, SW, S, SE).
   const std::array<std::pair<int, int>, 4> forward = {
@@ -491,7 +486,9 @@ Graph random_geometric_2d(std::size_t n, double radius, Rng& rng) {
       const auto& bucket = buckets[cy * cells_per_side + cx];
       for (std::size_t i = 0; i < bucket.size(); ++i) {
         for (std::size_t j = i + 1; j < bucket.size(); ++j) {
-          if (close(bucket[i], bucket[j])) g.add_edge(bucket[i], bucket[j]);
+          if (close(bucket[i], bucket[j])) {
+            edges.push_back({bucket[i], bucket[j]});
+          }
         }
       }
       for (const auto& [dx, dy] : forward) {
@@ -507,13 +504,13 @@ Graph random_geometric_2d(std::size_t n, double radius, Rng& rng) {
                     static_cast<std::size_t>(nx)];
         for (NodeId a : bucket) {
           for (NodeId b : other) {
-            if (close(a, b)) g.add_edge(a, b);
+            if (close(a, b)) edges.push_back({a, b});
           }
         }
       }
     }
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 }  // namespace ds::graph::gen

@@ -6,7 +6,41 @@
 
 namespace ds::graph {
 
-Graph::Graph(std::size_t n) : adjacency_(n) {}
+Graph::Graph(std::size_t n, std::vector<Edge> edges) {
+  struct Image {
+    std::vector<std::uint64_t> offsets;
+    std::vector<NodeId> rows;
+    std::vector<Edge> edges;
+  };
+  auto image = std::make_shared<Image>();
+  std::vector<std::uint64_t>& offsets = image->offsets;
+  offsets.assign(n + 1, 0);
+  for (Edge& e : edges) {
+    DS_CHECK_MSG(e.u != e.v, "self-loops are not allowed in Graph");
+    DS_CHECK(e.u < n && e.v < n);
+    if (e.u > e.v) std::swap(e.u, e.v);
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+
+  // Rows filled in edge order. offsets[v] serves as row v's cursor, which
+  // leaves it at the row's end; one shift restores the starts.
+  image->rows.resize(2 * edges.size());
+  for (const Edge& e : edges) {
+    image->rows[offsets[e.u]++] = e.v;
+    image->rows[offsets[e.v]++] = e.u;
+  }
+  for (std::size_t v = n; v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
+
+  image->edges = std::move(edges);
+  const Image& im = *image;
+  *this = mapped(std::move(image), im.offsets.data(), im.rows.data(),
+                 im.edges.data(), n, im.edges.size());
+  DS_CHECK_MSG(first_repeated_row() == n_,
+               "parallel edges are not allowed in Graph");
+}
 
 Graph Graph::mapped(std::shared_ptr<const void> keepalive,
                     const std::uint64_t* offsets, const NodeId* adjacency,
@@ -17,30 +51,26 @@ Graph Graph::mapped(std::shared_ptr<const void> keepalive,
   DS_CHECK_MSG(offsets[n] == 2 * static_cast<std::uint64_t>(m),
                "mapped CSR offsets do not sum to 2m directed ports");
   Graph g;
-  g.map_.keepalive = std::move(keepalive);
-  g.map_.offsets = offsets;
-  g.map_.adjacency = adjacency;
-  g.map_.edges = edges;
-  g.map_.n = n;
-  g.map_.m = m;
+  g.keepalive_ = std::move(keepalive);
+  g.offsets_ = offsets;
+  g.rows_ = adjacency;
+  g.edges_ = edges;
+  g.n_ = n;
+  g.m_ = m;
   return g;
 }
 
-NodeId Graph::add_node() {
-  DS_CHECK_MSG(!is_mapped(), "mapped graphs are immutable");
-  adjacency_.emplace_back();
-  return static_cast<NodeId>(adjacency_.size() - 1);
-}
-
-void Graph::add_edge(NodeId u, NodeId v) {
-  DS_CHECK_MSG(!is_mapped(), "mapped graphs are immutable");
-  DS_CHECK_MSG(u != v, "self-loops are not allowed in Graph");
-  DS_CHECK(u < adjacency_.size() && v < adjacency_.size());
-  DS_CHECK_MSG(!has_edge(u, v), "parallel edges are not allowed in Graph");
-  if (u > v) std::swap(u, v);
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  edges_.push_back(Edge{u, v});
+std::size_t Graph::first_repeated_row() const {
+  // seen[w] == v + 1 while row v is scanned and has listed w.
+  std::vector<NodeId> seen(n_, 0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    const auto stamp = static_cast<NodeId>(v + 1);
+    for (std::uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+      if (seen[rows_[i]] == stamp) return v;
+      seen[rows_[i]] = stamp;
+    }
+  }
+  return n_;
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
@@ -51,22 +81,12 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
 }
 
 NeighborView Graph::neighbors(NodeId v) const {
-  DS_CHECK(v < num_nodes());
-  if (is_mapped()) {
-    const std::uint64_t start = map_.offsets[v];
-    return {map_.adjacency + start,
-            static_cast<std::size_t>(map_.offsets[v + 1] - start)};
-  }
-  return {adjacency_[v].data(), adjacency_[v].size()};
+  DS_CHECK(v < n_);
+  const std::uint64_t start = offsets_[v];
+  return {rows_ + start, static_cast<std::size_t>(offsets_[v + 1] - start)};
 }
 
-std::size_t Graph::degree(NodeId v) const {
-  DS_CHECK(v < num_nodes());
-  if (is_mapped()) {
-    return static_cast<std::size_t>(map_.offsets[v + 1] - map_.offsets[v]);
-  }
-  return adjacency_[v].size();
-}
+std::size_t Graph::degree(NodeId v) const { return neighbors(v).size(); }
 
 std::size_t Graph::max_degree() const {
   std::size_t d = 0;
@@ -94,15 +114,15 @@ std::pair<Graph, std::vector<NodeId>> Graph::induced_subgraph(
     old_to_new[v] = static_cast<NodeId>(new_to_old.size());
     new_to_old.push_back(v);
   }
-  Graph sub(new_to_old.size());
+  std::vector<Edge> sub;
   for (const Edge& e : edges()) {
     const NodeId nu = old_to_new[e.u];
     const NodeId nv = old_to_new[e.v];
     if (nu != static_cast<NodeId>(-1) && nv != static_cast<NodeId>(-1)) {
-      sub.add_edge(nu, nv);
+      sub.push_back({nu, nv});
     }
   }
-  return {std::move(sub), std::move(new_to_old)};
+  return {Graph(new_to_old.size(), std::move(sub)), std::move(new_to_old)};
 }
 
 }  // namespace ds::graph

@@ -5,23 +5,26 @@
 /// problem instance for the general-graph problems (splitting, coloring,
 /// MIS, sinkless orientation).
 ///
-/// A Graph is in one of two storage modes:
+/// A Graph is one immutable CSR image: three flat arrays behind a shared
+/// keepalive handle, which a copy shares rather than duplicates.
 ///
-///  * **owned** — the historical mutable representation: per-node adjacency
-///    vectors plus the edge list, grown by `add_node`/`add_edge`;
-///  * **mapped** — a read-only CSR image owned by a keepalive handle: an
-///    mmapped `.dsg` file (graph/format.hpp), which costs O(1) to open and
-///    whose pages every rank of a process shares read-only, or a generator
-///    image (`DistributedGenerator::generate_full`, three flat arrays built
-///    in one pass, no per-node heap block). A copy of a mapped Graph shares
-///    the image.
+///  * offsets — n + 1 × u64, offsets[0] == 0, non-decreasing,
+///    offsets[n] == 2m;
+///  * adjacency — 2m × NodeId, row v at [offsets[v], offsets[v + 1]);
+///  * edges — m × Edge, each with u < v < n, in insertion order.
 ///
-/// Both modes serve the same accessors; `neighbors()`/`edges()` return
-/// lightweight views (`NeighborView`/`EdgeView`) valid for the Graph's
-/// lifetime. Mutation is owned-mode only.
+/// Row v lists v's neighbors in edge order: walking the edges with one
+/// cursor per node meets each endpoint at the next slot of its row, which
+/// is what lets NetworkTopology pair ports in one pass. No row lists a
+/// neighbor twice. The image comes from the one constructor (a counting
+/// pass over an edge list, which every generator, reader and transform
+/// feeds) or from `Graph::mapped` over an mmapped `.dsg` file
+/// (graph/format.hpp). Nothing mutates it afterwards: in the LOCAL model
+/// the network is fixed for the whole execution.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -30,7 +33,8 @@ namespace ds::graph {
 /// Node identifier: dense index in [0, num_nodes()).
 using NodeId = std::uint32_t;
 
-/// Undirected edge as an (endpoint, endpoint) pair with u <= v. The layout
+/// Undirected edge as an (endpoint, endpoint) pair; a Graph stores it with
+/// u < v, and its constructor takes either orientation. The layout
 /// is part of the on-disk `.dsg` format (graph/format.hpp).
 struct Edge {
   NodeId u;
@@ -40,84 +44,48 @@ struct Edge {
 };
 static_assert(sizeof(Edge) == 8, "Edge layout is part of the .dsg format");
 
-/// Read-only view over one node's adjacency row (contiguous NodeId run).
-/// Returned by value; the pointed-to storage lives as long as the Graph.
-class NeighborView {
- public:
-  NeighborView() = default;
-  NeighborView(const NodeId* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] const NodeId* begin() const { return data_; }
-  [[nodiscard]] const NodeId* end() const { return data_ + size_; }
-  [[nodiscard]] const NodeId* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  NodeId operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  const NodeId* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-/// Read-only view over the edge list (insertion order).
-class EdgeView {
- public:
-  EdgeView() = default;
-  EdgeView(const Edge* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] const Edge* begin() const { return data_; }
-  [[nodiscard]] const Edge* end() const { return data_ + size_; }
-  [[nodiscard]] const Edge* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  const Edge& operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  const Edge* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+/// Read-only views into a Graph's image, valid for the Graph's lifetime:
+/// one node's adjacency row, and the edge list (insertion order).
+using NeighborView = std::span<const NodeId>;
+using EdgeView = std::span<const Edge>;
 
 /// Undirected simple graph (no self-loops, no parallel edges). Nodes are
 /// dense indices; unique LOCAL-model IDs are assigned separately (see
 /// local/ids.hpp) so experiments can control ID adversaries.
 class Graph {
  public:
-  /// Creates an owned-mode graph with `n` isolated nodes.
-  explicit Graph(std::size_t n = 0);
+  /// The empty graph.
+  Graph() = default;
 
-  /// Adopts a read-only CSR image — an mmapped `.dsg` or a generator
-  /// image — as a mapped graph. `offsets` has n + 1 entries with
-  /// offsets[n] == 2m, `adjacency` the 2m flattened rows, `edges` the m
-  /// edges in insertion order; `keepalive` owns the backing memory (the
-  /// mmap region or the image's arrays) and is held for the lifetime of
-  /// the graph and of every copy.
+  /// A copy shares the image. A move copies too, so that a moved-from
+  /// Graph still keeps alive the image its pointers view.
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
+
+  /// Builds the image of `n` nodes and `edges` in one counting pass. Each
+  /// edge is stored as u < v, in the given order, and row v lists v's
+  /// neighbors in that same edge order. Throws ds::CheckError on a
+  /// self-loop, an endpoint >= n, or a parallel edge (either orientation).
+  explicit Graph(std::size_t n, std::vector<Edge> edges = {});
+
+  /// Adopts a read-only CSR image: the constructor's, or an mmapped
+  /// `.dsg`. `offsets` has n + 1 entries with offsets[n] == 2m, `adjacency`
+  /// the 2m flattened rows, `edges` the m edges in insertion order;
+  /// `keepalive` owns the backing memory (the image's arrays or the mmap
+  /// region) and is held for the lifetime of the graph and of every copy.
+  /// Only that sum is checked, in O(1): `check_dsg_structure`
+  /// (graph/format.hpp) checks the rest of an image read from outside.
   static Graph mapped(std::shared_ptr<const void> keepalive,
                       const std::uint64_t* offsets, const NodeId* adjacency,
                       const Edge* edges, std::size_t n, std::size_t m);
 
-  /// True when this graph views a read-only CSR image (an mmapped `.dsg`
-  /// or a generator image); such a graph is immutable.
-  [[nodiscard]] bool is_mapped() const { return map_.keepalive != nullptr; }
-
-  /// Adds an isolated node and returns its id. Owned mode only.
-  NodeId add_node();
-
-  /// Adds the undirected edge {u, v}. Requires u != v, both in range, and
-  /// that the edge is not already present. Owned mode only.
-  void add_edge(NodeId u, NodeId v);
-
   /// True if {u, v} is an edge. O(min degree).
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  [[nodiscard]] std::size_t num_nodes() const {
-    return is_mapped() ? map_.n : adjacency_.size();
-  }
-  [[nodiscard]] std::size_t num_edges() const {
-    return is_mapped() ? map_.m : edges_.size();
-  }
+  [[nodiscard]] std::size_t num_nodes() const { return n_; }
+  [[nodiscard]] std::size_t num_edges() const { return m_; }
 
-  /// Neighbors of `v` in insertion order.
+  /// Neighbors of `v` in edge order.
   [[nodiscard]] NeighborView neighbors(NodeId v) const;
 
   [[nodiscard]] std::size_t degree(NodeId v) const;
@@ -129,10 +97,18 @@ class Graph {
   [[nodiscard]] std::size_t min_degree() const;
 
   /// All edges, in insertion order.
-  [[nodiscard]] EdgeView edges() const {
-    return is_mapped() ? EdgeView(map_.edges, map_.m)
-                       : EdgeView(edges_.data(), edges_.size());
+  [[nodiscard]] EdgeView edges() const { return {edges_, m_}; }
+
+  /// The CSR offset table (n + 1 entries): row v, and with it node v's
+  /// port range, is [offsets()[v], offsets()[v + 1]).
+  [[nodiscard]] std::span<const std::uint64_t> offsets() const {
+    return {offsets_, n_ + 1};
   }
+
+  /// The first node whose row lists some neighbor twice (an endpoint of a
+  /// parallel edge), or num_nodes() when there is none. One O(n + m)
+  /// marker pass; every row entry must be < num_nodes().
+  [[nodiscard]] std::size_t first_repeated_row() const;
 
   /// Returns the subgraph induced by `nodes`, together with the mapping from
   /// new node ids to the original ids (`new -> old`).
@@ -140,19 +116,16 @@ class Graph {
       const std::vector<NodeId>& nodes) const;
 
  private:
-  /// Mapped-mode state; keepalive non-null iff mapped.
-  struct MappedCsr {
-    std::shared_ptr<const void> keepalive;
-    const std::uint64_t* offsets = nullptr;  ///< n + 1 entries
-    const NodeId* adjacency = nullptr;       ///< 2m entries
-    const Edge* edges = nullptr;             ///< m entries
-    std::size_t n = 0;
-    std::size_t m = 0;
-  };
+  /// The empty graph's offset table, so it needs no image.
+  static constexpr std::uint64_t kNoOffsets[1] = {0};
 
-  std::vector<std::vector<NodeId>> adjacency_;
-  std::vector<Edge> edges_;
-  MappedCsr map_;
+  /// Owns the three arrays; null only for the empty graph.
+  std::shared_ptr<const void> keepalive_;
+  const std::uint64_t* offsets_ = kNoOffsets;  ///< n + 1 entries
+  const NodeId* rows_ = nullptr;               ///< 2m entries
+  const Edge* edges_ = nullptr;                ///< m entries
+  std::size_t n_ = 0;
+  std::size_t m_ = 0;
 };
 
 }  // namespace ds::graph

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -496,19 +495,10 @@ std::vector<Edge> DistributedGenerator::shard(NodeId first, NodeId last) const {
 }
 
 Graph DistributedGenerator::generate_full() const {
-  struct Image {
-    std::vector<std::uint64_t> offsets;
-    std::vector<NodeId> adjacency;
-    std::vector<Edge> edges;
-  };
-  auto image = std::make_shared<Image>();
-  image->edges = shard(0, static_cast<NodeId>(n_));
-  const std::vector<Edge>& edges = image->edges;
-  std::vector<std::uint64_t>& offsets = image->offsets;
-
-  // add_edge's guarantees as linear checks: u < v < n rules out self-loops,
-  // and a strictly increasing list rules out parallel edges.
-  offsets.assign(n_ + 1, 0);
+  std::vector<Edge> edges = shard(0, static_cast<NodeId>(n_));
+  // A strictly increasing list makes every row ascending — the canonical
+  // layout the rank-local path reproduces. Checked here, where a failure
+  // can name the family.
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const Edge& e = edges[i];
     DS_CHECK_MSG(e.u < e.v && e.v < n_,
@@ -516,30 +506,8 @@ Graph DistributedGenerator::generate_full() const {
     DS_CHECK_MSG(i == 0 || edge_less(edges[i - 1], e),
                  "generator '" + spec_.family +
                      "' emitted an edge twice or out of order");
-    ++offsets[e.u + 1];
-    ++offsets[e.v + 1];
   }
-  for (std::size_t v = 0; v < n_; ++v) offsets[v + 1] += offsets[v];
-
-  // Rows filled in edge order, as add_edge appends them: the lexicographic
-  // edge order makes every row ascending — the canonical layout the
-  // rank-local path reproduces — and keeps NetworkTopology's one-pass
-  // reverse ports valid. offsets[v] serves as row v's cursor, which leaves
-  // it at the row's end; one shift restores the starts.
-  image->adjacency.resize(2 * edges.size());
-  for (const Edge& e : edges) {
-    image->adjacency[offsets[e.u]++] = e.v;
-    image->adjacency[offsets[e.v]++] = e.u;
-  }
-  for (std::size_t v = n_; v > 0; --v) offsets[v] = offsets[v - 1];
-  offsets[0] = 0;
-
-  const std::uint64_t* offset_data = offsets.data();
-  const NodeId* adjacency = image->adjacency.data();
-  const Edge* edge_data = edges.data();
-  const std::size_t m = edges.size();
-  return Graph::mapped(std::move(image), offset_data, adjacency, edge_data, n_,
-                       m);
+  return Graph(n_, std::move(edges));
 }
 
 const std::vector<std::string>& DistributedGenerator::families() {

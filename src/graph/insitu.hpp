@@ -95,12 +95,9 @@ class DistributedGenerator {
   /// two disciplines), sorted lexicographically, u < v, no duplicates.
   [[nodiscard]] std::vector<Edge> shard(NodeId first, NodeId last) const;
 
-  /// Sequential reference: the full instance as a read-only CSR image
-  /// (`Graph::mapped`), built in one counting pass over shard(0, n). Rows
-  /// are filled in edge order, so every row is ascending and equals what
-  /// `add_edge` over the same list builds; copies of the Graph share the
-  /// image. Materializes everything — use only for control instances and
-  /// baseline comparisons.
+  /// Sequential reference: the full instance, `Graph(n, shard(0, n))`.
+  /// The list is sorted, so every row is ascending. Materializes
+  /// everything — use only for control instances and baseline comparisons.
   [[nodiscard]] Graph generate_full() const;
 
   /// The family names shard() understands, for CI matrices and tests.

@@ -19,14 +19,14 @@ Graph read_edge_list(std::istream& is) {
   std::size_t n = 0;
   std::size_t m = 0;
   DS_CHECK_MSG(static_cast<bool>(is >> n >> m), "malformed edge list header");
-  Graph g(n);
+  std::vector<Edge> edges;
   for (std::size_t i = 0; i < m; ++i) {
     NodeId u = 0;
     NodeId v = 0;
     DS_CHECK_MSG(static_cast<bool>(is >> u >> v), "malformed edge list line");
-    g.add_edge(u, v);
+    edges.push_back({u, v});
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 void write_bipartite(std::ostream& os, const BipartiteGraph& b) {

@@ -144,13 +144,13 @@ std::size_t girth(const Graph& g) {
 
 Graph power(const Graph& g, std::size_t k) {
   DS_CHECK(k >= 1);
-  Graph p(g.num_nodes());
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (NodeId w : ball(g, v, k)) {
-      if (w > v) p.add_edge(v, w);
+      if (w > v) edges.push_back({v, w});
     }
   }
-  return p;
+  return Graph(g.num_nodes(), std::move(edges));
 }
 
 std::vector<NodeId> ball(const Graph& g, NodeId v, std::size_t k) {

@@ -39,26 +39,23 @@ NormalizedBipartite normalize_left_degrees(const BipartiteGraph& b,
 PaddedGraph pad_to_min_degree(const Graph& g, std::size_t delta) {
   DS_CHECK(delta >= 2);
   PaddedGraph out;
-  out.graph = g;
   out.is_virtual.assign(g.num_nodes(), false);
+  std::vector<Edge> edges(g.edges().begin(), g.edges().end());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const std::size_t d = g.degree(v);
     if (d >= delta) continue;
-    // Fresh delta-clique; the first (delta - d) clique nodes attach to v.
-    std::vector<NodeId> clique(delta);
-    for (std::size_t i = 0; i < delta; ++i) {
-      clique[i] = out.graph.add_node();
-      out.is_virtual.push_back(true);
-    }
-    for (std::size_t i = 0; i < delta; ++i) {
-      for (std::size_t j = i + 1; j < delta; ++j) {
-        out.graph.add_edge(clique[i], clique[j]);
+    // Fresh delta-clique on the next node ids; the first (delta - d) clique
+    // nodes attach to v.
+    const auto clique = static_cast<NodeId>(out.is_virtual.size());
+    out.is_virtual.resize(clique + delta, true);
+    for (NodeId i = 0; i < delta; ++i) {
+      for (NodeId j = i + 1; j < delta; ++j) {
+        edges.push_back({clique + i, clique + j});
       }
     }
-    for (std::size_t i = 0; i < delta - d; ++i) {
-      out.graph.add_edge(v, clique[i]);
-    }
+    for (NodeId i = 0; i < delta - d; ++i) edges.push_back({v, clique + i});
   }
+  out.graph = Graph(out.is_virtual.size(), std::move(edges));
   return out;
 }
 

@@ -67,7 +67,7 @@ graph::BipartiteGraph Hypergraph::incidence() const {
 }
 
 graph::Graph Hypergraph::conflict_graph() const {
-  graph::Graph g(num_edges());
+  std::vector<graph::Edge> edges;
   std::set<std::pair<HyperedgeId, HyperedgeId>> added;
   for (const auto& inc : incident_) {
     for (std::size_t i = 0; i < inc.size(); ++i) {
@@ -75,12 +75,12 @@ graph::Graph Hypergraph::conflict_graph() const {
         const auto a = std::min(inc[i], inc[j]);
         const auto b = std::max(inc[i], inc[j]);
         if (a != b && added.insert({a, b}).second) {
-          g.add_edge(a, b);
+          edges.push_back({a, b});
         }
       }
     }
   }
-  return g;
+  return graph::Graph(num_edges(), std::move(edges));
 }
 
 Hypergraph from_graph(const graph::Graph& g) {

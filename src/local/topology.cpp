@@ -5,27 +5,22 @@
 namespace ds::local {
 
 NetworkTopology::NetworkTopology(const graph::Graph& g) : graph_(&g) {
-  const std::size_t n = g.num_nodes();
-  offsets_.resize(n + 1);
-  offsets_[0] = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + g.degree(v);
-  }
   delivery_slots_.resize(total_ports());
 
-  // add_edge appends each endpoint to the other's adjacency list (and a
-  // generator image fills its rows in the same edge order), so for the
-  // e-th edge {u, v} the ports at u and v are the counts of earlier edges
-  // incident to u resp. v. One pass over the edge list therefore yields
-  // both delivery slots of every edge in O(m) — no per-edge adjacency scan.
-  std::vector<std::size_t> cursor(n, 0);
+  // A Graph's rows list neighbors in edge order (graph/graph.hpp), so for
+  // the e-th edge {u, v} the ports at u and v are the counts of earlier
+  // edges incident to u resp. v. One pass over the edge list therefore
+  // yields both delivery slots of every edge in O(m) — no per-edge
+  // adjacency scan.
+  const std::span<const std::size_t> offsets = g.offsets();
+  std::vector<std::size_t> cursor(g.num_nodes(), 0);
   for (const graph::Edge& e : g.edges()) {
     const std::size_t pu = cursor[e.u]++;
     const std::size_t pv = cursor[e.v]++;
     DS_CHECK(g.neighbors(e.u)[pu] == e.v);
     DS_CHECK(g.neighbors(e.v)[pv] == e.u);
-    delivery_slots_[offsets_[e.u] + pu] = offsets_[e.v] + pv;
-    delivery_slots_[offsets_[e.v] + pv] = offsets_[e.u] + pu;
+    delivery_slots_[offsets[e.u] + pu] = offsets[e.v] + pv;
+    delivery_slots_[offsets[e.v] + pv] = offsets[e.u] + pu;
   }
 }
 

@@ -3,8 +3,9 @@
 /// \file topology.hpp
 /// Per-network setup shared by every LOCAL-model executor, in two parts:
 ///
-///  * the **port structure** — CSR port offsets and precomputed delivery
-///    slots — depends on the graph alone and is built once per executor;
+///  * the **port structure** — the graph's CSR offsets, borrowed, and
+///    precomputed delivery slots — depends on the graph alone and is built
+///    once per executor;
 ///  * the **identity** of a run — UIDs per `IdStrategy` and the master
 ///    generator every node's coins fork from — depends on (ids, seed) and
 ///    is re-derived by each run before it constructs programs.
@@ -16,6 +17,7 @@
 /// contract.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -53,29 +55,32 @@ class NetworkTopology {
   [[nodiscard]] const graph::Graph& graph() const { return *graph_; }
   [[nodiscard]] const std::vector<std::uint64_t>& uids() const { return uids_; }
 
-  /// First flat slot of node v; offsets()[n] == total_ports().
+  /// First flat slot of node v; port_offsets()[n] == total_ports().
   [[nodiscard]] std::size_t port_offset(graph::NodeId v) const {
-    return offsets_[v];
+    return graph_->offsets()[v];
   }
-  /// The full CSR port-offset table (size n + 1); port_offsets()[v] is the
+  /// The full CSR port-offset table (size n + 1): the graph's own offsets,
+  /// since port slots follow the adjacency rows. port_offsets()[v] is the
   /// first flat slot of node v. Used for degree-balanced shard splitting.
-  [[nodiscard]] const std::vector<std::size_t>& port_offsets() const {
-    return offsets_;
+  [[nodiscard]] std::span<const std::size_t> port_offsets() const {
+    return graph_->offsets();
   }
   /// Total number of directed ports (= sum of degrees = 2m).
-  [[nodiscard]] std::size_t total_ports() const { return offsets_.back(); }
+  [[nodiscard]] std::size_t total_ports() const {
+    return 2 * graph_->num_edges();
+  }
 
   /// Flat slot a message sent by v on port p is delivered into: the
   /// neighbor's port offset plus the index of v in the neighbor's list.
   [[nodiscard]] std::size_t delivery_slot(graph::NodeId v,
                                           std::size_t p) const {
-    return delivery_slots_[offsets_[v] + p];
+    return delivery_slots_[port_offset(v) + p];
   }
   /// Node v's row of delivery slots (degree(v) entries), the table an
   /// `Outbox` routes through. Valid as a one-past-the-end pointer for
   /// degree-0 nodes.
   [[nodiscard]] const std::size_t* delivery_row(graph::NodeId v) const {
-    return delivery_slots_.data() + offsets_[v];
+    return delivery_slots_.data() + port_offset(v);
   }
 
   /// Builds the construction environment of node v, including its private
@@ -88,9 +93,7 @@ class NetworkTopology {
   /// Master generator the per-node streams are forked from (fork is pure).
   Rng master_;
   std::vector<std::uint64_t> uids_;
-  /// CSR port offsets, size n + 1.
-  std::vector<std::size_t> offsets_;
-  /// delivery_slots_[offsets_[v] + p] = flat destination slot (see above).
+  /// delivery_slots_[port_offset(v) + p]: the flat destination slot.
   std::vector<std::size_t> delivery_slots_;
 };
 

@@ -41,8 +41,7 @@ TEST(Linial, StepShrinksPaletteAndStaysProper) {
 }
 
 TEST(Linial, StepRequiresProperInput) {
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  const graph::Graph g(2, {{0, 1}});
   std::uint32_t out = 0;
   EXPECT_THROW(linial_step(g, {5, 5}, 6, &out, nullptr), ds::CheckError);
 }
@@ -94,9 +93,7 @@ TEST(Reduce, MisFromColoringIsValid) {
 }
 
 TEST(Reduce, MisVerifierCatchesViolations) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const graph::Graph g(3, {{0, 1}, {1, 2}});
   EXPECT_FALSE(is_mis(g, {true, true, false}));   // not independent
   EXPECT_FALSE(is_mis(g, {false, false, false})); // not maximal
   EXPECT_TRUE(is_mis(g, {true, false, true}));
@@ -127,8 +124,7 @@ TEST(DistanceColoring, RadiusFourForHighGirthSchedules) {
 }
 
 TEST(Verify, DetailedMessages) {
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  const graph::Graph g(2, {{0, 1}});
   EXPECT_NE(check_proper_coloring(g, {1, 1}, 2), "");
   EXPECT_NE(check_proper_coloring(g, {0, 5}, 2), "");
   EXPECT_EQ(check_proper_coloring(g, {0, 1}, 2), "");

@@ -24,9 +24,7 @@ TEST(Verifier, ExactDefectBoundary) {
 }
 
 TEST(Verifier, ProfileReportsPerColorDefects) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const graph::Graph g(4, {{0, 1}, {2, 3}});
   const std::vector<std::uint32_t> colors{0, 0, 1, 2};
   const auto profile = defect_profile(g, colors);
   ASSERT_EQ(profile.size(), 3u);
@@ -72,8 +70,9 @@ TEST(Ladder, DegreeThresholdLeavesLowDegreeNodesUnconstrained) {
   // A star: the center is high degree, leaves are degree 1. With a degree
   // threshold above 1, leaf defects are unconstrained but the center's
   // same-color count must still drop.
-  graph::Graph g(33);
-  for (graph::NodeId leaf = 1; leaf < 33; ++leaf) g.add_edge(0, leaf);
+  std::vector<graph::Edge> spokes;
+  for (graph::NodeId leaf = 1; leaf < 33; ++leaf) spokes.push_back({0, leaf});
+  const graph::Graph g(33, std::move(spokes));
   Rng rng(5);
   const auto result = defective_coloring(g, 1, 0.1, 2, rng);
   std::size_t center_same = 0;

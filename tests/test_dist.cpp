@@ -568,8 +568,9 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
   // one rank a single huge-degree hub and nothing else — a flat per-node
   // gather budget once overflowed here while the sequential executor
   // succeeded.
-  graph::Graph star(201);
-  for (graph::NodeId v = 1; v < 201; ++v) star.add_edge(0, v);
+  std::vector<graph::Edge> spokes;
+  for (graph::NodeId v = 1; v < 201; ++v) spokes.push_back({0, v});
+  const graph::Graph star(201, std::move(spokes));
   // Worker 0 owns exactly the hub (its 200 ports are half of all ports).
   DistributedConfig config;
   config.workers = 2;

@@ -161,8 +161,9 @@ TEST(Partition, DegenerateShapes) {
   check_partition(graph::Graph(7), 3);
   // Single hub star: every edge is incident to the hub — the extreme
   // cut/balance case for a contiguous split.
-  graph::Graph star(33);
-  for (graph::NodeId v = 1; v < 33; ++v) star.add_edge(0, v);
+  std::vector<graph::Edge> spokes;
+  for (graph::NodeId v = 1; v < 33; ++v) spokes.push_back({0, v});
+  const graph::Graph star(33, std::move(spokes));
   check_partition(star, 4);
   // Single node, and the empty graph.
   check_partition(graph::Graph(1), 2);

@@ -51,9 +51,7 @@ TEST(EdgeSplit, DiscrepancySweepAcrossDegreesAndSeeds) {
 }
 
 TEST(EdgeSplit, VerifierWindows) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const graph::Graph g(3, {{0, 1}, {0, 2}});
   // Node 0 has degree 2; eps=0: cap = 1 per color.
   EXPECT_TRUE(is_edge_split(g, {true, false}, 0.0));
   EXPECT_FALSE(is_edge_split(g, {true, true}, 0.0));
@@ -73,9 +71,7 @@ TEST(EdgeSplit, EulerSplitIsAlwaysAValidSplit) {
 }
 
 TEST(EdgeColoring, VerifierCatchesConflicts) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const graph::Graph g(3, {{0, 1}, {1, 2}});
   EXPECT_FALSE(is_proper_edge_coloring(g, {0, 0}));
   EXPECT_TRUE(is_proper_edge_coloring(g, {0, 1}));
 }

@@ -1,10 +1,11 @@
 // Tests for the tools' shared front end (tools/frontend.hpp): the unknown-
 // flag check, the exactly-one instance source, the bipartite split check,
-// the range checks on numeric flags, and the loopback fleet launch's
-// failed-rank report.
+// the structural check on a `.dsg` file, the range checks on numeric
+// flags, and the loopback fleet launch's failed-rank report.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <initializer_list>
 #include <stdexcept>
@@ -12,6 +13,8 @@
 #include <vector>
 
 #include "frontend.hpp"
+#include "graph/format.hpp"
+#include "graph/insitu.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
 
@@ -107,6 +110,28 @@ TEST(FrontendSource, InputFileKeepsItsForm) {
       "--algo=split");
   EXPECT_EQ(inst.bipartite.num_left(), 2u);
   EXPECT_EQ(inst.bipartite.num_right(), 1u);
+}
+
+TEST(FrontendSource, GraphFileMustPassTheStructuralCheck) {
+  const std::string path = ::testing::TempDir() + "/frontend_interior.dsg";
+  const graph::DistributedGenerator dg(
+      graph::GenSpec::parse("torus:w=8,h=8"), 7);
+  graph::write_dsg(dg.generate_full(), path, 0, dg.seed());
+  const std::string flag = "--graph=" + path;
+  const auto load = [&] {
+    (void)load_instance(opts_of({flag.c_str()}),
+                        algo::InputKind::kGeneralGraph, "--algo=mis");
+  };
+  EXPECT_NO_THROW(load());
+  // The first edge-list entry (byte 64 + 8(n + 1) + 8m) set far past n:
+  // the header, the size and offsets[n] == 2m still check out.
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(64 + 8 * 65 + 8 * 128);
+    const std::uint32_t far = 0x7FFFFFF0;
+    file.write(reinterpret_cast<const char*>(&far), sizeof(far));
+  }
+  EXPECT_THROW(load(), graph::FormatError);
 }
 
 TEST(FrontendNumbers, MalformedNumbersNameTheFlag) {

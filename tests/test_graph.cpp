@@ -17,12 +17,11 @@ namespace ds::graph {
 namespace {
 
 Graph triangle_with_tail() {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  return g;
+  return Graph(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
+}
+
+std::vector<NodeId> row(const Graph& g, NodeId v) {
+  return {g.neighbors(v).begin(), g.neighbors(v).end()};
 }
 
 TEST(Graph, DegreesAndEdges) {
@@ -38,11 +37,50 @@ TEST(Graph, DegreesAndEdges) {
   EXPECT_FALSE(g.has_edge(0, 3));
 }
 
+TEST(Graph, ConstructorNormalisesEdgesAndFillsRowsInEdgeOrder) {
+  const Graph g(3, {{2, 0}, {1, 0}, {2, 1}});
+  ASSERT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(g.edges()[0], (Edge{0, 2}));
+  EXPECT_EQ(g.edges()[1], (Edge{0, 1}));
+  EXPECT_EQ(g.edges()[2], (Edge{1, 2}));
+  EXPECT_EQ(row(g, 0), (std::vector<NodeId>{2, 1}));
+  EXPECT_EQ(row(g, 1), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(row(g, 2), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(std::vector<std::uint64_t>(g.offsets().begin(), g.offsets().end()),
+            (std::vector<std::uint64_t>{0, 2, 4, 6}));
+}
+
 TEST(Graph, RejectsSelfLoopsAndParallelEdges) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(0, 0), CheckError);
-  EXPECT_THROW(g.add_edge(1, 0), CheckError);
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 1}}), CheckError);  // self-loop
+  EXPECT_THROW(Graph(3, {{0, 3}}), CheckError);          // endpoint >= n
+  EXPECT_THROW(Graph(3, {{0, 1}, {2, 0}, {0, 1}}), CheckError);  // parallel
+  EXPECT_THROW(Graph(3, {{0, 1}, {2, 0}, {1, 0}}), CheckError);  // reversed
+  EXPECT_NO_THROW(Graph(3, {{0, 1}, {2, 0}, {1, 2}}));
+}
+
+TEST(Graph, CopiesShareTheImage) {
+  const Graph g = triangle_with_tail();
+  const Graph copy = g;
+  EXPECT_EQ(copy.neighbors(0).data(), g.neighbors(0).data());
+  EXPECT_EQ(copy.offsets().data(), g.offsets().data());
+  EXPECT_EQ(copy.edges().data(), g.edges().data());
+  // A moved-from graph keeps its share: once the target is gone, its reads
+  // still land in a live image (a heap-use-after-free under ASan if the
+  // move had taken the keepalive).
+  Graph source = triangle_with_tail();
+  { const Graph target = std::move(source); }
+  EXPECT_EQ(source.degree(2), 3u);
+  EXPECT_EQ(source.edges()[3], (Edge{2, 3}));
+}
+
+TEST(Graph, EmptyGraph) {
+  const Graph g;
+  EXPECT_EQ(g.num_nodes(), 0u);
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_EQ(g.offsets().size(), 1u);
+  EXPECT_EQ(g.offsets()[0], 0u);
+  EXPECT_EQ(g.max_degree(), 0u);
+  EXPECT_EQ(Graph(0).offsets().size(), 1u);
 }
 
 TEST(Graph, InducedSubgraphKeepsInternalEdges) {
@@ -182,9 +220,7 @@ TEST(Properties, BfsDistances) {
 }
 
 TEST(Properties, ComponentsAndConnectivity) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const Graph g(5, {{0, 1}, {2, 3}});
   const auto labels = component_labels(g);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_NE(labels[0], labels[2]);
@@ -194,22 +230,15 @@ TEST(Properties, ComponentsAndConnectivity) {
 
 TEST(Properties, GirthOfKnownGraphs) {
   EXPECT_EQ(girth(triangle_with_tail()), 3u);
-  Graph c5(5);
-  for (NodeId v = 0; v < 5; ++v) c5.add_edge(v, (v + 1) % 5);
+  const Graph c5(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
   EXPECT_EQ(girth(c5), 5u);
-  Graph tree(4);
-  tree.add_edge(0, 1);
-  tree.add_edge(1, 2);
-  tree.add_edge(1, 3);
+  const Graph tree(4, {{0, 1}, {1, 2}, {1, 3}});
   EXPECT_EQ(girth(tree), SIZE_MAX);
   EXPECT_TRUE(shortest_cycle(tree).empty());
 }
 
 TEST(Properties, PowerGraphAndBall) {
-  Graph path(4);
-  path.add_edge(0, 1);
-  path.add_edge(1, 2);
-  path.add_edge(2, 3);
+  const Graph path(4, {{0, 1}, {1, 2}, {2, 3}});
   const Graph p2 = power(path, 2);
   EXPECT_TRUE(p2.has_edge(0, 2));
   EXPECT_FALSE(p2.has_edge(0, 3));
@@ -266,8 +295,7 @@ TEST(VirtualSplit, SmallDegreesKeptWhole) {
 }
 
 TEST(VirtualSplit, PaddingRaisesMinDegree) {
-  Graph g(3);
-  g.add_edge(0, 1);  // degrees 1,1,0
+  const Graph g(3, {{0, 1}});  // degrees 1,1,0
   const auto padded = pad_to_min_degree(g, 4);
   for (NodeId v = 0; v < 3; ++v) {
     EXPECT_GE(padded.graph.degree(v), 4u);

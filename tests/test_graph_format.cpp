@@ -1,15 +1,21 @@
 // Tests for the binary mmap-able .dsg graph format (graph/format.hpp):
 // pack/mmap round-trip fuzz (bit-identical CSR to the in-memory graph),
-// header validation (magic, version, endianness, size, payload digest) with
-// loud FormatError rejection, the bipartite split recovery, and the key
-// scale-path property — a mapped topology shared read-only across thread
-// ranks produces bit-identical outputs.
+// header validation (magic, version, endianness, size, payload digest) and
+// the interior's structural check with loud FormatError rejection, the
+// text and generator paths packing to identical bytes, the bipartite split
+// recovery, and the key scale-path property — a mapped topology shared
+// read-only across thread ranks produces bit-identical outputs.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +23,7 @@
 #include "graph/format.hpp"
 #include "graph/generators.hpp"
 #include "graph/insitu.hpp"
+#include "graph/io.hpp"
 #include "local/network.hpp"
 #include "mis/mis.hpp"
 #include "support/check.hpp"
@@ -49,6 +56,28 @@ void expect_same_graph(const Graph& owned, const Graph& mapped) {
   }
 }
 
+/// Asserts `m` views one file image — its three sections lie at their file
+/// distances from each other — and that a copy shares it. Requires n >= 1.
+void expect_views_file_image(const Graph& m) {
+  const auto* offsets = reinterpret_cast<const char*>(m.offsets().data());
+  const auto* rows = reinterpret_cast<const char*>(m.neighbors(0).data());
+  const auto* edges = reinterpret_cast<const char*>(m.edges().data());
+  EXPECT_EQ(rows - offsets,
+            static_cast<std::ptrdiff_t>(8 * (m.num_nodes() + 1)));
+  EXPECT_EQ(edges - rows, static_cast<std::ptrdiff_t>(8 * m.num_edges()));
+  const Graph copy = m;
+  EXPECT_EQ(copy.offsets().data(), m.offsets().data());
+  EXPECT_EQ(copy.neighbors(0).data(), m.neighbors(0).data());
+  EXPECT_EQ(copy.edges().data(), m.edges().data());
+}
+
+/// The whole file at `path`.
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 TEST(GraphFormat, RoundTripFuzz) {
   Rng rng(17);
   const std::string path = temp_path("roundtrip.dsg");
@@ -58,7 +87,7 @@ TEST(GraphFormat, RoundTripFuzz) {
     write_dsg(g, path, /*nu=*/0, /*seed=*/42);
     DsgHeader header;
     const Graph m = load_dsg(path, &header, /*verify_digest=*/true);
-    EXPECT_TRUE(m.is_mapped());
+    expect_views_file_image(m);
     EXPECT_EQ(header.version, kDsgVersion);
     EXPECT_EQ(header.n, g.num_nodes());
     EXPECT_EQ(header.m, g.num_edges());
@@ -143,6 +172,85 @@ TEST(GraphFormat, RejectsCorruptHeaders) {
   EXPECT_NO_THROW(load_dsg(path, nullptr, true));
 }
 
+/// Writes a copy of `path` whose `T` at byte `offset` is `value`; `path`
+/// may be a previous result, which is read whole before the write.
+template <typename T>
+std::string overwrite(const std::string& path, std::size_t offset, T value) {
+  std::vector<char> bytes = read_bytes(path);
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  const std::string out_path = temp_path("overwritten.dsg");
+  std::ofstream out(out_path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out_path;
+}
+
+TEST(GraphFormat, StructuralCheckRejectsCorruptInteriors) {
+  // The 8x8 torus: n = 64, m = 128. Offsets start at byte 64, the
+  // adjacency at 64 + 8 * 65 = 584 and the edge list at 584 + 8m = 1608.
+  // Each corruption keeps the header, the size and offsets[n] == 2m, so
+  // load_dsg accepts it; the structural check must not.
+  const DistributedGenerator dg(GenSpec::parse("torus:w=8,h=8"), 7);
+  const std::string path = temp_path("interior.dsg");
+  write_dsg(dg.generate_full(), path, 0, dg.seed());
+  const auto check = [](const std::string& file) {
+    check_dsg_structure(load_dsg(file), file);
+  };
+  EXPECT_NO_THROW(check(path));
+  EXPECT_THROW(check(overwrite<std::uint32_t>(path, 1608, 0x7FFFFFF0)),
+               FormatError);  // first edge's u far past n
+  EXPECT_THROW(check(overwrite<std::uint64_t>(path, 64 + 8 * 3,
+                                              1000000000000ULL)),
+               FormatError);  // offsets[3] past the adjacency section
+  EXPECT_THROW(check(overwrite<std::uint32_t>(path, 584, 0x7FFFFFF0)),
+               FormatError);  // first adjacency entry far past n
+
+  // A parallel edge, consistent everywhere else: Graph(3, {0,1}, {0,2})
+  // with offsets[2] = 4, row 0 = [1, 1] and edge 1 = {0, 1}. Offsets at
+  // byte 64, adjacency at 96, edges at 112.
+  const std::string twin = temp_path("twin.dsg");
+  write_dsg(Graph(3, {{0, 1}, {0, 2}}), twin);
+  const std::string doubled = overwrite<std::uint32_t>(
+      overwrite<std::uint32_t>(overwrite<std::uint64_t>(twin, 64 + 16, 4),
+                               96 + 4, 1),
+      112 + 12, 1);
+  try {
+    check(doubled);
+    ADD_FAILURE() << "a parallel edge passed the structural check";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("lists a neighbor twice"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphFormat, TextAndGeneratorPathsPackIdentically) {
+  // Every family: the text edge list of a generator image reads back as
+  // the same image, row by row, and both pack to the same bytes.
+  const std::map<std::string, std::string> small = {
+      {"torus", "torus:w=7,h=5"},
+      {"gnp", "gnp:n=120,deg=6"},
+      {"gnm", "gnm:n=120,deg=6"},
+      {"ba", "ba:n=120,d=3"},
+      {"rgg", "rgg:n=120,deg=7"},
+      {"biregular", "biregular:nu=40,nv=25,delta=4"},
+      {"kronecker", "kronecker:scale=7,deg=5"},
+  };
+  for (const std::string& family : DistributedGenerator::families()) {
+    ASSERT_TRUE(small.count(family)) << "no small instance for " << family;
+    const DistributedGenerator dg(GenSpec::parse(small.at(family)), 21);
+    const Graph image = dg.generate_full();
+    std::stringstream text;
+    io::write_edge_list(text, image);
+    const Graph read = io::read_edge_list(text);
+    expect_same_graph(image, read);
+    const std::string from_image = temp_path("from_image.dsg");
+    const std::string from_text = temp_path("from_text.dsg");
+    write_dsg(image, from_image, dg.num_left(), dg.seed());
+    write_dsg(read, from_text, dg.num_left(), dg.seed());
+    EXPECT_EQ(read_bytes(from_image), read_bytes(from_text)) << family;
+  }
+}
+
 TEST(GraphFormat, BipartiteSplitRecovery) {
   Rng rng(23);
   const auto b = graph::gen::random_biregular(40, 20, 4, rng);
@@ -157,8 +265,7 @@ TEST(GraphFormat, BipartiteSplitRecovery) {
   EXPECT_EQ(back.num_right(), b.num_right());
   EXPECT_EQ(back.num_edges(), b.num_edges());
   // An edge that does not cross the claimed divide must be rejected.
-  Graph bad(4);
-  bad.add_edge(0, 1);
+  const Graph bad(4, {{0, 1}});
   EXPECT_THROW(bipartite_from_unified(bad, 2), FormatError);
 }
 
@@ -172,7 +279,7 @@ TEST(GraphFormat, MappedTopologySharedByThreadRanks) {
   const std::string path = temp_path("ranks.dsg");
   write_dsg(image, path, 0, dg.seed());
   const Graph mapped = load_dsg(path, nullptr, true);
-  ASSERT_TRUE(mapped.is_mapped());
+  expect_views_file_image(mapped);
 
   const mis::MisOutcome seq = mis::luby(image, 5);
   dist::DistributedConfig config;

@@ -77,10 +77,7 @@ TEST(Ids, AllStrategiesArePermutations) {
 }
 
 TEST(Ids, DegreeDescendingOrdersByDegree) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);  // node 0 has max degree
+  const graph::Graph g(4, {{0, 1}, {0, 2}, {0, 3}});  // node 0 has max degree
   Rng rng(5);
   const auto ids = assign_ids(g, IdStrategy::kDegreeDescending, rng);
   EXPECT_EQ(ids[0], 3u);  // highest id goes to the highest-degree node

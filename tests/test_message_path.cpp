@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <vector>
 
 #include "coloring/randcolor.hpp"
 #include "dist/partition.hpp"
 #include "graph/generators.hpp"
 #include "graph/insitu.hpp"
+#include "graph/io.hpp"
 #include "local/message_arena.hpp"
 #include "local/network.hpp"
 #include "local/round_stats.hpp"
@@ -245,8 +247,9 @@ void expect_varying_lengths_deliver(local::Executor& exec,
 TEST(WriterApi, VaryingLengthsOnStarMaxDegreeHub) {
   // Star: the hub writes num_nodes - 1 ports of different lengths in one
   // send; every leaf has degree 1.
-  graph::Graph g(64);
-  for (graph::NodeId v = 1; v < 64; ++v) g.add_edge(0, v);
+  std::vector<graph::Edge> spokes;
+  for (graph::NodeId v = 1; v < 64; ++v) spokes.push_back({0, v});
+  const graph::Graph g(64, std::move(spokes));
   for (std::size_t threads : {1, 2, 8}) {
     const auto par = threaded(g, threads);
     expect_varying_lengths_deliver(*par, local::IdStrategy::kRandomPermutation,
@@ -294,7 +297,7 @@ TEST(DegreeBalancedShards, CoverSkewedGraphsExactlyOnce) {
   Rng rng(77);
   const auto g = graph::gen::barabasi_albert(5000, 4, rng);
   const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 1);
-  const auto& offsets = topo.port_offsets();
+  const auto offsets = topo.port_offsets();
   const std::size_t max_deg = g.max_degree();
   for (std::size_t shards : {1, 2, 3, 7, 16, 64}) {
     const auto bounds = dist::degree_balanced_boundaries(offsets, shards);
@@ -423,6 +426,33 @@ TEST(AllocationCounting, SetupAllocatesPerInstanceNotPerNode) {
       g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(envs, 0u);
   EXPECT_EQ(ports, topo.total_ports());
+}
+
+TEST(AllocationCounting, BuildingAGraphAllocatesPerInstanceNotPerNode) {
+  // The constructor collects nothing per node: a generator's edge list and
+  // a text reader's both become one image of three flat arrays.
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const graph::Graph g = graph::gen::torus(64, 64);
+  const std::size_t generate =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(generate, 32u);
+
+  std::stringstream text;
+  graph::io::write_edge_list(text, g);
+  before = g_allocations.load(std::memory_order_relaxed);
+  const graph::Graph read = graph::io::read_edge_list(text);
+  const std::size_t parse =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(parse, 32u);
+  EXPECT_EQ(read.num_edges(), g.num_edges());
+}
+
+TEST(Topology, BorrowsTheGraphOffsets) {
+  const auto g = graph::gen::torus(8, 8);
+  const local::NetworkTopology topo(g);
+  EXPECT_EQ(topo.port_offsets().data(), g.offsets().data());
+  EXPECT_EQ(topo.port_offsets().size(), g.num_nodes() + 1);
+  EXPECT_EQ(topo.total_ports(), 2 * g.num_edges());
 }
 
 TEST(AllocationCounting, HookObservesPerRoundAllocations) {

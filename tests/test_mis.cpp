@@ -82,9 +82,7 @@ TEST(Luby, DifferentSeedsUsuallyDiffer) {
 
 TEST(Greedy, ByOrderRespectsOrder) {
   // Path 0-1-2: processing 1 first yields {1}; processing ends first {0,2}.
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const graph::Graph g(3, {{0, 1}, {1, 2}});
   const auto mid_first = greedy_by_order(g, {1, 0, 2});
   EXPECT_TRUE(mid_first[1]);
   EXPECT_FALSE(mid_first[0]);
@@ -95,10 +93,7 @@ TEST(Greedy, ByOrderRespectsOrder) {
 }
 
 TEST(Greedy, ByIdsMatchesManualOrder) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const graph::Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   // ids reverse the natural order.
   const auto by_ids = greedy_by_ids(g, {40, 30, 20, 10});
   const auto by_order = greedy_by_order(g, {3, 2, 1, 0});

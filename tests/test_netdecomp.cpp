@@ -40,8 +40,7 @@ TEST(Verifier, AcceptsSingletonDecomposition) {
 }
 
 TEST(Verifier, RejectsAdjacentSameBlockClusters) {
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  const graph::Graph g(2, {{0, 1}});
   Decomposition d;
   d.cluster = {0, 1};
   d.block = {0, 0};  // adjacent clusters, same block
@@ -54,10 +53,8 @@ TEST(Verifier, RejectsAdjacentSameBlockClusters) {
 }
 
 TEST(Verifier, RejectsOversizedDiameter) {
-  graph::Graph g(4);  // path of length 3 in one cluster
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  // A path of length 3 in one cluster.
+  const graph::Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   Decomposition d;
   d.cluster = {0, 0, 0, 0};
   d.block = {0};
@@ -125,9 +122,9 @@ TEST(BallCarving, ClustersAreConnectedInducedSubgraphs) {
 }
 
 TEST(LinialSaks, CoversDisconnectedGraphs) {
-  graph::Graph g(10);  // two components: a 5-cycle and an edge + isolated
-  for (graph::NodeId v = 0; v < 5; ++v) g.add_edge(v, (v + 1) % 5);
-  g.add_edge(5, 6);
+  // Two components: a 5-cycle and an edge + isolated.
+  const graph::Graph g(10,
+                       {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 6}});
   const auto d = linial_saks(g, 21);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_LT(d.cluster[v], d.num_clusters);

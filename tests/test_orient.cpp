@@ -182,9 +182,7 @@ TEST(DegreeSplit, RandomizedCostBelowDeterministic) {
 }
 
 TEST(Sinkless, VerifierDetectsSinks) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const graph::Graph g(3, {{0, 1}, {1, 2}});
   // Both edges point at node 1: nodes 0 and 2 are sinks.
   EXPECT_FALSE(is_sinkless(g, {true, false}, 1));
   // Path orientation 0 -> 1 -> 2: node 2 is a sink.
@@ -217,8 +215,7 @@ TEST(Sinkless, ProgramProducesSinklessOrientations) {
 TEST(Sinkless, ProgramRespectsMinDegreeThreshold) {
   // A star: leaves have degree 1 and are unconstrained at min_degree 2;
   // the center must still get an outgoing edge.
-  graph::Graph g(6);
-  for (graph::NodeId leaf = 1; leaf < 6; ++leaf) g.add_edge(0, leaf);
+  const graph::Graph g(6, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}});
   const auto outcome = sinkless_program(g, 3, 2);
   EXPECT_TRUE(is_sinkless(g, outcome.toward_v, 2));
 }
@@ -227,8 +224,7 @@ TEST(Sinkless, ProgramOnSingleEdgeExhaustsTrialsOnOneExecutor) {
   // At min_degree 1 both endpoints of a lone edge need an outgoing edge,
   // so every Las Vegas trial fails and sinkless_program throws; both
   // trials run on the one executor the factory built.
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  const graph::Graph g(2, {{0, 1}});
   std::size_t calls = 0;
   const local::ExecutorFactory counting = [&calls](const graph::Graph& fg) {
     ++calls;

@@ -57,8 +57,7 @@ TEST(SinklessInstance, MajorityConstructionShape) {
 }
 
 TEST(SinklessInstance, OrientationDecoding) {
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  const graph::Graph g(2, {{0, 1}});
   std::vector<std::uint64_t> ids{0, 1};
   // Red: toward larger id (node 1). Blue: toward smaller (node 0).
   auto toward_v = orientation_from_splitting(
@@ -91,8 +90,7 @@ TEST(Figure1, RejectsLowDegree) {
 }
 
 TEST(UniformSplitting, VerifierWindows) {
-  graph::Graph g(5);
-  for (graph::NodeId v = 1; v < 5; ++v) g.add_edge(0, v);
+  const graph::Graph g(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
   // Node 0 has degree 4; eps=0.2 window: [floor(1.2), ceil(2.8)] = [1,3].
   EXPECT_TRUE(is_uniform_splitting(g, {false, true, true, false, false},
                                    0.2, 4));

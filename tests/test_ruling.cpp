@@ -23,10 +23,7 @@ std::vector<std::uint64_t> sequential_ids(std::size_t n) {
 }
 
 TEST(Verifier, MisIsATwoOneRulingSet) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const graph::Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   EXPECT_TRUE(is_ruling_set(g, {true, false, true, false}, 2, 1));
   // {0} does not dominate node 3 at radius 1.
   EXPECT_FALSE(is_ruling_set(g, {true, false, false, false}, 2, 1));
@@ -103,8 +100,9 @@ TEST(Bitwise, BetaTracksBitWidthNotUidMagnitude) {
 }
 
 TEST(Bitwise, PathGraphKeepsIndependence) {
-  graph::Graph g(8);
-  for (graph::NodeId v = 0; v + 1 < 8; ++v) g.add_edge(v, v + 1);
+  std::vector<graph::Edge> path;
+  for (graph::NodeId v = 0; v + 1 < 8; ++v) path.push_back({v, v + 1});
+  const graph::Graph g(8, std::move(path));
   const auto result = ruling_set_bitwise(g, sequential_ids(8));
   for (const graph::Edge& e : g.edges()) {
     EXPECT_FALSE(result.in_set[e.u] && result.in_set[e.v]);
@@ -169,8 +167,7 @@ TEST(Program, DegenerateInstances) {
   const auto isolated = ruling_set_program(graph::Graph(5), 1);
   for (const bool in : isolated.result.in_set) EXPECT_TRUE(in);
   // Two adjacent nodes: exactly one survives.
-  graph::Graph pair(2);
-  pair.add_edge(0, 1);
+  const graph::Graph pair(2, {{0, 1}});
   const auto two = ruling_set_program(pair, 1);
   EXPECT_NE(two.result.in_set[0], two.result.in_set[1]);
 }

@@ -263,12 +263,9 @@ RunPlan resolve_run(const Options& opts) {
 /// Edge-cut stats of the partition the distributed executors actually ran
 /// — a pure function of the CSR degree profile and the part count.
 void print_partition_stats(const graph::Graph& g, std::size_t parts) {
-  std::vector<std::size_t> offsets(g.num_nodes() + 1, 0);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    offsets[v + 1] = offsets[v] + g.degree(v);
-  }
-  const auto bounds = dist::degree_balanced_boundaries(offsets, parts);
-  const dist::PartitionStats stats = dist::partition_stats(g, offsets, bounds);
+  const auto bounds = dist::degree_balanced_boundaries(g.offsets(), parts);
+  const dist::PartitionStats stats =
+      dist::partition_stats(g, g.offsets(), bounds);
   std::cout << "partition: " << stats.cut_edges << " cut edges, "
             << stats.internal_edges << " internal, balance "
             << stats.balance_factor << "\n";

@@ -90,8 +90,10 @@ Instance load_instance(const Options& opts, algo::InputKind input,
     return inst;
   }
   if (source == Source::kGraph) {
+    const std::string path = opts.get("graph", "");
     graph::DsgHeader header;
-    inst.graph = graph::load_dsg(opts.get("graph", ""), &header);
+    inst.graph = graph::load_dsg(path, &header);
+    graph::check_dsg_structure(inst.graph, path);
     inst.nu = static_cast<std::size_t>(header.nu);
   } else {
     const graph::DistributedGenerator dg(

@@ -58,7 +58,7 @@ std::size_t capacity_flag(const Options& opts, const std::string& key,
 /// Which flag names the instance.
 enum class Source {
   kInput,  ///< --input=FILE: a text edge list
-  kGraph,  ///< --graph=FILE.dsg: a packed file, mapped read-only in O(1)
+  kGraph,  ///< --graph=FILE.dsg: a packed file, mapped read-only
   kGen,    ///< --gen=SPEC: a generator instance, seeded by --seed
 };
 
@@ -76,7 +76,8 @@ struct Instance {
 /// Loads the instance named by `instance_source(opts)` in the form `input`
 /// asks for. A bipartite `--input` file is read as such; a `.dsg` or
 /// generator source is split at its left-side size, and one without a
-/// split fails with "`who` needs a bipartite instance, …".
+/// split fails with "`who` needs a bipartite instance, …". A `.dsg` file
+/// passes `graph::check_dsg_structure` (O(n + m)) or throws FormatError.
 Instance load_instance(const Options& opts, algo::InputKind input,
                        const std::string& who);
 
