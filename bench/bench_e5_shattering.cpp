@@ -187,12 +187,10 @@ int main(int argc, char** argv) {
       out.push_back(
           static_cast<const ShatterProgram&>(p).unsatisfied() ? 1 : 0);
     });
-    net->run(
-        [nu](const local::NodeEnv& env)
-            -> std::unique_ptr<local::NodeProgram> {
-          return std::make_unique<ShatterProgram>(env, env.node < nu);
-        },
-        local::IdStrategy::kSequential, opts.seed() + 5, 8);
+    net->run(local::programs<ShatterProgram>([nu](const local::NodeEnv& env) {
+               return ShatterProgram(env, env.node < nu);
+             }),
+             local::IdStrategy::kSequential, opts.seed() + 5, 8);
     std::size_t unsat = 0;
     for (graph::NodeId u = 0; u < nu; ++u) {
       unsat += net->outputs().value(u) != 0 ? 1 : 0;

@@ -207,9 +207,9 @@ class GossipProgram final : public local::NodeProgram {
 constexpr std::size_t kGossipRounds = 8;
 
 local::ProgramFactory gossip_factory() {
-  return [](const local::NodeEnv& env) {
-    return std::make_unique<GossipProgram>(env, kGossipRounds);
-  };
+  return local::programs<GossipProgram>([](const local::NodeEnv& env) {
+    return GossipProgram(env, kGossipRounds);
+  });
 }
 
 // Side of the torus: n = side^2 nodes. 1024 -> the 1M-node instance of the

@@ -25,12 +25,6 @@ std::size_t DistributedNetwork::resolve_workers(std::size_t workers,
                                std::min(resolve_workers(workers), num_nodes));
 }
 
-namespace {
-
-using Programs = std::vector<std::unique_ptr<local::NodeProgram>>;
-
-}  // namespace
-
 DistributedNetwork::DistributedNetwork(const graph::Graph& g,
                                        DistributedConfig config)
     : topology_(g),
@@ -40,34 +34,31 @@ DistributedNetwork::DistributedNetwork(const graph::Graph& g,
       programs_(partition_.num_workers()) {}
 
 DistributedNetwork::~DistributedNetwork() {
-  // Each rank's programs *and* the vector holding them go on one thread:
-  // freeing the emptied buffers is a cost of its own. jthreads join before
-  // `programs_` dies.
+  // jthreads join before `programs_` dies.
   std::vector<std::jthread> releasers;
   try {
     releasers.reserve(programs_.size());
     for (std::size_t w = 1; w < programs_.size(); ++w) {
-      if (programs_[w].empty()) continue;
-      releasers.emplace_back(
-          [&owned = programs_[w]] { Programs().swap(owned); });
+      if (programs_[w] == nullptr) continue;
+      releasers.emplace_back([&owned = programs_[w]] { owned.reset(); });
     }
   } catch (...) {
     // No thread to spare: the member destructor frees the rest here.
   }
-  Programs().swap(programs_[0]);
+  programs_[0].reset();
 }
 
 std::size_t DistributedNetwork::run_worker(
     std::size_t w, const local::ProgramFactory& factory,
-    std::size_t max_rounds, std::uint64_t& epoch, obs::Recorder* rec) {
+    std::size_t max_rounds, obs::Recorder* rec) {
   ShmTransport transport(w, partition_, transport_, control_);
   // Stats only on rank 0: it is the calling thread, matching the
   // sequential executor's single-sink contract.
   const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
   return run_fleet(transport, rec, {}, [&](obs::Recorder* fleet_rec) {
     return run_rank_loop(RankView::of(topology_), partition_, transport,
-                         factory, max_rounds, epoch, sink, output_fn_,
-                         programs_[w], fleet_rec);
+                         factory, max_rounds, sink, output_fn_, programs_[w],
+                         fleet_rec);
   });
 }
 
@@ -84,12 +75,9 @@ std::size_t DistributedNetwork::run_threads(
       lanes[w]->set_event_capacity(rec->event_capacity());
     }
   }
-  // Each thread advances its own copy of the round tag; all end equal.
-  const std::uint64_t first_epoch = epoch_;
-  const auto rank_main = [&, first_epoch](std::size_t w) {
-    std::uint64_t epoch = first_epoch;
+  const auto rank_main = [&](std::size_t w) {
     try {
-      run_worker(w, factory, max_rounds, epoch, lanes[w].get());
+      run_worker(w, factory, max_rounds, lanes[w].get());
     } catch (const std::exception& e) {
       control_.raise_abort(e.what());
     } catch (...) {
@@ -105,7 +93,7 @@ std::size_t DistributedNetwork::run_threads(
     for (std::size_t w = 1; w < workers; ++w) {
       ranks.emplace_back(rank_main, w);
     }
-    rounds = run_worker(0, factory, max_rounds, epoch_, recorder());
+    rounds = run_worker(0, factory, max_rounds, recorder());
   } catch (const std::exception& e) {
     control_.raise_abort(e.what());
   } catch (...) {
@@ -141,7 +129,7 @@ std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
 
 const local::NodeProgram& DistributedNetwork::program(graph::NodeId v) const {
   const std::size_t w = partition_.owner(v);
-  return owned_program(programs_[w], partition_.first_node(w), v);
+  return owned_program(programs_[w].get(), partition_.first_node(w), v);
 }
 
 }  // namespace ds::dist

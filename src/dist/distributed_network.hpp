@@ -44,11 +44,11 @@
 /// For a fixed (graph, IdStrategy, seed), DistributedNetwork produces
 /// bit-identical per-node program outputs, round counts and RoundStats to
 /// `local::Network` at every rank count: topology/UIDs/randomness are the
-/// shared pure constructions, each rank invokes the (pure per node) factory
-/// for its own range only, and the halo exchange transports message words
-/// verbatim with the executor's barriers reproducing the send-then-receive
-/// phase order. tests/test_dist.cpp and tests/test_runtime.cpp assert the
-/// contract at 1/2/4/8 ranks.
+/// shared pure constructions, each rank has the (pure per node) factory
+/// build one block for its own range only, and the halo exchange transports
+/// message words verbatim with the executor's barriers reproducing the
+/// send-then-receive phase order. tests/test_dist.cpp and
+/// tests/test_runtime.cpp assert the contract at 1/2/4/8 ranks.
 ///
 /// # Output collection
 ///
@@ -56,8 +56,8 @@
 /// contract: install a serializer with `set_output_fn` *before* `run()`
 /// (each rank applies it to its owned programs and gathers the words), then
 /// read `outputs()`. `program(v)` also serves every node after a run: each
-/// rank's programs stay resident until the next run or the executor's
-/// destruction, and both release them on the rank's own thread.
+/// rank's program block stays resident until the next run or the
+/// executor's destruction, and both release it on the rank's own thread.
 
 #include <cstdint>
 #include <memory>
@@ -94,9 +94,8 @@ class DistributedNetwork final : public local::Executor {
   explicit DistributedNetwork(const graph::Graph& g,
                               DistributedConfig config = {});
 
-  /// Releases each rank's programs on a thread of its own (rank 0's on the
-  /// calling thread): freeing a million programs on one thread is a large
-  /// share of a short run's wall time.
+  /// Releases each rank's program block on a thread of its own (rank 0's
+  /// on the calling thread), as each rank does at its next run.
   ~DistributedNetwork() override;
 
   /// Rank threads hold `this`.
@@ -140,11 +139,10 @@ class DistributedNetwork final : public local::Executor {
  private:
   /// The full per-rank run: binds a `ShmTransport` view for rank w and
   /// executes the shared `run_fleet` + `run_rank_loop` protocol into
-  /// `programs_[w]`, advancing `epoch` once per round and recording into
-  /// `rec`. Returns the executed round count (identical in every rank).
+  /// `programs_[w]`, recording into `rec`. Returns the executed round count
+  /// (identical in every rank).
   std::size_t run_worker(std::size_t w, const local::ProgramFactory& factory,
-                         std::size_t max_rounds, std::uint64_t& epoch,
-                         obs::Recorder* rec);
+                         std::size_t max_rounds, obs::Recorder* rec);
 
   /// Ranks 1..N-1 as threads; returns rank 0's round count. Every failure
   /// is left in the control block's abort state.
@@ -155,11 +153,8 @@ class DistributedNetwork final : public local::Executor {
   Partition partition_;
   HaloTransport transport_;
   ControlBlock control_;
-  /// Resident programs per rank (its owned range, at local indices).
-  std::vector<std::vector<std::unique_ptr<local::NodeProgram>>> programs_;
-  /// Monotone round tag; never reset across runs. Thread ranks start each
-  /// run from a copy, so every rank tags identically.
-  std::uint64_t epoch_ = 0;
+  /// Resident program block per rank (its owned range, at local indices).
+  std::vector<std::unique_ptr<local::ProgramBlock>> programs_;
   local::RoundStatsSink sink_;
 };
 

@@ -1,6 +1,7 @@
 #include "dist/partition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "support/check.hpp"
@@ -43,6 +44,32 @@ std::vector<graph::NodeId> degree_balanced_boundaries(
 }
 
 namespace {
+
+/// A rank's span arena — its own ports, then one out-halo slot per cut
+/// port — is indexed by the 32-bit delivery tables.
+void check_arena_slots(std::size_t local_ports, std::size_t cut_ports) {
+  DS_CHECK_MSG(
+      local_ports + cut_ports < std::numeric_limits<std::uint32_t>::max(),
+      "Partition supports < 2^32 arena slots per rank");
+}
+
+/// Stable LSD radix sort of `keys` by their high 32 bits, all below
+/// `range`: one counting pass per 8-bit digit of range - 1, so O(keys) per
+/// pass and no memory beyond `spare` (resized to keys.size()).
+void sort_by_high_word(std::vector<std::uint64_t>& keys, std::size_t range,
+                       std::vector<std::uint64_t>& spare) {
+  spare.resize(keys.size());
+  for (unsigned shift = 32; (std::uint64_t{1} << (shift - 32)) < range;
+       shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const std::uint64_t key : keys) ++start[((key >> shift) & 0xFF) + 1];
+    for (std::size_t b = 0; b < 256; ++b) start[b + 1] += start[b];
+    for (const std::uint64_t key : keys) {
+      spare[start[(key >> shift) & 0xFF]++] = key;
+    }
+    keys.swap(spare);
+  }
+}
 
 /// Owner of node v under contiguous `bounds` (size parts + 1).
 std::size_t owner_of(const std::vector<graph::NodeId>& bounds,
@@ -93,11 +120,10 @@ Partition::Partition(const local::NetworkTopology& topo,
                      std::size_t num_workers)
     : num_workers_(num_workers) {
   DS_CHECK_MSG(num_workers >= 1, "Partition requires at least one worker");
+  // The topology holds fewer than 2^32 directed ports, so every slot below
+  // fits the 32-bit tables.
   const graph::Graph& g = topo.graph();
   const std::span<const std::size_t> offsets = topo.port_offsets();
-  DS_CHECK_MSG(topo.total_ports() <
-                   std::numeric_limits<std::uint32_t>::max(),
-               "Partition supports < 2^32 directed ports");
   bounds_ = degree_balanced_boundaries(offsets, num_workers);
   stats_ = partition_stats(g, offsets, bounds_);
 
@@ -110,24 +136,43 @@ Partition::Partition(const local::NetworkTopology& topo,
   local_delivery_.resize(num_workers);
   links_.assign(num_workers * num_workers, {});
 
+  std::vector<std::uint32_t> cut(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
+    const graph::NodeId first = first_node(w);
+    const graph::NodeId last = last_node(w);
+    const auto owned = [&](graph::NodeId u) { return u >= first && u < last; };
+    // Count each link's cut ports first, so every link is allocated once.
+    std::fill(cut.begin(), cut.end(), 0);
+    for (graph::NodeId v = first; v < last; ++v) {
+      for (const graph::NodeId u : g.neighbors(v)) {
+        if (!owned(u)) ++cut[owner(u)];
+      }
+    }
+    std::size_t cut_ports = 0;
+    for (std::size_t d = 0; d < num_workers; ++d) {
+      links_[w * num_workers_ + d].src_out_slots.reserve(cut[d]);
+      links_[w * num_workers_ + d].dst_slots.reserve(cut[d]);
+      cut_ports += cut[d];
+    }
+
     const std::size_t local_ports = num_local_ports(w);
-    std::vector<std::size_t>& table = local_delivery_[w];
+    check_arena_slots(local_ports, cut_ports);
+    std::vector<std::uint32_t>& table = local_delivery_[w];
     table.resize(local_ports);
     std::uint32_t out_index = 0;
-    for (graph::NodeId v = first_node(w); v < last_node(w); ++v) {
+    for (graph::NodeId v = first; v < last; ++v) {
       const std::size_t row = offsets[v] - port_base_[w];
       const auto& neighbors = g.neighbors(v);
       for (std::size_t p = 0; p < neighbors.size(); ++p) {
         const std::size_t slot = topo.delivery_slot(v, p);
-        const std::size_t d = owner(neighbors[p]);
-        if (d == w) {
-          table[row + p] = slot - port_base_[w];
+        if (owned(neighbors[p])) {
+          table[row + p] = static_cast<std::uint32_t>(slot - port_base_[w]);
         } else {
+          const std::size_t d = owner(neighbors[p]);
           // Cut port: stage in the out-halo region; both sides of the link
           // append in this same (node, port) iteration order, which is what
           // makes the exchange self-describing.
-          table[row + p] = local_ports + out_index;
+          table[row + p] = static_cast<std::uint32_t>(local_ports + out_index);
           HaloLink& link = links_[w * num_workers_ + d];
           link.src_out_slots.push_back(out_index);
           link.dst_slots.push_back(
@@ -155,8 +200,7 @@ Partition Partition::rank_local(const std::vector<graph::NodeId>& bounds,
   const graph::NodeId first = csr.first;
   const graph::NodeId last = csr.last;
   const std::size_t local_ports = csr.offsets.back();
-  DS_CHECK_MSG(local_ports < std::numeric_limits<std::uint32_t>::max(),
-               "Partition supports < 2^32 directed ports");
+  check_arena_slots(local_ports, 0);
 
   Partition part;
   part.num_workers_ = workers;
@@ -172,61 +216,57 @@ Partition Partition::rank_local(const std::vector<graph::NodeId>& bounds,
   part.local_delivery_.resize(workers);
   part.links_.assign(workers * workers, {});
 
-  const auto owned = [&](graph::NodeId v) { return v >= first && v < last; };
-  // Reverse-port lookup: ascending rows make the neighbor index a binary
-  // search — this is where the canonical sorted-adjacency invariant earns
-  // its keep.
-  const auto local_slot = [&](graph::NodeId of, graph::NodeId target) {
-    const std::size_t row = csr.offsets[of - first];
-    const std::size_t row_end = csr.offsets[of - first + 1];
-    const auto* begin = csr.adjacency.data() + row;
-    const auto* end = csr.adjacency.data() + row_end;
-    const auto* it = std::lower_bound(begin, end, target);
-    DS_CHECK_MSG(it != end && *it == target,
-                 "rank-local CSR rows are inconsistent");
-    return row + static_cast<std::size_t>(it - begin);
-  };
-
-  std::vector<std::size_t>& table = part.local_delivery_[rank];
+  // One walk over the owned rows, which ascend (the canonical layout). An
+  // internal port (v, p) toward u is delivered at v's position in u's row:
+  // v ascends over the walk, so a cursor per owned row only moves forward.
+  // A cut port toward peer d is staged in the out-halo region (node asc,
+  // port asc, like the full constructor), listed in the outgoing
+  // link(rank, d), and its own slot is where d's message on that edge
+  // lands. d sends in (u, v) order — its nodes u ascend, and so do their
+  // rows — while the walk meets d's u's in v order: `incoming[d]` keeps
+  // (u - first(d)) << 32 | slot, and a stable sort by u yields the
+  // incoming link(d, rank)'s dst column.
+  std::vector<std::uint32_t>& table = part.local_delivery_[rank];
   table.resize(local_ports);
-  std::uint32_t out_index = 0;
-  // (remote u, owned v) pairs per source rank, for the incoming dst columns.
-  std::vector<std::vector<graph::Edge>> incoming(workers);
+  std::vector<std::uint32_t> cursor(csr.offsets.begin(),
+                                    csr.offsets.end() - 1);
+  std::vector<std::vector<std::uint64_t>> incoming(workers);
+  std::size_t out_index = 0;
   for (graph::NodeId v = first; v < last; ++v) {
-    const std::size_t row = csr.offsets[v - first];
-    const std::size_t deg = csr.offsets[v - first + 1] - row;
-    for (std::size_t p = 0; p < deg; ++p) {
-      const graph::NodeId u = csr.adjacency[row + p];
-      if (owned(u)) {
-        table[row + p] = local_slot(u, v);
+    const std::size_t row_end = csr.offsets[v - first + 1];
+    for (std::size_t slot = csr.offsets[v - first]; slot < row_end; ++slot) {
+      const graph::NodeId u = csr.adjacency[slot];
+      if (u >= first && u < last) {
+        std::uint32_t& c = cursor[u - first];
+        const std::size_t u_end = csr.offsets[u - first + 1];
+        while (c < u_end && csr.adjacency[c] < v) ++c;
+        DS_CHECK_MSG(c < u_end && csr.adjacency[c] == v,
+                     "rank-local CSR rows are inconsistent");
+        table[slot] = c++;
       } else {
-        // Same (node asc, port asc) staging order as the full constructor.
         const std::size_t d = owner_of(bounds, u);
-        table[row + p] = local_ports + out_index;
-        part.links_[rank * workers + d].src_out_slots.push_back(out_index);
+        table[slot] = static_cast<std::uint32_t>(local_ports + out_index);
+        part.links_[rank * workers + d].src_out_slots.push_back(
+            static_cast<std::uint32_t>(out_index));
+        incoming[d].push_back(
+            (static_cast<std::uint64_t>(u - bounds[d]) << 32) | slot);
         ++out_index;
-        incoming[d].push_back(graph::Edge{u, v});
       }
     }
   }
-  part.out_halo_counts_[rank] = out_index;
+  check_arena_slots(local_ports, out_index);
+  part.out_halo_counts_[rank] = static_cast<std::uint32_t>(out_index);
 
-  // Incoming link(s, rank) dst columns: source s walks its own nodes u
-  // ascending with ascending rows, so its send order restricted to us is
-  // exactly (u, v) lexicographic.
-  for (std::size_t s = 0; s < workers; ++s) {
-    if (s == rank || incoming[s].empty()) continue;
-    std::vector<graph::Edge>& pairs = incoming[s];
-    std::sort(pairs.begin(), pairs.end(),
-              [](const graph::Edge& a, const graph::Edge& b) {
-                return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-    HaloLink& link = part.links_[s * workers + rank];
-    link.dst_slots.reserve(pairs.size());
-    for (const graph::Edge& e : pairs) {
-      link.dst_slots.push_back(
-          static_cast<std::uint32_t>(local_slot(e.v, e.u)));
+  std::vector<std::uint64_t> spare;
+  for (std::size_t d = 0; d < workers; ++d) {
+    if (incoming[d].empty()) continue;
+    sort_by_high_word(incoming[d], bounds[d + 1] - bounds[d], spare);
+    std::vector<std::uint32_t>& dst = part.links_[d * workers + rank].dst_slots;
+    dst.reserve(incoming[d].size());
+    for (const std::uint64_t key : incoming[d]) {
+      dst.push_back(static_cast<std::uint32_t>(key));
     }
+    incoming[d] = {};
   }
   return part;
 }

@@ -118,10 +118,10 @@ class Partition {
   [[nodiscard]] std::size_t num_out_halo(std::size_t w) const {
     return static_cast<std::size_t>(out_halo_counts_[w]);
   }
-  /// Worker w's local delivery table, one entry per owned directed port in
-  /// CSR order; see the class comment. The `local::Outbox` row of owned node
-  /// v starts at index `topo.port_offset(v) - port_base(w)`.
-  [[nodiscard]] const std::vector<std::size_t>& local_delivery(
+  /// Worker w's local delivery table, one 32-bit entry per owned directed
+  /// port in CSR order; see the class comment. The `local::Outbox` row of
+  /// owned node v starts at index `topo.port_offset(v) - port_base(w)`.
+  [[nodiscard]] const std::vector<std::uint32_t>& local_delivery(
       std::size_t w) const {
     return local_delivery_[w];
   }
@@ -138,7 +138,7 @@ class Partition {
   std::vector<graph::NodeId> bounds_;      ///< size num_workers + 1
   std::vector<std::size_t> port_base_;     ///< size num_workers + 1
   std::vector<std::uint32_t> out_halo_counts_;
-  std::vector<std::vector<std::size_t>> local_delivery_;
+  std::vector<std::vector<std::uint32_t>> local_delivery_;
   std::vector<HaloLink> links_;            ///< dense num_workers^2 table
   PartitionStats stats_;
 };

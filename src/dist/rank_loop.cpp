@@ -10,18 +10,19 @@
 
 namespace ds::dist {
 
-std::size_t run_rank_loop(
-    const RankView& view, const Partition& part, Transport& transport,
-    const local::ProgramFactory& factory, std::size_t max_rounds,
-    std::uint64_t& epoch, const local::RoundStatsSink& sink,
-    const local::OutputFn& output_fn,
-    std::vector<std::unique_ptr<local::NodeProgram>>& programs,
-    obs::Recorder* recorder) {
+std::size_t run_rank_loop(const RankView& view, const Partition& part,
+                          Transport& transport,
+                          const local::ProgramFactory& factory,
+                          std::size_t max_rounds,
+                          const local::RoundStatsSink& sink,
+                          const local::OutputFn& output_fn,
+                          std::unique_ptr<local::ProgramBlock>& programs,
+                          obs::Recorder* recorder) {
   const std::size_t w = transport.rank();
   const graph::NodeId first = part.first_node(w);
   const graph::NodeId last = part.last_node(w);
   const std::size_t port_base = part.port_base(w);
-  const std::vector<std::size_t>& local_delivery = part.local_delivery(w);
+  const std::vector<std::uint32_t>& local_delivery = part.local_delivery(w);
 
   const auto port_offset = [&](graph::NodeId v) {
     return view.port_offsets[v - view.offset_first];
@@ -29,26 +30,26 @@ std::size_t run_rank_loop(
   const auto degree = [&](graph::NodeId v) {
     return view.port_offsets[v - view.offset_first + 1] - port_offset(v);
   };
-  const auto prog_at = [&](graph::NodeId v) -> local::NodeProgram& {
-    return *programs[v - first];
-  };
 
-  // Only the owned range is constructed (factories are pure per node), at
-  // local indices: a vector of n mostly-null pointers would itself be a
-  // full-instance allocation on every rank.
-  programs.clear();
-  programs.resize(last - first);
-  for (graph::NodeId v = first; v < last; ++v) {
-    programs[v - first] = factory(view.env_of(v));
-    DS_CHECK(programs[v - first] != nullptr);
-  }
+  // Only the owned range is constructed (factories are pure per node), as
+  // one block at local indices. The previous run's block goes first, on
+  // this rank's thread.
+  programs.reset();
+  programs = factory(first, last, view.env_of);
+  DS_CHECK_MSG(programs != nullptr && programs->size() == last - first,
+               "program factory must build one program per owned node");
+  local::ProgramBlock& block = *programs;
+  const auto prog_at = [&](graph::NodeId v) -> local::NodeProgram& {
+    return block.at(v - first);
+  };
 
   // Private round state: single-buffered bank + local span arena (own port
   // range followed by the out-halo staging slots) — the sequential
-  // executor's layout, per rank.
+  // executor's layout, per rank. The arena is fresh, so every run tags
+  // from epoch 1: the shm transport rewrites every halo span each round and
+  // TCP patches only this arena, so nothing of an earlier run can match.
   local::WordBank bank;
-  std::vector<local::MessageSpan> arena(part.num_local_ports(w) +
-                                        part.num_out_halo(w));
+  local::SpanArena arena(part.num_local_ports(w) + part.num_out_halo(w));
   std::vector<const std::uint64_t*> bases;
 
   const auto count_alive = [&] {
@@ -92,7 +93,7 @@ std::size_t run_rank_loop(
     const obs::PerfSample p0 = perf_now();
     // Send phase: owned live nodes serialize into the private arena; the
     // local delivery table routes cut ports into the out-halo staging area.
-    ++epoch;
+    const std::uint32_t epoch = arena.advance();
     bank.clear();
     Transport::RoundTotals mine;
     for (graph::NodeId v = first; v < last; ++v) {
@@ -252,13 +253,14 @@ RankView RankView::of(const local::NetworkTopology& topo) {
   return view;
 }
 
-const local::NodeProgram& owned_program(
-    const std::vector<std::unique_ptr<local::NodeProgram>>& programs,
-    graph::NodeId first, graph::NodeId v) {
-  DS_CHECK_MSG(v >= first && v - first < programs.size(),
+const local::NodeProgram& owned_program(const local::ProgramBlock* programs,
+                                        graph::NodeId first,
+                                        graph::NodeId v) {
+  DS_CHECK_MSG(programs != nullptr && v >= first &&
+                   v - first < programs->size(),
                "program(v) is only resident in the owning rank's process; "
                "use set_output_fn/outputs() for cross-rank results");
-  return *programs[v - first];
+  return programs->at(v - first);
 }
 
 namespace {

@@ -13,7 +13,7 @@
 /// protocol:
 ///
 ///   1. invoke the (pure per node) factory for the owned range [first,
-///      last) only, storing the programs at local indices;
+///      last) only: one `local::ProgramBlock` at local indices;
 ///   2. per round: owned live nodes send through the unmodified
 ///      `local::Outbox` (the Partition's delivery table routes cut ports
 ///      into out-halo staging slots) -> `Transport::ship` -> patch +
@@ -67,7 +67,7 @@ struct RankView {
   graph::NodeId offset_first = 0;
   /// Builds the node environment (uid, degree, neighbor row, forked rng)
   /// for one owned node; its pointers borrow tables that outlive the run.
-  std::function<local::NodeEnv(graph::NodeId)> env_of;
+  local::EnvFn env_of;
 
   /// The view of a fully materialized topology; `topo` must outlive it.
   static RankView of(const local::NetworkTopology& topo);
@@ -98,30 +98,30 @@ std::size_t run_fleet(Transport& transport, obs::Recorder* recorder,
 /// Runs rank `transport.rank()`'s full share of one distributed run:
 /// construct programs, execute rounds, gather outputs — `run_fleet`'s
 /// usual body. Returns the executed round count (identical on every rank
-/// by construction). `epoch` is the caller's monotone round tag, advanced
-/// once per round; `sink`, when non-empty, receives per-round stats from
+/// by construction). The run's span arena is its own and tags rounds from
+/// epoch 1. `sink`, when non-empty, receives per-round stats from
 /// `Transport::round_totals` (only install it on ranks where the transport
-/// aggregates totals). `programs` is filled with the owned range's
-/// instances (`programs[v - first]`) and stays alive for the caller's
-/// `program()` accessor. Throws ds::CheckError when `max_rounds` is hit
-/// with unhalted nodes. `recorder`, when non-null, receives this rank's
-/// phase spans and round counters, and its block leads the gather payload
-/// (see the file comment).
+/// aggregates totals). `programs` first releases the previous run's block,
+/// then holds the owned range's (`programs->at(v - first)`), which stays
+/// alive for the caller's `program()` accessor. Throws ds::CheckError when
+/// `max_rounds` is hit with unhalted nodes. `recorder`, when non-null,
+/// receives this rank's phase spans and round counters, and its block
+/// leads the gather payload (see the file comment).
 std::size_t run_rank_loop(const RankView& view, const Partition& part,
                           Transport& transport,
                           const local::ProgramFactory& factory,
-                          std::size_t max_rounds, std::uint64_t& epoch,
+                          std::size_t max_rounds,
                           const local::RoundStatsSink& sink,
                           const local::OutputFn& output_fn,
-                          std::vector<std::unique_ptr<local::NodeProgram>>&
-                              programs,
+                          std::unique_ptr<local::ProgramBlock>& programs,
                           obs::Recorder* recorder = nullptr);
 
-/// `Executor::program(v)` over the owned range starting at node `first`;
-/// any other node's program lives in another rank's process and throws.
-const local::NodeProgram& owned_program(
-    const std::vector<std::unique_ptr<local::NodeProgram>>& programs,
-    graph::NodeId first, graph::NodeId v);
+/// `Executor::program(v)` over the owned block starting at node `first`
+/// (null before the first run); any other node's program lives in another
+/// rank's process and throws.
+const local::NodeProgram& owned_program(const local::ProgramBlock* programs,
+                                        graph::NodeId first,
+                                        graph::NodeId v);
 
 /// Assembles the gathered per-node rows ([length, words...] per node, ranks
 /// in order) into `out`, skipping each rank's leading observability block.

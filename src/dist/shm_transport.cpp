@@ -3,6 +3,8 @@
 #include <atomic>
 #include <string>
 
+#include "support/check.hpp"
+
 namespace ds::dist {
 
 HaloTransport::HaloTransport(const Partition& part)
@@ -17,7 +19,7 @@ HaloTransport::HaloTransport(const Partition& part)
 std::size_t HaloTransport::ship(std::size_t src,
                                 const local::MessageSpan* local_arena,
                                 const std::uint64_t* bank_words,
-                                std::uint64_t epoch) {
+                                std::uint32_t epoch) {
   Halo& out = halo_[src];
   out.words.clear();
   const local::MessageSpan* staged =
@@ -31,8 +33,15 @@ std::size_t HaloTransport::ship(std::size_t src,
       out.spans[slot].epoch = 0;
       continue;
     }
-    out.spans[slot] =
-        local::MessageSpan{out.words.size(), epoch, span.length, bank};
+    // A broadcast is copied once per cut port, so the halo words can
+    // outgrow the bank: check the 32-bit offset before it narrows.
+    DS_CHECK_MSG(span.length <= local::kMaxBankWords - out.words.size(),
+                 "halo buffer: a round's cut traffic exceeds 2^32 - 1 words");
+    out.spans[slot] = local::MessageSpan{
+        .offset = static_cast<std::uint32_t>(out.words.size()),
+        .length = span.length,
+        .epoch = epoch,
+        .bank = bank};
     out.words.insert(out.words.end(), bank_words + span.offset,
                      bank_words + span.offset + span.length);
   }
@@ -40,7 +49,7 @@ std::size_t HaloTransport::ship(std::size_t src,
 }
 
 void HaloTransport::patch(std::size_t dst, local::MessageSpan* local_arena,
-                          std::uint64_t epoch) const {
+                          std::uint32_t epoch) const {
   for (std::size_t s = 0; s < halo_.size(); ++s) {
     const Partition::HaloLink& link = part_->link(s, dst);
     const std::vector<local::MessageSpan>& shipped = halo_[s].spans;
@@ -100,7 +109,7 @@ std::size_t ShmTransport::sync_liveness(std::size_t my_not_done) {
 }
 
 void ShmTransport::ship(const local::MessageSpan* local_arena,
-                        const std::uint64_t* bank_words, std::uint64_t epoch,
+                        const std::uint64_t* bank_words, std::uint32_t epoch,
                         const RoundTotals& mine) {
   shipped_words_.add(halo_->ship(worker_, local_arena, bank_words, epoch));
   WorkerCounters* counters = control_->counters(worker_);
@@ -128,7 +137,7 @@ Transport::RoundTotals ShmTransport::round_totals() const {
 }
 
 void ShmTransport::patch(local::MessageSpan* local_arena,
-                         std::uint64_t epoch) {
+                         std::uint32_t epoch) {
   halo_->patch(worker_, local_arena, epoch);
 }
 

@@ -55,13 +55,13 @@ class HaloTransport {
   /// Returns the payload words copied (the halo traffic this rank put on
   /// the "wire" this round).
   std::size_t ship(std::size_t src, const local::MessageSpan* local_arena,
-                   const std::uint64_t* bank_words, std::uint64_t epoch);
+                   const std::uint64_t* bank_words, std::uint32_t epoch);
 
   /// Delivers every peer's shipped messages into rank dst's local span
   /// arena: spans tagged `epoch` and bank index `1 + src`, pointing into
   /// src's halo words.
   void patch(std::size_t dst, local::MessageSpan* local_arena,
-             std::uint64_t epoch) const;
+             std::uint32_t epoch) const;
 
   /// Word-bank base table for rank w's `local::Inbox`s, into a caller-owned
   /// vector (resized to 1 + W, so the per-round rebuild allocates nothing
@@ -112,10 +112,10 @@ class ShmTransport final : public Transport {
 
   std::size_t sync_liveness(std::size_t my_not_done) override;
   void ship(const local::MessageSpan* local_arena,
-            const std::uint64_t* bank_words, std::uint64_t epoch,
+            const std::uint64_t* bank_words, std::uint32_t epoch,
             const RoundTotals& mine) override;
   [[nodiscard]] RoundTotals round_totals() const override;
-  void patch(local::MessageSpan* local_arena, std::uint64_t epoch) override;
+  void patch(local::MessageSpan* local_arena, std::uint32_t epoch) override;
   void update_bank_bases(std::vector<const std::uint64_t*>& bases,
                          const std::uint64_t* own_bank) const override;
   void gather(const std::vector<std::uint64_t>& words) override;

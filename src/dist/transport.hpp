@@ -90,7 +90,7 @@ class Transport {
   /// stats aggregation. Synchronizes: on return every peer's traffic toward
   /// this rank is patchable.
   virtual void ship(const local::MessageSpan* local_arena,
-                    const std::uint64_t* bank_words, std::uint64_t epoch,
+                    const std::uint64_t* bank_words, std::uint32_t epoch,
                     const RoundTotals& mine) = 0;
 
   /// The shipped round's totals summed over all ranks. Only valid between
@@ -101,7 +101,7 @@ class Transport {
   /// Delivers every peer's shipped messages into this rank's local span
   /// arena: spans are tagged `epoch` with bank index `1 + src`.
   virtual void patch(local::MessageSpan* local_arena,
-                     std::uint64_t epoch) = 0;
+                     std::uint32_t epoch) = 0;
 
   /// Fills `bases` (resized to 1 + num_ranks) with the word-bank base table
   /// for this rank's Inboxes: index 0 = `own_bank`, index 1 + src = the

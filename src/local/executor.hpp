@@ -102,11 +102,12 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Runs one program instance per node for at most `max_rounds` rounds,
-  /// with UIDs per `ids` and node coins forked from `seed`. Returns the
-  /// number of executed rounds (also added to `meter` if given). Throws if
-  /// the round limit is hit with unhalted nodes. The program instances stay
-  /// alive inside the executor until the next run (or its destruction) so
-  /// callers can read their outputs via `program`.
+  /// with UIDs per `ids` and node coins forked from `seed`; `factory` builds
+  /// each rank's programs as one block. Returns the number of executed
+  /// rounds (also added to `meter` if given). Throws if the round limit is
+  /// hit with unhalted nodes. The program instances stay alive inside the
+  /// executor until the next run (or its destruction) so callers can read
+  /// their outputs via `program`.
   virtual std::size_t run(const ProgramFactory& factory, IdStrategy ids,
                           std::uint64_t seed, std::size_t max_rounds,
                           CostMeter* meter = nullptr) = 0;
@@ -152,11 +153,11 @@ class Executor {
 
  protected:
   /// Rebuilds `outputs_` by applying the installed OutputFn to every
-  /// program of the most recent run (via the virtual `program()`); clears
-  /// the table when no OutputFn is installed. The sequential executor
-  /// calls this at the end of run(); the distributed executors gather rows
-  /// from their ranks instead.
-  void collect_outputs_from_programs();
+  /// program of `programs`, the block of the most recent run over
+  /// [0, n); clears the table when no OutputFn is installed. The sequential
+  /// executor calls this at the end of run(); the distributed executors
+  /// gather rows from their ranks instead.
+  void collect_outputs_from_programs(const ProgramBlock& programs);
 
   OutputFn output_fn_;
   OutputTable outputs_;

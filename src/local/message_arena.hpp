@@ -8,17 +8,21 @@
 /// One round's outgoing traffic is stored as
 ///  * a *word bank* per writer shard — a bump buffer of raw 64-bit words
 ///    that is cleared (capacity kept) at the start of the shard's send
-///    phase, so steady-state rounds perform no heap allocation;
-///  * a flat *span arena* with one `MessageSpan` per directed port, indexed
+///    phase, so steady-state rounds perform no heap allocation. Spans hold
+///    32-bit offsets and lengths, so a bank holds fewer than 2^32 words: the
+///    `Outbox` refuses a write past that bound before the bank grows;
+///  * a `SpanArena`: one 16-byte `MessageSpan` per directed port, indexed
 ///    by the topology's delivery slot. A span records where in which bank
-///    the payload lives and which *epoch* (global round counter) wrote it.
+///    the payload lives and which *epoch* (32-bit round tag) wrote it.
 ///
 /// Staleness is handled by the epoch tag instead of by clearing: a receiver
 /// only accepts a span whose epoch matches the round being received, so a
 /// halted neighbor's last message can never leak into a later round — and
-/// executors never have to touch slots they do not deliver into. Epochs
-/// increase monotonically across runs of the same executor, which also makes
-/// executor reuse safe without resetting the arenas.
+/// executors never have to touch slots they do not deliver into. The arena
+/// owns its epoch: each round advances it, and when it would wrap the arena
+/// resets every span to epoch 0 and restarts at 1, so a stale span can never
+/// alias a later round. The sequential executor keeps one arena across its
+/// runs; each distributed rank builds one per run.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,14 +36,44 @@ namespace ds::local {
 /// Bump buffer of serialized message words owned by one writer shard.
 using WordBank = std::vector<std::uint64_t>;
 
+/// Largest word count a bank may hold: span offsets and lengths are 32-bit.
+inline constexpr std::size_t kMaxBankWords = UINT32_MAX;
+
 /// One serialized message: a (bank, offset, length) payload reference plus
 /// the epoch tag of the round that wrote it. epoch == 0 means "never
-/// written" (executors start tagging at 1).
+/// written" (arenas start tagging at 1).
 struct MessageSpan {
-  std::uint64_t offset = 0;  ///< first payload word inside the bank
-  std::uint64_t epoch = 0;   ///< global round counter at write time
+  std::uint32_t offset = 0;  ///< first payload word inside the bank
   std::uint32_t length = 0;  ///< payload length in words
+  std::uint32_t epoch = 0;   ///< round tag at write time
   std::uint32_t bank = 0;    ///< writer's word-bank (shard) index
+};
+static_assert(sizeof(MessageSpan) == 16);
+
+/// The spans of one executor or rank, one per slot, plus the epoch of the
+/// round being written — the one place the epoch advances and wraps.
+class SpanArena {
+ public:
+  /// `slots` untagged spans; the first `advance` returns epoch + 1. Only
+  /// tests start at another epoch than 0 (to drive the wrap).
+  explicit SpanArena(std::size_t slots, std::uint32_t epoch = 0)
+      : spans_(slots), epoch_(epoch) {}
+
+  /// Starts the next round and returns its epoch. At the wrap every span is
+  /// reset to epoch 0 and the count restarts at 1.
+  std::uint32_t advance() {
+    if (epoch_ == UINT32_MAX) {
+      for (MessageSpan& span : spans_) span.epoch = 0;
+      epoch_ = 0;
+    }
+    return ++epoch_;
+  }
+
+  [[nodiscard]] MessageSpan* data() { return spans_.data(); }
+
+ private:
+  std::vector<MessageSpan> spans_;
+  std::uint32_t epoch_;
 };
 
 /// Read-only view of one received message (a borrowed word span). Valid only
@@ -72,8 +106,8 @@ class MessageView {
 class Outbox {
  public:
   Outbox(WordBank* bank, std::uint32_t bank_index, MessageSpan* spans,
-         const std::size_t* delivery_slots, std::size_t degree,
-         std::uint64_t epoch)
+         const std::uint32_t* delivery_slots, std::size_t degree,
+         std::uint32_t epoch)
       : bank_(bank),
         spans_(spans),
         slots_(delivery_slots),
@@ -92,6 +126,7 @@ class Outbox {
   /// increasing order.
   void push(std::size_t port, std::uint64_t word) {
     if (open_ == nullptr || port != open_port_) open(port);
+    check_room(1);
     bank_->push_back(word);
     if (open_->length == 0) ++messages_;
     ++open_->length;
@@ -101,6 +136,7 @@ class Outbox {
   /// Writes `count` words as the complete message for `port`. The message
   /// is final: a later push() to the same port throws.
   void write(std::size_t port, const std::uint64_t* words, std::size_t count) {
+    check_room(count);
     open(port);
     bank_->insert(bank_->end(), words, words + count);
     open_->length = static_cast<std::uint32_t>(count);
@@ -124,14 +160,14 @@ class Outbox {
                  "Outbox::broadcast must be the round's only write");
     next_port_ = degree_;  // forbid any further writes
     if (degree_ == 0) return;
-    const std::uint64_t offset = bank_->size();
+    check_room(count);
+    const MessageSpan span{.offset = static_cast<std::uint32_t>(bank_->size()),
+                           .length = static_cast<std::uint32_t>(count),
+                           .epoch = epoch_,
+                           .bank = bank_index_};
     bank_->insert(bank_->end(), words, words + count);
-    const auto length = static_cast<std::uint32_t>(count);
-    for (std::size_t p = 0; p < degree_; ++p) {
-      spans_[slots_[p]] =
-          MessageSpan{offset, epoch_, length, bank_index_};
-    }
-    if (length > 0) {
+    for (std::size_t p = 0; p < degree_; ++p) spans_[slots_[p]] = span;
+    if (count > 0) {
       messages_ += degree_;
       payload_words_ += degree_ * count;
     }
@@ -157,16 +193,26 @@ class Outbox {
     DS_CHECK_MSG(port >= next_port_,
                  "Outbox port already written (or written after broadcast)");
     open_ = &spans_[slots_[port]];
-    *open_ = MessageSpan{bank_->size(), epoch_, 0, bank_index_};
+    *open_ = MessageSpan{.offset = static_cast<std::uint32_t>(bank_->size()),
+                         .length = 0,
+                         .epoch = epoch_,
+                         .bank = bank_index_};
     open_port_ = port;
     next_port_ = port + 1;
   }
 
+  /// Refuses `count` more words before the bank grows past what a span's
+  /// 32-bit offset and length can address.
+  void check_room(std::size_t count) const {
+    DS_CHECK_MSG(count <= kMaxBankWords - bank_->size(),
+                 "Outbox: a round's messages exceed 2^32 - 1 words");
+  }
+
   WordBank* bank_;
-  MessageSpan* spans_;          ///< write span arena (full network)
-  const std::size_t* slots_;    ///< this node's delivery-slot row
+  MessageSpan* spans_;            ///< write span arena (full network)
+  const std::uint32_t* slots_;    ///< this node's delivery-slot row
   std::size_t degree_;
-  std::uint64_t epoch_;
+  std::uint32_t epoch_;
   std::uint32_t bank_index_;
   MessageSpan* open_ = nullptr;  ///< span of the currently open port
   std::size_t open_port_ = 0;
@@ -185,7 +231,7 @@ class Inbox {
   /// `bank_bases` maps bank index -> first word of that bank's read buffer,
   /// and `epoch` is the tag the received round's writers used.
   Inbox(const MessageSpan* spans, std::size_t degree,
-        const std::uint64_t* const* bank_bases, std::uint64_t epoch)
+        const std::uint64_t* const* bank_bases, std::uint32_t epoch)
       : spans_(spans), bank_bases_(bank_bases), degree_(degree),
         epoch_(epoch) {}
 
@@ -204,7 +250,7 @@ class Inbox {
   const MessageSpan* spans_;
   const std::uint64_t* const* bank_bases_;
   std::size_t degree_;
-  std::uint64_t epoch_;
+  std::uint32_t epoch_;
 };
 
 }  // namespace ds::local

@@ -1,6 +1,5 @@
 #include "local/network.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -10,23 +9,22 @@
 
 namespace ds::local {
 
-Network::Network(const graph::Graph& g) : topology_(g) {
-  spans_.resize(topology_.total_ports());
-}
+Network::Network(const graph::Graph& g)
+    : topology_(g), arena_(topology_.total_ports()) {}
 
 std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
                          std::uint64_t seed, std::size_t max_rounds,
                          CostMeter* meter) {
   const graph::Graph& g = topology_.graph();
-  const std::size_t n = g.num_nodes();
-  auto& programs = programs_;
-  programs.clear();
+  const auto n = static_cast<graph::NodeId>(g.num_nodes());
+  programs_.reset();
   topology_.assign_identity(ids, seed);
-  programs.resize(n);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    programs[v] = factory(topology_.make_env(v));
-    DS_CHECK(programs[v] != nullptr);
-  }
+  programs_ = factory(0, n, [this](graph::NodeId v) {
+    return topology_.make_env(v);
+  });
+  DS_CHECK_MSG(programs_ != nullptr && programs_->size() == n,
+               "program factory must build one program per node");
+  ProgramBlock& programs = *programs_;
 
   obs::Recorder* const rec = recorder();
   obs::RoundInstruments ins;
@@ -51,8 +49,10 @@ std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
 
   std::size_t round = 0;
   auto all_done = [&] {
-    return std::all_of(programs.begin(), programs.end(),
-                       [](const auto& p) { return p->done(); });
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (!programs.at(v).done()) return false;
+    }
+    return true;
   };
   while (!all_done()) {
     DS_CHECK_MSG(round < max_rounds, "Network::run exceeded max_rounds");
@@ -62,17 +62,18 @@ std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
     // are tagged with this round's epoch, so no node can observe same-round
     // messages while producing its own (synchrony) and stale slots of
     // halted neighbors are ignored without clearing.
-    ++epoch_;
+    const std::uint32_t epoch = arena_.advance();
     bank_.clear();
     std::size_t live = 0;
     std::size_t messages = 0;
     std::size_t payload_words = 0;
     for (graph::NodeId v = 0; v < n; ++v) {
-      if (programs[v]->done()) continue;
+      NodeProgram& program = programs.at(v);
+      if (program.done()) continue;
       ++live;
-      Outbox out(&bank_, 0, spans_.data(), topology_.delivery_row(v),
-                 g.degree(v), epoch_);
-      programs[v]->send(round, out);
+      Outbox out(&bank_, 0, arena_.data(), topology_.delivery_row(v),
+                 g.degree(v), epoch);
+      program.send(round, out);
       messages += out.messages();
       payload_words += out.payload_words();
     }
@@ -82,10 +83,11 @@ std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
     // base pointer is stable for every borrowed view.
     const std::uint64_t* bases[1] = {bank_.data()};
     for (graph::NodeId v = 0; v < n; ++v) {
-      if (programs[v]->done()) continue;
-      Inbox inbox(spans_.data() + topology_.port_offset(v), g.degree(v),
-                  bases, epoch_);
-      programs[v]->receive(round, inbox);
+      NodeProgram& program = programs.at(v);
+      if (program.done()) continue;
+      Inbox inbox(arena_.data() + topology_.port_offset(v), g.degree(v),
+                  bases, epoch);
+      program.receive(round, inbox);
     }
     if (timed) {
       const auto t_end = std::chrono::steady_clock::now();
@@ -140,15 +142,14 @@ std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
     ins.rounds_executed.set(round);
     rec->publish_round(round);  // final snapshot includes rounds.executed
   }
-  collect_outputs_from_programs();
+  collect_outputs_from_programs(programs);
   if (meter != nullptr) meter->add_executed(round);
   return round;
 }
 
 const NodeProgram& Network::program(graph::NodeId v) const {
-  DS_CHECK(v < programs_.size());
-  DS_CHECK(programs_[v] != nullptr);
-  return *programs_[v];
+  DS_CHECK(programs_ != nullptr && v < programs_->size());
+  return programs_->at(v);
 }
 
 std::shared_ptr<Executor> make_executor(const ExecutorFactory& factory,

@@ -11,10 +11,12 @@
 /// reproducible and independent of scheduling order.
 ///
 /// Algorithms are written as per-node `NodeProgram`s (local/program.hpp);
-/// `Network::run` executes them round-synchronously and reports the number
-/// of rounds until all nodes halt. Messages travel through the writer-style
-/// arena of local/message_arena.hpp: one word bank plus a span per directed
-/// port, so steady-state rounds allocate nothing on the message path.
+/// `Network::run` builds them as one `ProgramBlock` over [0, n) — the
+/// sequential executor is one rank owning every node — executes them
+/// round-synchronously and reports the number of rounds until all nodes
+/// halt. Messages travel through the writer-style arena of
+/// local/message_arena.hpp: one word bank plus a span per directed port, so
+/// steady-state rounds allocate nothing on the message path.
 /// Higher-level algorithms that the paper treats as black boxes are not run
 /// through this interface; they account *charged* rounds on a `CostMeter`
 /// instead (see cost.hpp).
@@ -64,13 +66,12 @@ class Network final : public Executor {
  private:
   NetworkTopology topology_;
   /// Programs of the most recent run, kept alive for output extraction.
-  std::vector<std::unique_ptr<NodeProgram>> programs_;
+  std::unique_ptr<ProgramBlock> programs_;
   /// Single word bank (the whole network is one "shard") + span per port.
   WordBank bank_;
-  std::vector<MessageSpan> spans_;
-  /// Monotone round tag; never reset, so executor reuse needs no arena
-  /// clearing (stale spans can never alias a later round).
-  std::uint64_t epoch_ = 0;
+  /// Kept across runs: its epoch keeps advancing, so a reused executor
+  /// needs no clearing (the arena's wrap resets it).
+  SpanArena arena_;
   RoundStatsSink sink_;
 };
 

@@ -10,12 +10,16 @@
 /// A node's program depends only on its own environment — its ID, its ports
 /// and its private coins — exactly as in the LOCAL model. The distributed
 /// executors rely on this: each rank constructs only the programs of the
-/// nodes it owns.
+/// nodes it owns, as one `ProgramBlock` — a typed array, so a run holds no
+/// heap object per node and a rank's programs are freed in one call.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <type_traits>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "local/message_arena.hpp"
@@ -24,7 +28,8 @@
 namespace ds::local {
 
 /// Read-only environment a node program is constructed with. Trivially
-/// copyable: a program may keep a copy at no heap cost. Its two pointers
+/// copyable; a program copies out only the fields it reads, since a rank's
+/// block holds one program per owned node. Its two pointers
 /// borrow the executor's tables — its graph and the run's UIDs in its
 /// `NetworkTopology`, or on the in-situ path the rank-local CSR. The
 /// executor owns its programs and frees them when its next run starts,
@@ -82,12 +87,98 @@ class NodeProgram {
   [[nodiscard]] virtual bool done() const = 0;
 };
 
-/// Factory producing the program for one node given its environment. It
-/// must be pure per node — a function of `env` and immutable captured state
-/// only: a distributed rank calls it for its owned nodes alone, so no
-/// cross-node call order is promised, and thread ranks call it
-/// concurrently.
-using ProgramFactory =
-    std::function<std::unique_ptr<NodeProgram>(const NodeEnv&)>;
+/// The programs of one contiguous node range [first, last), stored as one
+/// array: `at(i)` is node first + i's program, found by address arithmetic
+/// over the array rather than through a pointer per node or a virtual call.
+/// Destroying the block destroys every program in it.
+class ProgramBlock {
+ public:
+  virtual ~ProgramBlock() = default;
+  ProgramBlock(const ProgramBlock&) = delete;
+  ProgramBlock& operator=(const ProgramBlock&) = delete;
+
+  /// Number of programs (last - first).
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// The program of node first + i; requires i < size().
+  [[nodiscard]] NodeProgram& at(std::size_t i) {
+    return *std::launder(reinterpret_cast<NodeProgram*>(first_ + i * stride_));
+  }
+  [[nodiscard]] const NodeProgram& at(std::size_t i) const {
+    return *std::launder(
+        reinterpret_cast<const NodeProgram*>(first_ + i * stride_));
+  }
+
+ protected:
+  ProgramBlock() = default;
+
+  /// Called by the derived block once its `size` programs are in place:
+  /// `first` is program 0's `NodeProgram` base, and the base of program i
+  /// lies `i * stride` bytes past it.
+  void bind(NodeProgram* first, std::size_t stride, std::size_t size) {
+    first_ = reinterpret_cast<std::byte*>(first);
+    stride_ = stride;
+    size_ = size;
+  }
+
+ private:
+  std::byte* first_ = nullptr;
+  std::size_t stride_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Environment of node v, built by the executor (`NetworkTopology::make_env`,
+/// or the in-situ rank's CSR).
+using EnvFn = std::function<NodeEnv(graph::NodeId)>;
+
+/// Factory producing the programs of the node range [first, last) in one
+/// call, node v's from `env_of(v)`. It must be pure per node — program v a
+/// function of `env_of(v)` and immutable captured state only: a
+/// distributed rank calls it for its owned range alone, and thread ranks
+/// call it concurrently. The returned block holds last - first programs.
+/// Build one with `programs<T>`.
+using ProgramFactory = std::function<std::unique_ptr<ProgramBlock>(
+    graph::NodeId first, graph::NodeId last, const EnvFn& env_of)>;
+
+namespace detail {
+
+/// A range's programs of type T in one `std::vector<T>`.
+template <typename T>
+class TypedProgramBlock final : public ProgramBlock {
+ public:
+  template <typename Make>
+  TypedProgramBlock(graph::NodeId first, graph::NodeId last,
+                    const EnvFn& env_of, const Make& make) {
+    programs_.reserve(last - first);
+    for (graph::NodeId v = first; v < last; ++v) {
+      programs_.push_back(make(env_of(v)));
+    }
+    bind(programs_.data(), sizeof(T), programs_.size());
+  }
+
+ private:
+  std::vector<T> programs_;
+};
+
+}  // namespace detail
+
+/// The factory whose block holds one `T` per node, `make(env)` for each
+/// node in ascending order, moved into the block (the moved-from `T` is
+/// destroyed right away). `make` maps `const NodeEnv&` to a `T`; it is the
+/// per-node constructor, so it must be pure per node (see
+/// `ProgramFactory`).
+template <typename T, typename Make>
+ProgramFactory programs(Make make) {
+  static_assert(std::is_base_of_v<NodeProgram, T>,
+                "programs<T>: T must derive from NodeProgram");
+  static_assert(std::is_invocable_r_v<T, const Make&, const NodeEnv&>,
+                "programs<T>: make must map const NodeEnv& to a T");
+  return [make = std::move(make)](graph::NodeId first, graph::NodeId last,
+                                  const EnvFn& env_of)
+             -> std::unique_ptr<ProgramBlock> {
+    return std::make_unique<detail::TypedProgramBlock<T>>(first, last, env_of,
+                                                          make);
+  };
+}
 
 }  // namespace ds::local

@@ -1,10 +1,14 @@
 #include "local/topology.hpp"
 
+#include <limits>
+
 #include "support/check.hpp"
 
 namespace ds::local {
 
 NetworkTopology::NetworkTopology(const graph::Graph& g) : graph_(&g) {
+  DS_CHECK_MSG(total_ports() < std::numeric_limits<std::uint32_t>::max(),
+               "the LOCAL executors support < 2^32 directed ports");
   delivery_slots_.resize(total_ports());
 
   // A Graph's rows list neighbors in edge order (graph/graph.hpp), so for
@@ -19,8 +23,10 @@ NetworkTopology::NetworkTopology(const graph::Graph& g) : graph_(&g) {
     const std::size_t pv = cursor[e.v]++;
     DS_CHECK(g.neighbors(e.u)[pu] == e.v);
     DS_CHECK(g.neighbors(e.v)[pv] == e.u);
-    delivery_slots_[offsets[e.u] + pu] = offsets[e.v] + pv;
-    delivery_slots_[offsets[e.v] + pv] = offsets[e.u] + pu;
+    delivery_slots_[offsets[e.u] + pu] =
+        static_cast<std::uint32_t>(offsets[e.v] + pv);
+    delivery_slots_[offsets[e.v] + pv] =
+        static_cast<std::uint32_t>(offsets[e.u] + pu);
   }
 }
 

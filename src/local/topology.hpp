@@ -4,8 +4,9 @@
 /// Per-network setup shared by every LOCAL-model executor, in two parts:
 ///
 ///  * the **port structure** — the graph's CSR offsets, borrowed, and
-///    precomputed delivery slots — depends on the graph alone and is built
-///    once per executor;
+///    precomputed 32-bit delivery slots — depends on the graph alone and is
+///    built once per executor. Slots are 32-bit, so every executor supports
+///    fewer than 2^32 directed ports (the constructor checks);
 ///  * the **identity** of a run — UIDs per `IdStrategy` and the master
 ///    generator every node's coins fork from — depends on (ids, seed) and
 ///    is re-derived by each run before it constructs programs.
@@ -38,8 +39,9 @@ namespace ds::local {
 /// buffers without any per-node indirection.
 class NetworkTopology {
  public:
-  /// Precomputes the port tables in O(n + m). No identity is assigned yet:
-  /// call `assign_identity` before `uids` or `make_env`.
+  /// Precomputes the port tables in O(n + m); throws unless `g` has fewer
+  /// than 2^32 directed ports. No identity is assigned yet: call
+  /// `assign_identity` before `uids` or `make_env`.
   explicit NetworkTopology(const graph::Graph& g);
 
   /// The port tables plus the identity of one run: the one-argument
@@ -79,7 +81,7 @@ class NetworkTopology {
   /// Node v's row of delivery slots (degree(v) entries), the table an
   /// `Outbox` routes through. Valid as a one-past-the-end pointer for
   /// degree-0 nodes.
-  [[nodiscard]] const std::size_t* delivery_row(graph::NodeId v) const {
+  [[nodiscard]] const std::uint32_t* delivery_row(graph::NodeId v) const {
     return delivery_slots_.data() + port_offset(v);
   }
 
@@ -94,7 +96,7 @@ class NetworkTopology {
   Rng master_;
   std::vector<std::uint64_t> uids_;
   /// delivery_slots_[port_offset(v) + p]: the flat destination slot.
-  std::vector<std::size_t> delivery_slots_;
+  std::vector<std::uint32_t> delivery_slots_;
 };
 
 }  // namespace ds::local

@@ -1,7 +1,6 @@
 #include "mis/mis.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "coloring/reduce.hpp"
@@ -91,9 +90,8 @@ class LubyProgram final : public local::NodeProgram {
 }  // namespace
 
 local::ProgramFactory luby_program_factory() {
-  return [](const local::NodeEnv& env) {
-    return std::make_unique<LubyProgram>(env);
-  };
+  return local::programs<LubyProgram>(
+      [](const local::NodeEnv& env) { return LubyProgram(env); });
 }
 
 local::OutputFn luby_output_fn() {

@@ -126,11 +126,10 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   };
 
   InsituResult result;
-  std::uint64_t epoch = 0;
-  std::vector<std::unique_ptr<local::NodeProgram>> programs;
+  std::unique_ptr<local::ProgramBlock> programs;
   result.rounds =
       dist::run_rank_loop(view, part, transport, factory,
-                          hooks.max_rounds(params), epoch, {}, {}, programs,
+                          hooks.max_rounds(params), {}, {}, programs,
                           recorder);
 
   // --- Collection collective 1: extract the owned output words locally,
@@ -140,14 +139,14 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   std::vector<std::uint64_t> row;
   for (std::size_t i = 0; i < local_n; ++i) {
     row.clear();
-    hooks.output(first + static_cast<graph::NodeId>(i), *programs[i], row);
+    hooks.output(first + static_cast<graph::NodeId>(i), programs->at(i),
+                 row);
     DS_CHECK_MSG(row.size() == 1,
                  "in-situ: the output hook of --algo=" + spec.name +
                      " must write exactly one word per node");
     values[i] = row[0];
   }
-  programs.clear();
-  programs.shrink_to_fit();
+  programs.reset();
 
   // --- Collection collective 2: halo values. Peer d needs the words of
   // exactly the owned nodes adjacent to d's range; payloads are (node,

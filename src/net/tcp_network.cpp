@@ -18,8 +18,8 @@ std::size_t TcpNetwork::run(const local::ProgramFactory& factory,
       transport_, recorder(), {}, [&](obs::Recorder* rec) {
         return dist::run_rank_loop(dist::RankView::of(topology_),
                                    partition_, transport_, factory,
-                                   max_rounds, epoch_, sink_, output_fn_,
-                                   programs_, rec);
+                                   max_rounds, sink_, output_fn_, programs_,
+                                   rec);
       });
   // The re-broadcast output table is valid on every rank; assemble it
   // whenever a serializer is installed.
@@ -33,7 +33,8 @@ std::size_t TcpNetwork::run(const local::ProgramFactory& factory,
 }
 
 const local::NodeProgram& TcpNetwork::program(graph::NodeId v) const {
-  return dist::owned_program(programs_, partition_.first_node(rank()), v);
+  return dist::owned_program(programs_.get(), partition_.first_node(rank()),
+                             v);
 }
 
 }  // namespace ds::net

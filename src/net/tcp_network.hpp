@@ -90,12 +90,9 @@ class TcpNetwork final : public local::Executor {
   local::NetworkTopology topology_;
   dist::Partition partition_;
   TcpTransport& transport_;
-  /// Round tag, advanced once per round. Each run's span arena is fresh
-  /// and the transport ships only what that arena tags, so one counter per
-  /// executor suffices, whatever else runs on the transport.
-  std::uint64_t epoch_ = 0;
-  /// This rank's resident programs (its owned range, at local indices).
-  std::vector<std::unique_ptr<local::NodeProgram>> programs_;
+  /// This rank's resident program block (its owned range, at local
+  /// indices).
+  std::unique_ptr<local::ProgramBlock> programs_;
   local::RoundStatsSink sink_;
 };
 

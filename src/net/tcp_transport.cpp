@@ -463,7 +463,7 @@ std::size_t TcpTransport::sync_liveness(std::size_t my_not_done) {
 }
 
 void TcpTransport::ship(const local::MessageSpan* local_arena,
-                        const std::uint64_t* bank_words, std::uint64_t epoch,
+                        const std::uint64_t* bank_words, std::uint32_t epoch,
                         const RoundTotals& mine) {
   ++exchange_seq_;
   const std::size_t ranks = peers_.size();
@@ -505,7 +505,7 @@ void TcpTransport::ship(const local::MessageSpan* local_arena,
 }
 
 void TcpTransport::patch(local::MessageSpan* local_arena,
-                         std::uint64_t epoch) {
+                         std::uint32_t epoch) {
   const std::size_t ranks = peers_.size();
   for (std::size_t s = 0; s < ranks; ++s) {
     if (s == rank_) continue;
@@ -514,11 +514,17 @@ void TcpTransport::patch(local::MessageSpan* local_arena,
     decode_halo(f.payload.data(), f.payload.size(), link.dst_slots.size(),
                 halo_live_[s]);
     // Silent ports keep their stale span in the dst arena: its old epoch
-    // reads as the empty message.
+    // reads as the empty message. A frame comes from another process, so
+    // each offset is checked before it narrows to the span's 32 bits.
     const auto bank = static_cast<std::uint32_t>(1 + s);
     for (const HaloEntry& e : halo_live_[s]) {
-      local_arena[link.dst_slots[e.port]] =
-          local::MessageSpan{e.offset, epoch, e.length, bank};
+      DS_CHECK_MSG(e.offset <= UINT32_MAX,
+                   "malformed halo frame: payload offset past 2^32 - 1");
+      local_arena[link.dst_slots[e.port]] = local::MessageSpan{
+          .offset = static_cast<std::uint32_t>(e.offset),
+          .length = e.length,
+          .epoch = epoch,
+          .bank = bank};
     }
   }
 }

@@ -128,12 +128,12 @@ class TcpTransport final : public dist::Transport {
 
   std::size_t sync_liveness(std::size_t my_not_done) override;
   void ship(const local::MessageSpan* local_arena,
-            const std::uint64_t* bank_words, std::uint64_t epoch,
+            const std::uint64_t* bank_words, std::uint32_t epoch,
             const RoundTotals& mine) override;
   [[nodiscard]] RoundTotals round_totals() const override {
     return totals_;
   }
-  void patch(local::MessageSpan* local_arena, std::uint64_t epoch) override;
+  void patch(local::MessageSpan* local_arena, std::uint32_t epoch) override;
   void update_bank_bases(std::vector<const std::uint64_t*>& bases,
                          const std::uint64_t* own_bank) const override;
   void gather(const std::vector<std::uint64_t>& words) override;

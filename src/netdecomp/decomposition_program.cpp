@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "support/check.hpp"
@@ -21,7 +20,7 @@ constexpr std::uint64_t kUnclustered = UINT64_MAX;
 class LinialSaksProgram final : public local::NodeProgram {
  public:
   LinialSaksProgram(const local::NodeEnv& env, std::size_t radius_cap)
-      : env_(env), radius_cap_(radius_cap) {}
+      : uid_(env.uid), rng_(env.rng), radius_cap_(radius_cap) {}
 
   void send(std::size_t round, local::Outbox& out) override {
     if (round % radius_cap_ == 0) {
@@ -30,10 +29,10 @@ class LinialSaksProgram final : public local::NodeProgram {
       known_.clear();
       fresh_.clear();
       std::size_t radius = 0;
-      while (radius < radius_cap_ && env_.rng.next_bool()) ++radius;
-      known_.emplace(env_.uid, static_cast<std::uint64_t>(radius));
+      while (radius < radius_cap_ && rng_.next_bool()) ++radius;
+      known_.emplace(uid_, static_cast<std::uint64_t>(radius));
       if (radius >= 1) {
-        out.broadcast({env_.uid, static_cast<std::uint64_t>(radius - 1)});
+        out.broadcast({uid_, static_cast<std::uint64_t>(radius - 1)});
       }
       return;
     }
@@ -93,7 +92,8 @@ class LinialSaksProgram final : public local::NodeProgram {
   }
 
  private:
-  local::NodeEnv env_;
+  std::uint64_t uid_;
+  Rng rng_;
   std::size_t radius_cap_;
   /// First-arrival slack per center UID, this block.
   std::map<std::uint64_t, std::uint64_t> known_;
@@ -134,9 +134,10 @@ DecompProgramOutcome decomposition_program(const graph::Graph& g,
     out.push_back(prog.center());
   });
   outcome.executed_rounds = net->run(
-      [radius_cap](const local::NodeEnv& env) {
-        return std::make_unique<LinialSaksProgram>(env, radius_cap);
-      },
+      local::programs<LinialSaksProgram>(
+          [radius_cap](const local::NodeEnv& env) {
+            return LinialSaksProgram(env, radius_cap);
+          }),
       ids, seed, max_blocks * radius_cap, meter);
 
   // Densify cluster ids from the gathered (block, center UID) pairs in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "local/network.hpp"
@@ -87,7 +86,9 @@ class SinkFixProgram final : public local::NodeProgram {
  public:
   SinkFixProgram(const local::NodeEnv& env, std::size_t min_degree,
                  std::size_t budget)
-      : env_(env),
+      : uid_(env.uid),
+        rng_(env.rng),
+        degree_(env.degree),
         constrained_(env.degree >= min_degree && env.degree > 0),
         budget_(budget),
         out_(env.degree, false),
@@ -96,14 +97,14 @@ class SinkFixProgram final : public local::NodeProgram {
   void send(std::size_t round, local::Outbox& out) override {
     if (round == 0) {
       // Per-port messages of different content: written port by port.
-      for (std::size_t p = 0; p < env_.degree; ++p) {
-        draws_[p] = env_.rng.next_raw();
-        out.write(p, {draws_[p], env_.uid});
+      for (std::size_t p = 0; p < degree_; ++p) {
+        draws_[p] = rng_.next_raw();
+        out.write(p, {draws_[p], uid_});
       }
       return;
     }
     if (constrained_ && is_sink()) {
-      const std::size_t p = env_.rng.next_index(env_.degree);
+      const std::size_t p = rng_.next_index(degree_);
       out_[p] = true;
       out.write(p, {1ull});  // single-port write; all other ports silent
     }
@@ -111,14 +112,14 @@ class SinkFixProgram final : public local::NodeProgram {
 
   void receive(std::size_t round, const local::Inbox& inbox) override {
     if (round == 0) {
-      for (std::size_t p = 0; p < env_.degree; ++p) {
+      for (std::size_t p = 0; p < degree_; ++p) {
         const local::MessageView msg = inbox[p];
         DS_CHECK(msg.size() == 2);
-        out_[p] = std::make_pair(draws_[p], env_.uid) >
+        out_[p] = std::make_pair(draws_[p], uid_) >
                   std::make_pair(msg[0], msg[1]);
       }
     } else {
-      for (std::size_t p = 0; p < env_.degree; ++p) {
+      for (std::size_t p = 0; p < degree_; ++p) {
         const local::MessageView msg = inbox[p];
         if (!msg.empty() && msg[0] == 1) {
           out_[p] = false;  // the neighbor flipped this edge outward
@@ -129,9 +130,9 @@ class SinkFixProgram final : public local::NodeProgram {
   }
 
   [[nodiscard]] bool done() const override {
-    return halted_ || env_.degree == 0;
+    return halted_ || degree_ == 0;
   }
-  [[nodiscard]] std::size_t degree() const { return env_.degree; }
+  [[nodiscard]] std::size_t degree() const { return degree_; }
   [[nodiscard]] bool out_on_port(std::size_t p) const { return out_[p]; }
 
  private:
@@ -139,7 +140,9 @@ class SinkFixProgram final : public local::NodeProgram {
     return std::find(out_.begin(), out_.end(), true) == out_.end();
   }
 
-  local::NodeEnv env_;
+  std::uint64_t uid_;
+  Rng rng_;
+  std::size_t degree_;
   bool constrained_;
   std::size_t budget_;
   std::vector<bool> out_;
@@ -184,9 +187,10 @@ SinklessOutcome sinkless_program(const graph::Graph& g, std::uint64_t seed,
   });
   for (std::size_t trial = 0; trial < max_trials; ++trial) {
     outcome.executed_rounds += net->run(
-        [min_degree, budget](const local::NodeEnv& env) {
-          return std::make_unique<SinkFixProgram>(env, min_degree, budget);
-        },
+        local::programs<SinkFixProgram>(
+            [min_degree, budget](const local::NodeEnv& env) {
+              return SinkFixProgram(env, min_degree, budget);
+            }),
         local::IdStrategy::kSequential, seed + trial, budget + 2, meter);
     outcome.trials = trial + 1;
     outcome.toward_v.resize(g.num_edges());

@@ -1,7 +1,6 @@
 #include "ruling/ruling_program.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "support/check.hpp"
 
@@ -15,7 +14,10 @@ namespace {
 class RulingProgram final : public local::NodeProgram {
  public:
   RulingProgram(const local::NodeEnv& env, std::size_t bits)
-      : env_(env), bits_(bits) {
+      : uid_(env.uid),
+        neighbors_(env.neighbors),
+        uids_(env.uids),
+        bits_(bits) {
     // B == 0 only when the largest UID is 0 (a single node): it rules.
     if (bits_ == 0) {
       in_set_ = true;
@@ -29,10 +31,10 @@ class RulingProgram final : public local::NodeProgram {
 
   void receive(std::size_t round, const local::Inbox& inbox) override {
     const std::size_t bit = bits_ - 1 - round;
-    if (((env_.uid >> bit) & 1ull) != 0) {
+    if (((uid_ >> bit) & 1ull) != 0) {
       for (std::size_t p = 0; p < inbox.size(); ++p) {
         if (inbox[p].empty()) continue;  // dropped/halted neighbor
-        if (((env_.neighbor_uid(p) >> bit) & 1ull) == 0) {
+        if (((neighbor_uid(p) >> bit) & 1ull) == 0) {
           done_ = true;  // lost bit `bit` to a 0-bit candidate neighbor
           return;
         }
@@ -48,7 +50,15 @@ class RulingProgram final : public local::NodeProgram {
   [[nodiscard]] bool in_set() const { return in_set_; }
 
  private:
-  local::NodeEnv env_;
+  /// `NodeEnv::neighbor_uid` over the two tables this program keeps.
+  [[nodiscard]] std::uint64_t neighbor_uid(std::size_t p) const {
+    const graph::NodeId w = neighbors_[p];
+    return uids_ != nullptr ? uids_[w] : w;
+  }
+
+  std::uint64_t uid_;
+  const graph::NodeId* neighbors_;  ///< the executor's adjacency row
+  const std::uint64_t* uids_;       ///< the run's UID table, or null
   std::size_t bits_;
   bool in_set_ = false;
   bool done_ = false;
@@ -80,9 +90,9 @@ RulingProgramOutcome ruling_set_program(const graph::Graph& g,
     out.push_back(static_cast<const RulingProgram&>(p).in_set() ? 1 : 0);
   });
   outcome.executed_rounds = net->run(
-      [bits](const local::NodeEnv& env) {
-        return std::make_unique<RulingProgram>(env, bits);
-      },
+      local::programs<RulingProgram>([bits](const local::NodeEnv& env) {
+        return RulingProgram(env, bits);
+      }),
       ids, seed, bits + 1, meter);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     outcome.result.in_set[v] = net->outputs().value(v) != 0;

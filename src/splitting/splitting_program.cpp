@@ -1,7 +1,6 @@
 #include "splitting/splitting_program.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "support/check.hpp"
 
@@ -18,7 +17,8 @@ class SplitProgram final : public local::NodeProgram {
  public:
   SplitProgram(const local::NodeEnv& env, std::size_t nu,
                std::size_t min_degree, std::size_t budget)
-      : env_(env),
+      : rng_(env.rng),
+        degree_(env.degree),
         right_(env.node >= nu),
         constrained_(!right_ && env.degree >= min_degree),
         budget_(budget),
@@ -63,7 +63,7 @@ class SplitProgram final : public local::NodeProgram {
   }
 
   [[nodiscard]] bool done() const override {
-    return halted_ || env_.degree == 0;
+    return halted_ || degree_ == 0;
   }
   [[nodiscard]] bool right() const { return right_; }
   [[nodiscard]] Color color() const { return color_; }
@@ -73,7 +73,7 @@ class SplitProgram final : public local::NodeProgram {
 
  private:
   [[nodiscard]] Color flip() {
-    return env_.rng.next_bool() ? Color::kRed : Color::kBlue;
+    return rng_.next_bool() ? Color::kRed : Color::kBlue;
   }
   [[nodiscard]] bool unsatisfied() const {
     bool red = false;
@@ -85,7 +85,8 @@ class SplitProgram final : public local::NodeProgram {
     return !(red && blue);
   }
 
-  local::NodeEnv env_;
+  Rng rng_;
+  std::size_t degree_;
   bool right_;
   bool constrained_;
   std::size_t budget_;
@@ -122,9 +123,10 @@ SplitProgramOutcome weak_splitting_program(const graph::BipartiteGraph& b,
   });
   for (std::size_t trial = 0; trial < max_trials; ++trial) {
     outcome.executed_rounds += net->run(
-        [nu, min_degree, budget](const local::NodeEnv& env) {
-          return std::make_unique<SplitProgram>(env, nu, min_degree, budget);
-        },
+        local::programs<SplitProgram>(
+            [nu, min_degree, budget](const local::NodeEnv& env) {
+              return SplitProgram(env, nu, min_degree, budget);
+            }),
         local::IdStrategy::kSequential, seed + trial, budget + 2, meter);
     outcome.trials = trial + 1;
     for (graph::RightId v = 0; v < b.num_right(); ++v) {

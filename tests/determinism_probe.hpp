@@ -77,9 +77,8 @@ class WriterProbe final : public ProbeBase {
 };
 
 inline local::ProgramFactory probe_factory() {
-  return [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
-    return std::make_unique<WriterProbe>(env);
-  };
+  return local::programs<WriterProbe>(
+      [](const local::NodeEnv& env) { return WriterProbe(env); });
 }
 
 /// The identities the executor-reuse tests run one executor through, in

@@ -192,6 +192,8 @@ std::vector<Instance> instances_for(const Spec& spec) {
     out.push_back({"gnp", graph::gen::gnp(60, 0.12, rng), {}});
     out.push_back({"torus", graph::gen::torus(7, 6), {}});
     out.push_back({"ba", graph::gen::barabasi_albert(70, 3, rng), {}});
+    // Degree 69: trial coloring's 71-color palette spans two words.
+    out.push_back({"k70", graph::gen::complete(70), {}});
   } else {
     // The bipartite counterparts of the sweep: biregular instances at
     // three degree/size shapes.

@@ -4,9 +4,10 @@
 // serve params digest and instance structure digest. These values cross
 // process and build boundaries (rendezvous handshakes, .dsg files on disk,
 // CI digest diffs), so any change to how they are hashed must leave every
-// one bit-identical. One pin also hashes coins: the materialized `mis`
-// digest (Luby's priorities), which moves exactly when the `Rng` stream
-// changes; every other pin is independent of it.
+// one bit-identical. Two pins also hash coins: the materialized `mis`
+// digest (Luby's priorities) and the program outputs of every registry
+// message-passing program, which move exactly when the `Rng` stream or a
+// program changes; every other pin is independent of them.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "net/loopback.hpp"
 #include "net/rendezvous.hpp"
 #include "serve/protocol.hpp"
+#include "support/rng.hpp"
 
 namespace ds {
 namespace {
@@ -72,6 +74,39 @@ TEST(PinnedDigests, InsituFleetDigestMatchesMaterializedRun) {
         return result.output_digest == materialized ? 0 : 1;
       });
   EXPECT_TRUE(report.all_ok());
+}
+
+TEST(PinnedDigests, ProgramOutputs) {
+  // The output digest of every message-passing program in the registry,
+  // default params, seed 7: the program objects' layout may change, their
+  // outputs may not. `color` on K70 has a 71-color palette, wider than one
+  // 64-bit word.
+  const auto digest = [](const std::string& name, const graph::Graph* g,
+                         const graph::BipartiteGraph* b) {
+    const algo::Spec& spec = algo::find(name);
+    algo::RunContext ctx;
+    ctx.graph = g;
+    ctx.bipartite = b;
+    ctx.seed = 7;
+    ctx.params = algo::Params::parse(spec.params, {});
+    const algo::Result result = algo::execute(spec, ctx);
+    EXPECT_TRUE(result.verified) << name;
+    return result.output_digest();
+  };
+  const graph::Graph torus =
+      graph::DistributedGenerator(graph::GenSpec::parse("torus:w=6,h=5"), 7)
+          .generate_full();
+  EXPECT_EQ(digest("mis", &torus, nullptr), 0x005c9611c0266103ull);
+  EXPECT_EQ(digest("color", &torus, nullptr), 0xce2d922f64bb3f65ull);
+  EXPECT_EQ(digest("sinkless", &torus, nullptr), 0x74771a116ffd8643ull);
+  EXPECT_EQ(digest("ruling", &torus, nullptr), 0xf565ff273160a763ull);
+  EXPECT_EQ(digest("netdecomp", &torus, nullptr), 0x0972a5cc6c415323ull);
+  Rng rng(12);
+  const graph::BipartiteGraph bireg =
+      graph::gen::random_biregular(32, 64, 6, rng);
+  EXPECT_EQ(digest("split", nullptr, &bireg), 0xd2e8805084cf1803ull);
+  const graph::Graph k70 = graph::gen::complete(70);
+  EXPECT_EQ(digest("color", &k70, nullptr), 0xe725b14f189ef122ull);
 }
 
 TEST(PinnedDigests, ServeDigests) {

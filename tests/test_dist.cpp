@@ -249,14 +249,13 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
   DistributedNetwork net(g, ranks(2));
   for (const std::size_t failing : {0u, 1u}) {
     const graph::NodeId victim = net.partition().first_node(failing);
-    const local::ProgramFactory probe = probe_factory();
     try {
-      net.run(
-          [&](const local::NodeEnv& env) {
-            DS_CHECK_MSG(env.node != victim, "factory boom");
-            return probe(env);
-          },
-          local::IdStrategy::kSequential, 1, 100);
+      net.run(local::programs<probes::WriterProbe>(
+                  [&](const local::NodeEnv& env) {
+                    DS_CHECK_MSG(env.node != victim, "factory boom");
+                    return probes::WriterProbe(env);
+                  }),
+              local::IdStrategy::kSequential, 1, 100);
       ADD_FAILURE() << "rank " << failing << " failure did not abort the run";
     } catch (const ds::CheckError& e) {
       const std::string what = e.what();
@@ -269,14 +268,13 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
   }
   // A throw that is no std::exception still aborts every thread rank.
   const graph::NodeId victim = net.partition().first_node(1);
-  const local::ProgramFactory probe = probe_factory();
   try {
-    net.run(
-        [&](const local::NodeEnv& env) {
-          if (env.node == victim) throw 42;
-          return probe(env);
-        },
-        local::IdStrategy::kSequential, 1, 100);
+    net.run(local::programs<probes::WriterProbe>(
+                [&](const local::NodeEnv& env) {
+                  if (env.node == victim) throw 42;
+                  return probes::WriterProbe(env);
+                }),
+            local::IdStrategy::kSequential, 1, 100);
     ADD_FAILURE() << "a non-std throw did not abort the run";
   } catch (const ds::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("unknown rank exception"),
@@ -326,11 +324,10 @@ std::vector<std::uint64_t> chatty_digests(local::Executor& exec,
                         std::vector<std::uint64_t>& out) {
     out.push_back(static_cast<const Chatty&>(p).digest());
   });
-  exec.run(
-      [words](const local::NodeEnv& env) {
-        return std::make_unique<Chatty>(env, words);
-      },
-      local::IdStrategy::kSequential, 5, 10);
+  exec.run(local::programs<Chatty>([words](const local::NodeEnv& env) {
+             return Chatty(env, words);
+           }),
+           local::IdStrategy::kSequential, 5, 10);
   std::vector<std::uint64_t> digests(exec.graph().num_nodes());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
     digests[v] = exec.outputs().value(v);
@@ -386,11 +383,11 @@ TEST(DistributedNetwork, ReceivePhaseThrowAbortsTheRun) {
   DistributedNetwork net(g, ranks(4));
   const graph::NodeId victim = net.partition().first_node(1);
   try {
-    net.run(
-        [victim](const local::NodeEnv& env) {
-          return std::make_unique<ThrowsOnReceive>(env, env.node == victim);
-        },
-        local::IdStrategy::kSequential, 1, 10);
+    net.run(local::programs<ThrowsOnReceive>(
+                [victim](const local::NodeEnv& env) {
+                  return ThrowsOnReceive(env, env.node == victim);
+                }),
+            local::IdStrategy::kSequential, 1, 10);
     ADD_FAILURE() << "a receive-phase throw did not abort the run";
   } catch (const ds::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("receive boom"), std::string::npos)
@@ -452,18 +449,17 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
   std::vector<std::atomic<std::size_t>> calls(ranks);
   std::mutex mu;
   std::map<std::thread::id, std::set<std::size_t>> ranks_by_thread;
-  const local::ProgramFactory probe = probe_factory();
-  net.run(
-      [&](const local::NodeEnv& env) {
-        const std::size_t w = net.partition().owner(env.node);
-        calls[w].fetch_add(1, std::memory_order_relaxed);
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          ranks_by_thread[std::this_thread::get_id()].insert(w);
-        }
-        return probe(env);
-      },
-      local::IdStrategy::kSequential, 4, 100);
+  net.run(local::programs<probes::WriterProbe>(
+              [&](const local::NodeEnv& env) {
+                const std::size_t w = net.partition().owner(env.node);
+                calls[w].fetch_add(1, std::memory_order_relaxed);
+                {
+                  const std::lock_guard<std::mutex> lock(mu);
+                  ranks_by_thread[std::this_thread::get_id()].insert(w);
+                }
+                return probes::WriterProbe(env);
+              }),
+          local::IdStrategy::kSequential, 4, 100);
   for (std::size_t w = 0; w < ranks; ++w) {
     EXPECT_EQ(calls[w].load(), net.partition().num_nodes(w)) << "rank " << w;
   }
@@ -481,13 +477,22 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
 TEST(DistributedNetwork, ReleasesEachRanksProgramsOnAThreadOfItsOwn) {
   // Programs stay resident after run(); destroying the executor frees rank
   // 0's on the calling thread and every other rank's off it, each rank's
-  // on one thread, every program exactly once.
+  // on one thread, every program exactly once. A block moves each program
+  // in from `make`'s return value; a moved-from Recording records nothing.
   class Recording final : public local::NodeProgram {
    public:
     Recording(graph::NodeId node, std::mutex& mu,
               std::map<graph::NodeId, std::thread::id>& destroyed_on)
         : node_(node), mu_(mu), destroyed_on_(destroyed_on) {}
+    Recording(Recording&& other) noexcept
+        : node_(other.node_),
+          mu_(other.mu_),
+          destroyed_on_(other.destroyed_on_),
+          done_(other.done_) {
+      other.live_ = false;
+    }
     ~Recording() override {
+      if (!live_) return;
       const std::lock_guard<std::mutex> lock(mu_);
       EXPECT_TRUE(destroyed_on_.emplace(node_, std::this_thread::get_id())
                       .second)
@@ -502,6 +507,7 @@ TEST(DistributedNetwork, ReleasesEachRanksProgramsOnAThreadOfItsOwn) {
     std::mutex& mu_;
     std::map<graph::NodeId, std::thread::id>& destroyed_on_;
     bool done_ = false;
+    bool live_ = true;
   };
   const auto g = graph::gen::torus(10, 10);
   std::mutex mu;
@@ -510,11 +516,10 @@ TEST(DistributedNetwork, ReleasesEachRanksProgramsOnAThreadOfItsOwn) {
   {
     DistributedNetwork net(g, ranks(4));
     ASSERT_EQ(net.num_workers(), 4u);
-    net.run(
-        [&](const local::NodeEnv& env) {
-          return std::make_unique<Recording>(env.node, mu, destroyed_on);
-        },
-        local::IdStrategy::kSequential, 4, 10);
+    net.run(local::programs<Recording>([&](const local::NodeEnv& env) {
+              return Recording(env.node, mu, destroyed_on);
+            }),
+            local::IdStrategy::kSequential, 4, 10);
     EXPECT_TRUE(destroyed_on.empty());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       owner[v] = net.partition().owner(v);

@@ -336,8 +336,11 @@ TEST(Partition, RankLocalMatchesFullConstruction) {
   // Built from nothing but the boundaries and the rank's own CSR,
   // rank_local must reproduce the full constructor's own-rank tables
   // bit-for-bit: the local delivery table, the out-halo assignment, and
-  // both directions of every link touching the rank.
-  for (const std::string& text : family_specs()) {
+  // both directions of every link touching the rank. The gnp instance's
+  // ranges need two radix digits in the dst-column sort.
+  std::vector<std::string> specs = family_specs();
+  specs.push_back("gnp:n=20000,deg=8");
+  for (const std::string& text : specs) {
     const graph::DistributedGenerator dg(graph::GenSpec::parse(text), 29);
     const graph::Graph g = dg.generate_full();
     const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 1);

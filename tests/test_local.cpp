@@ -114,21 +114,15 @@ TEST(Network, FloodsMaximumUid) {
   Rng rng(6);
   const graph::Graph g = graph::gen::cycle(12);
   Network net(g);
-  std::vector<MaxFlood*> programs(g.num_nodes(), nullptr);
   CostMeter meter;
   const std::size_t rounds = net.run(
-      [&](const NodeEnv& env) {
-        auto p = std::make_unique<MaxFlood>(env);
-        programs[env.node] = p.get();
-        return p;
-      },
+      programs<MaxFlood>([](const NodeEnv& env) { return MaxFlood(env); }),
       IdStrategy::kRandomPermutation, 99, 100, &meter);
   EXPECT_GT(rounds, 0u);
   EXPECT_EQ(meter.executed_rounds(), rounds);
   const std::uint64_t expected = g.num_nodes() - 1;
-  for (MaxFlood* p : programs) {
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->best(), expected);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(static_cast<const MaxFlood&>(net.program(v)).best(), expected);
   }
 }
 
@@ -178,7 +172,8 @@ TEST(Network, PortsMatchNeighborUids) {
   Rng rng(7);
   const graph::Graph g = graph::gen::gnp(25, 0.3, rng);
   Network net(g);
-  net.run([](const NodeEnv& env) { return std::make_unique<PortChecker>(env); },
+  net.run(programs<PortChecker>(
+              [](const NodeEnv& env) { return PortChecker(env); }),
           IdStrategy::kRandomPermutation, 5, 4);
 }
 
@@ -193,7 +188,7 @@ TEST(Network, ThrowsOnRoundLimit) {
   const graph::Graph g = graph::gen::cycle(4);
   Network net(g);
   EXPECT_THROW(
-      net.run([](const NodeEnv&) { return std::make_unique<Forever>(); },
+      net.run(programs<Forever>([](const NodeEnv&) { return Forever(); }),
               IdStrategy::kSequential, 1, 3),
       ds::CheckError);
 }
@@ -204,28 +199,26 @@ TEST(Network, PerNodeRandomnessIsStable) {
   std::vector<std::uint64_t> draws_a;
   std::vector<std::uint64_t> draws_b;
   for (auto* out : {&draws_a, &draws_b}) {
-    Network net(g);
-    net.run(
-        [out](const NodeEnv& env) {
-          class OneShot : public NodeProgram {
-           public:
-            OneShot(NodeEnv env, std::vector<std::uint64_t>* sink)
-                : env_(std::move(env)), sink_(sink) {}
-            void send(std::size_t, Outbox&) override {}
-            void receive(std::size_t, const Inbox&) override {
-              sink_->push_back(env_.rng.next_raw());
-              done_ = true;
-            }
-            [[nodiscard]] bool done() const override { return done_; }
+    class OneShot : public NodeProgram {
+     public:
+      OneShot(NodeEnv env, std::vector<std::uint64_t>* sink)
+          : env_(std::move(env)), sink_(sink) {}
+      void send(std::size_t, Outbox&) override {}
+      void receive(std::size_t, const Inbox&) override {
+        sink_->push_back(env_.rng.next_raw());
+        done_ = true;
+      }
+      [[nodiscard]] bool done() const override { return done_; }
 
-           private:
-            NodeEnv env_;
-            std::vector<std::uint64_t>* sink_;
-            bool done_ = false;
-          };
-          return std::make_unique<OneShot>(env, out);
-        },
-        IdStrategy::kSequential, 1234, 2);
+     private:
+      NodeEnv env_;
+      std::vector<std::uint64_t>* sink_;
+      bool done_ = false;
+    };
+    Network net(g);
+    net.run(programs<OneShot>(
+                [out](const NodeEnv& env) { return OneShot(env, out); }),
+            IdStrategy::kSequential, 1234, 2);
   }
   EXPECT_EQ(draws_a, draws_b);
 }

@@ -3,8 +3,10 @@
 // violations), degree-balanced shard boundaries on skewed graphs, the
 // zero-allocation guarantee of the send path of the sequential executor
 // and of the rank loop on thread ranks, allocation-free trial-coloring
-// rounds, and setup without per-node heap blocks (asserted through a global operator-new counting hook — this
-// binary must not be merged with other test binaries).
+// rounds, and setup and program construction without per-node heap blocks
+// (asserted through a global operator-new counting hook — this binary must
+// not be merged with other test binaries), the 32-bit span bound and the
+// epoch wrap.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include "local/network.hpp"
 #include "local/round_stats.hpp"
 #include "local/topology.hpp"
+#include "mis/mis.hpp"
 #include "runtime/select.hpp"
 #include "support/check.hpp"
 
@@ -80,7 +83,7 @@ std::shared_ptr<local::Executor> threaded(const graph::Graph& g,
 TEST(Outbox, WriteStreamsAndCounts) {
   local::WordBank bank;
   std::vector<local::MessageSpan> spans(4);
-  const std::size_t slots[4] = {2, 0, 3, 1};  // scattered delivery slots
+  const std::uint32_t slots[4] = {2, 0, 3, 1};  // scattered delivery slots
   local::Outbox out(&bank, 7, spans.data(), slots, 4, 42);
   EXPECT_EQ(out.degree(), 4u);
 
@@ -107,7 +110,7 @@ TEST(Outbox, WriteStreamsAndCounts) {
 TEST(Outbox, BroadcastStoresPayloadOnce) {
   local::WordBank bank;
   std::vector<local::MessageSpan> spans(3);
-  const std::size_t slots[3] = {0, 1, 2};
+  const std::uint32_t slots[3] = {0, 1, 2};
   local::Outbox out(&bank, 0, spans.data(), slots, 3, 5);
   out.broadcast({1, 2, 3});
   EXPECT_EQ(bank.size(), 3u);  // payload deduplicated across ports
@@ -123,7 +126,7 @@ TEST(Outbox, BroadcastStoresPayloadOnce) {
 TEST(Outbox, ContractViolationsThrow) {
   local::WordBank bank;
   std::vector<local::MessageSpan> spans(3);
-  const std::size_t slots[3] = {0, 1, 2};
+  const std::uint32_t slots[3] = {0, 1, 2};
   {
     local::Outbox out(&bank, 0, spans.data(), slots, 3, 1);
     EXPECT_THROW(out.write(3, {1}), ds::CheckError);  // port out of range
@@ -147,11 +150,71 @@ TEST(Outbox, ContractViolationsThrow) {
   }
 }
 
+TEST(Outbox, RefusesMessagesPastTheSpanBound) {
+  // Span offsets and lengths are 32-bit, so a bank holds fewer than 2^32
+  // words. The check comes before the bank grows: this test never
+  // allocates 32 GB, and the refused message leaves bank and span as they
+  // were.
+  local::WordBank bank = {1};
+  std::vector<local::MessageSpan> spans(1);
+  const std::uint32_t slots[1] = {0};
+  const std::vector<std::uint64_t> word = {7};
+  {
+    local::Outbox out(&bank, 0, spans.data(), slots, 1, 3);
+    EXPECT_THROW(out.write(0, word.data(), 1ull << 32), ds::CheckError);
+    EXPECT_EQ(bank.size(), 1u);
+    EXPECT_EQ(spans[0].epoch, 0u);
+    out.write(0, word.data(), 1);  // the port is still writable
+    EXPECT_EQ(spans[0].length, 1u);
+  }
+  {
+    local::Outbox out(&bank, 0, spans.data(), slots, 1, 4);
+    EXPECT_THROW(out.broadcast(word.data(), 1ull << 32), ds::CheckError);
+    EXPECT_EQ(bank.size(), 2u);
+    EXPECT_EQ(spans[0].epoch, 3u);
+  }
+}
+
+TEST(SpanArena, EpochWrapUntagsEverySpan) {
+  // The epoch is 32-bit. At the wrap the arena resets every span to epoch 0
+  // and restarts at 1, so no span written before the wrap — in the last
+  // round, or in an early round of the previous cycle — reads as current
+  // after it.
+  local::SpanArena arena(2, UINT32_MAX - 1);
+  local::WordBank bank;
+  const std::uint32_t slots[2] = {0, 1};
+  const std::uint32_t last = arena.advance();
+  ASSERT_EQ(last, UINT32_MAX);
+  {
+    local::Outbox early(&bank, 0, arena.data(), slots, 2, 1);
+    early.write(1, {8});  // a leftover of the previous cycle's epoch 1
+    local::Outbox out(&bank, 0, arena.data(), slots, 2, last);
+    out.write(0, {5, 6});
+  }
+  const std::uint64_t* bases[1] = {bank.data()};
+  EXPECT_EQ(local::Inbox(arena.data(), 2, bases, last)[0].size(), 2u);
+
+  const std::uint32_t epoch = arena.advance();
+  EXPECT_EQ(epoch, 1u);
+  EXPECT_EQ(arena.data()[0].epoch, 0u);
+  EXPECT_EQ(arena.data()[1].epoch, 0u);
+  bank.clear();
+  {
+    local::Outbox out(&bank, 0, arena.data(), slots, 2, epoch);
+    out.write(0, {9});
+  }
+  bases[0] = bank.data();
+  const local::Inbox inbox(arena.data(), 2, bases, epoch);
+  ASSERT_EQ(inbox[0].size(), 1u);  // written after the wrap
+  EXPECT_EQ(inbox[0][0], 9u);
+  EXPECT_TRUE(inbox[1].empty());  // written before it
+}
+
 TEST(Inbox, EpochTagFiltersStaleSpans) {
   local::WordBank bank = {7, 8, 9};
   std::vector<local::MessageSpan> spans(2);
-  spans[0] = {0, /*epoch=*/4, 2, 0};  // fresh
-  spans[1] = {2, /*epoch=*/3, 1, 0};  // stale (previous round)
+  spans[0] = {.offset = 0, .length = 2, .epoch = 4, .bank = 0};  // fresh
+  spans[1] = {.offset = 2, .length = 1, .epoch = 3, .bank = 0};  // stale
   const std::uint64_t* bases[1] = {bank.data()};
   local::Inbox inbox(spans.data(), 2, bases, 4);
   ASSERT_EQ(inbox.size(), 2u);
@@ -222,11 +285,10 @@ class VaryingLengthProgram final : public local::NodeProgram {
 void expect_varying_lengths_deliver(local::Executor& exec,
                                     local::IdStrategy ids,
                                     std::uint64_t seed) {
-  exec.run(
-      [](const local::NodeEnv& env) {
-        return std::make_unique<VaryingLengthProgram>(env);
-      },
-      ids, seed, 4);
+  exec.run(local::programs<VaryingLengthProgram>([](const local::NodeEnv& env) {
+             return VaryingLengthProgram(env);
+           }),
+           ids, seed, 4);
   std::size_t validated = 0;
   std::size_t empties = 0;
   std::size_t expected_nonempty = 0;
@@ -344,9 +406,10 @@ class FixedRoundGossip final : public local::NodeProgram {
 };
 
 local::ProgramFactory fixed_round_factory(std::size_t rounds) {
-  return [rounds](const local::NodeEnv& env) {
-    return std::make_unique<FixedRoundGossip>(env, rounds);
-  };
+  return local::programs<FixedRoundGossip>(
+      [rounds](const local::NodeEnv& env) {
+        return FixedRoundGossip(env, rounds);
+      });
 }
 
 /// Allocations of one run() with the given round budget.
@@ -447,6 +510,43 @@ TEST(AllocationCounting, BuildingAGraphAllocatesPerInstanceNotPerNode) {
   EXPECT_EQ(read.num_edges(), g.num_edges());
 }
 
+TEST(AllocationCounting, ProgramsAreOneBlockPerRank) {
+  // A whole `mis` or `color` call — executor build, run, outputs — builds
+  // each rank's programs as one block. Quadrupling the nodes may add only
+  // the growth steps of a few flat buffers (bank, halo, gather), never an
+  // allocation per node: 3,072 more programs once cost 3,072 (`mis`) and
+  // 6,144 (`color`, whose palettes were heap blocks) more allocations.
+  const auto allocations = [](const graph::Graph& g, bool color,
+                              const local::ExecutorFactory& executor) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    if (color) {
+      coloring::randomized_coloring(g, 7, nullptr, 10000,
+                                    local::IdStrategy::kSequential, executor);
+    } else {
+      mis::luby(g, 7, nullptr, 10000, local::IdStrategy::kSequential,
+                executor);
+    }
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+  const auto small = graph::gen::torus(32, 32);
+  const auto large = graph::gen::torus(64, 64);
+  for (const std::size_t threads : {0, 2, 4}) {
+    local::ExecutorFactory executor;  // empty: the sequential executor
+    if (threads > 0) {
+      runtime::RuntimeConfig config;
+      config.kind = runtime::RuntimeKind::kParallel;
+      config.threads = threads;
+      executor = runtime::make_executor_factory(config);
+    }
+    for (const bool color : {false, true}) {
+      const std::size_t at_small = allocations(small, color, executor);
+      const std::size_t at_large = allocations(large, color, executor);
+      EXPECT_LE(at_large, at_small + 32)
+          << (color ? "color" : "mis") << " threads=" << threads;
+    }
+  }
+}
+
 TEST(Topology, BorrowsTheGraphOffsets) {
   const auto g = graph::gen::torus(8, 8);
   const local::NetworkTopology topo(g);
@@ -482,9 +582,10 @@ TEST(AllocationCounting, HookObservesPerRoundAllocations) {
   const auto g = graph::gen::torus(8, 8);
   local::Network net(g);
   auto factory = [](std::size_t rounds) {
-    return [rounds](const local::NodeEnv& env) {
-      return std::make_unique<AllocatingGossip>(env, rounds);
-    };
+    return local::programs<AllocatingGossip>(
+        [rounds](const local::NodeEnv& env) {
+          return AllocatingGossip(env, rounds);
+        });
   };
   net.run(factory(16), local::IdStrategy::kSequential, 9, 17);
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);

@@ -53,10 +53,8 @@ class SlowGossip final : public local::NodeProgram {
 
 TEST(TcpFault, KilledRankAbortsTheFleetWithoutHanging) {
   const auto g = graph::gen::cycle(6);
-  const auto factory =
-      [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
-    return std::make_unique<SlowGossip>(env);
-  };
+  const auto factory = local::programs<SlowGossip>(
+      [](const local::NodeEnv& env) { return SlowGossip(env); });
 
   const auto t0 = std::chrono::steady_clock::now();
   std::thread killer;
@@ -112,10 +110,8 @@ TEST(TcpFault, MalformedHaloFrameFailsTheFleet) {
   // is cut short. Rank 0 must throw instead of patching past the frame or
   // waiting out the round timeout, and must forward the abort to rank 1.
   const auto g = graph::gen::cycle(8);  // ranges [0,4) and [4,8): 2 cut ports
-  const auto factory =
-      [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
-    return std::make_unique<SlowGossip>(env);
-  };
+  const auto factory = local::programs<SlowGossip>(
+      [](const local::NodeEnv& env) { return SlowGossip(env); });
   std::string error;
   const auto t0 = std::chrono::steady_clock::now();
   const LoopbackReport report = run_loopback_ranks(

@@ -159,10 +159,8 @@ TEST(TcpDeterminism, ChattyMessagesNeedNoReservation) {
   // the shm overflow regression must simply *work* here — and still match
   // the sequential executor bit for bit.
   const auto g = graph::gen::complete(16);
-  const local::ProgramFactory chatty =
-      [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
-    return std::make_unique<ChattyProbe>(env);
-  };
+  const local::ProgramFactory chatty = local::programs<ChattyProbe>(
+      [](const local::NodeEnv& env) { return ChattyProbe(env); });
   local::Network sequential(g);
   sequential.set_output_fn(probe_output_fn());
   const std::size_t seq_rounds =
@@ -234,10 +232,8 @@ class MixedShapeProbe final : public probes::ProbeBase {
 };
 
 TEST(TcpDeterminism, EveryMessageShapeInOneFrame) {
-  const local::ProgramFactory mixed =
-      [](const local::NodeEnv& env) -> std::unique_ptr<local::NodeProgram> {
-    return std::make_unique<MixedShapeProbe>(env);
-  };
+  const local::ProgramFactory mixed = local::programs<MixedShapeProbe>(
+      [](const local::NodeEnv& env) { return MixedShapeProbe(env); });
   Rng rng(43);
   const auto g = graph::gen::gnp(300, 0.04, rng);
   const auto [ids, seed] = probes::kReuseIdentities[0];
@@ -256,12 +252,15 @@ TEST(TcpDeterminism, EveryMessageShapeInOneFrame) {
 }
 
 // Algorithm-level equality through the ExecutorFactory plumbing: Luby MIS,
-// trial coloring and the sinkless-orientation program, at 2 and 4 ranks.
+// trial coloring (also on K70, whose 71-color palette spans two words) and
+// the sinkless-orientation program, at 2 and 4 ranks.
 TEST(TcpDeterminism, LubyTrialColoringSinkless) {
   Rng rng(2);
   const auto g = graph::gen::random_regular(384, 8, rng);
+  const auto k70 = graph::gen::complete(70);
   const auto seq_mis = mis::luby(g, 77);
   const auto seq_col = coloring::randomized_coloring(g, 78);
+  const auto seq_k70 = coloring::randomized_coloring(k70, 7);
   const auto seq_orient = orient::sinkless_program(g, 79, 3);
   for (const std::size_t ranks : {2, 4}) {
     const LoopbackReport report = run_loopback_ranks(
@@ -287,6 +286,13 @@ TEST(TcpDeterminism, LubyTrialColoringSinkless) {
               col_out.num_colors != seq_col.num_colors ||
               col_out.executed_rounds != seq_col.executed_rounds) {
             return 11;
+          }
+          const auto k70_out = coloring::randomized_coloring(
+              k70, 7, nullptr, 10000, local::IdStrategy::kSequential,
+              executor);
+          if (k70_out.colors != seq_k70.colors ||
+              k70_out.executed_rounds != seq_k70.executed_rounds) {
+            return 13;
           }
           const auto orient_out =
               orient::sinkless_program(g, 79, 3, nullptr, 30, executor);
@@ -454,8 +460,8 @@ TEST(TcpNetwork, ProgramAccessorIsRankLocal) {
 
 TEST(TcpNetwork, EachRankConstructsOnlyItsOwnedPrograms) {
   // A LOCAL program depends only on its own node's environment, so a rank
-  // calls the factory exactly once per owned node — never for the n - |own|
-  // programs it would throw away.
+  // builds one block holding exactly its owned nodes' programs — never the
+  // n - |own| programs it would throw away.
   const auto g = graph::gen::torus(10, 10);
   for (const std::size_t ranks : {2, 4}) {
     const LoopbackReport report = run_loopback_ranks(
@@ -464,12 +470,12 @@ TEST(TcpNetwork, EachRankConstructsOnlyItsOwnedPrograms) {
           TcpTransport transport = connect(std::move(lr));
           TcpNetwork net(g, transport);
           std::size_t calls = 0;
-          const local::ProgramFactory probe = probe_factory();
           const local::ProgramFactory counting =
-              [&](const local::NodeEnv& env) {
-                ++calls;
-                return probe(env);
-              };
+              local::programs<probes::WriterProbe>(
+                  [&](const local::NodeEnv& env) {
+                    ++calls;
+                    return probes::WriterProbe(env);
+                  });
           net.run(counting, local::IdStrategy::kSequential, 4, 100);
           return calls == net.partition().num_nodes(rank) ? 0 : 45;
         });
