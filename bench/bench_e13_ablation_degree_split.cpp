@@ -32,12 +32,14 @@ int main(int argc, char** argv) {
   {
     Table table({"d", "euler max disc", "random max disc", "contract(0.1)"});
     for (std::size_t d : {8, 32, 128, 512}) {
-      graph::Multigraph m(2 * d);
       Rng gen = rng.fork(d);
-      for (std::size_t i = 0; i < d * d; ++i) {
-        m.add_edge(static_cast<graph::NodeId>(gen.next_index(2 * d)),
-                   static_cast<graph::NodeId>(gen.next_index(2 * d)));
+      std::vector<graph::Edge> edges(d * d);
+      for (graph::Edge& e : edges) {
+        // v is drawn before u: the instances this table has always used.
+        e.v = static_cast<graph::NodeId>(gen.next_index(2 * d));
+        e.u = static_cast<graph::NodeId>(gen.next_index(2 * d));
       }
+      const graph::Multigraph m(2 * d, std::move(edges));
       orient::SplitConfig euler;
       euler.eps = 0.1;
       const auto euler_orient = orient::degree_split(m, euler, rng, nullptr);

@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     const std::size_t nv = 1024;
     const std::size_t delta = 32;
     const auto b = graph::gen::random_biregular(nu, nv, delta, rng);
-    const auto g = b.unified();
+    const graph::Graph& g = b.unified();
     std::vector<local::RoundStats> trace;
     const auto factory = runtime::make_executor_factory(
         runtime_config,

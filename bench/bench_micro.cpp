@@ -47,12 +47,12 @@ using namespace ds;
 
 graph::Multigraph make_multigraph(std::size_t n, std::size_t m) {
   Rng rng(n + m);
-  graph::Multigraph g(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    g.add_edge(static_cast<graph::NodeId>(rng.next_index(n)),
-               static_cast<graph::NodeId>(rng.next_index(n)));
+  std::vector<graph::Edge> edges(m);
+  for (graph::Edge& e : edges) {
+    e.u = static_cast<graph::NodeId>(rng.next_index(n));
+    e.v = static_cast<graph::NodeId>(rng.next_index(n));
   }
-  return g;
+  return graph::Multigraph(n, std::move(edges));
 }
 
 void BM_EulerOrientation(benchmark::State& state) {
@@ -71,7 +71,7 @@ void BM_PowerColoringB2(benchmark::State& state) {
   const auto b = graph::gen::random_biregular(
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(2 * state.range(0)), 16, rng);
-  const auto unified = b.unified();
+  const graph::Graph& unified = b.unified();
   Rng id_rng(2);
   const auto ids =
       local::assign_ids(unified, local::IdStrategy::kSequential, id_rng);
@@ -138,8 +138,8 @@ void BM_AlternatingBicoloring(benchmark::State& state) {
   Rng rng(7);
   const auto g = graph::gen::random_regular(
       static_cast<std::size_t>(state.range(0)), 16, rng);
-  graph::Multigraph m(g.num_nodes());
-  for (const graph::Edge& e : g.edges()) m.add_edge(e.u, e.v);
+  const graph::Multigraph m(g.num_nodes(),
+                            {g.edges().begin(), g.edges().end()});
   for (auto _ : state) {
     benchmark::DoNotOptimize(orient::alternating_bicoloring(m));
   }

@@ -54,10 +54,8 @@ EdgeSplit edge_split(const graph::Graph& g, double charged_eps,
   //     a free color choice, picked greedily against the running balance.
   // Net per-node discrepancy is at most 3 = (one uncontrolled end) + (the
   // greedy envelope of the controlled starts).
-  graph::Multigraph m(g.num_nodes());
-  for (const graph::Edge& e : g.edges()) {
-    m.add_edge(e.u, e.v);
-  }
+  const graph::Multigraph m(g.num_nodes(),
+                            {g.edges().begin(), g.edges().end()});
   EdgeSplit is_red = orient::alternating_bicoloring(m);
   if (meter != nullptr) {
     meter->charge("degree-split", local::degree_splitting_cost_det(
@@ -121,10 +119,10 @@ EdgeColoringResult edge_coloring_via_splitting(const graph::Graph& g,
       any_split = true;
       // Build the class subgraph as a multigraph and split its edges with
       // the alternating Euler-trail bicoloring (discrepancy <= 3).
-      graph::Multigraph m(g.num_nodes());
-      for (std::size_t e : cls) {
-        m.add_edge(g.edges()[e].u, g.edges()[e].v);
-      }
+      std::vector<graph::Edge> class_edges;
+      class_edges.reserve(cls.size());
+      for (std::size_t e : cls) class_edges.push_back(g.edges()[e]);
+      const graph::Multigraph m(g.num_nodes(), std::move(class_edges));
       const std::vector<bool> class_red = orient::alternating_bicoloring(m);
       local::CostMeter one;
       one.charge("degree-split",

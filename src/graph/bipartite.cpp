@@ -1,215 +1,190 @@
 #include "graph/bipartite.hpp"
 
 #include <algorithm>
-#include <queue>
 
+#include "graph/properties.hpp"
 #include "support/check.hpp"
 
 namespace ds::graph {
 
-BipartiteGraph::BipartiteGraph(std::size_t nu, std::size_t nv)
-    : left_edges_(nu), right_edges_(nv) {}
+namespace {
 
-LeftId BipartiteGraph::add_left_node() {
-  left_edges_.emplace_back();
-  return static_cast<LeftId>(left_edges_.size() - 1);
+/// The unified image of {left, right} edges: right node v becomes vertex
+/// nu + v.
+Graph unify(std::size_t nu, std::size_t nv, std::vector<Edge> edges) {
+  DS_CHECK_MSG(nu + nv <= NodeId(-1),
+               "BipartiteGraph: nu + nv must stay below 2^32");
+  for (Edge& e : edges) {
+    DS_CHECK(e.u < nu && e.v < nv);
+    e.v += static_cast<NodeId>(nu);
+  }
+  return Graph(nu + nv, std::move(edges));
 }
 
-RightId BipartiteGraph::add_right_node() {
-  right_edges_.emplace_back();
-  return static_cast<RightId>(right_edges_.size() - 1);
-}
+}  // namespace
 
-EdgeId BipartiteGraph::add_edge(LeftId u, RightId v) {
-  DS_CHECK(u < left_edges_.size() && v < right_edges_.size());
-  DS_CHECK_MSG(!has_edge(u, v), "parallel edges not allowed in BipartiteGraph");
-  const EdgeId e = static_cast<EdgeId>(edges_.size());
-  edges_.emplace_back(u, v);
-  left_edges_[u].push_back(e);
-  right_edges_[v].push_back(e);
-  return e;
+BipartiteGraph::BipartiteGraph(std::size_t nu, std::size_t nv,
+                               std::vector<Edge> edges)
+    : BipartiteGraph(unify(nu, nv, std::move(edges)), nu) {}
+
+BipartiteGraph::BipartiteGraph(Graph unified, std::size_t nu)
+    : unified_(std::move(unified)), nu_(nu) {
+  const std::span<const std::uint64_t> offsets = unified_.offsets();
+  const EdgeView edges = unified_.edges();
+  DS_CHECK(edges.size() <= EdgeId(-1));
+  // Rows list their edges in id order (graph.hpp): one cursor per row
+  // meets each endpoint of edge e at the next slot of its row.
+  std::vector<std::uint64_t> next(offsets.begin(), offsets.end() - 1);
+  auto ports = std::make_shared_for_overwrite<EdgeId[]>(offsets.back());
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    ports[next[edges[e].u]++] = e;
+    ports[next[edges[e].v]++] = e;
+  }
+  port_edges_ = std::move(ports);
 }
 
 std::pair<LeftId, RightId> BipartiteGraph::endpoints(EdgeId e) const {
-  DS_CHECK(e < edges_.size());
-  return edges_[e];
+  DS_CHECK(e < num_edges());
+  const Edge& x = unified_.edges()[e];
+  return {x.u, static_cast<RightId>(x.v - nu_)};
 }
 
-const std::vector<EdgeId>& BipartiteGraph::left_edges(LeftId u) const {
-  DS_CHECK(u < left_edges_.size());
-  return left_edges_[u];
+EdgeIdView BipartiteGraph::row_edges(NodeId x) const {
+  const std::span<const std::uint64_t> offsets = unified_.offsets();
+  return {port_edges_.get() + offsets[x],
+          static_cast<std::size_t>(offsets[x + 1] - offsets[x])};
 }
 
-const std::vector<EdgeId>& BipartiteGraph::right_edges(RightId v) const {
-  DS_CHECK(v < right_edges_.size());
-  return right_edges_[v];
+EdgeIdView BipartiteGraph::left_edges(LeftId u) const {
+  DS_CHECK(u < num_left());
+  return row_edges(unified_left(u));
+}
+
+EdgeIdView BipartiteGraph::right_edges(RightId v) const {
+  DS_CHECK(v < num_right());
+  return row_edges(unified_right(v));
 }
 
 std::vector<RightId> BipartiteGraph::left_neighbors(LeftId u) const {
+  DS_CHECK(u < num_left());
   std::vector<RightId> out;
-  out.reserve(left_edges(u).size());
-  for (EdgeId e : left_edges(u)) out.push_back(edges_[e].second);
+  out.reserve(left_degree(u));
+  for (NodeId w : unified_.neighbors(u)) {
+    out.push_back(static_cast<RightId>(w - nu_));
+  }
   return out;
 }
 
-std::vector<LeftId> BipartiteGraph::right_neighbors(RightId v) const {
-  std::vector<LeftId> out;
-  out.reserve(right_edges(v).size());
-  for (EdgeId e : right_edges(v)) out.push_back(edges_[e].first);
-  return out;
-}
-
-std::size_t BipartiteGraph::left_degree(LeftId u) const {
-  return left_edges(u).size();
-}
-
-std::size_t BipartiteGraph::right_degree(RightId v) const {
-  return right_edges(v).size();
+NeighborView BipartiteGraph::right_neighbors(RightId v) const {
+  DS_CHECK(v < num_right());
+  return unified_.neighbors(unified_right(v));
 }
 
 std::size_t BipartiteGraph::min_left_degree() const {
-  if (left_edges_.empty()) return 0;
-  std::size_t d = left_edges_.front().size();
-  for (const auto& a : left_edges_) d = std::min(d, a.size());
+  if (num_left() == 0) return 0;
+  std::size_t d = left_degree(0);
+  for (LeftId u = 1; u < num_left(); ++u) d = std::min(d, left_degree(u));
   return d;
 }
 
 std::size_t BipartiteGraph::max_left_degree() const {
   std::size_t d = 0;
-  for (const auto& a : left_edges_) d = std::max(d, a.size());
+  for (LeftId u = 0; u < num_left(); ++u) d = std::max(d, left_degree(u));
   return d;
 }
 
 std::size_t BipartiteGraph::rank() const {
   std::size_t d = 0;
-  for (const auto& a : right_edges_) d = std::max(d, a.size());
+  for (RightId v = 0; v < num_right(); ++v) d = std::max(d, right_degree(v));
   return d;
 }
 
 std::size_t BipartiteGraph::min_right_degree() const {
-  if (right_edges_.empty()) return 0;
-  std::size_t d = right_edges_.front().size();
-  for (const auto& a : right_edges_) d = std::min(d, a.size());
+  if (num_right() == 0) return 0;
+  std::size_t d = right_degree(0);
+  for (RightId v = 1; v < num_right(); ++v) d = std::min(d, right_degree(v));
   return d;
 }
 
 bool BipartiteGraph::has_edge(LeftId u, RightId v) const {
-  DS_CHECK(u < left_edges_.size() && v < right_edges_.size());
-  if (left_edges_[u].size() <= right_edges_[v].size()) {
-    for (EdgeId e : left_edges_[u]) {
-      if (edges_[e].second == v) return true;
-    }
-  } else {
-    for (EdgeId e : right_edges_[v]) {
-      if (edges_[e].first == u) return true;
-    }
-  }
-  return false;
+  DS_CHECK(u < num_left() && v < num_right());
+  return unified_.has_edge(unified_left(u), unified_right(v));
 }
 
 std::pair<BipartiteGraph, std::vector<EdgeId>> BipartiteGraph::filter_edges(
     const std::vector<bool>& keep) const {
-  DS_CHECK(keep.size() == edges_.size());
-  BipartiteGraph out(num_left(), num_right());
+  DS_CHECK(keep.size() == num_edges());
+  const auto kept = static_cast<std::size_t>(std::ranges::count(keep, true));
+  std::vector<Edge> edges;
   std::vector<EdgeId> new_to_old;
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
+  edges.reserve(kept);
+  new_to_old.reserve(kept);
+  for (EdgeId e = 0; e < num_edges(); ++e) {
     if (keep[e]) {
-      out.add_edge(edges_[e].first, edges_[e].second);
+      edges.push_back(unified_.edges()[e]);
       new_to_old.push_back(e);
     }
   }
-  return {std::move(out), std::move(new_to_old)};
-}
-
-Graph BipartiteGraph::unified() const {
-  std::vector<Edge> edges;
-  for (const auto& [u, v] : edges_) {
-    edges.push_back({unified_left(u), unified_right(v)});
-  }
-  return Graph(num_nodes(), std::move(edges));
+  return {BipartiteGraph(Graph(num_nodes(), std::move(edges)), nu_),
+          std::move(new_to_old)};
 }
 
 std::vector<BipartiteComponent> connected_components(const BipartiteGraph& b,
                                                      bool keep_isolated) {
+  const Graph& g = b.unified();
+  const std::size_t n = g.num_nodes();
   const std::size_t nu = b.num_left();
-  const std::size_t nv = b.num_right();
-  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> comp_left(nu, kUnvisited);
-  std::vector<std::uint32_t> comp_right(nv, kUnvisited);
-  std::uint32_t num_components = 0;
-
-  // BFS over the unified node set; (side, index) pairs on the queue.
-  struct Item {
-    bool is_left;
-    std::uint32_t idx;
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  // Components in order of their first unified vertex, without isolated
+  // vertices unless kept. Each side of a component lists its members in
+  // parent order; local[x] is vertex x's index on its side.
+  const std::vector<std::uint32_t> label = component_labels(g);
+  std::vector<std::uint32_t> comp_of_label(n, kNone);
+  const auto comp = [&](NodeId x) { return comp_of_label[label[x]]; };
+  struct Sizes {
+    std::uint32_t left = 0;
+    std::uint32_t right = 0;
+    std::size_t edges = 0;
   };
-  for (std::uint32_t start = 0; start < nu + nv; ++start) {
-    const bool start_left = start < nu;
-    const std::uint32_t start_idx = start_left ? start : start - nu;
-    auto& comp_of_start = start_left ? comp_left[start_idx]
-                                     : comp_right[start_idx];
-    if (comp_of_start != kUnvisited) continue;
-    const bool isolated = start_left ? b.left_degree(start_idx) == 0
-                                     : b.right_degree(start_idx) == 0;
-    if (isolated && !keep_isolated) continue;
-    const std::uint32_t c = num_components++;
-    comp_of_start = c;
-    std::queue<Item> queue;
-    queue.push({start_left, start_idx});
-    while (!queue.empty()) {
-      const Item item = queue.front();
-      queue.pop();
-      if (item.is_left) {
-        for (EdgeId e : b.left_edges(item.idx)) {
-          const RightId w = b.endpoints(e).second;
-          if (comp_right[w] == kUnvisited) {
-            comp_right[w] = c;
-            queue.push({false, w});
-          }
-        }
-      } else {
-        for (EdgeId e : b.right_edges(item.idx)) {
-          const LeftId w = b.endpoints(e).first;
-          if (comp_left[w] == kUnvisited) {
-            comp_left[w] = c;
-            queue.push({true, w});
-          }
-        }
-      }
+  std::vector<Sizes> sizes;
+  std::vector<std::uint32_t> local(n);
+  for (NodeId x = 0; x < n; ++x) {
+    if (g.degree(x) == 0 && !keep_isolated) continue;
+    if (comp(x) == kNone) {
+      comp_of_label[label[x]] = static_cast<std::uint32_t>(sizes.size());
+      sizes.emplace_back();
+    }
+    Sizes& s = sizes[comp(x)];
+    if (x < nu) {
+      local[x] = s.left++;
+      s.edges += g.degree(x);
+    } else {
+      local[x] = s.right++;
     }
   }
-
-  std::vector<BipartiteComponent> components(num_components);
-  std::vector<std::vector<LeftId>> left_members(num_components);
-  std::vector<std::vector<RightId>> right_members(num_components);
-  // local index of each parent node inside its component
-  std::vector<std::uint32_t> local_left(nu, kUnvisited);
-  std::vector<std::uint32_t> local_right(nv, kUnvisited);
-  for (LeftId u = 0; u < nu; ++u) {
-    if (comp_left[u] != kUnvisited) {
-      local_left[u] = static_cast<std::uint32_t>(
-          left_members[comp_left[u]].size());
-      left_members[comp_left[u]].push_back(u);
+  std::vector<BipartiteComponent> components(sizes.size());
+  std::vector<std::vector<Edge>> edges(sizes.size());
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    components[c].left_to_parent.resize(sizes[c].left);
+    components[c].right_to_parent.resize(sizes[c].right);
+    edges[c].reserve(sizes[c].edges);
+  }
+  for (NodeId x = 0; x < n; ++x) {
+    if (comp(x) == kNone) continue;
+    BipartiteComponent& c = components[comp(x)];
+    if (x < nu) {
+      c.left_to_parent[local[x]] = x;
+    } else {
+      c.right_to_parent[local[x]] = static_cast<RightId>(x - nu);
     }
   }
-  for (RightId v = 0; v < nv; ++v) {
-    if (comp_right[v] != kUnvisited) {
-      local_right[v] = static_cast<std::uint32_t>(
-          right_members[comp_right[v]].size());
-      right_members[comp_right[v]].push_back(v);
-    }
+  // Component edges keep their parent order.
+  for (const Edge& e : g.edges()) {
+    edges[comp(e.u)].push_back({local[e.u], local[e.v]});
   }
-  for (std::uint32_t c = 0; c < num_components; ++c) {
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
     components[c].graph =
-        BipartiteGraph(left_members[c].size(), right_members[c].size());
-    components[c].left_to_parent = left_members[c];
-    components[c].right_to_parent = right_members[c];
-  }
-  for (EdgeId e = 0; e < b.num_edges(); ++e) {
-    const auto [u, v] = b.endpoints(e);
-    const std::uint32_t c = comp_left[u];
-    DS_CHECK(c == comp_right[v]);
-    components[c].graph.add_edge(local_left[u], local_right[v]);
+        BipartiteGraph(sizes[c].left, sizes[c].right, std::move(edges[c]));
   }
   return components;
 }

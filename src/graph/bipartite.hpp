@@ -9,6 +9,7 @@
 /// over V (the hypergraph view: U = vertices, V = hyperedges).
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,40 +25,47 @@ using RightId = std::uint32_t;
 
 /// Bipartite graph with stable edge ids, the problem instance of every
 /// splitting variant in the library. Simple: at most one edge per (u, v).
+/// It is a view of its unified graph (`unified()`; edge e of the instance is
+/// edge e there) plus one 4-byte edge id per port, so incidence lists are
+/// spans. A copy shares both; nothing mutates them.
 class BipartiteGraph {
  public:
-  /// Creates an instance with `nu` left and `nv` right isolated nodes.
-  BipartiteGraph(std::size_t nu = 0, std::size_t nv = 0);
+  /// The empty instance.
+  BipartiteGraph() = default;
 
-  LeftId add_left_node();
-  RightId add_right_node();
+  /// Builds the instance of `nu` left and `nv` right nodes whose edge i is
+  /// `edges[i]` = {left, right}. Throws ds::CheckError on an endpoint out of
+  /// range, on nu + nv >= 2^32, or on a parallel edge.
+  BipartiteGraph(std::size_t nu, std::size_t nv, std::vector<Edge> edges = {});
 
-  /// Adds the edge (u, v) and returns its id. The edge must not exist yet.
-  EdgeId add_edge(LeftId u, RightId v);
-
-  [[nodiscard]] std::size_t num_left() const { return left_edges_.size(); }
-  [[nodiscard]] std::size_t num_right() const { return right_edges_.size(); }
-  /// Total node count |U| + |V| — the `n` in the paper's bounds.
-  [[nodiscard]] std::size_t num_nodes() const {
-    return num_left() + num_right();
+  [[nodiscard]] std::size_t num_left() const { return nu_; }
+  [[nodiscard]] std::size_t num_right() const {
+    return unified_.num_nodes() - nu_;
   }
-  [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
+  /// Total node count |U| + |V| — the `n` in the paper's bounds.
+  [[nodiscard]] std::size_t num_nodes() const { return unified_.num_nodes(); }
+  [[nodiscard]] std::size_t num_edges() const { return unified_.num_edges(); }
 
   /// Endpoints of edge `e` as (left, right).
   [[nodiscard]] std::pair<LeftId, RightId> endpoints(EdgeId e) const;
 
-  /// Edge ids incident to left node `u`.
-  [[nodiscard]] const std::vector<EdgeId>& left_edges(LeftId u) const;
-  /// Edge ids incident to right node `v`.
-  [[nodiscard]] const std::vector<EdgeId>& right_edges(RightId v) const;
+  /// Edge ids incident to left node `u`, in id order.
+  [[nodiscard]] EdgeIdView left_edges(LeftId u) const;
+  /// Edge ids incident to right node `v`, in id order.
+  [[nodiscard]] EdgeIdView right_edges(RightId v) const;
 
   /// Right neighbors of left node `u` (materialized per call).
   [[nodiscard]] std::vector<RightId> left_neighbors(LeftId u) const;
-  /// Left neighbors of right node `v` (materialized per call).
-  [[nodiscard]] std::vector<LeftId> right_neighbors(RightId v) const;
+  /// Left neighbors of right node `v`: its unified row, since a left
+  /// node's vertex index is its LeftId.
+  [[nodiscard]] NeighborView right_neighbors(RightId v) const;
 
-  [[nodiscard]] std::size_t left_degree(LeftId u) const;
-  [[nodiscard]] std::size_t right_degree(RightId v) const;
+  [[nodiscard]] std::size_t left_degree(LeftId u) const {
+    return left_edges(u).size();
+  }
+  [[nodiscard]] std::size_t right_degree(RightId v) const {
+    return right_edges(v).size();
+  }
 
   /// Minimum degree δ over U; 0 if U is empty.
   [[nodiscard]] std::size_t min_left_degree() const;
@@ -79,8 +87,9 @@ class BipartiteGraph {
 
   /// The unified simple graph on |U| + |V| nodes: left node u maps to vertex
   /// u, right node v maps to vertex num_left() + v. Used for LOCAL-model
-  /// simulation and for coloring powers of B.
-  [[nodiscard]] Graph unified() const;
+  /// simulation and for coloring powers of B. Valid for this instance's
+  /// lifetime; copy the Graph (which shares the image) to keep it longer.
+  [[nodiscard]] const Graph& unified() const { return unified_; }
 
   /// Vertex index of left node `u` in `unified()`.
   [[nodiscard]] NodeId unified_left(LeftId u) const {
@@ -92,9 +101,18 @@ class BipartiteGraph {
   }
 
  private:
-  std::vector<std::vector<EdgeId>> left_edges_;
-  std::vector<std::vector<EdgeId>> right_edges_;
-  std::vector<std::pair<LeftId, RightId>> edges_;
+  /// Views `unified` split at `nu`; every edge must cross the split (see
+  /// `bipartite_from_unified`).
+  BipartiteGraph(Graph unified, std::size_t nu);
+  friend BipartiteGraph bipartite_from_unified(const Graph& g, std::size_t nu);
+
+  /// The incident edge ids of unified vertex `x`.
+  [[nodiscard]] EdgeIdView row_edges(NodeId x) const;
+
+  Graph unified_;
+  std::size_t nu_ = 0;
+  /// The edge id of every port: slot i of the unified rows.
+  std::shared_ptr<const EdgeId[]> port_edges_;
 };
 
 /// A connected component of a bipartite graph, as a standalone instance plus

@@ -210,16 +210,14 @@ BipartiteGraph bipartite_from_unified(const Graph& g, std::size_t nu) {
     throw FormatError(
         "bipartite reconstruction: left side larger than the graph");
   }
-  BipartiteGraph b(nu, g.num_nodes() - nu);
   for (const Edge& e : g.edges()) {
     if (e.u >= nu || e.v < nu) {
       throw FormatError(
           "bipartite reconstruction: edge {" + std::to_string(e.u) + ", " +
           std::to_string(e.v) + "} does not cross the left/right divide");
     }
-    b.add_edge(e.u, static_cast<RightId>(e.v - nu));
   }
-  return b;
+  return BipartiteGraph(g, nu);
 }
 
 }  // namespace ds::graph

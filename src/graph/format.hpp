@@ -29,7 +29,7 @@
 ///
 /// A bipartite instance is stored as its unified general graph (left nodes
 /// 0..nu-1, right nodes nu..n-1) with the `nu` header field set;
-/// `bipartite_from_unified` reconstructs the `BipartiteGraph`.
+/// `bipartite_from_unified` views it as a `BipartiteGraph`.
 
 #include <cstdint>
 #include <stdexcept>
@@ -83,10 +83,13 @@ Graph load_dsg(const std::string& path, DsgHeader* header = nullptr,
 /// with `path` in the message. The tools run it on every `--graph` file.
 void check_dsg_structure(const Graph& g, const std::string& path);
 
-/// Reconstructs the bipartite instance a unified general graph encodes:
-/// left nodes 0..nu-1, right nodes nu..n-1, edges in stored order (so edge
-/// ids are stable across pack/load round trips). Throws FormatError if any
-/// edge fails to cross the (left, right) divide.
+/// The bipartite instance a unified general graph encodes: left nodes
+/// 0..nu-1, right nodes nu..n-1, edges in stored order (so edge ids are
+/// stable across pack/load round trips). The instance views `g`'s image
+/// (`unified()` shares it) and adds only its edge id per port. Throws
+/// FormatError if any edge fails to cross the (left, right) divide. `g`
+/// must hold Graph's invariants: a constructed Graph, or a `.dsg` that
+/// passed `check_dsg_structure`.
 BipartiteGraph bipartite_from_unified(const Graph& g, std::size_t nu);
 
 }  // namespace ds::graph

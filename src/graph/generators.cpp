@@ -255,7 +255,8 @@ Graph high_girth_regular(std::size_t n, std::size_t d, std::size_t min_girth,
 BipartiteGraph random_left_regular(std::size_t nu, std::size_t nv,
                                    std::size_t delta, Rng& rng) {
   DS_CHECK_MSG(delta <= nv, "left degree cannot exceed |V|");
-  BipartiteGraph b(nu, nv);
+  std::vector<Edge> edges;
+  edges.reserve(nu * delta);
   std::vector<RightId> pool(nv);
   for (RightId v = 0; v < nv; ++v) pool[v] = v;
   for (LeftId u = 0; u < nu; ++u) {
@@ -263,10 +264,10 @@ BipartiteGraph random_left_regular(std::size_t nu, std::size_t nv,
     for (std::size_t i = 0; i < delta; ++i) {
       const std::size_t j = i + rng.next_index(nv - i);
       std::swap(pool[i], pool[j]);
-      b.add_edge(u, pool[i]);
+      edges.push_back({u, pool[i]});
     }
   }
-  return b;
+  return BipartiteGraph(nu, nv, std::move(edges));
 }
 
 BipartiteGraph random_biregular(std::size_t nu, std::size_t nv,
@@ -282,13 +283,14 @@ BipartiteGraph random_biregular(std::size_t nu, std::size_t nv,
       const auto [u, v] = sparse.endpoints(e);
       present[u * nv + v] = true;
     }
-    BipartiteGraph b(nu, nv);
+    std::vector<Edge> edges;
+    edges.reserve(nu * d_left);
     for (LeftId u = 0; u < nu; ++u) {
       for (RightId v = 0; v < nv; ++v) {
-        if (!present[u * nv + v]) b.add_edge(u, v);
+        if (!present[u * nv + v]) edges.push_back({u, v});
       }
     }
-    return b;
+    return BipartiteGraph(nu, nv, std::move(edges));
   }
   const std::size_t total = nu * d_left;
   // Left stubs in random order; right slots round-robin so right degrees are
@@ -329,31 +331,34 @@ BipartiteGraph random_biregular(std::size_t nu, std::size_t nv,
       }
     }
     if (!simple) continue;
-    BipartiteGraph b(nu, nv);
-    for (const auto& [u, v] : pairs) b.add_edge(u, v);
-    return b;
+    std::vector<Edge> edges;
+    edges.reserve(total);
+    for (const auto& [u, v] : pairs) edges.push_back({u, v});
+    return BipartiteGraph(nu, nv, std::move(edges));
   }
   DS_CHECK_MSG(false, "random_biregular: failed to build a simple instance");
-  return BipartiteGraph(0, 0);  // unreachable
+  return BipartiteGraph();  // unreachable
 }
 
 BipartiteGraph incidence_bipartite(const Graph& g) {
-  BipartiteGraph b(g.num_nodes(), g.num_edges());
+  std::vector<Edge> edges;
+  edges.reserve(2 * g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    b.add_edge(g.edges()[e].u, e);
-    b.add_edge(g.edges()[e].v, e);
+    edges.push_back({g.edges()[e].u, e});
+    edges.push_back({g.edges()[e].v, e});
   }
-  return b;
+  return BipartiteGraph(g.num_nodes(), g.num_edges(), std::move(edges));
 }
 
 BipartiteGraph bipartite_cycle(std::size_t k) {
   DS_CHECK(k >= 2);
-  BipartiteGraph b(k, k);
+  std::vector<Edge> edges;
+  edges.reserve(2 * k);
   for (std::uint32_t i = 0; i < k; ++i) {
-    b.add_edge(i, i);
-    b.add_edge(i, static_cast<RightId>((i + 1) % k));
+    edges.push_back({i, i});
+    edges.push_back({i, static_cast<RightId>((i + 1) % k)});
   }
-  return b;
+  return BipartiteGraph(k, k, std::move(edges));
 }
 
 Graph torus(std::size_t w, std::size_t h) {

@@ -43,14 +43,14 @@ BipartiteGraph read_bipartite(std::istream& is) {
   std::size_t m = 0;
   DS_CHECK_MSG(static_cast<bool>(is >> nu >> nv >> m),
                "malformed bipartite header");
-  BipartiteGraph b(nu, nv);
+  std::vector<Edge> edges;
   for (std::size_t i = 0; i < m; ++i) {
     LeftId u = 0;
     RightId v = 0;
     DS_CHECK_MSG(static_cast<bool>(is >> u >> v), "malformed bipartite line");
-    b.add_edge(u, v);
+    edges.push_back({u, v});
   }
-  return b;
+  return BipartiteGraph(nu, nv, std::move(edges));
 }
 
 std::string to_dot(const Graph& g) {

@@ -6,20 +6,24 @@
 
 namespace ds::graph {
 
-Multigraph::Multigraph(std::size_t n) : incident_(n) {}
-
-NodeId Multigraph::add_node() {
-  incident_.emplace_back();
-  return static_cast<NodeId>(incident_.size() - 1);
-}
-
-EdgeId Multigraph::add_edge(NodeId u, NodeId v) {
-  DS_CHECK(u < incident_.size() && v < incident_.size());
-  const EdgeId e = static_cast<EdgeId>(endpoints_.size());
-  endpoints_.push_back(Edge{u, v});
-  incident_[u].push_back(e);
-  incident_[v].push_back(e);  // self-loop appears twice by design
-  return e;
+Multigraph::Multigraph(std::size_t n, std::vector<Edge> edges)
+    : offsets_(n + 1, 0), endpoints_(std::move(edges)) {
+  DS_CHECK(endpoints_.size() <= EdgeId(-1));
+  for (const Edge& e : endpoints_) {
+    DS_CHECK(e.u < n && e.v < n);
+    ++offsets_[e.u + 1];
+    ++offsets_[e.v + 1];  // self-loop counted twice by design
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+  // offsets_[v] serves as row v's cursor, then one shift restores the
+  // starts (as in the Graph constructor).
+  incident_.resize(2 * endpoints_.size());
+  for (EdgeId e = 0; e < endpoints_.size(); ++e) {
+    incident_[offsets_[endpoints_[e].u]++] = e;
+    incident_[offsets_[endpoints_[e].v]++] = e;
+  }
+  for (std::size_t v = n; v > 0; --v) offsets_[v] = offsets_[v - 1];
+  offsets_[0] = 0;
 }
 
 Edge Multigraph::endpoints(EdgeId e) const {
@@ -27,9 +31,9 @@ Edge Multigraph::endpoints(EdgeId e) const {
   return endpoints_[e];
 }
 
-const std::vector<EdgeId>& Multigraph::incident_edges(NodeId v) const {
-  DS_CHECK(v < incident_.size());
-  return incident_[v];
+EdgeIdView Multigraph::incident_edges(NodeId v) const {
+  DS_CHECK(v < num_nodes());
+  return {incident_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
 }
 
 std::size_t Multigraph::degree(NodeId v) const {

@@ -7,6 +7,7 @@
 /// each tagged with its "corresponding node" on the right-hand side.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -16,26 +17,29 @@ namespace ds::graph {
 /// Edge identifier: dense index in [0, num_edges()).
 using EdgeId = std::uint32_t;
 
+/// One node's incident edge ids, valid for the owning graph's lifetime.
+using EdgeIdView = std::span<const EdgeId>;
+
 /// Undirected multigraph. Parallel edges are allowed; self-loops are allowed
 /// and contribute 2 to the degree of their endpoint (standard convention,
-/// needed so Eulerian degree arguments stay exact).
+/// needed so Eulerian degree arguments stay exact). Like Graph, it is one
+/// immutable image: CSR offsets and one incident edge id per port.
 class Multigraph {
  public:
-  explicit Multigraph(std::size_t n = 0);
+  /// Builds the multigraph of `n` nodes and `edges` in one counting pass:
+  /// edge i gets id i and keeps its orientation, and every node's incident
+  /// list is in id order. u == v is a self-loop. Throws ds::CheckError on
+  /// an endpoint >= n.
+  explicit Multigraph(std::size_t n = 0, std::vector<Edge> edges = {});
 
-  NodeId add_node();
-
-  /// Adds an edge and returns its id. u == v creates a self-loop.
-  EdgeId add_edge(NodeId u, NodeId v);
-
-  [[nodiscard]] std::size_t num_nodes() const { return incident_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const { return offsets_.size() - 1; }
   [[nodiscard]] std::size_t num_edges() const { return endpoints_.size(); }
 
-  /// Endpoints of edge `e` (unordered; .u as added first).
+  /// Endpoints of edge `e` (unordered; .u as given first).
   [[nodiscard]] Edge endpoints(EdgeId e) const;
 
   /// Ids of edges incident to `v`; a self-loop appears twice.
-  [[nodiscard]] const std::vector<EdgeId>& incident_edges(NodeId v) const;
+  [[nodiscard]] EdgeIdView incident_edges(NodeId v) const;
 
   /// Degree of `v` counting self-loops twice.
   [[nodiscard]] std::size_t degree(NodeId v) const;
@@ -45,8 +49,9 @@ class Multigraph {
   [[nodiscard]] NodeId other_endpoint(EdgeId e, NodeId v) const;
 
  private:
-  std::vector<std::vector<EdgeId>> incident_;
-  std::vector<Edge> endpoints_;
+  std::vector<std::size_t> offsets_;  ///< n + 1 entries
+  std::vector<EdgeId> incident_;      ///< 2m entries, row v per node
+  std::vector<Edge> endpoints_;       ///< m entries
 };
 
 /// An orientation of a multigraph: for each edge, whether it points from

@@ -31,20 +31,20 @@ std::vector<std::size_t> bfs_distances(const Graph& g, NodeId source,
 std::vector<std::uint32_t> component_labels(const Graph& g) {
   constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> label(g.num_nodes(), kUnvisited);
+  // One BFS per component; `order` is the queue of all of them.
+  std::vector<NodeId> order;
+  order.reserve(g.num_nodes());
   std::uint32_t next = 0;
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     if (label[s] != kUnvisited) continue;
     const std::uint32_t c = next++;
-    std::queue<NodeId> queue;
     label[s] = c;
-    queue.push(s);
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop();
-      for (NodeId w : g.neighbors(v)) {
+    order.push_back(s);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      for (NodeId w : g.neighbors(order[head])) {
         if (label[w] == kUnvisited) {
           label[w] = c;
-          queue.push(w);
+          order.push_back(w);
         }
       }
     }

@@ -14,7 +14,7 @@ namespace ds::graph {
 std::vector<std::size_t> bfs_distances(const Graph& g, NodeId source,
                                        std::size_t max_depth = SIZE_MAX);
 
-/// Component label per node (labels dense in [0, #components)).
+/// Component label per node: dense in [0, #components), in node order.
 std::vector<std::uint32_t> component_labels(const Graph& g);
 
 /// True if the graph is connected (the empty graph counts as connected).

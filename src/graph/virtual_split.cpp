@@ -10,23 +10,23 @@ NormalizedBipartite normalize_left_degrees(const BipartiteGraph& b,
   DS_CHECK_MSG(b.min_left_degree() >= delta,
                "normalize_left_degrees requires min left degree >= delta");
   NormalizedBipartite out;
-  out.graph = BipartiteGraph(0, b.num_right());
+  std::vector<Edge> virtual_edges;
+  virtual_edges.reserve(b.num_edges());
   for (LeftId u = 0; u < b.num_left(); ++u) {
-    const auto& edges = b.left_edges(u);
+    const EdgeIdView edges = b.left_edges(u);
     const std::size_t d = edges.size();
     // Number of virtual copies: ⌊d/δ⌋ for d > 2δ, else 1. Each copy receives
     // either ⌊d/parts⌋ or ⌈d/parts⌉ edges, which lies in [δ, 2δ).
     const std::size_t parts = d > 2 * delta ? d / delta : 1;
-    std::vector<LeftId> copies(parts);
-    for (std::size_t p = 0; p < parts; ++p) {
-      copies[p] = out.graph.add_left_node();
-      out.left_to_original.push_back(u);
-    }
+    const auto first = static_cast<LeftId>(out.left_to_original.size());
+    out.left_to_original.resize(first + parts, u);
     for (std::size_t i = 0; i < d; ++i) {
       const RightId v = b.endpoints(edges[i]).second;
-      out.graph.add_edge(copies[i % parts], v);
+      virtual_edges.push_back({static_cast<LeftId>(first + i % parts), v});
     }
   }
+  out.graph = BipartiteGraph(out.left_to_original.size(), b.num_right(),
+                             std::move(virtual_edges));
   // Postcondition from the paper: every virtual node has degree in [δ, 2δ)
   // unless the original degree was <= 2δ (then it is in [δ, 2δ]).
   for (LeftId u = 0; u < out.graph.num_left(); ++u) {

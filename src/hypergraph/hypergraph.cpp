@@ -57,13 +57,11 @@ std::size_t Hypergraph::max_degree() const {
 }
 
 graph::BipartiteGraph Hypergraph::incidence() const {
-  graph::BipartiteGraph b(num_vertices(), num_edges());
+  std::vector<graph::Edge> pins;
   for (HyperedgeId e = 0; e < edges_.size(); ++e) {
-    for (VertexId v : edges_[e]) {
-      b.add_edge(v, e);
-    }
+    for (VertexId v : edges_[e]) pins.push_back({v, e});
   }
-  return b;
+  return graph::BipartiteGraph(num_vertices(), num_edges(), std::move(pins));
 }
 
 graph::Graph Hypergraph::conflict_graph() const {
@@ -155,15 +153,15 @@ HyperedgeSplitResult hyperedge_split(const Hypergraph& h, double eps,
   if (h.num_edges() == 0) return result;
   // Constraint instance: one left node per constrained vertex; right nodes
   // are the hyperedges.
-  graph::BipartiteGraph b(0, h.num_edges());
+  graph::LeftId nu = 0;
+  std::vector<graph::Edge> edges;
   for (VertexId v = 0; v < h.num_vertices(); ++v) {
     if (h.degree(v) < degree_threshold || h.degree(v) == 0) continue;
-    const graph::LeftId u = b.add_left_node();
-    for (HyperedgeId e : h.incident(v)) {
-      b.add_edge(u, e);
-    }
+    for (HyperedgeId e : h.incident(v)) edges.push_back({nu, e});
+    ++nu;
   }
-  if (b.num_left() == 0) return result;
+  if (nu == 0) return result;
+  const graph::BipartiteGraph b(nu, h.num_edges(), std::move(edges));
   const auto core = reductions::two_sided_split_bipartite(b, eps, rng, meter);
   result.is_red = core.is_red;
   result.initial_potential = core.initial_potential;

@@ -20,7 +20,7 @@ namespace {
 std::vector<std::uint32_t> schedule_by_b2(const graph::BipartiteGraph& b,
                                           Rng& rng, local::CostMeter* meter,
                                           std::uint32_t* num_schedule_colors) {
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   Rng id_rng = rng.fork(0x5C4EDull);
   const auto ids =
       local::assign_ids(unified, local::IdStrategy::kSequential, id_rng);

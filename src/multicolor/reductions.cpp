@@ -117,7 +117,8 @@ IteratedCLResult iterated_cl_multicolor(const graph::BipartiteGraph& b,
   for (std::size_t iter = 0; iter < result.iterations; ++iter) {
     // Virtual instance H_i: one left node per (u, current color class x)
     // with enough neighbors of class x.
-    graph::BipartiteGraph h(0, b.num_right());
+    graph::LeftId nh = 0;
+    std::vector<graph::Edge> virtual_edges;
     for (graph::LeftId u = 0; u < b.num_left(); ++u) {
       std::map<std::uint64_t, std::vector<graph::RightId>> classes;
       for (graph::EdgeId e : b.left_edges(u)) {
@@ -126,10 +127,11 @@ IteratedCLResult iterated_cl_multicolor(const graph::BipartiteGraph& b,
       }
       for (const auto& [x, members] : classes) {
         if (members.size() < min_virtual_degree) continue;
-        const graph::LeftId vu = h.add_left_node();
-        for (graph::RightId v : members) h.add_edge(vu, v);
+        for (graph::RightId v : members) virtual_edges.push_back({nh, v});
+        ++nh;
       }
     }
+    const graph::BipartiteGraph h(nh, b.num_right(), std::move(virtual_edges));
     // Black box: (C, λ)-multicolor splitting on H_i.
     const ColorAssignment found =
         derand_cl_multicolor(h, C, lambda, rng, meter);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "graph/multigraph.hpp"
 #include "local/network.hpp"
 #include "support/check.hpp"
 
@@ -33,12 +34,9 @@ bool is_sinkless(const graph::Graph& g, const std::vector<bool>& toward_v,
 std::vector<bool> sinkless_random_fix(const graph::Graph& g, Rng& rng,
                                       local::CostMeter* meter,
                                       std::size_t max_rounds) {
-  // Per-node incident edge index lists for O(deg) flips.
-  std::vector<std::vector<std::size_t>> incident(g.num_nodes());
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    incident[g.edges()[e].u].push_back(e);
-    incident[g.edges()[e].v].push_back(e);
-  }
+  // Per-node incident edge ids for O(deg) flips.
+  const graph::Multigraph incidence(g.num_nodes(),
+                                    {g.edges().begin(), g.edges().end()});
   std::vector<bool> toward_v(g.num_edges());
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     toward_v[e] = rng.next_bool();
@@ -64,7 +62,8 @@ std::vector<bool> sinkless_random_fix(const graph::Graph& g, Rng& rng,
                  "sinkless_random_fix did not converge (degree too small?)");
     // All sinks simultaneously flip one random incident edge outward.
     for (graph::NodeId v : sinks) {
-      const std::size_t e = incident[v][rng.next_index(incident[v].size())];
+      const graph::EdgeIdView inc = incidence.incident_edges(v);
+      const graph::EdgeId e = inc[rng.next_index(inc.size())];
       toward_v[e] = (g.edges()[e].u == v);
     }
     ++rounds;

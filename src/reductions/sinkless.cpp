@@ -1,5 +1,6 @@
 #include "reductions/sinkless.hpp"
 
+#include "graph/multigraph.hpp"
 #include "orient/sinkless.hpp"
 #include "splitting/solver.hpp"
 #include "support/check.hpp"
@@ -24,25 +25,22 @@ bool majority_larger(const graph::Graph& g,
 graph::BipartiteGraph build_sinkless_instance(
     const graph::Graph& g, const std::vector<std::uint64_t>& ids) {
   DS_CHECK(ids.size() == g.num_nodes());
-  graph::BipartiteGraph b(g.num_nodes(), g.num_edges());
-  // Incident edge ids per node, one edge scan.
-  std::vector<std::vector<std::size_t>> incident(g.num_nodes());
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    incident[g.edges()[e].u].push_back(e);
-    incident[g.edges()[e].v].push_back(e);
-  }
+  // Incident edge ids per node, in id order.
+  const graph::Multigraph incidence(g.num_nodes(),
+                                    {g.edges().begin(), g.edges().end()});
+  std::vector<graph::Edge> kept;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     const bool use_larger = majority_larger(g, ids, u);
-    for (std::size_t e : incident[u]) {
+    for (graph::EdgeId e : incidence.incident_edges(u)) {
       const graph::Edge& ed = g.edges()[e];
       const graph::NodeId other = ed.u == u ? ed.v : ed.u;
       const bool other_larger = ids[other] > ids[u];
       if (other_larger == use_larger) {
-        b.add_edge(u, static_cast<graph::RightId>(e));
+        kept.push_back({u, e});
       }
     }
   }
-  return b;
+  return graph::BipartiteGraph(g.num_nodes(), g.num_edges(), std::move(kept));
 }
 
 std::vector<bool> orientation_from_splitting(

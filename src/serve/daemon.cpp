@@ -68,7 +68,10 @@ Daemon::Daemon(DaemonConfig config)
     net::set_nonblocking(request_listener_.fd(), true);
   }
   if (config_.nu > 0) {
+    // One resident graph for both input kinds: `split` runs on the view's
+    // unified graph, which shares config.graph's image.
     bipartite_ = graph::bipartite_from_unified(*config_.graph, config_.nu);
+    config_.graph = &bipartite_.unified();
   }
   // Register the serve metrics up front: the registry seals against new
   // names at the first publish, and re-finding them later is then legal

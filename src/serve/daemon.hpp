@@ -24,9 +24,10 @@
 /// Every served run executes on a `net::TcpNetwork` over the daemon's
 /// standing transport. The first request builds the resident executor over
 /// the resident instance — its topology and partition — and every later
-/// request reuses it with its own ids and seed. A spec whose executor graph
-/// is not the resident instance (`split` runs on the unified graph it
-/// derives) gets an executor for that request only.
+/// request reuses it with its own ids and seed. With a left/right split the
+/// resident graph is the bipartite view's unified graph, so `split` shares
+/// that executor. A spec that runs on any other graph gets an executor for
+/// that request only.
 ///
 /// Failure policy: any execution failure or dead peer marks the fleet
 /// unhealthy (`fleet_ok() == false`, publisher health kAborted). The daemon
@@ -169,7 +170,7 @@ class Daemon {
   void mark_fleet_broken(const std::string& why);
 
   DaemonConfig config_;
-  graph::BipartiteGraph bipartite_;  ///< built from nu when nonzero
+  graph::BipartiteGraph bipartite_;  ///< views config.graph when nu > 0
   net::Socket request_listener_;     ///< rank 0's client port
   std::uint16_t request_port_ = 0;
   net::TcpTransport transport_;

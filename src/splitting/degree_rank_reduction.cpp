@@ -9,14 +9,11 @@ namespace ds::splitting {
 graph::BipartiteGraph drr1_iteration(const graph::BipartiteGraph& b,
                                      const orient::SplitConfig& config,
                                      Rng& rng, local::CostMeter* meter) {
-  // Build the edge multigraph over U ∪ V: one multigraph edge per bipartite
-  // edge, left node u at index u, right node v at index |U| + v. Edge ids
-  // coincide with the bipartite edge ids by construction order.
-  graph::Multigraph m(b.num_nodes());
-  for (graph::EdgeId e = 0; e < b.num_edges(); ++e) {
-    const auto [u, v] = b.endpoints(e);
-    m.add_edge(b.unified_left(u), b.unified_right(v));
-  }
+  // The edge multigraph over U ∪ V is the unified edge list: edge e joins
+  // left node u (index u) to right node v (index |U| + v), left end first,
+  // so multigraph and bipartite edge ids coincide.
+  const graph::EdgeView unified = b.unified().edges();
+  const graph::Multigraph m(b.num_nodes(), {unified.begin(), unified.end()});
   const graph::Orientation orient = orient::degree_split(m, config, rng, meter);
   // Keep exactly the edges oriented from U towards V (toward_v == true since
   // the left endpoint was added first).

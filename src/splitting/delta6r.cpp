@@ -63,7 +63,7 @@ Coloring delta6r_split(const graph::BipartiteGraph& b, bool randomized,
   // conflict-free. Unclaimed right nodes default to red.
   Coloring colors(b.num_right(), Color::kRed);
   for (graph::LeftId u = 0; u < reduced.num_left(); ++u) {
-    const auto& edges = reduced.left_edges(u);
+    const graph::EdgeIdView edges = reduced.left_edges(u);
     DS_CHECK(edges.size() >= 2);
     colors[reduced.endpoints(edges[0]).second] = Color::kRed;
     colors[reduced.endpoints(edges[1]).second] = Color::kBlue;

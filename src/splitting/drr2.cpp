@@ -12,24 +12,23 @@ graph::BipartiteGraph drr2_iteration(const graph::BipartiteGraph& b,
   // Pair multigraph on U. For pair (u_i, u_{i+1}) created by right node v,
   // remember the two bipartite edges so the orientation can delete the
   // correct one.
-  graph::Multigraph pairs(b.num_left());
   struct PairEdges {
     graph::EdgeId first_edge;   // bipartite edge (tail candidate u_i, v)
     graph::EdgeId second_edge;  // bipartite edge (head candidate u_{i+1}, v)
   };
+  std::vector<graph::Edge> pair_edges;
   std::vector<PairEdges> pair_info;
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
-    const auto& edges = b.right_edges(v);
+    const graph::EdgeIdView edges = b.right_edges(v);
     for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
-      const graph::LeftId a = b.endpoints(edges[i]).first;
-      const graph::LeftId c = b.endpoints(edges[i + 1]).first;
-      const graph::EdgeId pe = pairs.add_edge(a, c);
-      DS_CHECK(pe == pair_info.size());
+      pair_edges.push_back({b.endpoints(edges[i]).first,
+                            b.endpoints(edges[i + 1]).first});
       pair_info.push_back(PairEdges{edges[i], edges[i + 1]});
     }
     // If deg(v) is odd, the last neighbor stays unpaired and its edge is
     // always kept.
   }
+  const graph::Multigraph pairs(b.num_left(), std::move(pair_edges));
 
   const graph::Orientation orient =
       orient::degree_split(pairs, config, rng, meter);

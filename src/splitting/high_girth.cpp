@@ -20,12 +20,10 @@ constexpr int kChoiceRed = 0;
 constexpr int kChoiceBlue = 1;
 constexpr int kChoiceUncolored = 2;
 
-/// Snapshot of the adjacency data the estimator closures need.
+/// The adjacency data the estimator closures need.
 struct ShatterAdj {
-  /// left u -> its right neighbors.
-  std::vector<std::vector<graph::RightId>> left_nbrs;
-  /// right v -> its left neighbors.
-  std::vector<std::vector<graph::LeftId>> right_nbrs;
+  /// The instance (a copy shares its image).
+  graph::BipartiteGraph b;
   /// left u -> (shared right node w, constraint u' at distance 2 via w).
   /// With girth >= 10 each u' appears with exactly one w; the estimator for
   /// the event conditioned on "v uncolored" must SKIP pairs with w == v:
@@ -39,17 +37,11 @@ struct ShatterAdj {
 
 std::shared_ptr<ShatterAdj> make_adj(const graph::BipartiteGraph& b) {
   auto adj = std::make_shared<ShatterAdj>();
-  adj->left_nbrs.resize(b.num_left());
-  adj->right_nbrs.resize(b.num_right());
-  for (graph::EdgeId e = 0; e < b.num_edges(); ++e) {
-    const auto [u, v] = b.endpoints(e);
-    adj->left_nbrs[u].push_back(v);
-    adj->right_nbrs[v].push_back(u);
-  }
+  adj->b = b;
   adj->left_two_hop.resize(b.num_left());
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    for (graph::RightId v : adj->left_nbrs[u]) {
-      for (graph::LeftId w : adj->right_nbrs[v]) {
+    for (graph::RightId v : b.left_neighbors(u)) {
+      for (graph::LeftId w : b.right_neighbors(v)) {
         if (w != u) adj->left_two_hop[u].emplace_back(v, w);
       }
     }
@@ -77,7 +69,8 @@ NbrCounts count_neighbors(const ShatterAdj& adj, graph::LeftId u,
                           const std::vector<int>& a,
                           graph::RightId conditioned_uncolored) {
   NbrCounts c;
-  for (graph::RightId v : adj.left_nbrs[u]) {
+  for (graph::NodeId x : adj.b.unified().neighbors(u)) {
+    const auto v = static_cast<graph::RightId>(x - adj.b.num_left());
     int value = a[v];
     if (v == conditioned_uncolored) value = kChoiceUncolored;
     switch (value) {
@@ -156,7 +149,7 @@ ShatterOutcome finish_shattering(const graph::BipartiteGraph& b,
   }
   std::vector<bool> uncolor(b.num_right(), false);
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    const auto& edges = b.left_edges(u);
+    const graph::EdgeIdView edges = b.left_edges(u);
     std::size_t colored = 0;
     for (graph::EdgeId e : edges) {
       if (out.partial[b.endpoints(e).second] != Color::kUncolored) ++colored;
@@ -251,7 +244,7 @@ derand::Problem high_girth_shatter_problem(const graph::BipartiteGraph& b,
   // var_constraints: a variable affects the estimators of right nodes within
   // distance 4 (itself, plus constraints reading its color through their
   // A1/A2/A3/A4 pieces).
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   p.var_constraints.resize(b.num_right());
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
     std::set<graph::RightId> affected;
@@ -275,7 +268,7 @@ derand::Problem high_girth_shatter_problem(const graph::BipartiteGraph& b,
     // Pr[X_v >= threshold] <= e^{-s·threshold}·Π_u (1 + (e^s − 1)·p_u).
     const double es = std::exp(outer_s);
     double product = 1.0;
-    for (graph::LeftId u : adj->right_nbrs[v]) {
+    for (graph::LeftId u : adj->b.right_neighbors(v)) {
       const double pu = est_unsatisfied(*adj, u, a, v, tail_s);
       product *= 1.0 + (es - 1.0) * pu;
     }
@@ -290,7 +283,7 @@ Coloring high_girth_det_split(const graph::BipartiteGraph& b, Rng& rng,
   DS_CHECK_MSG(b.min_left_degree() >= 5,
                "need min left degree >= 5 so unsatisfied nodes keep >= 2 "
                "uncolored neighbors");
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   if (config.check_girth) {
     DS_CHECK_MSG(graph::girth(unified) >= 10,
                  "high_girth_det_split requires girth >= 10");

@@ -27,7 +27,7 @@ ShatterOutcome shattering_phase(const graph::BipartiteGraph& b, Rng& rng,
   // them. Counts are taken simultaneously against the phase-1 colors.
   std::vector<bool> uncolor(b.num_right(), false);
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    const auto& edges = b.left_edges(u);
+    const graph::EdgeIdView edges = b.left_edges(u);
     std::size_t colored = 0;
     for (graph::EdgeId e : edges) {
       if (out.partial[b.endpoints(e).second] != Color::kUncolored) ++colored;

@@ -104,7 +104,7 @@ SplitProgramOutcome weak_splitting_program(const graph::BipartiteGraph& b,
                                            local::CostMeter* meter,
                                            std::size_t max_trials,
                                            const local::ExecutorFactory& executor) {
-  const graph::Graph g = b.unified();
+  const graph::Graph& g = b.unified();
   const std::size_t nu = b.num_left();
   const std::size_t budget =
       4 * static_cast<std::size_t>(std::ceil(

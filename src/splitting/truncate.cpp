@@ -11,7 +11,7 @@ graph::BipartiteGraph truncate_left_degrees(const graph::BipartiteGraph& b,
   DS_CHECK(target >= 1);
   std::vector<bool> keep(b.num_edges(), false);
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    const auto& edges = b.left_edges(u);
+    const graph::EdgeIdView edges = b.left_edges(u);
     const std::size_t kept = std::min(edges.size(), target);
     for (std::size_t i = 0; i < kept; ++i) keep[edges[i]] = true;
   }

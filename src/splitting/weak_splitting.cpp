@@ -112,7 +112,7 @@ Coloring robust_component_solve(const graph::BipartiteGraph& b, Rng& rng,
       const auto bad = unsatisfied_nodes(b, colors, min_degree);
       if (bad.empty()) return colors;
       for (graph::LeftId u : bad) {
-        const auto& edges = b.left_edges(u);
+        const graph::EdgeIdView edges = b.left_edges(u);
         if (edges.size() < 2) continue;
         // Recolor a random neighbor to the color u is missing.
         bool red = false;

@@ -65,6 +65,13 @@ TEST(Engine, GreedyPicksTheCheapestChoice) {
   EXPECT_NEAR(r.final_potential, 0.0, 1e-12);
 }
 
+/// One left node adjacent to all `k` right nodes.
+graph::BipartiteGraph star(std::size_t k) {
+  std::vector<graph::Edge> edges;
+  for (graph::RightId v = 0; v < k; ++v) edges.push_back({0, v});
+  return graph::BipartiteGraph(1, k, std::move(edges));
+}
+
 graph::BipartiteGraph random_instance(std::size_t nu, std::size_t nv,
                                       std::size_t delta, std::uint64_t seed) {
   Rng rng(seed);
@@ -81,9 +88,7 @@ TEST(WeakSplittingEstimator, InitialPotentialMatchesUnionBound) {
 
 TEST(WeakSplittingEstimator, ExactConditionals) {
   // One constraint with 2 neighbors.
-  graph::BipartiteGraph b(1, 2);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
+  const graph::BipartiteGraph b = star(2);
   const Problem p = weak_splitting_problem(b);
   EXPECT_NEAR(p.phi(0, {kUnset, kUnset}), 0.5, 1e-12);
   EXPECT_NEAR(p.phi(0, {0, kUnset}), 0.5, 1e-12);   // all-red needs 1 coin
@@ -131,8 +136,7 @@ TEST(WeakSplittingEstimator, OrderIndependentValidity) {
 }
 
 TEST(MissingColorEstimator, CountsMissingColors) {
-  graph::BipartiteGraph b(1, 3);
-  for (graph::RightId v = 0; v < 3; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b = star(3);
   const Problem p = missing_color_problem(b, 3);
   const double keep = 2.0 / 3.0;
   EXPECT_NEAR(p.phi(0, {kUnset, kUnset, kUnset}), 3.0 * std::pow(keep, 3),
@@ -144,8 +148,7 @@ TEST(MissingColorEstimator, CountsMissingColors) {
 TEST(MissingColorEstimator, MartingaleUnderUniformChoice) {
   // Averaging phi over one variable's uniform choice must reproduce the
   // unset value exactly (the estimator is an exact martingale).
-  graph::BipartiteGraph b(1, 4);
-  for (graph::RightId v = 0; v < 4; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b = star(4);
   const int C = 3;
   const Problem p = missing_color_problem(b, C);
   std::vector<int> a(4, kUnset);
@@ -178,8 +181,7 @@ TEST(MissingColorEstimator, GreedyMakesAllColorsSeen) {
 }
 
 TEST(OverloadEstimator, MartingaleUnderUniformChoice) {
-  graph::BipartiteGraph b(1, 6);
-  for (graph::RightId v = 0; v < 6; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b = star(6);
   const int C = 4;
   const Problem p = overload_problem(b, C, 0.5);
   std::vector<int> a(6, kUnset);
@@ -213,8 +215,7 @@ TEST(OverloadEstimator, GreedyBalancesColors) {
 }
 
 TEST(TwoSidedEstimator, MartingaleUnderFairCoin) {
-  graph::BipartiteGraph b(1, 8);
-  for (graph::RightId v = 0; v < 8; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b = star(8);
   const Problem p = two_sided_problem(b, 0.2);
   std::vector<int> a(8, kUnset);
   a[5] = 0;

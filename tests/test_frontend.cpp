@@ -112,6 +112,25 @@ TEST(FrontendSource, InputFileKeepsItsForm) {
   EXPECT_EQ(inst.bipartite.num_right(), 1u);
 }
 
+TEST(FrontendSource, BipartiteInstanceIsOneImage) {
+  // Whatever the source, `graph` is the bipartite view's unified image and
+  // `nu` its left size: nothing is held twice.
+  const std::string path = ::testing::TempDir() + "/frontend_one_image.txt";
+  {
+    std::ofstream out(path);
+    out << "2 1 2\n0 0\n1 0\n";
+  }
+  const std::string input = "--input=" + path;
+  const char* gen = "--gen=biregular:nu=8,nv=16,delta=4";
+  for (const Options& opts : {opts_of({input.c_str()}), opts_of({gen})}) {
+    const Instance inst =
+        load_instance(opts, algo::InputKind::kBipartiteGraph, "--algo=split");
+    EXPECT_EQ(inst.nu, inst.bipartite.num_left());
+    EXPECT_EQ(inst.graph.offsets().data(),
+              inst.bipartite.unified().offsets().data());
+  }
+}
+
 TEST(FrontendSource, GraphFileMustPassTheStructuralCheck) {
   const std::string path = ::testing::TempDir() + "/frontend_interior.dsg";
   const graph::DistributedGenerator dg(

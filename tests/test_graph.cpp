@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/bipartite.hpp"
+#include "graph/format.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "graph/multigraph.hpp"
@@ -99,21 +101,30 @@ TEST(Graph, InducedSubgraphRejectsDuplicates) {
 }
 
 TEST(Multigraph, ParallelEdgesAndSelfLoops) {
-  Multigraph m(2);
-  const EdgeId e1 = m.add_edge(0, 1);
-  const EdgeId e2 = m.add_edge(0, 1);
-  const EdgeId loop = m.add_edge(1, 1);
-  EXPECT_NE(e1, e2);
+  const Multigraph m(2, {{0, 1}, {0, 1}, {1, 1}});
+  const EdgeId e1 = 0;
+  const EdgeId loop = 2;
+  EXPECT_EQ(m.num_edges(), 3u);
   EXPECT_EQ(m.degree(0), 2u);
   EXPECT_EQ(m.degree(1), 4u);  // two parallel + self-loop counted twice
   EXPECT_EQ(m.other_endpoint(e1, 0), 1u);
   EXPECT_EQ(m.other_endpoint(loop, 1), 1u);
+  // Incident lists are in id order; a self-loop is listed twice.
+  EXPECT_TRUE(std::ranges::equal(m.incident_edges(1),
+                                 std::vector<EdgeId>{0, 1, 2, 2}));
+  EXPECT_EQ(m.endpoints(1), (Edge{0, 1}));
+}
+
+TEST(Multigraph, KeepsOrientationAndRejectsOutOfRange) {
+  const Multigraph m(3, {{2, 0}});
+  EXPECT_EQ(m.endpoints(0), (Edge{2, 0}));  // as given, not u < v
+  EXPECT_EQ(m.degree(1), 0u);
+  EXPECT_TRUE(m.incident_edges(1).empty());
+  EXPECT_THROW(Multigraph(2, {{0, 2}}), CheckError);
 }
 
 TEST(Multigraph, DiscrepancyCountsBalance) {
-  Multigraph m(3);
-  m.add_edge(0, 1);
-  m.add_edge(0, 2);
+  const Multigraph m(3, {{0, 1}, {0, 2}});
   Orientation orient;
   orient.toward_v = {true, true};  // both out of node 0
   EXPECT_EQ(orientation_discrepancy(m, orient, 0), 2u);
@@ -123,8 +134,7 @@ TEST(Multigraph, DiscrepancyCountsBalance) {
 }
 
 TEST(Multigraph, SelfLoopHasZeroDiscrepancy) {
-  Multigraph m(1);
-  m.add_edge(0, 0);
+  const Multigraph m(1, {{0, 0}});
   Orientation orient;
   orient.toward_v = {true};
   EXPECT_EQ(orientation_discrepancy(m, orient, 0), 0u);
@@ -132,12 +142,7 @@ TEST(Multigraph, SelfLoopHasZeroDiscrepancy) {
 
 BipartiteGraph small_instance() {
   // U = {0,1}, V = {0,1,2}; u0 ~ {v0,v1}, u1 ~ {v1,v2}.
-  BipartiteGraph b(2, 3);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  b.add_edge(1, 1);
-  b.add_edge(1, 2);
-  return b;
+  return BipartiteGraph(2, 3, {{0, 0}, {0, 1}, {1, 1}, {1, 2}});
 }
 
 TEST(Bipartite, DegreesRankAndNeighbors) {
@@ -151,15 +156,26 @@ TEST(Bipartite, DegreesRankAndNeighbors) {
   EXPECT_EQ(b.rank(), 2u);  // v1 has two constraints
   EXPECT_EQ(b.min_right_degree(), 1u);
   EXPECT_EQ(b.left_neighbors(0), (std::vector<RightId>{0, 1}));
-  EXPECT_EQ(b.right_neighbors(1), (std::vector<LeftId>{0, 1}));
+  EXPECT_TRUE(std::ranges::equal(b.right_neighbors(1),
+                                 std::vector<LeftId>{0, 1}));
+  EXPECT_TRUE(std::ranges::equal(b.left_edges(1), std::vector<EdgeId>{2, 3}));
+  EXPECT_TRUE(std::ranges::equal(b.right_edges(1), std::vector<EdgeId>{1, 2}));
+  EXPECT_EQ(b.endpoints(3), (std::pair<LeftId, RightId>{1, 2}));
   EXPECT_TRUE(b.has_edge(0, 1));
   EXPECT_FALSE(b.has_edge(0, 2));
 }
 
 TEST(Bipartite, RejectsParallelEdges) {
-  BipartiteGraph b(1, 1);
-  b.add_edge(0, 0);
-  EXPECT_THROW(b.add_edge(0, 0), CheckError);
+  EXPECT_THROW(BipartiteGraph(1, 1, {{0, 0}, {0, 0}}), CheckError);
+}
+
+TEST(Bipartite, RejectsEndpointsOutOfRange) {
+  // Checked before right node v becomes vertex nu + v: left endpoint 3
+  // must not become vertex 3 (right node 1), an edge inside the right side.
+  EXPECT_THROW(BipartiteGraph(2, 3, {{3, 0}}), CheckError);
+  EXPECT_THROW(BipartiteGraph(2, 3, {{0, 3}}), CheckError);
+  EXPECT_THROW(BipartiteGraph(std::size_t{1} << 31, std::size_t{1} << 31),
+               CheckError);
 }
 
 TEST(Bipartite, FilterEdgesRenumbers) {
@@ -176,20 +192,41 @@ TEST(Bipartite, FilterEdgesRenumbers) {
 
 TEST(Bipartite, UnifiedGraphLayout) {
   const BipartiteGraph b = small_instance();
-  const Graph u = b.unified();
+  const Graph& u = b.unified();
   EXPECT_EQ(u.num_nodes(), 5u);
   EXPECT_EQ(u.num_edges(), 4u);
   EXPECT_TRUE(u.has_edge(b.unified_left(0), b.unified_right(0)));
   EXPECT_TRUE(u.has_edge(b.unified_left(1), b.unified_right(2)));
+  // Edge e of the instance is edge e of its unified image.
+  EXPECT_EQ(u.edges()[3], (Edge{1, 4}));
+  // A copy shares the image rather than rebuilding it.
+  const BipartiteGraph copy = b;
+  EXPECT_EQ(copy.unified().offsets().data(), u.offsets().data());
+  // So does a view of an existing unified graph ...
+  const Graph g(5, {{0, 2}, {1, 3}, {1, 4}});
+  const BipartiteGraph view = bipartite_from_unified(g, 2);
+  EXPECT_EQ(view.unified().offsets().data(), g.offsets().data());
+  EXPECT_EQ(view.endpoints(2), (std::pair<LeftId, RightId>{1, 2}));
+  // ... and of a loaded .dsg file: the instance reads the mapping itself.
+  const std::string path = ::testing::TempDir() + "/unified_layout.dsg";
+  write_dsg(b.unified(), path, b.num_left());
+  DsgHeader header;
+  const Graph mapped = load_dsg(path, &header);
+  const BipartiteGraph loaded =
+      bipartite_from_unified(mapped, static_cast<std::size_t>(header.nu));
+  EXPECT_EQ(loaded.unified().offsets().data(), mapped.offsets().data());
+  EXPECT_EQ(loaded.unified().edges().data(), mapped.edges().data());
+  EXPECT_TRUE(std::ranges::equal(loaded.right_edges(1), b.right_edges(1)));
 }
 
 TEST(Bipartite, ConnectedComponentsSplitAndMapBack) {
-  BipartiteGraph b(3, 3);
-  b.add_edge(0, 0);
-  b.add_edge(1, 1);
-  b.add_edge(2, 1);  // u1,u2,v1 one component; u0,v0 another; v2 isolated
+  // u1,u2,v1 one component; u0,v0 another; v2 isolated.
+  const BipartiteGraph b(3, 3, {{0, 0}, {1, 1}, {2, 1}});
   const auto comps = connected_components(b);
   EXPECT_EQ(comps.size(), 2u);
+  // Numbered by first unified vertex; members in parent order.
+  EXPECT_EQ(comps[1].left_to_parent, (std::vector<LeftId>{1, 2}));
+  EXPECT_EQ(comps[1].right_to_parent, (std::vector<RightId>{1}));
   std::size_t total_edges = 0;
   for (const auto& c : comps) {
     total_edges += c.graph.num_edges();
@@ -203,8 +240,7 @@ TEST(Bipartite, ConnectedComponentsSplitAndMapBack) {
 }
 
 TEST(Bipartite, IsolatedNodesOptIn) {
-  BipartiteGraph b(1, 2);
-  b.add_edge(0, 0);
+  const BipartiteGraph b(1, 2, {{0, 0}});
   EXPECT_EQ(connected_components(b, false).size(), 1u);
   EXPECT_EQ(connected_components(b, true).size(), 2u);
 }
@@ -272,10 +308,17 @@ TEST(Io, MalformedInputThrows) {
   EXPECT_THROW(io::read_edge_list(ss), CheckError);
 }
 
+TEST(Io, BipartiteLeftEndpointOutOfRangeThrows) {
+  // Left node 3 of a 2-left instance: not vertex 3, which is right node 1.
+  std::stringstream ss("2 3 2\n0 1\n3 0\n");
+  EXPECT_THROW(io::read_bipartite(ss), CheckError);
+}
+
 TEST(VirtualSplit, NormalizationBoundsDegrees) {
   // One left node of degree 9 with delta = 2 must split into 4 copies.
-  BipartiteGraph b(1, 9);
-  for (RightId v = 0; v < 9; ++v) b.add_edge(0, v);
+  std::vector<Edge> edges;
+  for (RightId v = 0; v < 9; ++v) edges.push_back({0, v});
+  const BipartiteGraph b(1, 9, std::move(edges));
   const auto norm = normalize_left_degrees(b, 2);
   EXPECT_EQ(norm.graph.num_left(), 4u);
   for (LeftId u = 0; u < norm.graph.num_left(); ++u) {
@@ -287,8 +330,7 @@ TEST(VirtualSplit, NormalizationBoundsDegrees) {
 }
 
 TEST(VirtualSplit, SmallDegreesKeptWhole) {
-  BipartiteGraph b(1, 4);
-  for (RightId v = 0; v < 4; ++v) b.add_edge(0, v);
+  const BipartiteGraph b(1, 4, {{0, 0}, {0, 1}, {0, 2}, {0, 3}});
   const auto norm = normalize_left_degrees(b, 2);  // deg 4 = 2*delta: kept
   EXPECT_EQ(norm.graph.num_left(), 1u);
   EXPECT_EQ(norm.graph.left_degree(0), 4u);

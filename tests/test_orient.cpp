@@ -20,13 +20,19 @@ namespace {
 graph::Multigraph random_multigraph(std::size_t n, std::size_t m,
                                     std::uint64_t seed) {
   Rng rng(seed);
-  graph::Multigraph g(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto a = static_cast<graph::NodeId>(rng.next_index(n));
-    const auto b = static_cast<graph::NodeId>(rng.next_index(n));
-    g.add_edge(a, b);
+  std::vector<graph::Edge> edges(m);
+  for (graph::Edge& e : edges) {
+    e.u = static_cast<graph::NodeId>(rng.next_index(n));
+    e.v = static_cast<graph::NodeId>(rng.next_index(n));
   }
-  return g;
+  return graph::Multigraph(n, std::move(edges));
+}
+
+/// Center 0 joined to leaves 1..d.
+graph::Multigraph star(std::size_t d) {
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId leaf = 1; leaf <= d; ++leaf) edges.push_back({0, leaf});
+  return graph::Multigraph(d + 1, std::move(edges));
 }
 
 TEST(Euler, PartitionCoversEveryEdgeOnce) {
@@ -74,8 +80,7 @@ TEST(Euler, StarOrientationDiscrepancyRegression) {
   // node — on a star that would orient every edge out of the center and
   // give it discrepancy d instead of 1.
   for (std::size_t d : {3, 5, 7, 11, 21}) {
-    graph::Multigraph g(d + 1);
-    for (graph::NodeId leaf = 1; leaf <= d; ++leaf) g.add_edge(0, leaf);
+    const graph::Multigraph g = star(d);
     const graph::Orientation orient = euler_orientation(g);
     EXPECT_LE(graph::orientation_discrepancy(g, orient, 0), 1u) << "d=" << d;
   }
@@ -90,8 +95,7 @@ TEST(Euler, AlternatingBicoloringDiscrepancyAtMostThree) {
 }
 
 TEST(Euler, AlternatingBicoloringOnStar) {
-  graph::Multigraph g(10);
-  for (graph::NodeId leaf = 1; leaf <= 9; ++leaf) g.add_edge(0, leaf);
+  const graph::Multigraph g = star(9);
   const auto is_red = alternating_bicoloring(g);
   EXPECT_LE(bicoloring_discrepancy(g, is_red), 3u);
 }
@@ -108,11 +112,7 @@ TEST(Euler, AlternatingBicoloringAlternatesAlongTrails) {
 }
 
 TEST(Euler, EvenCycleOrientsPerfectly) {
-  graph::Multigraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  const graph::Multigraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   const graph::Orientation orient = euler_orientation(g);
   for (graph::NodeId v = 0; v < 4; ++v) {
     EXPECT_EQ(graph::orientation_discrepancy(g, orient, v), 0u);
@@ -120,11 +120,7 @@ TEST(Euler, EvenCycleOrientsPerfectly) {
 }
 
 TEST(Euler, HandlesSelfLoopsAndParallelEdges) {
-  graph::Multigraph g(2);
-  g.add_edge(0, 0);
-  g.add_edge(0, 1);
-  g.add_edge(0, 1);
-  g.add_edge(1, 1);
+  const graph::Multigraph g(2, {{0, 0}, {0, 1}, {0, 1}, {1, 1}});
   const auto trails = euler_partition(g);
   std::size_t total = 0;
   for (const Trail& t : trails) total += t.edges.size();

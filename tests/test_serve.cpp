@@ -275,10 +275,10 @@ TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
       << "]";
 }
 
-TEST(ServeDaemon, SplitGetsAnExecutorPerRequestBesideTheResidentOne) {
-  // `split` runs on the unified graph it derives from the bipartite view,
-  // not on the resident instance, so each split request builds an executor
-  // of its own; `mis` builds the resident one once and then reuses it.
+TEST(ServeDaemon, SplitAndMisShareTheResidentExecutor) {
+  // `split` runs on the bipartite view's unified graph, which is the
+  // resident graph (it shares config.graph's image): the first request
+  // builds the resident executor and split and mis alike reuse it.
   Rng rng(13);
   const graph::Graph g =
       graph::gen::random_biregular(24, 48, 4, rng).unified();
@@ -320,8 +320,8 @@ TEST(ServeDaemon, SplitGetsAnExecutorPerRequestBesideTheResidentOne) {
         if (run_code != 0) return 14;
         const Daemon::Stats stats = daemon.stats();
         if (stats.served != 4) return 15;
-        if (stats.cache_misses != 3) return 16;  // two splits, one resident
-        if (stats.cache_hits != 1) return 17;    // the second mis
+        if (stats.cache_misses != 1) return 16;  // the first split
+        if (stats.cache_hits != 3) return 17;    // mis, split, mis
         return 0;
       });
   EXPECT_TRUE(report.all_ok())

@@ -22,12 +22,7 @@ namespace {
 
 graph::BipartiteGraph two_constraints() {
   // u0 ~ {v0, v1}, u1 ~ {v1, v2}.
-  graph::BipartiteGraph b(2, 3);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  b.add_edge(1, 1);
-  b.add_edge(1, 2);
-  return b;
+  return graph::BipartiteGraph(2, 3, {{0, 0}, {0, 1}, {1, 1}, {1, 2}});
 }
 
 TEST(Verifier, AcceptsAndRejects) {
@@ -148,17 +143,15 @@ TEST(RobustSolve, HandlesTinyInstances) {
 }
 
 TEST(RobustSolve, ThrowsOnUnsolvableDegreeOne) {
-  graph::BipartiteGraph b(1, 1);
-  b.add_edge(0, 0);  // a constrained left node of degree 1
+  // A constrained left node of degree 1.
+  const graph::BipartiteGraph b(1, 1, {{0, 0}});
   Rng rng(7);
   EXPECT_THROW(robust_component_solve(b, rng), ds::CheckError);
 }
 
 TEST(RobustSolve, RespectsDegreeThreshold) {
-  graph::BipartiteGraph b(2, 3);
-  b.add_edge(0, 0);  // u0 has degree 1 -> unconstrained at threshold 2
-  b.add_edge(1, 1);
-  b.add_edge(1, 2);
+  // u0 has degree 1 -> unconstrained at threshold 2.
+  const graph::BipartiteGraph b(2, 3, {{0, 0}, {1, 1}, {1, 2}});
   Rng rng(8);
   const Coloring colors = robust_component_solve(b, rng, 2);
   EXPECT_TRUE(is_weak_splitting(b, colors, 2));
@@ -204,11 +197,7 @@ TEST(Program, SplitsBiregularInstances) {
 TEST(Program, MinDegreeRelaxationIsHonored) {
   // u0 ~ {v0}: degree 1 can never see both colors; with min_degree 2 the
   // program must still satisfy the remaining constraints.
-  graph::BipartiteGraph b(2, 3);
-  b.add_edge(0, 0);
-  b.add_edge(1, 0);
-  b.add_edge(1, 1);
-  b.add_edge(1, 2);
+  const graph::BipartiteGraph b(2, 3, {{0, 0}, {1, 0}, {1, 1}, {1, 2}});
   const auto outcome = weak_splitting_program(b, 5, /*min_degree=*/2);
   EXPECT_TRUE(is_weak_splitting(b, outcome.colors, 2));
   EXPECT_FALSE(is_weak_splitting(b, outcome.colors, 0));
@@ -218,8 +207,7 @@ TEST(Program, StrictDefinitionOnDegreeOneInstanceExhaustsTrials) {
   // Under min_degree = 0 a degree-1 constraint is unsatisfiable, so every
   // Las Vegas trial fails and the driver throws (small budget keeps the
   // test fast). Both trials run on the one executor the factory built.
-  graph::BipartiteGraph b(1, 1);
-  b.add_edge(0, 0);
+  const graph::BipartiteGraph b(1, 1, {{0, 0}});
   std::size_t calls = 0;
   const local::ExecutorFactory counting = [&calls](const graph::Graph& g) {
     ++calls;

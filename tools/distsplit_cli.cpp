@@ -144,7 +144,7 @@ int cmd_stats(const Options& opts) {
   const graph::BipartiteGraph b =
       frontend::load_instance(opts, algo::InputKind::kBipartiteGraph, "stats")
           .bipartite;
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   std::cout << "left nodes (U):   " << b.num_left() << "\n"
             << "right nodes (V):  " << b.num_right() << "\n"
             << "edges:            " << b.num_edges() << "\n"

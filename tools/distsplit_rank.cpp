@@ -125,11 +125,7 @@ RankPlan resolve(const Options& opts) {
 /// partition for the handshaken rank count.
 net::InstanceDigests launch_digests(const RankPlan& plan) {
   const frontend::Instance& inst = plan.instance;
-  const std::uint64_t structure =
-      plan.spec->input == algo::InputKind::kGeneralGraph
-          ? net::structure_digest(inst.graph, inst.nu)
-          : net::structure_digest(inst.bipartite.unified(),
-                                  inst.bipartite.num_left());
+  const std::uint64_t structure = net::structure_digest(inst.graph, inst.nu);
   const bool has_ids =
       std::any_of(plan.spec->params.begin(), plan.spec->params.end(),
                   [](const algo::ParamSpec& p) { return p.key == "ids"; });

@@ -84,6 +84,8 @@ Instance load_instance(const Options& opts, algo::InputKind input,
     DS_CHECK_MSG(in.good(), "cannot open input file: " + path);
     if (bipartite) {
       inst.bipartite = graph::io::read_bipartite(in);
+      inst.graph = inst.bipartite.unified();
+      inst.nu = inst.bipartite.num_left();
     } else {
       inst.graph = graph::io::read_edge_list(in);
     }
@@ -106,7 +108,6 @@ Instance load_instance(const Options& opts, algo::InputKind input,
                                   " needs a bipartite instance, but this "
                                   "source carries no left/right split");
     inst.bipartite = graph::bipartite_from_unified(inst.graph, inst.nu);
-    inst.graph = graph::Graph();  // the unified copy is no longer needed
   }
   return inst;
 }

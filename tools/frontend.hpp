@@ -65,11 +65,12 @@ enum class Source {
 /// The one source flag given; throws when there are zero or several.
 Source instance_source(const Options& opts);
 
-/// A materialized instance.
+/// A materialized instance: one image. A bipartite instance views
+/// `graph`, its unified form, so both members share it.
 struct Instance {
-  graph::Graph graph;               ///< general-input form
-  graph::BipartiteGraph bipartite;  ///< bipartite-input form
-  /// Left-side size of a `.dsg` or generator source's split; 0 = none.
+  graph::Graph graph;               ///< general-input (or unified) form
+  graph::BipartiteGraph bipartite;  ///< bipartite-input form, else empty
+  /// Left-side size of the source's split; 0 = none.
   std::size_t nu = 0;
 };
 
