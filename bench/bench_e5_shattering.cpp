@@ -179,21 +179,21 @@ int main(int argc, char** argv) {
     const auto factory = runtime::make_executor_factory(
         runtime_config,
         [&trace](const local::RoundStats& s) { trace.push_back(s); });
-    const auto net = local::make_executor(factory, g);
-    // Results come back through the executor's output gather, the result
+    // Results come back in the run's gathered output table, the result
     // channel every executor provides.
-    net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                          std::vector<std::uint64_t>& out) {
-      out.push_back(
-          static_cast<const ShatterProgram&>(p).unsatisfied() ? 1 : 0);
-    });
-    net->run(local::programs<ShatterProgram>([nu](const local::NodeEnv& env) {
-               return ShatterProgram(env, env.node < nu);
-             }),
-             local::IdStrategy::kSequential, opts.seed() + 5, 8);
+    const local::RunResult run = local::make_executor(factory, g)->run(
+        local::programs<ShatterProgram>([nu](const local::NodeEnv& env) {
+          return ShatterProgram(env, env.node < nu);
+        }),
+        [](graph::NodeId, const local::NodeProgram& p,
+           std::vector<std::uint64_t>& out) {
+          out.push_back(
+              static_cast<const ShatterProgram&>(p).unsatisfied() ? 1 : 0);
+        },
+        local::IdStrategy::kSequential, opts.seed() + 5, 8);
     std::size_t unsat = 0;
     for (graph::NodeId u = 0; u < nu; ++u) {
-      unsat += net->outputs().value(u) != 0 ? 1 : 0;
+      unsat += run.outputs.value(u) != 0 ? 1 : 0;
     }
     const double rate = static_cast<double>(unsat) / static_cast<double>(nu);
     const double bound = splitting::shattering_unsatisfied_bound(

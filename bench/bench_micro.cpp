@@ -219,7 +219,7 @@ void BM_SequentialRounds(benchmark::State& state) {
   const auto g = graph::gen::torus(side, side);
   local::Network net(g);
   for (auto _ : state) {
-    net.run(gossip_factory(), local::IdStrategy::kSequential, 42,
+    net.run(gossip_factory(), {}, local::IdStrategy::kSequential, 42,
             kGossipRounds + 1);
   }
   state.SetItemsProcessed(
@@ -240,7 +240,7 @@ void BM_ParallelRounds(benchmark::State& state) {
   const auto g = graph::gen::torus(side, side);
   const auto net = runtime::make_executor_factory(config)(g);
   for (auto _ : state) {
-    net->run(gossip_factory(), local::IdStrategy::kSequential, 42,
+    net->run(gossip_factory(), {}, local::IdStrategy::kSequential, 42,
              kGossipRounds + 1);
   }
   state.SetItemsProcessed(
@@ -273,7 +273,7 @@ void BM_MetricsOverhead(benchmark::State& state) {
   // Thousands of iterations stay bounded: the span buffer is the recorder's
   // flight-recorder ring, which overwrites its oldest spans once full.
   for (auto _ : state) {
-    net.run(gossip_factory(), local::IdStrategy::kSequential, 42,
+    net.run(gossip_factory(), {}, local::IdStrategy::kSequential, 42,
             kGossipRounds + 1);
   }
   state.SetItemsProcessed(
@@ -298,7 +298,7 @@ void BM_TcpLoopbackRounds(benchmark::State& state) {
           net::TcpTransport transport(lr.rank, lr.hosts, {}, {},
                                       std::move(lr.listen));
           net::TcpNetwork net(g, transport);
-          net.run(gossip_factory(), local::IdStrategy::kSequential, 42,
+          net.run(gossip_factory(), {}, local::IdStrategy::kSequential, 42,
                   kGossipRounds + 1);
           return 0;
         });

@@ -36,6 +36,17 @@ local::IdStrategy ids_of(const RunContext& ctx) {
   return local::id_strategy_from_name(ctx.params.get("ids"));
 }
 
+/// `mis`'s summary lines from the MIS size and the executed rounds, shared
+/// by `Spec::run` and the in-situ `summarize` hook so both briefs match.
+std::vector<std::pair<std::string, std::string>> mis_summary(
+    std::uint64_t size, std::size_t rounds) {
+  return {
+      {"mis-size", std::to_string(size)},
+      {"phases", std::to_string((rounds + 1) / 2)},
+      {"rounds", std::to_string(rounds)},
+  };
+}
+
 Spec mis_spec() {
   Spec spec;
   spec.name = "mis";
@@ -57,14 +68,12 @@ Spec mis_spec() {
     result.executed_rounds = outcome.executed_rounds;
     result.charged_rounds = meter.charged_rounds();
     result.output_words.reserve(outcome.in_mis.size());
-    std::size_t size = 0;
+    std::uint64_t size = 0;
     for (const bool in : outcome.in_mis) {
       result.output_words.push_back(in ? 1 : 0);
       size += in ? 1 : 0;
     }
-    result.add("mis-size", size);
-    result.add("phases", outcome.phases);
-    result.add("rounds", outcome.executed_rounds);
+    result.summary = mis_summary(size, outcome.executed_rounds);
     return result;
   };
   auto hooks = std::make_shared<InsituHooks>();
@@ -94,13 +103,7 @@ Spec mis_spec() {
         DS_CHECK_MSG(dominated, "MIS violation: node " + std::to_string(v) +
                                     " is neither in the set nor dominated");
       };
-  hooks->summarize = [](std::uint64_t sum, std::size_t rounds) {
-    return std::vector<std::pair<std::string, std::string>>{
-        {"mis-size", std::to_string(sum)},
-        {"phases", std::to_string((rounds + 1) / 2)},
-        {"rounds", std::to_string(rounds)},
-    };
-  };
+  hooks->summarize = mis_summary;
   spec.insitu = std::move(hooks);
   return spec;
 }

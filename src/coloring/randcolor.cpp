@@ -133,23 +133,20 @@ RandColorOutcome randomized_coloring(const graph::Graph& g,
                                      std::size_t max_rounds,
                                      local::IdStrategy ids,
                                      const local::ExecutorFactory& executor) {
-  const auto net = local::make_executor(executor, g);
-  // Results come back through the executor's output gather (the only
-  // channel that works on every executor, TCP ranks included).
-  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
-    out.push_back(static_cast<const TrialProgram&>(p).color());
-  });
-  const std::size_t rounds = net->run(
+  const local::RunResult run = local::make_executor(executor, g)->run(
       local::programs<TrialProgram>(
           [](const local::NodeEnv& env) { return TrialProgram(env); }),
+      [](graph::NodeId, const local::NodeProgram& p,
+         std::vector<std::uint64_t>& out) {
+        out.push_back(static_cast<const TrialProgram&>(p).color());
+      },
       ids, seed, max_rounds, meter);
 
   RandColorOutcome outcome;
-  outcome.executed_rounds = rounds;
+  outcome.executed_rounds = run.rounds;
   outcome.colors.resize(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    outcome.colors[v] = static_cast<std::uint32_t>(net->outputs().value(v));
+    outcome.colors[v] = static_cast<std::uint32_t>(run.outputs.value(v));
     outcome.num_colors = std::max(outcome.num_colors, outcome.colors[v] + 1);
   }
   DS_CHECK_MSG(is_proper_coloring(g, outcome.colors),

@@ -30,40 +30,28 @@ DistributedNetwork::DistributedNetwork(const graph::Graph& g,
     : topology_(g),
       partition_(topology_, resolve_workers(config.workers, g.num_nodes())),
       transport_(partition_),
-      control_(partition_.num_workers()),
-      programs_(partition_.num_workers()) {}
-
-DistributedNetwork::~DistributedNetwork() {
-  // jthreads join before `programs_` dies.
-  std::vector<std::jthread> releasers;
-  try {
-    releasers.reserve(programs_.size());
-    for (std::size_t w = 1; w < programs_.size(); ++w) {
-      if (programs_[w] == nullptr) continue;
-      releasers.emplace_back([&owned = programs_[w]] { owned.reset(); });
-    }
-  } catch (...) {
-    // No thread to spare: the member destructor frees the rest here.
-  }
-  programs_[0].reset();
-}
+      control_(partition_.num_workers()) {}
 
 std::size_t DistributedNetwork::run_worker(
     std::size_t w, const local::ProgramFactory& factory,
-    std::size_t max_rounds, obs::Recorder* rec) {
+    const local::OutputFn& output, std::size_t max_rounds,
+    obs::Recorder* rec) {
   ShmTransport transport(w, partition_, transport_, control_);
   // Stats only on rank 0: it is the calling thread, matching the
   // sequential executor's single-sink contract.
   const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
   return run_fleet(transport, rec, {}, [&](obs::Recorder* fleet_rec) {
-    return run_rank_loop(RankView::of(topology_), partition_, transport,
-                         factory, max_rounds, sink, output_fn_, programs_[w],
-                         fleet_rec);
+    const RankRun run =
+        run_rank_loop(RankView::of(topology_), partition_, transport,
+                      factory, max_rounds, sink, output, fleet_rec);
+    gather_outputs(transport, fleet_rec, run.rounds, run.rows);
+    return run.rounds;
   });
 }
 
 std::size_t DistributedNetwork::run_threads(
-    const local::ProgramFactory& factory, std::size_t max_rounds) {
+    const local::ProgramFactory& factory, const local::OutputFn& output,
+    std::size_t max_rounds) {
   const std::size_t workers = partition_.num_workers();
   // Ranks 1..N-1 record into per-run recorders on rank 0's timebase, lane
   // kind and capacity; run_fleet merges their blocks into rank 0's.
@@ -77,7 +65,7 @@ std::size_t DistributedNetwork::run_threads(
   }
   const auto rank_main = [&](std::size_t w) {
     try {
-      run_worker(w, factory, max_rounds, lanes[w].get());
+      run_worker(w, factory, output, max_rounds, lanes[w].get());
     } catch (const std::exception& e) {
       control_.raise_abort(e.what());
     } catch (...) {
@@ -93,7 +81,7 @@ std::size_t DistributedNetwork::run_threads(
     for (std::size_t w = 1; w < workers; ++w) {
       ranks.emplace_back(rank_main, w);
     }
-    rounds = run_worker(0, factory, max_rounds, recorder());
+    rounds = run_worker(0, factory, output, max_rounds, recorder());
   } catch (const std::exception& e) {
     control_.raise_abort(e.what());
   } catch (...) {
@@ -102,34 +90,30 @@ std::size_t DistributedNetwork::run_threads(
   return rounds;
 }
 
-std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
-                                    local::IdStrategy ids, std::uint64_t seed,
-                                    std::size_t max_rounds,
-                                    local::CostMeter* meter) {
+local::RunResult DistributedNetwork::run(const local::ProgramFactory& factory,
+                                         const local::OutputFn& output,
+                                         local::IdStrategy ids,
+                                         std::uint64_t seed,
+                                         std::size_t max_rounds,
+                                         local::CostMeter* meter) {
   control_.reset();
   // Before any rank thread exists: the spawn publishes it to them.
   topology_.assign_identity(ids, seed);
   if (recorder() != nullptr) recorder()->set_lane_kind("worker");
 
-  const std::size_t rounds = run_threads(factory, max_rounds);
+  local::RunResult result;
+  result.rounds = run_threads(factory, output, max_rounds);
   DS_CHECK_MSG(control_.abort_flag.load(std::memory_order_acquire) == 0,
                "distributed run failed: " + control_.abort_message());
 
   // Assemble the output table from the ranks' gather vectors.
-  if (output_fn_) {
+  if (output) {
     ShmTransport view(0, partition_, transport_, control_);
-    assemble_outputs(view, partition_, outputs_);
-  } else {
-    outputs_.clear();
+    assemble_outputs(view, partition_, result.outputs);
   }
 
-  if (meter != nullptr) meter->add_executed(rounds);
-  return rounds;
-}
-
-const local::NodeProgram& DistributedNetwork::program(graph::NodeId v) const {
-  const std::size_t w = partition_.owner(v);
-  return owned_program(programs_[w].get(), partition_.first_node(w), v);
+  if (meter != nullptr) meter->add_executed(result.rounds);
+  return result;
 }
 
 }  // namespace ds::dist

@@ -52,16 +52,12 @@
 ///
 /// # Output collection
 ///
-/// Per-node results reach the caller through the `Executor` output-gather
-/// contract: install a serializer with `set_output_fn` *before* `run()`
-/// (each rank applies it to its owned programs and gathers the words), then
-/// read `outputs()`. `program(v)` also serves every node after a run: each
-/// rank's program block stays resident until the next run or the
-/// executor's destruction, and both release it on the rank's own thread.
+/// Per-node results come back in the `RunResult`: each rank applies the
+/// run's `OutputFn` to its owned programs, destroys them on its own thread
+/// and gathers the words; rank 0 assembles the table once every rank has
+/// joined. No program outlives the run.
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "dist/partition.hpp"
 #include "dist/shm.hpp"
@@ -94,26 +90,14 @@ class DistributedNetwork final : public local::Executor {
   explicit DistributedNetwork(const graph::Graph& g,
                               DistributedConfig config = {});
 
-  /// Releases each rank's program block on a thread of its own (rank 0's
-  /// on the calling thread), as each rank does at its next run.
-  ~DistributedNetwork() override;
-
   /// Rank threads hold `this`.
   DistributedNetwork(const DistributedNetwork&) = delete;
   DistributedNetwork& operator=(const DistributedNetwork&) = delete;
 
-  std::size_t run(const local::ProgramFactory& factory,
-                  local::IdStrategy ids, std::uint64_t seed,
-                  std::size_t max_rounds,
-                  local::CostMeter* meter = nullptr) override;
-
-  /// Every node's program from the most recent run.
-  [[nodiscard]] const local::NodeProgram& program(
-      graph::NodeId v) const override;
-
-  [[nodiscard]] const local::NetworkTopology& topology() const override {
-    return topology_;
-  }
+  local::RunResult run(const local::ProgramFactory& factory,
+                       const local::OutputFn& output, local::IdStrategy ids,
+                       std::uint64_t seed, std::size_t max_rounds,
+                       local::CostMeter* meter = nullptr) override;
 
   void set_stats_sink(local::RoundStatsSink sink) override {
     sink_ = std::move(sink);
@@ -138,23 +122,23 @@ class DistributedNetwork final : public local::Executor {
 
  private:
   /// The full per-rank run: binds a `ShmTransport` view for rank w and
-  /// executes the shared `run_fleet` + `run_rank_loop` protocol into
-  /// `programs_[w]`, recording into `rec`. Returns the executed round count
-  /// (identical in every rank).
+  /// executes the shared `run_fleet` protocol around `run_rank_loop` and
+  /// `gather_outputs`, recording into `rec`. Returns the executed round
+  /// count (identical in every rank).
   std::size_t run_worker(std::size_t w, const local::ProgramFactory& factory,
+                         const local::OutputFn& output,
                          std::size_t max_rounds, obs::Recorder* rec);
 
-  /// Ranks 1..N-1 as threads; returns rank 0's round count. Every failure
-  /// is left in the control block's abort state.
+  /// Ranks 1..N-1 as threads; returns rank 0's round count once every rank
+  /// has joined. Every failure is left in the control block's abort state.
   std::size_t run_threads(const local::ProgramFactory& factory,
+                          const local::OutputFn& output,
                           std::size_t max_rounds);
 
   local::NetworkTopology topology_;
   Partition partition_;
   HaloTransport transport_;
   ControlBlock control_;
-  /// Resident program block per rank (its owned range, at local indices).
-  std::vector<std::unique_ptr<local::ProgramBlock>> programs_;
   local::RoundStatsSink sink_;
 };
 

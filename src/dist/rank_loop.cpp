@@ -10,14 +10,13 @@
 
 namespace ds::dist {
 
-std::size_t run_rank_loop(const RankView& view, const Partition& part,
-                          Transport& transport,
-                          const local::ProgramFactory& factory,
-                          std::size_t max_rounds,
-                          const local::RoundStatsSink& sink,
-                          const local::OutputFn& output_fn,
-                          std::unique_ptr<local::ProgramBlock>& programs,
-                          obs::Recorder* recorder) {
+RankRun run_rank_loop(const RankView& view, const Partition& part,
+                      Transport& transport,
+                      const local::ProgramFactory& factory,
+                      std::size_t max_rounds,
+                      const local::RoundStatsSink& sink,
+                      const local::OutputFn& output,
+                      obs::Recorder* recorder) {
   const std::size_t w = transport.rank();
   const graph::NodeId first = part.first_node(w);
   const graph::NodeId last = part.last_node(w);
@@ -32,10 +31,9 @@ std::size_t run_rank_loop(const RankView& view, const Partition& part,
   };
 
   // Only the owned range is constructed (factories are pure per node), as
-  // one block at local indices. The previous run's block goes first, on
-  // this rank's thread.
-  programs.reset();
-  programs = factory(first, last, view.env_of);
+  // one block at local indices, which dies on this thread.
+  std::unique_ptr<local::ProgramBlock> programs =
+      factory(first, last, view.env_of);
   DS_CHECK_MSG(programs != nullptr && programs->size() == last - first,
                "program factory must build one program per owned node");
   local::ProgramBlock& block = *programs;
@@ -213,36 +211,50 @@ std::size_t run_rank_loop(const RankView& view, const Partition& part,
     }
   }
 
-  // Output gather: this rank's observability block, then the owned
-  // programs' serialized rows ([length, words...] per node) — see the file
-  // comment in rank_loop.hpp for the layout.
-  std::vector<std::uint64_t> gathered;
-  const std::uint64_t us_gather = us_now();
-  if (recorder != nullptr) {
-    ins.rounds_executed.set(rounds);
-    const std::vector<std::uint64_t> obs_block = recorder->drain_words();
-    gathered.push_back(obs_block.size());
-    gathered.insert(gathered.end(), obs_block.begin(), obs_block.end());
-  } else {
-    gathered.push_back(0);
-  }
-  if (output_fn) {
+  if (recorder != nullptr) ins.rounds_executed.set(rounds);
+  // The round state is private to this rank (peers read only the
+  // transport's buffers), so it goes before the rows grow.
+  arena = local::SpanArena(0);
+  local::WordBank().swap(bank);
+  // The owned programs' serialized rows ([length, words...] per node) are
+  // all the run leaves behind; the block dies before the gather.
+  RankRun run;
+  run.rounds = rounds;
+  if (output) {
     std::vector<std::uint64_t> row;
     for (graph::NodeId v = first; v < last; ++v) {
       row.clear();
-      output_fn(v, prog_at(v), row);
-      gathered.push_back(row.size());
-      gathered.insert(gathered.end(), row.begin(), row.end());
+      output(v, prog_at(v), row);
+      run.rows.push_back(row.size());
+      run.rows.insert(run.rows.end(), row.begin(), row.end());
     }
   }
+  programs.reset();
+  return run;
+}
+
+void gather_outputs(Transport& transport, obs::Recorder* recorder,
+                    std::size_t rounds,
+                    const std::vector<std::uint64_t>& rows) {
+  // This rank's observability block, then its rows — see the file comment
+  // in rank_loop.hpp for the layout.
+  const std::uint64_t us_gather =
+      recorder != nullptr ? recorder->now_us() : 0;
+  const std::vector<std::uint64_t> obs_block =
+      recorder != nullptr ? recorder->drain_words()
+                          : std::vector<std::uint64_t>{};
+  std::vector<std::uint64_t> gathered;
+  gathered.reserve(1 + obs_block.size() + rows.size());
+  gathered.push_back(obs_block.size());
+  gathered.insert(gathered.end(), obs_block.begin(), obs_block.end());
+  gathered.insert(gathered.end(), rows.begin(), rows.end());
   transport.gather(gathered);
   if (recorder != nullptr) {
     // The gather span lands *after* the drain, so it stays in this rank's
     // recorder only.
     recorder->add_span(obs::Phase::kGather, rounds, us_gather,
-                       us_now() - us_gather);
+                       recorder->now_us() - us_gather);
   }
-  return rounds;
 }
 
 RankView RankView::of(const local::NetworkTopology& topo) {
@@ -251,16 +263,6 @@ RankView RankView::of(const local::NetworkTopology& topo) {
   view.port_offsets = topo.graph().offsets().data();
   view.env_of = [&topo](graph::NodeId v) { return topo.make_env(v); };
   return view;
-}
-
-const local::NodeProgram& owned_program(const local::ProgramBlock* programs,
-                                        graph::NodeId first,
-                                        graph::NodeId v) {
-  DS_CHECK_MSG(programs != nullptr && v >= first &&
-                   v - first < programs->size(),
-               "program(v) is only resident in the owning rank's process; "
-               "use set_output_fn/outputs() for cross-rank results");
-  return programs->at(v - first);
 }
 
 namespace {

@@ -6,11 +6,11 @@
 /// `dist::DistributedNetwork` (one thread per rank, `ShmTransport`),
 /// `net::TcpNetwork` (one OS process per rank,
 /// `net::TcpTransport`) and `net::run_insitu` run each rank's share of a
-/// run as `run_fleet` around `run_rank_loop`. Factoring both out is what
-/// guarantees the runtimes implement the *same* protocol — the transports
-/// only move bytes and synchronize; every delivery/ordering/liveness/
-/// observability rule lives here, once. `run_rank_loop` is the round
-/// protocol:
+/// run as `run_fleet` around `run_rank_loop` and `gather_outputs`.
+/// Factoring them out is what guarantees the runtimes implement the *same*
+/// protocol — the transports only move bytes and synchronize; every
+/// delivery/ordering/liveness/observability rule lives here, once.
+/// `run_rank_loop` is the round protocol:
 ///
 ///   1. invoke the (pure per node) factory for the owned range [first,
 ///      last) only: one `local::ProgramBlock` at local indices;
@@ -19,9 +19,11 @@
 ///      into out-halo staging slots) -> `Transport::ship` -> patch +
 ///      receive through the unmodified `local::Inbox` ->
 ///      `Transport::sync_liveness`;
-///   3. after the last round: serialize the owned programs' output rows and
-///      `Transport::gather` them, prefixed by this rank's observability
-///      block (see below).
+///   3. after the last round: serialize the owned programs' output rows,
+///      destroy the block on this rank's thread, and return the rows.
+///
+/// `gather_outputs` then hands `Transport::gather` the rows, prefixed by
+/// this rank's observability block (see below).
 ///
 /// # Gather payload layout (per rank)
 ///
@@ -38,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "dist/partition.hpp"
@@ -95,37 +96,45 @@ std::size_t run_fleet(Transport& transport, obs::Recorder* recorder,
                       const std::function<void()>& setup,
                       const std::function<std::size_t(obs::Recorder*)>& body);
 
-/// Runs rank `transport.rank()`'s full share of one distributed run:
-/// construct programs, execute rounds, gather outputs — `run_fleet`'s
-/// usual body. Returns the executed round count (identical on every rank
-/// by construction). The run's span arena is its own and tags rounds from
-/// epoch 1. `sink`, when non-empty, receives per-round stats from
-/// `Transport::round_totals` (only install it on ranks where the transport
-/// aggregates totals). `programs` first releases the previous run's block,
-/// then holds the owned range's (`programs->at(v - first)`), which stays
-/// alive for the caller's `program()` accessor. Throws ds::CheckError when
-/// `max_rounds` is hit with unhalted nodes. `recorder`, when non-null,
-/// receives this rank's phase spans and round counters, and its block
-/// leads the gather payload (see the file comment).
-std::size_t run_rank_loop(const RankView& view, const Partition& part,
-                          Transport& transport,
-                          const local::ProgramFactory& factory,
-                          std::size_t max_rounds,
-                          const local::RoundStatsSink& sink,
-                          const local::OutputFn& output_fn,
-                          std::unique_ptr<local::ProgramBlock>& programs,
-                          obs::Recorder* recorder = nullptr);
+/// What one rank's share of a run leaves behind.
+struct RankRun {
+  std::size_t rounds = 0;
+  /// The owned nodes' output rows, [length, words...] per node in node
+  /// order; empty when the run has no OutputFn.
+  std::vector<std::uint64_t> rows;
+};
 
-/// `Executor::program(v)` over the owned block starting at node `first`
-/// (null before the first run); any other node's program lives in another
-/// rank's process and throws.
-const local::NodeProgram& owned_program(const local::ProgramBlock* programs,
-                                        graph::NodeId first,
-                                        graph::NodeId v);
+/// Runs rank `transport.rank()`'s rounds of one distributed run: construct
+/// the owned range's programs, execute rounds, serialize each owned node's
+/// row with `output` (when non-empty), then destroy the programs, all on
+/// the calling thread. A throw destroys them on the way out too. The round
+/// count is identical on every rank by construction. The run's span arena
+/// is its own and tags rounds from epoch 1. `sink`, when non-empty,
+/// receives per-round stats from `Transport::round_totals` (only install
+/// it on ranks where the transport aggregates totals). Throws
+/// ds::CheckError when `max_rounds` is hit with unhalted nodes.
+/// `recorder`, when non-null, receives this rank's phase spans and round
+/// counters.
+RankRun run_rank_loop(const RankView& view, const Partition& part,
+                      Transport& transport,
+                      const local::ProgramFactory& factory,
+                      std::size_t max_rounds,
+                      const local::RoundStatsSink& sink,
+                      const local::OutputFn& output,
+                      obs::Recorder* recorder = nullptr);
+
+/// The end-of-run gather every rank makes once per run, after
+/// `run_rank_loop`: publishes [obs block, `rows`] (see the file comment)
+/// through `Transport::gather`. `recorder` is the one the rank loop ran
+/// with; its block is drained into the payload, and the gather span of
+/// round `rounds` stays in it.
+void gather_outputs(Transport& transport, obs::Recorder* recorder,
+                    std::size_t rounds,
+                    const std::vector<std::uint64_t>& rows);
 
 /// Assembles the gathered per-node rows ([length, words...] per node, ranks
 /// in order) into `out`, skipping each rank's leading observability block.
-/// Call after `run_rank_loop` on a rank where `Transport::gathered` is
+/// Call after `gather_outputs` on a rank where `Transport::gathered` is
 /// valid for every worker; throws on a truncated or trailing-garbage gather
 /// stream.
 void assemble_outputs(const Transport& transport, const Partition& part,

@@ -111,10 +111,12 @@ class Transport {
   virtual void update_bank_bases(std::vector<const std::uint64_t*>& bases,
                                  const std::uint64_t* own_bank) const = 0;
 
-  /// End-of-run output gather: publishes this rank's serialized rows
-  /// ([length, words...] per owned node, node order) and synchronizes so
-  /// `gathered` rows are readable. Every rank must call it exactly once per
-  /// run, with an empty vector when no OutputFn is installed.
+  /// End-of-run output gather: publishes this rank's payload (its
+  /// observability block, then [length, words...] per owned node in node
+  /// order; see rank_loop.hpp) and synchronizes so `gathered` rows are
+  /// readable. Every rank calls it exactly once per run, through
+  /// `gather_outputs`; the payload holds no rows when the run has no
+  /// OutputFn.
   virtual void gather(const std::vector<std::uint64_t>& words) = 0;
 
   /// Rank w's gathered rows. Valid after `gather`, on every rank for every

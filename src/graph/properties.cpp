@@ -1,6 +1,7 @@
 #include "graph/properties.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
 
 #include "support/check.hpp"
@@ -61,83 +62,68 @@ bool is_connected(const Graph& g) {
 
 namespace {
 
-/// BFS from `s` that returns the length of the shortest cycle through the
-/// BFS tree rooted at s (standard girth scan) and records one such cycle.
-std::size_t shortest_cycle_through(const Graph& g, NodeId s,
-                                   std::vector<NodeId>* cycle_out) {
-  constexpr NodeId kNone = static_cast<NodeId>(-1);
-  std::vector<std::size_t> dist(g.num_nodes(), SIZE_MAX);
-  std::vector<NodeId> parent(g.num_nodes(), kNone);
-  std::queue<NodeId> queue;
-  dist[s] = 0;
-  queue.push(s);
-  std::size_t best = SIZE_MAX;
-  NodeId best_u = kNone;
-  NodeId best_w = kNone;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop();
-    for (NodeId w : g.neighbors(v)) {
-      if (dist[w] == SIZE_MAX) {
-        dist[w] = dist[v] + 1;
-        parent[w] = v;
-        queue.push(w);
-      } else if (w != parent[v]) {
-        // Non-tree edge: closes a (not necessarily simple through s) cycle of
-        // length dist[v] + dist[w] + 1. The minimum over all BFS roots is the
-        // girth.
-        const std::size_t len = dist[v] + dist[w] + 1;
-        if (len < best) {
-          best = len;
-          best_u = v;
-          best_w = w;
+/// True if one 2-coloring pass (a BFS per component) colors `g` properly.
+bool is_two_colorable(const Graph& g) {
+  constexpr std::uint8_t kUncolored = 2;
+  std::vector<std::uint8_t> side(g.num_nodes(), kUncolored);
+  std::vector<NodeId> order;
+  order.reserve(g.num_nodes());
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    if (side[s] != kUncolored) continue;
+    side[s] = 0;
+    order.push_back(s);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      const NodeId v = order[head];
+      for (NodeId w : g.neighbors(v)) {
+        if (side[w] == kUncolored) {
+          side[w] = side[v] ^ 1;
+          order.push_back(w);
+        } else if (side[w] == side[v]) {
+          return false;
         }
       }
     }
   }
-  if (best != SIZE_MAX && cycle_out != nullptr) {
-    // Walk both endpoints up to the root; the concatenated tree paths plus
-    // the non-tree edge contain a cycle of length <= best.
-    std::vector<NodeId> pu;
-    std::vector<NodeId> pw;
-    for (NodeId x = best_u; x != kNone; x = parent[x]) pu.push_back(x);
-    for (NodeId x = best_w; x != kNone; x = parent[x]) pw.push_back(x);
-    // Trim the shared suffix (common ancestors).
-    while (pu.size() >= 2 && pw.size() >= 2 &&
-           pu[pu.size() - 1] == pw[pw.size() - 1] &&
-           pu[pu.size() - 2] == pw[pw.size() - 2]) {
-      pu.pop_back();
-      pw.pop_back();
-    }
-    cycle_out->clear();
-    cycle_out->insert(cycle_out->end(), pu.begin(), pu.end());
-    for (auto it = pw.rbegin(); it != pw.rend(); ++it) {
-      if (*it != pu.back() && *it != pu.front()) cycle_out->push_back(*it);
-    }
-  }
-  return best;
+  return true;
 }
 
 }  // namespace
 
-std::vector<NodeId> shortest_cycle(const Graph& g) {
-  std::size_t best = SIZE_MAX;
-  std::vector<NodeId> best_cycle;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    std::vector<NodeId> cycle;
-    const std::size_t len = shortest_cycle_through(g, s, &cycle);
-    if (len < best) {
-      best = len;
-      best_cycle = std::move(cycle);
-    }
-  }
-  return best_cycle;
-}
-
 std::size_t girth(const Graph& g) {
+  // A BFS from each root s; a non-tree edge (v, w) closes a closed walk of
+  // length dist[v] + dist[w] + 1 that contains a cycle, and the root on a
+  // shortest cycle finds exactly its length, so the minimum over all roots
+  // is the girth. A node popped at depth d only finds walks of length
+  // >= 2d + 1 (its edges back to depth d - 1 were seen from there), so a
+  // root's BFS stops there once that cannot beat `best`; and no cycle is
+  // shorter than 3, or 4 in a bipartite graph, so the scan stops at that
+  // floor.
+  constexpr NodeId kNone = static_cast<NodeId>(-1);
+  const std::size_t floor = is_two_colorable(g) ? 4 : 3;
+  std::vector<std::size_t> dist(g.num_nodes(), SIZE_MAX);
+  std::vector<NodeId> parent(g.num_nodes(), kNone);
+  std::vector<NodeId> order;  // the BFS queue; reset only what it visited
+  order.reserve(g.num_nodes());
   std::size_t best = SIZE_MAX;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    best = std::min(best, shortest_cycle_through(g, s, nullptr));
+  for (NodeId s = 0; s < g.num_nodes() && best > floor; ++s) {
+    dist[s] = 0;
+    parent[s] = kNone;
+    order.push_back(s);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const NodeId v = order[head];
+      if (2 * dist[v] + 1 >= best) break;
+      for (NodeId w : g.neighbors(v)) {
+        if (dist[w] == SIZE_MAX) {
+          dist[w] = dist[v] + 1;
+          parent[w] = v;
+          order.push_back(w);
+        } else if (w != parent[v]) {
+          best = std::min(best, dist[v] + dist[w] + 1);
+        }
+      }
+    }
+    for (const NodeId v : order) dist[v] = SIZE_MAX;
+    order.clear();
   }
   return best;
 }

@@ -20,11 +20,10 @@ std::vector<std::uint32_t> component_labels(const Graph& g);
 /// True if the graph is connected (the empty graph counts as connected).
 bool is_connected(const Graph& g);
 
-/// A shortest cycle as a node sequence (without repeating the first node);
-/// empty if the graph is acyclic. O(n·m).
-std::vector<NodeId> shortest_cycle(const Graph& g);
-
-/// Girth: length of a shortest cycle, or SIZE_MAX for forests. O(n·m).
+/// Girth: length of a shortest cycle, or SIZE_MAX for forests. Exact;
+/// O(n·m) in the worst case, but each root's BFS stops at the depth where
+/// it cannot beat the best cycle so far, and the scan stops once that is 3
+/// (4 in a bipartite graph).
 std::size_t girth(const Graph& g);
 
 /// The k-th power of `g`: same nodes, an edge between any two distinct nodes

@@ -13,6 +13,12 @@
 /// as a LOCAL execution fixes the network and draws fresh coins. So a Las
 /// Vegas algorithm runs all its trials on one executor.
 ///
+/// A run is one value. In the LOCAL model all a node leaves behind when it
+/// halts is its output, so `run` returns the round count with the gathered
+/// output rows, and the programs die inside it: each rank serializes its
+/// rows, destroys its programs on its own thread, then joins the gather.
+/// The gather is the one result channel, and the only one a TCP fleet has.
+///
 /// Determinism contract: for a fixed (graph, IdStrategy, seed), every run
 /// must produce bit-identical per-node program outputs and the same round
 /// count — regardless of executor kind, thread count, or which runs the
@@ -29,10 +35,11 @@
 
 #include "graph/graph.hpp"
 #include "local/cost.hpp"
+#include "local/ids.hpp"
 #include "local/message_arena.hpp"
 #include "local/program.hpp"
 #include "local/round_stats.hpp"
-#include "local/topology.hpp"
+#include "support/check.hpp"
 
 namespace ds::obs {
 class Recorder;
@@ -50,9 +57,7 @@ using OutputFn = std::function<void(graph::NodeId, const NodeProgram&,
                                     std::vector<std::uint64_t>&)>;
 
 /// Per-node output rows gathered after a run, CSR-packed (one flat word
-/// vector plus offsets). This — not `Executor::program` — is the
-/// executor-portable way to read results: with TCP ranks only the owning
-/// rank's process holds a node's program instance.
+/// vector plus offsets).
 class OutputTable {
  public:
   /// Starts a fresh table expecting `n` rows appended in node order.
@@ -62,25 +67,18 @@ class OutputTable {
     offsets_.reserve(n + 1);
     offsets_.push_back(0);
   }
-  void clear() {
-    words_.clear();
-    offsets_.clear();
-  }
   /// Appends node `offsets.size() - 1`'s row.
   void append_row(const std::uint64_t* words, std::size_t count) {
     words_.insert(words_.end(), words, words + count);
     offsets_.push_back(words_.size());
   }
 
-  /// True once rows have been gathered (i.e. an OutputFn was installed
-  /// before the last run).
-  [[nodiscard]] bool ready() const { return !offsets_.empty(); }
+  /// Number of rows; 0 for a run without an OutputFn.
   [[nodiscard]] std::size_t size() const {
-    return ready() ? offsets_.size() - 1 : 0;
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
   /// Node v's serialized output words.
   [[nodiscard]] MessageView row(graph::NodeId v) const {
-    DS_CHECK_MSG(ready(), "no outputs gathered: set_output_fn before run()");
     DS_CHECK(v + 1 < offsets_.size());
     return {words_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
@@ -96,6 +94,14 @@ class OutputTable {
   std::vector<std::size_t> offsets_;
 };
 
+/// What one run leaves behind, as in the LOCAL model: the number of
+/// executed rounds and every node's output.
+struct RunResult {
+  std::size_t rounds = 0;
+  /// One row per node when the run was given an OutputFn, else empty.
+  OutputTable outputs;
+};
+
 /// A synchronous executor bound to one communication graph.
 class Executor {
  public:
@@ -103,21 +109,16 @@ class Executor {
 
   /// Runs one program instance per node for at most `max_rounds` rounds,
   /// with UIDs per `ids` and node coins forked from `seed`; `factory` builds
-  /// each rank's programs as one block. Returns the number of executed
-  /// rounds (also added to `meter` if given). Throws if the round limit is
-  /// hit with unhalted nodes. The program instances stay alive inside the
-  /// executor until the next run (or its destruction) so callers can read
-  /// their outputs via `program`.
-  virtual std::size_t run(const ProgramFactory& factory, IdStrategy ids,
-                          std::uint64_t seed, std::size_t max_rounds,
-                          CostMeter* meter = nullptr) = 0;
-
-  /// The program instance of node `v` from the most recent `run`.
-  [[nodiscard]] virtual const NodeProgram& program(graph::NodeId v) const = 0;
-
-  /// The topology this executor runs on: its ports, and the UIDs of the
-  /// most recent run.
-  [[nodiscard]] virtual const NetworkTopology& topology() const = 0;
+  /// each rank's programs as one block. `output`, when non-empty,
+  /// serializes every node's final program state in the rank that owns it,
+  /// and the result carries the gathered rows. Every program is destroyed
+  /// before `run` returns or throws, on the thread of the rank that built
+  /// it. The round count is also added to `meter` if given. Throws if the
+  /// round limit is hit with unhalted nodes.
+  virtual RunResult run(const ProgramFactory& factory, const OutputFn& output,
+                        IdStrategy ids, std::uint64_t seed,
+                        std::size_t max_rounds,
+                        CostMeter* meter = nullptr) = 0;
 
   /// Installs (or clears, with {}) the per-round stats hook for future runs.
   virtual void set_stats_sink(RoundStatsSink sink) = 0;
@@ -129,38 +130,7 @@ class Executor {
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
-  /// Installs (or clears, with {}) the per-node output serializer applied
-  /// at the end of future runs; read the result via `outputs()`. This is
-  /// the only result channel that works on every executor — the
-  /// distributed ones run the serializer inside the owning rank.
-  void set_output_fn(OutputFn fn) { output_fn_ = std::move(fn); }
-
-  /// The gathered per-node outputs of the most recent run. Throws unless an
-  /// OutputFn was installed before that run.
-  [[nodiscard]] const OutputTable& outputs() const {
-    DS_CHECK_MSG(outputs_.ready(),
-                 "no outputs gathered: set_output_fn before run()");
-    return outputs_;
-  }
-
-  [[nodiscard]] const graph::Graph& graph() const {
-    return topology().graph();
-  }
-  /// The UIDs of the most recent run.
-  [[nodiscard]] const std::vector<std::uint64_t>& uids() const {
-    return topology().uids();
-  }
-
- protected:
-  /// Rebuilds `outputs_` by applying the installed OutputFn to every
-  /// program of `programs`, the block of the most recent run over
-  /// [0, n); clears the table when no OutputFn is installed. The sequential
-  /// executor calls this at the end of run(); the distributed executors
-  /// gather rows from their ranks instead.
-  void collect_outputs_from_programs(const ProgramBlock& programs);
-
-  OutputFn output_fn_;
-  OutputTable outputs_;
+ private:
   obs::Recorder* recorder_ = nullptr;
 };
 

@@ -12,19 +12,18 @@ namespace ds::local {
 Network::Network(const graph::Graph& g)
     : topology_(g), arena_(topology_.total_ports()) {}
 
-std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
-                         std::uint64_t seed, std::size_t max_rounds,
-                         CostMeter* meter) {
+RunResult Network::run(const ProgramFactory& factory, const OutputFn& output,
+                       IdStrategy ids, std::uint64_t seed,
+                       std::size_t max_rounds, CostMeter* meter) {
   const graph::Graph& g = topology_.graph();
   const auto n = static_cast<graph::NodeId>(g.num_nodes());
-  programs_.reset();
   topology_.assign_identity(ids, seed);
-  programs_ = factory(0, n, [this](graph::NodeId v) {
-    return topology_.make_env(v);
-  });
-  DS_CHECK_MSG(programs_ != nullptr && programs_->size() == n,
+  // The run's programs: destroyed when run() returns or throws.
+  const std::unique_ptr<ProgramBlock> block = factory(
+      0, n, [this](graph::NodeId v) { return topology_.make_env(v); });
+  DS_CHECK_MSG(block != nullptr && block->size() == n,
                "program factory must build one program per node");
-  ProgramBlock& programs = *programs_;
+  ProgramBlock& programs = *block;
 
   obs::Recorder* const rec = recorder();
   obs::RoundInstruments ins;
@@ -142,14 +141,19 @@ std::size_t Network::run(const ProgramFactory& factory, IdStrategy ids,
     ins.rounds_executed.set(round);
     rec->publish_round(round);  // final snapshot includes rounds.executed
   }
-  collect_outputs_from_programs(programs);
+  RunResult result;
+  result.rounds = round;
+  if (output) {
+    result.outputs.start(n);
+    std::vector<std::uint64_t> row;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      row.clear();
+      output(v, programs.at(v), row);
+      result.outputs.append_row(row.data(), row.size());
+    }
+  }
   if (meter != nullptr) meter->add_executed(round);
-  return round;
-}
-
-const NodeProgram& Network::program(graph::NodeId v) const {
-  DS_CHECK(programs_ != nullptr && v < programs_->size());
-  return programs_->at(v);
+  return result;
 }
 
 std::shared_ptr<Executor> make_executor(const ExecutorFactory& factory,

@@ -13,8 +13,9 @@
 /// Algorithms are written as per-node `NodeProgram`s (local/program.hpp);
 /// `Network::run` builds them as one `ProgramBlock` over [0, n) — the
 /// sequential executor is one rank owning every node — executes them
-/// round-synchronously and reports the number of rounds until all nodes
-/// halt. Messages travel through the writer-style arena of
+/// round-synchronously, serializes their outputs and destroys them on the
+/// calling thread, and returns the rows with the number of rounds until
+/// all nodes halted. Messages travel through the writer-style arena of
 /// local/message_arena.hpp: one word bank plus a span per directed port, so
 /// steady-state rounds allocate nothing on the message path.
 /// Higher-level algorithms that the paper treats as black boxes are not run
@@ -28,7 +29,6 @@
 /// determinism contract).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -49,15 +49,9 @@ class Network final : public Executor {
   /// Builds the port structure of `g`; each run assigns its own identity.
   explicit Network(const graph::Graph& g);
 
-  std::size_t run(const ProgramFactory& factory, IdStrategy ids,
-                  std::uint64_t seed, std::size_t max_rounds,
-                  CostMeter* meter = nullptr) override;
-
-  [[nodiscard]] const NodeProgram& program(graph::NodeId v) const override;
-
-  [[nodiscard]] const NetworkTopology& topology() const override {
-    return topology_;
-  }
+  RunResult run(const ProgramFactory& factory, const OutputFn& output,
+                IdStrategy ids, std::uint64_t seed, std::size_t max_rounds,
+                CostMeter* meter = nullptr) override;
 
   void set_stats_sink(RoundStatsSink sink) override {
     sink_ = std::move(sink);
@@ -65,8 +59,6 @@ class Network final : public Executor {
 
  private:
   NetworkTopology topology_;
-  /// Programs of the most recent run, kept alive for output extraction.
-  std::unique_ptr<ProgramBlock> programs_;
   /// Single word bank (the whole network is one "shard") + span per port.
   WordBank bank_;
   /// Kept across runs: its epoch keeps advancing, so a reused executor

@@ -11,7 +11,8 @@
 /// and its private coins — exactly as in the LOCAL model. The distributed
 /// executors rely on this: each rank constructs only the programs of the
 /// nodes it owns, as one `ProgramBlock` — a typed array, so a run holds no
-/// heap object per node and a rank's programs are freed in one call.
+/// heap object per node and a rank's programs are freed in one call, on
+/// that rank's thread, before the run returns.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,10 +32,9 @@ namespace ds::local {
 /// copyable; a program copies out only the fields it reads, since a rank's
 /// block holds one program per owned node. Its two pointers
 /// borrow the executor's tables — its graph and the run's UIDs in its
-/// `NetworkTopology`, or on the in-situ path the rank-local CSR. The
-/// executor owns its programs and frees them when its next run starts,
-/// which replaces the UID table, so a program reads both for as long as it
-/// runs; a destructor reads neither.
+/// `NetworkTopology`, or on the in-situ path the rank-local CSR. Every
+/// program dies inside the run that built it, so both are valid for the
+/// program's whole life.
 struct NodeEnv {
   graph::NodeId node = 0;        ///< dense index of this node
   std::uint64_t uid = 0;         ///< unique LOCAL-model identifier

@@ -104,19 +104,17 @@ local::OutputFn luby_output_fn() {
 MisOutcome luby(const graph::Graph& g, std::uint64_t seed,
                 local::CostMeter* meter, std::size_t max_rounds,
                 local::IdStrategy ids, const local::ExecutorFactory& executor) {
-  const auto net = local::make_executor(executor, g);
-  // Results come back through the executor's output gather (the only
-  // channel that works on every executor, TCP ranks included).
-  net->set_output_fn(luby_output_fn());
-  const std::size_t rounds =
-      net->run(luby_program_factory(), ids, seed, max_rounds, meter);
+  const local::RunResult run =
+      local::make_executor(executor, g)
+          ->run(luby_program_factory(), luby_output_fn(), ids, seed,
+                max_rounds, meter);
 
   MisOutcome outcome;
-  outcome.executed_rounds = rounds;
-  outcome.phases = (rounds + 1) / 2;
+  outcome.executed_rounds = run.rounds;
+  outcome.phases = (run.rounds + 1) / 2;
   outcome.in_mis.resize(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    outcome.in_mis[v] = net->outputs().value(v) != 0;
+    outcome.in_mis[v] = run.outputs.value(v) != 0;
   }
   DS_CHECK_MSG(coloring::is_mis(g, outcome.in_mis),
                "Luby produced an invalid MIS");

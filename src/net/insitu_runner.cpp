@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -103,10 +102,7 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   // --- The unmodified round protocol over a rank-local view. Environments
   // mirror NetworkTopology::make_env for the sequential ID strategy: uid ==
   // node (so no UID table), neighbors == the CSR row, which outlives the
-  // programs, rng == master.fork(uid). The
-  // output_fn stays empty on purpose — the gather then carries only the
-  // observability block, keeping rank 0's footprint rank-local instead of
-  // O(n).
+  // programs, rng == master.fork(uid).
   const local::ProgramFactory factory = hooks.make_factory(params, seed);
   const Rng master(seed);
   dist::RankView view;
@@ -126,27 +122,29 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   };
 
   InsituResult result;
-  std::unique_ptr<local::ProgramBlock> programs;
-  result.rounds =
-      dist::run_rank_loop(view, part, transport, factory,
-                          hooks.max_rounds(params), {}, {}, programs,
-                          recorder);
-
-  // --- Collection collective 1: extract the owned output words locally,
-  // then drop the programs (the round loop's largest remaining footprint).
   const std::size_t local_n = last - first;
-  std::vector<std::uint64_t> values(local_n);
-  std::vector<std::uint64_t> row;
-  for (std::size_t i = 0; i < local_n; ++i) {
-    row.clear();
-    hooks.output(first + static_cast<graph::NodeId>(i), programs->at(i),
-                 row);
-    DS_CHECK_MSG(row.size() == 1,
-                 "in-situ: the output hook of --algo=" + spec.name +
-                     " must write exactly one word per node");
-    values[i] = row[0];
+  std::vector<std::uint64_t> values;
+  {
+    const dist::RankRun run =
+        dist::run_rank_loop(view, part, transport, factory,
+                            hooks.max_rounds(params), {}, hooks.output,
+                            recorder);
+    result.rounds = run.rounds;
+    // The gather carries only the observability block: gathering every
+    // output row to rank 0 would make its footprint O(n) instead of
+    // rank-local.
+    dist::gather_outputs(transport, recorder, run.rounds, {});
+
+    // --- Collection collective 1: the owned output words, one per node;
+    // the rows die with this scope.
+    values.resize(local_n);
+    for (std::size_t i = 0; i < local_n; ++i) {
+      DS_CHECK_MSG(2 * i + 1 < run.rows.size() && run.rows[2 * i] == 1,
+                   "in-situ: the output hook of --algo=" + spec.name +
+                       " must write exactly one word per node");
+      values[i] = run.rows[2 * i + 1];
+    }
   }
-  programs.reset();
 
   // --- Collection collective 2: halo values. Peer d needs the words of
   // exactly the owned nodes adjacent to d's range; payloads are (node,

@@ -25,10 +25,12 @@
 /// output is bit-identical to every other runtime by construction), driven
 /// through `dist::run_fleet` like every `net::TcpNetwork` run and thread rank
 /// (observability agreement, collective abort, fleet obs merge); only the
-/// setup and the result collection differ. Gathering every output row to rank 0 would
-/// reinstate the O(n) driver footprint, so the gather carries *no* output
-/// rows (observability blocks only) and three small kSetup collectives
-/// finish the run:
+/// setup and the result collection differ. Each rank serializes its rows
+/// with `InsituHooks::output` in the rank loop, which destroys the programs
+/// before it returns, exactly as on the executors. Gathering every output
+/// row to rank 0 would reinstate the O(n) driver footprint, so the gather
+/// carries *no* output rows (observability blocks only) and three small
+/// kSetup collectives finish the run:
 ///
 ///   1. **halo values** — each rank ships the output word of its boundary
 ///      nodes to the neighboring ranks (pairs `(node, value)`),

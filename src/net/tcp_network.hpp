@@ -29,19 +29,17 @@
 ///
 /// # Output collection
 ///
-/// The `set_output_fn`/`outputs()` gather contract streams every rank's
-/// rows to rank 0, which assembles the table and re-broadcasts it — so
-/// `outputs()` returns the full, identical table on *every* rank (SPMD
-/// style: algorithm code needs no rank special-casing). `program(v)` is
-/// resident only for the own range.
+/// The output gather streams every rank's rows to rank 0, which
+/// re-broadcasts them — so `run()` returns the full, identical table on
+/// *every* rank (SPMD style: algorithm code needs no rank
+/// special-casing). Each rank destroys its programs before the gather;
+/// none outlives the run.
 ///
 /// After a run every rank has merged the other ranks' observability blocks
 /// into its recorder: each ends the run holding fleet totals
 /// (dist/rank_loop.hpp).
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "dist/partition.hpp"
 #include "graph/graph.hpp"
@@ -61,19 +59,10 @@ class TcpNetwork final : public local::Executor {
   /// count. `transport` must outlive the executor.
   TcpNetwork(const graph::Graph& g, TcpTransport& transport);
 
-  std::size_t run(const local::ProgramFactory& factory,
-                  local::IdStrategy ids, std::uint64_t seed,
-                  std::size_t max_rounds,
-                  local::CostMeter* meter = nullptr) override;
-
-  /// Only resident for nodes in this rank's range; use `outputs()` (valid
-  /// on every rank) for executor-portable result extraction.
-  [[nodiscard]] const local::NodeProgram& program(
-      graph::NodeId v) const override;
-
-  [[nodiscard]] const local::NetworkTopology& topology() const override {
-    return topology_;
-  }
+  local::RunResult run(const local::ProgramFactory& factory,
+                       const local::OutputFn& output, local::IdStrategy ids,
+                       std::uint64_t seed, std::size_t max_rounds,
+                       local::CostMeter* meter = nullptr) override;
 
   void set_stats_sink(local::RoundStatsSink sink) override {
     sink_ = std::move(sink);
@@ -90,9 +79,6 @@ class TcpNetwork final : public local::Executor {
   local::NetworkTopology topology_;
   dist::Partition partition_;
   TcpTransport& transport_;
-  /// This rank's resident program block (its owned range, at local
-  /// indices).
-  std::unique_ptr<local::ProgramBlock> programs_;
   local::RoundStatsSink sink_;
 };
 

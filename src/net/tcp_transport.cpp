@@ -556,7 +556,7 @@ void TcpTransport::gather(const std::vector<std::uint64_t>& words) {
   pump(FrameType::kGather, expect);
 
   // Phase 2: rank 0 assembles and re-broadcasts the full table, so results
-  // are replicated SPMD-style — algorithms read outputs() on every rank.
+  // are replicated SPMD-style — every rank's run returns the whole table.
   ++exchange_seq_;
   if (rank_ == 0) {
     gather_rows_[0] = words;

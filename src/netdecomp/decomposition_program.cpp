@@ -126,26 +126,26 @@ DecompProgramOutcome decomposition_program(const graph::Graph& g,
   if (n == 0) return outcome;
   const std::size_t max_blocks = 4 * radius_cap + 8;
 
-  const auto net = local::make_executor(executor, g);
-  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
-    const auto& prog = static_cast<const LinialSaksProgram&>(p);
-    out.push_back(prog.block());
-    out.push_back(prog.center());
-  });
-  outcome.executed_rounds = net->run(
+  const local::RunResult run = local::make_executor(executor, g)->run(
       local::programs<LinialSaksProgram>(
           [radius_cap](const local::NodeEnv& env) {
             return LinialSaksProgram(env, radius_cap);
           }),
+      [](graph::NodeId, const local::NodeProgram& p,
+         std::vector<std::uint64_t>& out) {
+        const auto& prog = static_cast<const LinialSaksProgram&>(p);
+        out.push_back(prog.block());
+        out.push_back(prog.center());
+      },
       ids, seed, max_blocks * radius_cap, meter);
+  outcome.executed_rounds = run.rounds;
 
   // Densify cluster ids from the gathered (block, center UID) pairs in
   // node order — deterministic, and a center keys at most one cluster per
   // block (it halts once clustered itself).
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> dense;
   for (graph::NodeId v = 0; v < n; ++v) {
-    const local::MessageView row = net->outputs().row(v);
+    const local::MessageView row = run.outputs.row(v);
     DS_CHECK(row.size() == 2);
     DS_CHECK_MSG(row[1] != kUnclustered, "unclustered node after the run");
     const auto key = std::make_pair(row[0], row[1]);

@@ -177,25 +177,28 @@ SinklessOutcome sinkless_program(const graph::Graph& g, std::uint64_t seed,
   // orientation bits, gathered through the executor (works across a TCP
   // fleet's processes too).
   const auto net = local::make_executor(executor, g);
-  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
+  const local::OutputFn orientation = [](graph::NodeId,
+                                         const local::NodeProgram& p,
+                                         std::vector<std::uint64_t>& out) {
     const auto& prog = static_cast<const SinkFixProgram&>(p);
     for (std::size_t port = 0; port < prog.degree(); ++port) {
       out.push_back(prog.out_on_port(port) ? 1 : 0);
     }
-  });
+  };
   for (std::size_t trial = 0; trial < max_trials; ++trial) {
-    outcome.executed_rounds += net->run(
+    const local::RunResult run = net->run(
         local::programs<SinkFixProgram>(
             [min_degree, budget](const local::NodeEnv& env) {
               return SinkFixProgram(env, min_degree, budget);
             }),
-        local::IdStrategy::kSequential, seed + trial, budget + 2, meter);
+        orientation, local::IdStrategy::kSequential, seed + trial,
+        budget + 2, meter);
+    outcome.executed_rounds += run.rounds;
     outcome.trials = trial + 1;
     outcome.toward_v.resize(g.num_edges());
     for (std::size_t e = 0; e < g.num_edges(); ++e) {
       const graph::Edge& ed = g.edges()[e];
-      outcome.toward_v[e] = net->outputs().row(ed.u)[port_at_u[e]] != 0;
+      outcome.toward_v[e] = run.outputs.row(ed.u)[port_at_u[e]] != 0;
     }
     if (is_sinkless(g, outcome.toward_v, min_degree)) return outcome;
   }

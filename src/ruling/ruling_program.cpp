@@ -84,18 +84,18 @@ RulingProgramOutcome ruling_set_program(const graph::Graph& g,
   outcome.result.beta = std::max<std::size_t>(1, bits);
   outcome.result.in_set.assign(g.num_nodes(), false);
 
-  const auto net = local::make_executor(executor, g);
-  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
-    out.push_back(static_cast<const RulingProgram&>(p).in_set() ? 1 : 0);
-  });
-  outcome.executed_rounds = net->run(
+  const local::RunResult run = local::make_executor(executor, g)->run(
       local::programs<RulingProgram>([bits](const local::NodeEnv& env) {
         return RulingProgram(env, bits);
       }),
+      [](graph::NodeId, const local::NodeProgram& p,
+         std::vector<std::uint64_t>& out) {
+        out.push_back(static_cast<const RulingProgram&>(p).in_set() ? 1 : 0);
+      },
       ids, seed, bits + 1, meter);
+  outcome.executed_rounds = run.rounds;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    outcome.result.in_set[v] = net->outputs().value(v) != 0;
+    outcome.result.in_set[v] = run.outputs.value(v) != 0;
   }
   DS_CHECK_MSG(is_ruling_set(g, outcome.result.in_set, outcome.result.alpha,
                              outcome.result.beta),

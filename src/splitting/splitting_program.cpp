@@ -115,23 +115,26 @@ SplitProgramOutcome weak_splitting_program(const graph::BipartiteGraph& b,
   // One executor for every Las Vegas trial: trial t redraws the coins with
   // seed + t on the same network.
   const auto net = local::make_executor(executor, g);
-  net->set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
+  const local::OutputFn split_output = [](graph::NodeId,
+                                          const local::NodeProgram& p,
+                                          std::vector<std::uint64_t>& out) {
     const auto& prog = static_cast<const SplitProgram&>(p);
     out.push_back(prog.right() ? static_cast<std::uint64_t>(prog.color())
                                : (prog.satisfied() ? 1 : 0));
-  });
+  };
   for (std::size_t trial = 0; trial < max_trials; ++trial) {
-    outcome.executed_rounds += net->run(
+    const local::RunResult run = net->run(
         local::programs<SplitProgram>(
             [nu, min_degree, budget](const local::NodeEnv& env) {
               return SplitProgram(env, nu, min_degree, budget);
             }),
-        local::IdStrategy::kSequential, seed + trial, budget + 2, meter);
+        split_output, local::IdStrategy::kSequential, seed + trial,
+        budget + 2, meter);
+    outcome.executed_rounds += run.rounds;
     outcome.trials = trial + 1;
     for (graph::RightId v = 0; v < b.num_right(); ++v) {
       outcome.colors[v] =
-          static_cast<Color>(net->outputs().value(b.unified_right(v)));
+          static_cast<Color>(run.outputs.value(b.unified_right(v)));
     }
     if (is_weak_splitting(b, outcome.colors, min_degree)) return outcome;
   }

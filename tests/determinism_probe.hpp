@@ -7,7 +7,9 @@
 /// The digest is the full per-node history. Used by tests/test_runtime.cpp
 /// and tests/test_dist.cpp (thread ranks) and tests/test_net_tcp.cpp (TCP
 /// executor) so the suites cannot drift apart. `probe_run` records one
-/// run's whole observable result, for the executor-reuse tests.
+/// run's whole observable result — digests, UIDs, rounds and round stats,
+/// read from what the run returns — for the determinism and
+/// executor-reuse tests.
 
 #include <cstdint>
 #include <memory>
@@ -28,6 +30,7 @@ class ProbeBase : public local::NodeProgram {
 
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
+  [[nodiscard]] std::uint64_t uid() const { return env_.uid; }
 
  protected:
   // Some ports deliberately stay silent some rounds.
@@ -81,6 +84,16 @@ inline local::ProgramFactory probe_factory() {
       [](const local::NodeEnv& env) { return WriterProbe(env); });
 }
 
+/// The probe's output row: [digest, uid].
+inline local::OutputFn probe_output_fn() {
+  return [](graph::NodeId, const local::NodeProgram& p,
+            std::vector<std::uint64_t>& out) {
+    const auto& probe = static_cast<const ProbeBase&>(p);
+    out.push_back(probe.digest());
+    out.push_back(probe.uid());
+  };
+}
+
 /// The identities the executor-reuse tests run one executor through, in
 /// order: every `IdStrategy`, each with its own seed.
 inline const std::vector<std::pair<local::IdStrategy, std::uint64_t>>
@@ -88,15 +101,16 @@ inline const std::vector<std::pair<local::IdStrategy, std::uint64_t>>
                         {local::IdStrategy::kSequential, 3},
                         {local::IdStrategy::kDegreeDescending, 29}};
 
-/// Everything deterministic one probe run shows: per-node digests, the
-/// round count and the per-round stats (wall times left out).
+/// Everything deterministic one probe run shows: per-node digests and
+/// UIDs, the round count and the per-round stats (wall times left out).
 struct ProbeRun {
   std::vector<std::uint64_t> digests;
+  std::vector<std::uint64_t> uids;
   std::size_t rounds = 0;
   std::vector<local::RoundStats> stats;
 
   bool operator==(const ProbeRun& o) const {
-    if (digests != o.digests || rounds != o.rounds ||
+    if (digests != o.digests || uids != o.uids || rounds != o.rounds ||
         stats.size() != o.stats.size()) {
       return false;
     }
@@ -119,17 +133,16 @@ inline ProbeRun probe_run(local::Executor& exec, local::IdStrategy ids,
                           const local::ProgramFactory& factory =
                               probe_factory()) {
   ProbeRun run;
-  exec.set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
-    out.push_back(static_cast<const ProbeBase&>(p).digest());
-  });
   exec.set_stats_sink(
       [&run](const local::RoundStats& s) { run.stats.push_back(s); });
-  run.rounds = exec.run(factory, ids, seed, 100);
+  const local::RunResult result =
+      exec.run(factory, probe_output_fn(), ids, seed, 100);
   exec.set_stats_sink({});
-  run.digests.resize(exec.graph().num_nodes());
-  for (graph::NodeId v = 0; v < run.digests.size(); ++v) {
-    run.digests[v] = exec.outputs().value(v);
+  run.rounds = result.rounds;
+  for (graph::NodeId v = 0; v < result.outputs.size(); ++v) {
+    const local::MessageView row = result.outputs.row(v);
+    run.digests.push_back(row[0]);
+    run.uids.push_back(row[1]);
   }
   return run;
 }

@@ -1,11 +1,10 @@
 // Tests for the multi-rank executor: the determinism contract — for a
 // fixed (graph, IdStrategy, seed), DistributedNetwork must produce
 // bit-identical per-node outputs, round counts and RoundStats to the
-// sequential Network at every rank count — read through the
-// executor-portable output gather, plus the abort paths, halo and gather
-// traffic of any size, program residency and release, and a >= 100k-node
-// stress instance. tests/test_runtime.cpp reads the same digests through
-// `program(v)`.
+// sequential Network at every rank count — read through the run's
+// gathered output table, plus the abort paths, halo and gather traffic of
+// any size, program lifetime (every program dies on its rank's thread
+// inside the run), and a >= 100k-node stress instance.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +22,7 @@
 #include "determinism_probe.hpp"
 #include "dist/distributed_network.hpp"
 #include "graph/generators.hpp"
+#include "lifetime_probe.hpp"
 #include "local/network.hpp"
 #include "local/round_stats.hpp"
 #include "mis/mis.hpp"
@@ -44,42 +44,43 @@ DistributedConfig ranks(std::size_t count) {
   return config;
 }
 
-local::OutputFn probe_output_fn() {
-  return [](graph::NodeId, const local::NodeProgram& p,
-            std::vector<std::uint64_t>& out) {
-    out.push_back(static_cast<const probes::ProbeBase&>(p).digest());
-  };
-}
-
-std::vector<std::uint64_t> probe_digests(local::Executor& exec,
-                                         local::IdStrategy ids,
-                                         std::uint64_t seed,
-                                         std::size_t* rounds = nullptr) {
-  exec.set_output_fn(probe_output_fn());
-  const std::size_t r = exec.run(probe_factory(), ids, seed, 100);
-  if (rounds != nullptr) *rounds = r;
-  std::vector<std::uint64_t> digests(exec.graph().num_nodes());
-  for (graph::NodeId v = 0; v < digests.size(); ++v) {
-    digests[v] = exec.outputs().value(v);
-  }
-  return digests;
-}
+using probes::probe_output_fn;
+using probes::probe_run;
 
 void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
                           std::uint64_t seed) {
   local::Network sequential(g);
-  std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, strategy, seed, &seq_rounds);
+  const probes::ProbeRun expected = probe_run(sequential, strategy, seed);
+  ASSERT_EQ(expected.digests.size(), g.num_nodes());
   for (std::size_t workers : {1, 2, 4}) {
-    DistributedConfig config;
-    config.workers = workers;
-    DistributedNetwork par(g, config);
-    std::size_t par_rounds = 0;
-    const auto got = probe_digests(par, strategy, seed, &par_rounds);
-    EXPECT_EQ(par.uids(), sequential.uids());
-    EXPECT_EQ(par_rounds, seq_rounds) << "workers=" << workers;
+    DistributedNetwork par(g, ranks(workers));
+    const probes::ProbeRun got = probe_run(par, strategy, seed);
+    EXPECT_EQ(got.digests, expected.digests) << "workers=" << workers;
     EXPECT_EQ(got, expected) << "workers=" << workers;
   }
+}
+
+/// Every program `log` saw built was destroyed exactly once, on the thread
+/// that built it: rank 0's on the calling thread, every other rank's on one
+/// thread of its own. `owner` maps each node to its rank.
+void expect_died_on_rank_threads(const probes::Lifetimes& log,
+                                 const std::vector<std::size_t>& owner,
+                                 std::size_t ranks) {
+  EXPECT_EQ(log.repeats, 0u);
+  EXPECT_EQ(log.destroyed_on, log.built_on);
+  std::map<std::size_t, std::set<std::thread::id>> threads_of_rank;
+  for (const auto& [v, thread] : log.destroyed_on) {
+    threads_of_rank[owner[v]].insert(thread);
+  }
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  EXPECT_EQ(threads_of_rank[0], caller);
+  std::set<std::thread::id> rank_threads;
+  for (std::size_t w = 1; w < ranks; ++w) {
+    ASSERT_EQ(threads_of_rank[w].size(), 1u) << "rank " << w;
+    rank_threads.insert(*threads_of_rank[w].begin());
+  }
+  EXPECT_EQ(rank_threads.size(), ranks - 1);
+  EXPECT_EQ(rank_threads.count(std::this_thread::get_id()), 0u);
 }
 
 // ---- Determinism suite ---------------------------------------------------
@@ -115,11 +116,9 @@ TEST(DistributedDeterminism, StressHundredThousandNodes) {
   const auto g = graph::gen::torus(370, 370);
   local::Network sequential(g);
   const auto expected =
-      probe_digests(sequential, local::IdStrategy::kSequential, 123);
-  DistributedConfig config;
-  config.workers = 2;
-  DistributedNetwork par(g, config);
-  EXPECT_EQ(probe_digests(par, local::IdStrategy::kSequential, 123), expected);
+      probe_run(sequential, local::IdStrategy::kSequential, 123);
+  DistributedNetwork par(g, ranks(2));
+  EXPECT_EQ(probe_run(par, local::IdStrategy::kSequential, 123), expected);
 }
 
 // Algorithm-level equality through the ExecutorFactory plumbing: Luby MIS,
@@ -172,9 +171,11 @@ TEST(DistributedRoundStats, MatchesSequentialExecutor) {
     par_stats.push_back(s);
   });
   const std::size_t seq_rounds =
-      seq.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+      seq.run(probe_factory(), {}, local::IdStrategy::kSequential, 8, 100)
+          .rounds;
   const std::size_t par_rounds =
-      par.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+      par.run(probe_factory(), {}, local::IdStrategy::kSequential, 8, 100)
+          .rounds;
   EXPECT_EQ(seq_rounds, par_rounds);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
   ASSERT_EQ(par_stats.size(), par_rounds);
@@ -195,15 +196,17 @@ TEST(DistributedNetwork, CostMeterAndReuse) {
   config.workers = 2;
   DistributedNetwork net(g, config);
   local::CostMeter meter;
-  net.set_output_fn(probe_output_fn());
-  const std::size_t r1 =
-      net.run(probe_factory(), local::IdStrategy::kSequential, 4, 100, &meter);
-  EXPECT_EQ(meter.executed_rounds(), r1);
+  const local::RunResult r1 =
+      net.run(probe_factory(), probe_output_fn(),
+              local::IdStrategy::kSequential, 4, 100, &meter);
+  EXPECT_EQ(meter.executed_rounds(), r1.rounds);
+  EXPECT_EQ(r1.outputs.size(), g.num_nodes());
   // Re-running the same executor (fresh rank threads per run) must be
   // deterministic too.
-  const auto first = probe_digests(net, local::IdStrategy::kSequential, 4);
-  const auto second = probe_digests(net, local::IdStrategy::kSequential, 4);
+  const auto first = probe_run(net, local::IdStrategy::kSequential, 4);
+  const auto second = probe_run(net, local::IdStrategy::kSequential, 4);
   EXPECT_EQ(first, second);
+  EXPECT_EQ(first.rounds, r1.rounds);
 }
 
 TEST(DistributedNetwork, ReusedAcrossIdentitiesMatchesFreshSequentialRuns) {
@@ -228,7 +231,7 @@ TEST(DistributedNetwork, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
   DistributedNetwork net(g, ranks(2));
   try {
-    net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
+    net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 2);
     ADD_FAILURE() << "expected a round-limit abort";
   } catch (const ds::CheckError& e) {
     const std::string what = e.what();
@@ -237,8 +240,10 @@ TEST(DistributedNetwork, ThrowsWhenRoundLimitHit) {
     EXPECT_NE(what.find("max_rounds"), std::string::npos) << what;
   }
   // The executor must stay usable after the aborted run's ranks are joined.
-  EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
-            2u);
+  EXPECT_GT(
+      net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 100)
+          .rounds,
+      2u);
 }
 
 TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
@@ -255,7 +260,7 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
                     DS_CHECK_MSG(env.node != victim, "factory boom");
                     return probes::WriterProbe(env);
                   }),
-              local::IdStrategy::kSequential, 1, 100);
+              {}, local::IdStrategy::kSequential, 1, 100);
       ADD_FAILURE() << "rank " << failing << " failure did not abort the run";
     } catch (const ds::CheckError& e) {
       const std::string what = e.what();
@@ -263,8 +268,10 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
           << what;
       EXPECT_NE(what.find("factory boom"), std::string::npos) << what;
     }
-    EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
-              0u);
+    EXPECT_GT(
+        net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 100)
+            .rounds,
+        0u);
   }
   // A throw that is no std::exception still aborts every thread rank.
   const graph::NodeId victim = net.partition().first_node(1);
@@ -274,15 +281,17 @@ TEST(DistributedNetwork, AnyRankFailureAbortsTheRun) {
                   if (env.node == victim) throw 42;
                   return probes::WriterProbe(env);
                 }),
-            local::IdStrategy::kSequential, 1, 100);
+            {}, local::IdStrategy::kSequential, 1, 100);
     ADD_FAILURE() << "a non-std throw did not abort the run";
   } catch (const ds::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("unknown rank exception"),
               std::string::npos)
         << e.what();
   }
-  EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
-            0u);
+  EXPECT_GT(
+      net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 100)
+          .rounds,
+      0u);
 }
 
 /// A program that writes `words` words on every port for two rounds and
@@ -320,17 +329,18 @@ class Chatty final : public local::NodeProgram {
 std::vector<std::uint64_t> chatty_digests(local::Executor& exec,
                                           std::size_t words) {
   // Chatty reads no coins or UIDs beyond its own; any identity will do.
-  exec.set_output_fn([](graph::NodeId, const local::NodeProgram& p,
-                        std::vector<std::uint64_t>& out) {
-    out.push_back(static_cast<const Chatty&>(p).digest());
-  });
-  exec.run(local::programs<Chatty>([words](const local::NodeEnv& env) {
-             return Chatty(env, words);
-           }),
-           local::IdStrategy::kSequential, 5, 10);
-  std::vector<std::uint64_t> digests(exec.graph().num_nodes());
+  const local::RunResult run = exec.run(
+      local::programs<Chatty>([words](const local::NodeEnv& env) {
+        return Chatty(env, words);
+      }),
+      [](graph::NodeId, const local::NodeProgram& p,
+         std::vector<std::uint64_t>& out) {
+        out.push_back(static_cast<const Chatty&>(p).digest());
+      },
+      local::IdStrategy::kSequential, 5, 10);
+  std::vector<std::uint64_t> digests(run.outputs.size());
   for (graph::NodeId v = 0; v < digests.size(); ++v) {
-    digests[v] = exec.outputs().value(v);
+    digests[v] = run.outputs.value(v);
   }
   return digests;
 }
@@ -387,14 +397,16 @@ TEST(DistributedNetwork, ReceivePhaseThrowAbortsTheRun) {
                 [victim](const local::NodeEnv& env) {
                   return ThrowsOnReceive(env, env.node == victim);
                 }),
-            local::IdStrategy::kSequential, 1, 10);
+            {}, local::IdStrategy::kSequential, 1, 10);
     ADD_FAILURE() << "a receive-phase throw did not abort the run";
   } catch (const ds::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("receive boom"), std::string::npos)
         << e.what();
   }
-  EXPECT_GT(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
-            0u);
+  EXPECT_GT(
+      net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 100)
+          .rounds,
+      0u);
 }
 
 TEST(DistributedNetwork, LongOutputRowsGatherIntact) {
@@ -409,33 +421,18 @@ TEST(DistributedNetwork, LongOutputRowsGatherIntact) {
     for (std::uint64_t i = 0; i < 100; ++i) out.push_back(probe.digest() + i);
   };
   local::Network seq(g);
-  seq.set_output_fn(long_rows);
   DistributedNetwork net(g, ranks(2));
-  net.set_output_fn(long_rows);
-  EXPECT_EQ(net.run(probe_factory(), local::IdStrategy::kSequential, 3, 100),
-            seq.run(probe_factory(), local::IdStrategy::kSequential, 3, 100));
+  const local::RunResult par_run = net.run(
+      probe_factory(), long_rows, local::IdStrategy::kSequential, 3, 100);
+  const local::RunResult seq_run = seq.run(
+      probe_factory(), long_rows, local::IdStrategy::kSequential, 3, 100);
+  EXPECT_EQ(par_run.rounds, seq_run.rounds);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const local::MessageView got = net.outputs().row(v);
-    const local::MessageView want = seq.outputs().row(v);
+    const local::MessageView got = par_run.outputs.row(v);
+    const local::MessageView want = seq_run.outputs.row(v);
     ASSERT_EQ(got.size(), 100u) << v;
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << v;
   }
-}
-
-TEST(DistributedNetwork, ThreadRanksKeepEveryProgramResident) {
-  // Thread ranks share the caller's address space, so program(v) serves
-  // every node after the run, equal to the sequential executor's.
-  const auto g = graph::gen::torus(8, 8);
-  DistributedNetwork net(g, ranks(2));
-  net.run(probe_factory(), local::IdStrategy::kSequential, 4, 100);
-  local::Network seq(g);
-  seq.run(probe_factory(), local::IdStrategy::kSequential, 4, 100);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& got = static_cast<const probes::ProbeBase&>(net.program(v));
-    const auto& want = static_cast<const probes::ProbeBase&>(seq.program(v));
-    EXPECT_EQ(got.digest(), want.digest()) << v;
-  }
-  EXPECT_THROW((void)net.program(g.num_nodes()), ds::CheckError);
 }
 
 TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
@@ -459,7 +456,7 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
                 }
                 return probes::WriterProbe(env);
               }),
-          local::IdStrategy::kSequential, 4, 100);
+          {}, local::IdStrategy::kSequential, 4, 100);
   for (std::size_t w = 0; w < ranks; ++w) {
     EXPECT_EQ(calls[w].load(), net.partition().num_nodes(w)) << "rank " << w;
   }
@@ -475,68 +472,53 @@ TEST(DistributedNetwork, EachThreadRankConstructsExactlyItsOwnedRange) {
 }
 
 TEST(DistributedNetwork, ReleasesEachRanksProgramsOnAThreadOfItsOwn) {
-  // Programs stay resident after run(); destroying the executor frees rank
-  // 0's on the calling thread and every other rank's off it, each rank's
-  // on one thread, every program exactly once. A block moves each program
-  // in from `make`'s return value; a moved-from Recording records nothing.
-  class Recording final : public local::NodeProgram {
-   public:
-    Recording(graph::NodeId node, std::mutex& mu,
-              std::map<graph::NodeId, std::thread::id>& destroyed_on)
-        : node_(node), mu_(mu), destroyed_on_(destroyed_on) {}
-    Recording(Recording&& other) noexcept
-        : node_(other.node_),
-          mu_(other.mu_),
-          destroyed_on_(other.destroyed_on_),
-          done_(other.done_) {
-      other.live_ = false;
-    }
-    ~Recording() override {
-      if (!live_) return;
-      const std::lock_guard<std::mutex> lock(mu_);
-      EXPECT_TRUE(destroyed_on_.emplace(node_, std::this_thread::get_id())
-                      .second)
-          << "node " << node_ << " destroyed twice";
-    }
-    void send(std::size_t, local::Outbox&) override {}
-    void receive(std::size_t, const local::Inbox&) override { done_ = true; }
-    [[nodiscard]] bool done() const override { return done_; }
-
-   private:
-    graph::NodeId node_;
-    std::mutex& mu_;
-    std::map<graph::NodeId, std::thread::id>& destroyed_on_;
-    bool done_ = false;
-    bool live_ = true;
-  };
+  // Every program dies inside run(): rank 0's on the calling thread, every
+  // other rank's on its own rank thread, each exactly once. Destroying the
+  // executor afterwards destroys nothing.
   const auto g = graph::gen::torus(10, 10);
-  std::mutex mu;
-  std::map<graph::NodeId, std::thread::id> destroyed_on;
+  probes::Lifetimes log;
   std::vector<std::size_t> owner(g.num_nodes());
   {
     DistributedNetwork net(g, ranks(4));
     ASSERT_EQ(net.num_workers(), 4u);
-    net.run(local::programs<Recording>([&](const local::NodeEnv& env) {
-              return Recording(env.node, mu, destroyed_on);
-            }),
-            local::IdStrategy::kSequential, 4, 10);
-    EXPECT_TRUE(destroyed_on.empty());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       owner[v] = net.partition().owner(v);
     }
+    net.run(probes::mortal_factory(log), {}, local::IdStrategy::kSequential,
+            4, 10);
+    EXPECT_EQ(log.built_on.size(), g.num_nodes());
+    expect_died_on_rank_threads(log, owner, 4);
   }
-  ASSERT_EQ(destroyed_on.size(), g.num_nodes());
-  std::map<std::size_t, std::set<std::thread::id>> threads_of_rank;
-  for (const auto& [v, thread] : destroyed_on) {
-    threads_of_rank[owner[v]].insert(thread);
+  EXPECT_EQ(log.destroyed_on.size(), g.num_nodes());
+  EXPECT_EQ(log.repeats, 0u);
+}
+
+TEST(DistributedNetwork, AbortedRunDestroysEveryBuiltProgramOnItsRankThread) {
+  // Rank 2's first node throws in receive. Every rank built its programs
+  // before round 0, and each destroys them on its own thread while the
+  // abort unwinds it, before run() rethrows. The executor then completes a
+  // clean run with the fresh-run digests.
+  const auto g = graph::gen::torus(10, 10);
+  DistributedNetwork net(g, ranks(4));
+  ASSERT_EQ(net.num_workers(), 4u);
+  std::vector<std::size_t> owner(g.num_nodes());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    owner[v] = net.partition().owner(v);
   }
-  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
-  EXPECT_EQ(threads_of_rank[0], caller);
-  for (std::size_t w = 1; w < 4; ++w) {
-    EXPECT_EQ(threads_of_rank[w].size(), 1u) << "rank " << w;
-    EXPECT_EQ(threads_of_rank[w].count(std::this_thread::get_id()), 0u)
-        << "rank " << w << " was released on the calling thread";
+  probes::Lifetimes log;
+  try {
+    net.run(probes::mortal_factory(log, net.partition().first_node(2)), {},
+            local::IdStrategy::kSequential, 4, 10);
+    ADD_FAILURE() << "a receive-phase throw did not abort the run";
+  } catch (const ds::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("receive boom"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(log.built_on.size(), g.num_nodes());
+    expect_died_on_rank_threads(log, owner, 4);
   }
+  local::Network fresh(g);
+  EXPECT_EQ(probe_run(net, local::IdStrategy::kSequential, 4),
+            probe_run(fresh, local::IdStrategy::kSequential, 4));
 }
 
 TEST(DistributedNetwork, DegenerateInstances) {
@@ -561,10 +543,10 @@ TEST(DistributedNetwork, DegenerateInstances) {
   DistributedConfig config;
   config.workers = 2;
   DistributedNetwork net(empty, config);
-  net.set_output_fn(probe_output_fn());
-  EXPECT_EQ(net.run(probe_factory(), local::IdStrategy::kSequential, 1, 10),
-            0u);
-  EXPECT_EQ(net.outputs().size(), 0u);
+  const local::RunResult run = net.run(probe_factory(), probe_output_fn(),
+                                       local::IdStrategy::kSequential, 1, 10);
+  EXPECT_EQ(run.rounds, 0u);
+  EXPECT_EQ(run.outputs.size(), 0u);
 }
 
 TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
@@ -581,23 +563,23 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
   config.workers = 2;
   DistributedNetwork par(star, config);
   ASSERT_EQ(par.partition().last_node(0), 1u);
-  par.set_output_fn([](graph::NodeId v, const local::NodeProgram& p,
-                      std::vector<std::uint64_t>& out) {
+  const local::OutputFn degree_sized = [](graph::NodeId v,
+                                          const local::NodeProgram& p,
+                                          std::vector<std::uint64_t>& out) {
     const auto& probe = static_cast<const probes::ProbeBase&>(p);
     // Degree-sized row: 200 words for the hub, 1 for each leaf.
     out.assign(v == 0 ? 200 : 1, probe.digest());
-  });
+  };
   local::Network seq(star);
-  seq.set_output_fn([](graph::NodeId v, const local::NodeProgram& p,
-                       std::vector<std::uint64_t>& out) {
-    const auto& probe = static_cast<const probes::ProbeBase&>(p);
-    out.assign(v == 0 ? 200 : 1, probe.digest());
-  });
-  EXPECT_EQ(par.run(probe_factory(), local::IdStrategy::kSequential, 1, 100),
-            seq.run(probe_factory(), local::IdStrategy::kSequential, 1, 100));
+  const local::RunResult par_run = par.run(
+      probe_factory(), degree_sized, local::IdStrategy::kSequential, 1, 100);
+  const local::RunResult seq_run = seq.run(
+      probe_factory(), degree_sized, local::IdStrategy::kSequential, 1, 100);
+  EXPECT_EQ(par_run.rounds, seq_run.rounds);
   for (graph::NodeId v = 0; v < 201; ++v) {
-    ASSERT_EQ(par.outputs().row(v).size(), seq.outputs().row(v).size()) << v;
-    EXPECT_EQ(par.outputs().row(v)[0], seq.outputs().row(v)[0]) << v;
+    ASSERT_EQ(par_run.outputs.row(v).size(), seq_run.outputs.row(v).size())
+        << v;
+    EXPECT_EQ(par_run.outputs.row(v)[0], seq_run.outputs.row(v)[0]) << v;
   }
 }
 

@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <sstream>
 
 #include "graph/bipartite.hpp"
 #include "graph/format.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "graph/multigraph.hpp"
 #include "graph/properties.hpp"
 #include "graph/virtual_split.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace ds::graph {
 namespace {
@@ -270,7 +273,71 @@ TEST(Properties, GirthOfKnownGraphs) {
   EXPECT_EQ(girth(c5), 5u);
   const Graph tree(4, {{0, 1}, {1, 2}, {1, 3}});
   EXPECT_EQ(girth(tree), SIZE_MAX);
-  EXPECT_TRUE(shortest_cycle(tree).empty());
+}
+
+/// The girth scan without its early exits: a full BFS from every root,
+/// each with fresh arrays, minimizing over every non-tree edge.
+std::size_t full_scan_girth(const Graph& g) {
+  constexpr NodeId kNone = static_cast<NodeId>(-1);
+  std::size_t best = SIZE_MAX;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    std::vector<std::size_t> dist(g.num_nodes(), SIZE_MAX);
+    std::vector<NodeId> parent(g.num_nodes(), kNone);
+    std::queue<NodeId> queue;
+    dist[s] = 0;
+    queue.push(s);
+    while (!queue.empty()) {
+      const NodeId v = queue.front();
+      queue.pop();
+      for (NodeId w : g.neighbors(v)) {
+        if (dist[w] == SIZE_MAX) {
+          dist[w] = dist[v] + 1;
+          parent[w] = v;
+          queue.push(w);
+        } else if (w != parent[v]) {
+          best = std::min(best, dist[v] + dist[w] + 1);
+        }
+      }
+    }
+  }
+  return best;
+}
+
+TEST(Properties, GirthMatchesTheFullScan) {
+  // Random gnp graphs from forests to dense ones, then cycles, tori and
+  // bipartite instances (whose scan stops at 4, not 3).
+  Rng rng(2718);
+  std::size_t forests = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t n = 5 + rng.next_u64(40);
+    const double p = (0.5 + rng.next_double() * 4.0) / static_cast<double>(n);
+    const Graph g = gen::gnp(n, p, rng);
+    const std::size_t want = full_scan_girth(g);
+    forests += want == SIZE_MAX ? 1 : 0;
+    EXPECT_EQ(girth(g), want) << "graph " << i << " n=" << n << " p=" << p;
+  }
+  EXPECT_GT(forests, 0u);
+  for (std::size_t k = 3; k < 30; ++k) {
+    EXPECT_EQ(girth(gen::cycle(k)), k);
+    EXPECT_EQ(full_scan_girth(gen::cycle(k)), k);
+  }
+  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{3, 3},
+                             {3, 7},
+                             {4, 4},
+                             {5, 6},
+                             {7, 7},
+                             {12, 9}}) {
+    const Graph t = gen::torus(w, h);
+    EXPECT_EQ(girth(t), full_scan_girth(t)) << w << "x" << h;
+  }
+  for (const std::size_t delta : {2, 3, 4, 8}) {
+    const BipartiteGraph b = gen::random_biregular(40, 80, delta, rng);
+    EXPECT_EQ(girth(b.unified()), full_scan_girth(b.unified()))
+        << "delta=" << delta;
+  }
+  const BipartiteGraph long_cycle = gen::bipartite_cycle(9);
+  EXPECT_EQ(girth(long_cycle.unified()), 18u);
+  EXPECT_EQ(full_scan_girth(long_cycle.unified()), 18u);
 }
 
 TEST(Properties, PowerGraphAndBall) {

@@ -1,12 +1,15 @@
 // Tests for the LOCAL-model simulator: cost accounting, ID assignment,
-// synchronous message passing semantics.
+// synchronous message passing semantics, and the program lifetime: every
+// program dies inside its run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "graph/generators.hpp"
+#include "lifetime_probe.hpp"
 #include "local/cost.hpp"
 #include "local/ids.hpp"
 #include "local/network.hpp"
@@ -115,15 +118,38 @@ TEST(Network, FloodsMaximumUid) {
   const graph::Graph g = graph::gen::cycle(12);
   Network net(g);
   CostMeter meter;
-  const std::size_t rounds = net.run(
+  const RunResult run = net.run(
       programs<MaxFlood>([](const NodeEnv& env) { return MaxFlood(env); }),
+      [](graph::NodeId, const NodeProgram& p,
+         std::vector<std::uint64_t>& out) {
+        out.push_back(static_cast<const MaxFlood&>(p).best());
+      },
       IdStrategy::kRandomPermutation, 99, 100, &meter);
-  EXPECT_GT(rounds, 0u);
-  EXPECT_EQ(meter.executed_rounds(), rounds);
+  EXPECT_GT(run.rounds, 0u);
+  EXPECT_EQ(meter.executed_rounds(), run.rounds);
+  ASSERT_EQ(run.outputs.size(), g.num_nodes());
   const std::uint64_t expected = g.num_nodes() - 1;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(static_cast<const MaxFlood&>(net.program(v)).best(), expected);
+    EXPECT_EQ(run.outputs.value(v), expected);
   }
+}
+
+TEST(Network, DestroysEveryProgramOnTheCallingThreadBeforeRunReturns) {
+  const graph::Graph g = graph::gen::torus(6, 6);
+  probes::Lifetimes log;
+  {
+    Network net(g);
+    net.run(probes::mortal_factory(log), {}, IdStrategy::kSequential, 1, 10);
+    EXPECT_EQ(log.built_on.size(), g.num_nodes());
+    EXPECT_EQ(log.destroyed_on.size(), g.num_nodes());
+    EXPECT_EQ(log.repeats, 0u);
+    for (const auto& [v, thread] : log.destroyed_on) {
+      EXPECT_EQ(thread, std::this_thread::get_id()) << "node " << v;
+    }
+  }
+  // Destroying the executor destroys nothing more.
+  EXPECT_EQ(log.destroyed_on.size(), g.num_nodes());
+  EXPECT_EQ(log.repeats, 0u);
 }
 
 TEST(NodeEnv, NeighborUidReadsTheUidTableOrTheNodeId) {
@@ -174,7 +200,7 @@ TEST(Network, PortsMatchNeighborUids) {
   Network net(g);
   net.run(programs<PortChecker>(
               [](const NodeEnv& env) { return PortChecker(env); }),
-          IdStrategy::kRandomPermutation, 5, 4);
+          {}, IdStrategy::kRandomPermutation, 5, 4);
 }
 
 TEST(Network, ThrowsOnRoundLimit) {
@@ -189,7 +215,7 @@ TEST(Network, ThrowsOnRoundLimit) {
   Network net(g);
   EXPECT_THROW(
       net.run(programs<Forever>([](const NodeEnv&) { return Forever(); }),
-              IdStrategy::kSequential, 1, 3),
+              {}, IdStrategy::kSequential, 1, 3),
       ds::CheckError);
 }
 
@@ -218,7 +244,7 @@ TEST(Network, PerNodeRandomnessIsStable) {
     Network net(g);
     net.run(programs<OneShot>(
                 [out](const NodeEnv& env) { return OneShot(env, out); }),
-            IdStrategy::kSequential, 1234, 2);
+            {}, IdStrategy::kSequential, 1234, 2);
   }
   EXPECT_EQ(draws_a, draws_b);
 }

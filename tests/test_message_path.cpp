@@ -277,6 +277,7 @@ class VaryingLengthProgram final : public local::NodeProgram {
   [[nodiscard]] bool done() const override { return done_; }
   [[nodiscard]] std::size_t validated() const { return validated_; }
   [[nodiscard]] std::size_t empties() const { return empties_; }
+  [[nodiscard]] std::uint64_t uid() const { return env_.uid; }
 
  private:
   local::NodeEnv env_;
@@ -285,24 +286,33 @@ class VaryingLengthProgram final : public local::NodeProgram {
   bool done_ = false;
 };
 
+/// Runs VaryingLengthProgram on `exec`, an executor over `g`.
 void expect_varying_lengths_deliver(local::Executor& exec,
+                                    const graph::Graph& g,
                                     local::IdStrategy ids,
                                     std::uint64_t seed) {
-  exec.run(local::programs<VaryingLengthProgram>([](const local::NodeEnv& env) {
-             return VaryingLengthProgram(env);
-           }),
-           ids, seed, 4);
+  const local::RunResult run = exec.run(
+      local::programs<VaryingLengthProgram>([](const local::NodeEnv& env) {
+        return VaryingLengthProgram(env);
+      }),
+      [](graph::NodeId, const local::NodeProgram& p,
+         std::vector<std::uint64_t>& out) {
+        const auto& program = static_cast<const VaryingLengthProgram&>(p);
+        out.push_back(program.validated());
+        out.push_back(program.empties());
+        out.push_back(program.uid());
+      },
+      ids, seed, 4);
   std::size_t validated = 0;
   std::size_t empties = 0;
   std::size_t expected_nonempty = 0;
-  const graph::Graph& g = exec.graph();
+  ASSERT_EQ(run.outputs.size(), g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& p =
-        static_cast<const VaryingLengthProgram&>(exec.program(v));
-    validated += p.validated();
-    empties += p.empties();
+    const local::MessageView row = run.outputs.row(v);
+    validated += row[0];
+    empties += row[1];
     for (std::size_t q = 0; q < g.degree(v); ++q) {
-      if ((exec.uids()[v] + q) % 5 != 0) ++expected_nonempty;
+      if ((row[2] + q) % 5 != 0) ++expected_nonempty;
     }
   }
   EXPECT_EQ(validated, expected_nonempty);
@@ -317,21 +327,21 @@ TEST(WriterApi, VaryingLengthsOnStarMaxDegreeHub) {
   const graph::Graph g(64, std::move(spokes));
   for (std::size_t threads : {1, 2, 8}) {
     const auto par = threaded(g, threads);
-    expect_varying_lengths_deliver(*par, local::IdStrategy::kRandomPermutation,
-                                   3);
+    expect_varying_lengths_deliver(*par, g,
+                                   local::IdStrategy::kRandomPermutation, 3);
   }
   local::Network seq(g);
-  expect_varying_lengths_deliver(seq, local::IdStrategy::kRandomPermutation,
-                                 3);
+  expect_varying_lengths_deliver(seq, g,
+                                 local::IdStrategy::kRandomPermutation, 3);
 }
 
 TEST(WriterApi, VaryingLengthsOnGnp) {
   Rng rng(21);
   const auto g = graph::gen::gnp(300, 0.02, rng);
   local::Network seq(g);
-  expect_varying_lengths_deliver(seq, local::IdStrategy::kSequential, 11);
+  expect_varying_lengths_deliver(seq, g, local::IdStrategy::kSequential, 11);
   const auto par = threaded(g, 4);
-  expect_varying_lengths_deliver(*par, local::IdStrategy::kSequential, 11);
+  expect_varying_lengths_deliver(*par, g, local::IdStrategy::kSequential, 11);
 }
 
 // ---- Degree-balanced shard boundaries ------------------------------------
@@ -418,7 +428,7 @@ local::ProgramFactory fixed_round_factory(std::size_t rounds) {
 /// Allocations of one run() with the given round budget.
 std::size_t allocations_of_run(local::Executor& exec, std::size_t rounds) {
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  exec.run(fixed_round_factory(rounds), local::IdStrategy::kSequential, 9,
+  exec.run(fixed_round_factory(rounds), {}, local::IdStrategy::kSequential, 9,
            rounds + 1);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
@@ -427,7 +437,7 @@ TEST(AllocationCounting, SequentialSendPathIsZeroAllocPerRound) {
   const auto g = graph::gen::torus(24, 24);
   local::Network net(g);
   // Warm the arena to its high-water mark.
-  net.run(fixed_round_factory(48), local::IdStrategy::kSequential, 9, 49);
+  net.run(fixed_round_factory(48), {}, local::IdStrategy::kSequential, 9, 49);
   const std::size_t short_run = allocations_of_run(net, 8);
   const std::size_t long_run = allocations_of_run(net, 48);
   // Per-run allocations (program construction) are identical; 40 extra
@@ -443,7 +453,8 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
   const auto g = graph::gen::torus(24, 24);
   for (std::size_t threads : {1, 2, 4}) {
     const auto net = threaded(g, threads);
-    net->run(fixed_round_factory(48), local::IdStrategy::kSequential, 9, 49);
+    net->run(fixed_round_factory(48), {}, local::IdStrategy::kSequential, 9,
+             49);
     const std::size_t short_run = allocations_of_run(*net, 8);
     const std::size_t long_run = allocations_of_run(*net, 48);
     EXPECT_EQ(long_run, short_run) << "threads=" << threads;
@@ -629,13 +640,13 @@ TEST(AllocationCounting, HookObservesPerRoundAllocations) {
           return AllocatingGossip(env, rounds);
         });
   };
-  net.run(factory(16), local::IdStrategy::kSequential, 9, 17);
+  net.run(factory(16), {}, local::IdStrategy::kSequential, 9, 17);
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  net.run(factory(4), local::IdStrategy::kSequential, 9, 5);
+  net.run(factory(4), {}, local::IdStrategy::kSequential, 9, 5);
   const std::size_t short_run =
       g_allocations.load(std::memory_order_relaxed) - before;
   const std::size_t mid = g_allocations.load(std::memory_order_relaxed);
-  net.run(factory(16), local::IdStrategy::kSequential, 9, 17);
+  net.run(factory(16), {}, local::IdStrategy::kSequential, 9, 17);
   const std::size_t long_run =
       g_allocations.load(std::memory_order_relaxed) - mid;
   EXPECT_GT(long_run, short_run);

@@ -68,7 +68,7 @@ TEST(TcpFault, KilledRankAbortsTheFleetWithoutHanging) {
                                std::move(lr.listen));
         TcpNetwork net(g, transport);
         try {
-          net.run(factory, local::IdStrategy::kSequential, 4, 10000);
+          net.run(factory, {}, local::IdStrategy::kSequential, 4, 10000);
           return 1;  // the run must NOT complete
         } catch (const ds::CheckError&) {
           return 5;  // collective abort observed
@@ -124,7 +124,7 @@ TEST(TcpFault, MalformedHaloFrameFailsTheFleet) {
                                  std::move(lr.listen));
           TcpNetwork net(g, transport);
           try {
-            net.run(factory, local::IdStrategy::kSequential, 4, 10000);
+            net.run(factory, {}, local::IdStrategy::kSequential, 4, 10000);
             return 1;  // the run must NOT complete
           } catch (const ds::CheckError& e) {
             error = e.what();

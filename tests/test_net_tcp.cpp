@@ -4,13 +4,15 @@
 // the sequential Network at 2 and 4 ranks — plus the Luby / trial coloring
 // / sinkless algorithm plumbing through the ExecutorFactory, degenerate
 // instances (ranks > nodes, isolated nodes, empty graph), the rendezvous
-// digest handshake, and collective aborts. Mirrors tests/test_dist.cpp so
+// digest handshake, collective aborts, and the program lifetime (each rank
+// destroys its programs inside the run). Mirrors tests/test_dist.cpp so
 // the shm and the TCP runtime suites cannot drift apart.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "algo/registry.hpp"
@@ -18,6 +20,7 @@
 #include "determinism_probe.hpp"
 #include "graph/generators.hpp"
 #include "graph/insitu.hpp"
+#include "lifetime_probe.hpp"
 #include "local/network.hpp"
 #include "local/round_stats.hpp"
 #include "mis/mis.hpp"
@@ -33,6 +36,7 @@ namespace ds::net {
 namespace {
 
 using probes::probe_factory;
+using probes::probe_run;
 
 // Tests must fail fast, not sit out the production rendezvous/round
 // budgets, when a protocol bug wedges a fleet.
@@ -41,27 +45,6 @@ TcpOptions test_options() {
   opts.handshake_timeout_ms = 20000;
   opts.round_timeout_ms = 30000;
   return opts;
-}
-
-local::OutputFn probe_output_fn() {
-  return [](graph::NodeId, const local::NodeProgram& p,
-            std::vector<std::uint64_t>& out) {
-    out.push_back(static_cast<const probes::ProbeBase&>(p).digest());
-  };
-}
-
-std::vector<std::uint64_t> probe_digests(local::Executor& exec,
-                                         local::IdStrategy ids,
-                                         std::uint64_t seed,
-                                         std::size_t* rounds = nullptr) {
-  exec.set_output_fn(probe_output_fn());
-  const std::size_t r = exec.run(probe_factory(), ids, seed, 100);
-  if (rounds != nullptr) *rounds = r;
-  std::vector<std::uint64_t> digests(exec.graph().num_nodes());
-  for (graph::NodeId v = 0; v < digests.size(); ++v) {
-    digests[v] = exec.outputs().value(v);
-  }
-  return digests;
 }
 
 /// Connects loopback rank `lr`'s fleet with the test budgets, handshaking
@@ -76,33 +59,28 @@ void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
                           std::initializer_list<std::size_t> rank_counts = {
                               2, 4}) {
   local::Network sequential(g);
-  std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, strategy, seed, &seq_rounds);
+  const probes::ProbeRun expected = probe_run(sequential, strategy, seed);
   for (const std::size_t ranks : rank_counts) {
-    std::vector<std::uint64_t> got;
-    std::size_t got_rounds = 0;
+    probes::ProbeRun got;
     const LoopbackReport report = run_loopback_ranks(
         ranks, [&](LoopbackRank&& lr) -> int {
           const std::size_t rank = lr.rank;
           TcpTransport transport = connect(std::move(lr));
           TcpNetwork net(g, transport);
-          std::size_t r = 0;
-          const auto digests = probe_digests(net, strategy, seed, &r);
-          // Exit-code check, not EXPECT: on child ranks a gtest failure
-          // would die silently with the forked process.
-          if (net.uids() != sequential.uids()) return 6;
+          const probes::ProbeRun run = probe_run(net, strategy, seed);
           if (rank == 0) {
-            got = digests;
-            got_rounds = r;
+            got = run;
             return 0;
           }
           // Child ranks verify the re-broadcast output table themselves:
           // the gathered results must be the full, sequential-identical
-          // table on every rank, not just on rank 0.
-          return (digests == expected && r == seq_rounds) ? 0 : 7;
+          // table on every rank, not just on rank 0. Exit-code check, not
+          // EXPECT: on child ranks a gtest failure would die silently with
+          // the forked process.
+          return run == expected ? 0 : 7;
         });
     EXPECT_TRUE(report.all_ok()) << "ranks=" << ranks;
-    EXPECT_EQ(got_rounds, seq_rounds) << "ranks=" << ranks;
+    EXPECT_EQ(got.digests, expected.digests) << "ranks=" << ranks;
     EXPECT_EQ(got, expected) << "ranks=" << ranks;
   }
 }
@@ -162,26 +140,16 @@ TEST(TcpDeterminism, ChattyMessagesNeedNoReservation) {
   const local::ProgramFactory chatty = local::programs<ChattyProbe>(
       [](const local::NodeEnv& env) { return ChattyProbe(env); });
   local::Network sequential(g);
-  sequential.set_output_fn(probe_output_fn());
-  const std::size_t seq_rounds =
-      sequential.run(chatty, local::IdStrategy::kSequential, 5, 100);
-  std::vector<std::uint64_t> expected(g.num_nodes());
-  for (graph::NodeId v = 0; v < expected.size(); ++v) {
-    expected[v] = sequential.outputs().value(v);
-  }
+  const probes::ProbeRun expected =
+      probe_run(sequential, local::IdStrategy::kSequential, 5, chatty);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork net(g, transport);
-        net.set_output_fn(probe_output_fn());
-        if (net.run(chatty, local::IdStrategy::kSequential, 5, 100) !=
-            seq_rounds) {
-          return 13;
-        }
-        for (graph::NodeId v = 0; v < expected.size(); ++v) {
-          if (net.outputs().value(v) != expected[v]) return 14;
-        }
-        return 0;
+        return probe_run(net, local::IdStrategy::kSequential, 5, chatty) ==
+                       expected
+                   ? 0
+                   : 13;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
@@ -316,7 +284,8 @@ TEST(TcpRoundStats, MatchesSequentialExecutor) {
   seq.set_stats_sink(
       [&](const local::RoundStats& s) { seq_stats.push_back(s); });
   const std::size_t seq_rounds =
-      seq.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+      seq.run(probe_factory(), {}, local::IdStrategy::kSequential, 8, 100)
+          .rounds;
   ASSERT_EQ(seq_stats.size(), seq_rounds);
 
   const LoopbackReport report = run_loopback_ranks(
@@ -329,7 +298,9 @@ TEST(TcpRoundStats, MatchesSequentialExecutor) {
         net.set_stats_sink(
             [&](const local::RoundStats& s) { stats.push_back(s); });
         const std::size_t rounds =
-            net.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+            net.run(probe_factory(), {}, local::IdStrategy::kSequential, 8,
+                    100)
+                .rounds;
         if (rounds != seq_rounds || stats.size() != seq_stats.size()) {
           return 20;
         }
@@ -385,21 +356,21 @@ TEST(TcpNetwork, TwoExecutorsAlternateOnOneTransport) {
   local::Network seq_torus(torus);
   local::Network seq_gnp(gnp);
   const auto want_torus =
-      probe_digests(seq_torus, local::IdStrategy::kSequential, 7);
+      probe_run(seq_torus, local::IdStrategy::kSequential, 7);
   const auto want_gnp =
-      probe_digests(seq_gnp, local::IdStrategy::kRandomPermutation, 8);
+      probe_run(seq_gnp, local::IdStrategy::kRandomPermutation, 8);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork on_torus(torus, transport);
         TcpNetwork on_gnp(gnp, transport);
         for (int round = 0; round < 2; ++round) {
-          if (probe_digests(on_torus, local::IdStrategy::kSequential, 7) !=
-              want_torus) {
+          if (!(probe_run(on_torus, local::IdStrategy::kSequential, 7) ==
+                want_torus)) {
             return 35;
           }
-          if (probe_digests(on_gnp, local::IdStrategy::kRandomPermutation,
-                            8) != want_gnp) {
+          if (!(probe_run(on_gnp, local::IdStrategy::kRandomPermutation, 8) ==
+                want_gnp)) {
             return 36;
           }
         }
@@ -412,48 +383,52 @@ TEST(TcpNetwork, CostMeterAndReuse) {
   const auto g = graph::gen::torus(8, 8);
   local::Network sequential(g);
   const auto expected =
-      probe_digests(sequential, local::IdStrategy::kSequential, 4);
+      probe_run(sequential, local::IdStrategy::kSequential, 4);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork net(g, transport);
         local::CostMeter meter;
-        net.set_output_fn(probe_output_fn());
-        const std::size_t r1 = net.run(
-            probe_factory(), local::IdStrategy::kSequential, 4, 100, &meter);
+        const std::size_t r1 =
+            net.run(probe_factory(), {}, local::IdStrategy::kSequential, 4,
+                    100, &meter)
+                .rounds;
         if (meter.executed_rounds() != r1) return 30;
         // Re-running the same executor reuses the standing connections; the
         // result must stay bit-identical.
-        const auto first =
-            probe_digests(net, local::IdStrategy::kSequential, 4);
-        const auto second =
-            probe_digests(net, local::IdStrategy::kSequential, 4);
+        const auto first = probe_run(net, local::IdStrategy::kSequential, 4);
+        const auto second = probe_run(net, local::IdStrategy::kSequential, 4);
         return (first == expected && second == expected) ? 0 : 31;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
 
-TEST(TcpNetwork, ProgramAccessorIsRankLocal) {
+TEST(TcpNetwork, EachRankDestroysItsProgramsBeforeRunReturns) {
+  // Each rank process counts its own programs: every one it built dies
+  // inside run(), on the rank's thread, exactly once, and destroying the
+  // executor afterwards destroys nothing. `TcpNetwork` is the serve
+  // daemon's resident executor, so no request's programs outlive it.
   const auto g = graph::gen::torus(8, 8);
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
         const std::size_t rank = lr.rank;
         TcpTransport transport = connect(std::move(lr));
-        TcpNetwork net(g, transport);
-        net.run(probe_factory(), local::IdStrategy::kSequential, 4, 100);
-        const graph::NodeId mine = net.partition().first_node(rank);
-        const graph::NodeId theirs = net.partition().first_node(1 - rank);
-        try {
-          (void)net.program(mine);
-        } catch (const ds::CheckError&) {
-          return 40;  // own range must be resident
+        probes::Lifetimes log;
+        std::size_t owned = 0;
+        {
+          TcpNetwork net(g, transport);
+          owned = net.partition().num_nodes(rank);
+          net.run(probes::mortal_factory(log), {},
+                  local::IdStrategy::kSequential, 4, 10);
+          if (owned == 0 || log.built_on.size() != owned) return 95;
+          if (log.destroyed_on != log.built_on || log.repeats != 0) {
+            return 96;
+          }
+          for (const auto& [v, thread] : log.destroyed_on) {
+            if (thread != std::this_thread::get_id()) return 97;
+          }
         }
-        try {
-          (void)net.program(theirs);
-          return 41;  // the peer's range must not be
-        } catch (const ds::CheckError&) {
-          return 0;
-        }
+        return log.destroyed_on.size() == owned && log.repeats == 0 ? 0 : 98;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
@@ -476,7 +451,7 @@ TEST(TcpNetwork, EachRankConstructsOnlyItsOwnedPrograms) {
                     ++calls;
                     return probes::WriterProbe(env);
                   });
-          net.run(counting, local::IdStrategy::kSequential, 4, 100);
+          net.run(counting, {}, local::IdStrategy::kSequential, 4, 100);
           return calls == net.partition().num_nodes(rank) ? 0 : 45;
         });
     EXPECT_TRUE(report.all_ok()) << "ranks=" << ranks
@@ -500,12 +475,11 @@ TEST(TcpNetwork, DegenerateInstances) {
       2, [&](LoopbackRank&& lr) -> int {
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork net(empty, transport);
-        net.set_output_fn(probe_output_fn());
-        if (net.run(probe_factory(), local::IdStrategy::kSequential, 1, 10) !=
-            0) {
-          return 50;
-        }
-        return net.outputs().size() == 0 ? 0 : 51;
+        const local::RunResult run =
+            net.run(probe_factory(), probes::probe_output_fn(),
+                    local::IdStrategy::kSequential, 1, 10);
+        if (run.rounds != 0) return 50;
+        return run.outputs.size() == 0 ? 0 : 51;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
@@ -513,17 +487,15 @@ TEST(TcpNetwork, DegenerateInstances) {
 TEST(TcpNetwork, SingleRankFleetRunsWithoutPeers) {
   const auto g = graph::gen::torus(6, 6);
   local::Network sequential(g);
-  std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(
-      sequential, local::IdStrategy::kSequential, 9, &seq_rounds);
+  const auto expected =
+      probe_run(sequential, local::IdStrategy::kSequential, 9);
   const LoopbackReport report = run_loopback_ranks(
       1, [&](LoopbackRank&& lr) -> int {
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork net(g, transport);
-        std::size_t r = 0;
-        const auto got =
-            probe_digests(net, local::IdStrategy::kSequential, 9, &r);
-        return (got == expected && r == seq_rounds) ? 0 : 60;
+        return probe_run(net, local::IdStrategy::kSequential, 9) == expected
+                   ? 0
+                   : 60;
       });
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
@@ -535,7 +507,7 @@ TEST(TcpNetwork, MaxRoundsAbortsTheWholeFleet) {
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork net(g, transport);
         try {
-          net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
+          net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 2);
           return 70;  // must throw on every rank
         } catch (const ds::CheckError& e) {
           return std::string(e.what()).find("max_rounds") !=

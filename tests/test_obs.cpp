@@ -635,8 +635,8 @@ std::uint64_t luby_live_nodes(const graph::Graph& g) {
   local::Network sequential(g);
   Recorder rec;
   sequential.set_recorder(&rec);
-  sequential.run(mis::luby_program_factory(), local::IdStrategy::kSequential,
-                 5, 10000);
+  sequential.run(mis::luby_program_factory(), {},
+                 local::IdStrategy::kSequential, 5, 10000);
   return live_nodes(rec);
 }
 
@@ -650,8 +650,8 @@ TEST(FleetTotals, ThreadRankExecutorReusedThreeTimesCountsEveryRunOnce) {
   Recorder rec;
   net.set_recorder(&rec);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    net.run(mis::luby_program_factory(), local::IdStrategy::kSequential, 5,
-            10000);
+    net.run(mis::luby_program_factory(), {}, local::IdStrategy::kSequential,
+            5, 10000);
     EXPECT_EQ(live_nodes(rec), k * once) << "after run " << k;
   }
 }
@@ -673,8 +673,8 @@ TEST(FleetTotals, TcpRanksRebuiltThreeTimesCountEveryRunOnce) {
           // A fresh executor per run, all over the one transport.
           net::TcpNetwork tcp(g, transport);
           tcp.set_recorder(&rec);
-          tcp.run(mis::luby_program_factory(), local::IdStrategy::kSequential,
-                  5, 10000);
+          tcp.run(mis::luby_program_factory(), {},
+                  local::IdStrategy::kSequential, 5, 10000);
           if (live_nodes(rec) != k * once) return static_cast<int>(10 + k);
         }
         return 0;

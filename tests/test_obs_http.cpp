@@ -412,7 +412,7 @@ TEST(HttpServer, HealthzFlipsTo503AfterCollectiveAbort) {
           net::TcpTransport transport = connect(std::move(lr));
           net::TcpNetwork net(g, transport);
           try {
-            net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
+            net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 2);
             return 70;  // max_rounds must abort the fleet
           } catch (const CheckError&) {
             return 0;
@@ -428,7 +428,7 @@ TEST(HttpServer, HealthzFlipsTo503AfterCollectiveAbort) {
         net.set_recorder(&rec);
         if (http_get(server.port(), "/healthz").status != 200) return 71;
         try {
-          net.run(probe_factory(), local::IdStrategy::kSequential, 1, 2);
+          net.run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 2);
           return 72;  // max_rounds must abort the fleet
         } catch (const CheckError&) {
           // The transport's abort() flipped the publisher before the
@@ -453,7 +453,7 @@ TEST(HttpServer, StatusServedConcurrentlyWithLiveFourRankRun) {
           net::TcpTransport transport = connect(std::move(lr));
           net::TcpNetwork net(g, transport);
           net.set_recorder(&rec);
-          net.run(probe_factory(), local::IdStrategy::kSequential, 7, 100);
+          net.run(probe_factory(), {}, local::IdStrategy::kSequential, 7, 100);
           return 0;
         }
         Recorder rec;
@@ -499,7 +499,7 @@ TEST(HttpServer, StatusServedConcurrentlyWithLiveFourRankRun) {
         net::TcpTransport transport = connect(std::move(lr));
         net::TcpNetwork net(g, transport);
         net.set_recorder(&rec);
-        net.run(probe_factory(), local::IdStrategy::kSequential, 7, 100);
+        net.run(probe_factory(), {}, local::IdStrategy::kSequential, 7, 100);
         pub.run_finished(/*ok=*/true);
         stop.store(true, std::memory_order_release);
         hammer.join();

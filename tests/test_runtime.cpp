@@ -35,36 +35,20 @@ std::shared_ptr<local::Executor> threaded(const graph::Graph& g,
 // ---- Determinism suite ---------------------------------------------------
 
 // The probe program lives in determinism_probe.hpp, shared with the
-// output-gather determinism suite (tests/test_dist.cpp); both must produce
-// the same digests. Reading them through `program(v)` also pins that
-// thread ranks keep every node's program resident.
+// determinism suite of tests/test_dist.cpp; both must produce the same
+// digests, read from the run's output table.
 using probes::probe_factory;
-
-std::vector<std::uint64_t> probe_digests(local::Executor& exec,
-                                         local::IdStrategy ids,
-                                         std::uint64_t seed,
-                                         std::size_t* rounds = nullptr) {
-  const std::size_t r = exec.run(probe_factory(), ids, seed, 100);
-  if (rounds != nullptr) *rounds = r;
-  std::vector<std::uint64_t> digests(exec.graph().num_nodes());
-  for (graph::NodeId v = 0; v < digests.size(); ++v) {
-    digests[v] =
-        static_cast<const probes::ProbeBase&>(exec.program(v)).digest();
-  }
-  return digests;
-}
+using probes::probe_run;
 
 void expect_bit_identical(const graph::Graph& g, local::IdStrategy strategy,
                           std::uint64_t seed) {
   local::Network sequential(g);
-  std::size_t seq_rounds = 0;
-  const auto expected = probe_digests(sequential, strategy, seed, &seq_rounds);
+  const probes::ProbeRun expected = probe_run(sequential, strategy, seed);
+  ASSERT_EQ(expected.digests.size(), g.num_nodes());
   for (std::size_t threads : {1, 2, 8}) {
     const auto parallel = threaded(g, threads);
-    std::size_t par_rounds = 0;
-    const auto got = probe_digests(*parallel, strategy, seed, &par_rounds);
-    EXPECT_EQ(parallel->uids(), sequential.uids());
-    EXPECT_EQ(par_rounds, seq_rounds) << "threads=" << threads;
+    const probes::ProbeRun got = probe_run(*parallel, strategy, seed);
+    EXPECT_EQ(got.digests, expected.digests) << "threads=" << threads;
     EXPECT_EQ(got, expected) << "threads=" << threads;
   }
 }
@@ -99,9 +83,9 @@ TEST(ThreadRanksDeterminism, StressHundredThousandNodes) {
   const auto g = graph::gen::torus(370, 370);
   local::Network sequential(g);
   const auto expected =
-      probe_digests(sequential, local::IdStrategy::kSequential, 123);
+      probe_run(sequential, local::IdStrategy::kSequential, 123);
   const auto parallel = threaded(g, 8);
-  EXPECT_EQ(probe_digests(*parallel, local::IdStrategy::kSequential, 123),
+  EXPECT_EQ(probe_run(*parallel, local::IdStrategy::kSequential, 123),
             expected);
 }
 
@@ -133,8 +117,9 @@ TEST(ThreadRanksDeterminism, LubyAndTrialColoring) {
 TEST(ThreadRanks, ThrowsWhenRoundLimitHit) {
   const auto g = graph::gen::cycle(16);
   const auto net = threaded(g, 2);
-  EXPECT_THROW(net->run(probe_factory(), local::IdStrategy::kSequential, 1, 2),
-               ds::CheckError);
+  EXPECT_THROW(
+      net->run(probe_factory(), {}, local::IdStrategy::kSequential, 1, 2),
+      ds::CheckError);
 }
 
 TEST(ThreadRanks, CostMeterAndReuse) {
@@ -142,12 +127,15 @@ TEST(ThreadRanks, CostMeterAndReuse) {
   const auto net = threaded(g, 2);
   local::CostMeter meter;
   const std::size_t r1 =
-      net->run(probe_factory(), local::IdStrategy::kSequential, 4, 100, &meter);
+      net->run(probe_factory(), {}, local::IdStrategy::kSequential, 4, 100,
+               &meter)
+          .rounds;
   EXPECT_EQ(meter.executed_rounds(), r1);
   // Re-running on the same executor must be deterministic too.
-  const auto first = probe_digests(*net, local::IdStrategy::kSequential, 4);
-  const auto second = probe_digests(*net, local::IdStrategy::kSequential, 4);
+  const auto first = probe_run(*net, local::IdStrategy::kSequential, 4);
+  const auto second = probe_run(*net, local::IdStrategy::kSequential, 4);
   EXPECT_EQ(first, second);
+  EXPECT_EQ(first.rounds, r1);
 }
 
 TEST(ThreadRanks, RoundStatsAreExact) {
@@ -158,7 +146,8 @@ TEST(ThreadRanks, RoundStatsAreExact) {
   std::vector<local::RoundStats> stats;
   net->set_stats_sink([&](const local::RoundStats& s) { stats.push_back(s); });
   const std::size_t rounds =
-      net->run(probe_factory(), local::IdStrategy::kSequential, 21, 100);
+      net->run(probe_factory(), {}, local::IdStrategy::kSequential, 21, 100)
+          .rounds;
   ASSERT_EQ(stats.size(), rounds);
   for (std::size_t r = 0; r < stats.size(); ++r) {
     EXPECT_EQ(stats[r].round, r);
@@ -174,7 +163,7 @@ TEST(ThreadRanks, RoundStatsAreExact) {
   // same executor exactly.
   std::vector<local::RoundStats> again;
   net->set_stats_sink([&](const local::RoundStats& s) { again.push_back(s); });
-  net->run(probe_factory(), local::IdStrategy::kSequential, 21, 100);
+  net->run(probe_factory(), {}, local::IdStrategy::kSequential, 21, 100);
   ASSERT_EQ(again.size(), stats.size());
   for (std::size_t r = 0; r < stats.size(); ++r) {
     EXPECT_EQ(again[r].messages, stats[r].messages);
@@ -196,9 +185,11 @@ TEST(RoundStats, SequentialAndParallelExecutorsAgree) {
   seq.set_stats_sink([&](const local::RoundStats& s) { seq_stats.push_back(s); });
   par->set_stats_sink([&](const local::RoundStats& s) { par_stats.push_back(s); });
   const std::size_t seq_rounds =
-      seq.run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+      seq.run(probe_factory(), {}, local::IdStrategy::kSequential, 8, 100)
+          .rounds;
   const std::size_t par_rounds =
-      par->run(probe_factory(), local::IdStrategy::kSequential, 8, 100);
+      par->run(probe_factory(), {}, local::IdStrategy::kSequential, 8, 100)
+          .rounds;
   EXPECT_EQ(seq_rounds, par_rounds);
   ASSERT_EQ(seq_stats.size(), seq_rounds);
   ASSERT_EQ(par_stats.size(), par_rounds);
