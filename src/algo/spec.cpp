@@ -214,14 +214,20 @@ std::uint64_t Result::output_digest() const {
   return fnv.h;
 }
 
-std::string Result::brief() const {
+std::string brief_line(
+    const std::vector<std::pair<std::string, std::string>>& summary,
+    bool verified, std::uint64_t digest) {
   std::ostringstream out;
   for (const auto& [key, value] : summary) {
     out << key << "=" << value << " ";
   }
   out << "verified=" << (verified ? "yes" : "no") << " ";
-  out << "output-digest=" << std::hex << output_digest();
+  out << "output-digest=" << std::hex << digest;
   return out.str();
+}
+
+std::string Result::brief() const {
+  return brief_line(summary, verified, output_digest());
 }
 
 }  // namespace ds::algo

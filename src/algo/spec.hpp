@@ -159,6 +159,12 @@ struct Result {
   [[nodiscard]] std::string brief() const;
 };
 
+/// The one line both `Result::brief` and `net::InsituResult::brief` print,
+/// so CI can diff an in-situ run against a materialized one.
+std::string brief_line(
+    const std::vector<std::pair<std::string, std::string>>& summary,
+    bool verified, std::uint64_t digest);
+
 /// The pieces of an algorithm the in-situ scale path needs *unbundled*:
 /// `Spec::run` drives a whole materialized instance, but a rank that only
 /// holds its own node range needs the bare program factory, the per-node

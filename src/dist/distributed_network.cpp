@@ -37,13 +37,10 @@ std::size_t DistributedNetwork::run_worker(
     const local::OutputFn& output, std::size_t max_rounds,
     obs::Recorder* rec) {
   ShmTransport transport(w, partition_, transport_, control_);
-  // Stats only on rank 0: it is the calling thread, matching the
-  // sequential executor's single-sink contract.
-  const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
   return run_fleet(transport, rec, {}, [&](obs::Recorder* fleet_rec) {
     const RankRun run =
         run_rank_loop(RankView::of(topology_), partition_, transport,
-                      factory, max_rounds, sink, output, fleet_rec);
+                      factory, max_rounds, output, fleet_rec);
     gather_outputs(transport, fleet_rec, run.rounds, run.rows);
     return run.rounds;
   });
@@ -51,12 +48,12 @@ std::size_t DistributedNetwork::run_worker(
 
 std::size_t DistributedNetwork::run_threads(
     const local::ProgramFactory& factory, const local::OutputFn& output,
-    std::size_t max_rounds) {
+    std::size_t max_rounds, obs::Recorder* rec) {
   const std::size_t workers = partition_.num_workers();
   // Ranks 1..N-1 record into per-run recorders on rank 0's timebase, lane
   // kind and capacity; run_fleet merges their blocks into rank 0's.
   std::vector<std::unique_ptr<obs::Recorder>> lanes(workers);
-  if (const obs::Recorder* rec = recorder(); rec != nullptr) {
+  if (rec != nullptr) {
     for (std::size_t w = 1; w < workers; ++w) {
       lanes[w] = std::make_unique<obs::Recorder>(rec->t0_ns());
       lanes[w]->set_lane_kind(rec->lane_kind());
@@ -81,7 +78,7 @@ std::size_t DistributedNetwork::run_threads(
     for (std::size_t w = 1; w < workers; ++w) {
       ranks.emplace_back(rank_main, w);
     }
-    rounds = run_worker(0, factory, output, max_rounds, recorder());
+    rounds = run_worker(0, factory, output, max_rounds, rec);
   } catch (const std::exception& e) {
     control_.raise_abort(e.what());
   } catch (...) {
@@ -90,19 +87,17 @@ std::size_t DistributedNetwork::run_threads(
   return rounds;
 }
 
-local::RunResult DistributedNetwork::run(const local::ProgramFactory& factory,
-                                         const local::OutputFn& output,
-                                         local::IdStrategy ids,
-                                         std::uint64_t seed,
-                                         std::size_t max_rounds,
-                                         local::CostMeter* meter) {
+local::RunResult DistributedNetwork::execute(
+    const local::ProgramFactory& factory, const local::OutputFn& output,
+    local::IdStrategy ids, std::uint64_t seed, std::size_t max_rounds,
+    obs::Recorder* rec) {
   control_.reset();
   // Before any rank thread exists: the spawn publishes it to them.
   topology_.assign_identity(ids, seed);
-  if (recorder() != nullptr) recorder()->set_lane_kind("worker");
+  if (rec != nullptr) rec->set_lane_kind("worker");
 
   local::RunResult result;
-  result.rounds = run_threads(factory, output, max_rounds);
+  result.rounds = run_threads(factory, output, max_rounds, rec);
   DS_CHECK_MSG(control_.abort_flag.load(std::memory_order_acquire) == 0,
                "distributed run failed: " + control_.abort_message());
 
@@ -111,8 +106,6 @@ local::RunResult DistributedNetwork::run(const local::ProgramFactory& factory,
     ShmTransport view(0, partition_, transport_, control_);
     assemble_outputs(view, partition_, result.outputs);
   }
-
-  if (meter != nullptr) meter->add_executed(result.rounds);
   return result;
 }
 

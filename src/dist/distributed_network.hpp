@@ -9,8 +9,8 @@
 /// `run()` assigns the run's identity, then spawns ranks 1..N-1 as
 /// `std::thread`s. Read-only state — graph, topology and the run's UIDs,
 /// partition, routing tables — is shared by the threads; the shared
-/// mutable state is the control block (barrier, abort flag, per-rank round
-/// counters) and the per-rank halo buffers and gather vectors of the
+/// mutable state is the control block (barrier, abort flag, per-rank
+/// liveness slots) and the per-rank halo buffers and gather vectors of the
 /// `HaloTransport`, all owned here and reached through one `ShmTransport`
 /// view per rank.
 ///
@@ -27,7 +27,7 @@
 ///      the Inbox reads them in place);
 ///   3. **receive** — owned live nodes read through the unmodified
 ///      `local::Inbox`; a second barrier publishes the round's liveness
-///      counters and keeps the next round's ship from overwriting halo
+///      counts and keeps the next round's ship from overwriting halo
 ///      buffers still being read.
 ///
 /// Programs need zero modification: they see the same Outbox/Inbox API and
@@ -37,7 +37,8 @@
 /// `run_rank_loop`, exactly like a TCP rank (rank_loop.hpp); ranks 1..N-1
 /// record into per-run recorders on rank 0's timebase, and every rank
 /// merges the other ranks' blocks after the gather, so rank 0 ends the run
-/// holding fleet totals. Spawn and join stay here.
+/// holding fleet totals and every rank's round spans — which is where a
+/// stats sink's `RoundStats` come from. Spawn and join stay here.
 ///
 /// # Determinism contract
 ///
@@ -67,7 +68,6 @@
 #include "local/executor.hpp"
 #include "local/ids.hpp"
 #include "local/program.hpp"
-#include "local/round_stats.hpp"
 #include "local/topology.hpp"
 
 namespace ds::dist {
@@ -94,15 +94,6 @@ class DistributedNetwork final : public local::Executor {
   DistributedNetwork(const DistributedNetwork&) = delete;
   DistributedNetwork& operator=(const DistributedNetwork&) = delete;
 
-  local::RunResult run(const local::ProgramFactory& factory,
-                       const local::OutputFn& output, local::IdStrategy ids,
-                       std::uint64_t seed, std::size_t max_rounds,
-                       local::CostMeter* meter = nullptr) override;
-
-  void set_stats_sink(local::RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
-
   [[nodiscard]] std::size_t num_workers() const {
     return partition_.num_workers();
   }
@@ -121,6 +112,12 @@ class DistributedNetwork final : public local::Executor {
                                                    std::size_t num_nodes);
 
  private:
+  local::RunResult execute(const local::ProgramFactory& factory,
+                           const local::OutputFn& output,
+                           local::IdStrategy ids, std::uint64_t seed,
+                           std::size_t max_rounds,
+                           obs::Recorder* rec) override;
+
   /// The full per-rank run: binds a `ShmTransport` view for rank w and
   /// executes the shared `run_fleet` protocol around `run_rank_loop` and
   /// `gather_outputs`, recording into `rec`. Returns the executed round
@@ -133,13 +130,12 @@ class DistributedNetwork final : public local::Executor {
   /// has joined. Every failure is left in the control block's abort state.
   std::size_t run_threads(const local::ProgramFactory& factory,
                           const local::OutputFn& output,
-                          std::size_t max_rounds);
+                          std::size_t max_rounds, obs::Recorder* rec);
 
   local::NetworkTopology topology_;
   Partition partition_;
   HaloTransport transport_;
   ControlBlock control_;
-  local::RoundStatsSink sink_;
 };
 
 }  // namespace ds::dist

@@ -1,6 +1,5 @@
 #include "dist/rank_loop.hpp"
 
-#include <chrono>
 #include <exception>
 #include <memory>
 
@@ -13,9 +12,7 @@ namespace ds::dist {
 RankRun run_rank_loop(const RankView& view, const Partition& part,
                       Transport& transport,
                       const local::ProgramFactory& factory,
-                      std::size_t max_rounds,
-                      const local::RoundStatsSink& sink,
-                      const local::OutputFn& output,
+                      std::size_t max_rounds, const local::OutputFn& output,
                       obs::Recorder* recorder) {
   const std::size_t w = transport.rank();
   const graph::NodeId first = part.first_node(w);
@@ -58,82 +55,47 @@ RankRun run_rank_loop(const RankView& view, const Partition& part,
     return c;
   };
 
-  obs::RoundInstruments ins;
-  // Hardware counters ride the same sampling points as the wall-clock
-  // timestamps; registered eagerly because the registry seals at the first
-  // round's publish. Fallback (container, paranoid kernel) degrades to
-  // task-clock/ctx-switch counters and `unavailable` span deltas.
-  std::unique_ptr<obs::PerfCounters> perf;
-  obs::PhasePerf phase_perf;
-  if (recorder != nullptr) {
-    const std::initializer_list<obs::Phase> phases = {
-        obs::Phase::kSend,  obs::Phase::kShip,    obs::Phase::kBarrier,
-        obs::Phase::kPatch, obs::Phase::kReceive, obs::Phase::kRound};
-    ins = obs::RoundInstruments::create(recorder->metrics(), phases);
-    recorder->set_lane(static_cast<std::uint32_t>(w));
-    perf = std::make_unique<obs::PerfCounters>();
-    phase_perf = obs::PhasePerf(recorder->metrics(), *perf, phases);
-  }
-  const bool timed = recorder != nullptr || sink;
-  const auto us_now = [&] { return recorder != nullptr ? recorder->now_us()
-                                                       : std::uint64_t{0}; };
-  const auto perf_now = [&] {
-    return perf != nullptr ? perf->sample() : obs::PerfSample{};
-  };
+  if (recorder != nullptr) recorder->set_lane(static_cast<std::uint32_t>(w));
+  // Each rank's round spans carry only its own share of the round's counts;
+  // the post-gather merge of the other ranks' blocks brings in the rest.
+  obs::RoundInstruments ins(
+      recorder, {obs::Phase::kSend, obs::Phase::kShip, obs::Phase::kBarrier,
+                 obs::Phase::kPatch, obs::Phase::kReceive,
+                 obs::Phase::kRound});
 
   std::size_t alive = transport.sync_liveness(count_alive());
   std::size_t rounds = 0;
   while (alive > 0) {
     DS_CHECK_MSG(rounds < max_rounds,
                  "distributed run exceeded max_rounds");
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t us0 = us_now();
-    const obs::PerfSample p0 = perf_now();
+    ins.begin(rounds);
     // Send phase: owned live nodes serialize into the private arena; the
     // local delivery table routes cut ports into the out-halo staging area.
     const std::uint32_t epoch = arena.advance();
     bank.clear();
-    Transport::RoundTotals mine;
+    std::size_t live = 0;
+    std::size_t messages = 0;
+    std::size_t payload_words = 0;
     for (graph::NodeId v = first; v < last; ++v) {
       local::NodeProgram& prog = prog_at(v);
       if (prog.done()) continue;
-      ++mine.senders;
+      ++live;
       local::Outbox out(&bank, 0, arena.data(),
                         local_delivery.data() + (port_offset(v) - port_base),
                         degree(v), epoch);
       prog.send(rounds, out);
-      mine.messages += out.messages();
-      mine.payload_words += out.payload_words();
+      messages += out.messages();
+      payload_words += out.payload_words();
     }
-    const auto t_sent = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_sent = us_now();
-    const obs::PerfSample p_sent = perf_now();
-    transport.ship(arena.data(), bank.data(), epoch, mine);
-    const auto t_shipped = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_shipped = us_now();
-    const obs::PerfSample p_shipped = perf_now();
+    ins.close(obs::Phase::kSend);
+    transport.ship(arena.data(), bank.data(), epoch);
+    ins.close(obs::Phase::kShip);
 
     // Receive phase: patch the arena onto the shipped payloads, then run
     // the unmodified Inbox path over the owned live nodes.
     transport.patch(arena.data(), epoch);
     transport.update_bank_bases(bases, bank.data());
-    const auto t_patched = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_patched = us_now();
-    const obs::PerfSample p_patched = perf_now();
-    local::RoundStats stats;
-    if (sink) {
-      // Totals are only stable between ship and the liveness sync (on the
-      // shm transport a fast peer may overwrite its counter slot right
-      // after the latter) — read them here.
-      const Transport::RoundTotals totals = transport.round_totals();
-      DS_CHECK_MSG(totals.aggregated,
-                   "stats sink installed on a rank whose transport does not "
-                   "aggregate round totals — the sink would report zeros");
-      stats.round = rounds;
-      stats.live_nodes = static_cast<std::size_t>(totals.senders);
-      stats.messages = static_cast<std::size_t>(totals.messages);
-      stats.payload_words = static_cast<std::size_t>(totals.payload_words);
-    }
+    ins.close(obs::Phase::kPatch);
     for (graph::NodeId v = first; v < last; ++v) {
       local::NodeProgram& prog = prog_at(v);
       if (prog.done()) continue;
@@ -141,77 +103,14 @@ RankRun run_rank_loop(const RankView& view, const Partition& part,
                          degree(v), bases.data(), epoch);
       prog.receive(rounds, inbox);
     }
-    const auto t_received = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_received = us_now();
-    const obs::PerfSample p_received = perf_now();
+    ins.close(obs::Phase::kReceive);
     alive = transport.sync_liveness(count_alive());
+    ins.close(obs::Phase::kBarrier);
+    ins.end(live, messages, payload_words);
     ++rounds;
-    const auto t_end = std::chrono::steady_clock::now();
-    if (recorder != nullptr) {
-      // Deterministic counters take only this rank's share (`mine`): the
-      // post-gather merge of the other ranks' blocks then reconstructs the
-      // same fleet totals the sequential executor counts.
-      ins.live_nodes.add(mine.senders);
-      ins.messages.add(mine.messages);
-      ins.payload_words.add(mine.payload_words);
-      const std::uint64_t us_end = us_now();
-      const obs::PerfSample p_end = perf_now();
-      ins.us(obs::Phase::kSend).record(us_sent - us0);
-      ins.us(obs::Phase::kShip).record(us_shipped - us_sent);
-      ins.us(obs::Phase::kPatch).record(us_patched - us_shipped);
-      ins.us(obs::Phase::kReceive).record(us_received - us_patched);
-      ins.us(obs::Phase::kBarrier).record(us_end - us_received);
-      ins.us(obs::Phase::kRound).record(us_end - us0);
-      const obs::SpanPerf d_send =
-          phase_perf.account(obs::Phase::kSend, p0, p_sent);
-      const obs::SpanPerf d_ship =
-          phase_perf.account(obs::Phase::kShip, p_sent, p_shipped);
-      const obs::SpanPerf d_patch =
-          phase_perf.account(obs::Phase::kPatch, p_shipped, p_patched);
-      const obs::SpanPerf d_receive =
-          phase_perf.account(obs::Phase::kReceive, p_patched, p_received);
-      const obs::SpanPerf d_barrier =
-          phase_perf.account(obs::Phase::kBarrier, p_received, p_end);
-      const obs::SpanPerf d_round =
-          phase_perf.account(obs::Phase::kRound, p0, p_end);
-      const std::uint64_t r = rounds - 1;
-      recorder->add_span(obs::Phase::kSend, r, us0, us_sent - us0,
-                         d_send.cycles, d_send.instructions);
-      recorder->add_span(obs::Phase::kShip, r, us_sent, us_shipped - us_sent,
-                         d_ship.cycles, d_ship.instructions);
-      recorder->add_span(obs::Phase::kPatch, r, us_shipped,
-                         us_patched - us_shipped, d_patch.cycles,
-                         d_patch.instructions);
-      recorder->add_span(obs::Phase::kReceive, r, us_patched,
-                         us_received - us_patched, d_receive.cycles,
-                         d_receive.instructions);
-      recorder->add_span(obs::Phase::kBarrier, r, us_received,
-                         us_end - us_received, d_barrier.cycles,
-                         d_barrier.instructions);
-      recorder->add_span(obs::Phase::kRound, r, us0, us_end - us0,
-                         d_round.cycles, d_round.instructions);
-      // Round-boundary snapshot for the live HTTP endpoints: one coalesced
-      // seqlock publish per round, no locks on the round path.
-      recorder->publish_round(rounds);
-    }
-    if (sink) {
-      stats.wall_seconds =
-          std::chrono::duration<double>(t_end - t0).count();
-      stats.send_seconds =
-          std::chrono::duration<double>(t_sent - t0).count();
-      stats.ship_seconds =
-          std::chrono::duration<double>(t_shipped - t_sent).count();
-      stats.patch_seconds =
-          std::chrono::duration<double>(t_patched - t_shipped).count();
-      stats.receive_seconds =
-          std::chrono::duration<double>(t_received - t_patched).count();
-      stats.barrier_seconds =
-          std::chrono::duration<double>(t_end - t_received).count();
-      sink(stats);
-    }
   }
 
-  if (recorder != nullptr) ins.rounds_executed.set(rounds);
+  ins.finish(rounds);
   // The round state is private to this rank (peers read only the
   // transport's buffers), so it goes before the rows grow.
   arena = local::SpanArena(0);
@@ -300,15 +199,13 @@ std::size_t run_fleet(Transport& transport, obs::Recorder* recorder,
                       const std::function<void()>& setup,
                       const std::function<std::size_t(obs::Recorder*)>& body) {
   // Both outlive the try block, so the catch-path abort still finds the
-  // hooked recorder alive; the guard (destroyed first) unhooks it.
+  // hooked recorder alive; the guard (destroyed first) unhooks it. The hook
+  // lasts the run only: a transport may outlive the run's recorder.
   std::unique_ptr<obs::Recorder> fleet_recorder;
   struct Unhook {
     Transport& transport;
-    const std::unique_ptr<obs::Recorder>& fleet_recorder;
-    ~Unhook() {
-      if (fleet_recorder != nullptr) transport.set_recorder(nullptr);
-    }
-  } unhook{transport, fleet_recorder};
+    ~Unhook() { transport.set_recorder(nullptr); }
+  } unhook{transport};
 
   if (recorder != nullptr) recorder->mark();
   std::size_t rounds = 0;

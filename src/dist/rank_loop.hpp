@@ -36,7 +36,9 @@
 /// block into this rank's recorder, so every rank ends the run holding
 /// fleet totals. Keeping the block inside the existing gather stream means
 /// per-rank metrics and trace spans ride the same frames/gather vectors as
-/// the output rows — no second protocol.
+/// the output rows — no second protocol. It is also how a stats sink sees
+/// a fleet's rounds: each rank's kRound spans carry its share of a round's
+/// counts, and `local::Executor::run` sums them over the lanes.
 
 #include <cstdint>
 #include <functional>
@@ -46,7 +48,6 @@
 #include "dist/transport.hpp"
 #include "local/executor.hpp"
 #include "local/program.hpp"
-#include "local/round_stats.hpp"
 #include "local/topology.hpp"
 #include "obs/recorder.hpp"
 
@@ -89,9 +90,9 @@ struct RankView {
 ///      and the final live publish.
 ///
 /// A throw in 2-4 becomes a collective `Transport::abort` (the peers wait
-/// in an exchange this rank will never join) and is rethrown. The fleet
-/// recorder outlives that abort and is unhooked from the transport, which
-/// may outlive the run, before it dies.
+/// in an exchange this rank will never join) and is rethrown. The recorder
+/// outlives that abort and is unhooked from the transport, which may
+/// outlive the run (and the recorder), when the run ends on any path.
 std::size_t run_fleet(Transport& transport, obs::Recorder* recorder,
                       const std::function<void()>& setup,
                       const std::function<std::size_t(obs::Recorder*)>& body);
@@ -109,18 +110,15 @@ struct RankRun {
 /// row with `output` (when non-empty), then destroy the programs, all on
 /// the calling thread. A throw destroys them on the way out too. The round
 /// count is identical on every rank by construction. The run's span arena
-/// is its own and tags rounds from epoch 1. `sink`, when non-empty,
-/// receives per-round stats from `Transport::round_totals` (only install
-/// it on ranks where the transport aggregates totals). Throws
-/// ds::CheckError when `max_rounds` is hit with unhalted nodes.
-/// `recorder`, when non-null, receives this rank's phase spans and round
-/// counters.
+/// is its own and tags rounds from epoch 1. Throws ds::CheckError when
+/// `max_rounds` is hit with unhalted nodes. `recorder`, when non-null,
+/// receives this rank's phase spans on lane `transport.rank()` through
+/// `obs::RoundInstruments`; each kRound span carries this rank's share of
+/// the round's live nodes, messages and payload words.
 RankRun run_rank_loop(const RankView& view, const Partition& part,
                       Transport& transport,
                       const local::ProgramFactory& factory,
-                      std::size_t max_rounds,
-                      const local::RoundStatsSink& sink,
-                      const local::OutputFn& output,
+                      std::size_t max_rounds, const local::OutputFn& output,
                       obs::Recorder* recorder = nullptr);
 
 /// The end-of-run gather every rank makes once per run, after

@@ -47,9 +47,6 @@ void ControlBlock::reset() {
   abort_msg.clear();
   for (std::size_t w = 0; w < ranks_; ++w) {
     WorkerCounters& c = counters_[w];
-    c.senders.store(0, std::memory_order_relaxed);
-    c.messages.store(0, std::memory_order_relaxed);
-    c.payload_words.store(0, std::memory_order_relaxed);
     c.not_done[0].store(0, std::memory_order_relaxed);
     c.not_done[1].store(0, std::memory_order_relaxed);
   }

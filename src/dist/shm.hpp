@@ -3,12 +3,12 @@
 /// \file shm.hpp
 /// Shared-memory primitives of the single-host multi-rank executor: a
 /// sense-reversing barrier and the per-run control block (abort flag +
-/// per-rank round counters).
+/// per-rank liveness counters).
 ///
 /// The ranks are threads of one process, so these are plain members of the
 /// `DistributedNetwork`; the barrier's acquire/release chain is what makes
 /// each rank's pre-barrier writes (shipped halo buffers, gather rows,
-/// counter slots) visible to every rank after it.
+/// liveness slots) visible to every rank after it.
 
 #include <atomic>
 #include <cstddef>
@@ -38,22 +38,19 @@ struct SharedBarrier {
   void wait(const std::atomic<std::uint32_t>& abort_flag);
 };
 
-/// Per-rank round counters, published before the barrier that ends the
-/// phase which computed them. Relaxed atomics: the barrier provides the
-/// ordering, the atomic type keeps concurrent access well-defined.
-/// `not_done` alternates between two slots by sync parity: a run's
-/// observability agreement and round 0's liveness sync follow each other
-/// with no barrier in between, so a fast rank's second write must not
-/// land in the slot a slow rank still sums.
+/// A rank's liveness count, published before the barrier of the sync that
+/// sums it. Relaxed atomics: the barrier provides the ordering, the atomic
+/// type keeps concurrent access well-defined. `not_done` alternates
+/// between two slots by sync parity: a run's observability agreement and
+/// round 0's liveness sync follow each other with no barrier in between,
+/// so a fast rank's second write must not land in the slot a slow rank
+/// still sums.
 struct alignas(64) WorkerCounters {
-  std::atomic<std::uint64_t> senders{0};
-  std::atomic<std::uint64_t> messages{0};
-  std::atomic<std::uint64_t> payload_words{0};
   std::atomic<std::uint64_t> not_done[2] = {};
 };
 
 /// Control state of one DistributedNetwork: barrier, collective abort flag
-/// with a first-writer-wins message, and one counter slot per rank.
+/// with a first-writer-wins message, and one liveness slot per rank.
 struct ControlBlock {
   SharedBarrier barrier;
   std::atomic<std::uint32_t> abort_flag{0};

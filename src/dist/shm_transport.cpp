@@ -109,31 +109,9 @@ std::size_t ShmTransport::sync_liveness(std::size_t my_not_done) {
 }
 
 void ShmTransport::ship(const local::MessageSpan* local_arena,
-                        const std::uint64_t* bank_words, std::uint32_t epoch,
-                        const RoundTotals& mine) {
+                        const std::uint64_t* bank_words, std::uint32_t epoch) {
   shipped_words_.add(halo_->ship(worker_, local_arena, bank_words, epoch));
-  WorkerCounters* counters = control_->counters(worker_);
-  counters->senders.store(mine.senders, std::memory_order_relaxed);
-  counters->messages.store(mine.messages, std::memory_order_relaxed);
-  counters->payload_words.store(mine.payload_words, std::memory_order_relaxed);
-  barrier();  // every halo buffer written, counters published
-}
-
-Transport::RoundTotals ShmTransport::round_totals() const {
-  // Only valid between the ship barrier and the liveness barrier: after the
-  // latter a fast peer may already overwrite its counter slot for the next
-  // round.
-  RoundTotals totals;
-  for (std::size_t i = 0; i < part_->num_workers(); ++i) {
-    const WorkerCounters* c = control_->counters(i);
-    totals.senders += c->senders.load(std::memory_order_relaxed);
-    totals.messages += c->messages.load(std::memory_order_relaxed);
-    totals.payload_words += c->payload_words.load(std::memory_order_relaxed);
-  }
-  // Every rank reads the same counter slots, so the sums are fleet-wide on
-  // any rank.
-  totals.aggregated = true;
-  return totals;
+  barrier();  // every halo buffer written
 }
 
 void ShmTransport::patch(local::MessageSpan* local_arena,

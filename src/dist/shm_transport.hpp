@@ -26,7 +26,7 @@
 /// `ShmTransport` is the per-rank `dist::Transport` view over a
 /// `HaloTransport` plus the `ControlBlock`: ship/patch/gather walk the
 /// per-rank buffers, and the phase synchronization is the control block's
-/// sense-reversing barrier.
+/// sense-reversing barrier, whose per-rank slots carry only liveness.
 
 #include <cstddef>
 #include <cstdint>
@@ -112,9 +112,7 @@ class ShmTransport final : public Transport {
 
   std::size_t sync_liveness(std::size_t my_not_done) override;
   void ship(const local::MessageSpan* local_arena,
-            const std::uint64_t* bank_words, std::uint32_t epoch,
-            const RoundTotals& mine) override;
-  [[nodiscard]] RoundTotals round_totals() const override;
+            const std::uint64_t* bank_words, std::uint32_t epoch) override;
   void patch(local::MessageSpan* local_arena, std::uint32_t epoch) override;
   void update_bank_bases(std::vector<const std::uint64_t*>& bases,
                          const std::uint64_t* own_bank) const override;

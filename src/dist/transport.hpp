@@ -34,8 +34,10 @@
 ///
 /// Every run on a transport goes through `dist::run_fleet` (rank_loop.hpp):
 /// its observability agreement is one `sync_liveness`, it hooks the run's
-/// recorder in with `set_recorder`, it turns any failure into `abort`, and
-/// after the gather it merges the other ranks' blocks through `gathered`.
+/// recorder in with `set_recorder` for the run's duration, it turns any
+/// failure into `abort`, and after the gather it merges the other ranks'
+/// blocks through `gathered`. A transport only moves round traffic: each
+/// rank's round spans count what a round did (rank_loop.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -53,25 +55,11 @@ namespace ds::dist {
 
 /// One rank's view of the round-synchronous halo exchange. All calls are
 /// made by the owning rank's execution thread, in the fixed per-round order
-/// `ship -> [round_totals] -> patch -> update_bank_bases -> sync_liveness`,
-/// with one extra `sync_liveness` before round 0 and one `gather` after the
-/// final round. Implementations may (and do) rely on that order.
+/// `ship -> patch -> update_bank_bases -> sync_liveness`, with one extra
+/// `sync_liveness` before round 0 and one `gather` after the final round.
+/// Implementations may (and do) rely on that order.
 class Transport {
  public:
-  /// Per-round send-phase counters, published with the ship and aggregated
-  /// across ranks for RoundStats reporting.
-  struct RoundTotals {
-    std::uint64_t senders = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t payload_words = 0;
-    /// True iff the three counters really are fleet-wide sums. Every
-    /// implementation of `round_totals()` must set it where its values are
-    /// valid; the rank loop refuses to report stats from a transport that
-    /// left it false, so a future transport cannot silently feed zeros into
-    /// RoundStats (the shm/tcp parity contract).
-    bool aggregated = false;
-  };
-
   virtual ~Transport() = default;
 
   /// This rank's index and the total rank count.
@@ -86,17 +74,10 @@ class Transport {
 
   /// Ships this rank's staged out-halo spans (the slots past
   /// `Partition::num_local_ports(rank)` in `local_arena`, payload words in
-  /// `bank_words`) to every peer, tagged `epoch`, publishing `mine` for
-  /// stats aggregation. Synchronizes: on return every peer's traffic toward
-  /// this rank is patchable.
+  /// `bank_words`) to every peer, tagged `epoch`. Synchronizes: on return
+  /// every peer's traffic toward this rank is patchable.
   virtual void ship(const local::MessageSpan* local_arena,
-                    const std::uint64_t* bank_words, std::uint32_t epoch,
-                    const RoundTotals& mine) = 0;
-
-  /// The shipped round's totals summed over all ranks. Only valid between
-  /// `ship` and the following `sync_liveness`, and only where the transport
-  /// aggregates them (rank 0 for shm; every rank for TCP).
-  [[nodiscard]] virtual RoundTotals round_totals() const = 0;
+                    const std::uint64_t* bank_words, std::uint32_t epoch) = 0;
 
   /// Delivers every peer's shipped messages into this rank's local span
   /// arena: spans are tagged `epoch` with bank index `1 + src`.

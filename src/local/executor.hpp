@@ -19,13 +19,18 @@
 /// rows, destroys its programs on its own thread, then joins the gather.
 /// The gather is the one result channel, and the only one a TCP fleet has.
 ///
+/// A round is recorded once: each executor's round loop records its kRound
+/// trace spans, which carry the round's live nodes, messages and payload
+/// words per rank (obs::RoundInstruments), and the base class builds a
+/// stats sink's `RoundStats` from those spans after the rounds end.
+///
 /// Determinism contract: for a fixed (graph, IdStrategy, seed), every run
-/// must produce bit-identical per-node program outputs and the same round
-/// count — regardless of executor kind, thread count, or which runs the
-/// executor served before. This holds because node programs only interact
-/// through port-indexed messages, every node's randomness is the pure
-/// fork(seed, uid), and executors separate the send and receive phases of
-/// each round with a barrier.
+/// must produce bit-identical per-node program outputs, the same round
+/// count and the same `RoundStats` — regardless of executor kind, thread
+/// count, or which runs the executor served before. This holds because
+/// node programs only interact through port-indexed messages, every node's
+/// randomness is the pure fork(seed, uid), and executors separate the send
+/// and receive phases of each round with a barrier.
 
 #include <cstdint>
 #include <functional>
@@ -115,23 +120,36 @@ class Executor {
   /// before `run` returns or throws, on the thread of the rank that built
   /// it. The round count is also added to `meter` if given. Throws if the
   /// round limit is hit with unhalted nodes.
-  virtual RunResult run(const ProgramFactory& factory, const OutputFn& output,
-                        IdStrategy ids, std::uint64_t seed,
-                        std::size_t max_rounds,
-                        CostMeter* meter = nullptr) = 0;
+  ///
+  /// With a stats sink installed, `run` then hands it one `RoundStats` per
+  /// executed round, in round order, on this thread: the sums over lanes of
+  /// this call's kRound spans, recorded into a recorder of its own when none
+  /// is installed. Throws rather than report a short trace when the flight
+  /// recorder evicted any of them.
+  RunResult run(const ProgramFactory& factory, const OutputFn& output,
+                IdStrategy ids, std::uint64_t seed, std::size_t max_rounds,
+                CostMeter* meter = nullptr);
 
-  /// Installs (or clears, with {}) the per-round stats hook for future runs.
-  virtual void set_stats_sink(RoundStatsSink sink) = 0;
+  /// Installs (or clears, with {}) the per-round stats sink for future runs.
+  void set_stats_sink(RoundStatsSink sink) { sink_ = std::move(sink); }
 
   /// Installs (or clears, with nullptr) the observability recorder for
   /// future runs. Not owned; must outlive the runs it observes. When set,
   /// executors register phase metrics and emit trace spans into it; when
   /// null, the instrumentation is a no-op (see obs/metrics.hpp).
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
-  [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
+
+ protected:
+  /// The executor's run, as `run` describes it, minus the sink and the
+  /// meter; records into `rec` when non-null.
+  virtual RunResult execute(const ProgramFactory& factory,
+                            const OutputFn& output, IdStrategy ids,
+                            std::uint64_t seed, std::size_t max_rounds,
+                            obs::Recorder* rec) = 0;
 
  private:
   obs::Recorder* recorder_ = nullptr;
+  RoundStatsSink sink_;
 };
 
 /// Factory producing an executor for a communication graph. Algorithms

@@ -15,7 +15,10 @@
 /// sequential executor is one rank owning every node — executes them
 /// round-synchronously, serializes their outputs and destroys them on the
 /// calling thread, and returns the rows with the number of rounds until
-/// all nodes halted. Messages travel through the writer-style arena of
+/// all nodes halted. With a recorder installed, each round's send and
+/// receive phases and the round itself become trace spans through
+/// `obs::RoundInstruments`, stamped at the phase boundaries as the rank
+/// loop's are. Messages travel through the writer-style arena of
 /// local/message_arena.hpp: one word bank plus a span per directed port, so
 /// steady-state rounds allocate nothing on the message path.
 /// Higher-level algorithms that the paper treats as black boxes are not run
@@ -37,7 +40,6 @@
 #include "local/ids.hpp"
 #include "local/message_arena.hpp"
 #include "local/program.hpp"
-#include "local/round_stats.hpp"
 #include "local/topology.hpp"
 
 namespace ds::local {
@@ -49,22 +51,17 @@ class Network final : public Executor {
   /// Builds the port structure of `g`; each run assigns its own identity.
   explicit Network(const graph::Graph& g);
 
-  RunResult run(const ProgramFactory& factory, const OutputFn& output,
-                IdStrategy ids, std::uint64_t seed, std::size_t max_rounds,
-                CostMeter* meter = nullptr) override;
-
-  void set_stats_sink(RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
-
  private:
+  RunResult execute(const ProgramFactory& factory, const OutputFn& output,
+                    IdStrategy ids, std::uint64_t seed, std::size_t max_rounds,
+                    obs::Recorder* rec) override;
+
   NetworkTopology topology_;
   /// Single word bank (the whole network is one "shard") + span per port.
   WordBank bank_;
   /// Kept across runs: its epoch keeps advancing, so a reused executor
   /// needs no clearing (the arena's wrap resets it).
   SpanArena arena_;
-  RoundStatsSink sink_;
 };
 
 }  // namespace ds::local

@@ -49,15 +49,14 @@ std::string unpack_string(const std::uint64_t* words, std::size_t count) {
 
 namespace {
 
-/// Words before a kHalo frame's bitmap: the stats triple and the mode word.
-constexpr std::size_t kHaloHeadWords = 4;
+/// Words before a kHalo frame's bitmap: the mode word.
+constexpr std::size_t kHaloHeadWords = 1;
 
 std::size_t bitmap_words(std::size_t cut) { return (cut + 63) / 64; }
 
 }  // namespace
 
-void encode_halo(std::vector<std::uint64_t>& out,
-                 const std::array<std::uint64_t, 3>& stats, std::size_t cut,
+void encode_halo(std::vector<std::uint64_t>& out, std::size_t cut,
                  const std::vector<HaloEntry>& live,
                  const std::uint64_t* bank) {
   // Spans over the same bank words carry the same message. Within one epoch
@@ -78,8 +77,7 @@ void encode_halo(std::vector<std::uint64_t>& out,
   const std::size_t entries = bitmap + bitmap_words(cut);
   const std::size_t head = entries + (live.size() * width + 7) / 8;
   out.assign(head + payload, 0);
-  std::copy(stats.begin(), stats.end(), out.begin());
-  out[3] = width == 1 ? 0 : 1;
+  out[0] = width == 1 ? 0 : 1;
   auto* entry_bytes = reinterpret_cast<unsigned char*>(out.data() + entries);
   std::uint64_t* words = out.data() + head;
   for (std::size_t k = 0; k < live.size(); ++k) {
@@ -106,7 +104,7 @@ void decode_halo(const std::uint64_t* words, std::size_t count,
                "malformed halo frame: " + std::to_string(count) +
                    " words, shorter than its header and the presence bitmap "
                    "of " + std::to_string(cut) + " cut ports");
-  const std::uint64_t mode = words[3];
+  const std::uint64_t mode = words[0];
   DS_CHECK_MSG(mode <= 1, "malformed halo frame: length mode " +
                               std::to_string(mode) + " (want 0 or 1)");
   const std::uint64_t* bitmap = words + kHaloHeadWords;

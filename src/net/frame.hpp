@@ -20,10 +20,9 @@
 ///             aligns the per-rank trace lanes
 ///   kHalo     one round's traffic toward the receiving rank, over the
 ///             link's canonical cut-port order (see encode_halo):
-///             [senders, messages, payload_words(stats), mode,
-///              presence bitmap[ceil(cut/64)], one length entry per live
-///              port (1 byte when mode 0, 4 bytes when mode 1; 0 repeats
-///              the previous live port's payload), message words...]
+///             [mode, presence bitmap[ceil(cut/64)], one length entry per
+///              live port (1 byte when mode 0, 4 bytes when mode 1; 0
+///              repeats the previous live port's payload), message words...]
 ///   kLive     round-closing liveness: [not_done]
 ///   kGather   end-of-run gather toward rank 0: the sender's observability
 ///             block ([obs_word_count, obs words...], count 0 when
@@ -52,7 +51,6 @@
 /// partial-read/write-resilient); the nonblocking round exchange feeds
 /// bytes through a `FrameReader`, which reassembles frames incrementally.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -71,7 +69,9 @@ constexpr std::uint32_t kFrameMagic = 0x44534E54;  // "DSNT"
 ///     kShutdown on the standing fleet connections).
 /// v6: kHalo carries a presence bitmap and byte-wide length entries for
 ///     live ports only, and each broadcast's words once per peer.
-constexpr std::uint64_t kProtocolVersion = 6;
+/// v7: kHalo drops the sender's [senders, messages, payload_words] stats
+///     triple; each rank's round spans carry its counts instead.
+constexpr std::uint64_t kProtocolVersion = 7;
 
 /// Upper bound on one frame's payload (2^31 words = 16 GiB) — far above
 /// any legitimate round's traffic. A header claiming more is corruption or
@@ -131,21 +131,19 @@ struct HaloEntry {
 };
 
 /// Replaces `out` with the kHalo payload for one link of `cut` ports:
-///  1. `stats` (senders, messages, payload_words);
-///  2. the mode word: 0 for 1-byte length entries, 1 for 4-byte ones (when
+///  1. the mode word: 0 for 1-byte length entries, 1 for 4-byte ones (when
 ///     some length exceeds 255);
-///  3. the presence bitmap, ceil(cut/64) words: bit i is set iff port i is
+///  2. the presence bitmap, ceil(cut/64) words: bit i is set iff port i is
 ///     in `live`;
-///  4. one length entry per set bit, in bit order, packed into whole words
+///  3. one length entry per set bit, in bit order, packed into whole words
 ///     and zero-padded. An entry of 0 repeats the previous set bit's
 ///     payload: the encoder writes it when a port's span has the same bank
 ///     offset and length as the previous live port's (one
 ///     `Outbox::broadcast`), so a broadcast crosses the link once;
-///  5. the words of every nonzero entry, in bit order, copied from `bank`.
+///  4. the words of every nonzero entry, in bit order, copied from `bank`.
 /// `live` must be in ascending port order, every port below `cut`. Keeps
 /// `out`'s capacity, so a warm buffer does not allocate.
-void encode_halo(std::vector<std::uint64_t>& out,
-                 const std::array<std::uint64_t, 3>& stats, std::size_t cut,
+void encode_halo(std::vector<std::uint64_t>& out, std::size_t cut,
                  const std::vector<HaloEntry>& live,
                  const std::uint64_t* bank);
 

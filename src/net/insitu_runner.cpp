@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -127,7 +126,7 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   {
     const dist::RankRun run =
         dist::run_rank_loop(view, part, transport, factory,
-                            hooks.max_rounds(params), {}, hooks.output,
+                            hooks.max_rounds(params), hooks.output,
                             recorder);
     result.rounds = run.rounds;
     // The gather carries only the observability block: gathering every
@@ -246,13 +245,7 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
 }  // namespace
 
 std::string InsituResult::brief() const {
-  std::ostringstream out;
-  for (const auto& [key, value] : summary) {
-    out << key << "=" << value << " ";
-  }
-  out << "verified=" << (verified ? "yes" : "no") << " ";
-  out << "output-digest=" << std::hex << output_digest;
-  return out.str();
+  return algo::brief_line(summary, verified, output_digest);
 }
 
 std::vector<graph::NodeId> uniform_boundaries(std::size_t n,

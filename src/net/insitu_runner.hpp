@@ -41,9 +41,9 @@
 ///      `InsituHooks::verify_node` over its own range, resolving neighbor
 ///      values from its own words plus the halo exchange.
 ///
-/// The returned `InsituResult::brief()` matches `algo::Result::brief()`
-/// character for character, so CI can diff an in-situ run directly against
-/// a materialized control run of the same (generator, seed, params).
+/// `InsituResult::brief()` and `algo::Result::brief()` both print
+/// `algo::brief_line`, so CI can diff an in-situ run directly against a
+/// materialized control run of the same (generator, seed, params).
 
 #include <cstdint>
 #include <string>

@@ -36,8 +36,10 @@
 /// none outlives the run.
 ///
 /// After a run every rank has merged the other ranks' observability blocks
-/// into its recorder: each ends the run holding fleet totals
-/// (dist/rank_loop.hpp).
+/// into its recorder: each ends the run holding fleet totals and every
+/// rank's round spans (dist/rank_loop.hpp), so a stats sink on any rank
+/// sees the fleet's rounds. A rank that sets a sink observes, and the
+/// observability agreement then makes every rank record.
 
 #include <cstdint>
 
@@ -46,7 +48,6 @@
 #include "local/executor.hpp"
 #include "local/ids.hpp"
 #include "local/program.hpp"
-#include "local/round_stats.hpp"
 #include "local/topology.hpp"
 #include "net/tcp_transport.hpp"
 
@@ -59,15 +60,6 @@ class TcpNetwork final : public local::Executor {
   /// count. `transport` must outlive the executor.
   TcpNetwork(const graph::Graph& g, TcpTransport& transport);
 
-  local::RunResult run(const local::ProgramFactory& factory,
-                       const local::OutputFn& output, local::IdStrategy ids,
-                       std::uint64_t seed, std::size_t max_rounds,
-                       local::CostMeter* meter = nullptr) override;
-
-  void set_stats_sink(local::RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
-
   [[nodiscard]] std::size_t rank() const { return transport_.rank(); }
 
   /// The node partition (ranges, halo routing tables, edge-cut stats).
@@ -76,10 +68,15 @@ class TcpNetwork final : public local::Executor {
   }
 
  private:
+  local::RunResult execute(const local::ProgramFactory& factory,
+                           const local::OutputFn& output,
+                           local::IdStrategy ids, std::uint64_t seed,
+                           std::size_t max_rounds,
+                           obs::Recorder* rec) override;
+
   local::NetworkTopology topology_;
   dist::Partition partition_;
   TcpTransport& transport_;
-  local::RoundStatsSink sink_;
 };
 
 }  // namespace ds::net

@@ -463,8 +463,7 @@ std::size_t TcpTransport::sync_liveness(std::size_t my_not_done) {
 }
 
 void TcpTransport::ship(const local::MessageSpan* local_arena,
-                        const std::uint64_t* bank_words, std::uint32_t epoch,
-                        const RoundTotals& mine) {
+                        const std::uint64_t* bank_words, std::uint32_t epoch) {
   ++exchange_seq_;
   const std::size_t ranks = peers_.size();
   // One pass over the out-halo region sorts the live spans by peer: every
@@ -481,27 +480,12 @@ void TcpTransport::ship(const local::MessageSpan* local_arena,
   }
   for (std::size_t d = 0; d < ranks; ++d) {
     if (d == rank_) continue;
-    encode_halo(stage_words_,
-                {mine.senders, mine.messages, mine.payload_words},
-                part_->link(rank_, d).src_out_slots.size(), halo_live_[d],
-                bank_words);
+    encode_halo(stage_words_, part_->link(rank_, d).src_out_slots.size(),
+                halo_live_[d], bank_words);
     stage(d, FrameType::kHalo, stage_words_.data(), stage_words_.size());
   }
   std::vector<bool> expect(ranks, true);
   pump(FrameType::kHalo, expect);
-
-  totals_ = mine;
-  for (std::size_t r = 0; r < ranks; ++r) {
-    if (r == rank_) continue;
-    const Frame& f = peers_[r].halo;
-    DS_CHECK_MSG(f.payload.size() >= 3, "malformed halo frame");
-    totals_.senders += f.payload[0];
-    totals_.messages += f.payload[1];
-    totals_.payload_words += f.payload[2];
-  }
-  // Every rank sums its own share plus every peer's stats triple, so the
-  // totals are fleet-wide on every rank.
-  totals_.aggregated = true;
 }
 
 void TcpTransport::patch(local::MessageSpan* local_arena,

@@ -15,14 +15,14 @@
 /// is always the expected one; an exchange-sequence counter carried in
 /// every header turns any drift into a hard error.
 ///
-/// A round's kHalo frame toward peer d carries this rank's send-phase stats
-/// and the live cut traffic in the canonical `Partition::link(rank, d)`
-/// order: a presence bitmap over the link's cut ports, a byte-wide (or,
-/// when a message exceeds 255 words, 4-byte) length entry per live port,
-/// and each distinct message's words once — a broadcast crosses the link
-/// once, not once per cut port (`encode_halo`, net/frame.hpp). Unlike the
-/// shm exchange blocks' length per cut port, a silent or halted port costs
-/// one bit.
+/// A round's kHalo frame toward peer d carries only the live cut traffic,
+/// in the canonical `Partition::link(rank, d)` order: a mode word, a
+/// presence bitmap over the link's cut ports, a byte-wide (or, when a
+/// message exceeds 255 words, 4-byte) length entry per live port, and each
+/// distinct message's words once — a broadcast crosses the link once, not
+/// once per cut port (`encode_halo`, net/frame.hpp). A silent or halted
+/// port costs one bit. No round counts ride along: each rank's round spans
+/// carry its own (dist/rank_loop.hpp).
 /// Received payloads stay in per-peer frame buffers, and `patch` points the
 /// destination span arena into them (bank index 1 + src): no per-message
 /// copying or routing metadata.
@@ -128,11 +128,7 @@ class TcpTransport final : public dist::Transport {
 
   std::size_t sync_liveness(std::size_t my_not_done) override;
   void ship(const local::MessageSpan* local_arena,
-            const std::uint64_t* bank_words, std::uint32_t epoch,
-            const RoundTotals& mine) override;
-  [[nodiscard]] RoundTotals round_totals() const override {
-    return totals_;
-  }
+            const std::uint64_t* bank_words, std::uint32_t epoch) override;
   void patch(local::MessageSpan* local_arena, std::uint32_t epoch) override;
   void update_bank_bases(std::vector<const std::uint64_t*>& bases,
                          const std::uint64_t* own_bank) const override;
@@ -198,7 +194,6 @@ class TcpTransport final : public dist::Transport {
   TcpOptions opts_;
   std::vector<Peer> peers_;          ///< size ranks; own slot unused
   std::uint64_t exchange_seq_ = 0;   ///< stepped once per collective phase
-  RoundTotals totals_;               ///< last shipped round, fleet-wide
   std::vector<std::vector<std::uint64_t>> gather_rows_;  ///< per rank
   /// Where an out-halo slot's message goes: its peer and its port in the
   /// link's canonical order.

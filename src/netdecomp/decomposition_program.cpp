@@ -13,10 +13,15 @@ namespace {
 
 constexpr std::uint64_t kUnclustered = UINT64_MAX;
 
+/// A center's (UID, slack), ordered by UID.
+using Entry = std::pair<std::uint64_t, std::uint64_t>;
+bool by_uid(const Entry& a, const Entry& b) { return a.first < b.first; }
+
 /// Per-node Linial–Saks program. Block b occupies rounds
 /// [b·radius_cap, (b+1)·radius_cap); within a block, step 0 seeds the
 /// node's own announcement and later steps flood first arrivals. The
-/// decision happens at the last receive of the block.
+/// decision happens at the last receive of the block. Its vectors keep
+/// their capacity across rounds and blocks.
 class LinialSaksProgram final : public local::NodeProgram {
  public:
   LinialSaksProgram(const local::NodeEnv& env, std::size_t radius_cap)
@@ -27,60 +32,58 @@ class LinialSaksProgram final : public local::NodeProgram {
       // New block: draw this block's geometric radius and seed the
       // knowledge with the self announcement (slack = radius).
       known_.clear();
-      fresh_.clear();
       std::size_t radius = 0;
       while (radius < radius_cap_ && rng_.next_bool()) ++radius;
-      known_.emplace(uid_, static_cast<std::uint64_t>(radius));
+      known_.emplace_back(uid_, static_cast<std::uint64_t>(radius));
       if (radius >= 1) {
         out.broadcast({uid_, static_cast<std::uint64_t>(radius - 1)});
       }
       return;
     }
-    if (fresh_.empty()) return;
-    // Forward last round's first arrivals that still have hops to spare,
-    // highest UID first (any fixed order works; this one is stable).
-    words_.clear();
-    for (auto it = fresh_.rbegin(); it != fresh_.rend(); ++it) {
-      if (it->second >= 1) {
-        words_.push_back(it->first);
-        words_.push_back(it->second - 1);
-      }
-    }
-    fresh_.clear();
     if (!words_.empty()) out.broadcast(words_);
   }
 
   void receive(std::size_t round, const local::Inbox& inbox) override {
-    // Collect this round's first arrivals, then keep for forwarding only
-    // those not dominated by a higher-UID center with at least the same
-    // slack (the dominator covers every node the dominated one could).
-    std::map<std::uint64_t, std::uint64_t> arrivals;
+    // Collect this round's first arrivals, then forward next round only
+    // those with hops to spare that no higher-UID center with at least the
+    // same slack dominates (the dominator covers every node the dominated
+    // one could).
+    arrivals_.clear();
     for (std::size_t p = 0; p < inbox.size(); ++p) {
       const local::MessageView msg = inbox[p];
       DS_CHECK(msg.size() % 2 == 0);
       for (std::size_t i = 0; i < msg.size(); i += 2) {
-        const std::uint64_t uid = msg[i];
-        const std::uint64_t slack = msg[i + 1];
-        if (known_.count(uid) != 0) continue;  // a slower copy; ignore
-        arrivals.emplace(uid, slack);  // same-round copies carry one slack
+        const Entry arrival{msg[i], msg[i + 1]};
+        const auto at =
+            std::lower_bound(known_.begin(), known_.end(), arrival, by_uid);
+        // A slower copy, or a same-round one (those carry one slack).
+        if (at != known_.end() && at->first == arrival.first) continue;
+        known_.insert(at, arrival);
+        arrivals_.push_back(arrival);
       }
     }
-    for (const auto& [uid, slack] : arrivals) {
-      known_.emplace(uid, slack);
-    }
-    for (const auto& [uid, slack] : arrivals) {
-      const bool dominated = std::any_of(
-          known_.upper_bound(uid), known_.end(),
-          [&](const auto& kv) { return kv.second >= slack; });
-      if (!dominated) fresh_.emplace_back(uid, slack);
+    std::sort(arrivals_.begin(), arrivals_.end());
+    // Highest UID first (any fixed order works; this one is stable).
+    words_.clear();
+    for (auto it = arrivals_.rbegin(); it != arrivals_.rend(); ++it) {
+      const auto [uid, slack] = *it;
+      const auto higher =
+          std::upper_bound(known_.begin(), known_.end(), Entry{uid, 0}, by_uid);
+      const bool dominated =
+          std::any_of(higher, known_.end(),
+                      [&](const Entry& kv) { return kv.second >= slack; });
+      if (!dominated && slack >= 1) {
+        words_.push_back(uid);
+        words_.push_back(slack - 1);
+      }
     }
     if (round % radius_cap_ + 1 < radius_cap_) return;
     // Last step of the block: join the highest-UID covering center if
     // strictly inside its ball, else stay active for the next block.
-    const auto best = known_.rbegin();
-    if (best->second > 0) {
+    const Entry& best = known_.back();
+    if (best.second > 0) {
       block_ = round / radius_cap_;
-      center_ = best->first;
+      center_ = best.first;
       clustered_ = true;
     }
   }
@@ -95,10 +98,11 @@ class LinialSaksProgram final : public local::NodeProgram {
   std::uint64_t uid_;
   Rng rng_;
   std::size_t radius_cap_;
-  /// First-arrival slack per center UID, this block.
-  std::map<std::uint64_t, std::uint64_t> known_;
-  /// Arrivals of the last receive still owed a forward, in UID order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh_;
+  /// First-arrival slack per center, this block, sorted by UID.
+  std::vector<Entry> known_;
+  /// This receive's first arrivals, sorted by UID.
+  std::vector<Entry> arrivals_;
+  /// What the next send forwards: (UID, slack - 1) per arrival.
   std::vector<std::uint64_t> words_;
   std::uint64_t block_ = 0;
   std::uint64_t center_ = 0;

@@ -224,4 +224,56 @@ SpanPerf PhasePerf::account(Phase phase, const PerfSample& from,
   return out;
 }
 
+RoundInstruments::RoundInstruments(Recorder* rec,
+                                   std::initializer_list<Phase> phases)
+    : rec_(rec) {
+  if (rec == nullptr) return;
+  Metrics& m = rec->metrics();
+  live_nodes_ = m.counter("rounds.live_nodes");
+  messages_ = m.counter("rounds.messages");
+  payload_words_ = m.counter("rounds.payload_words");
+  rounds_executed_ = m.gauge("rounds.executed");
+  for (const Phase p : phases) {
+    phase_us_[static_cast<std::size_t>(p)] =
+        m.histogram(std::string("phase.") + phase_name(p) + ".us");
+  }
+  // Registered eagerly: the registry seals at the first round's publish.
+  phase_perf_ = PhasePerf(m, perf_.emplace(), phases);
+}
+
+void RoundInstruments::begin(std::uint64_t round) {
+  if (rec_ == nullptr) return;
+  round_ = round;
+  first_us_ = last_us_ = rec_->now_us();
+  first_ = last_ = perf_->sample();
+}
+
+void RoundInstruments::close(Phase phase) {
+  if (rec_ == nullptr) return;
+  const std::uint64_t us = rec_->now_us();
+  const PerfSample sample = perf_->sample();
+  phase_us_[static_cast<std::size_t>(phase)].record(us - last_us_);
+  const SpanPerf d = phase_perf_.account(phase, last_, sample);
+  rec_->add_span(phase, round_, last_us_, us - last_us_, d.cycles,
+                 d.instructions);
+  last_us_ = us;
+  last_ = sample;
+}
+
+void RoundInstruments::end(std::uint64_t live, std::uint64_t messages,
+                           std::uint64_t words) {
+  if (rec_ == nullptr) return;
+  live_nodes_.add(live);
+  messages_.add(messages);
+  payload_words_.add(words);
+  const std::uint64_t dur = last_us_ - first_us_;
+  phase_us_[static_cast<std::size_t>(Phase::kRound)].record(dur);
+  const SpanPerf d = phase_perf_.account(Phase::kRound, first_, last_);
+  rec_->add_span(Phase::kRound, round_, first_us_, dur, d.cycles,
+                 d.instructions, live, messages, words);
+  // Round-boundary snapshot for the live HTTP endpoints: one coalesced
+  // seqlock publish per round, no locks on the round path.
+  rec_->publish_round(round_ + 1);
+}
+
 }  // namespace ds::obs

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,49 @@ class PhasePerf {
 
   bool hardware_ = false;
   Instruments per_phase_[8];  ///< indexed by Phase value
+};
+
+/// The one object both round loops — the sequential `Network` and
+/// `dist::run_rank_loop` (thread, TCP and in-situ ranks) — time and record
+/// every round through, so every executor registers the same names. The
+/// loop stamps each phase boundary once (one `Recorder::now_us`, one
+/// counter sample); consecutive stamps become a span, a `phase.<name>.us`
+/// sample and `perf.<name>.*` deltas. A round's kRound span carries this
+/// lane's live nodes, messages and payload words, which also feed the
+/// `rounds.*` counters: the *deterministic* set, whose sums over lanes are
+/// bit-identical across executors for a fixed (graph, strategy, seed).
+/// Without a recorder every call returns at once and reads no clock.
+class RoundInstruments {
+ public:
+  /// Registers, in `rec`'s registry and in this order, the `rounds.*`
+  /// counters, the histograms of `phases` (kRound included) and their
+  /// hardware counters; `rec` null disables every call.
+  RoundInstruments(Recorder* rec, std::initializer_list<Phase> phases);
+
+  /// Round `round` starts now: its first phase boundary.
+  void begin(std::uint64_t round);
+  /// `phase` ran from the previous boundary until now.
+  void close(Phase phase);
+  /// The round ended at the last boundary: records its kRound span with
+  /// this lane's counts and publishes the round-boundary snapshot.
+  void end(std::uint64_t live, std::uint64_t messages, std::uint64_t words);
+  /// Sets `rounds.executed` once the last round ended.
+  void finish(std::uint64_t rounds) { rounds_executed_.set(rounds); }
+
+ private:
+  Recorder* rec_;
+  Counter live_nodes_;     ///< rounds.live_nodes
+  Counter messages_;       ///< rounds.messages
+  Counter payload_words_;  ///< rounds.payload_words
+  Gauge rounds_executed_;  ///< rounds.executed
+  Histogram phase_us_[8];  ///< phase.<name>.us, by Phase value
+  std::optional<PerfCounters> perf_;
+  PhasePerf phase_perf_;
+  std::uint64_t round_ = 0;
+  std::uint64_t first_us_ = 0;  ///< the round's first boundary
+  std::uint64_t last_us_ = 0;   ///< the latest boundary
+  PerfSample first_;
+  PerfSample last_;
 };
 
 }  // namespace ds::obs

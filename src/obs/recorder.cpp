@@ -17,15 +17,16 @@ namespace ds::obs {
 
 namespace {
 
-/// Leading word of a drained block ("ds_obs_2" as big-endian bytes) — a
+/// Leading word of a drained block ("ds_obs_3" as big-endian bytes) — a
 /// format tag, so a misaligned or foreign block fails loudly in merge.
-/// v2 (this PR): events carry cycle/instruction deltas (7 words) and the
-/// block gains a folded-stack profile section. Both codec ends live in this
+/// v2: events carry cycle/instruction deltas (7 words) and the block gains
+/// a folded-stack profile section. v3: events carry a round's live nodes,
+/// messages and payload words (10 words). Both codec ends live in this
 /// file, so the version only ever changes in lockstep.
-constexpr std::uint64_t kObsMagic = 0x64735f6f62735f32ull;
+constexpr std::uint64_t kObsMagic = 0x64735f6f62735f33ull;
 
 /// Words per serialized TraceEvent.
-constexpr std::size_t kEventWords = 7;
+constexpr std::size_t kEventWords = 10;
 
 /// Appends [byte_length, packed chars...] — obs deliberately has its own
 /// tiny string codec rather than depending on net/frame.hpp.
@@ -114,6 +115,18 @@ std::vector<TraceEvent> Recorder::ordered_events() const {
     out.insert(out.end(), events_.begin(),
                events_.begin() + static_cast<std::ptrdiff_t>(next_));
   }
+  return out;
+}
+
+std::vector<TraceEvent> Recorder::events_since(std::uint64_t pushed) const {
+  const std::uint64_t wanted = pushed_ - pushed;
+  DS_CHECK_MSG(wanted <= events_.size(),
+               "the flight recorder evicted " +
+                   std::to_string(wanted - events_.size()) + " of the " +
+                   std::to_string(wanted) +
+                   " spans asked for; raise its event capacity");
+  std::vector<TraceEvent> out = ordered_events();
+  out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(wanted));
   return out;
 }
 
@@ -210,6 +223,9 @@ std::vector<std::uint64_t> Recorder::drain_words() {
     out.push_back(e.dur_us);
     out.push_back(e.cycles);
     out.push_back(e.instructions);
+    out.push_back(e.live);
+    out.push_back(e.messages);
+    out.push_back(e.words);
   }
   for (const auto& [stack, count] : folded_since_mark_) {
     pack_string(out, stack);
@@ -253,6 +269,9 @@ void Recorder::merge_words(const std::uint64_t* words, std::size_t count) {
     e.dur_us = words[pos + 4];
     e.cycles = words[pos + 5];
     e.instructions = words[pos + 6];
+    e.live = words[pos + 7];
+    e.messages = words[pos + 8];
+    e.words = words[pos + 9];
     pos += kEventWords;
     push_event(e);  // merged events obey the flight-recorder bound too
   }
@@ -348,6 +367,10 @@ void Recorder::write_trace_json(std::ostream& out) const {
         << ", \"tid\": " << static_cast<int>(e.phase) << ", \"ts\": "
         << shifted(e) << ", \"dur\": " << e.dur_us
         << ", \"args\": {\"round\": " << e.round;
+    if (e.phase == Phase::kRound) {
+      out << ", \"live\": " << e.live << ", \"messages\": " << e.messages
+          << ", \"words\": " << e.words;
+    }
     // Spans carry their hardware deltas when the span site sampled a live
     // counter group; degraded runs mark the absence explicitly so a reader
     // never mistakes "no counters" for "zero work".
@@ -459,19 +482,6 @@ void Recorder::write_stats_table(std::ostream& out) const {
         << std::setw(16) << miss << "\n";
   }
   out << "---------------------------------------------------------------\n";
-}
-
-RoundInstruments RoundInstruments::create(
-    Metrics& m, std::initializer_list<Phase> phases) {
-  RoundInstruments r;
-  r.live_nodes = m.counter("rounds.live_nodes");
-  r.messages = m.counter("rounds.messages");
-  r.payload_words = m.counter("rounds.payload_words");
-  r.rounds_executed = m.gauge("rounds.executed");
-  for (const Phase p : phases) {
-    r.us(p) = m.histogram(std::string("phase.") + phase_name(p) + ".us");
-  }
-  return r;
 }
 
 }  // namespace ds::obs

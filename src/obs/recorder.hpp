@@ -45,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -82,6 +81,9 @@ enum class Phase : std::uint8_t {
 /// The perf fields are the span's hardware-counter deltas (sampled at the
 /// same points as the timestamps); `kPerfUnavailable` when the kernel
 /// refused `perf_event_open` or the span site carries no counters.
+/// A kRound span also says what the round did on its lane: the lane's live
+/// nodes, messages and payload words (0 on every other phase). Summed over
+/// lanes they are the round's `local::RoundStats`.
 struct TraceEvent {
   std::uint32_t lane = 0;
   Phase phase = Phase::kRound;
@@ -90,6 +92,9 @@ struct TraceEvent {
   std::uint64_t dur_us = 0;  ///< duration, µs
   std::uint64_t cycles = kPerfUnavailable;        ///< hw cycle delta
   std::uint64_t instructions = kPerfUnavailable;  ///< hw instruction delta
+  std::uint64_t live = 0;      ///< nodes that ran the round on this lane
+  std::uint64_t messages = 0;  ///< non-empty messages they sent
+  std::uint64_t words = 0;     ///< payload words of those messages
 };
 
 class Recorder {
@@ -122,8 +127,11 @@ class Recorder {
   void add_span(Phase phase, std::uint64_t round, std::uint64_t ts_us,
                 std::uint64_t dur_us,
                 std::uint64_t cycles = kPerfUnavailable,
-                std::uint64_t instructions = kPerfUnavailable) {
-    push_event({lane_, phase, round, ts_us, dur_us, cycles, instructions});
+                std::uint64_t instructions = kPerfUnavailable,
+                std::uint64_t live = 0, std::uint64_t messages = 0,
+                std::uint64_t words = 0) {
+    push_event({lane_, phase, round, ts_us, dur_us, cycles, instructions,
+                live, messages, words});
   }
 
   /// The raw ring storage. Insertion order is only chronological while the
@@ -145,6 +153,15 @@ class Recorder {
   /// in the `obs.events.dropped` counter, which drains/merges like any
   /// other metric).
   [[nodiscard]] std::uint64_t events_dropped() const { return dropped_; }
+
+  /// Lifetime count of events entered, merged ones included: note it before
+  /// a run to read that run's events back with `events_since`.
+  [[nodiscard]] std::uint64_t events_pushed() const { return pushed_; }
+
+  /// The events entered after the first `pushed`, oldest first. Throws
+  /// ds::CheckError when the ring evicted any of them.
+  [[nodiscard]] std::vector<TraceEvent> events_since(
+      std::uint64_t pushed) const;
 
   /// Attaches (or detaches, nullptr) the live-introspection publisher. The
   /// recorder does not own it; the round loops push coalesced snapshots
@@ -242,31 +259,6 @@ class Recorder {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> mark_totals_;
   std::uint64_t mark_pushed_ = 0;
   std::map<std::string, std::uint64_t> folded_since_mark_;
-};
-
-/// The standard per-round instruments every executor records — bundled so
-/// the four runtimes register the same metric names. The `rounds.*` counters
-/// are the *deterministic* set: for a fixed (graph, strategy, seed) their
-/// totals are bit-identical across runtimes (distributed ranks each add only
-/// their own share; the fleet merge reconstructs the global sums).
-struct RoundInstruments {
-  Counter live_nodes;     ///< rounds.live_nodes
-  Counter messages;       ///< rounds.messages
-  Counter payload_words;  ///< rounds.payload_words
-  Gauge rounds_executed;  ///< rounds.executed
-  /// `phase.<name>.us` by Phase value. Only the phases the executor
-  /// records are registered; the others stay null no-ops, so no all-zero
-  /// phase row reaches the exports.
-  Histogram phase_us[8];
-
-  [[nodiscard]] Histogram& us(Phase p) {
-    return phase_us[static_cast<std::size_t>(p)];
-  }
-
-  /// Registers (or re-finds) the counters and `phases`' histograms in `m`,
-  /// in that order.
-  static RoundInstruments create(Metrics& m,
-                                 std::initializer_list<Phase> phases);
 };
 
 }  // namespace ds::obs

@@ -102,7 +102,7 @@ inline const std::vector<std::pair<local::IdStrategy, std::uint64_t>>
                         {local::IdStrategy::kDegreeDescending, 29}};
 
 /// Everything deterministic one probe run shows: per-node digests and
-/// UIDs, the round count and the per-round stats (wall times left out).
+/// UIDs, the round count and the per-round stats.
 struct ProbeRun {
   std::vector<std::uint64_t> digests;
   std::vector<std::uint64_t> uids;

@@ -184,7 +184,6 @@ TEST(DistributedRoundStats, MatchesSequentialExecutor) {
     EXPECT_EQ(seq_stats[r].live_nodes, par_stats[r].live_nodes) << r;
     EXPECT_EQ(seq_stats[r].messages, par_stats[r].messages) << r;
     EXPECT_EQ(seq_stats[r].payload_words, par_stats[r].payload_words) << r;
-    EXPECT_GE(par_stats[r].wall_seconds, 0.0);
   }
 }
 

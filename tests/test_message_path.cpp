@@ -27,9 +27,10 @@
 #include "graph/multigraph.hpp"
 #include "local/message_arena.hpp"
 #include "local/network.hpp"
-#include "local/round_stats.hpp"
 #include "local/topology.hpp"
 #include "mis/mis.hpp"
+#include "netdecomp/decomposition.hpp"
+#include "netdecomp/decomposition_program.hpp"
 #include "runtime/select.hpp"
 #include "support/check.hpp"
 
@@ -465,20 +466,52 @@ TEST(AllocationCounting, TrialColoringRoundsAllocateNothing) {
   // A sequential `color` run: once the word bank reached its high-water
   // mark, a round allocates nothing — the trial draw counts and walks the
   // palette instead of building a vector of options per undecided node.
+  // Round k's allocations are the difference between two runs on fresh
+  // executors, one capped at k + 1 rounds and one at k: each stops with the
+  // `max_rounds` CheckError, which both pay alike.
   const auto g = graph::gen::torus(32, 32);
-  std::vector<std::size_t> after_round;
-  after_round.reserve(1024);
-  const local::ExecutorFactory sequential = runtime::make_executor_factory(
-      runtime::RuntimeConfig{}, [&](const local::RoundStats&) {
-        after_round.push_back(g_allocations.load(std::memory_order_relaxed));
-      });
-  const auto outcome = coloring::randomized_coloring(
-      g, 7, nullptr, 10000, local::IdStrategy::kSequential, sequential);
-  ASSERT_GE(after_round.size(), 3u);
-  EXPECT_EQ(outcome.executed_rounds, after_round.size());
-  for (std::size_t r = 2; r < after_round.size(); ++r) {
-    EXPECT_EQ(after_round[r] - after_round[r - 1], 0u) << "round " << r;
+  const std::size_t rounds =
+      coloring::randomized_coloring(g, 7, nullptr, 10000,
+                                    local::IdStrategy::kSequential)
+          .executed_rounds;
+  ASSERT_GE(rounds, 4u);
+  const auto allocations_capped_at = [&](std::size_t cap) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_THROW(coloring::randomized_coloring(
+                     g, 7, nullptr, cap, local::IdStrategy::kSequential),
+                 CheckError);
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+  std::size_t capped = allocations_capped_at(2);
+  for (std::size_t k = 2; k + 1 < rounds; ++k) {
+    const std::size_t next = allocations_capped_at(k + 1);
+    EXPECT_EQ(next, capped) << "round " << k;
+    capped = next;
   }
+}
+
+TEST(AllocationCounting, NetworkDecompositionAllocatesPerGrowthNotPerArrival) {
+  // The `netdecomp` program at the registry defaults (seed 7) on the 64x64
+  // torus. Its Linial–Saks nodes built a map of every round's arrivals and
+  // kept their knowledge in a map: the run made 83,040 allocations, about
+  // 20 per node. Their vectors only grow to their largest round, which
+  // brings it to about 9. The program's verification — two weak-diameter scans, a BFS per member of
+  // every small cluster — is taken out: it allocates as much as before.
+  const auto g = graph::gen::torus(64, 64);
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const netdecomp::DecompProgramOutcome outcome =
+      netdecomp::decomposition_program(g, 7);
+  const std::size_t run_and_verify =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  before = g_allocations.load(std::memory_order_relaxed);
+  (void)netdecomp::weak_diameter(g, outcome.decomposition);
+  EXPECT_TRUE(netdecomp::is_network_decomposition(
+      g, outcome.decomposition, 4 * outcome.radius_cap,
+      outcome.decomposition.num_blocks));
+  const std::size_t verify =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_GT(run_and_verify, verify);
+  EXPECT_LT(run_and_verify - verify, 10 * g.num_nodes());
 }
 
 TEST(AllocationCounting, SetupAllocatesPerInstanceNotPerNode) {

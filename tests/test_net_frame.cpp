@@ -188,11 +188,12 @@ struct HaloLinkFixture {
   }
 };
 
-constexpr std::array<std::uint64_t, 3> kStats = {7, 11, 13};
+/// Words before a kHalo frame's bitmap: the mode word.
+constexpr std::size_t kHead = 1;
 
 std::size_t halo_head_words(std::size_t cut, std::size_t live,
                             std::size_t width) {
-  return 4 + (cut + 63) / 64 + (live * width + 7) / 8;
+  return kHead + (cut + 63) / 64 + (live * width + 7) / 8;
 }
 
 /// Encodes `link`, decodes the result, and checks that every live port
@@ -200,10 +201,7 @@ std::size_t halo_head_words(std::size_t cut, std::size_t live,
 std::vector<std::uint64_t> roundtrip(const HaloLinkFixture& link,
                                      std::size_t cut) {
   std::vector<std::uint64_t> frame;
-  encode_halo(frame, kStats, cut, link.live, link.bank.data());
-  EXPECT_EQ(frame[0], kStats[0]);
-  EXPECT_EQ(frame[1], kStats[1]);
-  EXPECT_EQ(frame[2], kStats[2]);
+  encode_halo(frame, cut, link.live, link.bank.data());
   std::vector<HaloEntry> got;
   decode_halo(frame.data(), frame.size(), cut, got);
   EXPECT_EQ(got.size(), link.live.size());
@@ -239,7 +237,7 @@ TEST(HaloCodec, EmptyFrameIsHeaderAndBitmapOnly) {
   for (const std::size_t cut : {0, 1, 64, 200}) {
     const auto frame = roundtrip({}, cut);
     EXPECT_EQ(frame.size(), halo_head_words(cut, 0, 1)) << "cut " << cut;
-    EXPECT_EQ(frame[3], 0u);
+    EXPECT_EQ(frame[0], 0u);
   }
 }
 
@@ -248,8 +246,8 @@ TEST(HaloCodec, EveryPortLive) {
   for (std::uint32_t p = 0; p < 130; ++p) link.write(p, 1 + p % 4);
   const auto frame = roundtrip(link, 130);
   EXPECT_EQ(frame.size(), halo_head_words(130, 130, 1) + link.bank.size());
-  for (std::size_t w = 0; w < 2; ++w) EXPECT_EQ(frame[4 + w], ~0ull);
-  EXPECT_EQ(frame[6], 3u);  // ports 128, 129
+  for (std::size_t w = 0; w < 2; ++w) EXPECT_EQ(frame[kHead + w], ~0ull);
+  EXPECT_EQ(frame[kHead + 2], 3u);  // ports 128, 129
 }
 
 TEST(HaloCodec, MixedSilentAndHaltedPorts) {
@@ -277,7 +275,7 @@ TEST(HaloCodec, BroadcastRunCrossesOnce) {
     const std::size_t head = halo_head_words(cut, link.live.size(), 1);
     EXPECT_EQ(frame.size(), head + 2 + 3 + 3 + 1) << "k " << k;
     const auto* entries = reinterpret_cast<const unsigned char*>(
-        frame.data() + 4 + (cut + 63) / 64);
+        frame.data() + kHead + (cut + 63) / 64);
     EXPECT_EQ(entries[0], 2u);
     EXPECT_EQ(entries[1], 3u);
     for (std::uint32_t i = 2; i <= k; ++i) EXPECT_EQ(entries[i], 0u);
@@ -291,11 +289,11 @@ TEST(HaloCodec, LongMessageSwitchesToFourByteEntries) {
   HaloLinkFixture link;
   link.write(0, 255);
   auto frame = roundtrip(link, 3);
-  EXPECT_EQ(frame[3], 0u);  // 255 still fits a byte
+  EXPECT_EQ(frame[0], 0u);  // 255 still fits a byte
   link.write(1, 300);
   link.broadcast(2, 2, 1);
   frame = roundtrip(link, 4);
-  EXPECT_EQ(frame[3], 1u);
+  EXPECT_EQ(frame[0], 1u);
   EXPECT_EQ(frame.size(), halo_head_words(4, 4, 4) + 255 + 300 + 1);
 }
 
@@ -308,7 +306,7 @@ TEST(HaloCodec, CutBoundaries) {
     const auto frame = roundtrip(link, cut);
     std::uint64_t last_word = std::uint64_t{1} << (last % 64);
     if (cut > 2 && last < 64) last_word |= 1;
-    EXPECT_EQ(frame[4 + last / 64], last_word) << "cut " << cut;
+    EXPECT_EQ(frame[kHead + last / 64], last_word) << "cut " << cut;
   }
 }
 
@@ -318,9 +316,9 @@ TEST(HaloCodec, RejectsMalformedFrames) {
   link.broadcast(71, 3, 1);
   const std::size_t cut = 80;
   std::vector<std::uint64_t> good;
-  encode_halo(good, kStats, cut, link.live, link.bank.data());
+  encode_halo(good, cut, link.live, link.bank.data());
   ASSERT_EQ(halo_error(good, cut), "accepted");
-  const std::size_t bitmap_end = 4 + 2;
+  const std::size_t bitmap_end = kHead + 2;
   const std::size_t head = halo_head_words(cut, link.live.size(), 1);
 
   const auto expect_rejected = [&](const char* what,
@@ -332,19 +330,20 @@ TEST(HaloCodec, RejectsMalformedFrames) {
   expect_rejected("truncated bitmap",
                   std::vector<std::uint64_t>(good.begin(),
                                              good.begin() + bitmap_end - 1));
-  expect_rejected("stats only",
-                  std::vector<std::uint64_t>(good.begin(), good.begin() + 3));
+  expect_rejected("mode only",
+                  std::vector<std::uint64_t>(good.begin(), good.begin() + 1));
+  expect_rejected("empty", {});
   expect_rejected("truncated lengths",
                   std::vector<std::uint64_t>(good.begin(),
                                              good.begin() + head - 1));
   auto stray = good;
-  stray[4 + 1] |= std::uint64_t{1} << (cut % 64);  // port 80
+  stray[kHead + 1] |= std::uint64_t{1} << (cut % 64);  // port 80
   expect_rejected("stray bit", stray);
   auto leading_repeat = good;
   reinterpret_cast<unsigned char*>(leading_repeat.data() + bitmap_end)[0] = 0;
   expect_rejected("leading repeat", leading_repeat);
   auto mode2 = good;
-  mode2[3] = 2;
+  mode2[0] = 2;
   expect_rejected("mode 2", mode2);
   auto trailing = good;
   trailing.push_back(0);

@@ -290,8 +290,8 @@ TEST(TcpRoundStats, MatchesSequentialExecutor) {
 
   const LoopbackReport report = run_loopback_ranks(
       3, [&](LoopbackRank&& lr) -> int {
-        // The TCP transport aggregates totals on every rank (they ride in
-        // the halo frames), so every rank's sink must see the same trace.
+        // Every rank merges every other rank's round spans after the
+        // gather, so every rank's sink must see the same trace.
         TcpTransport transport = connect(std::move(lr));
         TcpNetwork net(g, transport);
         std::vector<local::RoundStats> stats;
@@ -308,8 +308,7 @@ TEST(TcpRoundStats, MatchesSequentialExecutor) {
           if (stats[r].round != r ||
               stats[r].live_nodes != seq_stats[r].live_nodes ||
               stats[r].messages != seq_stats[r].messages ||
-              stats[r].payload_words != seq_stats[r].payload_words ||
-              stats[r].wall_seconds < 0.0) {
+              stats[r].payload_words != seq_stats[r].payload_words) {
             return 21;
           }
         }
@@ -548,7 +547,7 @@ TEST(TcpRendezvous, RejectsMismatchedLaunches) {
 }
 
 TEST(TcpRendezvous, RejectsAnOlderProtocolVersion) {
-  // A rank built before the v6 halo frame handshakes version 5: rank 0 and
+  // A rank built before the v7 halo frame handshakes version 6: rank 0 and
   // the stale rank must both refuse it, naming both versions.
   const LoopbackReport report = run_loopback_ranks(
       2, [&](LoopbackRank&& lr) -> int {
@@ -557,7 +556,7 @@ TEST(TcpRendezvous, RejectsAnOlderProtocolVersion) {
             TcpTransport transport = connect(std::move(lr));
           } else {
             Handshake stale;
-            stale.version = 5;
+            stale.version = 6;
             stale.rank = 1;
             stale.ranks = 2;
             (void)rendezvous(stale, lr.hosts, lr.listen,
@@ -566,7 +565,7 @@ TEST(TcpRendezvous, RejectsAnOlderProtocolVersion) {
           return 85;  // the handshake must refuse
         } catch (const ds::CheckError& e) {
           return std::string(e.what()).find(
-                     "protocol version mismatch (5 vs 6)") != std::string::npos
+                     "protocol version mismatch (6 vs 7)") != std::string::npos
                      ? 86
                      : 87;
         }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -210,6 +211,48 @@ TEST(Recorder, MergeRejectsMalformedBlocks) {
   EXPECT_THROW(target.merge_words(bad.data(), bad.size()), CheckError);
   EXPECT_THROW(target.merge_words(block.data(), block.size() - 1),
                CheckError);
+}
+
+TEST(Recorder, DrainAndMergeCarryARoundSpansCounts) {
+  Recorder rec;
+  rec.mark();
+  rec.add_span(Phase::kSend, /*round=*/3, /*ts_us=*/10, /*dur_us=*/2);
+  rec.add_span(Phase::kRound, /*round=*/3, /*ts_us=*/10, /*dur_us=*/5,
+               kPerfUnavailable, kPerfUnavailable, /*live=*/7,
+               /*messages=*/11, /*words=*/13);
+  const std::vector<std::uint64_t> block = rec.drain_words();
+
+  Recorder peer;
+  peer.merge_words(block.data(), block.size());
+  ASSERT_EQ(peer.events().size(), 2u);
+  const TraceEvent& send = peer.events()[0];
+  EXPECT_EQ(send.live + send.messages + send.words, 0u);
+  const TraceEvent& round = peer.events()[1];
+  EXPECT_EQ(round.phase, Phase::kRound);
+  EXPECT_EQ(round.round, 3u);
+  EXPECT_EQ(round.live, 7u);
+  EXPECT_EQ(round.messages, 11u);
+  EXPECT_EQ(round.words, 13u);
+
+  // The trace shows the counts as the round span's args, only there.
+  std::ostringstream trace;
+  peer.write_trace_json(trace);
+  EXPECT_NE(trace.str().find("\"live\": 7, \"messages\": 11, \"words\": 13"),
+            std::string::npos)
+      << trace.str();
+  EXPECT_EQ(trace.str().find("\"live\": 0"), std::string::npos);
+
+  // The block ends with the round span: cut at the old 7-word width, it is
+  // a truncated event.
+  try {
+    Recorder fresh;
+    fresh.merge_words(block.data(), block.size() - 3);
+    ADD_FAILURE() << "a truncated event merged";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated (event)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- JSON writers --------------------------------------------------------
@@ -682,6 +725,151 @@ TEST(FleetTotals, TcpRanksRebuiltThreeTimesCountEveryRunOnce) {
   EXPECT_TRUE(report.all_ok())
       << "rank0=" << report.rank0 << " rank1="
       << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0]);
+}
+
+// ---- Stats sinks read the round spans ------------------------------------
+
+/// What a stats sink shows of one run: (round, live, messages, words) per
+/// call.
+using Trace = std::vector<std::array<std::size_t, 4>>;
+
+local::RoundStatsSink append_to(Trace& trace) {
+  return [&trace](const local::RoundStats& s) {
+    trace.push_back({s.round, s.live_nodes, s.messages, s.payload_words});
+  };
+}
+
+/// Luby at `seed` on `g` through a fresh sequential executor's sink.
+Trace sequential_trace(const graph::Graph& g, std::uint64_t seed) {
+  local::Network sequential(g);
+  Trace trace;
+  sequential.set_stats_sink(append_to(trace));
+  sequential.run(mis::luby_program_factory(), {},
+                 local::IdStrategy::kSequential, seed, 10000);
+  return trace;
+}
+
+std::size_t round_spans(const Recorder& rec) {
+  std::size_t spans = 0;
+  for (const TraceEvent& e : rec.events()) {
+    if (e.phase == Phase::kRound) ++spans;
+  }
+  return spans;
+}
+
+TEST(SinkReplay, ThreadRanksHandEachRunItsOwnRoundsBesideARecorder) {
+  const graph::Graph g = graph::gen::torus(32, 32);
+  for (const std::size_t ranks : {2u, 4u}) {
+    dist::DistributedConfig config;
+    config.workers = ranks;
+    dist::DistributedNetwork net(g, config);
+    Recorder rec;
+    net.set_recorder(&rec);
+    std::size_t rounds = 0;
+    for (const std::uint64_t seed : {5u, 6u, 7u}) {
+      Trace trace;
+      net.set_stats_sink(append_to(trace));
+      rounds += net.run(mis::luby_program_factory(), {},
+                        local::IdStrategy::kSequential, seed, 10000)
+                    .rounds;
+      EXPECT_EQ(trace, sequential_trace(g, seed))
+          << "ranks=" << ranks << " seed=" << seed;
+    }
+    // The recorder still holds every lane's span of all three runs.
+    EXPECT_EQ(round_spans(rec), ranks * rounds) << "ranks=" << ranks;
+  }
+}
+
+TEST(SinkReplay, TcpRanksHandEachRunItsOwnRoundsBesideARecorder) {
+  const graph::Graph g = graph::gen::torus(32, 32);
+  std::vector<Trace> want;
+  for (const std::uint64_t seed : {5u, 6u, 7u}) {
+    want.push_back(sequential_trace(g, seed));
+  }
+  net::TcpOptions topts;
+  topts.handshake_timeout_ms = 20000;
+  topts.round_timeout_ms = 30000;
+  // Exit-code checks: a gtest failure on a forked rank would die silently.
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        net::TcpTransport transport(lr.rank, lr.hosts, {}, topts,
+                                    std::move(lr.listen));
+        net::TcpNetwork tcp(g, transport);
+        Recorder rec;
+        tcp.set_recorder(&rec);
+        std::size_t rounds = 0;
+        for (std::size_t k = 0; k < 3; ++k) {
+          Trace trace;
+          tcp.set_stats_sink(append_to(trace));
+          rounds += tcp.run(mis::luby_program_factory(), {},
+                            local::IdStrategy::kSequential, 5 + k, 10000)
+                        .rounds;
+          if (trace != want[k]) return static_cast<int>(10 + k);
+        }
+        return round_spans(rec) == 2 * rounds ? 0 : 20;
+      });
+  EXPECT_TRUE(report.all_ok())
+      << "rank0=" << report.rank0 << " rank1="
+      << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0]);
+}
+
+TEST(SinkReplay, APeersEvictedRoundSpansThrowOnTheSinkRank) {
+  // Rank 1 keeps four spans, so its block carries only its last round's
+  // kRound span; rank 0's own ring keeps everything, and its sink must
+  // still refuse the short lane.
+  const graph::Graph g = graph::gen::torus(16, 16);
+  net::TcpOptions topts;
+  topts.handshake_timeout_ms = 20000;
+  topts.round_timeout_ms = 30000;
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        const std::size_t rank = lr.rank;
+        net::TcpTransport transport(lr.rank, lr.hosts, {}, topts,
+                                    std::move(lr.listen));
+        net::TcpNetwork tcp(g, transport);
+        Recorder rec;
+        Trace trace;
+        if (rank == 0) {
+          tcp.set_stats_sink(append_to(trace));
+        } else {
+          rec.set_event_capacity(4);
+          tcp.set_recorder(&rec);
+        }
+        try {
+          tcp.run(mis::luby_program_factory(), {},
+                  local::IdStrategy::kSequential, 5, 10000);
+        } catch (const CheckError& e) {
+          const bool named =
+              std::string(e.what()).find("evicted") != std::string::npos;
+          return rank == 0 && named && trace.empty() ? 0 : 11;
+        }
+        return rank == 0 ? 12 : 0;
+      });
+  EXPECT_TRUE(report.all_ok())
+      << "rank0=" << report.rank0 << " rank1="
+      << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0]);
+}
+
+TEST(SinkReplay, EvictedSpansThrowInsteadOfAShortTrace) {
+  const graph::Graph g = graph::gen::torus(16, 16);
+  ASSERT_GT(sequential_trace(g, 5).size(), 2u);
+  local::Network sequential(g);
+  dist::DistributedConfig config;
+  config.workers = 2;
+  dist::DistributedNetwork threads(g, config);
+  for (local::Executor* exec :
+       {static_cast<local::Executor*>(&sequential),
+        static_cast<local::Executor*>(&threads)}) {
+    Recorder rec;
+    rec.set_event_capacity(4);  // fewer spans than one round records
+    exec->set_recorder(&rec);
+    Trace trace;
+    exec->set_stats_sink(append_to(trace));
+    EXPECT_THROW(exec->run(mis::luby_program_factory(), {},
+                           local::IdStrategy::kSequential, 5, 10000),
+                 CheckError);
+    EXPECT_TRUE(trace.empty());
+  }
 }
 
 TEST(Conformance, UnobservedRunsStayUnobserved) {
