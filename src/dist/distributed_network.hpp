@@ -7,8 +7,9 @@
 /// contiguous rank ranges (`dist::Partition`) once, at construction, and
 /// executes each run on N thread ranks: the calling thread is rank 0, and
 /// `run()` assigns the run's identity, then spawns ranks 1..N-1 as
-/// `std::thread`s. Read-only state — graph, topology and the run's UIDs,
-/// partition, routing tables — is shared by the threads; the shared
+/// `std::thread`s. Read-only state — graph, topology and the run's UIDs
+/// (none under sequential IDs), the partition and its one delivery table
+/// and halo links — is shared by the threads; the shared
 /// mutable state is the control block (barrier, abort flag, per-rank
 /// liveness slots) and the per-rank halo buffers and gather vectors of the
 /// `HaloTransport`, all owned here and reached through one `ShmTransport`
@@ -20,11 +21,12 @@
 ///      `local::Outbox` into the rank's private word bank and local span
 ///      arena; the Partition's local delivery table routes internal edges
 ///      into the rank's own port range and cut edges into out-halo
-///      staging slots;
+///      staging slots, one contiguous range per peer;
 ///   2. **halo exchange** — the staged cut messages are copied into the
 ///      rank's halo buffer (`HaloTransport::ship`), a barrier, then each
-///      rank patches its span arena onto the peers' halo words (`patch`;
-///      the Inbox reads them in place);
+///      rank patches its span arena onto the peers' halo words and points
+///      its bank-base table at them (`patch`; the Inbox reads them in
+///      place);
 ///   3. **receive** — owned live nodes read through the unmodified
 ///      `local::Inbox`; a second barrier publishes the round's liveness
 ///      counts and keeps the next round's ship from overwriting halo

@@ -71,15 +71,15 @@ void sort_by_high_word(std::vector<std::uint64_t>& keys, std::size_t range,
   }
 }
 
-/// Owner of node v under contiguous `bounds` (size parts + 1).
-std::size_t owner_of(const std::vector<graph::NodeId>& bounds,
-                     graph::NodeId v) {
-  // upper_bound over bounds[1..parts]: first boundary strictly past v.
-  const auto it = std::upper_bound(bounds.begin() + 1, bounds.end(), v);
-  return static_cast<std::size_t>(it - (bounds.begin() + 1));
-}
-
 }  // namespace
+
+std::size_t owner_of(const std::vector<graph::NodeId>& boundaries,
+                     graph::NodeId v) {
+  // upper_bound over boundaries[1..parts]: first boundary strictly past v.
+  const auto it =
+      std::upper_bound(boundaries.begin() + 1, boundaries.end(), v);
+  return static_cast<std::size_t>(it - (boundaries.begin() + 1));
+}
 
 PartitionStats partition_stats(const graph::Graph& g,
                                std::span<const std::size_t> port_offsets,
@@ -120,8 +120,6 @@ Partition::Partition(const local::NetworkTopology& topo,
                      std::size_t num_workers)
     : num_workers_(num_workers) {
   DS_CHECK_MSG(num_workers >= 1, "Partition requires at least one worker");
-  // The topology holds fewer than 2^32 directed ports, so every slot below
-  // fits the 32-bit tables.
   const graph::Graph& g = topo.graph();
   const std::span<const std::size_t> offsets = topo.port_offsets();
   bounds_ = degree_balanced_boundaries(offsets, num_workers);
@@ -132,56 +130,57 @@ Partition::Partition(const local::NetworkTopology& topo,
     port_base_[w] = offsets[bounds_[w]];
   }
 
-  out_halo_counts_.assign(num_workers, 0);
-  local_delivery_.resize(num_workers);
   links_.assign(num_workers * num_workers, {});
 
-  std::vector<std::uint32_t> cut(num_workers);
+  // The global delivery slots, in the one table every worker reads: each
+  // entry is read once and overwritten with its worker's local arena slot.
+  // (delivery_slots refuses 2^32 or more ports, so every slot fits.)
+  delivery_ = local::delivery_slots(g);
+  std::vector<std::uint32_t> staged(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
     const graph::NodeId first = first_node(w);
     const graph::NodeId last = last_node(w);
     const auto owned = [&](graph::NodeId u) { return u >= first && u < last; };
-    // Count each link's cut ports first, so every link is allocated once.
-    std::fill(cut.begin(), cut.end(), 0);
+    // Count each link's cut ports first: link (w, d) stages its ports in
+    // one contiguous out-halo range, the ranges in peer order.
+    std::fill(staged.begin(), staged.end(), 0);
     for (graph::NodeId v = first; v < last; ++v) {
       for (const graph::NodeId u : g.neighbors(v)) {
-        if (!owned(u)) ++cut[owner(u)];
+        if (!owned(u)) ++staged[owner(u)];
       }
     }
     std::size_t cut_ports = 0;
     for (std::size_t d = 0; d < num_workers; ++d) {
-      links_[w * num_workers_ + d].src_out_slots.reserve(cut[d]);
-      links_[w * num_workers_ + d].dst_slots.reserve(cut[d]);
-      cut_ports += cut[d];
+      HaloLink& link = links_[w * num_workers_ + d];
+      link.out_begin = static_cast<std::uint32_t>(cut_ports);
+      link.out_count = staged[d];
+      link.dst_slots.reserve(staged[d]);
+      cut_ports += staged[d];
+      staged[d] = 0;
     }
-
     const std::size_t local_ports = num_local_ports(w);
     check_arena_slots(local_ports, cut_ports);
-    std::vector<std::uint32_t>& table = local_delivery_[w];
-    table.resize(local_ports);
-    std::uint32_t out_index = 0;
+
     for (graph::NodeId v = first; v < last; ++v) {
-      const std::size_t row = offsets[v] - port_base_[w];
+      std::uint32_t* row = delivery_.data() + offsets[v];
       const auto& neighbors = g.neighbors(v);
       for (std::size_t p = 0; p < neighbors.size(); ++p) {
-        const std::size_t slot = topo.delivery_slot(v, p);
+        const std::size_t slot = row[p];
         if (owned(neighbors[p])) {
-          table[row + p] = static_cast<std::uint32_t>(slot - port_base_[w]);
+          row[p] = static_cast<std::uint32_t>(slot - port_base_[w]);
         } else {
-          const std::size_t d = owner(neighbors[p]);
-          // Cut port: stage in the out-halo region; both sides of the link
-          // append in this same (node, port) iteration order, which is what
+          // Cut port: the next slot of its link's range. Both sides of the
+          // link list it in this same (node, port) order, which is what
           // makes the exchange self-describing.
-          table[row + p] = static_cast<std::uint32_t>(local_ports + out_index);
+          const std::size_t d = owner(neighbors[p]);
           HaloLink& link = links_[w * num_workers_ + d];
-          link.src_out_slots.push_back(out_index);
+          row[p] = static_cast<std::uint32_t>(local_ports + link.out_begin +
+                                              staged[d]++);
           link.dst_slots.push_back(
               static_cast<std::uint32_t>(slot - port_base_[d]));
-          ++out_index;
         }
       }
     }
-    out_halo_counts_[w] = out_index;
   }
 }
 
@@ -207,31 +206,26 @@ Partition Partition::rank_local(const std::vector<graph::NodeId>& bounds,
   part.bounds_ = bounds;
   part.stats_.parts = workers;  // cut/balance need the whole instance
   // With local offsets serving as arena slots, the own rank's port base is
-  // 0; later ranks' bases only need num_local_ports(rank) to come out right.
+  // 0; later ranks' bases only need num_local_ports(rank) to come out right
+  // (every other rank's delivery table is then empty).
   part.port_base_.resize(workers + 1);
   for (std::size_t w = 0; w <= workers; ++w) {
     part.port_base_[w] = w <= rank ? 0 : local_ports;
   }
-  part.out_halo_counts_.assign(workers, 0);
-  part.local_delivery_.resize(workers);
   part.links_.assign(workers * workers, {});
 
   // One walk over the owned rows, which ascend (the canonical layout). An
   // internal port (v, p) toward u is delivered at v's position in u's row:
   // v ascends over the walk, so a cursor per owned row only moves forward.
-  // A cut port toward peer d is staged in the out-halo region (node asc,
-  // port asc, like the full constructor), listed in the outgoing
-  // link(rank, d), and its own slot is where d's message on that edge
-  // lands. d sends in (u, v) order — its nodes u ascend, and so do their
-  // rows — while the walk meets d's u's in v order: `incoming[d]` keeps
-  // (u - first(d)) << 32 | slot, and a stable sort by u yields the
-  // incoming link(d, rank)'s dst column.
-  std::vector<std::uint32_t>& table = part.local_delivery_[rank];
+  // A cut port toward peer d is recorded in `incoming[d]` as
+  // (u - first(d)) << 32 | slot. The walk meets them in node-then-port
+  // order, the canonical order of the outgoing link(rank, d), and the
+  // port's own slot is where d's message on that edge lands.
+  std::vector<std::uint32_t>& table = part.delivery_;
   table.resize(local_ports);
   std::vector<std::uint32_t> cursor(csr.offsets.begin(),
                                     csr.offsets.end() - 1);
   std::vector<std::vector<std::uint64_t>> incoming(workers);
-  std::size_t out_index = 0;
   for (graph::NodeId v = first; v < last; ++v) {
     const std::size_t row_end = csr.offsets[v - first + 1];
     for (std::size_t slot = csr.offsets[v - first]; slot < row_end; ++slot) {
@@ -245,18 +239,29 @@ Partition Partition::rank_local(const std::vector<graph::NodeId>& bounds,
         table[slot] = c++;
       } else {
         const std::size_t d = owner_of(bounds, u);
-        table[slot] = static_cast<std::uint32_t>(local_ports + out_index);
-        part.links_[rank * workers + d].src_out_slots.push_back(
-            static_cast<std::uint32_t>(out_index));
         incoming[d].push_back(
             (static_cast<std::uint64_t>(u - bounds[d]) << 32) | slot);
-        ++out_index;
       }
     }
   }
-  check_arena_slots(local_ports, out_index);
-  part.out_halo_counts_[rank] = static_cast<std::uint32_t>(out_index);
 
+  // The outgoing links' out-halo ranges, in peer order: the i-th cut port
+  // toward d in walk order stages at out_begin + i.
+  std::size_t cut_ports = 0;
+  for (std::size_t d = 0; d < workers; ++d) {
+    HaloLink& link = part.links_[rank * workers + d];
+    link.out_begin = static_cast<std::uint32_t>(cut_ports);
+    link.out_count = static_cast<std::uint32_t>(incoming[d].size());
+    for (const std::uint64_t key : incoming[d]) {
+      table[static_cast<std::uint32_t>(key)] =
+          static_cast<std::uint32_t>(local_ports + cut_ports++);
+    }
+  }
+  check_arena_slots(local_ports, cut_ports);
+
+  // d sends in (u, v) order — its nodes u ascend, and so do their rows —
+  // while the walk met d's u's in v order: a stable sort by u yields the
+  // incoming link(d, rank)'s dst column.
   std::vector<std::uint64_t> spare;
   for (std::size_t d = 0; d < workers; ++d) {
     if (incoming[d].empty()) continue;

@@ -3,8 +3,8 @@
 /// \file partition.hpp
 /// Topology partitioning of the distributed executors: degree-balanced
 /// contiguous node ranges, edge-cut statistics, and the full per-rank
-/// sub-view of the port space (local delivery tables plus the cut-edge
-/// routing tables of the halo exchange).
+/// sub-view of the port space (one local delivery table for every rank,
+/// plus the cut-edge routing tables of the halo exchange).
 
 #include <cstdint>
 #include <span>
@@ -24,6 +24,10 @@ namespace ds::dist {
 /// Falls back to node-balanced splitting when the graph has no edges.
 std::vector<graph::NodeId> degree_balanced_boundaries(
     std::span<const std::size_t> port_offsets, std::size_t num_shards);
+
+/// Owner of node v under contiguous `boundaries` (size parts + 1).
+std::size_t owner_of(const std::vector<graph::NodeId>& boundaries,
+                     graph::NodeId v);
 
 /// Edge-cut statistics of a contiguous node partition.
 struct PartitionStats {
@@ -53,22 +57,24 @@ PartitionStats partition_stats(const graph::Graph& g,
 ///    (global delivery slot minus the worker's port base); cut edges map to
 ///    dedicated *out-halo* slots appended after the local port range, so the
 ///    unmodified `local::Outbox` writes cut traffic into a staging area the
-///    transport ships from.
+///    transport ships from. All workers' tables are one array: the global
+///    `local::delivery_slots`, each entry rewritten in place.
 ///  * **halo links** — for every ordered worker pair (s, d), the canonical
 ///    (identically ordered on both sides) list of cut ports s sends to d:
-///    s's out-halo slot and d's local destination slot. The transport walks
+///    a contiguous range of s's out-halo slots (s's ranges tile its region
+///    in peer order) and d's local destination slots. The transport walks
 ///    these to serialize and deliver halo messages without any per-message
 ///    routing metadata.
 class Partition {
  public:
-  /// One ordered pair's cut-port routing table. `src_out_slots[i]` indexes
-  /// the source worker's out-halo region (0-based, i.e. local arena slot
-  /// `num_local_ports(s) + src_out_slots[i]`); `dst_slots[i]` is the
-  /// destination worker's local arena slot for the same cut port. Both
-  /// vectors share one canonical order: source nodes ascending, ports
-  /// ascending.
+  /// One ordered pair's cut-port routing table. The source worker s stages
+  /// the i-th cut port (i < `out_count`) at local arena slot
+  /// `num_local_ports(s) + out_begin + i`; `dst_slots[i]` is the
+  /// destination worker's local arena slot for the same cut port. One
+  /// canonical order: source nodes ascending, ports ascending.
   struct HaloLink {
-    std::vector<std::uint32_t> src_out_slots;
+    std::uint32_t out_begin = 0;
+    std::uint32_t out_count = 0;
     std::vector<std::uint32_t> dst_slots;
   };
 
@@ -83,8 +89,9 @@ class Partition {
   /// columns are *identical* to the full constructor's on a canonically
   /// sorted topology, with `port_base(rank) == 0` (arena slots are local
   /// offsets). Pieces that require remote knowledge — other ranks' delivery
-  /// tables, outgoing dst columns, `stats()` beyond the part count — stay
-  /// empty; transports on the in-situ path only read the populated ones.
+  /// tables and out-halo ranges, outgoing dst columns, `stats()` beyond the
+  /// part count — stay empty; transports on the in-situ path only read the
+  /// populated ones.
   static Partition rank_local(const std::vector<graph::NodeId>& bounds,
                               std::size_t rank, const graph::LocalCsr& csr);
 
@@ -114,16 +121,18 @@ class Partition {
   [[nodiscard]] std::size_t num_local_ports(std::size_t w) const {
     return port_base_[w + 1] - port_base_[w];
   }
-  /// Outgoing cut ports of worker w (= its out-halo staging slots).
+  /// Outgoing cut ports of worker w (= its out-halo staging slots): the
+  /// end of its last link's range.
   [[nodiscard]] std::size_t num_out_halo(std::size_t w) const {
-    return static_cast<std::size_t>(out_halo_counts_[w]);
+    const HaloLink& last = link(w, num_workers_ - 1);
+    return std::size_t{last.out_begin} + last.out_count;
   }
   /// Worker w's local delivery table, one 32-bit entry per owned directed
   /// port in CSR order; see the class comment. The `local::Outbox` row of
   /// owned node v starts at index `topo.port_offset(v) - port_base(w)`.
-  [[nodiscard]] const std::vector<std::uint32_t>& local_delivery(
+  [[nodiscard]] std::span<const std::uint32_t> local_delivery(
       std::size_t w) const {
-    return local_delivery_[w];
+    return {delivery_.data() + port_base(w), num_local_ports(w)};
   }
   /// The cut-port routing table of ordered pair (src, dst). Empty when no
   /// edge crosses from src to dst.
@@ -137,8 +146,8 @@ class Partition {
   std::size_t num_workers_ = 0;
   std::vector<graph::NodeId> bounds_;      ///< size num_workers + 1
   std::vector<std::size_t> port_base_;     ///< size num_workers + 1
-  std::vector<std::uint32_t> out_halo_counts_;
-  std::vector<std::vector<std::uint32_t>> local_delivery_;
+  /// Every worker's local delivery table, worker w's at port_base(w).
+  std::vector<std::uint32_t> delivery_;
   std::vector<HaloLink> links_;            ///< dense num_workers^2 table
   PartitionStats stats_;
 };

@@ -18,7 +18,7 @@ RankRun run_rank_loop(const RankView& view, const Partition& part,
   const graph::NodeId first = part.first_node(w);
   const graph::NodeId last = part.last_node(w);
   const std::size_t port_base = part.port_base(w);
-  const std::vector<std::uint32_t>& local_delivery = part.local_delivery(w);
+  const std::span<const std::uint32_t> local_delivery = part.local_delivery(w);
 
   const auto port_offset = [&](graph::NodeId v) {
     return view.port_offsets[v - view.offset_first];
@@ -45,7 +45,8 @@ RankRun run_rank_loop(const RankView& view, const Partition& part,
   // TCP patches only this arena, so nothing of an earlier run can match.
   local::WordBank bank;
   local::SpanArena arena(part.num_local_ports(w) + part.num_out_halo(w));
-  std::vector<const std::uint64_t*> bases;
+  // The Inboxes' bank bases: this rank's bank, then each peer's payload.
+  std::vector<const std::uint64_t*> bases(1 + transport.num_ranks());
 
   const auto count_alive = [&] {
     std::size_t c = 0;
@@ -93,8 +94,8 @@ RankRun run_rank_loop(const RankView& view, const Partition& part,
 
     // Receive phase: patch the arena onto the shipped payloads, then run
     // the unmodified Inbox path over the owned live nodes.
-    transport.patch(arena.data(), epoch);
-    transport.update_bank_bases(bases, bank.data());
+    bases[0] = bank.data();
+    transport.patch(arena.data(), epoch, bases);
     ins.close(obs::Phase::kPatch);
     for (graph::NodeId v = first; v < last; ++v) {
       local::NodeProgram& prog = prog_at(v);

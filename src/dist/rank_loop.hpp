@@ -16,8 +16,9 @@
 ///      last) only: one `local::ProgramBlock` at local indices;
 ///   2. per round: owned live nodes send through the unmodified
 ///      `local::Outbox` (the Partition's delivery table routes cut ports
-///      into out-halo staging slots) -> `Transport::ship` -> patch +
-///      receive through the unmodified `local::Inbox` ->
+///      into out-halo staging slots, one contiguous range per peer) ->
+///      `Transport::ship` -> `Transport::patch` (span arena plus bank-base
+///      table) + receive through the unmodified `local::Inbox` ->
 ///      `Transport::sync_liveness`;
 ///   3. after the last round: serialize the owned programs' output rows,
 ///      destroy the block on this rank's thread, and return the rows.

@@ -49,26 +49,19 @@ std::size_t HaloTransport::ship(std::size_t src,
 }
 
 void HaloTransport::patch(std::size_t dst, local::MessageSpan* local_arena,
-                          std::uint32_t epoch) const {
+                          std::uint32_t epoch,
+                          std::span<const std::uint64_t*> bases) const {
   for (std::size_t s = 0; s < halo_.size(); ++s) {
     const Partition::HaloLink& link = part_->link(s, dst);
-    const std::vector<local::MessageSpan>& shipped = halo_[s].spans;
+    bases[1 + s] = link.dst_slots.empty() ? nullptr : halo_[s].words.data();
+    const local::MessageSpan* shipped =
+        halo_[s].spans.data() + link.out_begin;
     for (std::size_t i = 0; i < link.dst_slots.size(); ++i) {
-      const local::MessageSpan& span = shipped[link.src_out_slots[i]];
       // A stale span in the dst arena stays ignored by the Inbox.
-      if (span.epoch == epoch) local_arena[link.dst_slots[i]] = span;
+      if (shipped[i].epoch == epoch) {
+        local_arena[link.dst_slots[i]] = shipped[i];
+      }
     }
-  }
-}
-
-void HaloTransport::fill_bank_bases(
-    std::size_t w, const std::uint64_t* own_bank,
-    std::vector<const std::uint64_t*>& bases) const {
-  bases.assign(1 + halo_.size(), nullptr);
-  bases[0] = own_bank;
-  for (std::size_t s = 0; s < halo_.size(); ++s) {
-    if (part_->link(s, w).dst_slots.empty()) continue;  // no spans from s
-    bases[1 + s] = halo_[s].words.data();
   }
 }
 
@@ -114,15 +107,9 @@ void ShmTransport::ship(const local::MessageSpan* local_arena,
   barrier();  // every halo buffer written
 }
 
-void ShmTransport::patch(local::MessageSpan* local_arena,
-                         std::uint32_t epoch) {
-  halo_->patch(worker_, local_arena, epoch);
-}
-
-void ShmTransport::update_bank_bases(
-    std::vector<const std::uint64_t*>& bases,
-    const std::uint64_t* own_bank) const {
-  halo_->fill_bank_bases(worker_, own_bank, bases);
+void ShmTransport::patch(local::MessageSpan* local_arena, std::uint32_t epoch,
+                         std::span<const std::uint64_t*> bases) {
+  halo_->patch(worker_, local_arena, epoch, bases);
 }
 
 void ShmTransport::gather(const std::vector<std::uint64_t>& words) {

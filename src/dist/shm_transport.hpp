@@ -14,9 +14,10 @@
 ///
 ///  * `ship` copies rank s's epoch-current out-halo messages into s's halo
 ///    buffer, each span re-tagged with bank index 1 + s;
-///  * `patch` copies every peer's epoch-current halo spans into the
-///    receiving rank's own arena at the canonical `Partition::link` slots;
-///  * the bank-base table points index 1 + s at s's halo words, so the
+///  * `patch` copies every peer's epoch-current halo spans — link (s, d)'s
+///    contiguous range of s's halo buffer — into the receiving rank's own
+///    arena at the canonical `Partition::link` slots, and points index
+///    1 + s of the bank-base table at s's halo words, so the
 ///    `local::Inbox` reads them in place — zero-copy on the receive side.
 ///
 /// The halo buffers belong to the executor, not to the rank loop, so a
@@ -58,18 +59,12 @@ class HaloTransport {
                    const std::uint64_t* bank_words, std::uint32_t epoch);
 
   /// Delivers every peer's shipped messages into rank dst's local span
-  /// arena: spans tagged `epoch` and bank index `1 + src`, pointing into
-  /// src's halo words.
+  /// arena — spans tagged `epoch` and bank index `1 + src`, pointing into
+  /// src's halo words — and points `bases[1 + src]` of dst's bank-base
+  /// table at those words (null when src sends nothing to dst). The halo
+  /// words move when they grow, so this runs every round.
   void patch(std::size_t dst, local::MessageSpan* local_arena,
-             std::uint32_t epoch) const;
-
-  /// Word-bank base table for rank w's `local::Inbox`s, into a caller-owned
-  /// vector (resized to 1 + W, so the per-round rebuild allocates nothing
-  /// once it reached capacity): index 0 is `own_bank`, index 1 + src the
-  /// halo words of src (null when src sends nothing to w). Rebuild each
-  /// round — both `own_bank` and the halo words move when they grow.
-  void fill_bank_bases(std::size_t w, const std::uint64_t* own_bank,
-                       std::vector<const std::uint64_t*>& bases) const;
+             std::uint32_t epoch, std::span<const std::uint64_t*> bases) const;
 
   /// Copies rank w's serialized output rows into its gather vector.
   void write_gather(std::size_t w, const std::vector<std::uint64_t>& words) {
@@ -113,9 +108,8 @@ class ShmTransport final : public Transport {
   std::size_t sync_liveness(std::size_t my_not_done) override;
   void ship(const local::MessageSpan* local_arena,
             const std::uint64_t* bank_words, std::uint32_t epoch) override;
-  void patch(local::MessageSpan* local_arena, std::uint32_t epoch) override;
-  void update_bank_bases(std::vector<const std::uint64_t*>& bases,
-                         const std::uint64_t* own_bank) const override;
+  void patch(local::MessageSpan* local_arena, std::uint32_t epoch,
+             std::span<const std::uint64_t*> bases) override;
   void gather(const std::vector<std::uint64_t>& words) override;
   [[nodiscard]] std::pair<const std::uint64_t*, std::size_t> gathered(
       std::size_t w) const override;

@@ -41,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,7 +56,7 @@ namespace ds::dist {
 
 /// One rank's view of the round-synchronous halo exchange. All calls are
 /// made by the owning rank's execution thread, in the fixed per-round order
-/// `ship -> patch -> update_bank_bases -> sync_liveness`, with one extra
+/// `ship -> patch -> sync_liveness`, with one extra
 /// `sync_liveness` before round 0 and one `gather` after the final round.
 /// Implementations may (and do) rely on that order.
 class Transport {
@@ -73,24 +74,21 @@ class Transport {
   virtual std::size_t sync_liveness(std::size_t my_not_done) = 0;
 
   /// Ships this rank's staged out-halo spans (the slots past
-  /// `Partition::num_local_ports(rank)` in `local_arena`, payload words in
-  /// `bank_words`) to every peer, tagged `epoch`. Synchronizes: on return
-  /// every peer's traffic toward this rank is patchable.
+  /// `Partition::num_local_ports(rank)` in `local_arena`, one contiguous
+  /// range per peer, payload words in `bank_words`) to every peer, tagged
+  /// `epoch`. Synchronizes: on return every peer's traffic toward this
+  /// rank is patchable.
   virtual void ship(const local::MessageSpan* local_arena,
                     const std::uint64_t* bank_words, std::uint32_t epoch) = 0;
 
   /// Delivers every peer's shipped messages into this rank's local span
-  /// arena: spans are tagged `epoch` with bank index `1 + src`.
-  virtual void patch(local::MessageSpan* local_arena,
-                     std::uint32_t epoch) = 0;
-
-  /// Fills `bases` (resized to 1 + num_ranks) with the word-bank base table
-  /// for this rank's Inboxes: index 0 = `own_bank`, index 1 + src = the
-  /// received payload area of rank src (null when src sends nothing here).
-  /// Call once per round after `patch` — both the private bank and some
-  /// transports' receive buffers can move between rounds.
-  virtual void update_bank_bases(std::vector<const std::uint64_t*>& bases,
-                                 const std::uint64_t* own_bank) const = 0;
+  /// arena — spans tagged `epoch` with bank index `1 + src` — and, in the
+  /// same walk over the links, points `bases[1 + src]` of this rank's
+  /// Inbox bank-base table (1 + num_ranks entries, index 0 the caller's own
+  /// bank) at the received payload area of rank src, or null when src
+  /// sends nothing here. Once per round: receive buffers can move.
+  virtual void patch(local::MessageSpan* local_arena, std::uint32_t epoch,
+                     std::span<const std::uint64_t*> bases) = 0;
 
   /// End-of-run output gather: publishes this rank's payload (its
   /// observability block, then [length, words...] per owned node in node

@@ -1,7 +1,10 @@
 #include "graph/io.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -15,18 +18,53 @@ void write_edge_list(std::ostream& os, const Graph& g) {
   }
 }
 
-Graph read_edge_list(std::istream& is) {
-  std::size_t n = 0;
-  std::size_t m = 0;
-  DS_CHECK_MSG(static_cast<bool>(is >> n >> m), "malformed edge list header");
+namespace {
+
+/// The one reader of both text formats: `header.size()` counts, the last
+/// of them the edge count m, then exactly m pairs of node ids, then only
+/// whitespace. Anything else — a sign, a non-number, a missing field, data
+/// past the m-th pair — throws, naming the field and the problem (`>>`
+/// alone wraps "-1" into a huge id and stops silently before extra lines).
+std::vector<Edge> read_text(std::istream& is, const std::string& format,
+                            std::span<std::size_t> header) {
+  std::string token;
+  std::size_t edge = 0;  // 0 in the header, then the 1-based edge number
+  const auto field = [&](std::uint64_t max) {
+    std::uint64_t value = 0;
+    const bool read = static_cast<bool>(is >> token);
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    DS_CHECK_MSG(
+        read && ec == std::errc() && ptr == end && value <= max,
+        "malformed " + format +
+            (edge == 0 ? std::string(" header")
+                       : ", edge " + std::to_string(edge)) +
+            ": " +
+            (!read ? std::string("missing")
+             : token[0] == '-' || token[0] == '+'
+                 ? "'" + token + "' has a sign (ids and counts are unsigned)"
+                 : "'" + token + "' is not an unsigned decimal up to " +
+                       std::to_string(max)));
+    return value;
+  };
+  for (std::size_t& count : header) count = field(SIZE_MAX);
   std::vector<Edge> edges;
-  for (std::size_t i = 0; i < m; ++i) {
-    NodeId u = 0;
-    NodeId v = 0;
-    DS_CHECK_MSG(static_cast<bool>(is >> u >> v), "malformed edge list line");
-    edges.push_back({u, v});
+  for (edge = 1; edge <= header.back(); ++edge) {
+    const auto u = static_cast<NodeId>(field(UINT32_MAX));
+    edges.push_back({u, static_cast<NodeId>(field(UINT32_MAX))});
   }
-  return Graph(n, std::move(edges));
+  DS_CHECK_MSG(!(is >> token), "malformed " + format + ": '" + token +
+                                   "' past the " + std::to_string(edges.size()) +
+                                   " edges its header announces");
+  return edges;
+}
+
+}  // namespace
+
+Graph read_edge_list(std::istream& is) {
+  std::size_t header[2];  // n, m
+  std::vector<Edge> edges = read_text(is, "edge list", header);
+  return Graph(header[0], std::move(edges));
 }
 
 void write_bipartite(std::ostream& os, const BipartiteGraph& b) {
@@ -38,19 +76,9 @@ void write_bipartite(std::ostream& os, const BipartiteGraph& b) {
 }
 
 BipartiteGraph read_bipartite(std::istream& is) {
-  std::size_t nu = 0;
-  std::size_t nv = 0;
-  std::size_t m = 0;
-  DS_CHECK_MSG(static_cast<bool>(is >> nu >> nv >> m),
-               "malformed bipartite header");
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < m; ++i) {
-    LeftId u = 0;
-    RightId v = 0;
-    DS_CHECK_MSG(static_cast<bool>(is >> u >> v), "malformed bipartite line");
-    edges.push_back({u, v});
-  }
-  return BipartiteGraph(nu, nv, std::move(edges));
+  std::size_t header[3];  // nu, nv, m
+  std::vector<Edge> edges = read_text(is, "bipartite", header);
+  return BipartiteGraph(header[0], header[1], std::move(edges));
 }
 
 std::string to_dot(const Graph& g) {

@@ -15,13 +15,17 @@ namespace ds::graph::io {
 /// Writes `g` as "n m" header followed by one "u v" line per edge.
 void write_edge_list(std::ostream& os, const Graph& g);
 
-/// Reads the format produced by `write_edge_list`. Throws on malformed input.
+/// Reads the format produced by `write_edge_list`: the header, exactly m
+/// pairs of unsigned decimals, then only whitespace. Throws ds::CheckError
+/// naming the problem on anything else (a sign, a non-number, a missing
+/// field, data past the m-th pair).
 Graph read_edge_list(std::istream& is);
 
 /// Writes `b` as "nu nv m" header followed by one "u v" line per edge.
 void write_bipartite(std::ostream& os, const BipartiteGraph& b);
 
-/// Reads the format produced by `write_bipartite`. Throws on malformed input.
+/// Reads the format produced by `write_bipartite`, under the rules of
+/// `read_edge_list`.
 BipartiteGraph read_bipartite(std::istream& is);
 
 /// Graphviz DOT representation of `g`.

@@ -52,16 +52,4 @@ IdStrategy id_strategy_from_name(const std::string& name) {
   return IdStrategy::kSequential;  // unreachable
 }
 
-std::string id_strategy_name(IdStrategy strategy) {
-  switch (strategy) {
-    case IdStrategy::kSequential:
-      return "sequential";
-    case IdStrategy::kRandomPermutation:
-      return "random";
-    case IdStrategy::kDegreeDescending:
-      return "degree";
-  }
-  return "unknown";
-}
-
 }  // namespace ds::local

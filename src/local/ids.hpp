@@ -33,7 +33,4 @@ std::vector<std::uint64_t> assign_ids(const graph::Graph& g,
 /// `ids` parameter values); throws ds::CheckError on anything else.
 IdStrategy id_strategy_from_name(const std::string& name);
 
-/// The canonical name parsed by `id_strategy_from_name`.
-std::string id_strategy_name(IdStrategy strategy);
-
 }  // namespace ds::local

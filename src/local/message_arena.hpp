@@ -12,8 +12,9 @@
 ///    32-bit offsets and lengths, so a bank holds fewer than 2^32 words: the
 ///    `Outbox` refuses a write past that bound before the bank grows;
 ///  * a `SpanArena`: one 16-byte `MessageSpan` per directed port, indexed
-///    by the topology's delivery slot. A span records where in which bank
-///    the payload lives and which *epoch* (32-bit round tag) wrote it.
+///    by the executor's delivery table (local/topology.hpp). A span
+///    records where in which bank the payload lives and which *epoch*
+///    (32-bit round tag) wrote it.
 ///
 /// Staleness is handled by the epoch tag instead of by clearing: a receiver
 /// only accepts a span whose epoch matches the round being received, so a

@@ -9,7 +9,9 @@
 namespace ds::local {
 
 Network::Network(const graph::Graph& g)
-    : topology_(g), arena_(topology_.total_ports()) {}
+    : topology_(g),
+      delivery_(delivery_slots(g)),
+      arena_(topology_.total_ports()) {}
 
 RunResult Network::execute(const ProgramFactory& factory,
                            const OutputFn& output, IdStrategy ids,
@@ -51,8 +53,9 @@ RunResult Network::execute(const ProgramFactory& factory,
       NodeProgram& program = programs.at(v);
       if (program.done()) continue;
       ++live;
-      Outbox out(&bank_, 0, arena_.data(), topology_.delivery_row(v),
-                 g.degree(v), epoch);
+      Outbox out(&bank_, 0, arena_.data(),
+                 delivery_.data() + topology_.port_offset(v), g.degree(v),
+                 epoch);
       program.send(round, out);
       messages += out.messages();
       payload_words += out.payload_words();

@@ -28,8 +28,9 @@
 /// It is the independent reference the other executors are checked
 /// against: multi-core and multi-host runs of the same programs go through
 /// the distributed rank loop (dist/rank_loop.hpp); every executor shares
-/// `NetworkTopology` and is bit-identical in output (the `Executor`
-/// determinism contract).
+/// `NetworkTopology` and `delivery_slots` and is bit-identical in output
+/// (the `Executor` determinism contract). Here the whole network is one
+/// rank, so the delivery slots are the routing table as they are.
 
 #include <cstdint>
 #include <vector>
@@ -48,7 +49,7 @@ namespace ds::local {
 /// reference implementation every other executor is validated against.
 class Network final : public Executor {
  public:
-  /// Builds the port structure of `g`; each run assigns its own identity.
+  /// Builds the delivery table of `g`; each run assigns its own identity.
   explicit Network(const graph::Graph& g);
 
  private:
@@ -57,6 +58,8 @@ class Network final : public Executor {
                     obs::Recorder* rec) override;
 
   NetworkTopology topology_;
+  /// `delivery_slots(g)`: the routing table every Outbox writes through.
+  std::vector<std::uint32_t> delivery_;
   /// Single word bank (the whole network is one "shard") + span per port.
   WordBank bank_;
   /// Kept across runs: its epoch keeps advancing, so a reused executor

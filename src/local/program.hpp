@@ -28,11 +28,12 @@
 
 namespace ds::local {
 
-/// Read-only environment a node program is constructed with. Trivially
-/// copyable; a program copies out only the fields it reads, since a rank's
-/// block holds one program per owned node. Its two pointers
-/// borrow the executor's tables — its graph and the run's UIDs in its
-/// `NetworkTopology`, or on the in-situ path the rank-local CSR. Every
+/// Read-only environment a node program is constructed with, built by
+/// `local::node_env` (local/topology.hpp) on every executor and on the
+/// in-situ path. Trivially copyable; a program copies out only the fields
+/// it reads, since a rank's block holds one program per owned node. Its two
+/// pointers borrow the executor's tables — its graph and the run's UIDs in
+/// its `NetworkTopology`, or on the in-situ path the rank-local CSR. Every
 /// program dies inside the run that built it, so both are valid for the
 /// program's whole life.
 struct NodeEnv {
@@ -42,8 +43,8 @@ struct NodeEnv {
   std::size_t degree = 0;        ///< this node's degree
   /// This node's adjacency row (`degree` node ids, indexed by port).
   const graph::NodeId* neighbors = nullptr;
-  /// UID table indexed by node id, or nullptr where uid == node id (the
-  /// in-situ path).
+  /// UID table indexed by node id, or nullptr where uid == node id
+  /// (sequential IDs, on every executor and on the in-situ path).
   const std::uint64_t* uids = nullptr;
   /// Private randomness stream of this node.
   Rng rng{0};
@@ -128,7 +129,7 @@ class ProgramBlock {
 };
 
 /// Environment of node v, built by the executor (`NetworkTopology::make_env`,
-/// or the in-situ rank's CSR).
+/// or `node_env` over the in-situ rank's CSR).
 using EnvFn = std::function<NodeEnv(graph::NodeId)>;
 
 /// Factory producing the programs of the node range [first, last) in one

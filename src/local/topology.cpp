@@ -6,10 +6,10 @@
 
 namespace ds::local {
 
-NetworkTopology::NetworkTopology(const graph::Graph& g) : graph_(&g) {
-  DS_CHECK_MSG(total_ports() < std::numeric_limits<std::uint32_t>::max(),
+std::vector<std::uint32_t> delivery_slots(const graph::Graph& g) {
+  DS_CHECK_MSG(2 * g.num_edges() < std::numeric_limits<std::uint32_t>::max(),
                "the LOCAL executors support < 2^32 directed ports");
-  delivery_slots_.resize(total_ports());
+  std::vector<std::uint32_t> slots(2 * g.num_edges());
 
   // A Graph's rows list neighbors in edge order (graph/graph.hpp), so for
   // the e-th edge {u, v} the ports at u and v are the counts of earlier
@@ -23,42 +23,46 @@ NetworkTopology::NetworkTopology(const graph::Graph& g) : graph_(&g) {
     const std::size_t pv = cursor[e.v]++;
     DS_CHECK(g.neighbors(e.u)[pu] == e.v);
     DS_CHECK(g.neighbors(e.v)[pv] == e.u);
-    delivery_slots_[offsets[e.u] + pu] =
-        static_cast<std::uint32_t>(offsets[e.v] + pv);
-    delivery_slots_[offsets[e.v] + pv] =
-        static_cast<std::uint32_t>(offsets[e.u] + pu);
+    slots[offsets[e.u] + pu] = static_cast<std::uint32_t>(offsets[e.v] + pv);
+    slots[offsets[e.v] + pv] = static_cast<std::uint32_t>(offsets[e.u] + pu);
   }
+  return slots;
 }
 
-NetworkTopology::NetworkTopology(const graph::Graph& g, IdStrategy strategy,
-                                 std::uint64_t seed)
-    : NetworkTopology(g) {
-  assign_identity(strategy, seed);
+NodeEnv node_env(graph::NodeId v, std::size_t n, const graph::NodeId* row,
+                 std::size_t degree, const std::uint64_t* uids,
+                 const Rng& master) {
+  NodeEnv env;
+  env.node = v;
+  env.uid = uids != nullptr ? uids[v] : v;
+  env.n = n;
+  env.degree = degree;
+  env.neighbors = row;
+  env.uids = uids;
+  // fork(seed, uid) is pure, so per-node streams are independent of
+  // construction order.
+  env.rng = master.fork(env.uid);
+  return env;
 }
 
 void NetworkTopology::assign_identity(IdStrategy strategy,
                                       std::uint64_t seed) {
   master_ = Rng(seed);
-  Rng rng(seed ^ 0x1D5ull);
-  uids_ = assign_ids(*graph_, strategy, rng);
+  if (strategy == IdStrategy::kSequential) {
+    uids_ = std::vector<std::uint64_t>();  // uid == node id: no table
+  } else {
+    Rng rng(seed ^ 0x1D5ull);
+    uids_ = assign_ids(*graph_, strategy, rng);
+  }
+  identified_ = true;
 }
 
 NodeEnv NetworkTopology::make_env(graph::NodeId v) const {
-  // uids_ is empty until assign_identity, so this also catches a missing
-  // identity.
-  DS_CHECK(v < uids_.size());
-  NodeEnv env;
-  env.node = v;
-  env.uid = uids_[v];
-  env.n = graph_->num_nodes();
+  DS_CHECK_MSG(identified_, "make_env before any assign_identity");
+  DS_CHECK(v < graph_->num_nodes());
   const graph::NeighborView row = graph_->neighbors(v);
-  env.degree = row.size();
-  env.neighbors = row.data();
-  env.uids = uids_.data();
-  // fork(seed, uid) is pure, so per-node streams are independent of
-  // construction order.
-  env.rng = master_.fork(uids_[v]);
-  return env;
+  return node_env(v, graph_->num_nodes(), row.data(), row.size(),
+                  uids_.empty() ? nullptr : uids_.data(), master_);
 }
 
 }  // namespace ds::local

@@ -9,6 +9,7 @@
 #include "dist/partition.hpp"
 #include "dist/rank_loop.hpp"
 #include "local/program.hpp"
+#include "local/topology.hpp"
 #include "net/rendezvous.hpp"
 #include "obs/recorder.hpp"
 #include "support/check.hpp"
@@ -29,13 +30,6 @@ graph::Edge unpack_edge(std::uint64_t word) {
           static_cast<graph::NodeId>(word & 0xFFFFFFFFull)};
 }
 
-/// Owning rank of node v under the given boundaries.
-std::size_t owner_of(const std::vector<graph::NodeId>& bounds,
-                     graph::NodeId v) {
-  const auto it = std::upper_bound(bounds.begin() + 1, bounds.end(), v);
-  return static_cast<std::size_t>(it - (bounds.begin() + 1));
-}
-
 /// Generates this rank's shard and completes it to the rank-local CSR of
 /// its full incident edge list. Row families must exchange cut edges (each
 /// emitted edge is shipped to the owner of its non-owned endpoint, packed
@@ -53,10 +47,10 @@ graph::LocalCsr build_rank_csr(const graph::DistributedGenerator& dg,
     std::vector<std::vector<std::uint64_t>> to_peer(ranks);
     for (const graph::Edge& e : incident) {
       if (e.u < first || e.u >= last) {
-        to_peer[owner_of(bounds, e.u)].push_back(pack_edge(e));
+        to_peer[dist::owner_of(bounds, e.u)].push_back(pack_edge(e));
       }
       if (e.v < first || e.v >= last) {
-        to_peer[owner_of(bounds, e.v)].push_back(pack_edge(e));
+        to_peer[dist::owner_of(bounds, e.v)].push_back(pack_edge(e));
       }
     }
     const auto from_peer = transport.exchange_setup(to_peer);
@@ -99,9 +93,8 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   const graph::NodeId last = bounds[rank + 1];
 
   // --- The unmodified round protocol over a rank-local view. Environments
-  // mirror NetworkTopology::make_env for the sequential ID strategy: uid ==
-  // node (so no UID table), neighbors == the CSR row, which outlives the
-  // programs, rng == master.fork(uid).
+  // come from local::node_env under sequential IDs (no UID table), each
+  // row the CSR's, which outlives the programs.
   const local::ProgramFactory factory = hooks.make_factory(params, seed);
   const Rng master(seed);
   dist::RankView view;
@@ -110,14 +103,8 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
   view.offset_first = first;
   view.env_of = [&](graph::NodeId v) {
     const std::size_t off = csr.offsets[v - first];
-    local::NodeEnv env;
-    env.node = v;
-    env.uid = v;
-    env.n = n;
-    env.degree = csr.offsets[v - first + 1] - off;
-    env.neighbors = csr.adjacency.data() + off;
-    env.rng = master.fork(env.uid);
-    return env;
+    return local::node_env(v, n, csr.adjacency.data() + off,
+                           csr.offsets[v - first + 1] - off, nullptr, master);
   };
 
   InsituResult result;
@@ -159,7 +146,7 @@ InsituResult run_rank(const algo::Spec& spec, const algo::Params& params,
       for (std::size_t p = off; p < end; ++p) {
         const graph::NodeId u = csr.adjacency[p];
         if (u >= first && u < last) continue;
-        auto& dst = to_peer[owner_of(bounds, u)];
+        auto& dst = to_peer[dist::owner_of(bounds, u)];
         if (dst.empty() || dst[dst.size() - 2] != v) {
           dst.push_back(v);
           dst.push_back(values[v - first]);

@@ -21,10 +21,13 @@
 /// the same agreement guarantee the materialized path gets from its
 /// launch digest.
 ///
-/// The round protocol is the unmodified `dist::run_rank_loop` core (so the
-/// output is bit-identical to every other runtime by construction), driven
-/// through `dist::run_fleet` like every `net::TcpNetwork` run and thread rank
-/// (observability agreement, collective abort, fleet obs merge); only the
+/// The round protocol is the unmodified `dist::run_rank_loop` core, and
+/// every node environment comes from `local::node_env` under sequential
+/// IDs (a UID is the node id, so no rank holds a UID table), exactly as on
+/// the executors — so the output is bit-identical to every other runtime
+/// by construction. It is driven through `dist::run_fleet` like every
+/// `net::TcpNetwork` run and thread rank (observability agreement,
+/// collective abort, fleet obs merge); only the
 /// setup and the result collection differ. Each rank serializes its rows
 /// with `InsituHooks::output` in the rank loop, which destroys the programs
 /// before it returns, exactly as on the executors. Gathering every output

@@ -76,22 +76,11 @@ void TcpTransport::attach_partition(const dist::Partition& part) {
   DS_CHECK_MSG(part.num_workers() == peers_.size(),
                "TcpTransport: partition must have one range per rank");
   part_ = &part;
-  out_routes_.assign(part.num_out_halo(rank_), OutRoute{});
-  halo_live_.resize(peers_.size());
+  // A LOCAL program's first rounds often have every cut port live; room
+  // for the largest link, either way, keeps them from regrowing the list.
   for (std::size_t d = 0; d < peers_.size(); ++d) {
-    const std::vector<std::uint32_t>& slots =
-        part.link(rank_, d).src_out_slots;
-    // A LOCAL program's first rounds often have every cut port live; room
-    // for the whole link keeps them from regrowing the list.
-    halo_live_[d].reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      // `ship` walks the slots in ascending order, so each peer's live
-      // ports come out in link order only if the link's slots ascend.
-      DS_CHECK_MSG(i == 0 || slots[i] > slots[i - 1],
-                   "TcpTransport: out-halo slots out of link order");
-      out_routes_[slots[i]] = {static_cast<std::uint32_t>(d),
-                               static_cast<std::uint32_t>(i)};
-    }
+    halo_live_.reserve(std::max<std::size_t>(
+        part.link(rank_, d).out_count, part.link(d, rank_).dst_slots.size()));
   }
 }
 
@@ -466,42 +455,44 @@ void TcpTransport::ship(const local::MessageSpan* local_arena,
                         const std::uint64_t* bank_words, std::uint32_t epoch) {
   ++exchange_seq_;
   const std::size_t ranks = peers_.size();
-  // One pass over the out-halo region sorts the live spans by peer: every
-  // cut span is read once per round, not once per link.
-  for (std::vector<HaloEntry>& live : halo_live_) live.clear();
+  // Each peer's cut ports are one contiguous out-halo range in link order,
+  // so a walk over it lists the live ports in the order the frame encodes.
   const local::MessageSpan* out_halo =
       local_arena + part_->num_local_ports(rank_);
-  for (std::size_t slot = 0; slot < out_routes_.size(); ++slot) {
-    const local::MessageSpan& span = out_halo[slot];
-    if (span.epoch == epoch && span.length > 0) {
-      const OutRoute route = out_routes_[slot];
-      halo_live_[route.peer].push_back({route.port, span.length, span.offset});
-    }
-  }
   for (std::size_t d = 0; d < ranks; ++d) {
     if (d == rank_) continue;
-    encode_halo(stage_words_, part_->link(rank_, d).src_out_slots.size(),
-                halo_live_[d], bank_words);
+    const dist::Partition::HaloLink& link = part_->link(rank_, d);
+    const local::MessageSpan* staged = out_halo + link.out_begin;
+    halo_live_.clear();
+    for (std::uint32_t i = 0; i < link.out_count; ++i) {
+      if (staged[i].epoch == epoch && staged[i].length > 0) {
+        halo_live_.push_back({i, staged[i].length, staged[i].offset});
+      }
+    }
+    encode_halo(stage_words_, link.out_count, halo_live_, bank_words);
     stage(d, FrameType::kHalo, stage_words_.data(), stage_words_.size());
   }
   std::vector<bool> expect(ranks, true);
   pump(FrameType::kHalo, expect);
 }
 
-void TcpTransport::patch(local::MessageSpan* local_arena,
-                         std::uint32_t epoch) {
+void TcpTransport::patch(local::MessageSpan* local_arena, std::uint32_t epoch,
+                         std::span<const std::uint64_t*> bases) {
   const std::size_t ranks = peers_.size();
   for (std::size_t s = 0; s < ranks; ++s) {
     if (s == rank_) continue;
     const dist::Partition::HaloLink& link = part_->link(s, rank_);
     const Frame& f = peers_[s].halo;
     decode_halo(f.payload.data(), f.payload.size(), link.dst_slots.size(),
-                halo_live_[s]);
+                halo_live_);
+    // Patched offsets index the whole frame payload; the buffer is stable
+    // until the next ship's exchange parses into it.
+    bases[1 + s] = link.dst_slots.empty() ? nullptr : f.payload.data();
     // Silent ports keep their stale span in the dst arena: its old epoch
     // reads as the empty message. A frame comes from another process, so
     // each offset is checked before it narrows to the span's 32 bits.
     const auto bank = static_cast<std::uint32_t>(1 + s);
-    for (const HaloEntry& e : halo_live_[s]) {
+    for (const HaloEntry& e : halo_live_) {
       DS_CHECK_MSG(e.offset <= UINT32_MAX,
                    "malformed halo frame: payload offset past 2^32 - 1");
       local_arena[link.dst_slots[e.port]] = local::MessageSpan{
@@ -510,21 +501,6 @@ void TcpTransport::patch(local::MessageSpan* local_arena,
           .epoch = epoch,
           .bank = bank};
     }
-  }
-}
-
-void TcpTransport::update_bank_bases(
-    std::vector<const std::uint64_t*>& bases,
-    const std::uint64_t* own_bank) const {
-  const std::size_t ranks = peers_.size();
-  bases.assign(1 + ranks, nullptr);
-  bases[0] = own_bank;
-  for (std::size_t s = 0; s < ranks; ++s) {
-    if (s == rank_) continue;
-    if (part_->link(s, rank_).dst_slots.empty()) continue;  // no spans here
-    // Patched offsets index the whole frame payload; the buffer is stable
-    // until the next ship's exchange parses into it.
-    bases[1 + s] = peers_[s].halo.payload.data();
   }
 }
 

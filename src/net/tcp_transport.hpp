@@ -16,7 +16,8 @@
 /// every header turns any drift into a hard error.
 ///
 /// A round's kHalo frame toward peer d carries only the live cut traffic,
-/// in the canonical `Partition::link(rank, d)` order: a mode word, a
+/// in the canonical `Partition::link(rank, d)` order — the order of the
+/// link's contiguous out-halo range, which `ship` walks: a mode word, a
 /// presence bitmap over the link's cut ports, a byte-wide (or, when a
 /// message exceeds 255 words, 4-byte) length entry per live port, and each
 /// distinct message's words once — a broadcast crosses the link once, not
@@ -24,8 +25,8 @@
 /// port costs one bit. No round counts ride along: each rank's round spans
 /// carry its own (dist/rank_loop.hpp).
 /// Received payloads stay in per-peer frame buffers, and `patch` points the
-/// destination span arena into them (bank index 1 + src): no per-message
-/// copying or routing metadata.
+/// destination span arena and the bank-base table into them (bank index
+/// 1 + src): no per-message copying or routing metadata.
 ///
 /// Failure handling is piggybacked on the same stream: an aborting rank
 /// best-effort sends kAbort on every connection, and a rank that observes
@@ -129,9 +130,8 @@ class TcpTransport final : public dist::Transport {
   std::size_t sync_liveness(std::size_t my_not_done) override;
   void ship(const local::MessageSpan* local_arena,
             const std::uint64_t* bank_words, std::uint32_t epoch) override;
-  void patch(local::MessageSpan* local_arena, std::uint32_t epoch) override;
-  void update_bank_bases(std::vector<const std::uint64_t*>& bases,
-                         const std::uint64_t* own_bank) const override;
+  void patch(local::MessageSpan* local_arena, std::uint32_t epoch,
+             std::span<const std::uint64_t*> bases) override;
   void gather(const std::vector<std::uint64_t>& words) override;
   [[nodiscard]] std::pair<const std::uint64_t*, std::size_t> gathered(
       std::size_t w) const override;
@@ -195,15 +195,9 @@ class TcpTransport final : public dist::Transport {
   std::vector<Peer> peers_;          ///< size ranks; own slot unused
   std::uint64_t exchange_seq_ = 0;   ///< stepped once per collective phase
   std::vector<std::vector<std::uint64_t>> gather_rows_;  ///< per rank
-  /// Where an out-halo slot's message goes: its peer and its port in the
-  /// link's canonical order.
-  struct OutRoute {
-    std::uint32_t peer = 0;
-    std::uint32_t port = 0;
-  };
-  std::vector<OutRoute> out_routes_;  ///< per out-halo slot of the partition
-  /// Per peer: the live ports `ship` encodes, then those `patch` decodes.
-  std::vector<std::vector<HaloEntry>> halo_live_;
+  /// One link's live ports: those `ship` encodes, then those `patch`
+  /// decodes, one peer at a time.
+  std::vector<HaloEntry> halo_live_;
   std::vector<std::uint64_t> stage_words_;  ///< scratch payload builder
   std::vector<char> broadcast_bytes_;       ///< shared kOutputs frame
   Frame scratch_;                           ///< scratch parse target

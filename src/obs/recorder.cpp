@@ -17,16 +17,19 @@ namespace ds::obs {
 
 namespace {
 
-/// Leading word of a drained block ("ds_obs_3" as big-endian bytes) — a
+/// Leading word of a drained block ("ds_obs_4" as big-endian bytes) — a
 /// format tag, so a misaligned or foreign block fails loudly in merge.
 /// v2: events carry cycle/instruction deltas (7 words) and the block gains
 /// a folded-stack profile section. v3: events carry a round's live nodes,
-/// messages and payload words (10 words). Both codec ends live in this
-/// file, so the version only ever changes in lockstep.
-constexpr std::uint64_t kObsMagic = 0x64735f6f62735f33ull;
+/// messages and payload words (10 words). v4: only kRound events carry
+/// those three counts (10 words); every other event is 7. Both codec ends
+/// live in this file, so the version only ever changes in lockstep.
+constexpr std::uint64_t kObsMagic = 0x64735f6f62735f34ull;
 
-/// Words per serialized TraceEvent.
-constexpr std::size_t kEventWords = 10;
+/// Words per serialized TraceEvent: lane, phase, round, ts, dur, cycles,
+/// instructions, then — for a kRound span only — live, messages, words.
+constexpr std::size_t kEventWords = 7;
+constexpr std::size_t kRoundEventWords = 10;
 
 /// Appends [byte_length, packed chars...] — obs deliberately has its own
 /// tiny string codec rather than depending on net/frame.hpp.
@@ -223,9 +226,9 @@ std::vector<std::uint64_t> Recorder::drain_words() {
     out.push_back(e.dur_us);
     out.push_back(e.cycles);
     out.push_back(e.instructions);
-    out.push_back(e.live);
-    out.push_back(e.messages);
-    out.push_back(e.words);
+    if (e.phase == Phase::kRound) {
+      out.insert(out.end(), {e.live, e.messages, e.words});
+    }
   }
   for (const auto& [stack, count] : folded_since_mark_) {
     pack_string(out, stack);
@@ -269,10 +272,14 @@ void Recorder::merge_words(const std::uint64_t* words, std::size_t count) {
     e.dur_us = words[pos + 4];
     e.cycles = words[pos + 5];
     e.instructions = words[pos + 6];
-    e.live = words[pos + 7];
-    e.messages = words[pos + 8];
-    e.words = words[pos + 9];
-    pos += kEventWords;
+    if (e.phase == Phase::kRound) {
+      DS_CHECK_MSG(pos + kRoundEventWords <= count,
+                   "obs block truncated (event)");
+      e.live = words[pos + 7];
+      e.messages = words[pos + 8];
+      e.words = words[pos + 9];
+    }
+    pos += e.phase == Phase::kRound ? kRoundEventWords : kEventWords;
     push_event(e);  // merged events obey the flight-recorder bound too
   }
   for (std::size_t i = 0; i < num_folded; ++i) {

@@ -229,8 +229,9 @@ class Recorder {
   /// Human-readable summary table (the CLI's --stats view).
   void write_stats_table(std::ostream& out) const;
 
-  /// Default flight-recorder capacity: 2 MB of spans — hours of round
-  /// traffic for a serving process, far above any one run's span count.
+  /// Default flight-recorder capacity: 65,536 spans of 72 bytes (4.5 MiB)
+  /// — hours of round traffic for a serving process, far above any one
+  /// run's span count.
   static constexpr std::size_t kDefaultEventCapacity = 1 << 16;
 
  private:

@@ -1,12 +1,13 @@
 // Tests for dist::Partition and the halo routing tables: fuzzing on
 // gnp / Barabási–Albert / geometric instances asserting that every edge is
 // either internal or appears exactly once in each endpoint's halo table,
-// degenerate shapes (n < workers, isolated nodes, a single hub star),
-// PartitionStats, an in-process ship/patch roundtrip of the HaloTransport,
-// `build_local_csr`'s input precondition — plus the in-situ scale path's
-// two core determinism claims: for every generator family the union of all
-// ranks' shards equals the sequential edge set at 1/2/4 ranks, and
-// `Partition::rank_local` reproduces the full constructor's own-rank
+// that each link's cut ports are one contiguous out-halo range in link
+// order, degenerate shapes (n < workers, isolated nodes, a single hub
+// star), PartitionStats, an in-process ship/patch roundtrip of the
+// HaloTransport, `build_local_csr`'s input precondition — plus the in-situ
+// scale path's two core determinism claims: for every generator family the
+// union of all ranks' shards equals the sequential edge set at 1/2/4 ranks,
+// and `Partition::rank_local` reproduces the full constructor's own-rank
 // routing tables exactly.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dist/partition.hpp"
@@ -27,13 +30,52 @@
 namespace ds::dist {
 namespace {
 
+/// Asserts rank s's out-halo layout: its links' ranges tile the out-halo
+/// region in peer order, and the i-th cut port toward d — in link order,
+/// node then port — stages at out-halo slot `out_begin + i`. `row_of(v)`
+/// returns owned node v's first index into `part.local_delivery(s)` and
+/// its adjacency row.
+template <typename RowOf>
+void check_out_ranges(const Partition& part, std::size_t s,
+                      const RowOf& row_of) {
+  const std::size_t workers = part.num_workers();
+  std::size_t next = 0;
+  for (std::size_t d = 0; d < workers; ++d) {
+    EXPECT_EQ(part.link(s, d).out_begin, next)
+        << "link(" << s << "," << d << ")";
+    next += part.link(s, d).out_count;
+  }
+  EXPECT_EQ(next, part.num_out_halo(s));
+  EXPECT_EQ(part.link(s, s).out_count, 0u);
+
+  const std::span<const std::uint32_t> table = part.local_delivery(s);
+  std::vector<std::size_t> staged(workers, 0);
+  for (graph::NodeId v = part.first_node(s); v < part.last_node(s); ++v) {
+    const auto [index, row] = row_of(v);
+    for (std::size_t p = 0; p < row.size(); ++p) {
+      const std::size_t d = part.owner(row[p]);
+      if (d == s) continue;
+      const Partition::HaloLink& link = part.link(s, d);
+      ASSERT_LT(staged[d], link.out_count)
+          << "link(" << s << "," << d << ")";
+      EXPECT_EQ(table[index + p],
+                part.num_local_ports(s) + link.out_begin + staged[d]++)
+          << "v=" << v << " p=" << p;
+    }
+  }
+  for (std::size_t d = 0; d < workers; ++d) {
+    EXPECT_EQ(staged[d], part.link(s, d).out_count);
+  }
+}
+
 /// Asserts the full Partition invariant set on one (graph, workers) pair:
-/// boundary cover, delivery-table consistency, and — for every cut edge —
-/// exactly one entry in each endpoint's halo link, with matching canonical
-/// positions on both sides.
+/// boundary cover, delivery-table consistency, contiguous out-halo ranges
+/// per link, and — for every cut edge — exactly one entry in each
+/// endpoint's halo link, with matching canonical positions on both sides.
 void check_partition(const graph::Graph& g, std::size_t workers) {
   const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 1);
   const Partition part(topo, workers);
+  const std::vector<std::uint32_t> slots = local::delivery_slots(g);
 
   // Boundaries cover [0, n) without overlap.
   const auto& bounds = part.boundaries();
@@ -64,7 +106,8 @@ void check_partition(const graph::Graph& g, std::size_t workers) {
         if (d == w) {
           ++internal_ports;
           EXPECT_LT(entry, part.num_local_ports(w));
-          EXPECT_EQ(entry + part.port_base(w), topo.delivery_slot(v, p));
+          EXPECT_EQ(entry + part.port_base(w),
+                    slots[topo.port_offset(v) + p]);
         } else {
           EXPECT_GE(entry, part.num_local_ports(w));
           // Out-halo slots are assigned injectively.
@@ -75,6 +118,10 @@ void check_partition(const graph::Graph& g, std::size_t workers) {
       }
     }
     EXPECT_EQ(seen_out_slots.size(), part.num_out_halo(w));
+    check_out_ranges(part, w, [&](graph::NodeId v) {
+      return std::pair{topo.port_offset(v) - part.port_base(w),
+                       g.neighbors(v)};
+    });
   }
 
   // Every edge is either internal (both directed ports internal) or appears
@@ -95,19 +142,24 @@ void check_partition(const graph::Graph& g, std::size_t workers) {
   }
   EXPECT_EQ(internal_ports + expected_cut_ports, topo.total_ports());
 
-  // The links agree with the per-pair cut sets in size, and both sides of
-  // each link pair up (same canonical length).
+  // The links agree with the per-pair cut sets in size, both sides of each
+  // link pair up (same canonical length), and the i-th cut port in link
+  // order (ascending global port) lands at dst_slots[i].
   std::size_t linked = 0;
   for (std::size_t s = 0; s < workers; ++s) {
     for (std::size_t d = 0; d < workers; ++d) {
       const auto& link = part.link(s, d);
-      ASSERT_EQ(link.src_out_slots.size(), link.dst_slots.size());
+      ASSERT_EQ(link.out_count, link.dst_slots.size());
       const auto it = cut.find({s, d});
-      EXPECT_EQ(link.src_out_slots.size(),
-                it == cut.end() ? 0u : it->second.size());
-      linked += link.src_out_slots.size();
+      EXPECT_EQ(link.out_count, it == cut.end() ? 0u : it->second.size());
+      linked += link.out_count;
       for (const std::uint32_t slot : link.dst_slots) {
         EXPECT_LT(slot, part.num_local_ports(d));
+      }
+      if (it == cut.end()) continue;
+      std::size_t i = 0;
+      for (const std::size_t port : it->second) {
+        EXPECT_EQ(link.dst_slots[i++] + part.port_base(d), slots[port]);
       }
     }
   }
@@ -184,6 +236,7 @@ TEST(HaloTransport, ShipPatchRoundtrip) {
   const auto g = graph::gen::gnp(60, 0.1, rng);
   const local::NetworkTopology topo(g, local::IdStrategy::kSequential, 2);
   const Partition part(topo, 2);
+  const std::vector<std::uint32_t> slots = local::delivery_slots(g);
   HaloTransport transport(part);
 
   std::vector<local::WordBank> banks(2);
@@ -215,10 +268,13 @@ TEST(HaloTransport, ShipPatchRoundtrip) {
       transport.ship(w, arenas[w].data(), banks[w].data(), epoch);
     }
     for (std::size_t w = 0; w < 2; ++w) {
-      transport.patch(w, arenas[w].data(), epoch);
-      std::vector<const std::uint64_t*> bases;
-      transport.fill_bank_bases(w, banks[w].data(), bases);
-      ASSERT_EQ(bases.size(), 3u);
+      std::vector<const std::uint64_t*> bases = {banks[w].data(), nullptr,
+                                                 nullptr};
+      bases[2 - w] = banks[w].data();  // patch must overwrite the peer's
+      transport.patch(w, arenas[w].data(), epoch, bases);
+      EXPECT_EQ(bases[0], banks[w].data());
+      EXPECT_EQ(bases[1 + w], nullptr);  // a rank ships nothing to itself
+      EXPECT_NE(bases[2 - w], banks[w].data());
       for (graph::NodeId v = part.first_node(w); v < part.last_node(w);
            ++v) {
         local::Inbox inbox(
@@ -228,7 +284,8 @@ TEST(HaloTransport, ShipPatchRoundtrip) {
           // The message on port p came from the neighbor's reverse port:
           // the slot v's port p delivers into, relative to the neighbor.
           const graph::NodeId u = g.neighbors(v)[p];
-          const std::size_t q = topo.delivery_slot(v, p) - topo.port_offset(u);
+          const std::size_t q =
+              slots[topo.port_offset(v) + p] - topo.port_offset(u);
           if (!sends(q)) {
             EXPECT_TRUE(inbox[p].empty()) << "v=" << v << " p=" << p;
             continue;
@@ -335,9 +392,10 @@ TEST(InsituGenerator, UniformBoundariesCoverEveryNode) {
 TEST(Partition, RankLocalMatchesFullConstruction) {
   // Built from nothing but the boundaries and the rank's own CSR,
   // rank_local must reproduce the full constructor's own-rank tables
-  // bit-for-bit: the local delivery table, the out-halo assignment, and
-  // both directions of every link touching the rank. The gnp instance's
-  // ranges need two radix digits in the dst-column sort.
+  // bit-for-bit: the local delivery table, the out-halo ranges (begin and
+  // count of every outgoing link), and the dst column of every incoming
+  // link. The gnp instance's ranges need two radix digits in the
+  // dst-column sort.
   std::vector<std::string> specs = family_specs();
   specs.push_back("gnp:n=20000,deg=8");
   for (const std::string& text : specs) {
@@ -366,15 +424,26 @@ TEST(Partition, RankLocalMatchesFullConstruction) {
         ASSERT_EQ(local.num_local_ports(r), full.num_local_ports(r))
             << text << " workers=" << workers << " rank=" << r;
         EXPECT_EQ(local.num_out_halo(r), full.num_out_halo(r));
-        EXPECT_EQ(local.local_delivery(r), full.local_delivery(r))
+        const auto as_vector = [](std::span<const std::uint32_t> table) {
+          return std::vector<std::uint32_t>(table.begin(), table.end());
+        };
+        EXPECT_EQ(as_vector(local.local_delivery(r)),
+                  as_vector(full.local_delivery(r)))
             << text << " workers=" << workers << " rank=" << r;
         for (std::size_t d = 0; d < workers; ++d) {
-          EXPECT_EQ(local.link(r, d).src_out_slots,
-                    full.link(r, d).src_out_slots)
+          EXPECT_EQ(local.link(r, d).out_begin, full.link(r, d).out_begin)
+              << text << " link(" << r << "," << d << ")";
+          EXPECT_EQ(local.link(r, d).out_count, full.link(r, d).out_count)
               << text << " link(" << r << "," << d << ")";
           EXPECT_EQ(local.link(d, r).dst_slots, full.link(d, r).dst_slots)
               << text << " link(" << d << "," << r << ")";
         }
+        check_out_ranges(local, r, [&](graph::NodeId v) {
+          const std::size_t off = csr.offsets[v - csr.first];
+          return std::pair{off, graph::NeighborView(
+                                    csr.adjacency.data() + off,
+                                    csr.offsets[v - csr.first + 1] - off)};
+        });
       }
     }
   }

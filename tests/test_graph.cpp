@@ -373,6 +373,43 @@ TEST(Io, BipartiteRoundTripAndDot) {
 TEST(Io, MalformedInputThrows) {
   std::stringstream ss("not a header");
   EXPECT_THROW(io::read_edge_list(ss), CheckError);
+
+  // Input `>>` would misread is refused with its cause: data past the
+  // header's m pairs (once dropped silently), and a signed id (once
+  // wrapped into node 4294967295), in both formats.
+  const auto error_of = [](const std::string& text, bool bipartite) {
+    std::stringstream in(text);
+    try {
+      if (bipartite) {
+        (void)io::read_bipartite(in);
+      } else {
+        (void)io::read_edge_list(in);
+      }
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto expect_error = [&](const std::string& text, bool bipartite,
+                                const std::string& cause) {
+    const std::string what = error_of(text, bipartite);
+    EXPECT_NE(what.find(cause), std::string::npos) << text << " -> " << what;
+  };
+  expect_error("3 1\n0 1\n1 2\n", false,
+               "'1' past the 1 edges its header announces");
+  expect_error("3 2\n0 1\n-1 2\n", false, "edge 2: '-1' has a sign");
+  expect_error("2 2 1\n0 1\n1 0\n", true,
+               "'1' past the 1 edges its header announces");
+  expect_error("2 2 2\n0 1\n1 -1\n", true, "edge 2: '-1' has a sign");
+  expect_error("3 2\n0 1\n1 2x\n", false, "'2x' is not an unsigned decimal");
+  expect_error("3 2\n0 1\n", false, "edge 2: missing");
+  expect_error("+3 1\n0 1\n", false, "header: '+3' has a sign");
+  expect_error("3 1\n0 4294967296\n", false,
+               "'4294967296' is not an unsigned decimal up to 4294967295");
+
+  // Trailing whitespace is not data; a well-formed file still reads.
+  std::stringstream ok("3 2\n0 1\n1 2\n\n  \n");
+  EXPECT_EQ(io::read_edge_list(ok).num_edges(), 2u);
 }
 
 TEST(Io, BipartiteLeftEndpointOutOfRangeThrows) {

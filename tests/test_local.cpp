@@ -153,8 +153,8 @@ TEST(Network, DestroysEveryProgramOnTheCallingThreadBeforeRunReturns) {
 }
 
 TEST(NodeEnv, NeighborUidReadsTheUidTableOrTheNodeId) {
-  // Executors with a UID table point `uids` at it; the in-situ path leaves
-  // it null, because there a node's UID is its id.
+  // Random and degree IDs point `uids` at the run's table; sequential IDs,
+  // on every executor and in situ, leave it null: a node's UID is its id.
   const graph::NodeId row[3] = {4, 0, 2};
   const std::uint64_t table[5] = {70, 71, 72, 73, 74};
   NodeEnv env;

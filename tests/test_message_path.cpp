@@ -3,10 +3,11 @@
 // violations), degree-balanced shard boundaries on skewed graphs, the
 // zero-allocation guarantee of the send path of the sequential executor
 // and of the rank loop on thread ranks, allocation-free trial-coloring
-// rounds, and setup and program construction without per-node heap blocks
-// (asserted through a global operator-new counting hook — this binary must
-// not be merged with other test binaries), the 32-bit span bound and the
-// epoch wrap.
+// rounds, setup and program construction without per-node heap blocks, an
+// executor that requests one delivery table and a sequential-ID run that
+// requests no UID table (asserted through a global operator-new counting
+// hook — this binary must not be merged with other test binaries), the
+// 32-bit span bound and the epoch wrap.
 
 #include <gtest/gtest.h>
 
@@ -36,10 +37,10 @@
 
 // ---- Global allocation counter -------------------------------------------
 // Counts every scalar/array non-aligned heap allocation in the binary, on
-// every thread. The steady-state round loop of both the sequential executor
-// and the rank loop must not allocate when running writer-API programs,
-// which the AllocationCounting tests assert by comparing the allocation
-// counts of a short and a long run.
+// every thread, and the bytes each requested. The steady-state round loop
+// of both the sequential executor and the rank loop must not allocate when
+// running writer-API programs, which the AllocationCounting tests assert by
+// comparing the allocation counts of a short and a long run.
 
 // GCC pairs the replaced operator new (malloc-backed) with the free() in the
 // replaced operator delete and misreports a mismatch at every delete site.
@@ -49,10 +50,12 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_requested_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_requested_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -60,6 +63,7 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_requested_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -639,6 +643,69 @@ TEST(Topology, BorrowsTheGraphOffsets) {
   EXPECT_EQ(topo.port_offsets().data(), g.offsets().data());
   EXPECT_EQ(topo.port_offsets().size(), g.num_nodes() + 1);
   EXPECT_EQ(topo.total_ports(), 2 * g.num_edges());
+}
+
+TEST(Topology, SequentialIdsHoldNoUidTable) {
+  // Under sequential IDs a node's UID is its id, so the topology requests
+  // no table and hands every environment a null one (NodeEnv reads that as
+  // uid == node id). The random and degree strategies keep a permutation
+  // table; switching a reused topology back to sequential drops it. Every
+  // environment's coins fork from the seed by UID.
+  const auto g = graph::gen::torus(16, 16);
+  const std::size_t n = g.num_nodes();
+  local::NetworkTopology topo(g);
+  EXPECT_THROW((void)topo.make_env(0), ds::CheckError);  // no identity yet
+
+  const std::size_t before = g_requested_bytes.load(std::memory_order_relaxed);
+  topo.assign_identity(local::IdStrategy::kSequential, 3);
+  EXPECT_EQ(g_requested_bytes.load(std::memory_order_relaxed) - before, 0u);
+  const auto expect_sequential = [&] {
+    for (graph::NodeId v = 0; v < n; ++v) {
+      local::NodeEnv env = topo.make_env(v);
+      ASSERT_EQ(env.uids, nullptr) << "v=" << v;
+      EXPECT_EQ(env.uid, v);
+      EXPECT_EQ(env.neighbor_uid(0), g.neighbors(v)[0]);
+      EXPECT_EQ(env.rng.next_raw(), Rng(3).fork(v).next_raw());
+    }
+  };
+  expect_sequential();
+
+  for (const local::IdStrategy ids : {local::IdStrategy::kRandomPermutation,
+                                      local::IdStrategy::kDegreeDescending}) {
+    topo.assign_identity(ids, 3);
+    std::vector<bool> seen(n, false);
+    std::size_t moved = 0;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      local::NodeEnv env = topo.make_env(v);
+      ASSERT_NE(env.uids, nullptr) << "v=" << v;
+      ASSERT_LT(env.uid, n);
+      EXPECT_EQ(env.uid, env.uids[v]);
+      EXPECT_FALSE(seen[env.uid]) << "uid " << env.uid << " twice";
+      seen[env.uid] = true;
+      moved += env.uid != v ? 1 : 0;
+      EXPECT_EQ(env.rng.next_raw(), Rng(3).fork(env.uid).next_raw());
+    }
+    EXPECT_GT(moved, 0u);
+    topo.assign_identity(local::IdStrategy::kSequential, 3);
+    expect_sequential();
+  }
+}
+
+TEST(AllocationCounting, ExecutorRequestsOneDeliveryTable) {
+  // A 4-rank executor computes the delivery slots once and rewrites them
+  // in place into the ranks' one local table: 4 bytes per directed port,
+  // plus the slot pass's transient cursor per node (2 bytes per port on a
+  // torus) and the links, out-halo ranges and halo buffers: 109,868 bytes
+  // for 16,384 ports (6.7 per port). With a second 4-byte table per port,
+  // the topology's beside the partition's, it was 177,820 (10.9 per port).
+  const auto g = graph::gen::torus(64, 64);
+  const std::size_t ports = 2 * g.num_edges();
+  const std::size_t before = g_requested_bytes.load(std::memory_order_relaxed);
+  const std::shared_ptr<local::Executor> exec = threaded(g, 4);
+  const std::size_t bytes =
+      g_requested_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(bytes, 8 * ports + ports / 2) << bytes << " bytes for " << ports
+                                          << " ports";
 }
 
 TEST(AllocationCounting, HookObservesPerRoundAllocations) {

@@ -221,6 +221,11 @@ TEST(Recorder, DrainAndMergeCarryARoundSpansCounts) {
                kPerfUnavailable, kPerfUnavailable, /*live=*/7,
                /*messages=*/11, /*words=*/13);
   const std::vector<std::uint64_t> block = rec.drain_words();
+  // Only the round span carries the three counts: 7 words for the send
+  // span, 10 for the round span, past a block that holds no event.
+  Recorder empty;
+  empty.mark();
+  EXPECT_EQ(block.size(), empty.drain_words().size() + 7 + 10);
 
   Recorder peer;
   peer.merge_words(block.data(), block.size());
@@ -242,8 +247,8 @@ TEST(Recorder, DrainAndMergeCarryARoundSpansCounts) {
       << trace.str();
   EXPECT_EQ(trace.str().find("\"live\": 0"), std::string::npos);
 
-  // The block ends with the round span: cut at the old 7-word width, it is
-  // a truncated event.
+  // The block ends with the round span: cut after its first 7 words, the
+  // width of every other span, it is a truncated event.
   try {
     Recorder fresh;
     fresh.merge_words(block.data(), block.size() - 3);
